@@ -327,11 +327,12 @@ let run_engine_bench () =
    engine/single-run pair, executed by the data-parallel sweeps over a
    prebuilt [Mis_sim.Kernel] (Luby and the full FairTree stage
    pipeline), plus the 1000-trial fairness workload through the
-   [Trials.fairness_runner] front end with a per-chunk kernel at 1 and
-   4 domains. The printed vs-engine ratio is the backend's reason to
-   exist — the single-run sweep must beat the message engine's prebuilt
-   reuse row by >= 5x — and `bench-diff --only kernel/` hard-gates
-   every kernel row against the committed baseline. *)
+   [Trials.fairness] front end on [Runners.luby] — one kernel compiled
+   up front and shared by every pooled domain — at 1 and 4 domains. The
+   printed vs-engine ratio is the backend's reason to exist — the
+   single-run sweep must beat the message engine's prebuilt reuse row by
+   >= 5x — and `bench-diff --only kernel/` hard-gates every kernel row
+   against the committed baseline. *)
 let kernel_timing_tests () =
   let view = lazy (View.full (Helpers_bench.random_tree 1000)) in
   let kern = lazy (Mis_sim.Kernel.create (Lazy.force view)) in
@@ -346,16 +347,12 @@ let run_kernel_scaling () =
   let trials = 1000 and n = 1000 in
   let chunk = 250 in
   let view = View.full (Helpers_bench.random_tree n) in
-  let b =
-    match Mis_exp.Runners.backed Fairmis.Backend.Kernel "luby" with
-    | Some b -> b
-    | None -> assert false
-  in
+  let run = Mis_exp.Runners.luby.Mis_exp.Runners.run view in
   let work domains =
     let spec = { Mis_exp.Trials.trials; seed = 11; domains = Some domains } in
     ignore
-      (Mis_exp.Trials.fairness_runner ~chunk spec ~n (fun () ->
-           b.Mis_exp.Runners.b_compile view))
+      (Mis_exp.Trials.fairness ~chunk spec ~n (fun acc ~seed ->
+           Mis_obs.Fairness.record acc ~in_mis:(run ~seed)))
   in
   let time_best domains =
     let best = ref infinity in

@@ -15,10 +15,7 @@ module Rand_plan = Fairmis.Rand_plan
 
 let algorithms =
   [ ("luby", Mis_exp.Runners.luby);
-    ( "luby-degree",
-      { Mis_exp.Runners.name = "Luby-A(degree)";
-        run =
-          (fun view ~seed -> Fairmis.Luby_degree.run view (Rand_plan.make seed)) } );
+    ("luby-degree", Mis_exp.Runners.luby_degree);
     ("fairtree", Mis_exp.Runners.fair_tree);
     ("fairbipart", Mis_exp.Runners.fair_bipart);
     ("colormis", Mis_exp.Runners.color_mis_greedy);
@@ -80,36 +77,6 @@ let bounded_int ~min what =
 
 let pos_int what = bounded_int ~min:1 what
 let nonneg_int what = bounded_int ~min:0 what
-
-(* Backend selection for the simulator-backed algorithms: the message
-   engine or the data-parallel kernel sweeps (bit-identical results). *)
-let backend_arg =
-  Arg.(value
-      & opt
-          (enum
-             (List.map
-                (fun b -> (Fairmis.Backend.to_string b, b))
-                Fairmis.Backend.all))
-          Fairmis.Backend.Message
-      & info [ "backend" ]
-          ~doc:
-            (Printf.sprintf
-               "Execution backend: $(b,message) (the message-passing \
-                engine) or $(b,kernel) (data-parallel array sweeps over \
-                the compiled CSR; bit-identical decisions). $(b,kernel) \
-                supports: %s."
-               (String.concat ", " Fairmis.Backend.supported)))
-
-let backed_runner backend alg =
-  match Mis_exp.Runners.backed backend alg with
-  | Some b -> b
-  | None ->
-    or_die
-      (Error
-         (Printf.sprintf "--backend %s supports only: %s (got %S)"
-            (Fairmis.Backend.to_string backend)
-            (String.concat ", " Fairmis.Backend.supported)
-            alg))
 
 (* list *)
 
@@ -222,23 +189,15 @@ let run_cmd =
     Arg.(value & opt (some string) None
         & info [ "dot" ] ~doc:"Write a Graphviz rendering with the MIS filled.")
   in
-  let run alg spec seed backend members dot =
+  let run alg spec seed members dot =
     let g = or_die (graph_of_spec spec) in
     let view = View.full g in
-    let display, mis =
-      match backend with
-      | Fairmis.Backend.Message ->
-        let runner = or_die (runner_of_name alg) in
-        (runner.Mis_exp.Runners.name, runner.Mis_exp.Runners.run view ~seed)
-      | Fairmis.Backend.Kernel ->
-        let b = backed_runner backend alg in
-        ( b.Mis_exp.Runners.b_display ^ " [kernel]",
-          b.Mis_exp.Runners.b_compile view ~seed )
-    in
+    let runner = or_die (runner_of_name alg) in
+    let mis = runner.Mis_exp.Runners.run view ~seed in
     Fairmis.Mis.verify ~name:alg view mis;
     let size = Array.fold_left (fun a b -> if b then a + 1 else a) 0 mis in
     Printf.printf "%s on %s (seed %d): MIS size %d / %d nodes — valid\n"
-      display spec seed size (Graph.n g);
+      runner.Mis_exp.Runners.name spec seed size (Graph.n g);
     if members then begin
       Array.iteri (fun u b -> if b then Printf.printf "%d " u) mis;
       print_newline ()
@@ -252,8 +211,7 @@ let run_cmd =
     | None -> ()
   in
   Cmd.v (Cmd.info "run" ~doc)
-    Term.(const run $ alg_arg $ spec_arg1 $ seed_arg $ backend_arg $ members
-          $ dot)
+    Term.(const run $ alg_arg $ spec_arg1 $ seed_arg $ members $ dot)
 
 (* measure *)
 
@@ -271,28 +229,16 @@ let measure_cmd =
     Arg.(value & opt (some string) None
         & info [ "csv" ] ~doc:"Write the summary row to this CSV file.")
   in
-  let run alg spec seed backend trials domains csv =
+  let run alg spec seed trials domains csv =
     let g = or_die (graph_of_spec spec) in
     let view = View.full g in
-    let display, e =
-      match backend with
-      | Fairmis.Backend.Message ->
-        let runner = or_die (runner_of_name alg) in
-        let cfg = { Mis_stats.Montecarlo.trials; base_seed = seed; domains } in
-        ( runner.Mis_exp.Runners.name,
-          Mis_stats.Montecarlo.estimate
-            ~check:(fun mis -> Fairmis.Mis.verify ~name:alg view mis)
-            cfg view
-            (fun ~seed -> runner.Mis_exp.Runners.run view ~seed) )
-      | Fairmis.Backend.Kernel ->
-        let b = backed_runner backend alg in
-        let cfg =
-          { Mis_exp.Config.trials; seed; domains;
-            nyc = Mis_exp.Config.Nyc_skip; full = false }
-        in
-        ( b.Mis_exp.Runners.b_display ^ " [kernel]",
-          Mis_exp.Runners.measure_backed cfg view b )
+    let runner = or_die (runner_of_name alg) in
+    let display = runner.Mis_exp.Runners.name in
+    let cfg =
+      { Mis_exp.Config.trials; seed; domains;
+        nyc = Mis_exp.Config.Nyc_skip; full = false }
     in
+    let e = Mis_exp.Runners.measure cfg view runner in
     let s = Empirical.summarize e in
     Printf.printf
       "%s on %s: trials=%d  inequality factor=%s  min P=%.4f  max P=%.4f  mean P=%.4f\n"
@@ -313,8 +259,7 @@ let measure_cmd =
     | None -> ()
   in
   Cmd.v (Cmd.info "measure" ~doc)
-    Term.(const run $ alg_arg $ spec_arg1 $ seed_arg $ backend_arg $ trials
-          $ domains $ csv)
+    Term.(const run $ alg_arg $ spec_arg1 $ seed_arg $ trials $ domains $ csv)
 
 (* trace / analyze — shared replay plumbing *)
 

@@ -1,53 +1,9 @@
-type t = Message | Kernel
-
-let all = [ Message; Kernel ]
-let to_string = function Message -> "message" | Kernel -> "kernel"
-
-let of_string = function
-  | "message" -> Some Message
-  | "kernel" -> Some Kernel
-  | _ -> None
-
 type outcome = {
   output : bool array;
   decided : bool array;
   rounds : int;
 }
 
-let of_engine (o : Mis_sim.Runtime.outcome) =
-  { output = o.Mis_sim.Runtime.output; decided = o.Mis_sim.Runtime.decided;
-    rounds = o.Mis_sim.Runtime.rounds }
-
 let of_kernel (o : Mis_sim.Kernel.outcome) =
   { output = o.Mis_sim.Kernel.output; decided = o.Mis_sim.Kernel.decided;
     rounds = o.Mis_sim.Kernel.rounds }
-
-(* Each exec compiles the view once, at closure-build time; the per-plan
-   call then reuses the engine or kernel scratch. Trial drivers build
-   the closure once per domain-chunk (Trials.fold_ctx / estimate_ctx)
-   so neither backend shares mutable state across domains. *)
-
-let exec_luby backend view =
-  match backend with
-  | Message ->
-    let e = Mis_sim.Runtime.Engine.create view in
-    fun plan -> of_engine (Luby.run_distributed_on e plan)
-  | Kernel ->
-    let k = Mis_sim.Kernel.create view in
-    fun plan -> of_kernel (Luby.run_kernel_on k plan)
-
-let exec_fair_tree ?gamma backend view =
-  match backend with
-  | Message ->
-    let e = Mis_sim.Runtime.Engine.create view in
-    fun plan -> of_engine (Fair_tree_distributed.run_on ?gamma e plan)
-  | Kernel ->
-    let k = Mis_sim.Kernel.create view in
-    fun plan -> of_kernel (Fair_tree_distributed.run_kernel_on ?gamma k plan)
-
-let exec_of_name ?gamma backend view = function
-  | "luby" -> Some (exec_luby backend view)
-  | "fairtree" -> Some (exec_fair_tree ?gamma backend view)
-  | _ -> None
-
-let supported = [ "luby"; "fairtree" ]

@@ -1,40 +1,15 @@
-(** Pluggable execution backends for the simulator-backed algorithms.
+(** The backend-neutral slice of a simulated run's result.
 
-    [Message] runs the faithful message-passing program on
-    {!Mis_sim.Runtime.Engine}; [Kernel] runs the same algorithm as
-    data-parallel frontier sweeps on {!Mis_sim.Kernel}. On a perfect
-    network the two are bit-identical in decisions, membership and
-    rounds (the QCheck equivalence suite pins this); the message backend
-    remains the only one supporting fault plans and event tracing. *)
+    Luby and FairTree run on the data-parallel {!Mis_sim.Kernel} (see
+    {!Luby.run_kernel_on} and {!Fair_tree_distributed.run_kernel_on});
+    the message programs on {!Mis_sim.Runtime.Engine} stay the oracle and
+    the only path with fault plans and event tracing. A compiled kernel
+    may be shared across domains; an engine may not. *)
 
-type t = Message | Kernel
-
-val all : t list
-val to_string : t -> string
-val of_string : string -> t option
-
-(** The backend-independent slice of a run's result. *)
 type outcome = {
   output : bool array;
   decided : bool array;
   rounds : int;
 }
 
-val of_engine : Mis_sim.Runtime.outcome -> outcome
 val of_kernel : Mis_sim.Kernel.outcome -> outcome
-
-val exec_luby : t -> Mis_graph.View.t -> Rand_plan.t -> outcome
-(** [exec_luby b view] compiles [view] for backend [b] once; the
-    returned closure executes one seeded trial per call, reusing the
-    compiled state. Not thread-safe: build one closure per domain. *)
-
-val exec_fair_tree :
-  ?gamma:int -> t -> Mis_graph.View.t -> Rand_plan.t -> outcome
-
-val exec_of_name :
-  ?gamma:int -> t -> Mis_graph.View.t -> string -> (Rand_plan.t -> outcome) option
-(** Compiled exec by CLI key ([luby] / [fairtree]); [None] for
-    algorithms with no simulator program. *)
-
-val supported : string list
-(** The CLI keys accepted by {!exec_of_name}. *)

@@ -54,7 +54,8 @@ val run_kernel :
 
 val run_kernel_on :
   ?gamma:int -> Mis_sim.Kernel.t -> Rand_plan.t -> Mis_sim.Kernel.outcome
-(** {!run_kernel} on a prebuilt kernel (the fast, reusing path). *)
+(** {!run_kernel} on a prebuilt kernel (the fast, reusing path); safe to
+    call concurrently from several domains on one shared kernel. *)
 
 val message_bits : n:int -> Messages.t -> int
 (** Size accounting: every message fits in O(log n) bits. *)

@@ -56,4 +56,6 @@ val run_kernel :
 
 val run_kernel_on :
   ?stage:int -> Mis_sim.Kernel.t -> Rand_plan.t -> Mis_sim.Kernel.outcome
-(** {!run_kernel} on a prebuilt kernel (the fast, reusing path). *)
+(** {!run_kernel} on a prebuilt kernel (the fast, reusing path). Unlike
+    {!run_distributed_on}, this may be called concurrently from several
+    domains on one shared kernel. *)

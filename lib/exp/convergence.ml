@@ -12,6 +12,7 @@ let factor_trajectory cfg view (runner : Runners.t) =
   let n = View.n view in
   let joins = Array.make n 0 in
   let mask = Array.init n (View.node_active view) in
+  let run = runner.Runners.run view in
   let results = ref [] in
   let finished = ref 0 in
   List.iter
@@ -22,8 +23,7 @@ let factor_trajectory cfg view (runner : Runners.t) =
             { Trials.trials = target - !finished;
               seed = cfg.Config.seed + !finished;
               domains = cfg.Config.domains }
-            ~n
-            (fun ~seed -> runner.Runners.run view ~seed)
+            ~n run
         in
         for u = 0 to n - 1 do
           joins.(u) <- joins.(u) + seg.(u)

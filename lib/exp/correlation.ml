@@ -1,6 +1,5 @@
 module View = Mis_graph.View
 module Joint = Mis_stats.Joint
-module Rand_plan = Fairmis.Rand_plan
 
 let distances = [ 1; 2; 3; 4; 5; 6; 8 ]
 
@@ -37,14 +36,8 @@ let run cfg =
     (fun (name, g, anchor) ->
       let view = View.full g in
       let pairs = pairs_of view ~anchor in
-      let luby =
-        measure cfg pairs (fun ~seed ->
-            Fairmis.Luby.run view (Rand_plan.make seed))
-      in
-      let fair =
-        measure cfg pairs (fun ~seed ->
-            Fairmis.Fair_tree.run view (Rand_plan.make seed))
-      in
+      let luby = measure cfg pairs (Runners.luby.Runners.run view) in
+      let fair = measure cfg pairs (Runners.fair_tree.Runners.run view) in
       Printf.printf "%s (anchor %d):\n" name anchor;
       let header = [ "distance"; "Luby corr"; "FairTree corr" ] in
       let body =

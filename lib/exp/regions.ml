@@ -61,8 +61,8 @@ let run cfg =
       (Fairmis.Color_mis.run_adaptive view
          ~coloring:coloring.Fairmis.Distributed_coloring.colors plan)
   in
-  let global_k ~seed = Runners.color_mis_greedy.Runners.run view ~seed in
-  let luby ~seed = Fairmis.Luby.run view (Rand_plan.make seed) in
+  let global_k = Runners.color_mis_greedy.Runners.run view in
+  let luby = Runners.luby.Runners.run view in
   let algorithms =
     [ ("ColorMIS adaptive-k", adaptive);
       ("ColorMIS global-k", global_k);

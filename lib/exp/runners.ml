@@ -6,13 +6,25 @@ type t = {
   run : Mis_graph.View.t -> seed:int -> bool array;
 }
 
+(* Luby and FairTree compile the view into one kernel when [run view] is
+   applied; every seeded call then runs on that kernel, from any domain
+   (the kernel pools its scratch per concurrent run). *)
+let on_kernel exec view =
+  let kernel = Mis_sim.Kernel.create view in
+  fun ~seed -> (exec kernel (Rand_plan.make seed)).Mis_sim.Kernel.output
+
 let luby =
   { name = "Luby's";
-    run = (fun view ~seed -> Fairmis.Luby.run view (Rand_plan.make seed)) }
+    run = on_kernel Fairmis.Luby.run_kernel_on }
 
 let fair_tree =
   { name = "FairTree";
-    run = (fun view ~seed -> Fairmis.Fair_tree.run view (Rand_plan.make seed)) }
+    run = on_kernel Fairmis.Fair_tree_distributed.run_kernel_on }
+
+let luby_degree =
+  { name = "Luby-A(degree)";
+    run =
+      (fun view ~seed -> Fairmis.Luby_degree.run view (Rand_plan.make seed)) }
 
 let fair_bipart =
   { name = "FairBipart";
@@ -85,50 +97,13 @@ let find_traced name =
   List.find_opt (fun t -> t.t_name = name) traced
 
 (* Profiling (FAIRMIS_PROF=1): one span per measured runner; validation
-   gets its own child span (recorded on the worker domain that runs it). *)
+   gets its own child span (recorded on the worker domain that runs it).
+   [runner.run view] is applied once, so a compiled runner serves every
+   trial on every domain. *)
 let measure cfg view runner =
   Mis_obs.Prof.gspan ("measure." ^ runner.name) (fun () ->
       Mis_stats.Montecarlo.estimate
         ~check:(fun mis ->
           Mis_obs.Prof.gspan "validate" (fun () ->
               Fairmis.Mis.verify ~name:runner.name view mis))
-        (Config.montecarlo cfg) view
-        (fun ~seed -> runner.run view ~seed))
-
-type backed = {
-  b_key : string;
-  b_display : string;
-  b_backend : Fairmis.Backend.t;
-  b_compile : Mis_graph.View.t -> seed:int -> bool array;
-}
-
-let backed backend key =
-  let compile exec view =
-    let run = exec backend view in
-    fun ~seed -> (run (Rand_plan.make seed)).Fairmis.Backend.output
-  in
-  match key with
-  | "luby" ->
-    Some
-      { b_key = key; b_display = "Luby's"; b_backend = backend;
-        b_compile = compile Fairmis.Backend.exec_luby }
-  | "fairtree" ->
-    Some
-      { b_key = key; b_display = "FairTree"; b_backend = backend;
-        b_compile = compile (fun b v -> Fairmis.Backend.exec_fair_tree b v) }
-  | _ -> None
-
-let measure_backed cfg view b =
-  let tag =
-    Printf.sprintf "measure.%s[%s]" b.b_display
-      (Fairmis.Backend.to_string b.b_backend)
-  in
-  Mis_obs.Prof.gspan tag (fun () ->
-      Mis_stats.Montecarlo.estimate_ctx
-        ~check:(fun mis ->
-          Mis_obs.Prof.gspan "validate" (fun () ->
-              Fairmis.Mis.verify ~name:b.b_display view mis))
-        (Config.montecarlo cfg)
-        ~ctx:(fun () -> b.b_compile view)
-        view
-        (fun run ~seed -> run ~seed))
+        (Config.montecarlo cfg) view (runner.run view))

@@ -4,10 +4,26 @@
 type t = {
   name : string;
   run : Mis_graph.View.t -> seed:int -> bool array;
+      (** Apply [run view] once per view and call the result per seed.
+          The partial application does any per-view setup (for {!luby}
+          and {!fair_tree}, compiling one {!Mis_sim.Kernel}); the
+          returned per-seed closure may be called from any domain,
+          concurrently. [run view ~seed] in one go is correct but repeats
+          the setup on every call. *)
 }
 
 val luby : t
+(** Luby's algorithm on a compiled {!Mis_sim.Kernel}: the same MIS as
+    {!Fairmis.Luby.run} under the same seed. *)
+
 val fair_tree : t
+(** FairTree on a compiled {!Mis_sim.Kernel}: the same MIS as
+    {!Fairmis.Fair_tree.run} under the same seed. *)
+
+val luby_degree : t
+(** Luby's original degree-probability marking variant
+    ({!Fairmis.Luby_degree}). *)
+
 val fair_bipart : t
 val greedy_permutation : t
 val color_mis_planar : t
@@ -41,28 +57,5 @@ val find_traced : string -> traced option
 
 val measure :
   Config.t -> Mis_graph.View.t -> t -> Mis_stats.Empirical.t
-(** Monte Carlo with per-run MIS validation. *)
-
-(** {1 Backend-selected runners}
-
-    Compiled adapters over {!Fairmis.Backend}: the same algorithm run on
-    either the message engine or the data-parallel kernel, with the view
-    compiled once per domain-chunk instead of per trial. *)
-
-type backed = {
-  b_key : string;  (** CLI key: [luby] or [fairtree]. *)
-  b_display : string;
-  b_backend : Fairmis.Backend.t;
-  b_compile : Mis_graph.View.t -> seed:int -> bool array;
-      (** [b_compile view] compiles once; each [~seed] call is one
-          trial reusing the compiled state (single-domain use only). *)
-}
-
-val backed : Fairmis.Backend.t -> string -> backed option
-(** Runner by CLI key, or [None] for algorithms with no simulator
-    program (see {!Fairmis.Backend.supported}). *)
-
-val measure_backed :
-  Config.t -> Mis_graph.View.t -> backed -> Mis_stats.Empirical.t
-(** {!measure} through a backend-selected runner, compiling the view
-    once per domain-chunk ({!Mis_stats.Montecarlo.estimate_ctx}). *)
+(** Monte Carlo with per-run MIS validation; applies [runner.run view]
+    once and shares the result across the trial pool. *)

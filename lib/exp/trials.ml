@@ -52,7 +52,3 @@ let fairness ?chunk ?obs spec ~n trial =
   fairness_ctx ?chunk ?obs spec ~n
     ~ctx:(fun () -> ())
     (fun () acc ~seed -> trial acc ~seed)
-
-let fairness_runner ?chunk ?obs spec ~n compile =
-  fairness_ctx ?chunk ?obs spec ~n ~ctx:compile (fun run acc ~seed ->
-      Fairness.record acc ~in_mis:(run ~seed))

@@ -65,18 +65,6 @@ val counts :
 (** Per-node join counts over [spec.trials] runs of a membership-mask
     runner ({!Mis_stats.Montecarlo.run} under the spec's seeds). *)
 
-val fairness_runner :
-  ?chunk:int ->
-  ?obs:Mis_obs.Metrics.t ->
-  spec ->
-  n:int ->
-  (unit -> seed:int -> bool array) ->
-  Mis_obs.Fairness.t
-(** Join counts over a per-chunk compiled runner: [compile ()] runs once
-    per domain-chunk (e.g. a {!Runners.backed} closure over a view) and
-    each trial records the returned membership mask. The natural way to
-    drive a {!Fairmis.Backend} exec through a fairness measurement. *)
-
 val fairness :
   ?chunk:int ->
   ?obs:Mis_obs.Metrics.t ->

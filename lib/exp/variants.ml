@@ -1,12 +1,7 @@
 module View = Mis_graph.View
 module Empirical = Mis_stats.Empirical
-module Rand_plan = Fairmis.Rand_plan
 
 let light cfg = { cfg with Config.trials = min cfg.Config.trials 3000 }
-
-let luby_degree =
-  { Runners.name = "Luby-A(degree)";
-    run = (fun view ~seed -> Fairmis.Luby_degree.run view (Rand_plan.make seed)) }
 
 let run cfg =
   let cfg = light cfg in
@@ -27,7 +22,7 @@ let run cfg =
       (fun (name, g) ->
         let view = View.full g in
         let b = Runners.measure cfg view Runners.luby in
-        let a = Runners.measure cfg view luby_degree in
+        let a = Runners.measure cfg view Runners.luby_degree in
         let f = Runners.measure cfg view Runners.fair_tree in
         [ name;
           Table.float_cell (Empirical.inequality_factor b);

@@ -98,10 +98,11 @@ val spans_dropped : t -> int
 (** {1 The global profiler} *)
 
 val enabled : unit -> bool
-(** [FAIRMIS_PROF=1] or [FAIRMIS_PROF_SPANS=1] (each read once). *)
+(** [FAIRMIS_PROF=1] or [FAIRMIS_PROF_SPANS=1], read once at module
+    initialisation, so any domain may call it at any time. *)
 
 val spans_enabled : unit -> bool
-(** [FAIRMIS_PROF_SPANS=1] (read once). When set, every domain's global
+(** [FAIRMIS_PROF_SPANS=1] (read once at module initialisation). When set, every domain's global
     profiler records raw {!span_record}s, and {!enabled} is forced on so
     the spans actually open. *)
 

@@ -72,49 +72,53 @@ type ft_scratch = {
   f_i4 : bool array;
 }
 
+(* Scratch lives on one lock-free free list per kind, so a compiled
+   kernel can be shared by every domain of a trial pool: a run takes a
+   scratch (allocating one only when the list is empty) and gives it back
+   when it ends. The number of scratches is therefore bounded by the
+   number of concurrent runs, not by the number of runs. A run that
+   raises drops its scratch instead of returning it half-updated. The
+   CAS on the list head is ABA-safe because every push allocates a fresh
+   cons cell. *)
 type t = {
   csr : Csr.t;
-  mutable luby_scr : luby_scratch option;
-  mutable ft_scr : ft_scratch option;
+  luby_free : luby_scratch list Atomic.t;
+  ft_free : ft_scratch list Atomic.t;
 }
 
-let of_csr csr = { csr; luby_scr = None; ft_scr = None }
+let of_csr csr = { csr; luby_free = Atomic.make []; ft_free = Atomic.make [] }
 let create ?ids view = of_csr (Csr.compile ?ids view)
 let view t = Csr.view t.csr
 let csr t = t.csr
 
-let luby_scratch t =
-  match t.luby_scr with
-  | Some s -> s
-  | None ->
-    let k = max 1 (Csr.nslots t.csr) in
-    let s =
-      { l_value = Array.make k 0; l_alive = Array.make k false;
-        l_front = Array.make k 0; l_winners = Array.make k 0 }
-    in
-    t.luby_scr <- Some s;
-    s
+let rec take free make =
+  match Atomic.get free with
+  | [] -> make ()
+  | s :: rest as cur ->
+    if Atomic.compare_and_set free cur rest then s else take free make
 
-let ft_scratch t =
-  match t.ft_scr with
-  | Some s -> s
-  | None ->
-    let k = max 1 (Csr.nslots t.csr) in
-    let e = Array.length t.csr.Csr.adj_node in
-    let s =
-      { f_best = Array.make k 0; f_lead = Array.make k (-1);
-        f_depth = Array.make k (-1); f_bit = Array.make k false;
-        f_obest = Array.make k 0; f_olead = Array.make k (-1);
-        f_odepth = Array.make k 0; f_obit = Array.make k false;
-        f_inext = Array.make k false; f_touch = Array.make k 0;
-        f_front = Array.make k 0; f_front2 = Array.make k 0;
-        f_allowed = Array.make e false; f_all = Array.make k true;
-        f_pdeg = Array.make k 0; f_i1 = Array.make k false;
-        f_i2 = Array.make k false; f_unc = Array.make k false;
-        f_i3 = Array.make k false; f_i4 = Array.make k false }
-    in
-    t.ft_scr <- Some s;
-    s
+let rec give free s =
+  let cur = Atomic.get free in
+  if not (Atomic.compare_and_set free cur (s :: cur)) then give free s
+
+let make_luby_scratch t () =
+  let k = max 1 (Csr.nslots t.csr) in
+  { l_value = Array.make k 0; l_alive = Array.make k false;
+    l_front = Array.make k 0; l_winners = Array.make k 0 }
+
+let make_ft_scratch t () =
+  let k = max 1 (Csr.nslots t.csr) in
+  let e = Array.length t.csr.Csr.adj_node in
+  { f_best = Array.make k 0; f_lead = Array.make k (-1);
+    f_depth = Array.make k (-1); f_bit = Array.make k false;
+    f_obest = Array.make k 0; f_olead = Array.make k (-1);
+    f_odepth = Array.make k 0; f_obit = Array.make k false;
+    f_inext = Array.make k false; f_touch = Array.make k 0;
+    f_front = Array.make k 0; f_front2 = Array.make k 0;
+    f_allowed = Array.make e false; f_all = Array.make k true;
+    f_pdeg = Array.make k 0; f_i1 = Array.make k false;
+    f_i2 = Array.make k false; f_unc = Array.make k false;
+    f_i3 = Array.make k false; f_i4 = Array.make k false }
 
 (* One Luby execution over the frontier [scr.l_front.(0 .. flen-1)]
    (slots, in slot order; [scr.l_alive] must mark exactly those slots).
@@ -235,7 +239,7 @@ let luby ?max_rounds ~value_of t =
   let max_rounds =
     match max_rounds with Some r -> r | None -> default_max_rounds n
   in
-  let scr = luby_scratch t in
+  let scr = take t.luby_free (make_luby_scratch t) in
   let output = Array.make n false in
   let decided = Array.make n false in
   let decide_round = Array.make n (-1) in
@@ -247,6 +251,7 @@ let luby ?max_rounds ~value_of t =
     run_luby_phases ~csr:cs ~scr ~value_of ~base:0 ~max_rounds ~flen:nslots
       ~undecided:nslots ~output ~decided ~decide_round
   in
+  give t.luby_free scr;
   Prof.gstop span;
   { output; decided; decide_round; rounds }
 
@@ -284,7 +289,7 @@ let fair_tree ?max_rounds ~gamma ~coins t =
       let adj_off = cs.Csr.adj_off and adj_slot = cs.Csr.adj_slot in
       let active = cs.Csr.active and ids = cs.Csr.ids in
       let id_of s = ids.(active.(s)) in
-      let scr = ft_scratch t in
+      let scr = take t.ft_free (make_ft_scratch t) in
       let front = scr.f_front and front2 = scr.f_front2 in
       let inext = scr.f_inext and touch = scr.f_touch in
       let allowed = scr.f_allowed in
@@ -494,7 +499,7 @@ let fair_tree ?max_rounds ~gamma ~coins t =
       (* Decisions at round 6g+5: I4 joins, I4-neighbors are covered, the
          rest fall through to a Luby run among themselves. *)
       let undecided = ref nslots in
-      let scrl = luby_scratch t in
+      let scrl = take t.luby_free (make_luby_scratch t) in
       Array.fill scrl.l_alive 0 nslots false;
       let flen = ref 0 in
       for s = 0 to nslots - 1 do
@@ -526,11 +531,16 @@ let fair_tree ?max_rounds ~gamma ~coins t =
           end
         end
       done;
-      if !undecided = 0 then r_decide
-      else
-        run_luby_phases ~csr:cs ~scr:scrl ~value_of:coins.luby_value
-          ~base:r_decide ~max_rounds ~flen:!flen ~undecided:!undecided
-          ~output ~decided ~decide_round
+      give t.ft_free scr;
+      let rounds =
+        if !undecided = 0 then r_decide
+        else
+          run_luby_phases ~csr:cs ~scr:scrl ~value_of:coins.luby_value
+            ~base:r_decide ~max_rounds ~flen:!flen ~undecided:!undecided
+            ~output ~decided ~decide_round
+      in
+      give t.luby_free scrl;
+      rounds
     end
   in
   Prof.gstop span;

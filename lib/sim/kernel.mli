@@ -29,8 +29,13 @@ type outcome = {
 }
 
 type t
-(** A compiled kernel: a {!Csr.t} plus cached sweep scratch. Like an
-    engine, a kernel is not thread-safe — build one per domain. *)
+(** A compiled kernel: a {!Csr.t} plus pooled sweep scratch. Unlike an
+    engine, a kernel is safe to share across domains: each run takes its
+    own scratch from a lock-free free list (allocating one only when the
+    list is empty) and returns it when the run ends, so concurrent runs
+    never share mutable state and the scratch count is bounded by the
+    number of runs in flight. Compile once per view and call {!luby} /
+    {!fair_tree} from any domain. *)
 
 val create : ?ids:int array -> Mis_graph.View.t -> t
 val of_csr : Csr.t -> t

@@ -1,8 +1,11 @@
-(* Backend equivalence: the data-parallel [Mis_sim.Kernel] sweeps must be
+(* Kernel equivalence: the data-parallel [Mis_sim.Kernel] sweeps must be
    bit-identical to the message engine — same outputs, same decided set,
    same per-node decision round (recovered from the traced Decide
    events), same [rounds] total — across topologies, seeds, and reused
-   kernels/engines. Also pins the in-place [Luby.run_stats] frontier
+   kernels/engines. The kernel-backed [Runners.luby] / [Runners.fair_tree]
+   that every experiment uses must in turn reproduce the centralized
+   [Luby.run] / [Fair_tree.run], at any domain count with one kernel
+   shared by the pool. Also pins the in-place [Luby.run_stats] frontier
    rewrite against the original list-based implementation, which is the
    centralized oracle the whole chain hangs off. *)
 
@@ -13,13 +16,21 @@ module Trace = Mis_obs.Trace
 module Trials = Mis_exp.Trials
 module Rand_plan = Fairmis.Rand_plan
 
+(* Kinds 4 and 5 are a randomly masked random graph and a fully masked
+   tree (an empty active set). *)
 let view_of gk ~n ~gseed =
   match gk with
   | 0 -> View.full (Helpers.random_tree ~seed:gseed ~n)
   | 1 -> View.full (Helpers.random_graph ~seed:gseed ~n ~p:0.2)
   | 2 ->
     View.full (Mis_workload.Bipartite.grid ~width:4 ~height:(max 1 (n / 4)))
-  | _ -> View.full (Mis_workload.Real_world.dartmouth_like ~seed:gseed)
+  | 3 -> View.full (Mis_workload.Real_world.dartmouth_like ~seed:gseed)
+  | 4 ->
+    let rng = Mis_util.Splitmix.of_seed (gseed + 31) in
+    View.induced
+      (Helpers.random_graph ~seed:gseed ~n ~p:0.2)
+      (Array.init n (fun _ -> Mis_util.Splitmix.float rng < 0.6))
+  | _ -> View.induced (Helpers.random_tree ~seed:gseed ~n) (Array.make n false)
 
 (* Per-node decision rounds from a traced message run. *)
 let decide_rounds ~n events =
@@ -47,35 +58,41 @@ let arb_case =
     ~print:(fun (gk, n, gseed, pseed) ->
       Printf.sprintf "graph=%d n=%d gseed=%d pseed=%d" gk n gseed pseed)
     QCheck.Gen.(
-      quad (int_range 0 3) (int_range 4 24) (int_range 0 1000)
+      quad (int_range 0 5) (int_range 4 24) (int_range 0 1000)
         (int_range 0 1000))
 
-(* One kernel value serves every seed in sequence: scratch reset between
-   runs is on the line, exactly like engine reuse. *)
+(* One kernel value serves every seed in sequence: scratch reuse between
+   runs is on the line, exactly like engine reuse. The compiled runner
+   ([run view] applied once) is one more input: it must return the
+   centralized engine's MIS for every seed. *)
 let prop_kernel_luby (gk, n, gseed, pseed) =
   let view = view_of gk ~n ~gseed in
   let kernel = Kernel.create view in
   let engine = Runtime.Engine.create view in
+  let runner = Mis_exp.Runners.luby.Mis_exp.Runners.run view in
   List.for_all
     (fun seed ->
       let plan = Rand_plan.make seed in
       let sink, evs = Trace.memory () in
       let o = Fairmis.Luby.run_distributed_on ~tracer:sink engine plan in
       let k = Fairmis.Luby.run_kernel_on kernel plan in
-      outcome_matches ~name:"kernel-luby" view o (evs ()) k)
+      outcome_matches ~name:"kernel-luby" view o (evs ()) k
+      && runner ~seed = Fairmis.Luby.run view plan)
     [ pseed; pseed + 1; pseed + 2 ]
 
 let prop_kernel_fair_tree (gk, n, gseed, pseed) =
   let view = view_of gk ~n ~gseed in
   let kernel = Kernel.create view in
   let engine = Runtime.Engine.create view in
+  let runner = Mis_exp.Runners.fair_tree.Mis_exp.Runners.run view in
   List.for_all
     (fun seed ->
       let plan = Rand_plan.make seed in
       let sink, evs = Trace.memory () in
       let o = Fairmis.Fair_tree_distributed.run_on ~tracer:sink engine plan in
       let k = Fairmis.Fair_tree_distributed.run_kernel_on kernel plan in
-      outcome_matches ~name:"kernel-fairtree" view o (evs ()) k)
+      outcome_matches ~name:"kernel-fairtree" view o (evs ()) k
+      && runner ~seed = Fairmis.Fair_tree.run view plan)
     [ pseed; pseed + 1 ]
 
 (* A tiny gamma keeps the floods unconverged on larger graphs, forcing
@@ -124,21 +141,6 @@ let prop_kernel_luby_cutoff (gk, n, gseed, pseed) =
       && o.Runtime.rounds = k.Kernel.rounds
       && decide_rounds ~n:nv (evs ()) = k.Kernel.decide_round)
     [ 0; 1; 2; 3; 4; 7 ]
-
-(* The Backend facade: both backends produce the same backend-neutral
-   outcome for both programs. *)
-let prop_backend_facade (gk, n, gseed, pseed) =
-  let view = view_of gk ~n ~gseed in
-  let plan = Rand_plan.make pseed in
-  List.for_all
-    (fun key ->
-      let run b =
-        match Fairmis.Backend.exec_of_name b view key with
-        | Some exec -> exec plan
-        | None -> Alcotest.fail ("unsupported key " ^ key)
-      in
-      run Fairmis.Backend.Message = run Fairmis.Backend.Kernel)
-    Fairmis.Backend.supported
 
 (* Satellite: the in-place run_stats frontier must match the original
    list-based implementation exactly. The oracle below is the pre-rewrite
@@ -204,50 +206,53 @@ let prop_run_stats_inplace_masked (gk, n, gseed, pseed) =
   let mis, stats = Fairmis.Luby.run_stats view plan in
   mis = oracle_mis && stats.Fairmis.Luby.phases = oracle_phases
 
-(* Kernel through the Trials front end at 1 and 4 domains: per-chunk
-   kernels must reproduce the message-backend joins exactly. *)
+(* One compiled runner shared by the whole trial pool at 1 and 4
+   domains must reproduce the centralized engine's joins exactly. *)
 let test_trials_kernel_domain_invariant () =
   let n = 60 in
   let view = View.full (Helpers.random_tree ~seed:9 ~n) in
-  let joins_of backend domains =
+  let joins domains run =
     let spec = { Trials.trials = 48; seed = 5; domains = Some domains } in
-    let b =
-      match Mis_exp.Runners.backed backend "luby" with
-      | Some b -> b
-      | None -> Alcotest.fail "luby runner missing"
-    in
     Mis_obs.Fairness.joins
-      (Trials.fairness_runner spec ~n (fun () -> b.Mis_exp.Runners.b_compile view))
+      (Trials.fairness spec ~n (fun acc ~seed ->
+           Mis_obs.Fairness.record acc ~in_mis:(run ~seed)))
   in
-  let reference = joins_of Fairmis.Backend.Message 1 in
-  Alcotest.check Helpers.int_array "kernel(1) = message" reference
-    (joins_of Fairmis.Backend.Kernel 1);
-  Alcotest.check Helpers.int_array "kernel(4) = message" reference
-    (joins_of Fairmis.Backend.Kernel 4)
+  let reference =
+    joins 1 (fun ~seed -> Fairmis.Luby.run view (Rand_plan.make seed))
+  in
+  let shared = Mis_exp.Runners.luby.Mis_exp.Runners.run view in
+  Alcotest.check Helpers.int_array "kernel(1) = centralized" reference
+    (joins 1 shared);
+  Alcotest.check Helpers.int_array "kernel(4) = centralized" reference
+    (joins 4 shared)
 
-(* measure through both backends agrees with the legacy centralized
-   measure (same per-node estimates). *)
-let test_measure_backed_matches () =
-  let cfg =
-    { Mis_exp.Config.trials = 32; seed = 3; domains = Some 2;
-      nyc = Mis_exp.Config.Nyc_skip; full = false }
-  in
+(* [Runners.measure] (one kernel per view, shared by the pooled domains)
+   gives the same per-node estimates as a plain Monte Carlo estimate over
+   the centralized engines, for both kernel-backed runners. *)
+let test_measure_matches_centralized () =
   let view = View.full (Helpers.random_tree ~seed:4 ~n:40) in
-  let legacy = Mis_exp.Runners.measure cfg view Mis_exp.Runners.luby in
   List.iter
-    (fun backend ->
-      let b =
-        match Mis_exp.Runners.backed backend "luby" with
-        | Some b -> b
-        | None -> Alcotest.fail "luby runner missing"
-      in
-      let est = Mis_exp.Runners.measure_backed cfg view b in
-      Alcotest.(check bool)
-        ("frequencies " ^ Fairmis.Backend.to_string backend)
-        true
-        (Mis_stats.Empirical.frequencies legacy
-        = Mis_stats.Empirical.frequencies est))
-    Fairmis.Backend.all
+    (fun ((runner : Mis_exp.Runners.t), centralized) ->
+      List.iter
+        (fun domains ->
+          let cfg =
+            { Mis_exp.Config.trials = 32; seed = 3; domains = Some domains;
+              nyc = Mis_exp.Config.Nyc_skip; full = false }
+          in
+          let reference =
+            Mis_stats.Montecarlo.estimate (Mis_exp.Config.montecarlo cfg) view
+              (fun ~seed -> centralized view (Rand_plan.make seed))
+          in
+          let est = Mis_exp.Runners.measure cfg view runner in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s frequencies, %d domains"
+               runner.Mis_exp.Runners.name domains)
+            true
+            (Mis_stats.Empirical.frequencies reference
+            = Mis_stats.Empirical.frequencies est))
+        [ 1; 4 ])
+    [ (Mis_exp.Runners.luby, fun v p -> Fairmis.Luby.run v p);
+      (Mis_exp.Runners.fair_tree, fun v p -> Fairmis.Fair_tree.run v p) ]
 
 let suite =
   [ ( "sim.kernel",
@@ -259,13 +264,11 @@ let suite =
           arb_case prop_kernel_fair_tree_small_gamma;
         Helpers.qtest ~count:30 "kernel = engine (luby, max_rounds cutoff)"
           arb_case prop_kernel_luby_cutoff;
-        Helpers.qtest ~count:40 "backend facade agreement" arb_case
-          prop_backend_facade;
         Helpers.qtest ~count:60 "run_stats in-place = list oracle" arb_case
           prop_run_stats_inplace;
         Helpers.qtest ~count:40 "run_stats in-place = list oracle (masked)"
           arb_case prop_run_stats_inplace_masked;
         Alcotest.test_case "trials kernel joins, domains 1 and 4" `Quick
           test_trials_kernel_domain_invariant;
-        Alcotest.test_case "measure on both backends" `Quick
-          test_measure_backed_matches ] ) ]
+        Alcotest.test_case "measure = centralized, domains 1 and 4" `Quick
+          test_measure_matches_centralized ] ) ]
