@@ -1,43 +1,128 @@
 (* Benchmark / reproduction harness.
 
    Usage:
-     dune exec bench/main.exe            # every experiment, then timing
+     dune exec bench/main.exe            # every experiment, timing, every gate
      dune exec bench/main.exe -- table1 fig4
-     dune exec bench/main.exe -- timing  # Bechamel micro-benchmarks only
-     dune exec bench/main.exe -- pool    # worker pool vs spawn-per-call engine
-     dune exec bench/main.exe -- engine  # engine reuse vs per-trial rebuild
-     dune exec bench/main.exe -- xl      # n = 1e5 / 1e6 single-run rows
+     dune exec bench/main.exe -- timing  # one run per table/figure workload
+     dune exec bench/main.exe -- pool engine kernel xl dyn telemetry causal
      dune exec bench/main.exe -- list
 
    Environment: FAIRMIS_TRIALS, FAIRMIS_FULL, FAIRMIS_NYC, FAIRMIS_DOMAINS,
    FAIRMIS_SEED (see Mis_exp.Config).
 
-   Besides the console report, a run writes BENCH_trace.json: the config,
-   per-experiment wall-clock, and the timing estimates, machine-readable
-   for CI archiving. *)
-
-open Bechamel
-open Toolkit
+   Every performance claim the harness makes is a gate: a ratio of two
+   workloads measured in the same run, in adjacent blocks, k times over.
+   A gate fails when its lower quartile is above its bound, and the run
+   then exits 1. Besides the console report, a run writes
+   BENCH_trace.json: the config, per-experiment wall-clock, the timing
+   rows and the gate rows, machine-readable for CI archiving. *)
 
 module View = Mis_graph.View
 module Rand_plan = Fairmis.Rand_plan
+module Engine = Mis_sim.Runtime.Engine
+module Fairness = Mis_obs.Fairness
 module Metrics = Mis_obs.Metrics
 module Json = Mis_obs.Json
 
-(* Each test owns its seed counter, so the sequence of workloads a test
-   measures is a function of that test alone — re-ordering, adding or
-   removing tests cannot silently change what the others time. *)
-let stage name f =
-  let counter = ref 0 in
-  let next_seed () =
-    incr counter;
-    !counter
-  in
-  Test.make ~name (Staged.stage (fun () -> f next_seed))
+(* --- block clock -------------------------------------------------------- *)
 
-(* One Bechamel test per table/figure workload: the cost of a single
-   simulated run of the relevant algorithm on the relevant topology. *)
-let timing_tests () =
+(* A side of a measurement: given a repetition count, the wall-clock
+   seconds one block of that many repetitions takes. *)
+let block f reps =
+  let t0 = Unix.gettimeofday () in
+  for _ = 1 to reps do
+    ignore (Sys.opaque_identity (f ()))
+  done;
+  Unix.gettimeofday () -. t0
+
+(* Each workload owns its seed counter, so the sequence of runs it times
+   is a function of that workload alone. *)
+let seeded f =
+  let counter = ref 0 in
+  fun () ->
+    incr counter;
+    f (Rand_plan.make !counter)
+
+(* Repetitions double until the slowest side's block takes 20 ms, long
+   enough to swamp clock resolution on any workload; the calibration
+   blocks double as warm-up. *)
+let calibrate sides =
+  let rec go reps =
+    if List.exists (fun side -> side reps >= 0.020) sides then reps
+    else go (2 * reps)
+  in
+  go 1
+
+let quartiles samples =
+  let a = Array.copy samples in
+  Array.sort compare a;
+  let at q = a.(Float.to_int (Float.round (q *. float_of_int (Array.length a - 1)))) in
+  (at 0.25, at 0.5, at 0.75)
+
+(* Median seconds per repetition of one ungated workload, over 9 blocks. *)
+let per_rep side =
+  let reps = calibrate [ side ] in
+  let _, median, _ = quartiles (Array.init 9 (fun _ -> side reps)) in
+  median /. float_of_int reps
+
+type gate = {
+  name : string;
+  median : float;
+  q1 : float;
+  q3 : float;
+  bound : float;
+  num_ms : float;  (** median ms per repetition, numerator side *)
+  den_ms : float;
+}
+
+let passes g = g.q1 <= g.bound
+
+(* The gate helper: k samples of numerator-block ÷ adjacent
+   denominator-block, alternating which side runs first so neither is
+   billed for drift (thermal or cgroup throttling, GC slices) that lands
+   on the second slot. Ratios of adjacent blocks cancel what sequential
+   estimates cannot, so the bound needs no noise allowance beyond taking
+   the lower quartile. *)
+let paired ?(k = 21) name ~bound num den =
+  let reps = calibrate [ num; den ] in
+  Gc.compact ();
+  let nums = Array.make k 0. and dens = Array.make k 0. in
+  for i = 0 to k - 1 do
+    if i land 1 = 0 then begin
+      nums.(i) <- num reps;
+      dens.(i) <- den reps
+    end
+    else begin
+      dens.(i) <- den reps;
+      nums.(i) <- num reps
+    end
+  done;
+  let q1, median, q3 = quartiles (Array.map2 ( /. ) nums dens) in
+  let ms side =
+    let _, m, _ = quartiles side in
+    m *. 1e3 /. float_of_int reps
+  in
+  { name; median; q1; q3; bound; num_ms = ms nums; den_ms = ms dens }
+
+let print_gates gates =
+  Mis_exp.Table.print
+    ~header:
+      [ "gate (numerator ÷ denominator)"; "median"; "Q1"; "Q3"; "bound";
+        "verdict"; "num ms"; "den ms" ]
+    (List.map
+       (fun g ->
+         [ g.name; Printf.sprintf "%.3f" g.median; Printf.sprintf "%.3f" g.q1;
+           Printf.sprintf "%.3f" g.q3; Printf.sprintf "%.2f" g.bound;
+           (if passes g then "ok" else "FAIL");
+           Printf.sprintf "%.3f" g.num_ms; Printf.sprintf "%.3f" g.den_ms ])
+       gates);
+  print_newline ();
+  gates
+
+(* --- timing: ungated, one run per table/figure workload ----------------- *)
+
+let run_timing () =
+  print_endline "== timing: one simulated run per table/figure workload";
   let binary = lazy (View.full (Mis_workload.Trees.complete_kary ~branch:2 ~depth:10)) in
   let alt30 = lazy (View.full (Mis_workload.Trees.alternating ~branch:30 ~depth:3)) in
   let dartmouth = lazy (View.full (Mis_workload.Real_world.dartmouth_like ~seed:1)) in
@@ -51,518 +136,210 @@ let timing_tests () =
        Mis_graph.Rooted.of_tree g ~root:0)
   in
   let sim_tree = lazy (View.full (Helpers_bench.random_tree 256)) in
-  [ stage "table1/luby/binary-2047" (fun next_seed ->
-        Fairmis.Luby.run (Lazy.force binary) (Rand_plan.make (next_seed ())));
-    stage "table1/fairtree/binary-2047" (fun next_seed ->
-        Fairmis.Fair_tree.run (Lazy.force binary) (Rand_plan.make (next_seed ())));
-    stage "table1/luby/alt30-961" (fun next_seed ->
-        Fairmis.Luby.run (Lazy.force alt30) (Rand_plan.make (next_seed ())));
-    stage "table1/fairtree/alt30-961" (fun next_seed ->
-        Fairmis.Fair_tree.run (Lazy.force alt30) (Rand_plan.make (next_seed ())));
-    stage "fig4/luby/dartmouth-178" (fun next_seed ->
-        Fairmis.Luby.run (Lazy.force dartmouth) (Rand_plan.make (next_seed ())));
-    stage "fig4/fairtree/dartmouth-178" (fun next_seed ->
-        Fairmis.Fair_tree.run (Lazy.force dartmouth) (Rand_plan.make (next_seed ())));
-    stage "star/luby/star-1024" (fun next_seed ->
-        Fairmis.Luby.run (Lazy.force star) (Rand_plan.make (next_seed ())));
-    stage "cone/luby/cone-k64" (fun next_seed ->
-        Fairmis.Luby.run (Lazy.force cone) (Rand_plan.make (next_seed ())));
-    stage "rooted/fairrooted/binary-511" (fun next_seed ->
-        Fairmis.Fair_rooted.run (Lazy.force rooted) (Rand_plan.make (next_seed ())));
-    stage "bipart/fairbipart/grid-256" (fun next_seed ->
-        Fairmis.Fair_bipart.run (Lazy.force grid) (Rand_plan.make (next_seed ())));
-    stage "colormis/planar/trigrid-324" (fun next_seed ->
-        fst (Fairmis.Color_mis.run_planar (Lazy.force trigrid) (Rand_plan.make (next_seed ()))));
-    stage "rounds/luby-simulator/tree-256" (fun next_seed ->
-        Fairmis.Luby.run_distributed (Lazy.force sim_tree) (Rand_plan.make (next_seed ()))) ]
-
-(* Bechamel per-workload nanosecond estimates for a test list; the main
-   timing run and the engine pair share the estimator setup. *)
-let estimate_tests tests =
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
+  let on input run = seeded (fun plan -> ignore (run (Lazy.force input) plan)) in
+  let rows =
+    List.map
+      (fun (name, f) -> (name, per_rep (block f) *. 1e9))
+      [ ("table1/luby/binary-2047", on binary Fairmis.Luby.run);
+        ("table1/fairtree/binary-2047", on binary Fairmis.Fair_tree.run);
+        ("table1/luby/alt30-961", on alt30 Fairmis.Luby.run);
+        ("table1/fairtree/alt30-961", on alt30 Fairmis.Fair_tree.run);
+        ("fig4/luby/dartmouth-178", on dartmouth Fairmis.Luby.run);
+        ("fig4/fairtree/dartmouth-178", on dartmouth Fairmis.Fair_tree.run);
+        ("star/luby/star-1024", on star Fairmis.Luby.run);
+        ("cone/luby/cone-k64", on cone Fairmis.Luby.run);
+        ("rooted/fairrooted/binary-511", on rooted Fairmis.Fair_rooted.run);
+        ("bipart/fairbipart/grid-256", on grid Fairmis.Fair_bipart.run);
+        ( "colormis/planar/trigrid-324",
+          on trigrid (fun v p -> fst (Fairmis.Color_mis.run_planar v p)) );
+        ("rounds/luby-simulator/tree-256", on sim_tree Fairmis.Luby.run_distributed) ]
   in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~stabilize:false ()
-  in
-  List.map
-    (fun test ->
-      let name = Test.Elt.name (List.hd (Test.elements test)) in
-      let results = Benchmark.all cfg instances test in
-      let analyzed = Analyze.all ols Instance.monotonic_clock results in
-      let ns = ref None in
-      Hashtbl.iter
-        (fun _name ols_result ->
-          match Analyze.OLS.estimates ols_result with
-          | Some [ v ] -> ns := Some v
-          | _ -> ())
-        analyzed;
-      (name, !ns))
-    tests
-
-let print_estimates estimates =
   Mis_exp.Table.print
     ~header:[ "workload"; "ns/run"; "ms/run" ]
     (List.map
        (fun (name, ns) ->
-         match ns with
-         | Some v ->
-           [ name; Printf.sprintf "%.0f" v; Printf.sprintf "%.3f" (v /. 1e6) ]
-         | None -> [ name; "?"; "?" ])
-       estimates);
-  print_newline ()
+         [ name; Printf.sprintf "%.0f" ns; Printf.sprintf "%.3f" (ns /. 1e6) ])
+       rows);
+  print_newline ();
+  rows
 
-let run_timing () =
-  print_endline "== timing: one simulated run per table/figure workload";
-  let estimates = estimate_tests (timing_tests ()) in
-  print_estimates estimates;
-  estimates
+(* --- gated sections ----------------------------------------------------- *)
 
-(* Worker-pool scaling: wall-clock of a fixed 1000-trial fairness
-   workload (Luby on a 1000-node random tree) at 1 / 2 / 4 requested
-   domains through the persistent pool, plus the retained
-   spawn-per-call engine at 4 domains as the tax reference. Whole
-   map-reduce invocations are the unit of work, so this is measured
-   best-of-N with a plain clock rather than through Bechamel. The pool
-   clamps active domains to the hardware (`FAIRMIS_POOL_CAP`), so the
-   pooled domains-4 row measures what a caller actually gets: real
-   parallel speedup on a multi-core host, serial parity on a 1-core one
-   — never the old oversubscription collapse, which the spawn row
-   reproduces on purpose. History entries record ns per trial;
-   `bench-diff --only parallel/pool` hard-gates the pooled rows. *)
+(* Worker pool: the 1000-trial Luby fairness workload the experiments
+   run (one kernel compiled up front and shared by every domain) through
+   the persistent pool at 4 vs 1 requested domains, and pooled vs the
+   spawn-per-call engine at 4. The pool clamps active domains to the
+   hardware, so domains 4 must never show the oversubscription collapse
+   (1.06 on a 1-CPU host); the spawn engine pays fresh domains every
+   call and has no clamp (5.7x slower than the pool on that host). *)
 let run_pool_scaling () =
   print_endline
     "== parallel: 1000-trial fairness workload, worker pool vs spawn engine";
   let trials = 1000 and n = 1000 in
-  let view = View.full (Helpers_bench.random_tree n) in
-  let pool_work domains =
-    let spec = { Mis_exp.Trials.trials; seed = 11; domains = Some domains } in
-    ignore
-      (Mis_exp.Trials.fairness spec ~n (fun acc ~seed ->
-           Mis_obs.Fairness.record acc
-             ~in_mis:(Fairmis.Luby.run view (Rand_plan.make seed))))
+  let run = Mis_exp.Runners.luby.Mis_exp.Runners.run (View.full (Helpers_bench.random_tree n)) in
+  let record acc ~seed = Fairness.record acc ~in_mis:(run ~seed) in
+  let pooled domains =
+    block (fun () ->
+        let spec = { Mis_exp.Trials.trials; seed = 11; domains = Some domains } in
+        Mis_exp.Trials.fairness spec ~n record)
   in
-  let spawn_work domains =
-    (* the same fold, forced through the spawn-per-call reference
-       engine: fresh domains every call, no hardware clamp *)
-    ignore
-      (Mis_stats.Parallel.map_reduce_unpooled ~domains ~tasks:trials
-         ~init:(fun () -> Mis_obs.Fairness.create ~n)
-         ~merge:(fun a b ->
-           Mis_obs.Fairness.merge a b;
-           a)
-         (fun acc i ->
-           Mis_obs.Fairness.record acc
-             ~in_mis:(Fairmis.Luby.run view (Rand_plan.make (11 + i)))))
+  let spawn4 =
+    block (fun () ->
+        Mis_stats.Parallel.map_reduce_unpooled ~domains:4 ~tasks:trials
+          ~init:(fun () -> Fairness.create ~n)
+          ~merge:(fun a b ->
+            Fairness.merge a b;
+            a)
+          (fun acc i -> record acc ~seed:(11 + i)))
   in
-  let time_best work domains =
-    let best = ref infinity in
-    for _ = 1 to 3 do
-      let t0 = Unix.gettimeofday () in
-      work domains;
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !best then best := dt
-    done;
-    !best
+  let gates =
+    [ paired "parallel/pool/domains-4 ÷ parallel/pool/domains-1" ~bound:1.25
+        (pooled 4) (pooled 1);
+      paired "parallel/pool/domains-4 ÷ parallel/spawn/domains-4" ~bound:0.5
+        (pooled 4) spawn4 ]
   in
-  let pooled = List.map (fun d -> (d, time_best pool_work d)) [ 1; 2; 4 ] in
-  let spawn4 = time_best spawn_work 4 in
-  Mis_stats.Parallel.shutdown ();
-  let base = List.assoc 1 pooled in
-  let ns_per_trial s = s *. 1e9 /. float_of_int trials in
-  Mis_exp.Table.print
-    ~header:[ "engine"; "domains"; "s/run"; "ns/trial"; "speedup" ]
-    (List.map
-       (fun (d, s) ->
-         [ "pool"; string_of_int d; Printf.sprintf "%.3f" s;
-           Printf.sprintf "%.0f" (ns_per_trial s);
-           Printf.sprintf "%.2fx" (base /. s) ])
-       pooled
-    @ [ [ "spawn"; "4"; Printf.sprintf "%.3f" spawn4;
-          Printf.sprintf "%.0f" (ns_per_trial spawn4);
-          Printf.sprintf "%.2fx" (base /. spawn4) ] ]);
-  Printf.printf "(pool cap %d on this host; pool holds %d worker(s))\n\n"
+  Printf.printf "(pool cap %d on this host; pool holds %d worker(s))\n"
     (Mis_stats.Parallel.pool_cap ())
     (Mis_stats.Parallel.pool_size ());
-  List.map
-    (fun (d, s) ->
-      ( Printf.sprintf "parallel/pool/fairness-n%d-trials%d/domains-%d" n
-          trials d,
-        Some (ns_per_trial s) ))
-    pooled
-  @ [ ( Printf.sprintf "parallel/spawn/fairness-n%d-trials%d/domains-4" n
-          trials,
-        Some (ns_per_trial spawn4) ) ]
+  Mis_stats.Parallel.shutdown ();
+  print_gates gates
 
-(* engine/xl rows: single protocol runs at n = 10^5 and 10^6 on the
-   compiled engine over direct-CSR attachment trees — the scale tier
-   that motivated the pool (per-measurement spawn or rebuild overhead
-   would drown the signal here). Build and run are reported separately:
-   the build row prices `of_parents` + `Engine.create` (all O(n + m)
-   array fills), the reuse row one full Luby execution on the prebuilt
-   engine. Single-shot wall clock, best of 2 — at eight-plus seconds per
-   10^6-node run, Bechamel's sampling would take minutes for no extra
-   signal. `bench-diff --only engine/xl` hard-gates all four rows. *)
-let run_xl_bench () =
-  print_endline "== engine/xl: 1e5 / 1e6-node single runs on the compiled engine";
-  let row n =
-    let g = Mis_workload.Trees.random_attachment_xl (Mis_util.Splitmix.of_seed 97) ~n in
-    let t0 = Unix.gettimeofday () in
-    let eng = Mis_sim.Runtime.Engine.create (View.full g) in
-    let build = Unix.gettimeofday () -. t0 in
-    let best = ref infinity and rounds = ref 0 in
-    for k = 1 to 2 do
-      let t0 = Unix.gettimeofday () in
-      let o = Fairmis.Luby.run_distributed_on eng (Rand_plan.make k) in
-      let dt = Unix.gettimeofday () -. t0 in
-      rounds := o.Mis_sim.Runtime.rounds;
-      if dt < !best then best := dt
-    done;
-    ( n,
-      build,
-      !best,
-      !rounds,
-      [ (Printf.sprintf "engine/xl/build-n%d" n, Some (build *. 1e9));
-        (Printf.sprintf "engine/xl/luby-n%d-reuse" n, Some (!best *. 1e9)) ] )
-  in
-  let rows = List.map row [ 100_000; 1_000_000 ] in
-  Mis_exp.Table.print
-    ~header:[ "n"; "build s"; "run s"; "rounds"; "ns/node/round" ]
-    (List.map
-       (fun (n, build, run, rounds, _) ->
-         [ string_of_int n; Printf.sprintf "%.3f" build;
-           Printf.sprintf "%.3f" run; string_of_int rounds;
-           Printf.sprintf "%.1f"
-             (run *. 1e9 /. float_of_int (n * max 1 rounds)) ])
-       rows);
-  print_newline ();
-  List.concat_map (fun (_, _, _, _, r) -> r) rows
+let luby_n1000 () =
+  let view = View.full (Helpers_bench.random_tree 1000) in
+  (view, Engine.create view)
 
-(* Compiled-engine rows: the same simulator workload through the
-   per-trial-rebuild path (`Runtime.run`, which compiles the view every
-   call — the pre-engine cost model) and through a prebuilt
-   `Runtime.Engine` reused across trials. The single-run pair is measured
-   with Bechamel; the 1000-trial pair is wall-clock over the `Trials`
-   front end, where the reuse path builds one engine per domain-chunk via
-   `fairness_ctx`. *)
-let engine_timing_tests () =
-  let view = lazy (View.full (Helpers_bench.random_tree 1000)) in
-  let eng =
-    lazy (Mis_sim.Runtime.Engine.create (Lazy.force view))
-  in
-  [ stage "engine/single-run/luby-n1000-rebuild" (fun next_seed ->
-        Fairmis.Luby.run_distributed (Lazy.force view)
-          (Rand_plan.make (next_seed ())));
-    stage "engine/single-run/luby-n1000-reuse" (fun next_seed ->
-        Fairmis.Luby.run_distributed_on (Lazy.force eng)
-          (Rand_plan.make (next_seed ()))) ]
-
-let run_engine_scaling () =
-  print_endline
-    "== engine: 1000-trial simulator fairness, engine reuse vs per-trial \
-     rebuild";
-  let trials = 1000 and n = 1000 in
-  (* 250-trial chunks (vs the 16-trial scheduling default) so the
-     per-chunk engine build is amortised the way a long sweep would see
-     it; the rebuild path gets the same chunking, so the comparison stays
-     apples-to-apples. *)
-  let chunk = 250 in
-  let view = View.full (Helpers_bench.random_tree n) in
-  let work ~reuse domains =
-    let spec = { Mis_exp.Trials.trials; seed = 11; domains = Some domains } in
-    if reuse then
-      ignore
-        (Mis_exp.Trials.fairness_ctx ~chunk spec ~n
-           ~ctx:(fun () -> Mis_sim.Runtime.Engine.create view)
-           (fun eng acc ~seed ->
-             let o = Fairmis.Luby.run_distributed_on eng (Rand_plan.make seed) in
-             Mis_obs.Fairness.record acc ~in_mis:o.Mis_sim.Runtime.output))
-    else
-      ignore
-        (Mis_exp.Trials.fairness ~chunk spec ~n (fun acc ~seed ->
-             let o = Fairmis.Luby.run_distributed view (Rand_plan.make seed) in
-             Mis_obs.Fairness.record acc ~in_mis:o.Mis_sim.Runtime.output))
-  in
-  let time_best ~reuse domains =
-    let best = ref infinity in
-    for _ = 1 to 3 do
-      let t0 = Unix.gettimeofday () in
-      work ~reuse domains;
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !best then best := dt
-    done;
-    !best
-  in
-  let ns_per_trial s = s *. 1e9 /. float_of_int trials in
-  let rows =
-    List.concat_map
-      (fun d ->
-        let rebuild = time_best ~reuse:false d in
-        let reuse = time_best ~reuse:true d in
-        Mis_exp.Table.print
-          ~header:[ "domains"; "path"; "s/run"; "ns/trial"; "speedup" ]
-          [ [ string_of_int d; "rebuild"; Printf.sprintf "%.3f" rebuild;
-              Printf.sprintf "%.0f" (ns_per_trial rebuild); "1.00x" ];
-            [ string_of_int d; "reuse"; Printf.sprintf "%.3f" reuse;
-              Printf.sprintf "%.0f" (ns_per_trial reuse);
-              Printf.sprintf "%.2fx" (rebuild /. reuse) ] ];
-        [ ( Printf.sprintf
-              "engine/fairness-n%d-trials%d-rebuild/domains-%d" n trials d,
-            Some (ns_per_trial rebuild) );
-          ( Printf.sprintf "engine/fairness-n%d-trials%d/domains-%d" n trials d,
-            Some (ns_per_trial reuse) ) ])
-      [ 1; 4 ]
-  in
-  print_newline ();
-  rows
-
+(* Compiled engine: one n = 1000 Luby run on a prebuilt engine vs through
+   `Runtime.run`, which compiles the view on every call. The reuse side
+   drifting toward the rebuild side means the engine lost its
+   amortisation win. *)
 let run_engine_bench () =
-  print_endline "== engine: single simulated run, rebuild vs prebuilt engine";
-  let estimates = estimate_tests (engine_timing_tests ()) in
-  print_estimates estimates;
-  estimates @ run_engine_scaling ()
+  print_endline "== engine: single simulated run, prebuilt engine vs per-run rebuild";
+  let view, eng = luby_n1000 () in
+  print_gates
+    [ paired
+        "engine/single-run/luby-n1000-reuse ÷ engine/single-run/luby-n1000-rebuild"
+        ~bound:0.75
+        (block (seeded (Fairmis.Luby.run_distributed_on eng)))
+        (block (seeded (Fairmis.Luby.run_distributed view))) ]
 
-(* Kernel-backend rows: the same n = 1000 single-run workload as the
-   engine/single-run pair, executed by the data-parallel sweeps over a
-   prebuilt [Mis_sim.Kernel] (Luby and the full FairTree stage
-   pipeline), plus the 1000-trial fairness workload through the
-   [Trials.fairness] front end on [Runners.luby] — one kernel compiled
-   up front and shared by every pooled domain — at 1 and 4 domains. The
-   printed vs-engine ratio is the backend's reason to exist — the
-   single-run sweep must beat the message engine's prebuilt reuse row by
-   >= 5x — and `bench-diff --only kernel/` hard-gates every kernel row
-   against the committed baseline. *)
-let kernel_timing_tests () =
-  let view = lazy (View.full (Helpers_bench.random_tree 1000)) in
-  let kern = lazy (Mis_sim.Kernel.create (Lazy.force view)) in
-  [ stage "kernel/single-run/luby-n1000" (fun next_seed ->
-        Fairmis.Luby.run_kernel_on (Lazy.force kern)
-          (Rand_plan.make (next_seed ())));
-    stage "kernel/single-run/fairtree-n1000" (fun next_seed ->
-        Fairmis.Fair_tree_distributed.run_kernel_on (Lazy.force kern)
-          (Rand_plan.make (next_seed ()))) ]
-
-let run_kernel_scaling () =
-  let trials = 1000 and n = 1000 in
-  let chunk = 250 in
-  let view = View.full (Helpers_bench.random_tree n) in
-  let run = Mis_exp.Runners.luby.Mis_exp.Runners.run view in
-  let work domains =
-    let spec = { Mis_exp.Trials.trials; seed = 11; domains = Some domains } in
-    ignore
-      (Mis_exp.Trials.fairness ~chunk spec ~n (fun acc ~seed ->
-           Mis_obs.Fairness.record acc ~in_mis:(run ~seed)))
-  in
-  let time_best domains =
-    let best = ref infinity in
-    for _ = 1 to 3 do
-      let t0 = Unix.gettimeofday () in
-      work domains;
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !best then best := dt
-    done;
-    !best
-  in
-  let ns_per_trial s = s *. 1e9 /. float_of_int trials in
-  let rows = List.map (fun d -> (d, time_best d)) [ 1; 4 ] in
-  Mis_exp.Table.print
-    ~header:[ "domains"; "s/run"; "ns/trial" ]
-    (List.map
-       (fun (d, s) ->
-         [ string_of_int d; Printf.sprintf "%.3f" s;
-           Printf.sprintf "%.0f" (ns_per_trial s) ])
-       rows);
-  print_newline ();
-  List.map
-    (fun (d, s) ->
-      ( Printf.sprintf "kernel/fairness-n%d-trials%d/domains-%d" n trials d,
-        Some (ns_per_trial s) ))
-    rows
-
+(* Kernel: the same single run by the data-parallel sweeps over a
+   prebuilt [Mis_sim.Kernel], against the message engine's prebuilt
+   reuse run — the kernel's reason to exist is a 5x win over it. *)
 let run_kernel_bench () =
-  print_endline
-    "== kernel: data-parallel sweeps, single run + 1000-trial fairness";
-  let estimates = estimate_tests (kernel_timing_tests ()) in
-  (* The engine's prebuilt-reuse row, re-measured here rather than read
-     from history so the ratio compares two numbers from the same host
-     and the same run; it is printed, not returned — the kernel history
-     entry carries only kernel/ rows. *)
-  let engine_reuse =
-    let view = lazy (View.full (Helpers_bench.random_tree 1000)) in
-    let eng = lazy (Mis_sim.Runtime.Engine.create (Lazy.force view)) in
-    estimate_tests
-      [ stage "engine/single-run/luby-n1000-reuse" (fun next_seed ->
-            Fairmis.Luby.run_distributed_on (Lazy.force eng)
-              (Rand_plan.make (next_seed ()))) ]
-  in
-  print_estimates (estimates @ engine_reuse);
-  (match (estimates, engine_reuse) with
-  | (_, Some kernel_ns) :: _, [ (_, Some engine_ns) ] ->
-    Printf.printf "kernel single-run speedup over engine reuse: %.1fx%s\n\n"
-      (engine_ns /. kernel_ns)
-      (if engine_ns /. kernel_ns >= 5. then "" else "  (below the 5x target!)")
-  | _ -> ());
-  estimates @ run_kernel_scaling ()
+  print_endline "== kernel: data-parallel sweeps vs the message engine";
+  let view, eng = luby_n1000 () in
+  let kern = Mis_sim.Kernel.create view in
+  print_gates
+    [ paired "kernel/single-run/luby-n1000 ÷ engine/single-run/luby-n1000-reuse"
+        ~bound:0.20
+        (block (seeded (Fairmis.Luby.run_kernel_on kern)))
+        (block (seeded (Fairmis.Luby.run_distributed_on eng))) ]
 
-(* Dynamic-layer rows: mean wall-clock per churn batch served by the
-   incremental maintainer, against a maintainer whose ladder starts (and
-   ends) at Full_recompute. Both serve the identical pre-generated
-   stream, so the pair isolates exactly what the dirty-neighborhood
-   repair buys; like the engine pair, the ratio has a stable shape
-   across hardware and `bench-diff --only churn/repair-batch` can gate
-   the incremental row hard. *)
+(* Million-node scaling: engine build and one Luby run at n = 10^6 over
+   n = 10^5 on direct-CSR attachment trees. Both are near-linear in
+   n + m, so the ratios sit a little above 10 from cache effects
+   (EXPERIMENTS.md records 16x for the run); a quadratic scan reads
+   ~100x. A 10^6-node run takes seconds, so five samples. *)
+let run_xl_bench () =
+  print_endline "== engine/xl: 1e6 over 1e5-node build and run on the compiled engine";
+  let tree n = Mis_workload.Trees.random_attachment_xl (Mis_util.Splitmix.of_seed 97) ~n in
+  let small = tree 100_000 and large = tree 1_000_000 in
+  (* Each block's garbage (a dead engine, a run's frontier and outcome
+     arrays) is collected outside its clock: left to the major GC's pace
+     it piles up over the samples to twice the RSS of one build and run
+     (~1.9 GB vs ~1.0 GB). *)
+  let collected side reps =
+    let t = side reps in
+    Gc.full_major ();
+    t
+  in
+  let build g = collected (block (fun () -> Engine.create (View.full g))) in
+  let build_gate =
+    paired ~k:5 "engine/xl/build-n1000000 ÷ engine/xl/build-n100000" ~bound:40.
+      (build large) (build small)
+  in
+  let run g =
+    collected
+      (block (seeded (Fairmis.Luby.run_distributed_on (Engine.create (View.full g)))))
+  in
+  let run_gate =
+    paired ~k:5 "engine/xl/luby-n1000000 ÷ engine/xl/luby-n100000" ~bound:20.
+      (run large) (run small)
+  in
+  print_gates [ run_gate; build_gate ]
+
+(* Dynamic layer: serving one pre-generated churn stream (bootstrap
+   included) with the incremental maintainer vs one whose ladder starts
+   and ends at Full_recompute, so the pair isolates what the
+   dirty-neighbourhood repair buys. *)
 let run_churn_bench () =
   print_endline "== churn: incremental repair vs full recompute per batch";
   let params = { Mis_workload.Churn.default with Mis_workload.Churn.batches = 60 } in
-  let stream =
-    Mis_workload.Churn.generate (Mis_util.Splitmix.of_seed 11) params
-  in
-  let bootstrap, churn =
-    match stream with b :: rest -> (b, rest) | [] -> assert false
-  in
-  let batches = float_of_int (List.length churn) in
+  let stream = Mis_workload.Churn.generate (Mis_util.Splitmix.of_seed 11) params in
   let serve ladder =
-    let config = { Mis_dyn.Maintain.default_config with Mis_dyn.Maintain.ladder; seed = 5 } in
-    let m =
-      Mis_dyn.Maintain.create ~config
-        ~capacity:params.Mis_workload.Churn.capacity ()
-    in
-    ignore (Mis_dyn.Maintain.apply_batch m bootstrap);
-    let t0 = Unix.gettimeofday () in
-    List.iter (fun b -> ignore (Mis_dyn.Maintain.apply_batch m b)) churn;
-    (Unix.gettimeofday () -. t0) /. batches
+    block (fun () ->
+        let config = { Mis_dyn.Maintain.default_config with Mis_dyn.Maintain.ladder; seed = 5 } in
+        let m =
+          Mis_dyn.Maintain.create ~config
+            ~capacity:params.Mis_workload.Churn.capacity ()
+        in
+        List.iter (fun b -> ignore (Mis_dyn.Maintain.apply_batch m b)) stream)
   in
-  let best ladder =
-    let best = ref infinity in
-    for _ = 1 to 3 do
-      let dt = serve ladder in
-      if dt < !best then best := dt
-    done;
-    !best
-  in
-  let incremental = best Mis_dyn.Maintain.default_config.Mis_dyn.Maintain.ladder in
-  let full = best [ Mis_dyn.Maintain.Full_recompute ] in
-  Mis_exp.Table.print
-    ~header:[ "path"; "ms/batch"; "speedup" ]
-    [ [ "incremental"; Printf.sprintf "%.3f" (incremental *. 1e3);
-        Printf.sprintf "%.2fx" (full /. incremental) ];
-      [ "full recompute"; Printf.sprintf "%.3f" (full *. 1e3); "1.00x" ] ];
-  print_newline ();
-  [ ("churn/repair-batch/campus-512", Some (incremental *. 1e9));
-    ("churn/repair-batch-full/campus-512", Some (full *. 1e9)) ]
+  print_gates
+    [ paired "churn/repair-batch ÷ churn/repair-batch-full" ~bound:0.5
+        (serve Mis_dyn.Maintain.default_config.Mis_dyn.Maintain.ladder)
+        (serve [ Mis_dyn.Maintain.Full_recompute ]) ]
 
-(* Telemetry-overhead rows: the compiled-engine hot path (single
-   simulated run on a prebuilt engine) with the live-telemetry stack off
-   vs on. "On" means the full serving posture: a metrics registry with
-   the runtime-totals collector, a flight recorder, and the HTTP exposer
-   polling its listen socket on a background domain while the workload
-   runs. The engine itself never touches the telemetry lock, so the pair
-   should be within noise of each other — the printed overhead ratio is
-   the ISSUE's < 2% claim, and `bench-diff --only telemetry/single-run`
-   gates both rows against the committed baseline. A third row prices one
-   Sketch.add, the only per-observation cost the serve loop pays. *)
+(* Telemetry overhead: the engine hot path with the full serving posture
+   up — a metrics registry with the runtime-totals collector, the flight
+   recorder, and the HTTP exposer polling its socket on a background
+   domain — vs with nothing up. The exposer starts before and stops after
+   each "on" block, outside its clock. *)
 let run_telemetry_bench () =
   print_endline "== telemetry: engine hot path, live telemetry off vs on";
-  let view = lazy (View.full (Helpers_bench.random_tree 1000)) in
-  let eng = lazy (Mis_sim.Runtime.Engine.create (Lazy.force view)) in
-  let run next_seed =
-    Fairmis.Luby.run_distributed_on (Lazy.force eng)
-      (Rand_plan.make (next_seed ()))
-  in
-  let off_est =
-    estimate_tests [ stage "telemetry/single-run/luby-n1000-off" run ]
-  in
-  let reg = Mis_obs.Metrics.create () in
-  let telemetry = Mis_obs.Telemetry.create reg in
+  let _, eng = luby_n1000 () in
+  let telemetry = Mis_obs.Telemetry.create (Metrics.create ()) in
   Mis_obs.Telemetry.add_collector telemetry Mis_sim.Runtime.collect_totals;
-  let server = Mis_obs.Telemetry.Http.start ~port:0 telemetry in
-  let on_est =
+  let off = block (seeded (Fairmis.Luby.run_distributed_on eng)) in
+  let on reps =
+    let server = Mis_obs.Telemetry.Http.start ~port:0 telemetry in
     Fun.protect
       ~finally:(fun () -> Mis_obs.Telemetry.Http.stop server)
-      (fun () ->
-        estimate_tests [ stage "telemetry/single-run/luby-n1000-on" run ])
+      (fun () -> off reps)
   in
-  let sketch = Mis_obs.Metrics.sketch reg "bench.lat" in
-  let sketch_est =
-    estimate_tests
-      [ stage "telemetry/sketch-add/p001" (fun next_seed ->
-            Mis_obs.Sketch.add sketch
-              (float_of_int (next_seed () land 1023) +. 1.)) ]
-  in
-  let estimates = off_est @ on_est @ sketch_est in
-  print_estimates estimates;
-  (match (off_est, on_est) with
-  | [ (_, Some off) ], [ (_, Some on) ] ->
-    Printf.printf "telemetry-on overhead: %+.2f%%\n\n"
-      (100. *. ((on /. off) -. 1.))
-  | _ -> ());
-  estimates
+  print_gates
+    [ paired "telemetry/luby-n1000-on ÷ telemetry/luby-n1000-off" ~bound:1.05
+        on off ]
 
-(* Causal-analyzer rows: replaying a 1000-node Luby trace vs replaying
-   plus critical-path reconstruction. `Causal.analyze` without a
-   precomputed summary runs the full replay itself, so the pair isolates
-   exactly what the analyzer adds — the ISSUE's < 5% overhead claim, and
-   `bench-diff --only causal/` gates both rows against the committed
-   baseline. The trace is generated once and shared; both stages are
-   pure over the event list. *)
+(* Causal analyzer: plain replay of a 1000-node Luby trace vs replay plus
+   critical-path reconstruction (`Causal.analyze` without a summary runs
+   the replay itself), so the pair isolates what the analyzer adds. *)
 let run_causal_bench () =
   print_endline "== causal: trace replay vs replay + critical-path analysis";
   let events =
-    lazy
-      (let view = View.full (Helpers_bench.random_tree 1000) in
-       let sink, events = Mis_obs.Trace.memory ~capacity:(1 lsl 21) () in
-       ignore (Fairmis.Luby.run_distributed ~tracer:sink view (Rand_plan.make 7));
-       events ())
+    let sink, events = Mis_obs.Trace.memory ~capacity:(1 lsl 21) () in
+    ignore
+      (Fairmis.Luby.run_distributed ~tracer:sink
+         (View.full (Helpers_bench.random_tree 1000))
+         (Rand_plan.make 7));
+    events ()
   in
-  let replay_est =
-    estimate_tests
-      [ stage "causal/replay-n1000" (fun _ ->
-            match Mis_obs.Replay.replay (Lazy.force events) with
-            | Ok _ -> ()
-            | Error _ -> assert false) ]
-  in
-  let analyze_est =
-    estimate_tests
-      [ stage "causal/analyze-n1000" (fun _ ->
-            match Mis_obs.Causal.analyze (Lazy.force events) with
-            | Ok _ -> ()
-            | Error _ -> assert false) ]
-  in
-  let estimates = replay_est @ analyze_est in
-  print_estimates estimates;
-  (* The headline overhead number comes from a paired measurement: each
-     sample times one block of plain replays immediately followed by one
-     block of analyses and records the ratio, and the median ratio is
-     reported. Two sequential bechamel estimates would bill machine-wide
-     drift (thermal or cgroup throttling) to whichever stage ran second,
-     and with the analyzer's marginal cost in the low percent even
-     interleaved absolute times are dominated by how major-GC slices
-     happen to align with the stages; adjacent-block ratios cancel
-     both. *)
-  let evs = Lazy.force events in
-  let block f =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to 20 do
-      ignore (Sys.opaque_identity (f ()))
-    done;
-    Unix.gettimeofday () -. t0
-  in
-  Gc.compact ();
-  let ratios = ref [] in
-  for _ = 1 to 25 do
-    let r = block (fun () -> Mis_obs.Replay.replay evs) in
-    let a = block (fun () -> Mis_obs.Causal.analyze evs) in
-    ratios := (a /. r) :: !ratios
-  done;
-  let median l =
-    let a = Array.of_list l in
-    Array.sort compare a;
-    a.(Array.length a / 2)
-  in
-  Printf.printf "critical-path analysis overhead over plain replay: %+.2f%%\n\n"
-    (100. *. (median !ratios -. 1.));
-  estimates
+  let ok = function Ok _ -> () | Error _ -> assert false in
+  print_gates
+    [ paired "causal/analyze-n1000 ÷ causal/replay-n1000" ~bound:1.05
+        (block (fun () -> ok (Mis_obs.Causal.analyze events)))
+        (block (fun () -> ok (Mis_obs.Replay.replay events))) ]
+
+let sections =
+  [ ("pool", "1000-trial fairness: worker pool vs spawn engine", run_pool_scaling);
+    ("engine", "compiled-engine reuse vs per-run rebuild", run_engine_bench);
+    ("kernel", "data-parallel sweeps vs the message engine", run_kernel_bench);
+    ("xl", "n = 1e6 over 1e5 build and run on the compiled engine", run_xl_bench);
+    ("dyn", "incremental repair vs full recompute per batch", run_churn_bench);
+    ("telemetry", "engine hot path with live telemetry on vs off", run_telemetry_bench);
+    ("causal", "replay + critical-path analysis vs replay", run_causal_bench) ]
+
+(* --- driver ------------------------------------------------------------- *)
 
 let run_experiment ~metrics cfg id =
   match Mis_exp.Registry.find id with
@@ -573,47 +350,34 @@ let run_experiment ~metrics cfg id =
       (Metrics.timer metrics ("experiment." ^ id))
       (fun () -> e.Mis_exp.Registry.run cfg)
   | None ->
-    Printf.eprintf "unknown experiment %S; known: %s, timing\n" id
-      (String.concat ", " (Mis_exp.Registry.ids ()));
+    Printf.eprintf "unknown experiment %S; known: %s, timing, %s\n" id
+      (String.concat ", " (Mis_exp.Registry.ids ()))
+      (String.concat ", " (List.map (fun (id, _, _) -> id) sections));
     exit 2
 
 let trace_path = "BENCH_trace.json"
-let history_path = "BENCH_history.jsonl"
 
-(* Timing runs also append a schema-versioned history entry, the input
-   to `fairmis_cli bench-diff` regression tracking. *)
-let append_history ~cfg timing =
-  if timing <> [] then begin
-    let entry =
-      Mis_obs.Bench_history.make ~timestamp:(Unix.time ())
-        ~config:(Mis_exp.Config.describe cfg)
-        (List.map
-           (fun (name, ns) ->
-             { Mis_obs.Bench_history.workload = name; ns_per_run = ns })
-           timing)
-    in
-    Mis_obs.Bench_history.append ~path:history_path entry;
-    Printf.printf "bench history appended to %s\n" history_path
-  end
-
-let write_bench_trace ~cfg ~timing metrics =
-  let snap = Metrics.snapshot metrics in
-  let timing_json =
-    Json.arr
-      (List.map
-         (fun (name, ns) ->
-           Json.obj
-             [ ("workload", Json.str name);
-               ( "ns_per_run",
-                 match ns with Some v -> Json.float v | None -> Json.null )
-             ])
-         timing)
-  in
+let write_bench_trace ~cfg ~timing ~gates metrics =
   let json =
     Json.obj
       [ ("config", Json.str (Mis_exp.Config.describe cfg));
-        ("metrics", Metrics.to_json snap);
-        ("timing", timing_json) ]
+        ("metrics", Metrics.to_json (Metrics.snapshot metrics));
+        ( "timing",
+          Json.arr
+            (List.map
+               (fun (name, ns) ->
+                 Json.obj [ ("workload", Json.str name); ("ns_per_run", Json.float ns) ])
+               timing) );
+        ( "gates",
+          Json.arr
+            (List.map
+               (fun g ->
+                 Json.obj
+                   [ ("gate", Json.str g.name); ("median", Json.float g.median);
+                     ("q1", Json.float g.q1); ("q3", Json.float g.q3);
+                     ("bound", Json.float g.bound); ("pass", Json.bool (passes g));
+                     ("num_ms", Json.float g.num_ms); ("den_ms", Json.float g.den_ms) ])
+               gates) ) ]
   in
   let oc = open_out trace_path in
   output_string oc json;
@@ -624,54 +388,41 @@ let write_bench_trace ~cfg ~timing metrics =
 let () =
   let cfg = Mis_exp.Config.load () in
   let metrics = Metrics.create () in
-  let args = List.tl (Array.to_list Sys.argv) in
-  match args with
-  | [ "list" ] ->
+  let ids =
+    match List.tl (Array.to_list Sys.argv) with
+    | [ "list" ] ->
+      List.iter
+        (fun e ->
+          Printf.printf "%-10s %s (%s)\n" e.Mis_exp.Registry.id
+            e.Mis_exp.Registry.title e.Mis_exp.Registry.paper_ref)
+        Mis_exp.Registry.all;
+      print_endline "timing     one simulated run per table/figure workload";
+      List.iter (fun (id, doc, _) -> Printf.printf "%-10s %s\n" id doc) sections;
+      exit 0
+    | [] | [ "all" ] ->
+      Printf.printf "fairmis bench — %s\n\n" (Mis_exp.Config.describe cfg);
+      List.map (fun e -> e.Mis_exp.Registry.id) Mis_exp.Registry.all
+      @ ("timing" :: List.map (fun (id, _, _) -> id) sections)
+    | ids -> ids
+  in
+  let timing = ref [] and gates = ref [] in
+  List.iter
+    (fun id ->
+      if id = "timing" then timing := !timing @ run_timing ()
+      else
+        match List.find_opt (fun (s, _, _) -> s = id) sections with
+        | Some (_, _, run) -> gates := !gates @ run ()
+        | None -> run_experiment ~metrics cfg id)
+    ids;
+  write_bench_trace ~cfg ~timing:!timing ~gates:!gates metrics;
+  Mis_obs.Prof.print_report stderr;
+  match List.filter (fun g -> not (passes g)) !gates with
+  | [] -> ()
+  | failed ->
+    flush stdout;
     List.iter
-      (fun e ->
-        Printf.printf "%-10s %s (%s)\n" e.Mis_exp.Registry.id
-          e.Mis_exp.Registry.title e.Mis_exp.Registry.paper_ref)
-      Mis_exp.Registry.all;
-    print_endline "timing     Bechamel micro-benchmarks";
-    print_endline "pool       1000-trial fairness: worker pool vs spawn engine";
-    print_endline "engine     compiled-engine reuse vs per-trial rebuild";
-    print_endline "kernel     data-parallel sweeps vs the message engine";
-    print_endline "xl         single runs at n = 1e5 / 1e6 on the compiled engine";
-    print_endline "dyn        incremental repair vs full recompute per batch";
-    print_endline "telemetry  engine hot path with live telemetry off vs on";
-    print_endline "causal     trace replay vs replay + critical-path analysis"
-  | [] | [ "all" ] ->
-    Printf.printf "fairmis bench — %s\n\n" (Mis_exp.Config.describe cfg);
-    List.iter
-      (fun e -> run_experiment ~metrics cfg e.Mis_exp.Registry.id)
-      Mis_exp.Registry.all;
-    let timing = run_timing () in
-    let timing =
-      timing @ run_pool_scaling () @ run_engine_bench ()
-      @ run_kernel_bench () @ run_xl_bench ()
-      @ run_churn_bench () @ run_telemetry_bench () @ run_causal_bench ()
-    in
-    append_history ~cfg timing;
-    write_bench_trace ~cfg ~timing metrics;
-    Mis_obs.Prof.print_report stderr
-  | ids ->
-    let timing = ref [] in
-    List.iter
-      (fun id ->
-        if id = "timing" then begin
-          let t = run_timing () in
-          timing := !timing @ t @ run_pool_scaling ()
-        end
-        else if id = "pool" then timing := !timing @ run_pool_scaling ()
-        else if id = "engine" then timing := !timing @ run_engine_bench ()
-        else if id = "kernel" then timing := !timing @ run_kernel_bench ()
-        else if id = "xl" then timing := !timing @ run_xl_bench ()
-        else if id = "dyn" then timing := !timing @ run_churn_bench ()
-        else if id = "telemetry" then
-          timing := !timing @ run_telemetry_bench ()
-        else if id = "causal" then timing := !timing @ run_causal_bench ()
-        else run_experiment ~metrics cfg id)
-      ids;
-    append_history ~cfg !timing;
-    write_bench_trace ~cfg ~timing:!timing metrics;
-    Mis_obs.Prof.print_report stderr
+      (fun g ->
+        Printf.eprintf "bench gate FAILED: %s (Q1 %.3f > bound %.2f)\n" g.name
+          g.q1 g.bound)
+      failed;
+    exit 1

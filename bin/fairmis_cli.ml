@@ -645,92 +645,6 @@ let fairness_cmd =
   Cmd.v (Cmd.info "fairness" ~doc)
     Term.(const run $ n $ trials $ algs $ seed_arg $ domains $ csv)
 
-(* bench-diff *)
-
-let bench_diff_cmd =
-  let doc =
-    "Compare bench-history entries and flag per-workload timing deltas \
-     beyond a noise threshold (nonzero exit on regression, for CI)."
-  in
-  let old_arg =
-    Arg.(required & pos 0 (some string) None
-        & info [] ~docv:"OLD" ~doc:"Baseline history file (JSONL).")
-  in
-  let new_arg =
-    Arg.(value & pos 1 (some string) None
-        & info [] ~docv:"NEW"
-            ~doc:"New history file; defaults to comparing $(i,OLD)'s last \
-                  two entries.")
-  in
-  let threshold =
-    Arg.(value & opt float Mis_obs.Bench_history.default_threshold
-        & info [ "threshold" ]
-            ~doc:"Relative slowdown treated as a regression (0.3 = 30%).")
-  in
-  let report =
-    Arg.(value & opt (some string) None
-        & info [ "report" ] ~doc:"Write the diff report as JSON to this file.")
-  in
-  let only =
-    Arg.(value & opt (some string) None
-        & info [ "only" ] ~docv:"PREFIX"
-            ~doc:"Compare only workloads whose name starts with \
-                  $(docv) (e.g. $(b,engine/single-run)).")
-  in
-  let run old_path new_path threshold report only =
-    if threshold <= 0. then or_die (Error "threshold must be > 0");
-    let module H = Mis_obs.Bench_history in
-    let old_entry, new_entry =
-      match new_path with
-      | Some p -> (or_die (H.last ~path:old_path), or_die (H.last ~path:p))
-      | None -> (
-        match or_die (H.load ~path:old_path) with
-        | a :: (_ :: _ as rest) ->
-          let rec last2 prev = function
-            | [ x ] -> (prev, x)
-            | x :: rest -> last2 x rest
-            | [] -> assert false
-          in
-          last2 a rest
-        | _ ->
-          or_die
-            (Error
-               (Printf.sprintf
-                  "%s has fewer than two entries; pass a NEW history file"
-                  old_path)))
-    in
-    let old_entry, new_entry =
-      match only with
-      | None -> (old_entry, new_entry)
-      | Some prefix ->
-        let keep (t : H.test) =
-          String.starts_with ~prefix t.H.workload
-        in
-        let restrict (e : H.entry) =
-          { e with H.tests = List.filter keep e.H.tests }
-        in
-        let old_entry = restrict old_entry and new_entry = restrict new_entry in
-        if old_entry.H.tests = [] && new_entry.H.tests = [] then
-          or_die
-            (Error
-               (Printf.sprintf "no workload matches --only %s" prefix));
-        (old_entry, new_entry)
-    in
-    let r = H.diff ~threshold ~old_entry ~new_entry () in
-    print_string (H.render r);
-    (match report with
-    | Some path ->
-      let oc = open_out path in
-      output_string oc (H.report_to_json r);
-      output_char oc '\n';
-      close_out oc;
-      Printf.printf "report written to %s\n" path
-    | None -> ());
-    if H.has_regressions r then exit 1
-  in
-  Cmd.v (Cmd.info "bench-diff" ~doc)
-    Term.(const run $ old_arg $ new_arg $ threshold $ report $ only)
-
 (* faults *)
 
 let faults_cmd =
@@ -1131,7 +1045,7 @@ let () =
     Cmd.eval
       (Cmd.group info
          [ list_cmd; topo_cmd; run_cmd; measure_cmd; trace_cmd; analyze_cmd;
-           critpath_cmd; fairness_cmd; bench_diff_cmd; faults_cmd;
+           critpath_cmd; fairness_cmd; faults_cmd;
            churn_gen_cmd; serve_cmd; experiment_cmd ])
   in
   (* FAIRMIS_PROF=1: span tree (wall time + GC work) on stderr. *)

@@ -28,33 +28,6 @@ val fold :
     {!Mis_stats.Parallel.map_reduce}.
     @raise Invalid_argument when [spec.trials < 1]. *)
 
-val fold_ctx :
-  ?chunk:int ->
-  ?obs:Mis_obs.Metrics.t ->
-  spec ->
-  ctx:(unit -> 'ctx) ->
-  init:(unit -> 'acc) ->
-  trial:('ctx -> 'acc -> seed:int -> unit) ->
-  merge:('acc -> 'acc -> 'acc) ->
-  'acc
-(** {!fold} with a per-chunk context: [ctx ()] runs once per chunk on the
-    domain that claimed it, and the resulting value is handed to every
-    [trial] of that chunk. The intended use is a compiled
-    {!Mis_sim.Runtime.Engine} (or other reusable scratch) built once per
-    domain-chunk and reused across its trials; because each context lives
-    on exactly one domain and is dropped at the merge, sharing-free reuse
-    and the bit-identical determinism contract both hold. *)
-
-val fairness_ctx :
-  ?chunk:int ->
-  ?obs:Mis_obs.Metrics.t ->
-  spec ->
-  n:int ->
-  ctx:(unit -> 'ctx) ->
-  ('ctx -> Mis_obs.Fairness.t -> seed:int -> unit) ->
-  Mis_obs.Fairness.t
-(** {!fairness} with a per-chunk context (see {!fold_ctx}). *)
-
 val counts :
   ?check:(bool array -> unit) ->
   ?obs:Mis_obs.Metrics.t ->

@@ -74,6 +74,8 @@ let add_utf8 buf code =
     Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
   end
 
+let max_depth = 512
+
 let parse s =
   let n = String.length s in
   let pos = ref 0 in
@@ -165,7 +167,16 @@ let parse s =
         | Some f -> Float f
         | None -> fail (Printf.sprintf "malformed number %S" lit))
   in
-  let rec parse_value () =
+  (* [depth] counts the arrays and objects open around the value, so a
+     hostile line of brackets fails at the first one past [max_depth]
+     instead of recursing until the stack or the heap gives out. *)
+  let enter depth =
+    if depth >= max_depth then
+      fail (Printf.sprintf "nesting deeper than %d" max_depth);
+    incr pos;
+    depth + 1
+  in
+  let rec parse_value depth =
     skip_ws ();
     match peek () with
     | None -> fail "unexpected end of input"
@@ -175,20 +186,20 @@ let parse s =
     | Some 'n' -> literal "null" Null
     | Some ('-' | '0' .. '9') -> parse_number ()
     | Some '[' ->
-      incr pos;
+      let depth = enter depth in
       skip_ws ();
       if peek () = Some ']' then begin
         incr pos;
         Arr []
       end
       else begin
-        let items = ref [ parse_value () ] in
+        let items = ref [ parse_value depth ] in
         let rec go () =
           skip_ws ();
           match peek () with
           | Some ',' ->
             incr pos;
-            items := parse_value () :: !items;
+            items := parse_value depth :: !items;
             go ()
           | Some ']' -> incr pos
           | _ -> fail "expected ',' or ']'"
@@ -197,7 +208,7 @@ let parse s =
         Arr (List.rev !items)
       end
     | Some '{' ->
-      incr pos;
+      let depth = enter depth in
       skip_ws ();
       if peek () = Some '}' then begin
         incr pos;
@@ -209,7 +220,7 @@ let parse s =
           let k = parse_string () in
           skip_ws ();
           expect ':';
-          let v = parse_value () in
+          let v = parse_value depth in
           (k, v)
         in
         let fields = ref [ field () ] in
@@ -229,7 +240,7 @@ let parse s =
     | Some c -> fail (Printf.sprintf "unexpected character %C" c)
   in
   try
-    let v = parse_value () in
+    let v = parse_value 0 in
     skip_ws ();
     if !pos <> n then fail "trailing input after value";
     Ok v

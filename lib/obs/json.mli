@@ -45,9 +45,15 @@ val emit : value -> t
     ([Float nan]/[inf] emit as [null] and so do not round-trip; the
     runtime never emits them.) *)
 
+val max_depth : int
+(** Deepest nesting of arrays and objects {!parse} accepts (512), far
+    above anything the repo emits. *)
+
 val parse : string -> (value, string) result
 (** Parse one JSON document (the whole string). Errors carry the byte
-    offset, e.g. ["offset 12: expected ':'"]. Integer literals wider than
+    offset, e.g. ["offset 12: expected ':'"]; a document nested deeper
+    than {!max_depth} fails at the first bracket past the limit with
+    ["offset N: nesting deeper than 512"]. Integer literals wider than
     [int] degrade to [Float]. *)
 
 (** {2 Accessors} *)

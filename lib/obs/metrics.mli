@@ -9,10 +9,8 @@
     is a few machine instructions, cheap enough for per-round use in the
     simulator and the experiment runners.
 
-    Timers accumulate [Unix.gettimeofday] deltas (the monotonic concerns
-    of a benchmark harness are out of scope here — Bechamel owns those;
-    these timers are for coarse phase accounting in experiments and the
-    bench trace file). *)
+    Timers accumulate [Unix.gettimeofday] deltas, for coarse phase
+    accounting in experiments and the bench trace file. *)
 
 type t
 (** A registry. *)

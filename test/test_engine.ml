@@ -11,7 +11,6 @@ module Node_ctx = Mis_sim.Node_ctx
 module Runtime = Mis_sim.Runtime
 module Fault = Mis_sim.Fault
 module Trace = Mis_obs.Trace
-module Trials = Mis_exp.Trials
 module Rand_plan = Fairmis.Rand_plan
 module Splitmix = Mis_util.Splitmix
 
@@ -107,32 +106,6 @@ let prop_luby_engine_matches_run (gk, n, gseed, _) =
       fresh = reused && evs_f () = evs_e ())
     [ 1; 2; 3 ]
 
-(* Reuse through the Trials front end: per-chunk engines at 1 and 4
-   domains must reproduce the legacy per-trial-rebuild joins exactly. *)
-let test_trials_reuse_domain_invariant () =
-  let n = 60 in
-  let view = View.full (Helpers.random_tree ~seed:9 ~n) in
-  let trial_on eng acc ~seed =
-    let o = Fairmis.Luby.run_distributed_on eng (Rand_plan.make seed) in
-    Mis_obs.Fairness.record acc ~in_mis:o.Runtime.output
-  in
-  let reuse domains =
-    let spec = { Trials.trials = 64; seed = 5; domains = Some domains } in
-    Mis_obs.Fairness.joins
-      (Trials.fairness_ctx spec ~n
-         ~ctx:(fun () -> Runtime.Engine.create view)
-         trial_on)
-  in
-  let legacy =
-    let spec = { Trials.trials = 64; seed = 5; domains = Some 1 } in
-    Mis_obs.Fairness.joins
-      (Trials.fairness spec ~n (fun acc ~seed ->
-           let o = Fairmis.Luby.run_distributed view (Rand_plan.make seed) in
-           Mis_obs.Fairness.record acc ~in_mis:o.Runtime.output))
-  in
-  Alcotest.check Helpers.int_array "reuse(1) = rebuild" legacy (reuse 1);
-  Alcotest.check Helpers.int_array "reuse(4) = rebuild" legacy (reuse 4)
-
 (* In-flight accounting: a run cut off by [max_rounds] leaves the final
    round's sends unconsumed, and the outcome reports exactly those. *)
 let test_in_flight_at_cutoff () =
@@ -178,8 +151,6 @@ let suite =
           prop_engine_matches_run;
         Helpers.qtest ~count:40 "engine.exec = run (luby)" arb_case
           prop_luby_engine_matches_run;
-        Alcotest.test_case "trials reuse, domains 1 and 4" `Quick
-          test_trials_reuse_domain_invariant;
         Alcotest.test_case "in-flight at max_rounds cutoff" `Quick
           test_in_flight_at_cutoff;
         Alcotest.test_case "in-flight under delay" `Quick

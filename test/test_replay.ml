@@ -1,8 +1,7 @@
 (* Tests for the trace-analysis half of the observability layer: the
    JSON parser (including emit/parse round-trip properties), the replay
    validator (golden FairTree stream, corrupted streams, faulty runs),
-   the fairness accumulator, the span profiler, and the bench-history
-   comparator. *)
+   the fairness accumulator, and the span profiler. *)
 
 module View = Mis_graph.View
 module Trees = Mis_workload.Trees
@@ -14,7 +13,6 @@ module Replay = Mis_obs.Replay
 module Fairness = Mis_obs.Fairness
 module Prof = Mis_obs.Prof
 module Metrics = Mis_obs.Metrics
-module Bench_history = Mis_obs.Bench_history
 
 let ok_or_fail what = function
   | Ok v -> v
@@ -64,6 +62,27 @@ let test_parse_errors () =
   List.iter fails
     [ ""; "{"; "[1,]"; {|{"a":}|}; {|{"a" 1}|}; "tru"; {|"unterminated|};
       "1 2"; "[1] x"; {|{"a":1,}|}; {|"bad \q escape"|} ]
+
+(* A line of brackets must fail fast at the nesting limit, not recurse
+   until the stack or heap gives out; the serve loop parses every wire
+   line with this parser. *)
+let test_parse_depth_limit () =
+  let nested d = String.make d '[' ^ String.make d ']' in
+  (match Json.parse (String.make 1_000_000 '[') with
+  | Ok _ -> Alcotest.fail "10^6 open brackets parsed"
+  | Error e ->
+    Alcotest.(check string) "error names the limit"
+      (Printf.sprintf "offset %d: nesting deeper than %d" Json.max_depth
+         Json.max_depth)
+      e);
+  (match Json.parse (nested Json.max_depth) with
+  | Ok v ->
+    let rec depth = function Json.Arr [ x ] -> 1 + depth x | _ -> 1 in
+    Alcotest.(check int) "depth at the limit" Json.max_depth (depth v)
+  | Error e -> Alcotest.failf "document at the limit rejected: %s" e);
+  match Json.parse (nested (Json.max_depth + 1)) with
+  | Ok _ -> Alcotest.fail "document past the limit parsed"
+  | Error _ -> ()
 
 let test_parse_accessors () =
   let v = ok_or_fail "parse" (Json.parse {|{"i":3,"f":1.5,"s":"x","b":true,"l":[1]}|}) in
@@ -637,121 +656,14 @@ let test_prof_multidomain_spans_merge_once () =
           (List.length l))
     [ 1; 4 ]
 
-(* --- bench history ------------------------------------------------------ *)
-
-let entry_fixture ~timestamp ~scale =
-  Bench_history.make ~timestamp ~config:"test config"
-    [ { Bench_history.workload = "w/fast"; ns_per_run = Some (100. *. scale) };
-      { Bench_history.workload = "w/slow"; ns_per_run = Some (9000. *. scale) };
-      { Bench_history.workload = "w/none"; ns_per_run = None } ]
-
-let test_bench_history_roundtrip () =
-  let e = entry_fixture ~timestamp:1234.5 ~scale:1. in
-  let j = Bench_history.entry_to_json e in
-  let v = ok_or_fail "parse" (Json.parse j) in
-  let e' = ok_or_fail "entry_of_json" (Bench_history.entry_of_json v) in
-  Alcotest.(check bool) "round-trips" true (e = e');
-  (* Entries from a future schema are rejected, not misread. *)
-  match Json.parse j with
-  | Ok (Json.Obj fields) ->
-    let bumped =
-      Json.Obj
-        (List.map
-           (fun (k, v) ->
-             if k = "schema" then
-               (k, Json.Int (Bench_history.schema_version + 1))
-             else (k, v))
-           fields)
-    in
-    (match Bench_history.entry_of_json bumped with
-    | Ok _ -> Alcotest.fail "future schema accepted"
-    | Error e -> Alcotest.(check bool) ("mentions schema: " ^ e) true
-        (contains e "schema"))
-  | _ -> Alcotest.fail "entry json not an object"
-
-let test_bench_history_file () =
-  let path = Filename.temp_file "fairmis_bench" ".jsonl" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Sys.remove path;
-      let e1 = entry_fixture ~timestamp:1. ~scale:1. in
-      let e2 = entry_fixture ~timestamp:2. ~scale:1.1 in
-      Bench_history.append ~path e1;
-      Bench_history.append ~path e2;
-      let all = ok_or_fail "load" (Bench_history.load ~path) in
-      Alcotest.(check int) "two entries" 2 (List.length all);
-      Alcotest.(check bool) "order oldest first" true (List.hd all = e1);
-      let last = ok_or_fail "last" (Bench_history.last ~path) in
-      Alcotest.(check bool) "last is newest" true (last = e2))
-
-let test_bench_history_load_errors () =
-  let path = Filename.temp_file "fairmis_bench" ".jsonl" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let oc = open_out path in
-      output_string oc "{\"schema\":1,\"timestamp\":1.0,\"config\":\"c\",\"tests\":[]}\nnot json\n";
-      close_out oc;
-      match Bench_history.load ~path with
-      | Ok _ -> Alcotest.fail "garbage accepted"
-      | Error e ->
-        Alcotest.(check bool) ("line number in " ^ e) true (contains e ":2"))
-
-(* The headline regression scenario: a 2x slowdown on one workload. *)
-let test_bench_diff_detects_slowdown () =
-  let old_entry = entry_fixture ~timestamp:1. ~scale:1. in
-  let new_entry =
-    Bench_history.make ~timestamp:2. ~config:"test config"
-      [ { Bench_history.workload = "w/fast"; ns_per_run = Some 200. };
-        { Bench_history.workload = "w/slow"; ns_per_run = Some 9100. };
-        { Bench_history.workload = "w/none"; ns_per_run = Some 1. } ]
-  in
-  let r = Bench_history.diff ~old_entry ~new_entry () in
-  Alcotest.(check int) "compared" 2 r.Bench_history.compared;
-  Alcotest.(check bool) "regression flagged" true
-    (Bench_history.has_regressions r);
-  (match r.Bench_history.regressions with
-  | [ d ] ->
-    Alcotest.(check string) "which workload" "w/fast" d.Bench_history.workload;
-    Alcotest.(check (float 1e-9)) "ratio" 2. d.Bench_history.ratio
-  | l -> Alcotest.failf "regressions: %d" (List.length l));
-  Alcotest.(check bool) "1%% drift tolerated" true
-    (r.Bench_history.improvements = []);
-  Alcotest.(check bool) "render says SLOWER" true
-    (contains (Bench_history.render r) "SLOWER")
-
-let test_bench_diff_improvement_and_sets () =
-  let old_entry =
-    Bench_history.make ~timestamp:1. ~config:"c"
-      [ { Bench_history.workload = "a"; ns_per_run = Some 1000. };
-        { Bench_history.workload = "gone"; ns_per_run = Some 5. } ]
-  in
-  let new_entry =
-    Bench_history.make ~timestamp:2. ~config:"c"
-      [ { Bench_history.workload = "a"; ns_per_run = Some 400. };
-        { Bench_history.workload = "fresh"; ns_per_run = Some 5. } ]
-  in
-  let r = Bench_history.diff ~threshold:0.5 ~old_entry ~new_entry () in
-  Alcotest.(check bool) "no regressions" false (Bench_history.has_regressions r);
-  Alcotest.(check int) "one improvement" 1
-    (List.length r.Bench_history.improvements);
-  Alcotest.(check bool) "missing tracked" true
-    (r.Bench_history.missing = [ "gone" ]);
-  Alcotest.(check bool) "added tracked" true
-    (r.Bench_history.added = [ "fresh" ]);
-  (* Tighter threshold turns the same delta into... still an improvement;
-     a looser one absorbs it. *)
-  let loose = Bench_history.diff ~threshold:2.0 ~old_entry ~new_entry () in
-  Alcotest.(check int) "loose threshold absorbs" 0
-    (List.length loose.Bench_history.improvements)
-
 let suite =
   [ ( "replay",
       [ Alcotest.test_case "json parse scalars" `Quick test_parse_scalars;
         Alcotest.test_case "json parse structures" `Quick
           test_parse_structures;
         Alcotest.test_case "json parse errors" `Quick test_parse_errors;
+        Alcotest.test_case "json nesting depth limit" `Quick
+          test_parse_depth_limit;
         Alcotest.test_case "json accessors" `Quick test_parse_accessors;
         Helpers.qtest ~count:500 "json emit/parse/emit identity"
           arb_json_value prop_emit_parse_emit;
@@ -795,14 +707,4 @@ let suite =
         Alcotest.test_case "prof multi-domain merge" `Quick
           test_prof_multidomain_spans_merge_once;
         Alcotest.test_case "prof report format" `Quick
-          test_prof_report_format;
-        Alcotest.test_case "bench history round-trip" `Quick
-          test_bench_history_roundtrip;
-        Alcotest.test_case "bench history file" `Quick
-          test_bench_history_file;
-        Alcotest.test_case "bench history load errors" `Quick
-          test_bench_history_load_errors;
-        Alcotest.test_case "bench-diff detects 2x slowdown" `Quick
-          test_bench_diff_detects_slowdown;
-        Alcotest.test_case "bench-diff improvements and sets" `Quick
-          test_bench_diff_improvement_and_sets ] ) ]
+          test_prof_report_format ] ) ]
