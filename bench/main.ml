@@ -4,7 +4,7 @@
      dune exec bench/main.exe            # every experiment, timing, every gate
      dune exec bench/main.exe -- table1 fig4
      dune exec bench/main.exe -- timing  # one run per table/figure workload
-     dune exec bench/main.exe -- pool engine kernel xl dyn telemetry causal
+     dune exec bench/main.exe -- pool engine kernel xl dyn telemetry causal workload
      dune exec bench/main.exe -- list
 
    Environment: FAIRMIS_TRIALS, FAIRMIS_FULL, FAIRMIS_NYC, FAIRMIS_DOMAINS,
@@ -330,6 +330,29 @@ let run_causal_bench () =
         (block (fun () -> ok (Mis_obs.Causal.analyze events)))
         (block (fun () -> ok (Mis_obs.Replay.replay events))) ]
 
+(* Real-world tree build: the whole seed-1 small-city tree (the
+   2,300-point cloud, grow steps, 10 bisection probes, one MST, pruning)
+   against one [Geometry.threshold_edges] + [Mst.prim] pass over the same
+   cloud at 958.14, the radius that seed-1 search settles on. Probes that
+   size components by DSU keep the whole build within a few MST builds
+   (2.1-3.6 across hosts); a search that builds an MST at every probe
+   reads 12-18. *)
+let run_workload_bench () =
+  print_endline "== workload: real-world tree search + build vs one MST build";
+  let points =
+    Mis_workload.Geo.sample
+      (Mis_util.Splitmix.stream 1L [ 103 ])
+      Mis_workload.Geo.city ~n:2300
+  in
+  print_gates
+    [ paired
+        "workload/real-world/nyc-small-build ÷ workload/real-world/nyc-small-one-forest"
+        ~bound:4.0
+        (block (fun () -> Mis_workload.Real_world.nyc_like_small ~seed:1))
+        (block (fun () ->
+             Mis_graph.Mst.prim ~n:2300
+               (Mis_graph.Geometry.threshold_edges points ~radius:958.14))) ]
+
 let sections =
   [ ("pool", "1000-trial fairness: worker pool vs spawn engine", run_pool_scaling);
     ("engine", "compiled-engine reuse vs per-run rebuild", run_engine_bench);
@@ -337,7 +360,8 @@ let sections =
     ("xl", "n = 1e6 over 1e5 build and run on the compiled engine", run_xl_bench);
     ("dyn", "incremental repair vs full recompute per batch", run_churn_bench);
     ("telemetry", "engine hot path with live telemetry on vs off", run_telemetry_bench);
-    ("causal", "replay + critical-path analysis vs replay", run_causal_bench) ]
+    ("causal", "replay + critical-path analysis vs replay", run_causal_bench);
+    ("workload", "real-world tree search + build vs one MST build", run_workload_bench) ]
 
 (* --- driver ------------------------------------------------------------- *)
 

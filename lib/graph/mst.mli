@@ -1,8 +1,8 @@
 (** Minimum spanning trees/forests.
 
     The paper's "real-world" topologies are built by thresholding WAP
-    distances and taking an MST of the resulting graph (Sec. IX); this
-    module supplies the Kruskal step of that pipeline. *)
+    distances and taking an MST of the resulting graph (Sec. IX); that
+    pipeline uses {!prim}, whose tie order shapes the trees. *)
 
 val kruskal : n:int -> (float * int * int) array -> (int * int) list
 (** [kruskal ~n weighted_edges] returns the edges of a minimum spanning

@@ -4,8 +4,7 @@ module Splitmix = Mis_util.Splitmix
 let unit_disk points ~radius =
   let n = Array.length points in
   let weighted = Geometry.threshold_edges points ~radius in
-  Mis_graph.Graph.of_edges ~n
-    (Array.to_list (Array.map (fun (_, u, v) -> (u, v)) weighted))
+  Mis_graph.Graph.of_edge_array ~n (Array.map (fun (_, u, v) -> (u, v)) weighted)
 
 type mixed = {
   graph : Mis_graph.Graph.t;

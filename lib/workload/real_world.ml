@@ -66,9 +66,17 @@ let prune_to_target rng ~n ~edges ~members ~target =
   in
   Graph.of_edges ~n:target kept
 
-(* Size of the largest component of the MST forest at the given radius,
-   together with the forest edges and the component's members. *)
-let forest_at points ~radius =
+(* Largest component size at [radius], from threshold edges at >= [radius]. *)
+let largest_component ~n edges ~radius =
+  let dsu = Mis_util.Dsu.create n and largest = ref 1 in
+  Array.iter
+    (fun (d, u, v) ->
+      if d <= radius && Mis_util.Dsu.union dsu u v then
+        largest := max !largest (Mis_util.Dsu.size dsu u))
+    edges;
+  !largest
+
+let tree_at rng points ~radius ~target =
   let n = Array.length points in
   let weighted = Mis_graph.Geometry.threshold_edges points ~radius in
   let mst_edges = Mis_graph.Mst.prim ~n weighted in
@@ -81,28 +89,29 @@ let forest_at points ~radius =
         if Array.length nodes > Array.length best then nodes else best)
       [||] members
   in
-  (Array.length largest, mst_edges, largest)
+  prune_to_target rng ~n ~edges:mst_edges ~members:largest ~target
 
 let tree_of_points rng points ~radius ~target =
   let n = Array.length points in
   if target < 1 || target > n then invalid_arg "Real_world.tree_of_points";
   (* Grow the radius until the largest component reaches the target, then
      binary-search the smallest sufficient radius so that leaf-pruning to
-     the exact size removes as little structure as possible. *)
+     the exact size removes as little structure as possible. Each probe is
+     a DSU pass; bisection filters the first passing radius's edges. *)
   let rec grow radius tries =
     if tries > 60 then failwith "Real_world.tree_of_points: cannot connect";
-    let size, _, _ = forest_at points ~radius in
-    if size >= target then radius else grow (radius *. 1.3) (tries + 1)
+    let edges = Mis_graph.Geometry.threshold_edges points ~radius in
+    if largest_component ~n edges ~radius >= target then (radius, edges)
+    else grow (radius *. 1.3) (tries + 1)
   in
-  let hi = grow radius 0 in
+  let hi, edges = grow radius 0 in
   let lo = ref (hi /. 1.3) and hi = ref hi in
   for _ = 1 to 10 do
     let mid = (!lo +. !hi) /. 2. in
-    let size, _, _ = forest_at points ~radius:mid in
-    if size >= target then hi := mid else lo := mid
+    if largest_component ~n edges ~radius:mid >= target then hi := mid
+    else lo := mid
   done;
-  let _, mst_edges, members = forest_at points ~radius:!hi in
-  prune_to_target rng ~n ~edges:mst_edges ~members ~target
+  tree_at rng points ~radius:!hi ~target
 
 let dartmouth_like ~seed =
   let rng = Splitmix.stream (Int64.of_int seed) [ 101 ] in

@@ -16,7 +16,16 @@ val tree_of_points :
     exactly [target] nodes. The radius is grown geometrically (factor 1.3)
     until the largest component reaches [target] nodes, mirroring the
     paper's choice of "a maximum physical distance" that keeps the network
-    connected. *)
+    connected; 10 bisection probes then find the smallest sufficient
+    radius. Probes are DSU passes (bisection filters the first passing
+    radius's edges), so only the final radius gets an MST ({!tree_at}).
+    @raise Failure if 60 growth steps cannot reach [target]. *)
+
+val tree_at :
+  Mis_util.Splitmix.t -> Mis_graph.Geometry.point array -> radius:float ->
+  target:int -> Mis_graph.Graph.t
+(** The build at one radius: Prim MST of the threshold graph, its largest
+    component, leaf-pruned to [target] (at most that component's size). *)
 
 val dartmouth_like : seed:int -> Mis_graph.Graph.t
 (** 178-node tree (paper's Dartmouth trace size) from a campus-like cloud

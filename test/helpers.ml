@@ -36,3 +36,9 @@ let int_array = Alcotest.(array int)
 (* Small-ish positive sizes for property tests. *)
 let arb_size = QCheck.int_range 1 40
 let arb_seed = QCheck.int_range 0 10_000
+
+(* MD5 of a graph's edge list as "u v\n" lines, for byte-for-byte pins. *)
+let edges_digest g =
+  Graph.edges g
+  |> Array.map (fun (u, v) -> Printf.sprintf "%d %d\n" u v)
+  |> Array.to_list |> String.concat "" |> Digest.string |> Digest.to_hex

@@ -254,26 +254,47 @@ let test_prim_colocated_points_form_star () =
      hub of its k-1 co-located peers: degree k. *)
   Alcotest.(check int) "hub degree" k (Graph.max_degree g)
 
+(* Edge sets, not counts: the sorted (i, j, d) triples equal the
+   brute-force pairs. Snapped cases put points on a small integer grid,
+   so co-located points and distances equal to the radius (1, 2, 5 on
+   axis or 3-4-5 offsets) occur. Each case also checks nesting: edges at
+   [radius] filtered to [d <= r'] are exactly the edges at [r' <= radius],
+   which is what lets one edge array answer every smaller probe radius. *)
 let prop_threshold_edges =
-  Helpers.qtest ~count:40 "threshold edges match brute force"
-    QCheck.(pair (int_range 1 60) Helpers.arb_seed)
-    (fun (n, seed) ->
+  Helpers.qtest ~count:80 "threshold edges match brute force"
+    QCheck.(triple (int_range 1 60) Helpers.arb_seed bool)
+    (fun (n, seed, snapped) ->
       let rng = Splitmix.of_seed seed in
-      let points =
-        Array.init n (fun _ ->
-            { Geometry.x = Splitmix.float rng *. 10.;
-              y = Splitmix.float rng *. 10. })
+      let coord () =
+        if snapped then float_of_int (Splitmix.int rng 9)
+        else Splitmix.float rng *. 10.
       in
-      let radius = 2.5 in
-      let fast = Geometry.threshold_edges points ~radius in
-      let brute = ref 0 in
-      for i = 0 to n - 1 do
-        for j = i + 1 to n - 1 do
-          if Geometry.dist points.(i) points.(j) <= radius then incr brute
-        done
-      done;
-      Array.length fast = !brute
-      && Array.for_all (fun (w, i, j) -> w <= radius && i < j) fast)
+      let points = Array.init n (fun _ -> { Geometry.x = coord (); y = coord () }) in
+      let triples radius =
+        List.sort compare
+          (Array.to_list
+             (Array.map (fun (d, i, j) -> (i, j, d))
+                (Geometry.threshold_edges points ~radius)))
+      in
+      let brute radius =
+        let acc = ref [] in
+        for i = 0 to n - 1 do
+          for j = i + 1 to n - 1 do
+            let d = Geometry.dist points.(i) points.(j) in
+            if d <= radius then acc := (i, j, d) :: !acc
+          done
+        done;
+        List.sort compare !acc
+      in
+      let radius = if snapped then 5. else 2.5 in
+      let smaller = if snapped then [ 1.; 2.; sqrt 2.; 4.5 ] else [ 0.4; 1.25; 2.2 ] in
+      let at_radius = triples radius in
+      at_radius = brute radius
+      && List.for_all
+           (fun r' ->
+             triples r' = brute r'
+             && List.filter (fun (_, _, d) -> d <= r') at_radius = triples r')
+           smaller)
 
 let test_bounding_box () =
   let points =

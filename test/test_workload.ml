@@ -199,6 +199,77 @@ let test_city_small () =
   Alcotest.(check int) "|V| = 2048" 2048 (Graph.n g);
   Alcotest.(check bool) "tree" true (is_tree g)
 
+(* Byte-for-byte pins: any change to the radius search, threshold_edges'
+   order or Prim's tie-breaking moves these. The full NYC-like tree is
+   pinned in the XL tier. *)
+let test_real_world_pins () =
+  Alcotest.(check string) "dartmouth_like ~seed:1"
+    "4a1e36745cec61ba414863536ef1c957"
+    (Helpers.edges_digest (Real_world.dartmouth_like ~seed:1));
+  Alcotest.(check string) "nyc_like_small ~seed:1"
+    "3ce55064dd64c22d980c2de2815a08fc"
+    (Helpers.edges_digest (Real_world.nyc_like_small ~seed:1))
+
+let largest_component_size g =
+  let label, count = Traverse.components (View.full g) in
+  Array.fold_left
+    (fun best nodes -> max best (Array.length nodes))
+    0
+    (Traverse.component_members label count)
+
+(* Reference radius search for [tree_of_points]: every grow step and
+   bisection probe builds the MST forest at its radius and sizes its
+   largest component from it. *)
+let per_probe_tree rng points ~radius ~target =
+  let n = Array.length points in
+  if target < 1 || target > n then invalid_arg "per_probe_tree";
+  let largest_at radius =
+    let mst = Mis_graph.Mst.prim ~n (Mis_graph.Geometry.threshold_edges points ~radius) in
+    largest_component_size (Graph.of_edges ~n mst)
+  in
+  let rec grow radius tries =
+    if tries > 60 then failwith "per_probe_tree: cannot connect";
+    if largest_at radius >= target then radius else grow (radius *. 1.3) (tries + 1)
+  in
+  let hi = grow radius 0 in
+  let lo = ref (hi /. 1.3) and hi = ref hi in
+  for _ = 1 to 10 do
+    let mid = (!lo +. !hi) /. 2. in
+    if largest_at mid >= target then hi := mid else lo := mid
+  done;
+  Real_world.tree_at rng points ~radius:!hi ~target
+
+(* Small clustered clouds on an integer grid: co-located points give
+   zero-length edges and integer start radii equal some distances
+   exactly. Half the cases set [target] to the largest component at the
+   start radius, so the first probe hinges on those exact distances; the
+   rest draw it at random. Tiny start radii exhaust the 60 growth steps
+   and targets past n are rejected, so both raising paths are compared. *)
+let prop_search_matches_per_probe =
+  Helpers.qtest ~count:150 "tree_of_points = per-probe MST search"
+    QCheck.(
+      quad Helpers.arb_seed (int_range 1 120)
+        (oneofl [ 1e-6; 1.; 2.; 5.; 10.; 25. ])
+        (pair bool (float_range 0. 1.05)))
+    (fun (seed, n, radius, (critical, frac)) ->
+      let params =
+        { Geo.campus with
+          Geo.clusters = 4; sigma = 6.; width = 120.; height = 80. }
+      in
+      let points = Geo.sample (Splitmix.of_seed seed) params ~n in
+      let target =
+        if critical then
+          largest_component_size (Mis_workload.Geo_graphs.unit_disk points ~radius)
+        else max 1 (int_of_float (frac *. float_of_int n))
+      in
+      let outcome build =
+        match build (Splitmix.of_seed (seed + 1)) points ~radius ~target with
+        | g -> Ok (Graph.edges g)
+        | exception Failure _ -> Error "Failure"
+        | exception Invalid_argument _ -> Error "Invalid_argument"
+      in
+      outcome Real_world.tree_of_points = outcome per_probe_tree)
+
 let test_real_world_determinism () =
   let g1 = Real_world.dartmouth_like ~seed:5 in
   let g2 = Real_world.dartmouth_like ~seed:5 in
@@ -266,7 +337,9 @@ let suite =
     ( "workload.real_world",
       [ Alcotest.test_case "dartmouth-like" `Quick test_dartmouth_like;
         Alcotest.test_case "city small" `Slow test_city_small;
-        Alcotest.test_case "determinism" `Quick test_real_world_determinism ] );
+        Alcotest.test_case "determinism" `Quick test_real_world_determinism;
+        Alcotest.test_case "edge digests pinned" `Quick test_real_world_pins;
+        prop_search_matches_per_probe ] );
     ( "workload.geo_graphs",
       [ Alcotest.test_case "unit disk" `Quick test_unit_disk;
         prop_mixed_density ] ) ]

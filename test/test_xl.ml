@@ -1,5 +1,6 @@
 (* engine/xl smoke: the compiled engine at n = 10^5 — the scale tier the
-   worker pool and the direct-CSR topology constructors exist for.
+   worker pool and the direct-CSR topology constructors exist for — plus
+   the full-size NYC-like tree pin.
 
    Gated behind FAIRMIS_XL=1 (CI sets it; a plain `dune runtest` skips
    in microseconds) because each case runs a six-figure-node protocol
@@ -122,6 +123,13 @@ let test_kernel_fair_tree_xl () =
     (Array.for_all Fun.id k.Mis_sim.Kernel.decided);
   Helpers.check_mis ~name:"xl kernel fairtree" view k.Mis_sim.Kernel.output
 
+(* The full NYC-like tree (n = 17,834 from 19,000 points), pinned byte
+   for byte like its smaller siblings in the workload suite. *)
+let test_nyc_like_pin () =
+  require_xl ();
+  Alcotest.(check string) "nyc_like ~seed:1" "f678f518f7449cbb6ab8e5daed2e23a4"
+    (Helpers.edges_digest (Mis_workload.Real_world.nyc_like ~seed:1))
+
 let suite =
   [ ( "engine.xl",
       [ Alcotest.test_case "luby n=1e5: validity + conservation" `Slow
@@ -134,4 +142,6 @@ let suite =
       [ Alcotest.test_case "kernel luby n=1e5: validity + equivalence" `Slow
           test_kernel_luby_xl;
         Alcotest.test_case "kernel fairtree n=1e5: validity" `Slow
-          test_kernel_fair_tree_xl ] ) ]
+          test_kernel_fair_tree_xl ] );
+    ( "workload.xl",
+      [ Alcotest.test_case "nyc-like tree edge digest" `Slow test_nyc_like_pin ] ) ]
