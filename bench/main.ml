@@ -224,16 +224,37 @@ let run_engine_bench () =
 
 (* Kernel: the same single run by the data-parallel sweeps over a
    prebuilt [Mis_sim.Kernel], against the message engine's prebuilt
-   reuse run — the kernel's reason to exist is a 5x win over it. *)
+   reuse run — the kernel's reason to exist is a 5x win over it. Two
+   gates keep a verified kernel trial cheap: a fixed-arity coin against
+   the list key path it replaces (same value, no allocation), and the
+   one-pass MIS check that follows every trial against the trial. *)
 let run_kernel_bench () =
   print_endline "== kernel: data-parallel sweeps vs the message engine";
   let view, eng = luby_n1000 () in
   let kern = Mis_sim.Kernel.create view in
+  let stage = Rand_plan.Stage.luby_main in
+  let plan = Rand_plan.make 1 in
+  let base = Mis_util.Splitmix.derive 1L [ 0x5EED ] in
+  let draws f =
+    let node = ref 0 in
+    block (fun () ->
+        incr node;
+        f !node)
+  in
+  let mis = Fairmis.Luby.run view plan in
   print_gates
     [ paired "kernel/single-run/luby-n1000 ÷ engine/single-run/luby-n1000-reuse"
         ~bound:0.20
         (block (seeded (Fairmis.Luby.run_kernel_on kern)))
-        (block (seeded (Fairmis.Luby.run_distributed_on eng))) ]
+        (block (seeded (Fairmis.Luby.run_distributed_on eng)));
+      paired "rand-plan/node_value ÷ splitmix/derive-list" ~bound:0.5
+        (draws (fun node -> Rand_plan.node_value plan ~stage ~round:1 ~node))
+        (draws (fun node ->
+             Mis_util.Splitmix.bits62
+               (Mis_util.Splitmix.stream base [ stage; 3; 1; node ])));
+      paired "mis/verify-n1000 ÷ kernel/single-run/luby-n1000" ~bound:0.15
+        (block (fun () -> Fairmis.Mis.verify ~name:"luby" view mis))
+        (block (seeded (Fairmis.Luby.run_kernel_on kern))) ]
 
 (* Million-node scaling: engine build and one Luby run at n = 10^6 over
    n = 10^5 on direct-CSR attachment trees. Both are near-linear in

@@ -27,7 +27,7 @@ let relax_component view members ~d_hat lead depth =
         let bu = Hashtbl.find best u in
         View.iter_adj view u (fun v ->
             let cand = match Hashtbl.find_opt updates v with
-              | Some c -> max c bu
+              | Some c -> Int.max c bu
               | None -> bu
             in
             Hashtbl.replace updates v cand))
@@ -89,7 +89,7 @@ let run view ~d_hat ~bit_of =
   Array.iter
     (fun nodes ->
       (* Component leader candidate: the maximum id (= index). *)
-      let max_id = Array.fold_left max nodes.(0) nodes in
+      let max_id = Array.fold_left Int.max nodes.(0) nodes in
       (* BFS from it, confined to the component by construction. *)
       Mis_util.Int_queue.clear queue;
       dist.(max_id) <- 0;
@@ -149,7 +149,7 @@ let program ~d_hat ~bit_of : (state, message) Program.t =
       (* Phase 1: leader election. *)
       let best =
         List.fold_left
-          (fun acc (_, m) -> match m with Max_id v -> max acc v | Bfs _ -> acc)
+          (fun acc (_, m) -> match m with Max_id v -> Int.max acc v | Bfs _ -> acc)
           st.best inbox
       in
       let st = { st with round = r; best } in

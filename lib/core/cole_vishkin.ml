@@ -20,9 +20,7 @@ let recolor ~own_old ~parent_new =
   let forbidden c = c = parent_new || c = own_old in
   if not (forbidden 0) then 0 else if not (forbidden 1) then 1 else 2
 
-let ceil_log2 n =
-  let rec loop k acc = if acc >= n then k else loop (k + 1) (2 * acc) in
-  loop 0 1
+let ceil_log2 = Mis_util.Ids.ceil_log2
 
 let iterations ~id_bound =
   if id_bound < 1 then invalid_arg "Cole_vishkin.iterations";

@@ -18,9 +18,7 @@ let program ~plan ~p ~gamma ~coloring ~k =
           Rand_plan.node_value plan ~stage:Stage.color_mis_luby ~round:phase
             ~node:id) }
 
-let ceil_log2 n =
-  let rec loop k acc = if acc >= n then k else loop (k + 1) (2 * acc) in
-  loop 0 1
+let ceil_log2 = Mis_util.Ids.ceil_log2
 
 let run ?(p = 0.5) ?gamma ?tracer view ~coloring ~k plan =
   let n = Mis_graph.View.n view in

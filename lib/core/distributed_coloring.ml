@@ -8,9 +8,7 @@ type outcome = {
   rounds : int;
 }
 
-let ceil_log2 n =
-  let rec loop k acc = if acc >= n then k else loop (k + 1) (2 * acc) in
-  loop 0 1
+let ceil_log2 = Mis_util.Ids.ceil_log2
 
 (* One conflict-resolution sweep shared by both algorithms: every node of
    [pending] proposes a uniform color among the {e lowest}

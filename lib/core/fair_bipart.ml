@@ -9,9 +9,7 @@ type trace = {
   rounds : int;
 }
 
-let ceil_log2 n =
-  let rec loop k acc = if acc >= n then k else loop (k + 1) (2 * acc) in
-  loop 0 1
+let ceil_log2 = Mis_util.Ids.ceil_log2
 
 let gamma_default ~n = max 1 (2 * ceil_log2 (max n 2))
 

@@ -38,7 +38,7 @@ let flood_step allowed cfb inbox =
     List.fold_left
       (fun acc (sender, m) ->
         match m with
-        | Max_id v when allowed sender -> max acc v
+        | Max_id v when allowed sender -> Int.max acc v
         | Max_id _ | Bfs _ | Member _ | Color _ | Value _ | In_mis | Withdraw ->
           acc)
       cfb.best inbox
@@ -85,8 +85,8 @@ let program ~plan ~gamma : (state, Messages.t) Program.t =
       Array.to_list ctx.neighbor_ids
       |> List.filter (fun v ->
              not
-               (Rand_plan.edge_bit plan ~stage:Stage.fair_tree_cut
-                  ~u:(min ctx.id v) ~v:(max ctx.id v)))
+               (Rand_plan.edge_bit plan ~stage:Stage.fair_tree_cut ~u:ctx.id
+                  ~v))
     in
     ( { round = 0; uncut; i1_neighbors = []; uncovered_neighbors = [];
         i1 = false; i2 = false; uncovered = false; i3 = false;
@@ -287,9 +287,7 @@ let program ~plan ~gamma : (state, Messages.t) Program.t =
   in
   { Program.name = "fair_tree"; init; receive }
 
-let ceil_log2 n =
-  let rec loop k acc = if acc >= n then k else loop (k + 1) (2 * acc) in
-  loop 0 1
+let ceil_log2 = Mis_util.Ids.ceil_log2
 
 let message_bits ~n m =
   let id_bits = ceil_log2 (max n 2) in

@@ -7,7 +7,14 @@
       same algorithm flip {e identical} coins, so their outputs can be
       compared for exact equality in tests;
     - stages of a composite algorithm (e.g. FairTree's four stages) use
-      independent randomness, as the paper's analysis assumes. *)
+      independent randomness, as the paper's analysis assumes.
+
+    Each draw is a fixed-arity derivation: the same value as the list key
+    path [Splitmix.stream base [stage; tag; ...]] (tags 1-6 below, in
+    [val] order) followed by the matching {!Mis_util.Splitmix} draw, but
+    computed over unboxed [int64]s. [node_bit], [edge_bit], [node_value],
+    [node_int] and [node_radius] allocate nothing; [node_stream]
+    allocates only the stream it returns. *)
 
 type t
 

@@ -82,9 +82,7 @@ let robustify ?(repeats = 3) ?timeout ?(fallback = false)
   in
   { Program.name = program.Program.name ^ "+robust"; init; receive }
 
-let ceil_log2 n =
-  let rec loop k acc = if acc >= n then k else loop (k + 1) (2 * acc) in
-  loop 0 1
+let ceil_log2 = Mis_util.Ids.ceil_log2
 
 let luby_rounds_budget ~n = 32 + (16 * ceil_log2 (max n 2))
 

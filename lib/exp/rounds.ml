@@ -5,9 +5,7 @@ module Rand_plan = Fairmis.Rand_plan
 let sizes = [ 64; 256; 1024 ]
 let repeats = 3
 
-let ceil_log2 n =
-  let rec loop k acc = if acc >= n then k else loop (k + 1) (2 * acc) in
-  loop 0 1
+let ceil_log2 = Mis_util.Ids.ceil_log2
 
 (* [repeats] seeded simulator runs on the trial engine, rounds and
    messages accumulated in one pass (the runs are independent seeded

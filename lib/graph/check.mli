@@ -2,6 +2,19 @@
     every single simulated run (the paper requires independence and
     maximality to hold always, not just with high probability). *)
 
+type verdict = Mis | Not_independent | Not_maximal
+
+val classify : View.t -> bool array -> verdict
+(** One closure-free pass over the graph's CSR and the view's masks.
+    [Not_independent] when two active members are joined across a usable
+    edge (reported even when maximality fails too), else [Not_maximal]
+    when some active non-member has no active member neighbor, else
+    [Mis]. Allocates nothing. *)
+
+val member_neighbor : View.t -> bool array -> int -> bool
+(** [member_neighbor view set u]: some neighbor of [u] across a usable
+    edge is in [set] ({!View.exists_adj} without the closure). *)
+
 val is_independent_set : View.t -> bool array -> bool
 (** No two active members joined across a usable edge. Inactive nodes'
     membership bits are ignored. *)

@@ -138,3 +138,7 @@ let mem_edge t u v =
   end
 
 let neighbors t u = Array.sub t.adj t.off.(u) (degree t u)
+
+let csr_off t = t.off
+let csr_adj t = t.adj
+let csr_adj_edge t = t.adj_edge

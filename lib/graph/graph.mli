@@ -56,3 +56,12 @@ val fold_adj : t -> int -> ('a -> int -> 'a) -> 'a -> 'a
 
 val neighbors : t -> int -> int array
 (** Fresh array of the neighbors of a node. *)
+
+val csr_off : t -> int array
+val csr_adj : t -> int array
+val csr_adj_edge : t -> int array
+(** The CSR arrays themselves, shared with the graph, not copied, for
+    closure-free index loops: for [i] in
+    [csr_off.(u) .. csr_off.(u + 1) - 1], [csr_adj.(i)] is a neighbor of
+    [u] and [csr_adj_edge.(i)] the id of that edge, in {!iter_adj_e}
+    order. Read-only: mutating them corrupts the graph. *)

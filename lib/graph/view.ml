@@ -22,6 +22,9 @@ let induced g nodes = restrict ~nodes g
 let graph t = t.g
 let n t = Graph.n t.g
 
+let node_mask t = t.nodes
+let edge_mask t = t.edges
+
 let node_active t u =
   match t.nodes with
   | None -> true

@@ -26,6 +26,11 @@ val graph : t -> Graph.t
 val n : t -> int
 (** [n] of the underlying graph (including inactive nodes). *)
 
+val node_mask : t -> bool array option
+val edge_mask : t -> bool array option
+(** The masks given to {!restrict} ([None] = all active), shared, not
+    copied, for closure-free index loops. Read-only. *)
+
 val node_active : t -> int -> bool
 val edge_active : t -> int -> bool
 (** Edge-mask bit only; does not consider endpoint activity. *)

@@ -3,8 +3,12 @@ module Prof = Mis_obs.Prof
 (* Data-parallel execution backend: the core programs expressed as flat
    array sweeps over the compiled CSR instead of message passing — the
    omega_h / GraphBLAS MIS style. No inbox is ever allocated; per-round
-   work is a frontier scan with staged offers, so steady-state execution
-   allocates nothing beyond the per-run outcome arrays.
+   work is a frontier scan with staged offers. A warm run allocates its
+   outcome (three n-word arrays and the record) and one free-list cell
+   per scratch it gives back: 8 words beyond the arrays for Luby, 11 for
+   FairTree, by Gc.minor_words. The coins come from [Rand_plan]'s
+   fixed-arity draws, which allocate nothing, so a whole verified trial
+   stays within 3n + 64 words (test/test_rand_plan.ml).
 
    The contract with [Runtime.Engine] is bit-identity on a perfect
    network: same outputs, same per-node decision round, same [rounds]
@@ -29,9 +33,7 @@ type outcome = {
   rounds : int;
 }
 
-let ceil_log2 n =
-  let rec loop k acc = if acc >= n then k else loop (k + 1) (2 * acc) in
-  loop 0 1
+let ceil_log2 = Mis_util.Ids.ceil_log2
 
 let default_max_rounds n = 64 + (64 * ceil_log2 (max n 2))
 
@@ -91,22 +93,22 @@ let create ?ids view = of_csr (Csr.compile ?ids view)
 let view t = Csr.view t.csr
 let csr t = t.csr
 
-let rec take free make =
+let rec take free make t =
   match Atomic.get free with
-  | [] -> make ()
+  | [] -> make t
   | s :: rest as cur ->
-    if Atomic.compare_and_set free cur rest then s else take free make
+    if Atomic.compare_and_set free cur rest then s else take free make t
 
 let rec give free s =
   let cur = Atomic.get free in
   if not (Atomic.compare_and_set free cur (s :: cur)) then give free s
 
-let make_luby_scratch t () =
+let make_luby_scratch t =
   let k = max 1 (Csr.nslots t.csr) in
   { l_value = Array.make k 0; l_alive = Array.make k false;
     l_front = Array.make k 0; l_winners = Array.make k 0 }
 
-let make_ft_scratch t () =
+let make_ft_scratch t =
   let k = max 1 (Csr.nslots t.csr) in
   let e = Array.length t.csr.Csr.adj_node in
   { f_best = Array.make k 0; f_lead = Array.make k (-1);
@@ -239,7 +241,7 @@ let luby ?max_rounds ~value_of t =
   let max_rounds =
     match max_rounds with Some r -> r | None -> default_max_rounds n
   in
-  let scr = take t.luby_free (make_luby_scratch t) in
+  let scr = take t.luby_free make_luby_scratch t in
   let output = Array.make n false in
   let decided = Array.make n false in
   let decide_round = Array.make n (-1) in
@@ -262,6 +264,143 @@ type fair_tree_coins = {
   bit3 : int -> bool;
   luby_value : round:int -> id:int -> int;
 }
+
+(* The FairTree stage sweeps below are top-level functions over the
+   compiled CSR and a scratch, not closures inside [fair_tree], so a run
+   allocates only its outcome. *)
+
+(* [gamma] synchronous rounds of flood-max over the allowed entries
+   among [mask] participants; [best] starts at the own id. *)
+let flood ~csr ~scr ~g mask =
+  let adj_off = csr.Csr.adj_off and adj_slot = csr.Csr.adj_slot in
+  let active = csr.Csr.active and ids = csr.Csr.ids in
+  let front = scr.f_front and inext = scr.f_inext and touch = scr.f_touch in
+  let allowed = scr.f_allowed and best = scr.f_best and obest = scr.f_obest in
+  let flen = ref 0 in
+  for s = 0 to Csr.nslots csr - 1 do
+    if mask.(s) then begin
+      best.(s) <- ids.(active.(s));
+      front.(!flen) <- s;
+      incr flen
+    end
+  done;
+  let cur = ref front and nxt = ref scr.f_front2 in
+  let r = ref 0 in
+  while !r < g && !flen > 0 do
+    incr r;
+    let ntouch = ref 0 in
+    for i = 0 to !flen - 1 do
+      let s = (!cur).(i) in
+      let b = best.(s) in
+      for k = adj_off.(s) to adj_off.(s + 1) - 1 do
+        if allowed.(k) then begin
+          let ts = adj_slot.(k) in
+          if b > best.(ts) then begin
+            if not inext.(ts) then begin
+              inext.(ts) <- true;
+              obest.(ts) <- b;
+              touch.(!ntouch) <- ts;
+              incr ntouch
+            end
+            else if b > obest.(ts) then obest.(ts) <- b
+          end
+        end
+      done
+    done;
+    let nlen = ref 0 in
+    for i = 0 to !ntouch - 1 do
+      let ts = touch.(i) in
+      inext.(ts) <- false;
+      if obest.(ts) > best.(ts) then begin
+        best.(ts) <- obest.(ts);
+        (!nxt).(!nlen) <- ts;
+        incr nlen
+      end
+    done;
+    let tmp = !cur in
+    cur := !nxt;
+    nxt := tmp;
+    flen := !nlen
+  done
+
+(* [gamma] synchronous rounds of BFS adoption from the leaders
+   (participants whose flood converged on their own id). A node adopts
+   the offer (lead, depth + 1, bit) when it has no lead yet or the
+   offer's (lead, depth) key is strictly better. *)
+let bfs ~csr ~scr ~g mask bit_for =
+  let nslots = Csr.nslots csr in
+  let adj_off = csr.Csr.adj_off and adj_slot = csr.Csr.adj_slot in
+  let active = csr.Csr.active and ids = csr.Csr.ids in
+  let front = scr.f_front and inext = scr.f_inext and touch = scr.f_touch in
+  let allowed = scr.f_allowed and best = scr.f_best in
+  let lead = scr.f_lead and depth = scr.f_depth and bit = scr.f_bit in
+  let olead = scr.f_olead and odepth = scr.f_odepth and obit = scr.f_obit in
+  Array.fill lead 0 nslots (-1);
+  Array.fill depth 0 nslots (-1);
+  Array.fill bit 0 nslots false;
+  let flen = ref 0 in
+  for s = 0 to nslots - 1 do
+    let id = ids.(active.(s)) in
+    if mask.(s) && best.(s) = id then begin
+      lead.(s) <- id;
+      depth.(s) <- 0;
+      bit.(s) <- bit_for id;
+      front.(!flen) <- s;
+      incr flen
+    end
+  done;
+  let cur = ref front and nxt = ref scr.f_front2 in
+  let r = ref 0 in
+  while !r < g && !flen > 0 do
+    incr r;
+    let ntouch = ref 0 in
+    for i = 0 to !flen - 1 do
+      let s = (!cur).(i) in
+      let ol = lead.(s) and od = depth.(s) + 1 and ob = bit.(s) in
+      for k = adj_off.(s) to adj_off.(s + 1) - 1 do
+        if allowed.(k) then begin
+          let ts = adj_slot.(k) in
+          if not inext.(ts) then begin
+            inext.(ts) <- true;
+            olead.(ts) <- ol;
+            odepth.(ts) <- od;
+            obit.(ts) <- ob;
+            touch.(!ntouch) <- ts;
+            incr ntouch
+          end
+          else if ol > olead.(ts) || (ol = olead.(ts) && od < odepth.(ts))
+          then begin
+            olead.(ts) <- ol;
+            odepth.(ts) <- od;
+            obit.(ts) <- ob
+          end
+        end
+      done
+    done;
+    let nlen = ref 0 in
+    for i = 0 to !ntouch - 1 do
+      let ts = touch.(i) in
+      inext.(ts) <- false;
+      let ol = olead.(ts) and od = odepth.(ts) in
+      if lead.(ts) < 0 || ol > lead.(ts) || (ol = lead.(ts) && od < depth.(ts))
+      then begin
+        lead.(ts) <- ol;
+        depth.(ts) <- od;
+        bit.(ts) <- obit.(ts);
+        (!nxt).(!nlen) <- ts;
+        incr nlen
+      end
+    done;
+    let tmp = !cur in
+    cur := !nxt;
+    nxt := tmp;
+    flen := !nlen
+  done
+
+let joined scr s =
+  if scr.f_pdeg.(s) = 0 then true
+  else if scr.f_lead.(s) < 0 then false
+  else (scr.f_depth.(s) + if scr.f_bit.(s) then 1 else 0) mod 2 = 0
 
 let fair_tree ?max_rounds ~gamma ~coins t =
   if gamma < 1 then invalid_arg "Kernel.fair_tree: gamma";
@@ -288,158 +427,30 @@ let fair_tree ?max_rounds ~gamma ~coins t =
     else begin
       let adj_off = cs.Csr.adj_off and adj_slot = cs.Csr.adj_slot in
       let active = cs.Csr.active and ids = cs.Csr.ids in
-      let id_of s = ids.(active.(s)) in
-      let scr = take t.ft_free (make_ft_scratch t) in
-      let front = scr.f_front and front2 = scr.f_front2 in
-      let inext = scr.f_inext and touch = scr.f_touch in
+      let scr = take t.ft_free make_ft_scratch t in
       let allowed = scr.f_allowed in
-      let best = scr.f_best in
-      let lead = scr.f_lead and depth = scr.f_depth and bit = scr.f_bit in
-      (* [gamma] synchronous rounds of flood-max over the allowed edges
-         among [mask] participants; [best] starts at the own id. *)
-      let flood mask =
-        let flen = ref 0 in
-        for s = 0 to nslots - 1 do
-          if mask.(s) then begin
-            best.(s) <- id_of s;
-            front.(!flen) <- s;
-            incr flen
-          end
-        done;
-        let cur = ref front and nxt = ref front2 in
-        let r = ref 0 in
-        while !r < g && !flen > 0 do
-          incr r;
-          let ntouch = ref 0 in
-          for i = 0 to !flen - 1 do
-            let s = (!cur).(i) in
-            let b = best.(s) in
-            for k = adj_off.(s) to adj_off.(s + 1) - 1 do
-              if allowed.(k) then begin
-                let ts = adj_slot.(k) in
-                if b > best.(ts) then begin
-                  if not inext.(ts) then begin
-                    inext.(ts) <- true;
-                    scr.f_obest.(ts) <- b;
-                    touch.(!ntouch) <- ts;
-                    incr ntouch
-                  end
-                  else if b > scr.f_obest.(ts) then scr.f_obest.(ts) <- b
-                end
-              end
-            done
-          done;
-          let nlen = ref 0 in
-          for i = 0 to !ntouch - 1 do
-            let ts = touch.(i) in
-            inext.(ts) <- false;
-            if scr.f_obest.(ts) > best.(ts) then begin
-              best.(ts) <- scr.f_obest.(ts);
-              (!nxt).(!nlen) <- ts;
-              incr nlen
-            end
-          done;
-          let tmp = !cur in
-          cur := !nxt;
-          nxt := tmp;
-          flen := !nlen
-        done
-      in
-      (* [gamma] synchronous rounds of BFS adoption from the leaders
-         (participants whose flood converged on their own id). A node
-         adopts the offer (lead, depth + 1, bit) when it has no lead yet
-         or the offer's (lead, depth) key is strictly better. *)
-      let bfs mask bit_for =
-        for s = 0 to nslots - 1 do
-          lead.(s) <- -1;
-          depth.(s) <- -1;
-          bit.(s) <- false
-        done;
-        let flen = ref 0 in
-        for s = 0 to nslots - 1 do
-          if mask.(s) && best.(s) = id_of s then begin
-            lead.(s) <- id_of s;
-            depth.(s) <- 0;
-            bit.(s) <- bit_for (id_of s);
-            front.(!flen) <- s;
-            incr flen
-          end
-        done;
-        let cur = ref front and nxt = ref front2 in
-        let r = ref 0 in
-        while !r < g && !flen > 0 do
-          incr r;
-          let ntouch = ref 0 in
-          for i = 0 to !flen - 1 do
-            let s = (!cur).(i) in
-            let ol = lead.(s) and od = depth.(s) + 1 and ob = bit.(s) in
-            for k = adj_off.(s) to adj_off.(s + 1) - 1 do
-              if allowed.(k) then begin
-                let ts = adj_slot.(k) in
-                if not inext.(ts) then begin
-                  inext.(ts) <- true;
-                  scr.f_olead.(ts) <- ol;
-                  scr.f_odepth.(ts) <- od;
-                  scr.f_obit.(ts) <- ob;
-                  touch.(!ntouch) <- ts;
-                  incr ntouch
-                end
-                else if
-                  ol > scr.f_olead.(ts)
-                  || (ol = scr.f_olead.(ts) && od < scr.f_odepth.(ts))
-                then begin
-                  scr.f_olead.(ts) <- ol;
-                  scr.f_odepth.(ts) <- od;
-                  scr.f_obit.(ts) <- ob
-                end
-              end
-            done
-          done;
-          let nlen = ref 0 in
-          for i = 0 to !ntouch - 1 do
-            let ts = touch.(i) in
-            inext.(ts) <- false;
-            let ol = scr.f_olead.(ts) and od = scr.f_odepth.(ts) in
-            if
-              lead.(ts) < 0 || ol > lead.(ts)
-              || (ol = lead.(ts) && od < depth.(ts))
-            then begin
-              lead.(ts) <- ol;
-              depth.(ts) <- od;
-              bit.(ts) <- scr.f_obit.(ts);
-              (!nxt).(!nlen) <- ts;
-              incr nlen
-            end
-          done;
-          let tmp = !cur in
-          cur := !nxt;
-          nxt := tmp;
-          flen := !nlen
-        done
-      in
-      let joined s =
-        if scr.f_pdeg.(s) = 0 then true
-        else if lead.(s) < 0 then false
-        else (depth.(s) + if bit.(s) then 1 else 0) mod 2 = 0
-      in
       (* Stage 1: CntrlFairBipart over the uncut edges; all nodes
          participate. The cut coin is symmetric in (min id, max id), so
-         the per-entry mask agrees across both directions. *)
+         the per-entry mask agrees across both directions. Each edge's
+         coin is drawn from both of its entries: a once-per-edge draw
+         would need a 2m mirror index in [Csr]. *)
       for s = 0 to nslots - 1 do
-        let a = id_of s in
+        let a = ids.(active.(s)) in
         let d = ref 0 in
         for k = adj_off.(s) to adj_off.(s + 1) - 1 do
-          let b = id_of adj_slot.(k) in
-          let ok = not (coins.cut ~u:(min a b) ~v:(max a b)) in
+          let b = ids.(active.(adj_slot.(k))) in
+          let ok =
+            not (if a < b then coins.cut ~u:a ~v:b else coins.cut ~u:b ~v:a)
+          in
           allowed.(k) <- ok;
           if ok then incr d
         done;
         scr.f_pdeg.(s) <- !d
       done;
-      flood scr.f_all;
-      bfs scr.f_all coins.bit1;
+      flood ~csr:cs ~scr ~g scr.f_all;
+      bfs ~csr:cs ~scr ~g scr.f_all coins.bit1;
       for s = 0 to nslots - 1 do
-        scr.f_i1.(s) <- joined s
+        scr.f_i1.(s) <- joined scr s
       done;
       (* Stage 2: the same pipeline on the subgraph induced by I1, over
          all edges. [pdeg] is the I1-neighbor count (the message
@@ -453,10 +464,10 @@ let fair_tree ?max_rounds ~gamma ~coins t =
         done;
         scr.f_pdeg.(s) <- !d
       done;
-      flood scr.f_i1;
-      bfs scr.f_i1 coins.bit2;
+      flood ~csr:cs ~scr ~g scr.f_i1;
+      bfs ~csr:cs ~scr ~g scr.f_i1 coins.bit2;
       for s = 0 to nslots - 1 do
-        scr.f_i2.(s) <- scr.f_i1.(s) && joined s
+        scr.f_i2.(s) <- scr.f_i1.(s) && joined scr s
       done;
       (* Coverage: a node is uncovered when neither it nor any neighbor
          joined I2. *)
@@ -480,10 +491,10 @@ let fair_tree ?max_rounds ~gamma ~coins t =
         done;
         scr.f_pdeg.(s) <- !d
       done;
-      flood scr.f_unc;
-      bfs scr.f_unc coins.bit3;
+      flood ~csr:cs ~scr ~g scr.f_unc;
+      bfs ~csr:cs ~scr ~g scr.f_unc coins.bit3;
       for s = 0 to nslots - 1 do
-        scr.f_i3.(s) <- scr.f_i2.(s) || (scr.f_unc.(s) && joined s)
+        scr.f_i3.(s) <- scr.f_i2.(s) || (scr.f_unc.(s) && joined scr s)
       done;
       (* Independence repair: drop both endpoints of any I3 conflict. *)
       for s = 0 to nslots - 1 do
@@ -499,7 +510,7 @@ let fair_tree ?max_rounds ~gamma ~coins t =
       (* Decisions at round 6g+5: I4 joins, I4-neighbors are covered, the
          rest fall through to a Luby run among themselves. *)
       let undecided = ref nslots in
-      let scrl = take t.luby_free (make_luby_scratch t) in
+      let scrl = take t.luby_free make_luby_scratch t in
       Array.fill scrl.l_alive 0 nslots false;
       let flen = ref 0 in
       for s = 0 to nslots - 1 do

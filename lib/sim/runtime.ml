@@ -23,9 +23,7 @@ type outcome = {
   round_stats : round_stat array;
 }
 
-let ceil_log2 n =
-  let rec loop k acc = if acc >= n then k else loop (k + 1) (2 * acc) in
-  loop 0 1
+let ceil_log2 = Mis_util.Ids.ceil_log2
 
 (* --- process-global run totals ------------------------------------------ *)
 

@@ -23,3 +23,11 @@ let random_permutation rng ~n =
     a.(j) <- tmp
   done;
   a
+
+let ceil_log2 n =
+  let k = ref 0 and acc = ref 1 in
+  while !acc < n do
+    incr k;
+    acc := 2 * !acc
+  done;
+  !k

@@ -15,3 +15,7 @@ val random_distinct : Splitmix.t -> n:int -> int array
 
 val random_permutation : Splitmix.t -> n:int -> int array
 (** A uniformly random permutation of [0 .. n-1] (Fisher–Yates). *)
+
+val ceil_log2 : int -> int
+(** Smallest [k >= 0] with [2^k >= n]: the bits of an id among [n], and
+    the log factor of the round budgets. Allocates nothing. *)

@@ -254,6 +254,32 @@ let test_measure_matches_centralized () =
     [ (Mis_exp.Runners.luby, fun v p -> Fairmis.Luby.run v p);
       (Mis_exp.Runners.fair_tree, fun v p -> Fairmis.Fair_tree.run v p) ]
 
+(* MD5 of [Runners.measure] join counts (comma-separated, node order),
+   200 trials from base seed 1, recorded before the fixed-arity coins,
+   the int-only cut loop and the one-pass MIS check went in: every coin
+   and every join must stay bit-identical across those rewrites, at any
+   FAIRMIS_DOMAINS. *)
+let test_join_counts_pinned () =
+  let cfg = { (Mis_exp.Config.load ()) with trials = 200; seed = 1 } in
+  let digest view runner =
+    let e = Mis_exp.Runners.measure cfg view runner in
+    let t = float_of_int (Mis_stats.Empirical.trials e) in
+    Mis_stats.Empirical.frequencies e
+    |> Array.map (fun f -> string_of_int (int_of_float (Float.round (f *. t))) ^ ",")
+    |> Array.to_list |> String.concat "" |> Digest.string |> Digest.to_hex
+  in
+  List.iter
+    (fun (name, g, luby, fair_tree) ->
+      let view = View.full g in
+      Alcotest.(check string) (name ^ " luby") luby
+        (digest view Mis_exp.Runners.luby);
+      Alcotest.(check string) (name ^ " fairtree") fair_tree
+        (digest view Mis_exp.Runners.fair_tree))
+    [ ( "nyc_like_small ~seed:1", Mis_workload.Real_world.nyc_like_small ~seed:1,
+        "8a92794bbe6c3d9d45bf45d7da36631f", "acd90d600e0e680f7a03173fba5d8612" );
+      ( "5-ary tree, n = 3906", Mis_workload.Trees.complete_kary ~branch:5 ~depth:5,
+        "04feb478c8ced968eaf52f00b6c61459", "abb5059c2c723604e7461a46828a851b" ) ]
+
 let suite =
   [ ( "sim.kernel",
       [ Helpers.qtest ~count:60 "kernel = engine (luby)" arb_case
@@ -271,4 +297,6 @@ let suite =
         Alcotest.test_case "trials kernel joins, domains 1 and 4" `Quick
           test_trials_kernel_domain_invariant;
         Alcotest.test_case "measure = centralized, domains 1 and 4" `Quick
-          test_measure_matches_centralized ] ) ]
+          test_measure_matches_centralized;
+        Alcotest.test_case "join counts pinned across commits" `Quick
+          test_join_counts_pinned ] ) ]

@@ -39,6 +39,88 @@ let test_verify_raises () =
     | exception Mis.Invalid _ -> true
     | _ -> false)
 
+(* The closure-based checks that the one-pass CSR loops replaced, kept
+   here as the oracle. *)
+module Closure_check = struct
+  let is_independent view set =
+    let ok = ref true in
+    View.iter_active view (fun u ->
+        if set.(u) then View.iter_adj view u (fun v -> if set.(v) then ok := false));
+    !ok
+
+  let is_maximal view set =
+    is_independent view set
+    &&
+    let ok = ref true in
+    View.iter_active view (fun u ->
+        if (not set.(u)) && not (View.exists_adj view u (fun v -> set.(v))) then
+          ok := false);
+    !ok
+
+  let verify ~name view set =
+    if not (is_independent view set) then
+      raise (Mis.Invalid (name ^ ": independence violated"));
+    if not (is_maximal view set) then raise (Mis.Invalid (name ^ ": not maximal"))
+
+  let violations view set =
+    let acc = ref [] in
+    View.iter_active view (fun u ->
+        if set.(u) then
+          View.iter_adj view u (fun v -> if v > u && set.(v) then acc := (u, v) :: !acc));
+    !acc
+
+  let remove_violations view set =
+    let out = Array.copy set in
+    View.iter_active view (fun u ->
+        if set.(u) && View.exists_adj view u (fun v -> set.(v)) then out.(u) <- false);
+    out
+
+  let uncovered view set =
+    let out = Array.make (View.n view) false in
+    View.iter_active view (fun u ->
+        if (not set.(u)) && not (View.exists_adj view u (fun v -> set.(v))) then
+          out.(u) <- true);
+    out
+end
+
+let verify_message f =
+  match f () with () -> "ok" | exception Mis.Invalid msg -> msg
+
+(* Random graphs with random node and edge masks; the sets are a valid
+   MIS of the view, each of its single-node flips, and random sets. *)
+let prop_one_pass_check_equals_closures =
+  Helpers.qtest ~count:200 "checks: one-pass CSR loops = closure oracle"
+    QCheck.(
+      pair (pair (int_range 1 30) (float_range 0. 0.5))
+        (pair Helpers.arb_seed (pair (float_range 0. 1.) (float_range 0. 1.))))
+    (fun ((n, p), (seed, (node_keep, edge_keep))) ->
+      let g = Helpers.random_graph ~seed ~n ~p in
+      let rng = Splitmix.of_seed (seed + 1) in
+      let mask k len = Array.init len (fun _ -> Splitmix.float rng < k) in
+      let view =
+        View.restrict ~nodes:(mask node_keep n)
+          ~edges:(mask edge_keep (Graph.m g)) g
+      in
+      let mis = Luby.run view (plan seed) in
+      let flips =
+        List.init n (fun u ->
+            let s = Array.copy mis in
+            s.(u) <- not s.(u);
+            s)
+      in
+      let randoms = List.init 8 (fun _ -> mask (Splitmix.float rng) n) in
+      List.for_all
+        (fun set ->
+          Mis.is_independent view set = Closure_check.is_independent view set
+          && Mis.is_maximal view set = Closure_check.is_maximal view set
+          && verify_message (fun () -> Mis.verify ~name:"t" view set)
+             = verify_message (fun () -> Closure_check.verify ~name:"t" view set)
+          && Mis.violations view set = Closure_check.violations view set
+          && Mis.remove_violations view set
+             = Closure_check.remove_violations view set
+          && Mis.uncovered view set = Closure_check.uncovered view set)
+        ((mis :: flips) @ randoms))
+
 (* Luby *)
 
 let prop_luby_valid_on_trees =
@@ -278,7 +360,8 @@ let suite =
       [ Alcotest.test_case "remove violations" `Quick test_remove_violations;
         Alcotest.test_case "uncovered" `Quick test_uncovered;
         Alcotest.test_case "violations list" `Quick test_violations_list;
-        Alcotest.test_case "verify raises" `Quick test_verify_raises ] );
+        Alcotest.test_case "verify raises" `Quick test_verify_raises;
+        prop_one_pass_check_equals_closures ] );
     ( "mis.luby",
       [ prop_luby_valid_on_trees;
         prop_luby_valid_on_random_graphs;
