@@ -227,7 +227,10 @@ let run_engine_bench () =
    reuse run — the kernel's reason to exist is a 5x win over it. Two
    gates keep a verified kernel trial cheap: a fixed-arity coin against
    the list key path it replaces (same value, no allocation), and the
-   one-pass MIS check that follows every trial against the trial. *)
+   one-pass MIS check that follows every trial against the trial. A
+   fourth keeps the kernel's compile lean: it builds only what its
+   sweeps read, none of the engine's neighbor id arrays, per-node
+   contexts and message scratch. *)
 let run_kernel_bench () =
   print_endline "== kernel: data-parallel sweeps vs the message engine";
   let view, eng = luby_n1000 () in
@@ -242,6 +245,7 @@ let run_kernel_bench () =
         f !node)
   in
   let mis = Fairmis.Luby.run view plan in
+  let big = View.full (Helpers_bench.random_tree 100_000) in
   print_gates
     [ paired "kernel/single-run/luby-n1000 ÷ engine/single-run/luby-n1000-reuse"
         ~bound:0.20
@@ -254,7 +258,10 @@ let run_kernel_bench () =
                (Mis_util.Splitmix.stream base [ stage; 3; 1; node ])));
       paired "mis/verify-n1000 ÷ kernel/single-run/luby-n1000" ~bound:0.15
         (block (fun () -> Fairmis.Mis.verify ~name:"luby" view mis))
-        (block (seeded (Fairmis.Luby.run_kernel_on kern))) ]
+        (block (seeded (Fairmis.Luby.run_kernel_on kern)));
+      paired "kernel/create-n1e5 ÷ engine/create-n1e5" ~bound:0.5
+        (block (fun () -> Mis_sim.Kernel.create big))
+        (block (fun () -> Engine.create big)) ]
 
 (* Million-node scaling: engine build and one Luby run at n = 10^6 over
    n = 10^5 on direct-CSR attachment trees. Both are near-linear in

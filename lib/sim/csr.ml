@@ -1,11 +1,13 @@
 module View = Mis_graph.View
+module Graph = Mis_graph.Graph
 
 (* The topology-dependent compilation both execution backends share: the
-   active-slot maps and the CSR neighbor index. [Runtime.Engine] layers
-   message rings and per-node contexts on top; [Kernel] layers frontier
-   and mask scratch. Keeping the compile here means the two backends are
-   guaranteed to agree on slot numbering and adjacency order — the
-   bit-identity contract between them starts with this file. *)
+   active-slot maps and the CSR neighbor index over slots, and nothing
+   else. [Runtime.Engine] adds neighbor id arrays, node contexts and
+   message buffers on top; [Kernel] adds frontier and mask scratch.
+   Keeping the compile here means the two backends agree on slot
+   numbering and adjacency order — the bit-identity contract between
+   them starts with this file. *)
 
 type t = {
   c_view : View.t;
@@ -13,74 +15,75 @@ type t = {
   ids : int array;
   active : int array;  (* slot -> node index *)
   slot : int array;  (* node index -> slot, or -1 *)
-  (* CSR adjacency over slots: neighbors of [active.(s)], as node
-     indices in view iteration order, live at
-     [adj_node.(adj_off.(s)) .. adj_node.(adj_off.(s+1) - 1)]. *)
+  (* CSR adjacency over slots: the slots of the neighbors of
+     [active.(s)], in view iteration order, live at
+     [adj_slot.(adj_off.(s)) .. adj_slot.(adj_off.(s+1) - 1)]. *)
   adj_off : int array;
-  adj_node : int array;
-  adj_slot : int array;  (* same ranges: slot of each neighbor *)
-  adj_sorted : int array;  (* same ranges, sorted: membership tests *)
-  index_of_id : (int, int) Hashtbl.t;
+  adj_slot : int array;
 }
 
+let[@inline] on mask i = match mask with None -> true | Some a -> a.(i)
+
+(* The view's adjacency filter ([View.iter_adj_e]) on graph CSR entry [i]. *)
+let[@inline] usable ~adj ~adj_edge ~nodes ~edges i =
+  on edges adj_edge.(i) && on nodes adj.(i)
+
+(* Given ids are checked by sorting a copy of the active ones; the
+   identity default is distinct by construction. *)
+let check_distinct ids active =
+  let a = Array.map (fun u -> ids.(u)) active in
+  Array.sort Int.compare a;
+  for i = 1 to Array.length a - 1 do
+    if a.(i) = a.(i - 1) then invalid_arg "Runtime.run: duplicate ids"
+  done
+
+(* Closure-free passes over the graph's CSR: number the active nodes,
+   count each one's usable entries, then fill their slots. *)
 let compile ?ids view =
   let n = View.n view in
-  let ids = match ids with Some a -> a | None -> Array.init n (fun i -> i) in
+  let given, ids =
+    match ids with Some a -> (true, a) | None -> (false, Array.init n Fun.id)
+  in
   if Array.length ids <> n then invalid_arg "Runtime.run: ids length";
-  let active = View.active_nodes view in
-  let nslots = Array.length active in
-  let index_of_id = Hashtbl.create ((2 * nslots) + 1) in
-  Array.iter
-    (fun u ->
-      if Hashtbl.mem index_of_id ids.(u) then
-        invalid_arg "Runtime.run: duplicate ids";
-      Hashtbl.add index_of_id ids.(u) u)
-    active;
+  let g = View.graph view in
+  let off = Graph.csr_off g and adj = Graph.csr_adj g in
+  let adj_edge = Graph.csr_adj_edge g in
+  let nodes = View.node_mask view and edges = View.edge_mask view in
   let slot = Array.make n (-1) in
-  Array.iteri (fun s u -> slot.(u) <- s) active;
-  let deg = Array.make nslots 0 in
-  Array.iteri
-    (fun s u -> View.iter_adj view u (fun _ -> deg.(s) <- deg.(s) + 1))
-    active;
-  let adj_off = Array.make (nslots + 1) 0 in
-  for s = 0 to nslots - 1 do
-    adj_off.(s + 1) <- adj_off.(s) + deg.(s)
+  let nslots = ref 0 in
+  for u = 0 to n - 1 do
+    if on nodes u then begin
+      slot.(u) <- !nslots;
+      incr nslots
+    end
   done;
-  let adj_node = Array.make (max 1 adj_off.(nslots)) 0 in
-  let fill = Array.make nslots 0 in
+  let nslots = !nslots in
+  let active = Array.make nslots 0 in
+  let adj_off = Array.make (nslots + 1) 0 in
+  for u = 0 to n - 1 do
+    let s = slot.(u) in
+    if s >= 0 then begin
+      active.(s) <- u;
+      let d = ref 0 in
+      for i = off.(u) to off.(u + 1) - 1 do
+        if usable ~adj ~adj_edge ~nodes ~edges i then incr d
+      done;
+      adj_off.(s + 1) <- adj_off.(s) + !d
+    end
+  done;
+  if given then check_distinct ids active;
+  let adj_slot = Array.make adj_off.(nslots) 0 in
   Array.iteri
     (fun s u ->
-      View.iter_adj view u (fun v ->
-          adj_node.(adj_off.(s) + fill.(s)) <- v;
-          fill.(s) <- fill.(s) + 1))
+      let k = ref adj_off.(s) in
+      for i = off.(u) to off.(u + 1) - 1 do
+        if usable ~adj ~adj_edge ~nodes ~edges i then begin
+          adj_slot.(!k) <- slot.(adj.(i));
+          incr k
+        end
+      done)
     active;
-  let adj_sorted = Array.copy adj_node in
-  for s = 0 to nslots - 1 do
-    let sub = Array.sub adj_sorted adj_off.(s) deg.(s) in
-    Array.sort (fun (a : int) b -> compare a b) sub;
-    Array.blit sub 0 adj_sorted adj_off.(s) deg.(s)
-  done;
-  (* View adjacency only yields active endpoints, so every real entry
-     has a slot; [adj_node]'s padding entry (empty adjacency) is skipped. *)
-  let adj_slot = Array.make (Array.length adj_node) 0 in
-  for i = 0 to adj_off.(nslots) - 1 do
-    adj_slot.(i) <- slot.(adj_node.(i))
-  done;
-  { c_view = view; n; ids; active; slot; adj_off; adj_node; adj_slot;
-    adj_sorted; index_of_id }
+  { c_view = view; n; ids; active; slot; adj_off; adj_slot }
 
 let view t = t.c_view
-let nslots t = Array.length t.active
 let deg t s = t.adj_off.(s + 1) - t.adj_off.(s)
-
-(* Membership of node index [v] among the neighbors of slot [s]. *)
-let is_neighbor t s v =
-  let lo = ref t.adj_off.(s) and hi = ref (t.adj_off.(s + 1) - 1) in
-  let found = ref false in
-  while (not !found) && !lo <= !hi do
-    let mid = (!lo + !hi) / 2 in
-    let x = t.adj_sorted.(mid) in
-    if x = v then found := true else if x < v then lo := mid + 1
-    else hi := mid - 1
-  done;
-  !found

@@ -6,9 +6,11 @@ module Prof = Mis_obs.Prof
    work is a frontier scan with staged offers. A warm run allocates its
    outcome (three n-word arrays and the record) and one free-list cell
    per scratch it gives back: 8 words beyond the arrays for Luby, 11 for
-   FairTree, by Gc.minor_words. The coins come from [Rand_plan]'s
-   fixed-arity draws, which allocate nothing, so a whole verified trial
-   stays within 3n + 64 words (test/test_rand_plan.ml).
+   FairTree, by Gc.minor_words at n = 121. The coins come from
+   [Rand_plan]'s fixed-arity draws, which allocate nothing, so a whole
+   verified trial stays within 3n + 64 words (test/test_rand_plan.ml).
+   Resident, a kernel with one scratch of each kind holds 16.5 words
+   per node of a tree beyond its view (test/test_kernel.ml bounds it).
 
    The contract with [Runtime.Engine] is bit-identity on a perfect
    network: same outputs, same per-node decision round, same [rounds]
@@ -38,41 +40,45 @@ let ceil_log2 = Mis_util.Ids.ceil_log2
 let default_max_rounds n = 64 + (64 * ceil_log2 (max n 2))
 
 (* Scratch for the Luby phase loop, cached across runs. All arrays are
-   indexed by slot; [l_front]/[l_winners] hold slot lists. *)
+   indexed by slot; [l_front]/[l_winners] hold slot lists, [l_alive]
+   holds one byte (0 or 1) per slot. *)
 type luby_scratch = {
   l_value : int array;
-  l_alive : bool array;
+  l_alive : Bytes.t;
   l_front : int array;
   l_winners : int array;
 }
 
-(* Scratch for the FairTree stage pipeline. [f_allowed] is indexed by
-   CSR adjacency entry; everything else by slot. [f_obest] /
-   [f_olead]/[f_odepth]/[f_obit] stage the current round's incoming
-   offers ([f_inext] marks staged slots, reset on apply, [f_touch]
-   lists them). *)
+(* Scratch for the FairTree stage pipeline, indexed by slot except
+   [f_allowed], one byte (0 or 1) per CSR entry. [f_best] holds a
+   stage's flood value and then, from BFS init on, its BFS lead.
+   [f_offer] stages the current round's incoming flood value or BFS
+   lead, [f_odepth] the BFS depth ([inext] marks staged slots, reset on
+   apply, [f_touch] lists them). Per-slot flags are the bits of one byte
+   in [f_flags]. *)
 type ft_scratch = {
   f_best : int array;
-  f_lead : int array;
   f_depth : int array;
-  f_bit : bool array;
-  f_obest : int array;
-  f_olead : int array;
+  f_offer : int array;
   f_odepth : int array;
-  f_obit : bool array;
-  f_inext : bool array;
   f_touch : int array;
   f_front : int array;
   f_front2 : int array;
-  f_allowed : bool array;
-  f_all : bool array;  (* constant all-true participant mask *)
   f_pdeg : int array;
-  f_i1 : bool array;
-  f_i2 : bool array;
-  f_unc : bool array;
-  f_i3 : bool array;
-  f_i4 : bool array;
+  f_flags : Bytes.t;
+  f_allowed : Bytes.t;
 }
+
+(* The [f_flags] bits: a node's BFS parity bit and its staged offer's,
+   the staged mark, and the stage sets I1, I2, uncovered, I3 and I4. *)
+let bit = 1 and obit = 2 and inext = 4 and i1 = 8
+let i2 = 16 and unc = 32 and i3 = 64 and i4 = 128
+
+let[@inline] has flags s f = Bytes.get_uint8 flags s land f <> 0
+
+let[@inline] put flags s f b =
+  let x = Bytes.get_uint8 flags s in
+  Bytes.set_uint8 flags s (if b then x lor f else x land lnot f)
 
 (* Scratch lives on one lock-free free list per kind, so a compiled
    kernel can be shared by every domain of a trial pool: a run takes a
@@ -81,17 +87,30 @@ type ft_scratch = {
    number of concurrent runs, not by the number of runs. A run that
    raises drops its scratch instead of returning it half-updated. The
    CAS on the list head is ABA-safe because every push allocates a fresh
-   cons cell. *)
+   cons cell.
+
+   A kernel keeps only the parts of the {!Csr} compile its sweeps read,
+   plus [sid], each slot's program-visible id. *)
 type t = {
-  csr : Csr.t;
+  k_view : Mis_graph.View.t;
+  n : int;
+  active : int array;
+  sid : int array;
+  adj_off : int array;
+  adj_slot : int array;
   luby_free : luby_scratch list Atomic.t;
   ft_free : ft_scratch list Atomic.t;
 }
 
-let of_csr csr = { csr; luby_free = Atomic.make []; ft_free = Atomic.make [] }
-let create ?ids view = of_csr (Csr.compile ?ids view)
-let view t = Csr.view t.csr
-let csr t = t.csr
+let create ?ids view =
+  let c = Csr.compile ?ids view in
+  let sid = Array.map (fun u -> c.Csr.ids.(u)) c.Csr.active in
+  { k_view = view; n = c.Csr.n; active = c.Csr.active; sid;
+    adj_off = c.Csr.adj_off; adj_slot = c.Csr.adj_slot;
+    luby_free = Atomic.make []; ft_free = Atomic.make [] }
+
+let view t = t.k_view
+let nslots t = Array.length t.active
 
 let rec take free make t =
   match Atomic.get free with
@@ -104,23 +123,17 @@ let rec give free s =
   if not (Atomic.compare_and_set free cur (s :: cur)) then give free s
 
 let make_luby_scratch t =
-  let k = max 1 (Csr.nslots t.csr) in
-  { l_value = Array.make k 0; l_alive = Array.make k false;
+  let k = nslots t in
+  { l_value = Array.make k 0; l_alive = Bytes.make k '\000';
     l_front = Array.make k 0; l_winners = Array.make k 0 }
 
 let make_ft_scratch t =
-  let k = max 1 (Csr.nslots t.csr) in
-  let e = Array.length t.csr.Csr.adj_node in
-  { f_best = Array.make k 0; f_lead = Array.make k (-1);
-    f_depth = Array.make k (-1); f_bit = Array.make k false;
-    f_obest = Array.make k 0; f_olead = Array.make k (-1);
-    f_odepth = Array.make k 0; f_obit = Array.make k false;
-    f_inext = Array.make k false; f_touch = Array.make k 0;
-    f_front = Array.make k 0; f_front2 = Array.make k 0;
-    f_allowed = Array.make e false; f_all = Array.make k true;
-    f_pdeg = Array.make k 0; f_i1 = Array.make k false;
-    f_i2 = Array.make k false; f_unc = Array.make k false;
-    f_i3 = Array.make k false; f_i4 = Array.make k false }
+  let k = nslots t in
+  let ints x = Array.make k x in
+  { f_best = ints 0; f_depth = ints 0;
+    f_offer = ints 0; f_odepth = ints 0; f_touch = ints 0; f_front = ints 0;
+    f_front2 = ints 0; f_pdeg = ints 0; f_flags = Bytes.make k '\000';
+    f_allowed = Bytes.make (Array.length t.adj_slot) '\000' }
 
 (* One Luby execution over the frontier [scr.l_front.(0 .. flen-1)]
    (slots, in slot order; [scr.l_alive] must mark exactly those slots).
@@ -129,10 +142,10 @@ let make_ft_scratch t =
    [base + 3p + 1], covered neighbors at [base + 3p + 2]. Decisions past
    [max_rounds] do not happen and the run reports [rounds = max_rounds],
    mirroring the engine's cutoff. Returns the last executed round. *)
-let run_luby_phases ~csr ~scr ~value_of ~base ~max_rounds ~flen:flen0
+let run_luby_phases t ~scr ~value_of ~base ~max_rounds ~flen:flen0
     ~undecided:undec0 ~output ~decided ~decide_round =
-  let adj_off = csr.Csr.adj_off and adj_slot = csr.Csr.adj_slot in
-  let active = csr.Csr.active and ids = csr.Csr.ids in
+  let adj_off = t.adj_off and adj_slot = t.adj_slot in
+  let active = t.active and sid = t.sid in
   let alive = scr.l_alive and value = scr.l_value in
   let front = scr.l_front and winners = scr.l_winners in
   let flen = ref flen0 and undecided = ref undec0 in
@@ -150,22 +163,22 @@ let run_luby_phases ~csr ~scr ~value_of ~base ~max_rounds ~flen:flen0
     else begin
       for i = 0 to !flen - 1 do
         let s = front.(i) in
-        value.(s) <- value_of ~round:p ~id:ids.(active.(s))
+        value.(s) <- value_of ~round:p ~id:sid.(s)
       done;
       (* Winner scan over the pre-marking snapshot: a node wins when its
          (value, id) strictly beats every live neighbor's. *)
       let wlen = ref 0 in
       for i = 0 to !flen - 1 do
         let s = front.(i) in
-        let mv = value.(s) and mid = ids.(active.(s)) in
+        let mv = value.(s) and mid = sid.(s) in
         let beaten = ref false in
         let k = ref adj_off.(s) in
         let k1 = adj_off.(s + 1) - 1 in
         while (not !beaten) && !k <= k1 do
           let ts = adj_slot.(!k) in
-          if alive.(ts) then begin
+          if Bytes.get_uint8 alive ts <> 0 then begin
             let tv = value.(ts) in
-            if not (mv < tv || (mv = tv && mid < ids.(active.(ts)))) then
+            if not (mv < tv || (mv = tv && mid < sid.(ts))) then
               beaten := true
           end;
           incr k
@@ -188,7 +201,7 @@ let run_luby_phases ~csr ~scr ~value_of ~base ~max_rounds ~flen:flen0
       end
       else begin
         for i = 0 to !wlen - 1 do
-          alive.(winners.(i)) <- false
+          Bytes.set_uint8 alive winners.(i) 0
         done;
         if r_cov > max_rounds then begin
           rounds := max_rounds;
@@ -200,8 +213,8 @@ let run_luby_phases ~csr ~scr ~value_of ~base ~max_rounds ~flen:flen0
             let s = winners.(i) in
             for k = adj_off.(s) to adj_off.(s + 1) - 1 do
               let ts = adj_slot.(k) in
-              if alive.(ts) then begin
-                alive.(ts) <- false;
+              if Bytes.get_uint8 alive ts <> 0 then begin
+                Bytes.set_uint8 alive ts 0;
                 let u = active.(ts) in
                 output.(u) <- false;
                 decided.(u) <- true;
@@ -219,7 +232,7 @@ let run_luby_phases ~csr ~scr ~value_of ~base ~max_rounds ~flen:flen0
             let w = ref 0 in
             for i = 0 to !flen - 1 do
               let s = front.(i) in
-              if alive.(s) then begin
+              if Bytes.get_uint8 alive s <> 0 then begin
                 front.(!w) <- s;
                 incr w
               end
@@ -235,9 +248,8 @@ let run_luby_phases ~csr ~scr ~value_of ~base ~max_rounds ~flen:flen0
 
 let luby ?max_rounds ~value_of t =
   let span = Prof.gstart "kernel.luby" in
-  let cs = t.csr in
-  let n = cs.Csr.n in
-  let nslots = Csr.nslots cs in
+  let n = t.n in
+  let nslots = nslots t in
   let max_rounds =
     match max_rounds with Some r -> r | None -> default_max_rounds n
   in
@@ -245,12 +257,12 @@ let luby ?max_rounds ~value_of t =
   let output = Array.make n false in
   let decided = Array.make n false in
   let decide_round = Array.make n (-1) in
-  Array.fill scr.l_alive 0 nslots true;
+  Bytes.fill scr.l_alive 0 nslots '\001';
   for s = 0 to nslots - 1 do
     scr.l_front.(s) <- s
   done;
   let rounds =
-    run_luby_phases ~csr:cs ~scr ~value_of ~base:0 ~max_rounds ~flen:nslots
+    run_luby_phases t ~scr ~value_of ~base:0 ~max_rounds ~flen:nslots
       ~undecided:nslots ~output ~decided ~decide_round
   in
   give t.luby_free scr;
@@ -266,25 +278,45 @@ type fair_tree_coins = {
 }
 
 (* The FairTree stage sweeps below are top-level functions over the
-   compiled CSR and a scratch, not closures inside [fair_tree], so a run
-   allocates only its outcome. *)
+   kernel and a scratch, not closures inside [fair_tree], so a run
+   allocates only its outcome. A stage's participants are the slots
+   whose [f_flags] carry the [mask] bit; [mask = 0] means every slot. *)
 
-(* [gamma] synchronous rounds of flood-max over the allowed entries
-   among [mask] participants; [best] starts at the own id. *)
-let flood ~csr ~scr ~g mask =
-  let adj_off = csr.Csr.adj_off and adj_slot = csr.Csr.adj_slot in
-  let active = csr.Csr.active and ids = csr.Csr.ids in
-  let front = scr.f_front and inext = scr.f_inext and touch = scr.f_touch in
-  let allowed = scr.f_allowed and best = scr.f_best and obest = scr.f_obest in
+(* Stages 2 and 3 over the participants [mask], in one pass: the allowed
+   entries join two participants, [pdeg] counts participant neighbors
+   (the message protocol's [List.length i1_neighbors]), and the flood
+   frontier lists the participants with [best] at their own id. Returns
+   the frontier length. *)
+let stage_setup t ~scr mask =
+  let adj_off = t.adj_off and adj_slot = t.adj_slot in
+  let flags = scr.f_flags and allowed = scr.f_allowed in
   let flen = ref 0 in
-  for s = 0 to Csr.nslots csr - 1 do
-    if mask.(s) then begin
-      best.(s) <- ids.(active.(s));
-      front.(!flen) <- s;
+  for s = 0 to nslots t - 1 do
+    let inside = has flags s mask in
+    let d = ref 0 in
+    for k = adj_off.(s) to adj_off.(s + 1) - 1 do
+      let t_in = has flags adj_slot.(k) mask in
+      Bytes.set_uint8 allowed k (Bool.to_int (inside && t_in));
+      if t_in then incr d
+    done;
+    scr.f_pdeg.(s) <- !d;
+    if inside then begin
+      scr.f_best.(s) <- t.sid.(s);
+      scr.f_front.(!flen) <- s;
       incr flen
     end
   done;
-  let cur = ref front and nxt = ref scr.f_front2 in
+  !flen
+
+(* [gamma] synchronous rounds of flood-max over the allowed entries from
+   the frontier [scr.f_front.(0 .. flen-1)], whose [best] starts at the
+   own id. *)
+let flood t ~scr ~g ~flen:flen0 =
+  let adj_off = t.adj_off and adj_slot = t.adj_slot in
+  let flags = scr.f_flags and touch = scr.f_touch in
+  let allowed = scr.f_allowed and best = scr.f_best and offer = scr.f_offer in
+  let flen = ref flen0 in
+  let cur = ref scr.f_front and nxt = ref scr.f_front2 in
   let r = ref 0 in
   while !r < g && !flen > 0 do
     incr r;
@@ -293,16 +325,16 @@ let flood ~csr ~scr ~g mask =
       let s = (!cur).(i) in
       let b = best.(s) in
       for k = adj_off.(s) to adj_off.(s + 1) - 1 do
-        if allowed.(k) then begin
+        if Bytes.get_uint8 allowed k <> 0 then begin
           let ts = adj_slot.(k) in
           if b > best.(ts) then begin
-            if not inext.(ts) then begin
-              inext.(ts) <- true;
-              obest.(ts) <- b;
+            if not (has flags ts inext) then begin
+              put flags ts inext true;
+              offer.(ts) <- b;
               touch.(!ntouch) <- ts;
               incr ntouch
             end
-            else if b > obest.(ts) then obest.(ts) <- b
+            else if b > offer.(ts) then offer.(ts) <- b
           end
         end
       done
@@ -310,9 +342,9 @@ let flood ~csr ~scr ~g mask =
     let nlen = ref 0 in
     for i = 0 to !ntouch - 1 do
       let ts = touch.(i) in
-      inext.(ts) <- false;
-      if obest.(ts) > best.(ts) then begin
-        best.(ts) <- obest.(ts);
+      put flags ts inext false;
+      if offer.(ts) > best.(ts) then begin
+        best.(ts) <- offer.(ts);
         (!nxt).(!nlen) <- ts;
         incr nlen
       end
@@ -326,28 +358,24 @@ let flood ~csr ~scr ~g mask =
 (* [gamma] synchronous rounds of BFS adoption from the leaders
    (participants whose flood converged on their own id). A node adopts
    the offer (lead, depth + 1, bit) when it has no lead yet or the
-   offer's (lead, depth) key is strictly better. *)
-let bfs ~csr ~scr ~g mask bit_for =
-  let nslots = Csr.nslots csr in
-  let adj_off = csr.Csr.adj_off and adj_slot = csr.Csr.adj_slot in
-  let active = csr.Csr.active and ids = csr.Csr.ids in
-  let front = scr.f_front and inext = scr.f_inext and touch = scr.f_touch in
-  let allowed = scr.f_allowed and best = scr.f_best in
-  let lead = scr.f_lead and depth = scr.f_depth and bit = scr.f_bit in
-  let olead = scr.f_olead and odepth = scr.f_odepth and obit = scr.f_obit in
-  Array.fill lead 0 nslots (-1);
-  Array.fill depth 0 nslots (-1);
-  Array.fill bit 0 nslots false;
+   offer's (lead, depth) key is strictly better. Init reads each slot's
+   flood value before it writes the slot's lead over it; a slot without
+   a lead keeps a stale depth and bit, which nothing reads. *)
+let bfs t ~scr ~g mask bit_for =
+  let adj_off = t.adj_off and adj_slot = t.adj_slot and sid = t.sid in
+  let front = scr.f_front and flags = scr.f_flags and touch = scr.f_touch in
+  let allowed = scr.f_allowed and lead = scr.f_best and depth = scr.f_depth in
+  let olead = scr.f_offer and odepth = scr.f_odepth in
   let flen = ref 0 in
-  for s = 0 to nslots - 1 do
-    let id = ids.(active.(s)) in
-    if mask.(s) && best.(s) = id then begin
-      lead.(s) <- id;
+  for s = 0 to nslots t - 1 do
+    let id = sid.(s) in
+    if (mask = 0 || has flags s mask) && lead.(s) = id then begin
       depth.(s) <- 0;
-      bit.(s) <- bit_for id;
+      put flags s bit (bit_for id);
       front.(!flen) <- s;
       incr flen
     end
+    else lead.(s) <- -1
   done;
   let cur = ref front and nxt = ref scr.f_front2 in
   let r = ref 0 in
@@ -356,15 +384,15 @@ let bfs ~csr ~scr ~g mask bit_for =
     let ntouch = ref 0 in
     for i = 0 to !flen - 1 do
       let s = (!cur).(i) in
-      let ol = lead.(s) and od = depth.(s) + 1 and ob = bit.(s) in
+      let ol = lead.(s) and od = depth.(s) + 1 and ob = has flags s bit in
       for k = adj_off.(s) to adj_off.(s + 1) - 1 do
-        if allowed.(k) then begin
+        if Bytes.get_uint8 allowed k <> 0 then begin
           let ts = adj_slot.(k) in
-          if not inext.(ts) then begin
-            inext.(ts) <- true;
+          if not (has flags ts inext) then begin
+            put flags ts inext true;
             olead.(ts) <- ol;
             odepth.(ts) <- od;
-            obit.(ts) <- ob;
+            put flags ts obit ob;
             touch.(!ntouch) <- ts;
             incr ntouch
           end
@@ -372,7 +400,7 @@ let bfs ~csr ~scr ~g mask bit_for =
           then begin
             olead.(ts) <- ol;
             odepth.(ts) <- od;
-            obit.(ts) <- ob
+            put flags ts obit ob
           end
         end
       done
@@ -380,13 +408,13 @@ let bfs ~csr ~scr ~g mask bit_for =
     let nlen = ref 0 in
     for i = 0 to !ntouch - 1 do
       let ts = touch.(i) in
-      inext.(ts) <- false;
+      put flags ts inext false;
       let ol = olead.(ts) and od = odepth.(ts) in
       if lead.(ts) < 0 || ol > lead.(ts) || (ol = lead.(ts) && od < depth.(ts))
       then begin
         lead.(ts) <- ol;
         depth.(ts) <- od;
-        bit.(ts) <- obit.(ts);
+        put flags ts bit (has flags ts obit);
         (!nxt).(!nlen) <- ts;
         incr nlen
       end
@@ -399,15 +427,26 @@ let bfs ~csr ~scr ~g mask bit_for =
 
 let joined scr s =
   if scr.f_pdeg.(s) = 0 then true
-  else if scr.f_lead.(s) < 0 then false
-  else (scr.f_depth.(s) + if scr.f_bit.(s) then 1 else 0) mod 2 = 0
+  else if scr.f_best.(s) < 0 then false
+  else
+    (scr.f_depth.(s) + Bool.to_int (has scr.f_flags s bit)) mod 2 = 0
+
+(* Whether some neighbor of slot [s] carries flag [f]. *)
+let[@inline] near t flags f s =
+  let hit = ref false in
+  let k = ref t.adj_off.(s) in
+  let k1 = t.adj_off.(s + 1) - 1 in
+  while (not !hit) && !k <= k1 do
+    if has flags t.adj_slot.(!k) f then hit := true;
+    incr k
+  done;
+  !hit
 
 let fair_tree ?max_rounds ~gamma ~coins t =
   if gamma < 1 then invalid_arg "Kernel.fair_tree: gamma";
   let span = Prof.gstart "kernel.fair_tree" in
-  let cs = t.csr in
-  let n = cs.Csr.n in
-  let nslots = Csr.nslots cs in
+  let n = t.n in
+  let nslots = nslots t in
   let g = gamma in
   let max_rounds =
     match max_rounds with
@@ -425,128 +464,84 @@ let fair_tree ?max_rounds ~gamma ~coins t =
          [max_rounds] rounds of protocol and gives up undecided. *)
       max_rounds
     else begin
-      let adj_off = cs.Csr.adj_off and adj_slot = cs.Csr.adj_slot in
-      let active = cs.Csr.active and ids = cs.Csr.ids in
+      let adj_off = t.adj_off and adj_slot = t.adj_slot in
+      let active = t.active and sid = t.sid in
       let scr = take t.ft_free make_ft_scratch t in
-      let allowed = scr.f_allowed in
+      let flags = scr.f_flags and allowed = scr.f_allowed in
       (* Stage 1: CntrlFairBipart over the uncut edges; all nodes
          participate. The cut coin is symmetric in (min id, max id), so
          the per-entry mask agrees across both directions. Each edge's
          coin is drawn from both of its entries: a once-per-edge draw
-         would need a 2m mirror index in [Csr]. *)
+         would need a 2m mirror index. The same pass clears the flags
+         and seeds the flood at every slot. *)
       for s = 0 to nslots - 1 do
-        let a = ids.(active.(s)) in
+        let a = sid.(s) in
         let d = ref 0 in
         for k = adj_off.(s) to adj_off.(s + 1) - 1 do
-          let b = ids.(active.(adj_slot.(k))) in
+          let b = sid.(adj_slot.(k)) in
           let ok =
             not (if a < b then coins.cut ~u:a ~v:b else coins.cut ~u:b ~v:a)
           in
-          allowed.(k) <- ok;
+          Bytes.set_uint8 allowed k (Bool.to_int ok);
           if ok then incr d
         done;
-        scr.f_pdeg.(s) <- !d
+        scr.f_pdeg.(s) <- !d;
+        Bytes.set_uint8 flags s 0;
+        scr.f_best.(s) <- a;
+        scr.f_front.(s) <- s
       done;
-      flood ~csr:cs ~scr ~g scr.f_all;
-      bfs ~csr:cs ~scr ~g scr.f_all coins.bit1;
+      flood t ~scr ~g ~flen:nslots;
+      bfs t ~scr ~g 0 coins.bit1;
       for s = 0 to nslots - 1 do
-        scr.f_i1.(s) <- joined scr s
+        put flags s i1 (joined scr s)
       done;
       (* Stage 2: the same pipeline on the subgraph induced by I1, over
-         all edges. [pdeg] is the I1-neighbor count (the message
-         protocol's [List.length i1_neighbors]). *)
+         all edges. *)
+      flood t ~scr ~g ~flen:(stage_setup t ~scr i1);
+      bfs t ~scr ~g i1 coins.bit2;
       for s = 0 to nslots - 1 do
-        let d = ref 0 in
-        for k = adj_off.(s) to adj_off.(s + 1) - 1 do
-          let t_i1 = scr.f_i1.(adj_slot.(k)) in
-          allowed.(k) <- scr.f_i1.(s) && t_i1;
-          if t_i1 then incr d
-        done;
-        scr.f_pdeg.(s) <- !d
-      done;
-      flood ~csr:cs ~scr ~g scr.f_i1;
-      bfs ~csr:cs ~scr ~g scr.f_i1 coins.bit2;
-      for s = 0 to nslots - 1 do
-        scr.f_i2.(s) <- scr.f_i1.(s) && joined scr s
+        put flags s i2 (has flags s i1 && joined scr s)
       done;
       (* Coverage: a node is uncovered when neither it nor any neighbor
          joined I2. *)
       for s = 0 to nslots - 1 do
-        let covered = ref scr.f_i2.(s) in
-        let k = ref adj_off.(s) in
-        let k1 = adj_off.(s + 1) - 1 in
-        while (not !covered) && !k <= k1 do
-          if scr.f_i2.(adj_slot.(!k)) then covered := true;
-          incr k
-        done;
-        scr.f_unc.(s) <- not !covered
+        put flags s unc (not (has flags s i2 || near t flags i2 s))
       done;
       (* Stage 3: the pipeline once more on the uncovered nodes. *)
+      flood t ~scr ~g ~flen:(stage_setup t ~scr unc);
+      bfs t ~scr ~g unc coins.bit3;
       for s = 0 to nslots - 1 do
-        let d = ref 0 in
-        for k = adj_off.(s) to adj_off.(s + 1) - 1 do
-          let t_unc = scr.f_unc.(adj_slot.(k)) in
-          allowed.(k) <- scr.f_unc.(s) && t_unc;
-          if t_unc then incr d
-        done;
-        scr.f_pdeg.(s) <- !d
-      done;
-      flood ~csr:cs ~scr ~g scr.f_unc;
-      bfs ~csr:cs ~scr ~g scr.f_unc coins.bit3;
-      for s = 0 to nslots - 1 do
-        scr.f_i3.(s) <- scr.f_i2.(s) || (scr.f_unc.(s) && joined scr s)
+        put flags s i3 (has flags s i2 || (has flags s unc && joined scr s))
       done;
       (* Independence repair: drop both endpoints of any I3 conflict. *)
       for s = 0 to nslots - 1 do
-        let conflict = ref false in
-        let k = ref adj_off.(s) in
-        let k1 = adj_off.(s + 1) - 1 in
-        while (not !conflict) && !k <= k1 do
-          if scr.f_i3.(adj_slot.(!k)) then conflict := true;
-          incr k
-        done;
-        scr.f_i4.(s) <- scr.f_i3.(s) && not !conflict
+        put flags s i4 (has flags s i3 && not (near t flags i3 s))
       done;
       (* Decisions at round 6g+5: I4 joins, I4-neighbors are covered, the
          rest fall through to a Luby run among themselves. *)
       let undecided = ref nslots in
       let scrl = take t.luby_free make_luby_scratch t in
-      Array.fill scrl.l_alive 0 nslots false;
+      Bytes.fill scrl.l_alive 0 nslots '\000';
       let flen = ref 0 in
       for s = 0 to nslots - 1 do
         let u = active.(s) in
-        if scr.f_i4.(s) then begin
-          output.(u) <- true;
+        if has flags s i4 || near t flags i4 s then begin
+          output.(u) <- has flags s i4;
           decided.(u) <- true;
           decide_round.(u) <- r_decide;
           decr undecided
         end
         else begin
-          let near = ref false in
-          let k = ref adj_off.(s) in
-          let k1 = adj_off.(s + 1) - 1 in
-          while (not !near) && !k <= k1 do
-            if scr.f_i4.(adj_slot.(!k)) then near := true;
-            incr k
-          done;
-          if !near then begin
-            output.(u) <- false;
-            decided.(u) <- true;
-            decide_round.(u) <- r_decide;
-            decr undecided
-          end
-          else begin
-            scrl.l_alive.(s) <- true;
-            scrl.l_front.(!flen) <- s;
-            incr flen
-          end
+          Bytes.set_uint8 scrl.l_alive s 1;
+          scrl.l_front.(!flen) <- s;
+          incr flen
         end
       done;
       give t.ft_free scr;
       let rounds =
         if !undecided = 0 then r_decide
         else
-          run_luby_phases ~csr:cs ~scr:scrl ~value_of:coins.luby_value
+          run_luby_phases t ~scr:scrl ~value_of:coins.luby_value
             ~base:r_decide ~max_rounds ~flen:!flen ~undecided:!undecided
             ~output ~decided ~decide_round
       in

@@ -29,7 +29,8 @@ type outcome = {
 }
 
 type t
-(** A compiled kernel: a {!Csr.t} plus pooled sweep scratch. Unlike an
+(** A compiled kernel: the {!Csr} slot maps and adjacency its sweeps
+    read, a slot-to-id array, and pooled sweep scratch. Unlike an
     engine, a kernel is safe to share across domains: each run takes its
     own scratch from a lock-free free list (allocating one only when the
     list is empty) and returns it when the run ends, so concurrent runs
@@ -38,9 +39,14 @@ type t
     {!fair_tree} from any domain. *)
 
 val create : ?ids:int array -> Mis_graph.View.t -> t
-val of_csr : Csr.t -> t
+(** Compile [view] and the optional index-to-id map (default the
+    identity).
+
+    @raise Invalid_argument with the engine's messages
+    (["Runtime.run: ids length"], ["Runtime.run: duplicate ids"]) when
+    [ids] has the wrong length or assigns one id to two active nodes. *)
+
 val view : t -> Mis_graph.View.t
-val csr : t -> Csr.t
 
 val default_max_rounds : int -> int
 (** The engine's default round budget for [n] nodes,

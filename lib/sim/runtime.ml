@@ -105,17 +105,16 @@ module Engine = struct
     v.len <- v.len + 1
 
   type ('s, 'm) t = {
-    (* Topology compilation shared with the kernel backend: slot maps,
-       CSR adjacency, id lookup. *)
+    (* Topology compilation shared with the kernel backend: slot maps
+       and CSR adjacency. *)
     csr : Csr.t;
     n : int;
     ids : int array;
     active : int array;  (* slot -> node index *)
     slot : int array;  (* node index -> slot, or -1 *)
     adj_off : int array;
-    adj_node : int array;
+    adj_slot : int array;
     nbr_ids : int array array;  (* per slot: ids of the neighbors *)
-    index_of_id : (int, int) Hashtbl.t;
     (* Reusable per-run scratch, reset in place by [exec]. *)
     states : 's option array;
     live : int array;  (* compacted undecided/uncrashed slots *)
@@ -133,15 +132,15 @@ module Engine = struct
     ectx : Node_ctx.t array;
   }
 
-  let of_csr csr =
-    let { Csr.n; ids; active; slot; adj_off; adj_node; index_of_id; _ } =
-      csr
-    in
+  let create ?ids view =
+    let setup_span = Prof.gstart "runtime.setup" in
+    let csr = Csr.compile ?ids view in
+    let { Csr.n; ids; active; slot; adj_off; adj_slot; _ } = csr in
     let nslots = Array.length active in
     let nbr_ids =
       Array.init nslots (fun s ->
           Array.init (Csr.deg csr s)
-            (fun k -> ids.(adj_node.(adj_off.(s) + k))))
+            (fun k -> ids.(active.(adj_slot.(adj_off.(s) + k)))))
     in
     let blank_rng = Mis_util.Splitmix.of_seed 0 in
     let ectx =
@@ -152,8 +151,7 @@ module Engine = struct
         active
     in
     let e =
-      { csr; n; ids; active; slot; adj_off; adj_node; nbr_ids; index_of_id;
-        ectx;
+      { csr; n; ids; active; slot; adj_off; adj_slot; nbr_ids; ectx;
         states = Array.make nslots None;
         live = Array.make nslots 0;
         live_len = 0;
@@ -162,17 +160,10 @@ module Engine = struct
         token = 0;
         ring = [||] }
     in
-    e
-
-  let create ?ids view =
-    let setup_span = Prof.gstart "runtime.setup" in
-    let e = of_csr (Csr.compile ?ids view) in
     Prof.gstop setup_span;
     e
-  let view e = Csr.view e.csr
 
-  (* Membership of node index [v] among the neighbors of slot [s]. *)
-  let is_neighbor e s v = Csr.is_neighbor e.csr s v
+  let view e = Csr.view e.csr
 
   let exec ?max_rounds ?size_bits ?(faults = Fault.none) ?tracer ~rng_of e
       (program : ('s, 'm) Program.t) =
@@ -275,9 +266,9 @@ module Engine = struct
       if trace_on then
         emit (Trace.Drop { round = !current_round; src; dst; reason })
     in
-    let deliver_to ~src ~sender_id v m =
-      let s = e.slot.(v) in
-      if s >= 0 && not decided.(v) then begin
+    (* [v] is an active neighbor of [src] and [s] its slot. *)
+    let deliver_to ~src ~sender_id s v m =
+      if not decided.(v) then begin
         if trace_on then
           emit (Trace.Send { round = !current_round; src; dst = v });
         if not fault_active then enqueue s (!current_round + 1) sender_id m
@@ -338,17 +329,23 @@ module Engine = struct
           match action with
           | Program.Broadcast m ->
             for k = e.adj_off.(s) to e.adj_off.(s + 1) - 1 do
-              deliver_to ~src:u ~sender_id e.adj_node.(k) m
+              let ts = e.adj_slot.(k) in
+              deliver_to ~src:u ~sender_id ts active.(ts) m
             done
-          | Program.Send (target_id, m) -> begin
-            match Hashtbl.find_opt e.index_of_id target_id with
-            | Some v when is_neighbor e s v ->
-              deliver_to ~src:u ~sender_id v m
-            | Some _ | None ->
+          | Program.Send (target_id, m) ->
+            (* A linear scan of the sender's neighbor ids: no library
+               program sends point-to-point, so no id index is kept. *)
+            let nb = e.nbr_ids.(s) in
+            let k = ref 0 in
+            while !k < Array.length nb && nb.(!k) <> target_id do
+              incr k
+            done;
+            if !k = Array.length nb then
               invalid_arg
                 (Printf.sprintf "Runtime.run(%s): send to non-neighbor id %d"
-                   program.Program.name target_id)
-          end
+                   program.Program.name target_id);
+            let ts = e.adj_slot.(e.adj_off.(s) + !k) in
+            deliver_to ~src:u ~sender_id ts active.(ts) m
           | Program.Probe (key, value) ->
             if trace_on then
               emit

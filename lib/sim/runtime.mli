@@ -93,9 +93,10 @@ val collect_totals : Mis_obs.Metrics.t -> unit
 (** Publish {!totals} into [reg] as gauges [sim.runs], [sim.rounds],
     [sim.messages], [sim.dropped], [sim.delayed]. *)
 
-(** Compiled executor: the topology-dependent part of a run — active-slot
-    map, CSR neighbor index/id arrays, id lookup table, flat message
-    buffers — built once from a view and reused across seeded trials.
+(** Compiled executor: the topology-dependent part of a run — the
+    {!Csr} slot maps and neighbor index, plus the engine's own neighbor
+    id arrays, node contexts and flat message buffers — built once from
+    a view and reused across seeded trials.
     {!run} is a thin [create]-then-[exec] wrapper; Monte-Carlo drivers
     that execute thousands of trials on one topology should create the
     engine once (per domain) and call {!Engine.exec} per trial. *)
@@ -111,10 +112,6 @@ module Engine : sig
   (** Compile [view] (and the optional node-index-to-id map, default the
       identity) into an engine. Performs the id validation documented
       under {!run}, raising [Invalid_argument] with the same messages. *)
-
-  val of_csr : Csr.t -> ('s, 'm) t
-  (** Build an engine over an already-compiled topology, e.g. one shared
-      with a {!Kernel} backend. *)
 
   val view : ('s, 'm) t -> Mis_graph.View.t
   (** The view the engine was compiled from. *)

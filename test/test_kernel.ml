@@ -142,6 +142,66 @@ let prop_kernel_luby_cutoff (gk, n, gseed, pseed) =
       && decide_rounds ~n:nv (evs ()) = k.Kernel.decide_round)
     [ 0; 1; 2; 3; 4; 7 ]
 
+(* Program-visible ids that are not node indices: an offset random
+   permutation, on a randomly masked tree or graph. Kernel and engine
+   are compiled with the same ids and must still agree exactly. *)
+let prop_kernel_custom_ids (gk, n, gseed, pseed) =
+  let rng = Mis_util.Splitmix.of_seed (gseed + 7) in
+  let g =
+    if gk mod 2 = 0 then Helpers.random_tree ~seed:gseed ~n
+    else Helpers.random_graph ~seed:gseed ~n ~p:0.2
+  in
+  let view =
+    View.induced g (Array.init n (fun _ -> Mis_util.Splitmix.float rng < 0.7))
+  in
+  let ids = Array.init n Fun.id in
+  for i = n - 1 downto 1 do
+    let j = Mis_util.Splitmix.int rng (i + 1) in
+    let x = ids.(i) in
+    ids.(i) <- ids.(j);
+    ids.(j) <- x
+  done;
+  let offset = 1 + (gseed * 1_000_003) in
+  let ids = Array.map (fun i -> offset + i) ids in
+  let kernel = Kernel.create ~ids view in
+  let engine = Runtime.Engine.create ~ids view in
+  let plan = Rand_plan.make pseed in
+  let sink, evs = Trace.memory () in
+  let o = Fairmis.Luby.run_distributed_on ~tracer:sink engine plan in
+  let luby_ok =
+    outcome_matches ~name:"kernel-luby-ids" view o (evs ())
+      (Fairmis.Luby.run_kernel_on kernel plan)
+  in
+  let engine = Runtime.Engine.create ~ids view in
+  let sink, evs = Trace.memory () in
+  let o = Fairmis.Fair_tree_distributed.run_on ~tracer:sink engine plan in
+  luby_ok
+  && outcome_matches ~name:"kernel-fairtree-ids" view o (evs ())
+       (Fairmis.Fair_tree_distributed.run_kernel_on kernel plan)
+
+(* [Kernel.create ~ids] checks ids like the engine, with its messages. *)
+let test_kernel_ids_rejected () =
+  let view = View.full (Helpers.random_tree ~seed:3 ~n:5) in
+  let masked = View.induced (View.graph view) [| true; true; false; true; true |] in
+  Alcotest.check_raises "wrong length" (Invalid_argument "Runtime.run: ids length")
+    (fun () -> ignore (Kernel.create ~ids:[| 0; 1; 2; 3 |] view));
+  Alcotest.check_raises "duplicate active ids"
+    (Invalid_argument "Runtime.run: duplicate ids") (fun () ->
+      ignore (Kernel.create ~ids:[| 4; 9; 2; 9; 0 |] view));
+  (* An inactive node may repeat an active node's id, as on the engine. *)
+  ignore (Kernel.create ~ids:[| 4; 9; 9; 7; 0 |] masked);
+  ignore (Runtime.Engine.create ~ids:[| 4; 9; 9; 7; 0 |] masked)
+
+(* Residency: a kernel keeps the slot maps and adjacency its sweeps read
+   and one scratch of each kind, with the FairTree flags packed into
+   bytes. Compiling the engine's indexes too and a word per flag read
+   41.1 words per node here. *)
+let test_kernel_footprint () =
+  let view = View.full (Mis_workload.Trees.complete_kary ~branch:5 ~depth:5) in
+  let words = Helpers.kernel_words_per_node view (Kernel.create view) in
+  if words > 24. then
+    Alcotest.failf "kernel holds %.1f words per node, above 24" words
+
 (* Satellite: the in-place run_stats frontier must match the original
    list-based implementation exactly. The oracle below is the pre-rewrite
    code, verbatim. *)
@@ -290,6 +350,12 @@ let suite =
           arb_case prop_kernel_fair_tree_small_gamma;
         Helpers.qtest ~count:30 "kernel = engine (luby, max_rounds cutoff)"
           arb_case prop_kernel_luby_cutoff;
+        Helpers.qtest ~count:40 "kernel = engine (custom ids, masked)" arb_case
+          prop_kernel_custom_ids;
+        Alcotest.test_case "kernel rejects bad ids like the engine" `Quick
+          test_kernel_ids_rejected;
+        Alcotest.test_case "kernel footprint <= 24 words per node" `Quick
+          test_kernel_footprint;
         Helpers.qtest ~count:60 "run_stats in-place = list oracle" arb_case
           prop_run_stats_inplace;
         Helpers.qtest ~count:40 "run_stats in-place = list oracle (masked)"

@@ -92,7 +92,8 @@ let test_of_parents_scale () =
 
 (* kernel/xl smoke: the data-parallel backend at the same scale — the
    whole point of the sweeps is this tier. Checks validity, full
-   decision coverage, and bit-identity against the message engine. *)
+   decision coverage, bit-identity against the message engine, and the
+   kernel's residency after warm Luby and FairTree runs. *)
 let test_kernel_luby_xl () =
   require_xl ();
   let g = build_graph () in
@@ -111,7 +112,12 @@ let test_kernel_luby_xl () =
   (* Kernel reuse at scale stays bit-identical. *)
   let k2 = Fairmis.Luby.run_kernel_on kernel plan in
   Alcotest.check Helpers.bool_array "kernel reuse bit-identical"
-    k.Mis_sim.Kernel.output k2.Mis_sim.Kernel.output
+    k.Mis_sim.Kernel.output k2.Mis_sim.Kernel.output;
+  (* The compiled kernel stays lean at scale: the same residency bound as
+     the n = 3,906 case in test_kernel.ml. *)
+  let words = Helpers.kernel_words_per_node view kernel in
+  if words > 24. then
+    Alcotest.failf "kernel holds %.1f words per node at n=1e5, above 24" words
 
 let test_kernel_fair_tree_xl () =
   require_xl ();
