@@ -166,31 +166,46 @@ let run_timing () =
 (* --- gated sections ----------------------------------------------------- *)
 
 (* Worker pool: the 1000-trial Luby fairness workload the experiments
-   run (one kernel compiled up front and shared by every domain) through
-   the persistent pool at 4 vs 1 requested domains, and pooled vs the
-   spawn-per-call engine at 4. The pool clamps active domains to the
-   hardware, so domains 4 must never show the oversubscription collapse
-   (1.06 on a 1-CPU host); the spawn engine pays fresh domains every
-   call and has no clamp (5.7x slower than the pool on that host). *)
+   run (one kernel compiled up front and shared by every domain), as 50
+   harness calls of 20 trials each: experiments call the harness once
+   per cell, so what the pool saves is the fresh domains a spawn engine
+   starts on every call. Pooled at 4 vs 1 requested domains, and pooled
+   vs the spawn-per-call engine at 4. The pool clamps active domains to
+   the hardware, so domains 4 must never show the oversubscription
+   collapse; the spawn engine has no clamp and pays its spawns and joins
+   50 times per block. *)
 let run_pool_scaling () =
   print_endline
-    "== parallel: 1000-trial fairness workload, worker pool vs spawn engine";
-  let trials = 1000 and n = 1000 in
+    "== parallel: 1000-trial fairness workload in 50 calls, worker pool vs \
+     spawn engine";
+  let calls = 50 and per_call = 20 and n = 1000 in
   let run = Mis_exp.Runners.luby.Mis_exp.Runners.run (View.full (Helpers_bench.random_tree n)) in
-  let record acc ~seed = Fairness.record acc ~in_mis:(run ~seed) in
+  let base c = 11 + (c * per_call) in
   let pooled domains =
     block (fun () ->
-        let spec = { Mis_exp.Trials.trials; seed = 11; domains = Some domains } in
-        Mis_exp.Trials.fairness spec ~n record)
+        for c = 0 to calls - 1 do
+          ignore
+            (Sys.opaque_identity
+               (Mis_stats.Montecarlo.run
+                  { Mis_stats.Montecarlo.trials = per_call; base_seed = base c;
+                    domains = Some domains }
+                  ~n run))
+        done)
   in
   let spawn4 =
     block (fun () ->
-        Mis_stats.Parallel.map_reduce_unpooled ~domains:4 ~tasks:trials
-          ~init:(fun () -> Fairness.create ~n)
-          ~merge:(fun a b ->
-            Fairness.merge a b;
-            a)
-          (fun acc i -> record acc ~seed:(11 + i)))
+        for c = 0 to calls - 1 do
+          ignore
+            (Sys.opaque_identity
+               (Mis_stats.Parallel.map_reduce_unpooled ~domains:4
+                  ~tasks:per_call
+                  ~init:(fun () -> Fairness.create ~n)
+                  ~merge:(fun a b ->
+                    Fairness.merge a b;
+                    a)
+                  (fun acc i ->
+                    Fairness.record acc ~in_mis:(run ~seed:(base c + i)))))
+        done)
   in
   let gates =
     [ paired "parallel/pool/domains-4 ÷ parallel/pool/domains-1" ~bound:1.25

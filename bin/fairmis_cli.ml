@@ -450,13 +450,12 @@ let analyze_cmd =
       files;
     (match !fairness with
     | Some acc when Mis_obs.Fairness.runs acc > 1 ->
-      let s = Mis_obs.Fairness.summarize acc in
+      let s = Empirical.summarize (Empirical.of_fairness acc) in
       Printf.printf
         "-- aggregate fairness over %d traces: min P=%.3f max P=%.3f \
          factor=%s\n"
-        s.Mis_obs.Fairness.runs s.Mis_obs.Fairness.min_freq
-        s.Mis_obs.Fairness.max_freq
-        (Mis_exp.Table.float_cell s.Mis_obs.Fairness.factor)
+        s.Empirical.trials s.Empirical.min_freq s.Empirical.max_freq
+        (Mis_exp.Table.float_cell s.Empirical.factor)
     | _ -> ());
     if !failures > 0 then exit 1
   in
@@ -609,9 +608,9 @@ let critpath_cmd =
 
 let fairness_cmd =
   let doc =
-    "Measure Table I-style inequality factors from trace decide events: \
-     many seeded simulator runs per algorithm, aggregated by a fairness \
-     sink, with an ASCII per-node heatmap and histogram."
+    "Measure Table I-style inequality factors: many seeded runs per \
+     algorithm, each checked to be a maximal independent set, with an \
+     ASCII per-node heatmap and histogram."
   in
   let dp = Mis_exp.Fairness_obs.default_params in
   let n =
@@ -620,11 +619,11 @@ let fairness_cmd =
   in
   let trials =
     Arg.(value & opt (pos_int "--trials") dp.Mis_exp.Fairness_obs.trials
-        & info [ "trials" ] ~doc:"Traced runs per algorithm.")
+        & info [ "trials" ] ~doc:"Runs per algorithm.")
   in
   let algs =
-    Arg.(value & opt (list string) dp.Mis_exp.Fairness_obs.algorithms
-        & info [ "algorithms" ] ~doc:"Comma-separated traced algorithms.")
+    Arg.(value & opt (list string) [ "fairtree"; "luby" ]
+        & info [ "algorithms" ] ~doc:"Comma-separated algorithms (see 'list').")
   in
   let domains =
     Arg.(value & opt (some (pos_int "--domains")) None
@@ -635,11 +634,10 @@ let fairness_cmd =
         & info [ "csv" ] ~doc:"Write the summary rows to this CSV file.")
   in
   let run n trials algs seed domains csv =
+    let algorithms = List.map (fun a -> or_die (runner_of_name a)) algs in
     try
-      ignore
-        (Mis_exp.Fairness_obs.run_params
-           { Mis_exp.Fairness_obs.n; trials; seed; algorithms = algs; domains;
-             csv })
+      Mis_exp.Fairness_obs.run_params
+        { Mis_exp.Fairness_obs.n; trials; seed; algorithms; domains; csv }
     with Invalid_argument e -> or_die (Error e)
   in
   Cmd.v (Cmd.info "fairness" ~doc)

@@ -16,9 +16,9 @@ let light cfg = { cfg with Config.trials = min cfg.Config.trials 2000 }
 
 (* Average block-join rate over a few hundred runs (Lemma 12(i)). *)
 let block_rate cfg view =
-  let spec = Trials.of_config ~trials:(min 300 cfg.Config.trials) cfg in
   let total, count =
-    Trials.fold spec
+    Mis_stats.Montecarlo.fold
+      (Config.montecarlo ~trials:(min 300 cfg.Config.trials) cfg)
       ~init:(fun () -> (ref 0, ref 0))
       ~trial:(fun (total, count) ~seed ->
         let _, tr = Fairmis.Fair_bipart.run_traced view (Rand_plan.make seed) in

@@ -5,6 +5,7 @@ module Dyn_graph = Mis_dyn.Dyn_graph
 module Churn_gen = Mis_workload.Churn
 module Metrics = Mis_obs.Metrics
 module Fairness = Mis_obs.Fairness
+module Empirical = Mis_stats.Empirical
 
 (* Exact offline nearest-rank percentile; [nan] on an empty sample set
    (mirrors [factor_max] below). *)
@@ -64,8 +65,9 @@ let median xs =
    windowed view is exactly the long-running service question — does a
    node that stays up get its share of MIS membership? *)
 let window_factor fair ~stable =
-  let s = Fairness.summarize ~mask:stable fair in
-  if s.Fairness.nodes = 0 then None else Some s.Fairness.factor
+  let e = Empirical.of_fairness ~mask:stable fair in
+  if Empirical.node_count e = 0 then None
+  else Some (Empirical.inequality_factor e)
 
 (* Repair-fairness inequality over per-node counts: max / mean across
    the nodes that were ever alive. Max/mean rather than the paper's

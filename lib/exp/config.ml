@@ -37,8 +37,9 @@ let load ?(getenv = Sys.getenv_opt) () =
   in
   { trials; seed; domains; nyc; full }
 
-let montecarlo t =
-  { Mis_stats.Montecarlo.trials = t.trials; base_seed = t.seed; domains = t.domains }
+let montecarlo ?trials t =
+  { Mis_stats.Montecarlo.trials = Option.value trials ~default:t.trials;
+    base_seed = t.seed; domains = t.domains }
 
 let describe t =
   let nyc = match t.nyc with

@@ -26,5 +26,9 @@ type t = {
 val load : ?getenv:(string -> string option) -> unit -> t
 (** [getenv] defaults to [Sys.getenv_opt]; injectable for tests. *)
 
-val montecarlo : t -> Mis_stats.Montecarlo.config
+val montecarlo : ?trials:int -> t -> Mis_stats.Montecarlo.config
+(** Trials, seed and domains for the trial harness; [trials] overrides
+    the config's trial count (experiments that probe fewer runs, e.g.
+    repeats or structural probes, pass their own). *)
+
 val describe : t -> string

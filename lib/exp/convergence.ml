@@ -10,7 +10,7 @@ let checkpoints = [ 250; 500; 1000; 2000; 5000; 10_000 ]
    its join counts are added to the running totals. *)
 let factor_trajectory cfg view (runner : Runners.t) =
   let n = View.n view in
-  let joins = Array.make n 0 in
+  let joins = Mis_obs.Fairness.create ~n in
   let mask = Array.init n (View.node_active view) in
   let run = runner.Runners.run view in
   let results = ref [] in
@@ -18,19 +18,15 @@ let factor_trajectory cfg view (runner : Runners.t) =
   List.iter
     (fun target ->
       if target > !finished then begin
-        let seg =
-          Trials.counts
-            { Trials.trials = target - !finished;
-              seed = cfg.Config.seed + !finished;
-              domains = cfg.Config.domains }
-            ~n run
-        in
-        for u = 0 to n - 1 do
-          joins.(u) <- joins.(u) + seg.(u)
-        done;
+        Mis_obs.Fairness.merge joins
+          (Mis_stats.Montecarlo.run
+             { Mis_stats.Montecarlo.trials = target - !finished;
+               base_seed = cfg.Config.seed + !finished;
+               domains = cfg.Config.domains }
+             ~n run);
         finished := target
       end;
-      let e = Empirical.of_mask ~mask ~trials:target ~joins in
+      let e = Empirical.of_fairness ~mask joins in
       results := (target, Empirical.inequality_factor e) :: !results)
     checkpoints;
   List.rev !results

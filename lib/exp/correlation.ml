@@ -16,7 +16,7 @@ let pairs_of view ~anchor =
 let light cfg = { cfg with Config.trials = min cfg.Config.trials 4000 }
 
 let measure cfg pairs run =
-  Trials.fold (Trials.of_config cfg)
+  Mis_stats.Montecarlo.fold (Config.montecarlo cfg)
     ~init:(fun () -> Joint.create ~pairs:(Array.of_list (List.map snd pairs)))
     ~trial:(fun joint ~seed -> Joint.record joint (run ~seed))
     ~merge:(fun a b ->

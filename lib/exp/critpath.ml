@@ -53,8 +53,7 @@ let measure_cell cfg ~alg ~n =
       (Mis_workload.Trees.random_prufer
          (Mis_util.Splitmix.of_seed (cfg.Config.seed + n)) ~n)
   in
-  Trials.fold
-    { Trials.trials; seed = cfg.Config.seed; domains = cfg.Config.domains }
+  Mis_stats.Montecarlo.fold (Config.montecarlo ~trials cfg)
     ~init:zero ~merge
     ~trial:(fun acc ~seed ->
       let sink, events = Trace.memory ~capacity:ring_capacity () in

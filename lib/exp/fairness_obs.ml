@@ -1,74 +1,56 @@
 module View = Mis_graph.View
 module Splitmix = Mis_util.Splitmix
 module Fairness = Mis_obs.Fairness
+module Empirical = Mis_stats.Empirical
 module Prof = Mis_obs.Prof
 
 type params = {
   n : int;
   trials : int;
   seed : int;
-  algorithms : string list;
+  algorithms : Runners.t list;
   domains : int option;
   csv : string option;
 }
 
 let default_params =
   { n = 500; trials = 1000; seed = 1;
-    algorithms = [ "fairtree"; "luby" ]; domains = None; csv = None }
+    algorithms = [ Runners.fair_tree; Runners.luby ]; domains = None;
+    csv = None }
 
 let tree_of (params : params) =
   Mis_workload.Trees.random_prufer
     (Splitmix.of_seed (params.seed + 0xFA1C))
     ~n:params.n
 
-(* One algorithm: run the simulator-backed program [trials] times, each
-   with a Fairness sink as its tracer, so the join statistics come from
-   the decide events of the trace stream itself. Each engine chunk gets
-   its own accumulator (and so its own single-writer sink); the engine
-   merges them in chunk order. *)
-let measure ~(params : params) view (tr : Runners.traced) =
-  let n = View.n view in
-  Trials.fairness
-    { Trials.trials = params.trials; seed = params.seed;
+(* One algorithm: [trials] verified runs of its plain runner, compiled
+   once for the tree, joins counted per node. *)
+let measure ~(params : params) view (runner : Runners.t) =
+  Mis_stats.Montecarlo.run
+    ~check:(fun mis -> Fairmis.Mis.verify ~name:runner.Runners.name view mis)
+    { Mis_stats.Montecarlo.trials = params.trials; base_seed = params.seed;
       domains = params.domains }
-    ~n
-    (fun acc ~seed ->
-      let tracer = Fairness.sink acc in
-      ignore (tr.Runners.t_run view ~seed ~tracer))
-
-let find_algorithms names =
-  List.map
-    (fun name ->
-      match Runners.find_traced name with
-      | Some t -> t
-      | None ->
-        invalid_arg
-          (Printf.sprintf "fairness-obs: %S is not a traced algorithm (known: %s)"
-             name
-             (String.concat ", "
-                (List.map (fun t -> t.Runners.t_name) Runners.traced))))
-    names
+    ~n:(View.n view) (runner.Runners.run view)
 
 let run_params (params : params) =
   if params.n < 2 then invalid_arg "fairness-obs: n must be >= 2";
   if params.trials < 1 then invalid_arg "fairness-obs: trials must be >= 1";
-  let algorithms = find_algorithms params.algorithms in
   Printf.printf
-    "== fairness-obs: inequality factors from trace decide events (random \
-     tree n=%d, %d traced runs per algorithm, seed=%d)\n"
+    "== fairness-obs: inequality factors over verified runs (random tree \
+     n=%d, %d runs per algorithm, seed=%d)\n"
     params.n params.trials params.seed;
   let view =
     Prof.gspan "fairness-obs.setup" (fun () -> View.full (tree_of params))
   in
   let measured =
     List.map
-      (fun tr ->
+      (fun runner ->
         let acc =
-          Prof.gspan ("fairness-obs.runs." ^ tr.Runners.t_name) (fun () ->
-              measure ~params view tr)
+          Prof.gspan ("fairness-obs.runs." ^ runner.Runners.name) (fun () ->
+              measure ~params view runner)
         in
-        (tr, acc, Fairness.summarize acc))
-      algorithms
+        (runner, acc, Empirical.summarize (Empirical.of_fairness acc)))
+      params.algorithms
   in
   Prof.gspan "fairness-obs.report" (fun () ->
       let header =
@@ -76,20 +58,20 @@ let run_params (params : params) =
       in
       let rows =
         List.map
-          (fun (tr, _, s) ->
-            [ tr.Runners.t_display;
-              string_of_int s.Fairness.runs;
-              Printf.sprintf "%.3f" s.Fairness.min_freq;
-              Printf.sprintf "%.3f" s.Fairness.max_freq;
-              Printf.sprintf "%.3f" s.Fairness.mean_freq;
-              Table.float_cell s.Fairness.factor ])
+          (fun (runner, _, s) ->
+            [ runner.Runners.name;
+              string_of_int s.Empirical.trials;
+              Printf.sprintf "%.3f" s.Empirical.min_freq;
+              Printf.sprintf "%.3f" s.Empirical.max_freq;
+              Printf.sprintf "%.3f" s.Empirical.mean_freq;
+              Table.float_cell s.Empirical.factor ])
           measured
       in
       Table.print ~header rows;
       print_newline ();
       List.iter
-        (fun (tr, acc, _) ->
-          Printf.printf "-- %s\n" tr.Runners.t_display;
+        (fun (runner, acc, _) ->
+          Printf.printf "-- %s\n" runner.Runners.name;
           print_string (Fairness.heatmap acc);
           print_string (Fairness.histogram acc);
           print_newline ())
@@ -100,22 +82,20 @@ let run_params (params : params) =
           ~header:
             [ "algorithm"; "n"; "trials"; "factor"; "min_p"; "max_p"; "mean_p" ]
           (List.map
-             (fun (tr, _, s) ->
-               [ tr.Runners.t_display; string_of_int params.n;
-                 string_of_int s.Fairness.runs;
-                 Table.float_cell s.Fairness.factor;
-                 Printf.sprintf "%.6f" s.Fairness.min_freq;
-                 Printf.sprintf "%.6f" s.Fairness.max_freq;
-                 Printf.sprintf "%.6f" s.Fairness.mean_freq ])
+             (fun (runner, _, s) ->
+               [ runner.Runners.name; string_of_int params.n;
+                 string_of_int s.Empirical.trials;
+                 Table.float_cell s.Empirical.factor;
+                 Printf.sprintf "%.6f" s.Empirical.min_freq;
+                 Printf.sprintf "%.6f" s.Empirical.max_freq;
+                 Printf.sprintf "%.6f" s.Empirical.mean_freq ])
              measured);
         Printf.printf "csv written to %s\n" path
-      | None -> ());
-  List.map (fun (tr, _, s) -> (tr.Runners.t_name, s)) measured
+      | None -> ())
 
 let run (cfg : Config.t) =
-  ignore
-    (run_params
-       { default_params with
-         trials = max default_params.trials (cfg.Config.trials / 2);
-         seed = cfg.Config.seed;
-         domains = cfg.Config.domains })
+  run_params
+    { default_params with
+      trials = max default_params.trials (cfg.Config.trials / 2);
+      seed = cfg.Config.seed;
+      domains = cfg.Config.domains }

@@ -1,17 +1,16 @@
-(** The [fairness-obs] experiment: Table I-style inequality factors
-    measured from the {e trace stream} — every run executes on the
-    simulator with a {!Mis_obs.Fairness.sink} as its tracer, so the
-    join counts come from decide events rather than the ad-hoc counters
-    of the fast-engine experiments. Reports min/max/mean join
-    probability and the inequality factor per traced algorithm, plus an
-    ASCII per-node heatmap and join-frequency histogram. *)
+(** The [fairness-obs] experiment: Table I-style inequality factors of
+    several algorithms on one random tree. Every run goes through
+    {!Mis_stats.Montecarlo} on the algorithm's plain runner and is
+    checked by {!Fairmis.Mis.verify}; the joins land in a
+    {!Mis_obs.Fairness} accumulator. Reports min/max/mean join
+    probability and the inequality factor per algorithm, plus an ASCII
+    per-node heatmap and join-frequency histogram. *)
 
 type params = {
   n : int;  (** Random-tree size. *)
-  trials : int;  (** Traced runs per algorithm. *)
+  trials : int;  (** Runs per algorithm. *)
   seed : int;
-  algorithms : string list;  (** Traced-runner keys
-                                 ({!Runners.find_traced}). *)
+  algorithms : Runners.t list;
   domains : int option;
   csv : string option;
 }
@@ -19,10 +18,9 @@ type params = {
 val default_params : params
 (** n=500, trials=1000, FairTree vs Luby. *)
 
-val run_params : params -> (string * Mis_obs.Fairness.summary) list
-(** Run, print the report, and return per-algorithm summaries (keyed by
-    traced-runner name) for programmatic use.
-    @raise Invalid_argument on unknown algorithm names or bad sizes. *)
+val run_params : params -> unit
+(** Run and print the report (and the CSV when asked).
+    @raise Invalid_argument on bad sizes. *)
 
 val run : Config.t -> unit
 (** Registry entry point: defaults scaled by the config's trial count

@@ -3,6 +3,7 @@ module Check = Mis_graph.Check
 module Fault = Mis_sim.Fault
 module Splitmix = Mis_util.Splitmix
 module Empirical = Mis_stats.Empirical
+module Fairness = Mis_obs.Fairness
 
 type params = {
   n : int;
@@ -45,48 +46,40 @@ let algorithms ~repeats =
 
 (* Per-domain accumulator merged across the pool. *)
 type acc = {
-  mutable runs : int;
   mutable ok : int;
   mutable rounds_sum : int;
   mutable dropped_sum : int;
-  joins : int array;
+  joins : Fairness.t;
 }
 
 let measure_cell ?obs ~(params : params) view algo ~drop =
   let n = View.n view in
   let a =
-    Trials.fold ?obs
-      { Trials.trials = params.trials; seed = params.seed;
+    Mis_stats.Montecarlo.fold ?obs
+      { Mis_stats.Montecarlo.trials = params.trials; base_seed = params.seed;
         domains = params.domains }
       ~init:(fun () ->
-        { runs = 0; ok = 0; rounds_sum = 0; dropped_sum = 0;
-          joins = Array.make n 0 })
+        { ok = 0; rounds_sum = 0; dropped_sum = 0;
+          joins = Fairness.create ~n })
       ~trial:(fun acc ~seed ->
         let plan = Fairmis.Rand_plan.make seed in
         let faults = Fault.create ~seed ~drop () in
         let o = algo.alg_run view plan ~faults in
-        acc.runs <- acc.runs + 1;
         if Check.is_surviving_mis view ~crashed:o.Mis_sim.Runtime.crashed
              o.Mis_sim.Runtime.output
         then acc.ok <- acc.ok + 1;
         acc.rounds_sum <- acc.rounds_sum + o.Mis_sim.Runtime.rounds;
         acc.dropped_sum <- acc.dropped_sum + o.Mis_sim.Runtime.dropped;
-        for u = 0 to n - 1 do
-          if o.Mis_sim.Runtime.output.(u) then acc.joins.(u) <- acc.joins.(u) + 1
-        done)
+        Fairness.record acc.joins ~in_mis:o.Mis_sim.Runtime.output)
       ~merge:(fun a b ->
-        a.runs <- a.runs + b.runs;
         a.ok <- a.ok + b.ok;
         a.rounds_sum <- a.rounds_sum + b.rounds_sum;
         a.dropped_sum <- a.dropped_sum + b.dropped_sum;
-        for u = 0 to n - 1 do
-          a.joins.(u) <- a.joins.(u) + b.joins.(u)
-        done;
+        Fairness.merge a.joins b.joins;
         a)
   in
   let mask = Array.init n (View.node_active view) in
-  let e = Empirical.of_mask ~mask ~trials:params.trials ~joins:a.joins in
-  let s = Empirical.summarize e in
+  let s = Empirical.summarize (Empirical.of_fairness ~mask a.joins) in
   let per t = float_of_int t /. float_of_int params.trials in
   { algorithm = algo.alg_name; drop; trials = params.trials; valid = a.ok;
     mean_rounds = per a.rounds_sum; mean_dropped = per a.dropped_sum;

@@ -35,8 +35,7 @@ let run cfg =
            engine, like every other seeded probe). *)
         let probes = 200 in
         let blocks, fallback =
-          Trials.fold
-            (Trials.of_config ~trials:probes cfg)
+          Mis_stats.Montecarlo.fold (Config.montecarlo ~trials:probes cfg)
             ~init:(fun () -> (ref 0, ref 0))
             ~trial:(fun (bl, fb) ~seed ->
               let _, tr =

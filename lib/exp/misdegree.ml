@@ -10,7 +10,7 @@ let mis_degree_stats cfg view (runner : Runners.t) =
   let g = View.graph view in
   let run = runner.Runners.run view in
   let deg_sum, size_sum =
-    Trials.fold (Trials.of_config cfg)
+    Mis_stats.Montecarlo.fold (Config.montecarlo cfg)
       ~init:(fun () -> (ref 0., ref 0))
       ~trial:(fun (deg_sum, size_sum) ~seed ->
         let mis = run ~seed in

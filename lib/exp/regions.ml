@@ -1,6 +1,7 @@
 module View = Mis_graph.View
 module Graph = Mis_graph.Graph
 module Rand_plan = Fairmis.Rand_plan
+module Empirical = Mis_stats.Empirical
 
 let light cfg = { cfg with Config.trials = min cfg.Config.trials 2000 }
 
@@ -23,18 +24,6 @@ let build ~branch ~depth ~clique =
   let g = Graph.of_edges ~n:(nt + clique) edges in
   let in_clique = Array.init (nt + clique) (fun u -> u >= nt) in
   (g, in_clique)
-
-let region_summary counts trials select =
-  let lo = ref infinity and hi = ref neg_infinity in
-  Array.iteri
-    (fun u c ->
-      if select u then begin
-        let f = float_of_int c /. float_of_int trials in
-        if f < !lo then lo := f;
-        if f > !hi then hi := f
-      end)
-    counts;
-  (!lo, !hi, if !lo = 0. then infinity else !hi /. !lo)
 
 let run cfg =
   let cfg = light cfg in
@@ -74,19 +63,17 @@ let run cfg =
   let body =
     List.map
       (fun (name, run) ->
-        let counts =
+        let joins =
           Mis_stats.Montecarlo.run
             ~check:(fun mis -> Fairmis.Mis.verify ~name view mis)
             (Config.montecarlo cfg) ~n:(Graph.n g) run
         in
-        let t_lo, _, t_f =
-          region_summary counts cfg.Config.trials (fun u -> interior.(u))
-        in
-        let c_lo, _, c_f =
-          region_summary counts cfg.Config.trials (fun u -> in_clique.(u))
-        in
-        [ name; Printf.sprintf "%.3f" t_lo; Table.float_cell t_f;
-          Printf.sprintf "%.4f" c_lo; Table.float_cell c_f ])
+        let tree = Empirical.of_fairness ~mask:interior joins in
+        let clique = Empirical.of_fairness ~mask:in_clique joins in
+        [ name; Printf.sprintf "%.3f" (Empirical.min_frequency tree);
+          Table.float_cell (Empirical.inequality_factor tree);
+          Printf.sprintf "%.4f" (Empirical.min_frequency clique);
+          Table.float_cell (Empirical.inequality_factor clique) ])
       algorithms
   in
   Table.print ~header body;

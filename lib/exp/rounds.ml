@@ -12,9 +12,7 @@ let ceil_log2 = Mis_util.Ids.ceil_log2
    trials like any other Monte Carlo workload). *)
 let averages cfg run =
   let rounds, messages =
-    Trials.fold
-      { Trials.trials = repeats; seed = cfg.Config.seed;
-        domains = cfg.Config.domains }
+    Mis_stats.Montecarlo.fold (Config.montecarlo ~trials:repeats cfg)
       ~init:(fun () -> (ref 0, ref 0))
       ~trial:(fun (r, m) ~seed ->
         let o = run (Fairmis.Rand_plan.make seed) in

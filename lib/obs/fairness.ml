@@ -5,72 +5,32 @@ type t = {
 }
 
 let create ~n =
-  if n < 1 then invalid_arg "Fairness.create: n must be >= 1";
+  if n < 0 then invalid_arg "Fairness.create: n must be >= 0";
   { n; joins = Array.make n 0; runs = 0 }
 
 let n t = t.n
 let runs t = t.runs
 let joins t = Array.copy t.joins
 
+(* Runs once per trial, so a plain loop: no closure to allocate. *)
 let record t ~in_mis =
   if Array.length in_mis <> t.n then
     invalid_arg "Fairness.record: mask length";
-  Array.iteri (fun u b -> if b then t.joins.(u) <- t.joins.(u) + 1) in_mis;
+  for u = 0 to t.n - 1 do
+    if in_mis.(u) then t.joins.(u) <- t.joins.(u) + 1
+  done;
   t.runs <- t.runs + 1
 
 let merge a b =
   if a.n <> b.n then invalid_arg "Fairness.merge: node counts differ";
-  Array.iteri (fun u c -> a.joins.(u) <- a.joins.(u) + c) b.joins;
+  for u = 0 to a.n - 1 do
+    a.joins.(u) <- a.joins.(u) + b.joins.(u)
+  done;
   a.runs <- a.runs + b.runs
 
-let sink t =
-  { Trace.emit =
-      (fun ev ->
-        match ev with
-        | Trace.Decide { node; in_mis; _ } ->
-          if in_mis && node >= 0 && node < t.n then
-            t.joins.(node) <- t.joins.(node) + 1
-        | Trace.Run_end _ -> t.runs <- t.runs + 1
-        | _ -> ());
-    flush = ignore }
-
-let frequency t u =
-  if t.runs = 0 then nan else float_of_int t.joins.(u) /. float_of_int t.runs
-
-let frequencies ?mask t =
-  let keep u = match mask with None -> true | Some m -> m.(u) in
-  let acc = ref [] in
-  for u = t.n - 1 downto 0 do
-    if keep u then acc := frequency t u :: !acc
-  done;
-  Array.of_list !acc
-
-type summary = {
-  runs : int;
-  nodes : int;
-  min_freq : float;
-  max_freq : float;
-  mean_freq : float;
-  factor : float;  (** max/min; [infinity] when some node never joined. *)
-  never_joined : int;
-}
-
-let summarize ?mask t =
-  let freqs = frequencies ?mask t in
-  let nodes = Array.length freqs in
-  if t.runs = 0 || nodes = 0 then
-    { runs = t.runs; nodes; min_freq = nan; max_freq = nan; mean_freq = nan;
-      factor = nan; never_joined = nodes }
-  else begin
-    let lo = Array.fold_left Float.min infinity freqs in
-    let hi = Array.fold_left Float.max neg_infinity freqs in
-    let mean = Array.fold_left ( +. ) 0. freqs /. float_of_int nodes in
-    let never =
-      Array.fold_left (fun a f -> if f = 0. then a + 1 else a) 0 freqs
-    in
-    { runs = t.runs; nodes; min_freq = lo; max_freq = hi; mean_freq = mean;
-      factor = (if lo = 0. then infinity else hi /. lo); never_joined = never }
-  end
+let frequencies t =
+  if t.runs = 0 then Array.make t.n nan
+  else Array.map (fun c -> float_of_int c /. float_of_int t.runs) t.joins
 
 (* --- rendering ---------------------------------------------------------- *)
 

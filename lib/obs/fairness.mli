@@ -1,18 +1,14 @@
-(** Empirical per-node join frequencies aggregated from decide events
-    across many traced runs — the Table I measurement
-    (max/min join-probability ratio) computed from the trace stream
-    itself instead of ad-hoc counters.
-
-    An accumulator counts, per node index, the runs in which that node
-    joined the MIS. Feed it either whole membership masks ({!record}),
-    another accumulator ({!merge} — the parallel map-reduce path), or a
-    live trace via {!sink}. This module is self-contained (it does not
-    depend on the stats library) so the simulator side of the repo can
-    use it without a dependency cycle. *)
+(** The per-node join accumulator behind every fairness number: it
+    counts, per node index, the runs in which that node joined the MIS.
+    {!Mis_stats.Montecarlo} fills one per chunk and merges them in chunk
+    order; [Mis_stats.Empirical.of_fairness] turns one into join
+    frequencies and the inequality factor. *)
 
 type t
 
 val create : n:int -> t
+(** An empty accumulator over [n >= 0] nodes. *)
+
 val n : t -> int
 val runs : t -> int
 val joins : t -> int array
@@ -23,31 +19,6 @@ val record : t -> in_mis:bool array -> unit
 
 val merge : t -> t -> unit
 (** [merge a b] folds [b]'s counts and runs into [a]. *)
-
-val sink : t -> Trace.sink
-(** A sink that counts [Decide {in_mis = true}] events into the
-    accumulator and one run per [Run_end]. Attach (or {!Trace.tee}) it as
-    a runtime tracer to measure fairness without storing the stream. *)
-
-val frequency : t -> int -> float
-(** Join frequency of one node ([nan] before any run). *)
-
-val frequencies : ?mask:bool array -> t -> float array
-(** Per-node frequencies, restricted to [mask] when given. *)
-
-type summary = {
-  runs : int;
-  nodes : int;
-  min_freq : float;
-  max_freq : float;
-  mean_freq : float;
-  factor : float;  (** max/min; [infinity] when some node never joined
-                       (the paper's convention), [nan] with no data. *)
-  never_joined : int;
-}
-
-val summarize : ?mask:bool array -> t -> summary
-(** [mask] restricts to the studied nodes (e.g. the active set). *)
 
 (** {1 ASCII rendering} *)
 

@@ -22,6 +22,15 @@ let of_mask ~mask ~trials ~joins =
   done;
   create ~nodes:(Array.of_list !nodes) ~trials ~joins
 
+let of_fairness ?mask acc =
+  let mask =
+    match mask with
+    | Some m -> m
+    | None -> Array.make (Mis_obs.Fairness.n acc) true
+  in
+  of_mask ~mask ~trials:(Mis_obs.Fairness.runs acc)
+    ~joins:(Mis_obs.Fairness.joins acc)
+
 let trials t = t.trials
 let node_count t = Array.length t.nodes
 let frequency t u = float_of_int t.joins.(u) /. float_of_int t.trials

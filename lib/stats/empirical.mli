@@ -9,6 +9,13 @@ val create : nodes:int array -> trials:int -> joins:int array -> t
     in which node [u] joined, out of [trials] runs. *)
 
 val of_mask : mask:bool array -> trials:int -> joins:int array -> t
+(** The nodes [u] with [mask.(u)] under study. *)
+
+val of_fairness : ?mask:bool array -> Mis_obs.Fairness.t -> t
+(** The accumulator's join counts over its runs, restricted to [mask]
+    (default: every node).
+    @raise Invalid_argument when the accumulator holds no run. *)
+
 val trials : t -> int
 val node_count : t -> int
 val frequency : t -> int -> float

@@ -1,3 +1,5 @@
+module Fairness = Mis_obs.Fairness
+
 type config = {
   trials : int;
   base_seed : int;
@@ -6,28 +8,29 @@ type config = {
 
 let default_config = { trials = 10_000; base_seed = 1; domains = None }
 
+let fold ?obs config ~init ~trial ~merge =
+  if config.trials < 1 then invalid_arg "Montecarlo.fold: trials";
+  Parallel.map_reduce ?domains:config.domains ?obs ~tasks:config.trials ~init
+    ~merge
+    (fun acc i -> trial acc ~seed:(config.base_seed + i))
+
 (* The context value from [ctx ()] is created once per chunk, on the
    claiming domain (it runs inside the engine's per-chunk [init]), and
    rides in the accumulator pair untouched by merges — reuse without any
    effect on determinism. *)
 let run_ctx ?check ?obs config ~n ~ctx run_once =
-  if config.trials < 1 then invalid_arg "Montecarlo.run: trials";
   snd
-    (Parallel.map_reduce ?domains:config.domains ?obs ~tasks:config.trials
-       ~init:(fun () -> (ctx (), Array.make n 0))
+    (fold ?obs config
+       ~init:(fun () -> (ctx (), Fairness.create ~n))
        ~merge:(fun (c, a) (_, b) ->
-         for u = 0 to n - 1 do
-           a.(u) <- a.(u) + b.(u)
-         done;
+         Fairness.merge a b;
          (c, a))
-       (fun (c, joins) i ->
-         let outcome = run_once c ~seed:(config.base_seed + i) in
-         if Array.length outcome <> n then
-           invalid_arg "Montecarlo.run: outcome length";
-         (match check with Some f -> f outcome | None -> ());
-         for u = 0 to n - 1 do
-           if outcome.(u) then joins.(u) <- joins.(u) + 1
-         done))
+       ~trial:(fun (c, acc) ~seed ->
+         let outcome = run_once c ~seed in
+         (* [record] rejects a wrong-length outcome before [check] sees
+            it; a failing check aborts the whole run anyway. *)
+         Fairness.record acc ~in_mis:outcome;
+         match check with Some f -> f outcome | None -> ()))
 
 let run ?check ?obs config ~n run_once =
   run_ctx ?check ?obs config ~n
@@ -36,9 +39,8 @@ let run ?check ?obs config ~n run_once =
 
 let estimate_ctx ?check config ~ctx view run_once =
   let n = Mis_graph.View.n view in
-  let joins = run_ctx ?check config ~n ~ctx run_once in
   let mask = Array.init n (Mis_graph.View.node_active view) in
-  Empirical.of_mask ~mask ~trials:config.trials ~joins
+  Empirical.of_fairness ~mask (run_ctx ?check config ~n ~ctx run_once)
 
 let estimate ?check config view run_once =
   estimate_ctx ?check config

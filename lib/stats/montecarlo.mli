@@ -1,14 +1,14 @@
-(** The Monte Carlo harness behind every number in the evaluation: run a
-    randomized MIS algorithm [trials] times with per-trial seeds, count
-    per-node joins, and hand the counts to {!Empirical}.
+(** The one seeded-trial harness behind every number in the evaluation:
+    run a randomized algorithm [trials] times with per-trial seeds on the
+    {!Parallel} engine and reduce the per-chunk accumulators.
 
     Trial [i] always uses seed [base_seed + i], independent of how trials
-    are chunked over domains, and the per-chunk counts are reduced in
-    chunk order by the {!Parallel} engine, so results are
-    bit-reproducible at any parallelism level. *)
+    are chunked over domains, and the per-chunk accumulators are merged
+    in chunk order, so results are bit-reproducible at any parallelism
+    level (including 1). *)
 
 type config = {
-  trials : int;
+  trials : int;  (** Number of seeded runs; trial [i] uses [base_seed + i]. *)
   base_seed : int;
   domains : int option;  (** [None] = {!Parallel.default_domains}. *)
 }
@@ -16,32 +16,29 @@ type config = {
 val default_config : config
 (** 10,000 trials (the paper's count), seed 1, default parallelism. *)
 
+val fold :
+  ?obs:Mis_obs.Metrics.t ->
+  config ->
+  init:(unit -> 'acc) ->
+  trial:('acc -> seed:int -> unit) ->
+  merge:('acc -> 'acc -> 'acc) ->
+  'acc
+(** The generic shape: [init ()] once per chunk on the domain that claimed
+    it, [trial acc ~seed] once per seed, accumulators merged in chunk
+    order. [obs] is forwarded to {!Parallel.map_reduce}.
+    @raise Invalid_argument when [config.trials < 1]. *)
+
 val run :
   ?check:(bool array -> unit) ->
   ?obs:Mis_obs.Metrics.t ->
   config ->
   n:int ->
   (seed:int -> bool array) ->
-  int array
-(** Raw join counts per node, computed on the {!Parallel} engine (so the
-    counts are bit-identical at any domain count). [check] (e.g. MIS
+  Mis_obs.Fairness.t
+(** Per-node join counts of a membership-mask runner, one
+    {!Mis_obs.Fairness} accumulator per chunk. [check] (e.g. MIS
     validation) runs on every single outcome — the paper requires
-    correctness on all runs, so the experiments keep it on. [obs] is
-    forwarded to {!Parallel.map_reduce}. *)
-
-val run_ctx :
-  ?check:(bool array -> unit) ->
-  ?obs:Mis_obs.Metrics.t ->
-  config ->
-  n:int ->
-  ctx:(unit -> 'ctx) ->
-  ('ctx -> seed:int -> bool array) ->
-  int array
-(** {!run} with a per-chunk context: [ctx ()] is evaluated once per chunk
-    on the domain that claimed it and passed to every trial of that
-    chunk. Intended for a compiled simulation engine reused across the
-    chunk's trials; merges ignore the context, so the counts stay
-    bit-identical to {!run} at any domain count. *)
+    correctness on all runs, so the experiments keep it on. *)
 
 val estimate :
   ?check:(bool array -> unit) ->
@@ -49,7 +46,7 @@ val estimate :
   Mis_graph.View.t ->
   (seed:int -> bool array) ->
   Empirical.t
-(** [run] restricted to the view's active nodes. *)
+(** [run] summarized over the view's active nodes. *)
 
 val estimate_ctx :
   ?check:(bool array -> unit) ->
@@ -58,4 +55,7 @@ val estimate_ctx :
   Mis_graph.View.t ->
   ('ctx -> seed:int -> bool array) ->
   Empirical.t
-(** {!estimate} on {!run_ctx}. *)
+(** {!estimate} with a per-chunk context: [ctx ()] is evaluated once per
+    chunk on the domain that claimed it and passed to every trial of that
+    chunk. Merges ignore the context, so the result is bit-identical to
+    {!estimate} at any domain count. *)

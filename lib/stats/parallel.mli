@@ -103,10 +103,10 @@ val map_reduce :
     best avoided inside tasks). The engine also records [parallel.tasks],
     [parallel.chunks], [parallel.domains] (the effective parallelism of
     the call) and [parallel.pool.workers] (pooled workers that held a
-    seat on the job; 0 on the serial fast path) counters. Trace sinks
-    are deliberately {e not} shared across domains — a sink stays
-    single-writer; aggregate per-chunk accumulators (e.g.
-    {!Mis_obs.Fairness.t}) and let the engine merge them instead. *)
+    seat on the job; 0 on the serial fast path) counters. Nothing inside
+    a task needs to be shared across domains: keep per-chunk
+    accumulators (e.g. the {!Mis_obs.Fairness.t} of {!Montecarlo.run})
+    and let the engine merge them. *)
 
 val map_reduce_unpooled :
   ?domains:int ->

@@ -46,7 +46,11 @@ let test_config_garbage_ignored () =
 let test_config_montecarlo () =
   let cfg = Config.load ~getenv:(env [ ("FAIRMIS_TRIALS", "77") ]) () in
   let mc = Config.montecarlo cfg in
-  Alcotest.(check int) "trials forwarded" 77 mc.Mis_stats.Montecarlo.trials
+  Alcotest.(check int) "trials forwarded" 77 mc.Mis_stats.Montecarlo.trials;
+  let probe = Config.montecarlo ~trials:5 cfg in
+  Alcotest.(check int) "trials override" 5 probe.Mis_stats.Montecarlo.trials;
+  Alcotest.(check int) "seed kept" cfg.Config.seed
+    probe.Mis_stats.Montecarlo.base_seed
 
 (* Table *)
 
@@ -218,6 +222,45 @@ let test_estimate_domain_invariant () =
   Alcotest.(check string) "8 domains matches golden" golden
     (summary (Some 8))
 
+(* The [fairness] command counts joins from each algorithm's plain runner
+   through the trial harness; those counts must equal the ones the
+   traced message programs produce under the same seeds, for every
+   traced key and at any domain count. *)
+let test_plain_runners_match_traced () =
+  let n = 40 and trials = 24 and base_seed = 3 in
+  let view = View.full (Helpers.random_tree ~seed:6 ~n) in
+  let plain =
+    [ ("luby", Runners.luby); ("luby-degree", Runners.luby_degree);
+      ("fairtree", Runners.fair_tree); ("fairbipart", Runners.fair_bipart);
+      ("colormis", Runners.color_mis_greedy) ]
+  in
+  Alcotest.(check (list string)) "every traced key has a plain runner"
+    (List.map fst plain)
+    (List.map (fun (t : Runners.traced) -> t.Runners.t_name) Runners.traced);
+  List.iter
+    (fun (t : Runners.traced) ->
+      let traced = Mis_obs.Fairness.create ~n in
+      for i = 0 to trials - 1 do
+        let o =
+          t.Runners.t_run view ~seed:(base_seed + i) ~tracer:Mis_obs.Trace.null
+        in
+        Mis_obs.Fairness.record traced ~in_mis:o.Mis_sim.Runtime.output
+      done;
+      let runner = List.assoc t.Runners.t_name plain in
+      List.iter
+        (fun domains ->
+          let joins =
+            Mis_stats.Montecarlo.run
+              { Mis_stats.Montecarlo.trials; base_seed; domains = Some domains }
+              ~n (runner.Runners.run view)
+          in
+          Alcotest.check Helpers.int_array
+            (Printf.sprintf "%s at %d domains" t.Runners.t_name domains)
+            (Mis_obs.Fairness.joins traced)
+            (Mis_obs.Fairness.joins joins))
+        [ 1; 4 ])
+    Runners.traced
+
 (* Workloads: Table I rows carry the paper's numbers. *)
 
 let test_workloads_paper_numbers () =
@@ -255,7 +298,9 @@ let suite =
         Alcotest.test_case "invalid params reported" `Quick
           test_topo_spec_invalid_params_reported ] );
     ( "exp.runners",
-      [ Alcotest.test_case "all runners valid" `Quick test_runners_valid ] );
+      [ Alcotest.test_case "all runners valid" `Quick test_runners_valid;
+        Alcotest.test_case "plain runners match traced joins" `Quick
+          test_plain_runners_match_traced ] );
     ( "exp.registry",
       [ Alcotest.test_case "registry" `Quick test_registry;
         Alcotest.test_case "workloads carry paper numbers" `Quick

@@ -13,7 +13,6 @@ module View = Mis_graph.View
 module Runtime = Mis_sim.Runtime
 module Kernel = Mis_sim.Kernel
 module Trace = Mis_obs.Trace
-module Trials = Mis_exp.Trials
 module Rand_plan = Fairmis.Rand_plan
 
 (* Kinds 4 and 5 are a randomly masked random graph and a fully masked
@@ -272,10 +271,11 @@ let test_trials_kernel_domain_invariant () =
   let n = 60 in
   let view = View.full (Helpers.random_tree ~seed:9 ~n) in
   let joins domains run =
-    let spec = { Trials.trials = 48; seed = 5; domains = Some domains } in
     Mis_obs.Fairness.joins
-      (Trials.fairness spec ~n (fun acc ~seed ->
-           Mis_obs.Fairness.record acc ~in_mis:(run ~seed)))
+      (Mis_stats.Montecarlo.run
+         { Mis_stats.Montecarlo.trials = 48; base_seed = 5;
+           domains = Some domains }
+         ~n run)
   in
   let reference =
     joins 1 (fun ~seed -> Fairmis.Luby.run view (Rand_plan.make seed))

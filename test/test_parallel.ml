@@ -552,7 +552,7 @@ let test_obs_fresh_registries_on_warm_pool () =
       Alcotest.(check int) "warm obs run does not double-count" 20 warm_count;
       Alcotest.(check int) "warm run reused 3 pooled workers" 3 warm_workers)
 
-(* --- through the Montecarlo / Trials stack ------------------------------ *)
+(* --- through the Montecarlo stack ---------------------------------------- *)
 
 let test_montecarlo_engine_stress () =
   (* A seeded MIS workload across domain counts AND chunk sizes: the
@@ -560,13 +560,15 @@ let test_montecarlo_engine_stress () =
   let view = Mis_graph.View.full (Helpers.random_tree ~seed:21 ~n:30) in
   let run ~seed = Fairmis.Luby.run view (Fairmis.Rand_plan.make seed) in
   let cfg domains = { Mis_stats.Montecarlo.trials = 120; base_seed = 7; domains = Some domains } in
-  let want = Mis_stats.Montecarlo.run (cfg 1) ~n:30 run in
+  let joins domains =
+    Mis_obs.Fairness.joins (Mis_stats.Montecarlo.run (cfg domains) ~n:30 run)
+  in
+  let want = joins 1 in
   List.iter
     (fun domains ->
       Alcotest.check Helpers.int_array
         (Printf.sprintf "joins at %d domains" domains)
-        want
-        (Mis_stats.Montecarlo.run (cfg domains) ~n:30 run))
+        want (joins domains))
     [ 2; 3; 8 ]
 
 let suite =

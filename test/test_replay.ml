@@ -11,6 +11,7 @@ module Json = Mis_obs.Json
 module Trace = Mis_obs.Trace
 module Replay = Mis_obs.Replay
 module Fairness = Mis_obs.Fairness
+module Empirical = Mis_stats.Empirical
 module Prof = Mis_obs.Prof
 module Metrics = Mis_obs.Metrics
 
@@ -457,33 +458,23 @@ let test_fairness_record_merge () =
   Fairness.merge a b;
   Alcotest.(check int) "runs" 3 (Fairness.runs a);
   Alcotest.check Helpers.int_array "joins" [| 2; 1; 2 |] (Fairness.joins a);
-  let s = Fairness.summarize a in
-  Alcotest.(check (float 1e-9)) "min" (1. /. 3.) s.Fairness.min_freq;
-  Alcotest.(check (float 1e-9)) "max" (2. /. 3.) s.Fairness.max_freq;
-  Alcotest.(check (float 1e-9)) "factor" 2. s.Fairness.factor;
-  Alcotest.(check int) "never joined" 0 s.Fairness.never_joined
-
-let test_fairness_sink () =
-  let acc = Fairness.create ~n:6 in
-  let view = View.full (Trees.star 6) in
-  for seed = 1 to 40 do
-    ignore
-      (Fairmis.Luby.run_distributed ~tracer:(Fairness.sink acc) view
-         (Rand_plan.make seed))
-  done;
-  Alcotest.(check int) "runs counted" 40 (Fairness.runs acc);
-  let s = Fairness.summarize acc in
-  (* On a star the center is starved: a hub that joins blocks all leaves,
-     so max/min is large, and every run admits at least one member. *)
-  Alcotest.(check bool) "factor > 1" true (s.Fairness.factor > 1.);
-  Alcotest.(check bool) "someone joined" true (s.Fairness.max_freq > 0.)
+  let s = Empirical.summarize (Empirical.of_fairness a) in
+  Alcotest.(check int) "trials" 3 s.Empirical.trials;
+  Alcotest.(check (float 1e-9)) "min" (1. /. 3.) s.Empirical.min_freq;
+  Alcotest.(check (float 1e-9)) "max" (2. /. 3.) s.Empirical.max_freq;
+  Alcotest.(check (float 1e-9)) "factor" 2. s.Empirical.factor;
+  let masked = Empirical.of_fairness ~mask:[| true; false; true |] a in
+  Alcotest.(check int) "masked nodes" 2 (Empirical.node_count masked);
+  Alcotest.(check (float 1e-9)) "masked factor" 1.
+    (Empirical.inequality_factor masked)
 
 let test_fairness_never_joined () =
   let acc = Fairness.create ~n:2 in
   Fairness.record acc ~in_mis:[| true; false |];
-  let s = Fairness.summarize acc in
-  Alcotest.(check int) "never joined" 1 s.Fairness.never_joined;
-  Alcotest.(check bool) "factor inf" true (s.Fairness.factor = infinity)
+  let s = Empirical.summarize (Empirical.of_fairness acc) in
+  Alcotest.(check (float 1e-9)) "min" 0. s.Empirical.min_freq;
+  Alcotest.(check (float 1e-9)) "max" 1. s.Empirical.max_freq;
+  Alcotest.(check bool) "factor inf" true (s.Empirical.factor = infinity)
 
 let test_fairness_rendering () =
   let acc = Fairness.create ~n:130 in
@@ -539,11 +530,10 @@ let test_fairness_merge_matches_single_accumulator () =
     Fairness.record serial
       ~in_mis:(Fairmis.Luby.run view (Fairmis.Rand_plan.make seed))
   done;
-  let spec = { Mis_exp.Trials.trials = 80; seed = 0; domains = Some 4 } in
   let merged =
-    Mis_exp.Trials.fairness spec ~n:24 (fun acc ~seed ->
-        Fairness.record acc
-          ~in_mis:(Fairmis.Luby.run view (Fairmis.Rand_plan.make seed)))
+    Mis_stats.Montecarlo.run
+      { Mis_stats.Montecarlo.trials = 80; base_seed = 0; domains = Some 4 }
+      ~n:24 (fun ~seed -> Fairmis.Luby.run view (Fairmis.Rand_plan.make seed))
   in
   Alcotest.(check int) "runs" (Fairness.runs serial) (Fairness.runs merged);
   Alcotest.check Helpers.int_array "joins" (Fairness.joins serial)
@@ -691,7 +681,6 @@ let suite =
           test_replay_faulty_run;
         Alcotest.test_case "fairness record/merge" `Quick
           test_fairness_record_merge;
-        Alcotest.test_case "fairness sink" `Quick test_fairness_sink;
         Alcotest.test_case "fairness never-joined" `Quick
           test_fairness_never_joined;
         prop_fairness_merge_order_insensitive;

@@ -181,10 +181,13 @@ let test_montecarlo_deterministic_across_domains () =
   let cfg trials domains =
     { Montecarlo.trials; base_seed = 100; domains = Some domains }
   in
-  let serial = Montecarlo.run (cfg 200 1) ~n:40 run_luby in
+  let joins domains =
+    Mis_obs.Fairness.joins (Montecarlo.run (cfg 200 domains) ~n:40 run_luby)
+  in
+  let serial = joins 1 in
   List.iter
     (fun domains ->
-      let parallel = Montecarlo.run (cfg 200 domains) ~n:40 run_luby in
+      let parallel = joins domains in
       Alcotest.check Helpers.int_array
         (Printf.sprintf "counts identical at %d domains" domains)
         serial parallel)
@@ -197,6 +200,13 @@ let test_montecarlo_check_runs () =
     Montecarlo.run ~check:(fun _ -> Atomic.incr calls) cfg ~n:40 run_luby
   in
   Alcotest.(check int) "check per trial" 50 (Atomic.get calls)
+
+(* A view with no nodes still runs its trials and yields empty counts. *)
+let test_montecarlo_empty () =
+  let cfg = { Montecarlo.trials = 3; base_seed = 0; domains = Some 2 } in
+  let acc = Montecarlo.run cfg ~n:0 (fun ~seed:_ -> [||]) in
+  Alcotest.check Helpers.int_array "no counts" [||] (Mis_obs.Fairness.joins acc);
+  Alcotest.(check int) "runs" 3 (Mis_obs.Fairness.runs acc)
 
 let test_montecarlo_estimate () =
   let cfg = { Montecarlo.trials = 300; base_seed = 5; domains = Some 2 } in
@@ -231,4 +241,5 @@ let suite =
       [ Alcotest.test_case "deterministic across domains" `Quick
           test_montecarlo_deterministic_across_domains;
         Alcotest.test_case "check runs per trial" `Quick test_montecarlo_check_runs;
+        Alcotest.test_case "empty view, empty counts" `Quick test_montecarlo_empty;
         Alcotest.test_case "estimate" `Quick test_montecarlo_estimate ] ) ]
