@@ -13,43 +13,6 @@ module Graph = Mis_graph.Graph
 module Empirical = Mis_stats.Empirical
 module Rand_plan = Fairmis.Rand_plan
 
-let algorithms =
-  [ ("luby", Mis_exp.Runners.luby);
-    ("luby-degree", Mis_exp.Runners.luby_degree);
-    ("fairtree", Mis_exp.Runners.fair_tree);
-    ("fairbipart", Mis_exp.Runners.fair_bipart);
-    ("colormis", Mis_exp.Runners.color_mis_greedy);
-    ("colormis-planar", Mis_exp.Runners.color_mis_planar);
-    ( "colormis-adaptive",
-      { Mis_exp.Runners.name = "ColorMIS(adaptive)";
-        run =
-          (fun view ~seed ->
-            let plan = Rand_plan.make seed in
-            let coloring =
-              Fairmis.Distributed_coloring.randomized_greedy view plan
-            in
-            fst
-              (Fairmis.Color_mis.run_adaptive view
-                 ~coloring:coloring.Fairmis.Distributed_coloring.colors plan)) } );
-    ("greedy", Mis_exp.Runners.greedy_permutation);
-    ( "fairrooted",
-      { Mis_exp.Runners.name = "FairRooted";
-        run =
-          (fun view ~seed ->
-            let g = View.graph view in
-            if not (Mis_graph.Traverse.is_tree view) then
-              failwith "fairrooted requires a tree topology";
-            let t = Mis_graph.Rooted.of_tree g ~root:0 in
-            Fairmis.Fair_rooted.run t (Rand_plan.make seed)) } ) ]
-
-let runner_of_name name =
-  match List.assoc_opt name algorithms with
-  | Some r -> Ok r
-  | None ->
-    Error
-      (Printf.sprintf "unknown algorithm %S (known: %s)" name
-         (String.concat ", " (List.map fst algorithms)))
-
 let graph_of_spec spec =
   match Mis_exp.Topo_spec.parse spec with
   | Ok g -> Ok g
@@ -92,12 +55,15 @@ let list_cmd =
       print_endline
         (J.obj
            [ ( "algorithms",
-               J.arr (List.map (fun (n, _) -> J.str n) algorithms) );
+               J.arr
+                 (List.map
+                    (fun r -> J.str r.Mis_exp.Runners.key)
+                    Mis_exp.Runners.all) );
              ( "traceable",
                J.arr
                  (List.map
-                    (fun t -> J.str t.Mis_exp.Runners.t_name)
-                    Mis_exp.Runners.traced) );
+                    (fun r -> J.str r.Mis_exp.Runners.key)
+                    Mis_exp.Runners.traceable) );
              ("topologies", J.arr (List.map J.str Mis_exp.Topo_spec.names));
              ( "experiments",
                J.arr
@@ -111,7 +77,9 @@ let list_cmd =
     end
     else begin
       print_endline "algorithms:";
-      List.iter (fun (n, _) -> Printf.printf "  %s\n" n) algorithms;
+      List.iter
+        (fun r -> Printf.printf "  %s\n" r.Mis_exp.Runners.key)
+        Mis_exp.Runners.all;
       print_endline "topologies (name:defaults):";
       List.iter (fun n -> Printf.printf "  %s\n" n) Mis_exp.Topo_spec.names;
       print_endline "experiments:";
@@ -192,7 +160,7 @@ let run_cmd =
   let run alg spec seed members dot =
     let g = or_die (graph_of_spec spec) in
     let view = View.full g in
-    let runner = or_die (runner_of_name alg) in
+    let runner = or_die (Mis_exp.Runners.find alg) in
     let mis = runner.Mis_exp.Runners.run view ~seed in
     Fairmis.Mis.verify ~name:alg view mis;
     let size = Array.fold_left (fun a b -> if b then a + 1 else a) 0 mis in
@@ -232,7 +200,7 @@ let measure_cmd =
   let run alg spec seed trials domains csv =
     let g = or_die (graph_of_spec spec) in
     let view = View.full g in
-    let runner = or_die (runner_of_name alg) in
+    let runner = or_die (Mis_exp.Runners.find alg) in
     let display = runner.Mis_exp.Runners.name in
     let cfg =
       { Mis_exp.Config.trials; seed; domains;
@@ -337,19 +305,7 @@ let trace_cmd =
                   and reconcile it with the recorded outcome.")
   in
   let run alg spec seed out width analyze =
-    let tr =
-      match Mis_exp.Runners.find_traced alg with
-      | Some t -> t
-      | None ->
-        or_die
-          (Error
-             (Printf.sprintf "algorithm %S is not traceable (traceable: %s)"
-                alg
-                (String.concat ", "
-                   (List.map
-                      (fun t -> t.Mis_exp.Runners.t_name)
-                      Mis_exp.Runners.traced))))
-    in
+    let runner, traced = or_die (Mis_exp.Runners.find_traced alg) in
     let g = or_die (graph_of_spec spec) in
     let view = View.full g in
     let path = match out with Some p -> p | None -> alg ^ ".trace.jsonl" in
@@ -359,14 +315,14 @@ let trace_cmd =
           let tracer =
             Mis_obs.Trace.tee [ file_sink; Mis_obs.Trace.counting metrics ]
           in
-          tr.Mis_exp.Runners.t_run view ~seed ~tracer)
+          traced view ~seed ~tracer)
     in
     let open Mis_sim.Runtime in
     Fairmis.Mis.verify ~name:alg view o.output;
     let size = count_true o.output in
     Printf.printf
       "%s on %s (seed %d): rounds=%d messages=%d MIS size %d / %d — valid\n"
-      tr.Mis_exp.Runners.t_display spec seed o.rounds o.messages size
+      runner.Mis_exp.Runners.name spec seed o.rounds o.messages size
       (Graph.n g);
     Printf.printf "messages/round  %s\n"
       (Mis_exp.Ascii_plot.sparkline ~width
@@ -534,26 +490,14 @@ let critpath_cmd =
       match trace with
       | Some path -> or_die (Replay.of_file path)
       | None ->
-        let tr =
-          match Mis_exp.Runners.find_traced alg with
-          | Some t -> t
-          | None ->
-            or_die
-              (Error
-                 (Printf.sprintf
-                    "algorithm %S is not traceable (traceable: %s)" alg
-                    (String.concat ", "
-                       (List.map
-                          (fun t -> t.Mis_exp.Runners.t_name)
-                          Mis_exp.Runners.traced))))
-        in
+        let runner, traced = or_die (Mis_exp.Runners.find_traced alg) in
         let g = or_die (graph_of_spec topo) in
         let sink, events = Mis_obs.Trace.memory ~capacity:(1 lsl 21) () in
-        let o = tr.Mis_exp.Runners.t_run (View.full g) ~seed ~tracer:sink in
+        let o = traced (View.full g) ~seed ~tracer:sink in
         Fairmis.Mis.verify ~name:alg (View.full g)
           o.Mis_sim.Runtime.output;
         Printf.printf "%s on %s (seed %d): rounds=%d messages=%d\n"
-          tr.Mis_exp.Runners.t_display topo seed o.Mis_sim.Runtime.rounds
+          runner.Mis_exp.Runners.name topo seed o.Mis_sim.Runtime.rounds
           o.Mis_sim.Runtime.messages;
         events ()
     in
@@ -634,7 +578,7 @@ let fairness_cmd =
         & info [ "csv" ] ~doc:"Write the summary rows to this CSV file.")
   in
   let run n trials algs seed domains csv =
-    let algorithms = List.map (fun a -> or_die (runner_of_name a)) algs in
+    let algorithms = List.map (fun a -> or_die (Mis_exp.Runners.find a)) algs in
     try
       Mis_exp.Fairness_obs.run_params
         { Mis_exp.Fairness_obs.n; trials; seed; algorithms; domains; csv }

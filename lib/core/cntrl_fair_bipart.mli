@@ -11,23 +11,12 @@
     component where every non-singleton node joins with probability exactly
     1/2 (Lemma 7). When [d_hat] is an underestimate, multiple local leaders
     may arise; the result is then not necessarily independent or maximal —
-    exactly as in the paper, where later stages repair it. *)
+    exactly as in the paper, where later stages repair it.
 
-type result = {
-  joined : bool array;
-  leader : int array;  (** Adopted leader id per node; [-1] if unreached. *)
-  level : int array;  (** Depth from the adopted leader; [-1] if unreached. *)
-  rounds : int;  (** [2 * d_hat] communication rounds. *)
-}
-
-val run : Mis_graph.View.t -> d_hat:int -> bit_of:(int -> bool) -> result
-(** Fast engine. Node ids are their indices. [bit_of u] is the bit node
-    [u] would flip were it elected leader; pass a {!Rand_plan} closure.
-    [d_hat] must be at least 1.
-    Exactly reproduces the round-by-round distributed semantics: the
-    common case (single leader covering the component within [d_hat])
-    is computed directly, any other component falls back to literal
-    synchronous relaxation. *)
+    This module is the subroutine's reference as a message program (Lemma
+    7 is tested on it). FairTree's three runs of it execute as
+    {!Mis_sim.Kernel.fair_tree} sweeps or inside
+    {!Fair_tree_distributed.program}. *)
 
 type message =
   | Max_id of int

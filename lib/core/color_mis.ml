@@ -12,28 +12,13 @@ let ceil_log2 = Mis_util.Ids.ceil_log2
 
 let gamma_default ~n = max 1 (2 * ceil_log2 (max n 2))
 
-let count = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0
-
-(* Finish a stage-1 independent set into an MIS (shared by all variants):
-   defensive violation removal, then Luby on the uncovered remainder. *)
+(* Finish a stage-1 independent set into an MIS (shared by all variants). *)
 let finish view plan blocks i1_raw =
-  let n = View.n view in
-  let i1 = Mis.remove_violations view i1_raw in
-  let rest = Mis.uncovered view i1 in
-  let fallback_nodes = count rest in
-  let final, luby_rounds =
-    if fallback_nodes = 0 then (i1, 0)
-    else begin
-      let g = View.graph view in
-      let base_edges = Array.init (Mis_graph.Graph.m g) (View.usable_edge view) in
-      let v2 = View.restrict ~nodes:rest ~edges:base_edges g in
-      let joined, stats = Luby.run_stats ~stage:Stage.color_mis_luby v2 plan in
-      (Array.init n (fun u -> i1.(u) || joined.(u)), 3 * stats.Luby.phases)
-    end
-  in
-  let rounds = blocks.Construct_block.rounds + 1 + luby_rounds in
-  ( final,
-    { in_block = blocks.Construct_block.in_block; i1; fallback_nodes; rounds } )
+  let c = Luby.complete ~stage:Stage.color_mis_luby view plan i1_raw in
+  ( c.Luby.mis,
+    { in_block = blocks.Construct_block.in_block; i1 = c.Luby.repaired;
+      fallback_nodes = c.Luby.fallback_nodes;
+      rounds = blocks.Construct_block.rounds + 1 + c.Luby.luby_rounds } )
 
 let run_traced ?(p = 0.5) ?gamma view ~coloring ~k plan =
   if k < 1 then invalid_arg "Color_mis.run: k";

@@ -38,25 +38,12 @@ let run_traced ?(p = 0.5) ?gamma view plan =
     Array.init n (fun u ->
         blocks.Construct_block.in_block.(u) && blocks.Construct_block.payload.(u) = 1)
   in
-  (* Defensive repair: a no-op on bipartite graphs (Lemma 14). *)
-  let i1 = Mis.remove_violations view i1_raw in
-  let violations_removed = count i1_raw - count i1 in
-  let rest = Mis.uncovered view i1 in
-  let fallback_nodes = count rest in
-  let final, luby_rounds =
-    if fallback_nodes = 0 then (i1, 0)
-    else begin
-      let g = View.graph view in
-      let base_edges =
-        Array.init (Mis_graph.Graph.m g) (View.usable_edge view) in
-      let v2 = View.restrict ~nodes:rest ~edges:base_edges g in
-      let joined, stats = Luby.run_stats ~stage:Stage.fair_bipart_luby v2 plan in
-      (Array.init n (fun u -> i1.(u) || joined.(u)), 3 * stats.Luby.phases)
-    end
-  in
-  let rounds = blocks.Construct_block.rounds + 1 + luby_rounds in
-  ( final,
-    { in_block = blocks.Construct_block.in_block; i1; violations_removed;
-      fallback_nodes; rounds } )
+  (* The repair is a no-op on bipartite graphs (Lemma 14). *)
+  let c = Luby.complete ~stage:Stage.fair_bipart_luby view plan i1_raw in
+  ( c.Luby.mis,
+    { in_block = blocks.Construct_block.in_block; i1 = c.Luby.repaired;
+      violations_removed = count i1_raw - count c.Luby.repaired;
+      fallback_nodes = c.Luby.fallback_nodes;
+      rounds = blocks.Construct_block.rounds + 1 + c.Luby.luby_rounds } )
 
 let run ?p ?gamma view plan = fst (run_traced ?p ?gamma view plan)

@@ -15,25 +15,27 @@
       default γ).
 
     On a tree this guarantees P(join) >= (1-ε)/4 with ε < 1/n
-    (Theorem 8), i.e. an inequality factor approaching 4. *)
+    (Theorem 8), i.e. an inequality factor approaching 4.
+
+    This module is the centralized entry: it runs the stage pipeline as
+    {!Mis_sim.Kernel} sweeps. {!Fair_tree_distributed} holds the message
+    program, which is the kernel's oracle. *)
 
 type trace = {
-  cut : bool array;  (** Per-edge coin of stage 1 (meaningful for usable edges). *)
-  i1 : bool array;  (** I after stage 1. *)
-  i2 : bool array;  (** I after stage 2. *)
-  i3 : bool array;  (** I after stage 3. *)
   fallback_nodes : int;  (** How many nodes ran the Luby fallback. *)
-  rounds : int;  (** Round cost of the run (stages are fixed-length). *)
+  rounds : int;
+      (** Rounds of the run: [6γ + 5] without fallback, more with it, and
+          0 on an empty view. *)
 }
 
-val gamma_default : n:int -> int
-(** γ = 4·⌈lg n⌉ + 2: large enough that the union-bound argument of
-    Lemma 11 gives ε < 1/n. *)
-
 val run : ?gamma:int -> Mis_graph.View.t -> Rand_plan.t -> bool array
-(** Fast engine. The view may be any graph — correctness (a valid MIS) is
-    unconditional; the fairness guarantee holds when the active subgraph is
-    a forest. *)
+(** Compiles the view into a {!Mis_sim.Kernel} and runs
+    {!Fair_tree_distributed.run_kernel_on} on it; [gamma] defaults to
+    {!Fair_tree_distributed.gamma_default}. The view may be any graph —
+    correctness (a valid MIS) is unconditional; the fairness guarantee
+    holds when the active subgraph is a forest.
+
+    @raise Invalid_argument when [gamma < 1]. *)
 
 val run_traced :
   ?gamma:int -> Mis_graph.View.t -> Rand_plan.t -> bool array * trace

@@ -299,8 +299,10 @@ let message_bits ~n m =
   | Value _ -> 62
   | In_mis | Withdraw -> 1
 
+let gamma_default ~n = (4 * ceil_log2 (max n 2)) + 2
+
 let gamma_for ~n gamma =
-  match gamma with Some v -> v | None -> Fair_tree.gamma_default ~n
+  match gamma with Some v -> v | None -> gamma_default ~n
 
 let max_rounds_for ~n ~gamma =
   (6 * gamma) + 6 + (64 * (ceil_log2 (max n 2) + 2))

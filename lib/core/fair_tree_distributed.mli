@@ -16,9 +16,14 @@
     - stage 4: covered nodes terminate; the rest run Luby's algorithm
       (3 rounds per phase) until termination.
 
-    With identity ids, the program flips exactly the same coins as
-    {!Fair_tree.run}, so both produce identical MIS outputs for any seed —
-    asserted by the test suite. *)
+    The program is the oracle of the kernel sweeps below: on a perfect
+    network both produce identical outputs, decision rounds and round
+    counts for any seed — asserted by the test suite. {!Fair_tree.run}
+    is the kernel path over a view. *)
+
+val gamma_default : n:int -> int
+(** γ = 4·⌈lg n⌉ + 2: large enough that the union-bound argument of
+    Lemma 11 gives ε < 1/n. *)
 
 type state
 

@@ -9,58 +9,6 @@ let default_stage = Rand_plan.Stage.luby_main
    minimum among itself and its live neighbors. *)
 let beats (v1, id1) (v2, id2) = v1 < v2 || (v1 = v2 && id1 < id2)
 
-let run_stats ?(stage = default_stage) view plan =
-  let n = View.n view in
-  let in_mis = Array.make n false in
-  let alive = Array.make n false in
-  View.iter_active view (fun u -> alive.(u) <- true);
-  (* In-place frontier: [cur.(0 .. len-1)] holds the live nodes in
-     stable order, compacted after each phase; [winners] is a scratch
-     buffer so the winner set is computed against the pre-marking
-     [alive] snapshot. No per-phase list round-trips. *)
-  let cur = View.active_nodes view in
-  let len = ref (Array.length cur) in
-  let winners = Array.make (max 1 !len) 0 in
-  let value = Array.make n 0 in
-  let phase = ref 0 in
-  while !len > 0 do
-    for i = 0 to !len - 1 do
-      let u = cur.(i) in
-      value.(u) <- Rand_plan.node_value plan ~stage ~round:!phase ~node:u
-    done;
-    let wlen = ref 0 in
-    for i = 0 to !len - 1 do
-      let u = cur.(i) in
-      let mine = (value.(u), u) in
-      let beaten = ref false in
-      View.iter_adj view u (fun w ->
-          if alive.(w) && not (beats mine (value.(w), w)) then beaten := true);
-      if not !beaten then begin
-        winners.(!wlen) <- u;
-        incr wlen
-      end
-    done;
-    for i = 0 to !wlen - 1 do
-      let u = winners.(i) in
-      in_mis.(u) <- true;
-      alive.(u) <- false;
-      View.iter_adj view u (fun w -> alive.(w) <- false)
-    done;
-    let w = ref 0 in
-    for i = 0 to !len - 1 do
-      let u = cur.(i) in
-      if alive.(u) then begin
-        cur.(!w) <- u;
-        incr w
-      end
-    done;
-    len := !w;
-    incr phase
-  done;
-  (in_mis, { phases = !phase })
-
-let run ?stage view plan = fst (run_stats ?stage view plan)
-
 type message =
   | Value of int
   | In_mis
@@ -129,11 +77,50 @@ let run_distributed_on ?(stage = default_stage) ?tracer engine plan =
     ~rng_of:(fun u -> Rand_plan.node_stream plan ~stage ~node:u)
     engine prog
 
-let run_kernel_on ?(stage = default_stage) kernel plan =
-  Mis_sim.Kernel.luby
+let kernel_luby ?max_rounds ~stage kernel plan =
+  Mis_sim.Kernel.luby ?max_rounds
     ~value_of:(fun ~round ~id ->
       Rand_plan.node_value plan ~stage ~round ~node:id)
     kernel
 
+let run_kernel_on ?(stage = default_stage) kernel plan =
+  kernel_luby ~stage kernel plan
+
 let run_kernel ?stage view plan =
   run_kernel_on ?stage (Mis_sim.Kernel.create view) plan
+
+(* No round cutoff: a centralized caller wants the MIS, however many
+   phases it takes. A phase spans 3 rounds and the run ends in its
+   second or third, so [(rounds + 2) / 3] counts the phases. *)
+let run_stats ?(stage = default_stage) view plan =
+  let o =
+    kernel_luby ~max_rounds:max_int ~stage (Mis_sim.Kernel.create view) plan
+  in
+  (o.Mis_sim.Kernel.output, { phases = (o.Mis_sim.Kernel.rounds + 2) / 3 })
+
+let run ?stage view plan = fst (run_stats ?stage view plan)
+
+type completion = {
+  mis : bool array;
+  repaired : bool array;
+  fallback_nodes : int;
+  luby_rounds : int;
+}
+
+let count = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0
+
+let complete ~stage view plan raw =
+  let repaired = Mis.remove_violations view raw in
+  let rest = Mis.uncovered view repaired in
+  let fallback_nodes = count rest in
+  if fallback_nodes = 0 then
+    { mis = repaired; repaired; fallback_nodes; luby_rounds = 0 }
+  else begin
+    let g = View.graph view in
+    let edges = Array.init (Mis_graph.Graph.m g) (View.usable_edge view) in
+    let joined, stats =
+      run_stats ~stage (View.restrict ~nodes:rest ~edges g) plan
+    in
+    { mis = Array.map2 ( || ) repaired joined; repaired; fallback_nodes;
+      luby_rounds = 3 * stats.phases }
+  end

@@ -10,11 +10,27 @@
 type stats = { phases : int }
 
 val run : ?stage:int -> Mis_graph.View.t -> Rand_plan.t -> bool array
-(** Fast array engine over the active subgraph. [stage] defaults to
-    [Rand_plan.Stage.luby_main]; composite algorithms pass their own stage
-    tag so the fallback coins are independent of earlier stages. *)
+(** The MIS over the active subgraph: compiles the view into a
+    {!Mis_sim.Kernel} and runs {!run_kernel_on} on it, with no round
+    cutoff. [stage] defaults to [Rand_plan.Stage.luby_main]; composite
+    algorithms pass their own stage tag so the fallback coins are
+    independent of earlier stages. *)
 
 val run_stats : ?stage:int -> Mis_graph.View.t -> Rand_plan.t -> bool array * stats
+(** {!run} plus its phase count (3 rounds per phase). *)
+
+type completion = {
+  mis : bool array;  (** The maximal independent set. *)
+  repaired : bool array;  (** The input set after violation removal. *)
+  fallback_nodes : int;  (** Nodes left uncovered by [repaired]. *)
+  luby_rounds : int;  (** [3 * phases] of the fallback run; 0 if none. *)
+}
+
+val complete :
+  stage:int -> Mis_graph.View.t -> Rand_plan.t -> bool array -> completion
+(** The last stage of FairBipart and ColorMIS: drop both endpoints of
+    every independence violation in the set, then run {!run_stats} with
+    the given [stage] tag on the nodes it leaves uncovered. *)
 
 (** Messages of the distributed program (3 rounds per phase). *)
 type message =
@@ -25,9 +41,10 @@ type message =
 type state
 
 val program : Rand_plan.t -> stage:int -> (state, message) Mis_sim.Program.t
-(** Faithful message-passing implementation. With default ids (the node
-    index) it flips exactly the same coins as {!run}, so both engines
-    return identical sets — asserted in the test suite. *)
+(** Faithful message-passing implementation: the oracle of the kernel
+    sweeps. With default ids (the node index) the kernel flips exactly the
+    same coins, so both return identical sets — asserted in the test
+    suite. *)
 
 val run_distributed :
   ?stage:int ->

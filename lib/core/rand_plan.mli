@@ -3,9 +3,9 @@
 
     This gives three properties the whole repository relies on:
     - runs are reproducible from a single integer seed;
-    - the fast array engine and the distributed simulator engine of the
-      same algorithm flip {e identical} coins, so their outputs can be
-      compared for exact equality in tests;
+    - the fast engine (kernel sweeps or array loops) and the message
+      program of the same algorithm flip {e identical} coins, so their
+      outputs can be compared for exact equality in tests;
     - stages of a composite algorithm (e.g. FairTree's four stages) use
       independent randomness, as the paper's analysis assumes.
 

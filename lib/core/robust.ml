@@ -106,7 +106,7 @@ let run_fair_tree ?repeats ?timeout ?faults ?tracer ?gamma view plan =
   let n = Mis_graph.View.n view in
   let repeats = match repeats with Some r -> r | None -> 3 in
   let gamma =
-    match gamma with Some g -> g | None -> Fair_tree.gamma_default ~n
+    match gamma with Some g -> g | None -> Fair_tree_distributed.gamma_default ~n
   in
   let timeout =
     match timeout with Some t -> t | None -> fair_tree_rounds_budget ~n ~gamma

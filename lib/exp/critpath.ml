@@ -43,10 +43,10 @@ let merge a b =
   a
 
 let measure_cell cfg ~alg ~n =
-  let runner =
+  let traced =
     match Runners.find_traced alg with
-    | Some r -> r
-    | None -> invalid_arg ("Critpath.measure_cell: unknown algorithm " ^ alg)
+    | Ok (_, traced) -> traced
+    | Error _ -> invalid_arg ("Critpath.measure_cell: unknown algorithm " ^ alg)
   in
   let view =
     View.full
@@ -57,7 +57,7 @@ let measure_cell cfg ~alg ~n =
     ~init:zero ~merge
     ~trial:(fun acc ~seed ->
       let sink, events = Trace.memory ~capacity:ring_capacity () in
-      ignore (runner.Runners.t_run view ~seed ~tracer:sink);
+      ignore (traced view ~seed ~tracer:sink);
       match Causal.analyze (events ()) with
       | Error errs ->
         failwith

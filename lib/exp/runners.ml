@@ -1,9 +1,15 @@
 module View = Mis_graph.View
 module Rand_plan = Fairmis.Rand_plan
 
+type traced_run =
+  Mis_graph.View.t -> seed:int -> tracer:Mis_obs.Trace.sink ->
+  Mis_sim.Runtime.outcome
+
 type t = {
+  key : string;
   name : string;
   run : Mis_graph.View.t -> seed:int -> bool array;
+  traced : traced_run option;
 }
 
 (* Luby and FairTree compile the view into one kernel when [run view] is
@@ -13,88 +19,116 @@ let on_kernel exec view =
   let kernel = Mis_sim.Kernel.create view in
   fun ~seed -> (exec kernel (Rand_plan.make seed)).Mis_sim.Kernel.output
 
-let luby =
-  { name = "Luby's";
-    run = on_kernel Fairmis.Luby.run_kernel_on }
+let greedy_coloring view plan =
+  let c = Fairmis.Distributed_coloring.randomized_greedy view plan in
+  (c.Fairmis.Distributed_coloring.colors, c.Fairmis.Distributed_coloring.palette)
 
-let fair_tree =
-  { name = "FairTree";
-    run = on_kernel Fairmis.Fair_tree_distributed.run_kernel_on }
+let luby =
+  { key = "luby"; name = "Luby's";
+    run = on_kernel Fairmis.Luby.run_kernel_on;
+    traced =
+      Some
+        (fun view ~seed ~tracer ->
+          Fairmis.Luby.run_distributed ~tracer view (Rand_plan.make seed)) }
 
 let luby_degree =
-  { name = "Luby-A(degree)";
+  { key = "luby-degree"; name = "Luby-A(degree)";
     run =
-      (fun view ~seed -> Fairmis.Luby_degree.run view (Rand_plan.make seed)) }
+      (fun view ~seed -> Fairmis.Luby_degree.run view (Rand_plan.make seed));
+    traced =
+      Some
+        (fun view ~seed ~tracer ->
+          Fairmis.Luby_degree.run_distributed ~tracer view
+            (Rand_plan.make seed)) }
+
+let fair_tree =
+  { key = "fairtree"; name = "FairTree";
+    run = on_kernel Fairmis.Fair_tree_distributed.run_kernel_on;
+    traced =
+      Some
+        (fun view ~seed ~tracer ->
+          Fairmis.Fair_tree_distributed.run ~tracer view (Rand_plan.make seed)) }
 
 let fair_bipart =
-  { name = "FairBipart";
-    run = (fun view ~seed -> Fairmis.Fair_bipart.run view (Rand_plan.make seed)) }
-
-let greedy_permutation =
-  { name = "RandPermGreedy";
-    run =
-      (fun view ~seed ->
-        Fairmis.Centralized.greedy_random_permutation view
-          (Mis_util.Splitmix.of_seed seed)) }
-
-let color_mis_planar =
-  { name = "ColorMIS(planar)";
-    run =
-      (fun view ~seed ->
-        fst (Fairmis.Color_mis.run_planar view (Rand_plan.make seed))) }
+  { key = "fairbipart"; name = "FairBipart";
+    run = (fun view ~seed -> Fairmis.Fair_bipart.run view (Rand_plan.make seed));
+    traced =
+      Some
+        (fun view ~seed ~tracer ->
+          Fairmis.Fair_bipart_distributed.run ~tracer view
+            (Rand_plan.make seed)) }
 
 let color_mis_greedy =
-  { name = "ColorMIS(greedy)";
+  { key = "colormis"; name = "ColorMIS(greedy)";
     run =
       (fun view ~seed ->
         let plan = Rand_plan.make seed in
-        let coloring = Fairmis.Distributed_coloring.randomized_greedy view plan in
-        Fairmis.Color_mis.run view
-          ~coloring:coloring.Fairmis.Distributed_coloring.colors
-          ~k:coloring.Fairmis.Distributed_coloring.palette plan) }
-
-type traced = {
-  t_name : string;
-  t_display : string;
-  t_run :
-    Mis_graph.View.t ->
-    seed:int ->
-    tracer:Mis_obs.Trace.sink ->
-    Mis_sim.Runtime.outcome;
-}
-
-let traced =
-  [ { t_name = "luby"; t_display = "Luby's";
-      t_run =
-        (fun view ~seed ~tracer ->
-          Fairmis.Luby.run_distributed ~tracer view (Rand_plan.make seed)) };
-    { t_name = "luby-degree"; t_display = "Luby-A(degree)";
-      t_run =
-        (fun view ~seed ~tracer ->
-          Fairmis.Luby_degree.run_distributed ~tracer view
-            (Rand_plan.make seed)) };
-    { t_name = "fairtree"; t_display = "FairTree";
-      t_run =
-        (fun view ~seed ~tracer ->
-          Fairmis.Fair_tree_distributed.run ~tracer view (Rand_plan.make seed)) };
-    { t_name = "fairbipart"; t_display = "FairBipart";
-      t_run =
-        (fun view ~seed ~tracer ->
-          Fairmis.Fair_bipart_distributed.run ~tracer view
-            (Rand_plan.make seed)) };
-    { t_name = "colormis"; t_display = "ColorMIS(greedy)";
-      t_run =
+        let coloring, k = greedy_coloring view plan in
+        Fairmis.Color_mis.run view ~coloring ~k plan);
+    traced =
+      Some
         (fun view ~seed ~tracer ->
           let plan = Rand_plan.make seed in
-          let coloring =
-            Fairmis.Distributed_coloring.randomized_greedy view plan
-          in
-          Fairmis.Color_mis_distributed.run ~tracer view
-            ~coloring:coloring.Fairmis.Distributed_coloring.colors
-            ~k:coloring.Fairmis.Distributed_coloring.palette plan) } ]
+          let coloring, k = greedy_coloring view plan in
+          Fairmis.Color_mis_distributed.run ~tracer view ~coloring ~k plan) }
 
-let find_traced name =
-  List.find_opt (fun t -> t.t_name = name) traced
+let color_mis_planar =
+  { key = "colormis-planar"; name = "ColorMIS(planar)";
+    run =
+      (fun view ~seed ->
+        fst (Fairmis.Color_mis.run_planar view (Rand_plan.make seed)));
+    traced = None }
+
+let color_mis_adaptive =
+  { key = "colormis-adaptive"; name = "ColorMIS(adaptive)";
+    run =
+      (fun view ~seed ->
+        let plan = Rand_plan.make seed in
+        let coloring, _ = greedy_coloring view plan in
+        fst (Fairmis.Color_mis.run_adaptive view ~coloring plan));
+    traced = None }
+
+let greedy_permutation =
+  { key = "greedy"; name = "RandPermGreedy";
+    run =
+      (fun view ~seed ->
+        Fairmis.Centralized.greedy_random_permutation view
+          (Mis_util.Splitmix.of_seed seed));
+    traced = None }
+
+let fair_rooted =
+  { key = "fairrooted"; name = "FairRooted";
+    run =
+      (fun view ~seed ->
+        if not (Mis_graph.Traverse.is_tree view) then
+          failwith "fairrooted requires a tree topology";
+        let t = Mis_graph.Rooted.of_tree (View.graph view) ~root:0 in
+        Fairmis.Fair_rooted.run t (Rand_plan.make seed));
+    traced = None }
+
+let all =
+  [ luby; luby_degree; fair_tree; fair_bipart; color_mis_greedy;
+    color_mis_planar; color_mis_adaptive; greedy_permutation; fair_rooted ]
+
+let keys l = String.concat ", " (List.map (fun r -> r.key) l)
+
+let find key =
+  match List.find_opt (fun r -> r.key = key) all with
+  | Some r -> Ok r
+  | None -> Error (Printf.sprintf "unknown algorithm %S (known: %s)" key (keys all))
+
+let traceable = List.filter (fun r -> r.traced <> None) all
+
+let find_traced key =
+  let traced_of r =
+    match r.traced with Some tr when r.key = key -> Some (r, tr) | _ -> None
+  in
+  match List.find_map traced_of all with
+  | Some found -> Ok found
+  | None ->
+    Error
+      (Printf.sprintf "algorithm %S is not traceable (traceable: %s)" key
+         (keys traceable))
 
 (* Profiling (FAIRMIS_PROF=1): one span per measured runner; validation
    gets its own child span (recorded on the worker domain that runs it).

@@ -1,8 +1,16 @@
 (** Uniform "run once with a seed" adapters over the algorithms, plus the
     shared measure-and-validate step used by every experiment. *)
 
+type traced_run =
+  Mis_graph.View.t -> seed:int -> tracer:Mis_obs.Trace.sink ->
+  Mis_sim.Runtime.outcome
+(** A simulator-backed run that accepts a {!Mis_obs.Trace.sink} and
+    returns the full {!Mis_sim.Runtime.outcome} (a plain [run] only
+    returns the membership mask). *)
+
 type t = {
-  name : string;
+  key : string;  (** CLI key ([fairmis_cli run <key>]). *)
+  name : string;  (** Display name in reports. *)
   run : Mis_graph.View.t -> seed:int -> bool array;
       (** Apply [run view] once per view and call the result per seed.
           The partial application does any per-view setup (for {!luby}
@@ -10,15 +18,16 @@ type t = {
           returned per-seed closure may be called from any domain,
           concurrently. [run view ~seed] in one go is correct but repeats
           the setup on every call. *)
+  traced : traced_run option;
+      (** The algorithm's message program, used by [fairmis_cli trace] and
+          [critpath]; under the same seed its MIS equals [run]'s. *)
 }
 
 val luby : t
-(** Luby's algorithm on a compiled {!Mis_sim.Kernel}: the same MIS as
-    {!Fairmis.Luby.run} under the same seed. *)
+(** Luby's algorithm on a compiled {!Mis_sim.Kernel} ({!Fairmis.Luby}). *)
 
 val fair_tree : t
-(** FairTree on a compiled {!Mis_sim.Kernel}: the same MIS as
-    {!Fairmis.Fair_tree.run} under the same seed. *)
+(** FairTree on a compiled {!Mis_sim.Kernel} ({!Fairmis.Fair_tree}). *)
 
 val luby_degree : t
 (** Luby's original degree-probability marking variant
@@ -32,28 +41,22 @@ val color_mis_greedy : t
     graph (the coloring is recomputed each run, as a distributed execution
     would). *)
 
-(** {1 Traced runners}
+val all : t list
+(** Every algorithm, in the CLI's listing order: [luby], [luby-degree],
+    [fairtree], [fairbipart], [colormis], [colormis-planar],
+    [colormis-adaptive] (ColorMIS choosing among the colors present in
+    each block), [greedy] and [fairrooted] (trees only, rooted at node
+    0). The first five are traceable. *)
 
-    Adapters over the simulator-backed implementations that accept a
-    {!Mis_obs.Trace.sink} and return the full {!Mis_sim.Runtime.outcome}
-    (the plain {!t} runners only return the membership mask). Used by the
-    [fairmis_cli trace] subcommand. *)
+val traceable : t list
+(** The entries of {!all} that have a message program, in the same order. *)
 
-type traced = {
-  t_name : string;  (** CLI key, matching the [run] subcommand's names. *)
-  t_display : string;
-  t_run :
-    Mis_graph.View.t ->
-    seed:int ->
-    tracer:Mis_obs.Trace.sink ->
-    Mis_sim.Runtime.outcome;
-}
+val find : string -> (t, string) result
+(** The algorithm with this key, or an error naming the known keys. *)
 
-val traced : traced list
-(** [luby], [luby-degree], [fairtree], [fairbipart] and [colormis] (over
-    the randomized greedy coloring). *)
-
-val find_traced : string -> traced option
+val find_traced : string -> (t * traced_run, string) result
+(** The algorithm with this key and its message program, or an error
+    naming the traceable keys. *)
 
 val measure :
   Config.t -> Mis_graph.View.t -> t -> Mis_stats.Empirical.t

@@ -351,6 +351,38 @@ let prop_color_mis_distributed_matches_fast =
       Array.for_all (fun b -> b) outcome.Mis_sim.Runtime.decided
       && fast = outcome.Mis_sim.Runtime.output)
 
+(* MD5 over 50 seeds of each run's output bits, [rounds] and
+   [fallback_nodes], recorded while the Luby fallback still ran as a
+   centralized array loop. The fallback fires on every one of these runs,
+   so the pins hold the kernel-backed [Luby.complete] to the same sets,
+   phases and counts. *)
+let digest_runs run =
+  let b = Buffer.create 4096 in
+  for seed = 0 to 49 do
+    let mis, rounds, fallback = run (plan seed) in
+    Array.iter (fun x -> Buffer.add_char b (if x then '1' else '0')) mis;
+    Buffer.add_string b (Printf.sprintf ":%d:%d;" rounds fallback)
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_fair_bipart_fallback_pinned () =
+  let v = View.full (Mis_workload.Bipartite.grid ~width:16 ~height:16) in
+  Alcotest.(check string) "16x16 grid, 50 seeds"
+    "334124c4cfeceabcda51121d6b97b773"
+    (digest_runs (fun p ->
+         let mis, tr = Fair_bipart.run_traced v p in
+         (mis, tr.Fair_bipart.rounds, tr.Fair_bipart.fallback_nodes)))
+
+let test_color_mis_fallback_pinned () =
+  let v =
+    View.full (Mis_workload.Planar.triangular_grid ~width:18 ~height:18)
+  in
+  Alcotest.(check string) "18x18 triangular grid, 50 seeds"
+    "1126efd5356d6c9856b580857de28421"
+    (digest_runs (fun p ->
+         let mis, tr = Color_mis.run_planar v p in
+         (mis, tr.Color_mis.rounds, tr.Color_mis.fallback_nodes)))
+
 let test_color_mis_k_validation () =
   let g = Mis_workload.Trees.path 3 in
   Alcotest.(check bool) "k=0 rejected" true
@@ -407,7 +439,9 @@ let suite =
         Alcotest.test_case "gamma default" `Quick test_fair_bipart_gamma_default;
         prop_fair_bipart_distributed_matches_fast;
         prop_fair_bipart_distributed_trees;
-        prop_fair_bipart_distributed_small_gamma ] );
+        prop_fair_bipart_distributed_small_gamma;
+        Alcotest.test_case "fallback pinned across commits" `Quick
+          test_fair_bipart_fallback_pinned ] );
     ( "algo.coloring",
       [ prop_greedy_coloring_proper;
         prop_greedy_coloring_deg_plus_one;
@@ -426,7 +460,9 @@ let suite =
         prop_color_mis_adaptive_valid;
         prop_color_mis_planar_valid;
         prop_color_mis_distributed_matches_fast;
-        Alcotest.test_case "k validation" `Quick test_color_mis_k_validation ] );
+        Alcotest.test_case "k validation" `Quick test_color_mis_k_validation;
+        Alcotest.test_case "fallback pinned across commits" `Quick
+          test_color_mis_fallback_pinned ] );
     ( "algo.centralized",
       [ prop_greedy_permutation_valid;
         prop_fair_bipartite_centralized;

@@ -79,13 +79,13 @@ let check_path_shape name events (t : Causal.t) =
     t.Causal.path
 
 let run_traced alg view ~seed =
-  let runner =
+  let traced =
     match Mis_exp.Runners.find_traced alg with
-    | Some r -> r
-    | None -> Alcotest.failf "no traced runner %s" alg
+    | Ok (_, traced) -> traced
+    | Error e -> Alcotest.fail e
   in
   let sink, events = Trace.memory ~capacity:2_000_000 () in
-  let o = runner.Mis_exp.Runners.t_run view ~seed ~tracer:sink in
+  let o = traced view ~seed ~tracer:sink in
   (o, events ())
 
 (* On a perfect run the critical path has exactly one step per round:

@@ -234,18 +234,44 @@ let prop_fair_tree_valid_on_any_graph =
       let v = View.full g in
       Mis.is_mis v (Fair_tree.run v (plan seed)))
 
+(* The stage sets of one run of the message program, read from its
+   [fairtree.i1], [fairtree.i2] and [fairtree.i4] probes. Only probes
+   reach the ring, so message events cannot push them out of it. *)
+let fair_tree_stage_sets v p =
+  let n = View.n v in
+  let mem, events = Mis_obs.Trace.memory () in
+  let sink =
+    { mem with
+      Mis_obs.Trace.emit =
+        (function
+          | Mis_obs.Trace.Annotate _ as e -> mem.Mis_obs.Trace.emit e
+          | _ -> ()) }
+  in
+  ignore (Fairmis.Fair_tree_distributed.run ~tracer:sink v p);
+  let set key =
+    let a = Array.make n false in
+    List.iter
+      (function
+        | Mis_obs.Trace.Annotate { node; key = k; value; _ } when k = key ->
+          a.(node) <- value = 1
+        | _ -> ())
+      (events ());
+    a
+  in
+  (set "fairtree.i1", set "fairtree.i2", set "fairtree.i4")
+
 let prop_fair_tree_stage_invariants =
   Helpers.qtest ~count:60 "fair_tree: stage containments and independence"
     QCheck.(triple (int_range 1 60) Helpers.arb_seed Helpers.arb_seed)
     (fun (n, gseed, seed) ->
       let g = Helpers.random_tree ~seed:gseed ~n in
       let v = View.full g in
-      let _, tr = Fair_tree.run_traced v (plan seed) in
-      (* I2 is a subset of I1; I3 contains I2; on trees with the default
-         gamma, I2 must be independent. *)
-      Array.for_all2 (fun i2 i1 -> (not i2) || i1) tr.Fair_tree.i2 tr.Fair_tree.i1
-      && Array.for_all2 (fun i2 i3 -> (not i2) || i3) tr.Fair_tree.i2 tr.Fair_tree.i3
-      && Check.is_independent_set v tr.Fair_tree.i2)
+      let i1, i2, i4 = fair_tree_stage_sets v (plan seed) in
+      (* I2 is a subset of I1; on trees with the default gamma I2 is
+         independent, so the stage-4 repair keeps all of it. *)
+      Array.for_all2 (fun i2 i1 -> (not i2) || i1) i2 i1
+      && Array.for_all2 (fun i2 i4 -> (not i2) || i4) i2 i4
+      && Check.is_independent_set v i2)
 
 let prop_fair_tree_conflicts_cross_cut_edges =
   (* The Lemma 11 invariant: on a tree with the default gamma, stage-1
@@ -257,15 +283,13 @@ let prop_fair_tree_conflicts_cross_cut_edges =
     (fun (n, gseed, seed) ->
       let g = Helpers.random_tree ~seed:gseed ~n in
       let v = View.full g in
-      let _, tr = Fair_tree.run_traced v (plan seed) in
-      let ok = ref true in
-      Array.iteri
-        (fun e (a, b) ->
-          if tr.Fair_tree.i1.(a) && tr.Fair_tree.i1.(b)
-             && not tr.Fair_tree.cut.(e)
-          then ok := false)
-        (Graph.edges g);
-      !ok)
+      let p = plan seed in
+      let i1, _, _ = fair_tree_stage_sets v p in
+      Array.for_all
+        (fun (a, b) ->
+          (not (i1.(a) && i1.(b)))
+          || Rand_plan.edge_bit p ~stage:Rand_plan.Stage.fair_tree_cut ~u:a ~v:b)
+        (Graph.edges g))
 
 let prop_fair_tree_no_fallback_on_small_trees =
   Helpers.qtest ~count:60 "fair_tree: Luby fallback never fires on small trees"
@@ -305,7 +329,7 @@ let test_fair_tree_deterministic () =
 
 let test_fair_tree_gamma_default_grows () =
   Alcotest.(check bool) "monotone" true
-    (Fair_tree.gamma_default ~n:10 < Fair_tree.gamma_default ~n:100_000)
+    (Fairmis.Fair_tree_distributed.gamma_default ~n:10 < Fairmis.Fair_tree_distributed.gamma_default ~n:100_000)
 
 let prop_fair_tree_distributed_matches_fast =
   Helpers.qtest ~count:50 "fair_tree: distributed program = fast engine"
@@ -347,7 +371,7 @@ let test_fair_tree_distributed_round_schedule () =
   (* Without a Luby fallback the program ends exactly at round 6g+5. *)
   let g = Helpers.random_tree ~seed:6 ~n:30 in
   let v = View.full g in
-  let gamma = Fair_tree.gamma_default ~n:30 in
+  let gamma = Fairmis.Fair_tree_distributed.gamma_default ~n:30 in
   let _, tr = Fair_tree.run_traced v (plan 2) in
   Alcotest.(check int) "no fallback expected" 0 tr.Fair_tree.fallback_nodes;
   let outcome = Fairmis.Fair_tree_distributed.run v (plan 2) in

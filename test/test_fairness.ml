@@ -23,12 +23,9 @@ let test_cfb_half () =
   let view = View.full g in
   let e =
     Montecarlo.estimate (cfg 4000) view (fun ~seed ->
-        let p = Rand_plan.make seed in
-        let r =
-          Fairmis.Cntrl_fair_bipart.run view ~d_hat:30
-            ~bit_of:(fun u -> Rand_plan.node_bit p ~stage:1 ~node:u)
-        in
-        r.Fairmis.Cntrl_fair_bipart.joined)
+        (Fairmis.Cntrl_fair_bipart.run_distributed view
+           ~plan:(Rand_plan.make seed) ~stage:1 ~d_hat:30)
+          .Mis_sim.Runtime.output)
   in
   Alcotest.(check bool) "min close to 1/2" true (Empirical.min_frequency e > 0.46);
   Alcotest.(check bool) "max close to 1/2" true (Empirical.max_frequency e < 0.54)

@@ -3,11 +3,11 @@
    same per-node decision round (recovered from the traced Decide
    events), same [rounds] total — across topologies, seeds, and reused
    kernels/engines. The kernel-backed [Runners.luby] / [Runners.fair_tree]
-   that every experiment uses must in turn reproduce the centralized
-   [Luby.run] / [Fair_tree.run], at any domain count with one kernel
-   shared by the pool. Also pins the in-place [Luby.run_stats] frontier
-   rewrite against the original list-based implementation, which is the
-   centralized oracle the whole chain hangs off. *)
+   that every experiment uses must return the message program's MIS, at
+   any domain count with one kernel shared by the pool. [Luby.run_stats]
+   (the kernel with no round cutoff, behind [Luby.run] and the FairBipart
+   and ColorMIS fallbacks) is pinned, MIS and phase count, against the
+   original list-based centralized loop. *)
 
 module View = Mis_graph.View
 module Runtime = Mis_sim.Runtime
@@ -63,7 +63,7 @@ let arb_case =
 (* One kernel value serves every seed in sequence: scratch reuse between
    runs is on the line, exactly like engine reuse. The compiled runner
    ([run view] applied once) is one more input: it must return the
-   centralized engine's MIS for every seed. *)
+   engine's MIS for every seed. *)
 let prop_kernel_luby (gk, n, gseed, pseed) =
   let view = view_of gk ~n ~gseed in
   let kernel = Kernel.create view in
@@ -76,7 +76,7 @@ let prop_kernel_luby (gk, n, gseed, pseed) =
       let o = Fairmis.Luby.run_distributed_on ~tracer:sink engine plan in
       let k = Fairmis.Luby.run_kernel_on kernel plan in
       outcome_matches ~name:"kernel-luby" view o (evs ()) k
-      && runner ~seed = Fairmis.Luby.run view plan)
+      && runner ~seed = o.Runtime.output)
     [ pseed; pseed + 1; pseed + 2 ]
 
 let prop_kernel_fair_tree (gk, n, gseed, pseed) =
@@ -91,7 +91,7 @@ let prop_kernel_fair_tree (gk, n, gseed, pseed) =
       let o = Fairmis.Fair_tree_distributed.run_on ~tracer:sink engine plan in
       let k = Fairmis.Fair_tree_distributed.run_kernel_on kernel plan in
       outcome_matches ~name:"kernel-fairtree" view o (evs ()) k
-      && runner ~seed = Fairmis.Fair_tree.run view plan)
+      && runner ~seed = o.Runtime.output)
     [ pseed; pseed + 1 ]
 
 (* A tiny gamma keeps the floods unconverged on larger graphs, forcing
@@ -201,9 +201,9 @@ let test_kernel_footprint () =
   if words > 24. then
     Alcotest.failf "kernel holds %.1f words per node, above 24" words
 
-(* Satellite: the in-place run_stats frontier must match the original
-   list-based implementation exactly. The oracle below is the pre-rewrite
-   code, verbatim. *)
+(* [Luby.run_stats] must match the original list-based centralized loop
+   exactly, MIS and phase count. The oracle below is that code,
+   verbatim. *)
 let run_stats_list_oracle ?(stage = Fairmis.Rand_plan.Stage.luby_main) view
     plan =
   let n = View.n view in
@@ -249,8 +249,8 @@ let prop_run_stats_inplace (gk, n, gseed, pseed) =
   let mis, stats = Fairmis.Luby.run_stats view plan in
   mis = oracle_mis && stats.Fairmis.Luby.phases = oracle_phases
 
-(* run_stats on a masked view: the frontier starts from the active
-   subset, exercising the non-contiguous compaction path. *)
+(* run_stats on a masked view: the kernel compiles only the active
+   subset, as the FairBipart and ColorMIS fallbacks need. *)
 let prop_run_stats_inplace_masked (gk, n, gseed, pseed) =
   let g =
     match gk with
@@ -266,7 +266,8 @@ let prop_run_stats_inplace_masked (gk, n, gseed, pseed) =
   mis = oracle_mis && stats.Fairmis.Luby.phases = oracle_phases
 
 (* One compiled runner shared by the whole trial pool at 1 and 4
-   domains must reproduce the centralized engine's joins exactly. *)
+   domains must reproduce the joins of a fresh kernel per trial
+   ([Luby.run]) exactly. *)
 let test_trials_kernel_domain_invariant () =
   let n = 60 in
   let view = View.full (Helpers.random_tree ~seed:9 ~n) in
@@ -281,38 +282,10 @@ let test_trials_kernel_domain_invariant () =
     joins 1 (fun ~seed -> Fairmis.Luby.run view (Rand_plan.make seed))
   in
   let shared = Mis_exp.Runners.luby.Mis_exp.Runners.run view in
-  Alcotest.check Helpers.int_array "kernel(1) = centralized" reference
+  Alcotest.check Helpers.int_array "shared kernel(1) = fresh kernels" reference
     (joins 1 shared);
-  Alcotest.check Helpers.int_array "kernel(4) = centralized" reference
+  Alcotest.check Helpers.int_array "shared kernel(4) = fresh kernels" reference
     (joins 4 shared)
-
-(* [Runners.measure] (one kernel per view, shared by the pooled domains)
-   gives the same per-node estimates as a plain Monte Carlo estimate over
-   the centralized engines, for both kernel-backed runners. *)
-let test_measure_matches_centralized () =
-  let view = View.full (Helpers.random_tree ~seed:4 ~n:40) in
-  List.iter
-    (fun ((runner : Mis_exp.Runners.t), centralized) ->
-      List.iter
-        (fun domains ->
-          let cfg =
-            { Mis_exp.Config.trials = 32; seed = 3; domains = Some domains;
-              nyc = Mis_exp.Config.Nyc_skip; full = false }
-          in
-          let reference =
-            Mis_stats.Montecarlo.estimate (Mis_exp.Config.montecarlo cfg) view
-              (fun ~seed -> centralized view (Rand_plan.make seed))
-          in
-          let est = Mis_exp.Runners.measure cfg view runner in
-          Alcotest.(check bool)
-            (Printf.sprintf "%s frequencies, %d domains"
-               runner.Mis_exp.Runners.name domains)
-            true
-            (Mis_stats.Empirical.frequencies reference
-            = Mis_stats.Empirical.frequencies est))
-        [ 1; 4 ])
-    [ (Mis_exp.Runners.luby, fun v p -> Fairmis.Luby.run v p);
-      (Mis_exp.Runners.fair_tree, fun v p -> Fairmis.Fair_tree.run v p) ]
 
 (* MD5 of [Runners.measure] join counts (comma-separated, node order),
    200 trials from base seed 1, recorded before the fixed-arity coins,
@@ -362,7 +335,5 @@ let suite =
           arb_case prop_run_stats_inplace_masked;
         Alcotest.test_case "trials kernel joins, domains 1 and 4" `Quick
           test_trials_kernel_domain_invariant;
-        Alcotest.test_case "measure = centralized, domains 1 and 4" `Quick
-          test_measure_matches_centralized;
         Alcotest.test_case "join counts pinned across commits" `Quick
           test_join_counts_pinned ] ) ]
