@@ -24,6 +24,10 @@ let or_die = function
     Printf.eprintf "error: %s\n" e;
     exit 2
 
+(* A topology the algorithm does not handle is a usage error, not a crash. *)
+let supported f =
+  try f () with Mis_exp.Runners.Unsupported e -> or_die (Error e)
+
 (* Validating cmdliner converters: a zero/negative trial count or domain
    count used to parse fine and then die deep inside the trial engine as
    an Invalid_argument; validating at parse time turns that into a clean
@@ -161,7 +165,7 @@ let run_cmd =
     let g = or_die (graph_of_spec spec) in
     let view = View.full g in
     let runner = or_die (Mis_exp.Runners.find alg) in
-    let mis = runner.Mis_exp.Runners.run view ~seed in
+    let mis = supported (fun () -> runner.Mis_exp.Runners.run view ~seed) in
     Fairmis.Mis.verify ~name:alg view mis;
     let size = Array.fold_left (fun a b -> if b then a + 1 else a) 0 mis in
     Printf.printf "%s on %s (seed %d): MIS size %d / %d nodes — valid\n"
@@ -206,7 +210,7 @@ let measure_cmd =
       { Mis_exp.Config.trials; seed; domains;
         nyc = Mis_exp.Config.Nyc_skip; full = false }
     in
-    let e = Mis_exp.Runners.measure cfg view runner in
+    let e = supported (fun () -> Mis_exp.Runners.measure cfg view runner) in
     let s = Empirical.summarize e in
     Printf.printf
       "%s on %s: trials=%d  inequality factor=%s  min P=%.4f  max P=%.4f  mean P=%.4f\n"

@@ -96,14 +96,16 @@ let greedy_permutation =
           (Mis_util.Splitmix.of_seed seed));
     traced = None }
 
+exception Unsupported of string
+
 let fair_rooted =
   { key = "fairrooted"; name = "FairRooted";
     run =
-      (fun view ~seed ->
+      (fun view ->
         if not (Mis_graph.Traverse.is_tree view) then
-          failwith "fairrooted requires a tree topology";
+          raise (Unsupported "fairrooted requires a tree topology");
         let t = Mis_graph.Rooted.of_tree (View.graph view) ~root:0 in
-        Fairmis.Fair_rooted.run t (Rand_plan.make seed));
+        fun ~seed -> Fairmis.Fair_rooted.run t (Rand_plan.make seed));
     traced = None }
 
 let all =

@@ -41,6 +41,11 @@ val color_mis_greedy : t
     graph (the coloring is recomputed each run, as a distributed execution
     would). *)
 
+exception Unsupported of string
+(** Raised by [run view] when the algorithm does not handle the view's
+    topology, with a message for the user: [fairrooted] on a graph that
+    is not a tree. *)
+
 val all : t list
 (** Every algorithm, in the CLI's listing order: [luby], [luby-degree],
     [fairtree], [fairbipart], [colormis], [colormis-planar],

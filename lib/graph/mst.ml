@@ -1,21 +1,23 @@
-let kruskal ~n weighted_edges =
-  Array.sort
-    (fun (w1, _, _) (w2, _, _) -> Float.compare w1 w2)
-    weighted_edges;
-  let dsu = Mis_util.Dsu.create n in
-  let acc = ref [] in
-  Array.iter
-    (fun (_, u, v) -> if Mis_util.Dsu.union dsu u v then acc := (u, v) :: !acc)
-    weighted_edges;
-  List.rev !acc
-
-let prim ~n weighted_edges =
-  let adjacency = Array.make n [] in
-  Array.iter
-    (fun (w, u, v) ->
-      adjacency.(u) <- (w, v) :: adjacency.(u);
-      adjacency.(v) <- (w, u) :: adjacency.(v))
-    weighted_edges;
+let prim ~n (e : Geometry.edges) =
+  let m = Array.length e.w in
+  (* CSR in edge order: node [x]'s slots [off.(x) .. off.(x + 1) - 1]
+     hold the ids of its edges in array order (a self-loop twice). *)
+  let off = Array.make (n + 1) 0 in
+  for k = 0 to m - 1 do
+    off.(e.u.(k) + 1) <- off.(e.u.(k) + 1) + 1;
+    off.(e.v.(k) + 1) <- off.(e.v.(k) + 1) + 1
+  done;
+  for x = 1 to n do
+    off.(x) <- off.(x) + off.(x - 1)
+  done;
+  let slot = Array.make (2 * m) 0 and fill = Array.sub off 0 n in
+  for k = 0 to m - 1 do
+    let a = e.u.(k) and b = e.v.(k) in
+    slot.(fill.(a)) <- k;
+    fill.(a) <- fill.(a) + 1;
+    slot.(fill.(b)) <- k;
+    fill.(b) <- fill.(b) + 1
+  done;
   (* FIFO among equal weights: bias each pushed edge by an epsilon
      proportional to its push sequence number. The bias (< 1e-4 overall)
      only disambiguates ties for any real-world coordinate scale. *)
@@ -25,36 +27,29 @@ let prim ~n weighted_edges =
     incr seq;
     Mis_util.Heap.push heap ~priority:(w +. (1e-12 *. float_of_int !seq)) ((u * n) + v)
   in
+  let other x k = if e.u.(k) = x then e.v.(k) else e.u.(k) in
   let visited = Array.make n false in
   let edges = ref [] in
   for start = 0 to n - 1 do
     if not visited.(start) then begin
       visited.(start) <- true;
-      List.iter (fun (w, v) -> push w start v) (List.rev adjacency.(start));
-      let continue = ref true in
-      while !continue do
-        if Mis_util.Heap.is_empty heap then continue := false
-        else begin
-          let _, code = Mis_util.Heap.pop_min heap in
-          let u = code / n and v = code mod n in
-          if not visited.(v) then begin
-            visited.(v) <- true;
-            edges := (u, v) :: !edges;
-            List.iter (fun (w, t) -> if not visited.(t) then push w v t)
-              (List.rev adjacency.(v))
-          end
+      for s = off.(start) to off.(start + 1) - 1 do
+        let k = slot.(s) in
+        push e.w.(k) start (other start k)
+      done;
+      while not (Mis_util.Heap.is_empty heap) do
+        let _, code = Mis_util.Heap.pop_min heap in
+        let u = code / n and v = code mod n in
+        if not visited.(v) then begin
+          visited.(v) <- true;
+          edges := (u, v) :: !edges;
+          for s = off.(v) to off.(v + 1) - 1 do
+            let k = slot.(s) in
+            let t = other v k in
+            if not visited.(t) then push e.w.(k) v t
+          done
         end
       done
     end
   done;
   List.rev !edges
-
-let spanning_forest_weight ~n weighted_edges =
-  let copy = Array.copy weighted_edges in
-  Array.sort (fun (w1, _, _) (w2, _, _) -> Float.compare w1 w2) copy;
-  let dsu = Mis_util.Dsu.create n in
-  let total = ref 0. in
-  Array.iter
-    (fun (w, u, v) -> if Mis_util.Dsu.union dsu u v then total := !total +. w)
-    copy;
-  !total

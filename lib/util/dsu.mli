@@ -1,7 +1,8 @@
 (** Disjoint-set union (union–find) with union by rank and path compression.
 
-    Used for Kruskal's MST, connected-component bookkeeping, and the fast
-    engines of the partition-based MIS algorithms. *)
+    Used for connected-component bookkeeping: sizing threshold-graph
+    components in the real-world radius search and building bipartite
+    workloads. *)
 
 type t
 

@@ -78,11 +78,9 @@ let generate rng p =
   (* Ground-truth connectivity: the unit-disk graph over the AP cloud.
      Every join/flap references these pairs only. *)
   let adj = Array.make p.capacity [] in
-  Array.iter
-    (fun (_, u, v) ->
+  Geometry.iter_threshold points ~radius:p.radius (fun _ u v ->
       adj.(u) <- v :: adj.(u);
-      adj.(v) <- u :: adj.(v))
-    (Geometry.threshold_edges points ~radius:p.radius);
+      adj.(v) <- u :: adj.(v));
   Array.iteri (fun i l -> adj.(i) <- List.sort compare l) adj;
   let up = Array.make p.capacity false in
   let dead = Array.make p.capacity false in

@@ -3,8 +3,8 @@ module Splitmix = Mis_util.Splitmix
 
 let unit_disk points ~radius =
   let n = Array.length points in
-  let weighted = Geometry.threshold_edges points ~radius in
-  Mis_graph.Graph.of_edge_array ~n (Array.map (fun (_, u, v) -> (u, v)) weighted)
+  let e = Geometry.threshold_edges points ~radius in
+  Mis_graph.Graph.of_edge_array ~n (Array.mapi (fun k u -> (u, e.v.(k))) e.u)
 
 type mixed = {
   graph : Mis_graph.Graph.t;

@@ -66,16 +66,17 @@ let prune_to_target rng ~n ~edges ~members ~target =
   in
   Graph.of_edges ~n:target kept
 
-(* Largest component size at [radius], from threshold edges at >= [radius]. *)
-let largest_component ~n edges ~radius =
+(* Largest component of the graph whose edges [iter] passes to its
+   callback, by one DSU pass. *)
+let largest_component ~n iter =
   let dsu = Mis_util.Dsu.create n and largest = ref 1 in
-  Array.iter
-    (fun (d, u, v) ->
-      if d <= radius && Mis_util.Dsu.union dsu u v then
-        largest := max !largest (Mis_util.Dsu.size dsu u))
-    edges;
+  iter (fun u v ->
+      if Mis_util.Dsu.union dsu u v then
+        largest := max !largest (Mis_util.Dsu.size dsu u));
   !largest
 
+(* The scan at [radius] fixes the edge order, and that order fixes Prim's
+   ties: the tree must come from a scan at exactly this radius. *)
 let tree_at rng points ~radius ~target =
   let n = Array.length points in
   let weighted = Mis_graph.Geometry.threshold_edges points ~radius in
@@ -97,19 +98,27 @@ let tree_of_points rng points ~radius ~target =
   (* Grow the radius until the largest component reaches the target, then
      binary-search the smallest sufficient radius so that leaf-pruning to
      the exact size removes as little structure as possible. Each probe is
-     a DSU pass; bisection filters the first passing radius's edges. *)
+     a DSU pass: grow steps run it inside the scan at their radius, and
+     bisection filters one edge array from the first passing radius. *)
   let rec grow radius tries =
     if tries > 60 then failwith "Real_world.tree_of_points: cannot connect";
-    let edges = Mis_graph.Geometry.threshold_edges points ~radius in
-    if largest_component ~n edges ~radius >= target then (radius, edges)
+    let scan add =
+      Mis_graph.Geometry.iter_threshold points ~radius (fun _ u v -> add u v)
+    in
+    if largest_component ~n scan >= target then radius
     else grow (radius *. 1.3) (tries + 1)
   in
-  let hi, edges = grow radius 0 in
+  let hi = grow radius 0 in
+  let e = Mis_graph.Geometry.threshold_edges points ~radius:hi in
   let lo = ref (hi /. 1.3) and hi = ref hi in
   for _ = 1 to 10 do
     let mid = (!lo +. !hi) /. 2. in
-    if largest_component ~n edges ~radius:mid >= target then hi := mid
-    else lo := mid
+    let within add =
+      for k = 0 to Array.length e.w - 1 do
+        if e.w.(k) <= mid then add e.u.(k) e.v.(k)
+      done
+    in
+    if largest_component ~n within >= target then hi := mid else lo := mid
   done;
   tree_at rng points ~radius:!hi ~target
 

@@ -17,8 +17,10 @@ val tree_of_points :
     until the largest component reaches [target] nodes, mirroring the
     paper's choice of "a maximum physical distance" that keeps the network
     connected; 10 bisection probes then find the smallest sufficient
-    radius. Probes are DSU passes (bisection filters the first passing
-    radius's edges), so only the final radius gets an MST ({!tree_at}).
+    radius. Each probe is one DSU pass: grow steps run it inside
+    {!Mis_graph.Geometry.iter_threshold} at their radius, with no edge
+    array, and bisection filters one edge array from the first passing
+    radius. Only the final radius gets an MST ({!tree_at}).
     @raise Failure if 60 growth steps cannot reach [target]. *)
 
 val tree_at :

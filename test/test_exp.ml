@@ -142,6 +142,23 @@ let test_runners_valid () =
       Runners.greedy_permutation; Runners.color_mis_planar;
       Runners.color_mis_greedy ]
 
+(* FairRooted on a non-tree raises [Unsupported] when the view is
+   applied, before any seed; the CLI turns it into a usage error. *)
+let test_fair_rooted_rejects_non_tree () =
+  let fair_rooted = Result.get_ok (Runners.find "fairrooted") in
+  List.iter
+    (fun g ->
+      Alcotest.check_raises "non-tree"
+        (Runners.Unsupported "fairrooted requires a tree topology")
+        (fun () ->
+          let (_ : seed:int -> bool array) = fair_rooted.Runners.run (View.full g) in
+          ()))
+    [ Mis_workload.Planar.triangular_grid ~width:4 ~height:4;
+      Graph.of_edges ~n:3 [ (0, 1); (1, 2); (0, 2) ] ];
+  let tree = Helpers.random_tree ~seed:3 ~n:50 in
+  let mis = fair_rooted.Runners.run (View.full tree) ~seed:1 in
+  Fairmis.Mis.verify ~name:"fairrooted" (View.full tree) mis
+
 (* Registry *)
 
 let test_registry () =
@@ -297,7 +314,9 @@ let suite =
     ( "exp.runners",
       [ Alcotest.test_case "all runners valid" `Quick test_runners_valid;
         Alcotest.test_case "plain runners match traced joins" `Quick
-          test_plain_runners_match_traced ] );
+          test_plain_runners_match_traced;
+        Alcotest.test_case "fairrooted rejects non-trees" `Quick
+          test_fair_rooted_rejects_non_tree ] );
     ( "exp.registry",
       [ Alcotest.test_case "registry" `Quick test_registry;
         Alcotest.test_case "workloads carry paper numbers" `Quick

@@ -182,7 +182,7 @@ let prop_kruskal_matches_prim =
         done
       done;
       let edges = Array.of_list !edges in
-      let kruskal_w = Mst.spanning_forest_weight ~n edges in
+      let kruskal_w = Geometry_oracle.spanning_forest_weight ~n edges in
       let prim_w = brute_force_mst_weight ~n edges in
       abs_float (kruskal_w -. prim_w) < 1e-9)
 
@@ -199,7 +199,7 @@ let prop_kruskal_forest =
         done
       done;
       let all = Array.of_list !edges in
-      let forest = Mst.kruskal ~n (Array.copy all) in
+      let forest = Geometry_oracle.kruskal ~n (Array.copy all) in
       let g = Graph.of_edges ~n forest in
       let orig = Graph.of_edges ~n (List.map (fun (_, u, v) -> (u, v)) (Array.to_list all)) in
       let _, orig_comps = Traverse.components (View.full orig) in
@@ -231,8 +231,8 @@ let prop_prim_matches_kruskal_weight =
             acc +. !w)
           0. forest
       in
-      let prim = Mst.prim ~n edges in
-      let kruskal_w = Mst.spanning_forest_weight ~n (Array.copy edges) in
+      let prim = Mst.prim ~n (Geometry_oracle.to_flat edges) in
+      let kruskal_w = Geometry_oracle.spanning_forest_weight ~n (Array.copy edges) in
       abs_float (weight prim -. kruskal_w) < 1e-6)
 
 let test_prim_colocated_points_form_star () =
@@ -247,7 +247,7 @@ let test_prim_colocated_points_form_star () =
       edges := (0.0, i, j) :: !edges
     done
   done;
-  let forest = Mst.prim ~n:(k + 1) (Array.of_list !edges) in
+  let forest = Mst.prim ~n:(k + 1) (Geometry_oracle.to_flat (Array.of_list !edges)) in
   let g = Graph.of_edges ~n:(k + 1) forest in
   Alcotest.(check bool) "spanning tree" true (Traverse.is_tree (View.full g));
   (* The first co-located point reached hangs off node 0 and becomes the
@@ -274,7 +274,7 @@ let prop_threshold_edges =
         List.sort compare
           (Array.to_list
              (Array.map (fun (d, i, j) -> (i, j, d))
-                (Geometry.threshold_edges points ~radius)))
+                (Geometry_oracle.of_flat (Geometry.threshold_edges points ~radius))))
       in
       let brute radius =
         let acc = ref [] in
@@ -295,6 +295,87 @@ let prop_threshold_edges =
              triples r' = brute r'
              && List.filter (fun (_, _, d) -> d <= r') at_radius = triples r')
            smaller)
+
+(* Order, not only sets: the flat scan and the CSR Prim reproduce the
+   tuple oracles edge for edge, and Prim's ties depend on that order.
+   Clouds are clustered city-like samples; even seeds snap to a 2-unit
+   grid, so co-located points and zero-length edges occur. Radii run
+   log-uniformly from 1e-6 to about twice the 12,000 x 9,000 extent's
+   diagonal. *)
+let arb_cloud = QCheck.(triple Helpers.arb_seed (int_range 0 300) (float_range 0. 1.))
+
+let cloud seed n u =
+  let params =
+    { Mis_workload.Geo.city with
+      Mis_workload.Geo.clusters = 6; sigma = 40.;
+      snap = (if seed mod 2 = 0 then 2. else 0.) }
+  in
+  (Mis_workload.Geo.sample (Splitmix.of_seed seed) params ~n, 1e-6 *. (3e10 ** u))
+
+let scanned points ~radius =
+  let seen = ref [] in
+  Geometry.iter_threshold points ~radius (fun d i j -> seen := (d, i, j) :: !seen);
+  Array.of_list (List.rev !seen)
+
+let prop_threshold_order =
+  Helpers.qtest ~count:100 "threshold scan order = tuple oracle" arb_cloud
+    (fun (seed, n, u) ->
+      let points, radius = cloud seed n u in
+      let oracle = Geometry_oracle.threshold_edges points ~radius in
+      Geometry_oracle.of_flat (Geometry.threshold_edges points ~radius) = oracle
+      && scanned points ~radius = oracle)
+
+let prop_prim_order =
+  Helpers.qtest ~count:100 "CSR prim = list-adjacency oracle" arb_cloud
+    (fun (seed, n, u) ->
+      let points, radius = cloud seed n u in
+      let e = Geometry.threshold_edges points ~radius in
+      Mst.prim ~n e = Geometry_oracle.prim ~n (Geometry_oracle.of_flat e))
+
+(* Any edge order, not only the scan's: endpoints in either order, weights
+   from {0, 1, 2} so most pushes tie, self-loops and parallel edges. *)
+let prop_prim_order_any_edges =
+  Helpers.qtest ~count:100 "CSR prim = oracle on tied edges"
+    QCheck.(pair (int_range 1 40) Helpers.arb_seed)
+    (fun (n, seed) ->
+      let rng = Splitmix.of_seed seed in
+      let edges =
+        Array.init (Splitmix.int rng (3 * n))
+          (fun _ ->
+            let u = Splitmix.int rng n and v = Splitmix.int rng n in
+            (float_of_int (Splitmix.int rng 3), u, v))
+      in
+      Mst.prim ~n (Geometry_oracle.to_flat edges) = Geometry_oracle.prim ~n edges)
+
+(* Cells of side 1e-6 over a 12,000 x 9,000 extent: keys reach 1.2e10 by
+   9e9, more than a packed [x * stride + y] key holds in 63 bits. Pairs
+   are planted at 0, 4e-7 (often across a cell border) and 2e-6 apart. *)
+let test_threshold_tiny_radius_wide_cloud () =
+  let rng = Splitmix.of_seed 7 in
+  let points =
+    Array.concat
+      [ [| { Geometry.x = 0.; y = 0. }; { Geometry.x = 12000.; y = 9000. } |];
+        Array.concat
+          (List.init 100 (fun _ ->
+               let p =
+                 { Geometry.x = Splitmix.float rng *. 12000.;
+                   y = Splitmix.float rng *. 9000. }
+               in
+               [| p; p;
+                  { p with Geometry.x = p.Geometry.x +. 4e-7 };
+                  { p with Geometry.y = p.Geometry.y -. 4e-7 };
+                  { p with Geometry.x = p.Geometry.x +. 2e-6 } |])) ]
+  in
+  let radius = 1e-6 in
+  let oracle = Geometry_oracle.threshold_edges points ~radius in
+  Alcotest.(check int) "planted pairs" 600 (Array.length oracle);
+  Alcotest.(check bool) "edges = oracle" true
+    (Geometry_oracle.of_flat (Geometry.threshold_edges points ~radius) = oracle);
+  Alcotest.(check bool) "scan = oracle" true (scanned points ~radius = oracle);
+  let n = Array.length points in
+  Alcotest.(check bool) "prim = oracle" true
+    (Mst.prim ~n (Geometry.threshold_edges points ~radius)
+     = Geometry_oracle.prim ~n oracle)
 
 let test_bounding_box () =
   let points =
@@ -428,11 +509,13 @@ let suite =
     ("graph.check", [ Alcotest.test_case "oracles" `Quick test_check_oracles ]);
     ( "graph.mst",
       [ prop_kruskal_matches_prim; prop_kruskal_forest;
-        prop_prim_matches_kruskal_weight;
+        prop_prim_matches_kruskal_weight; prop_prim_order; prop_prim_order_any_edges;
         Alcotest.test_case "prim: co-located points form a hub" `Quick
           test_prim_colocated_points_form_star ] );
     ( "graph.geometry",
-      [ prop_threshold_edges;
+      [ prop_threshold_edges; prop_threshold_order;
+        Alcotest.test_case "tiny radius, wide cloud" `Quick
+          test_threshold_tiny_radius_wide_cloud;
         Alcotest.test_case "bounding box" `Quick test_bounding_box ] );
     ( "graph.rooted",
       [ Alcotest.test_case "of_tree" `Quick test_rooted_of_tree;
