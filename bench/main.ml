@@ -317,27 +317,35 @@ let run_xl_bench () =
   in
   print_gates [ run_gate; build_gate ]
 
-(* Dynamic layer: serving one pre-generated churn stream (bootstrap
-   included) with the incremental maintainer vs one whose ladder starts
-   and ends at Full_recompute, so the pair isolates what the
-   dirty-neighbourhood repair buys. *)
+(* Dynamic layer, two pairs over one pre-generated churn stream
+   (bootstrap included). Incremental maintainer ÷ one whose ladder starts
+   and ends at Full_recompute isolates what the dirty-neighbourhood
+   repair buys. Strict serving with the invariant check after every batch
+   ÷ the same serve unchecked prices the check: one pass over
+   Dyn_graph's slots reads Q1 0.97-1.02 on a shared 2-core host;
+   rebuilding a CSR snapshot per batch read 2.9-3.1. *)
 let run_churn_bench () =
-  print_endline "== churn: incremental repair vs full recompute per batch";
+  print_endline "== churn: incremental repair vs full recompute; checked vs unchecked";
   let params = { Mis_workload.Churn.default with Mis_workload.Churn.batches = 60 } in
   let stream = Mis_workload.Churn.generate (Mis_util.Splitmix.of_seed 11) params in
-  let serve ladder =
+  let default = Mis_dyn.Maintain.default_config in
+  let serve config =
     block (fun () ->
-        let config = { Mis_dyn.Maintain.default_config with Mis_dyn.Maintain.ladder; seed = 5 } in
         let m =
-          Mis_dyn.Maintain.create ~config
+          Mis_dyn.Maintain.create ~config:{ config with Mis_dyn.Maintain.seed = 5 }
             ~capacity:params.Mis_workload.Churn.capacity ()
         in
         List.iter (fun b -> ignore (Mis_dyn.Maintain.apply_batch m b)) stream)
   in
+  let strict check_every =
+    { default with Mis_dyn.Maintain.strict = true; check_every }
+  in
   print_gates
     [ paired "churn/repair-batch ÷ churn/repair-batch-full" ~bound:0.5
-        (serve Mis_dyn.Maintain.default_config.Mis_dyn.Maintain.ladder)
-        (serve [ Mis_dyn.Maintain.Full_recompute ]) ]
+        (serve default)
+        (serve { default with Mis_dyn.Maintain.ladder = [ Mis_dyn.Maintain.Full_recompute ] });
+      paired "churn/strict-check-every-1 ÷ churn/strict-check-every-0" ~bound:1.35
+        (serve (strict 1)) (serve (strict 0)) ]
 
 (* Telemetry overhead: the engine hot path with the full serving posture
    up — a metrics registry with the runtime-totals collector, the flight
@@ -408,7 +416,7 @@ let sections =
     ("engine", "compiled-engine reuse vs per-run rebuild", run_engine_bench);
     ("kernel", "data-parallel sweeps vs the message engine", run_kernel_bench);
     ("xl", "n = 1e6 over 1e5 build and run on the compiled engine", run_xl_bench);
-    ("dyn", "incremental repair vs full recompute per batch", run_churn_bench);
+    ("dyn", "incremental repair vs full recompute; checked vs unchecked serve", run_churn_bench);
     ("telemetry", "engine hot path with live telemetry on vs off", run_telemetry_bench);
     ("causal", "replay + critical-path analysis vs replay", run_causal_bench);
     ("workload", "real-world tree search + build vs one MST build", run_workload_bench) ]

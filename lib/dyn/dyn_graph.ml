@@ -1,12 +1,28 @@
 module Graph = Mis_graph.Graph
 module View = Mis_graph.View
+module Check = Mis_graph.Check
 
 type state = Absent | Alive | Crashed
 
+(* Slot-keyed tables: slot numbers are already spread, so they hash to
+   themselves and compare as ints, with no polymorphic primitives. *)
+module Slot_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash u = u
+end)
+
+(* Adjacency is symmetric and kept across crashes. Slot [u]'s neighbours
+   are the first [deg.(u)] entries of [nbrs.(u)], in an order fixed by the
+   history of inserts and swap-removals; [pos.(u)] maps each neighbour to
+   its index there, for O(1) membership and removal. *)
 type t = {
   capacity : int;
   states : state array;
-  adj : (int, unit) Hashtbl.t array;  (* symmetric; kept across crashes *)
+  nbrs : int array array;
+  deg : int array;
+  pos : int Slot_tbl.t array;
   mutable alive_count : int;
   mutable live_edges : int;  (* both endpoints alive *)
 }
@@ -15,7 +31,9 @@ let create ~capacity =
   if capacity < 1 then invalid_arg "Dyn_graph.create: capacity must be >= 1";
   { capacity;
     states = Array.make capacity Absent;
-    adj = Array.init capacity (fun _ -> Hashtbl.create 4);
+    nbrs = Array.make capacity [||];
+    deg = Array.make capacity 0;
+    pos = Array.init capacity (fun _ -> Slot_tbl.create 4);
     alive_count = 0;
     live_edges = 0 }
 
@@ -48,20 +66,43 @@ let join t u =
 let mem_edge t u v =
   check_node t u "mem_edge";
   check_node t v "mem_edge";
-  Hashtbl.mem t.adj.(u) v
+  Slot_tbl.mem t.pos.(u) v
 
-let delete_edge_unchecked t u v =
-  Hashtbl.remove t.adj.(u) v;
-  Hashtbl.remove t.adj.(v) u;
-  if t.states.(u) = Alive && t.states.(v) = Alive then
-    t.live_edges <- t.live_edges - 1
+(* One direction of an edge: append [v] to [u]'s neighbours, or move
+   [u]'s last neighbour into [v]'s place. *)
+let push t u v =
+  let d = t.deg.(u) in
+  if d = Array.length t.nbrs.(u) then begin
+    let grown = Array.make (max 4 (2 * d)) 0 in
+    Array.blit t.nbrs.(u) 0 grown 0 d;
+    t.nbrs.(u) <- grown
+  end;
+  t.nbrs.(u).(d) <- v;
+  t.deg.(u) <- d + 1;
+  Slot_tbl.add t.pos.(u) v d
+
+let drop t u v =
+  let i = Slot_tbl.find t.pos.(u) v in
+  let last = t.deg.(u) - 1 in
+  let w = t.nbrs.(u).(last) in
+  t.nbrs.(u).(i) <- w;
+  if w <> v then Slot_tbl.replace t.pos.(u) w i;
+  Slot_tbl.remove t.pos.(u) v;
+  t.deg.(u) <- last
 
 let leave t u =
   check_node t u "leave";
   match t.states.(u) with
   | Alive ->
-    let neighbors = Hashtbl.fold (fun v () acc -> v :: acc) t.adj.(u) [] in
-    List.iter (fun v -> delete_edge_unchecked t u v) neighbors;
+    for i = 0 to t.deg.(u) - 1 do
+      let v = t.nbrs.(u).(i) in
+      drop t v u;
+      if t.states.(v) = Alive then t.live_edges <- t.live_edges - 1
+    done;
+    (* A reused slot starts small again, not at its largest past degree. *)
+    t.nbrs.(u) <- [||];
+    t.deg.(u) <- 0;
+    Slot_tbl.reset t.pos.(u);
     t.states.(u) <- Absent;
     t.alive_count <- t.alive_count - 1;
     true
@@ -72,9 +113,9 @@ let crash t u =
   match t.states.(u) with
   | Alive ->
     (* Links stay but stop counting as live. *)
-    Hashtbl.iter
-      (fun v () -> if t.states.(v) = Alive then t.live_edges <- t.live_edges - 1)
-      t.adj.(u);
+    for i = 0 to t.deg.(u) - 1 do
+      if t.states.(t.nbrs.(u).(i)) = Alive then t.live_edges <- t.live_edges - 1
+    done;
     t.states.(u) <- Crashed;
     t.alive_count <- t.alive_count - 1;
     true
@@ -84,11 +125,11 @@ let insert_edge t u v =
   check_node t u "insert_edge";
   check_node t v "insert_edge";
   if u = v || t.states.(u) <> Alive || t.states.(v) <> Alive
-     || Hashtbl.mem t.adj.(u) v
+     || Slot_tbl.mem t.pos.(u) v
   then false
   else begin
-    Hashtbl.replace t.adj.(u) v ();
-    Hashtbl.replace t.adj.(v) u ();
+    push t u v;
+    push t v u;
     t.live_edges <- t.live_edges + 1;
     true
   end
@@ -97,16 +138,21 @@ let delete_edge t u v =
   check_node t u "delete_edge";
   check_node t v "delete_edge";
   if u = v || t.states.(u) <> Alive || t.states.(v) <> Alive
-     || not (Hashtbl.mem t.adj.(u) v)
+     || not (Slot_tbl.mem t.pos.(u) v)
   then false
   else begin
-    delete_edge_unchecked t u v;
+    drop t u v;
+    drop t v u;
+    t.live_edges <- t.live_edges - 1;
     true
   end
 
 let iter_adj_alive t u f =
   check_node t u "iter_adj_alive";
-  Hashtbl.iter (fun v () -> if t.states.(v) = Alive then f v) t.adj.(u)
+  for i = 0 to t.deg.(u) - 1 do
+    let v = t.nbrs.(u).(i) in
+    if t.states.(v) = Alive then f v
+  done
 
 let adj_alive_sorted t u =
   let acc = ref [] in
@@ -115,11 +161,6 @@ let adj_alive_sorted t u =
   Array.sort compare a;
   a
 
-let degree_alive t u =
-  let d = ref 0 in
-  iter_adj_alive t u (fun _ -> incr d);
-  !d
-
 let alive_nodes t =
   let acc = ref [] in
   for u = t.capacity - 1 downto 0 do
@@ -127,28 +168,48 @@ let alive_nodes t =
   done;
   Array.of_list !acc
 
-(* Snapshot helpers. Edges are collected normalized (u < v) and sorted so
-   the CSR is a deterministic function of the graph's contents, not of
-   hash-table iteration order. *)
-let edges_where t keep =
+(* Whether an alive neighbour of [u] is in [set]. *)
+let member_neighbor t set u =
+  let a = t.nbrs.(u) and stop = t.deg.(u) in
+  let hit = ref false and i = ref 0 in
+  while (not !hit) && !i < stop do
+    let v = a.(!i) in
+    if set.(v) && t.states.(v) = Alive then hit := true;
+    incr i
+  done;
+  !hit
+
+(* The pass [Check.classify] makes over a CSR, made over the slots: stop
+   at the first alive member with an alive member neighbour; note, but
+   scan past, the first uncovered alive non-member, so that independence
+   is reported ahead of maximality. *)
+let classify t set =
+  if Array.length set <> t.capacity then
+    invalid_arg "Dyn_graph.classify: set length must equal capacity";
+  let dependent = ref false and uncovered = ref false in
+  let u = ref 0 in
+  while (not !dependent) && !u < t.capacity do
+    let x = !u in
+    if t.states.(x) = Alive then begin
+      if set.(x) then dependent := member_neighbor t set x
+      else if not !uncovered then uncovered := not (member_neighbor t set x)
+    end;
+    incr u
+  done;
+  if !dependent then Check.Not_independent
+  else if !uncovered then Check.Not_maximal
+  else Check.Mis
+
+(* The alive subgraph as a CSR. Edges are collected normalized (u < v) and
+   sorted so the CSR is a deterministic function of the graph's contents,
+   not of the adjacency order. *)
+let live_view t =
   let acc = ref [] in
   for u = 0 to t.capacity - 1 do
-    if keep u then
-      Hashtbl.iter (fun v () -> if u < v && keep v then acc := (u, v) :: !acc)
-        t.adj.(u)
+    if t.states.(u) = Alive then
+      iter_adj_alive t u (fun v -> if u < v then acc := (u, v) :: !acc)
   done;
-  let a = Array.of_list !acc in
-  Array.sort compare a;
-  a
-
-let to_view t =
-  let present u = t.states.(u) <> Absent in
-  let g = Graph.of_edge_array ~n:t.capacity (edges_where t present) in
-  let nodes = Array.init t.capacity present in
-  let crashed = Array.map (fun s -> s = Crashed) t.states in
-  (View.restrict ~nodes g, crashed)
-
-let live_view t =
-  let is_alive u = t.states.(u) = Alive in
-  let g = Graph.of_edge_array ~n:t.capacity (edges_where t is_alive) in
-  View.restrict ~nodes:(Array.init t.capacity is_alive) g
+  let edges = Array.of_list !acc in
+  Array.sort compare edges;
+  let g = Graph.of_edge_array ~n:t.capacity edges in
+  View.restrict ~nodes:(Array.init t.capacity (fun u -> t.states.(u) = Alive)) g

@@ -4,11 +4,11 @@
 
     The static {!Mis_graph.Graph.t} is an immutable CSR — right for the
     batch simulator, wrong for a structure mutated by every churn event.
-    This module keeps per-node hash adjacency for O(1) edge updates and
-    exports a {!to_view} snapshot (a real CSR under a node mask) whenever
-    a component needs the static API: the invariant checker
-    ({!Mis_graph.Check.is_surviving_mis} on the live view) and the
-    full-recompute rung of the degradation ladder.
+    This module keeps each slot's neighbours in a flat array with a hash
+    index, for O(1) edge updates and closure-free scans. The invariant
+    checker reads that structure in place ({!classify}); only the
+    full-recompute rung of the degradation ladder, which runs a static
+    program, takes a CSR snapshot ({!live_view}).
 
     Semantics of the three slot states:
     - {b absent}: never joined, or left cleanly; the slot is reusable;
@@ -55,19 +55,25 @@ val mem_edge : t -> int -> int -> bool
 (** {1 Reading} *)
 
 val iter_adj_alive : t -> int -> (int -> unit) -> unit
-(** Alive neighbors of [u], in unspecified order (callers that need
-    determinism sort; see {!adj_alive_sorted}). *)
+(** Alive neighbors of [u], in an order fixed by the graph's history
+    of edge updates (callers that need a canonical order sort; see
+    {!adj_alive_sorted}). *)
 
 val adj_alive_sorted : t -> int -> int array
-val degree_alive : t -> int -> int
 val alive_nodes : t -> int array
 (** Sorted. *)
 
-val to_view : t -> Mis_graph.View.t * bool array
-(** Snapshot: a CSR over all non-absent slots (alive {e and} crashed
-    active in the view, so edges at crashed endpoints are represented)
-    plus the crashed mask — exactly the arguments
-    {!Mis_graph.Check.is_surviving_mis} expects. O(capacity + edges). *)
+val classify : t -> bool array -> Mis_graph.Check.verdict
+(** [classify g set]: whether [set] (indexed by slot) is a maximal
+    independent set of the alive subgraph, with the verdicts and
+    precedence of {!Mis_graph.Check.classify}: [Not_independent] when two
+    alive members are linked (reported even when maximality fails too),
+    else [Not_maximal] when some alive non-member has no alive member
+    neighbour, else [Mis]. Bits on absent and crashed slots are ignored,
+    as {!Mis_graph.Check.is_surviving_mis} ignores crashed nodes. One
+    pass over the slots and their adjacency arrays, O(capacity + edges);
+    allocates nothing.
+    @raise Invalid_argument unless [Array.length set = capacity g]. *)
 
 val live_view : t -> Mis_graph.View.t
 (** Snapshot of the alive subgraph only (crashed and absent masked out):

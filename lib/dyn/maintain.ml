@@ -64,6 +64,9 @@ type t = {
   g : Dyn_graph.t;
   mem : bool array;  (* current membership; false on dead slots *)
   mutable batches : int;
+  event_counters : Metrics.counter option array;
+      (* dyn.events.<kind>, by constructor, resolved on the kind's first
+         event so the metrics list only the kinds seen *)
 }
 
 exception Invariant_violation of string
@@ -88,7 +91,8 @@ let create ?(config = default_config) ~capacity () =
   { cfg = config;
     g = Dyn_graph.create ~capacity;
     mem = Array.make capacity false;
-    batches = 0 }
+    batches = 0;
+    event_counters = Array.make 5 None }
 
 let config t = t.cfg
 let graph t = t.g
@@ -129,6 +133,25 @@ let mgauge t name v =
   match t.cfg.metrics with
   | None -> ()
   | Some reg -> Metrics.set (Metrics.gauge reg name) v
+
+let count_event t ev =
+  match t.cfg.metrics with
+  | None -> ()
+  | Some reg ->
+    let k =
+      match ev with
+      | Event.Node_join _ -> 0
+      | Event.Node_leave _ -> 1
+      | Event.Edge_insert _ -> 2
+      | Event.Edge_delete _ -> 3
+      | Event.Node_crash _ -> 4
+    in
+    (match t.event_counters.(k) with
+    | Some c -> Metrics.incr c
+    | None ->
+      let c = Metrics.counter reg ("dyn.events." ^ Event.kind ev) in
+      t.event_counters.(k) <- Some c;
+      Metrics.incr c)
 
 (* --- event application -------------------------------------------------- *)
 
@@ -379,18 +402,16 @@ let emit_decisions t ~batch changes =
     sink.Trace.flush ()
   end
 
-let checker t =
-  let view, crashed = Dyn_graph.to_view t.g in
-  if Check.is_surviving_mis view ~crashed t.mem then Ok ()
-  else
+let check t =
+  match Dyn_graph.classify t.g t.mem with
+  | Check.Mis -> Ok ()
+  | Check.Not_independent | Check.Not_maximal ->
     Error
       (spf
          "batch %d: maintained set is not an MIS of the surviving view \
           (%d live nodes)"
          t.batches
          (Dyn_graph.alive_count t.g))
-
-let check = checker
 
 (* Climb the ladder; each rung gets a fresh attempt against the
    un-committed pre-repair state. *)
@@ -445,7 +466,7 @@ let apply_batch t events =
       List.iter
         (fun ev ->
           let a, s = apply_event t ~seed_node ev in
-          mcount t (spf "dyn.events.%s" (Event.kind ev)) 1;
+          count_event t ev;
           applied := !applied + a;
           skipped := !skipped + s)
         events;
@@ -501,7 +522,7 @@ let apply_batch t events =
       in
       let healed = ref false in
       if checked then begin
-        match checker t with
+        match check t with
         | Ok () -> ()
         | Error msg ->
           mcount t "dyn.invariant_violations" 1;
@@ -515,7 +536,7 @@ let apply_batch t events =
             List.iter (fun (u, m) -> t.mem.(u) <- m) r.a_changes;
             emit_decisions t ~batch r.a_changes
           | None -> raise (Invariant_violation msg));
-          (match checker t with
+          (match check t with
           | Ok () -> ()
           | Error msg -> raise (Invariant_violation msg))
       end;

@@ -55,9 +55,9 @@ type config = {
   ladder : rung list;  (** Attempt order; must be non-empty. *)
   strict : bool;  (** Invariant violations raise instead of self-healing. *)
   check_every : int;
-      (** Run {!Mis_graph.Check.is_surviving_mis} on the live view every
-          this many batches (1 = every batch; 0 = only via {!check}).
-          O(capacity + edges) per check. *)
+      (** Run {!check} every this many batches (1 = every batch; 0 =
+          only when called). One pass over the live graph in place,
+          O(capacity + edges), allocating nothing. *)
   timeout : float option;  (** Per-attempt repair budget, seconds. *)
   backoff : int -> float;
       (** Seconds to wait before retry [attempt] (first retry = 2). *)
@@ -134,6 +134,8 @@ val apply_batch : t -> Event.t list -> report
 
 val check : t -> (unit, string) result
 (** Run the invariant checker now: the maintained membership must be a
-    maximal independent set of the surviving subgraph
-    ({!Mis_graph.Check.is_surviving_mis} on {!Dyn_graph.to_view}). Never
+    maximal independent set of the surviving (alive) subgraph. A full
+    check, independent of the repair: {!Dyn_graph.classify} over every
+    slot and its adjacency, with the verdicts of
+    {!Mis_graph.Check.is_surviving_mis} and no snapshot built. Never
     raises; [Error] carries a diagnostic. *)

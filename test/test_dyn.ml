@@ -99,6 +99,25 @@ let test_dyn_graph_ops () =
     (Invalid_argument "Dyn_graph.join: node 6 out of range") (fun () ->
       ignore (Dyn_graph.join g 6))
 
+(* A CSR snapshot of the live graph, the oracle of [Dyn_graph.classify]:
+   every non-absent slot active (alive and crashed, so links at crashed
+   endpoints are represented) plus the crashed mask, the arguments
+   [Check.surviving_view] expects. Edges come out sorted. Quadratic in
+   the capacity. *)
+let to_view g =
+  let cap = Dyn_graph.capacity g in
+  let present u = Dyn_graph.state g u <> Dyn_graph.Absent in
+  let edges = ref [] in
+  for u = cap - 1 downto 0 do
+    for v = cap - 1 downto u + 1 do
+      if present u && present v && Dyn_graph.mem_edge g u v then
+        edges := (u, v) :: !edges
+    done
+  done;
+  let graph = Mis_graph.Graph.of_edge_array ~n:cap (Array.of_list !edges) in
+  ( View.restrict ~nodes:(Array.init cap present) graph,
+    Array.init cap (fun u -> Dyn_graph.state g u = Dyn_graph.Crashed) )
+
 let test_dyn_graph_views () =
   let g = Dyn_graph.create ~capacity:5 in
   List.iter (fun u -> ignore (Dyn_graph.join g u)) [ 0; 1; 2; 3 ];
@@ -106,7 +125,7 @@ let test_dyn_graph_views () =
     (fun (u, v) -> ignore (Dyn_graph.insert_edge g u v))
     [ (0, 1); (1, 2); (2, 3) ];
   ignore (Dyn_graph.crash g 2);
-  let view, crashed = Dyn_graph.to_view g in
+  let view, crashed = to_view g in
   Alcotest.(check int) "view covers the universe" 5 (View.n view);
   Alcotest.check Helpers.bool_array "crashed mask"
     [| false; false; true; false; false |]
@@ -324,24 +343,22 @@ let arb_event_batches =
            bs))
     batches
 
+(* Self-loops are rejected at parse time, not at apply time; drop them
+   from generated raw events. *)
+let without_self_loops =
+  List.filter_map (function
+    | Event.Edge_insert { u; v } when u = v -> None
+    | Event.Edge_delete { u; v } when u = v -> None
+    | Event.Node_join { node; edges } ->
+      Some
+        (Event.Node_join { node; edges = List.filter (fun v -> v <> node) edges })
+    | ev -> Some ev)
+
 let prop_maintainer_valid_after_any_batch =
   Helpers.qtest ~count:150 "maintained MIS valid after any event batch"
     QCheck.(pair Helpers.arb_seed arb_event_batches)
     (fun (seed, batches) ->
-      (* Self-loops are rejected at parse time, not at apply time; drop
-         them here since we generate raw events. *)
-      let batches =
-        List.map
-          (List.filter_map (function
-            | Event.Edge_insert { u; v } when u = v -> None
-            | Event.Edge_delete { u; v } when u = v -> None
-            | Event.Node_join { node; edges } ->
-              Some
-                (Event.Node_join
-                   { node; edges = List.filter (fun v -> v <> node) edges })
-            | ev -> Some ev))
-          batches
-      in
+      let batches = List.map without_self_loops batches in
       let m = Maintain.create ~config:(strict_config ~seed ()) ~capacity:16 () in
       (* strict + check_every=1: apply_batch raises on any violation. *)
       List.iter (fun b -> ignore (Maintain.apply_batch m b)) batches;
@@ -369,6 +386,109 @@ let prop_repair_matches_membership_semantics =
         (Array.mapi
            (fun u in_set -> (not in_set) || Dyn_graph.alive g u)
            mis))
+
+(* The in-place check against the snapshot oracle, after every batch of a
+   random history (joins reusing freed slots, crashes keeping their
+   links, edge flaps): on the maintained set, on every one-bit flip of it
+   (a flip on a dead slot is a stale bit the check must ignore), and on
+   a random set. The maintainer runs unchecked, so the function under
+   test never steers the history. *)
+let prop_classify_matches_snapshot =
+  Helpers.qtest ~count:150
+    "Dyn_graph.classify = Check.classify on the surviving snapshot"
+    QCheck.(pair Helpers.arb_seed arb_event_batches)
+    (fun (seed, batches) ->
+      let cap = 16 in
+      let m =
+        Maintain.create ~config:{ Maintain.default_config with Maintain.seed }
+          ~capacity:cap ()
+      in
+      let rng = Splitmix.of_seed seed in
+      List.for_all
+        (fun b ->
+          ignore (Maintain.apply_batch m (without_self_loops b));
+          let g = Maintain.graph m in
+          let view, crashed = to_view g in
+          let surviving = Check.surviving_view view ~crashed in
+          let agrees set = Dyn_graph.classify g set = Check.classify surviving set in
+          let mis = Maintain.mis m in
+          let flipped u =
+            let s = Array.copy mis in
+            s.(u) <- not s.(u);
+            s
+          in
+          agrees mis
+          && List.for_all (fun u -> agrees (flipped u)) (List.init cap Fun.id)
+          && agrees (Array.init cap (fun _ -> Splitmix.bool rng)))
+        batches)
+
+(* Luby with its first run's decisions all overwritten to "out": the
+   first repair commits a set that leaves every region node uncovered. *)
+let out_on_first_run () =
+  let first = ref true in
+  { Maintain.alg_name = "out-on-first-run";
+    alg_run =
+      (fun ?tracer view ~ids ~seed ->
+        let o = Maintain.luby.Maintain.alg_run ?tracer view ~ids ~seed in
+        if not !first then o
+        else begin
+          first := false;
+          { o with Mis_sim.Runtime.output = Array.make (View.n view) false }
+        end) }
+
+let test_strict_violation_raises () =
+  let config =
+    { (strict_config ()) with Maintain.algorithm = out_on_first_run () }
+  in
+  let m = Maintain.create ~config ~capacity:8 () in
+  Alcotest.check_raises "strict checker names the batch"
+    (Maintain.Invariant_violation
+       "batch 1: maintained set is not an MIS of the surviving view (3 live \
+        nodes)")
+    (fun () -> ignore (Maintain.apply_batch m (joins_of_path 3)))
+
+let test_violation_heals () =
+  let reg = Metrics.create () in
+  let config =
+    { Maintain.default_config with
+      Maintain.algorithm = out_on_first_run ();
+      check_every = 1;
+      metrics = Some reg }
+  in
+  let m = Maintain.create ~config ~capacity:8 () in
+  let r = Maintain.apply_batch m (joins_of_path 3) in
+  Alcotest.(check bool) "healed by a full recompute" true
+    r.Maintain.full_recompute;
+  Alcotest.(check int) "violation counted" 1
+    (Metrics.counter_value (Metrics.counter reg "dyn.invariant_violations"));
+  match Maintain.check m with Ok () -> () | Error e -> Alcotest.fail e
+
+(* The per-batch check at serve scale: 2,048 slots, a few hundred alive.
+   Warm, it allocates nothing; the bound leaves slack for the probe. *)
+let test_check_allocates_nothing () =
+  let params =
+    { Churn.default with Churn.capacity = 2048; initial = 400; batches = 10 }
+  in
+  let m = Maintain.create ~capacity:params.Churn.capacity () in
+  List.iter
+    (fun b -> ignore (Maintain.apply_batch m b))
+    (Churn.generate (Splitmix.of_seed 5) params);
+  let g = Maintain.graph m in
+  if Dyn_graph.edge_count g = 0 then Alcotest.fail "no live edges to scan";
+  let words f =
+    ignore (f ());
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (f ()));
+    Gc.minor_words () -. w0
+  in
+  let mis = Maintain.mis m in
+  List.iter
+    (fun (name, f) ->
+      let w = words f in
+      if w > 64. then Alcotest.failf "%s: %.0f minor words > 64" name w)
+    [ ("Maintain.check", fun () -> Maintain.check m = Ok ());
+      ("Dyn_graph.classify", fun () -> Dyn_graph.classify g mis = Check.Mis) ];
+  Alcotest.(check bool) "maintained set passes" true (Maintain.check m = Ok ())
 
 (* --- serve ------------------------------------------------------------- *)
 
@@ -577,7 +697,14 @@ let suite =
         Alcotest.test_case "exhausted ladder raises" `Quick
           test_ladder_exhaustion_raises;
         prop_maintainer_valid_after_any_batch;
-        prop_repair_matches_membership_semantics ] );
+        prop_repair_matches_membership_semantics;
+        prop_classify_matches_snapshot;
+        Alcotest.test_case "strict violation raises" `Quick
+          test_strict_violation_raises;
+        Alcotest.test_case "violation heals when not strict" `Quick
+          test_violation_heals;
+        Alcotest.test_case "warm check allocates nothing" `Quick
+          test_check_allocates_nothing ] );
     ( "dyn.serve",
       [ Alcotest.test_case "markers, malformed lines, positions" `Quick
           test_serve_markers_and_malformed;
