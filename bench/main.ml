@@ -267,6 +267,9 @@ let run_kernel_bench () =
   in
   let mis = Fairmis.Luby.run view plan in
   let big = View.full (Helpers_bench.random_tree 100_000) in
+  let tree = View.full (Helpers_bench.random_tree 10_000) in
+  let tree_kern = Mis_sim.Kernel.create tree in
+  let tree_mis = Fairmis.Fair_tree.run tree plan in
   print_gates
     [ paired "kernel/single-run/luby-n1000 ÷ engine/single-run/luby-n1000-reuse"
         ~bound:0.20
@@ -282,7 +285,10 @@ let run_kernel_bench () =
         (block (seeded (Fairmis.Luby.run_kernel_on kern)));
       paired "kernel/create-n1e5 ÷ engine/create-n1e5" ~bound:0.5
         (block (fun () -> Mis_sim.Kernel.create big))
-        (block (fun () -> Engine.create big)) ]
+        (block (fun () -> Engine.create big));
+      paired "kernel/single-run/fairtree-n1e4 ÷ mis/verify-n1e4" ~bound:18.
+        (block (seeded (Fairmis.Fair_tree_distributed.run_kernel_on tree_kern)))
+        (block (fun () -> Fairmis.Mis.verify ~name:"fairtree" tree tree_mis)) ]
 
 (* Million-node scaling: engine build and one Luby run at n = 10^6 over
    n = 10^5 on direct-CSR attachment trees. Both are near-linear in

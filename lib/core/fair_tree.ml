@@ -1,6 +1,7 @@
 type trace = {
   fallback_nodes : int;
   rounds : int;
+  simulated : int;
 }
 
 let run_traced ?gamma view plan =
@@ -18,6 +19,8 @@ let run_traced ?gamma view plan =
       (fun acc r -> if r > r_decide then acc + 1 else acc)
       0 o.Mis_sim.Kernel.decide_round
   in
-  (o.Mis_sim.Kernel.output, { fallback_nodes; rounds = o.Mis_sim.Kernel.rounds })
+  ( o.Mis_sim.Kernel.output,
+    { fallback_nodes; rounds = o.Mis_sim.Kernel.rounds;
+      simulated = o.Mis_sim.Kernel.simulated } )
 
 let run ?gamma view plan = fst (run_traced ?gamma view plan)

@@ -26,6 +26,12 @@ type trace = {
   rounds : int;
       (** Rounds of the run: [6γ + 5] without fallback, more with it, and
           0 on an empty view. *)
+  simulated : int;
+      (** Stage participants, summed over the three CntrlFairBipart
+          stages, that the kernel decided by simulating rounds because
+          their component had a node more than γ hops from its max id
+          (see {!Mis_sim.Kernel.outcome}); 0 when every component is
+          smaller than γ. *)
 }
 
 val run : ?gamma:int -> Mis_graph.View.t -> Rand_plan.t -> bool array

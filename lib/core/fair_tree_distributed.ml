@@ -330,14 +330,11 @@ let run_on ?gamma ?tracer engine plan =
 (* The kernel backend takes the protocol's coins as closures, so the
    Rand_plan keying stays defined in exactly one place per draw. *)
 let kernel_coins plan =
-  { Mis_sim.Kernel.cut =
-      (fun ~u ~v -> Rand_plan.edge_bit plan ~stage:Stage.fair_tree_cut ~u ~v);
-    bit1 = (fun id -> Rand_plan.node_bit plan ~stage:Stage.fair_tree_s1 ~node:id);
-    bit2 = (fun id -> Rand_plan.node_bit plan ~stage:Stage.fair_tree_s2 ~node:id);
-    bit3 = (fun id -> Rand_plan.node_bit plan ~stage:Stage.fair_tree_s3 ~node:id);
-    luby_value =
-      (fun ~round ~id ->
-        Rand_plan.node_value plan ~stage:Stage.fair_tree_luby ~round ~node:id) }
+  { Mis_sim.Kernel.cut = Rand_plan.edge_bits plan ~stage:Stage.fair_tree_cut;
+    bit1 = Rand_plan.node_bits plan ~stage:Stage.fair_tree_s1;
+    bit2 = Rand_plan.node_bits plan ~stage:Stage.fair_tree_s2;
+    bit3 = Rand_plan.node_bits plan ~stage:Stage.fair_tree_s3;
+    luby_value = Rand_plan.node_values plan ~stage:Stage.fair_tree_luby }
 
 let run_kernel_on ?gamma kernel plan =
   let n = Mis_graph.View.n (Mis_sim.Kernel.view kernel) in

@@ -79,8 +79,7 @@ let run_distributed_on ?(stage = default_stage) ?tracer engine plan =
 
 let kernel_luby ?max_rounds ~stage kernel plan =
   Mis_sim.Kernel.luby ?max_rounds
-    ~value_of:(fun ~round ~id ->
-      Rand_plan.node_value plan ~stage ~round ~node:id)
+    ~value_of:(Rand_plan.node_values plan ~stage)
     kernel
 
 let run_kernel_on ?(stage = default_stage) kernel plan =

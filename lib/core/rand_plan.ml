@@ -60,6 +60,22 @@ let edge_bit t ~stage ~u ~v =
 let node_value t ~stage ~round ~node =
   bits62 (step (step (step (step t.root stage) 3) round) node) 1
 
+(* The same three draws with their (stage, tag) prefix folded once, for
+   a caller that draws many coins of one stage. *)
+let node_bits t ~stage =
+  let h = step (step t.root stage) 1 in
+  fun node -> Int64.logand (output (step h node) 1) 1L = 1L
+
+let edge_bits t ~stage =
+  let h = step (step t.root stage) 2 in
+  fun ~u ~v ->
+    let a = if u <= v then u else v and b = if u <= v then v else u in
+    Int64.logand (output (step (step h a) b) 1) 1L = 1L
+
+let node_values t ~stage =
+  let h = step (step t.root stage) 3 in
+  fun ~round ~node -> bits62 (step (step h round) node) 1
+
 (* Splitmix.int: rejection sampling on 62 uniform bits. *)
 let node_int t ~stage ~node ~bound =
   if bound <= 0 then invalid_arg "Splitmix.int: bound must be positive";

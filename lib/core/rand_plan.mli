@@ -14,7 +14,8 @@
     [val] order) followed by the matching {!Mis_util.Splitmix} draw, but
     computed over unboxed [int64]s. [node_bit], [edge_bit], [node_value],
     [node_int] and [node_radius] allocate nothing; [node_stream]
-    allocates only the stream it returns. *)
+    allocates only the stream it returns. [node_bits], [edge_bits] and
+    [node_values] allocate their closure once and nothing per draw. *)
 
 type t
 
@@ -52,6 +53,20 @@ val edge_bit : t -> stage:int -> u:int -> v:int -> bool
 val node_value : t -> stage:int -> round:int -> node:int -> int
 (** A fresh uniform 62-bit value per (stage, round, node): Luby's
     per-round random priorities. *)
+
+val node_bits : t -> stage:int -> int -> bool
+(** [node_bits t ~stage] is [fun node -> node_bit t ~stage ~node]. The
+    key prefix of [stage] is folded once, when the closure is built; a
+    draw then allocates nothing. *)
+
+val edge_bits : t -> stage:int -> u:int -> v:int -> bool
+(** [edge_bits t ~stage] is [fun ~u ~v -> edge_bit t ~stage ~u ~v], with
+    the prefix folded once as in {!node_bits}. *)
+
+val node_values : t -> stage:int -> round:int -> node:int -> int
+(** [node_values t ~stage] is
+    [fun ~round ~node -> node_value t ~stage ~round ~node], with the
+    prefix folded once as in {!node_bits}. *)
 
 val node_int : t -> stage:int -> node:int -> bound:int -> int
 (** Uniform in [\[0, bound)] per (stage, node). *)

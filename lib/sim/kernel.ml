@@ -2,20 +2,31 @@ module Prof = Mis_obs.Prof
 
 (* Data-parallel execution backend: the core programs expressed as flat
    array sweeps over the compiled CSR instead of message passing — the
-   omega_h / GraphBLAS MIS style. No inbox is ever allocated; per-round
-   work is a frontier scan with staged offers. A warm run allocates its
-   outcome (three n-word arrays and the record) and one free-list cell
-   per scratch it gives back: 8 words beyond the arrays for Luby, 11 for
-   FairTree, by Gc.minor_words at n = 121. The coins come from
-   [Rand_plan]'s fixed-arity draws, which allocate nothing, so a whole
-   verified trial stays within 3n + 64 words (test/test_rand_plan.ml).
-   Resident, a kernel with one scratch of each kind holds 16.5 words
-   per node of a tree beyond its view (test/test_kernel.ml bounds it).
+   omega_h / GraphBLAS MIS style. No inbox is ever allocated. A warm run
+   allocates its outcome (three n-word arrays and the record) and one
+   free-list cell per scratch it gives back: 9 words beyond the arrays
+   for Luby, 12 for FairTree, by Gc.minor_words at n = 121. The coins
+   come from [Rand_plan]'s prefix-folded closures, built once per trial
+   (17 and 57 words beyond the arrays for a whole [run_kernel_on]) and
+   allocating nothing per draw, so a verified trial stays within 3n + 64
+   words (test/test_rand_plan.ml). Resident, a kernel with one scratch of
+   each kind holds 15.5 words per node of a tree beyond its view
+   (test/test_kernel.ml bounds it).
 
    The contract with [Runtime.Engine] is bit-identity on a perfect
    network: same outputs, same per-node decision round, same [rounds]
-   count (including the [max_rounds] cutoff behavior). The sweeps below
-   therefore simulate the *synchronous* round structure exactly:
+   count (including the [max_rounds] cutoff behavior).
+
+   Luby runs its phases as frontier sweeps. FairTree's stages are each
+   CntrlFairBipart: [gamma] synchronous rounds of flood-max over the
+   stage's allowed edges, then [gamma] rounds of BFS from the flood's
+   leaders. The kernel resolves a stage one connected component at a
+   time instead. When every node of a component lies within [gamma] hops
+   of its max id, those 2·gamma rounds put that max on every node as the
+   only leader and reach every node at its true distance, so two queue
+   traversals (find the max, BFS from it) give exactly their result.
+   Only a component with a farther node runs the round simulation, which
+   stays exact for any [gamma]:
 
    - flood-max is monotone and idempotent, so a changed-node frontier
      with offers staged against the previous round's values reproduces
@@ -26,13 +37,17 @@ module Prof = Mis_obs.Prof
      lead), so the same staging argument applies;
    - an empty frontier is a fixpoint, so breaking early is equivalent to
      running the remaining no-op rounds — but a stage never runs *more*
-     than its [gamma] rounds, because the flood may not have converged. *)
+     than its [gamma] rounds, because the flood may not have converged.
+
+   With the default gamma no component of the Table I trees needs the
+   simulation ([outcome.simulated] counts the nodes that do). *)
 
 type outcome = {
   output : bool array;
   decided : bool array;
   decide_round : int array;
   rounds : int;
+  simulated : int;
 }
 
 let ceil_log2 = Mis_util.Ids.ceil_log2
@@ -50,12 +65,13 @@ type luby_scratch = {
 }
 
 (* Scratch for the FairTree stage pipeline, indexed by slot except
-   [f_allowed], one byte (0 or 1) per CSR entry. [f_best] holds a
-   stage's flood value and then, from BFS init on, its BFS lead.
-   [f_offer] stages the current round's incoming flood value or BFS
-   lead, [f_odepth] the BFS depth ([inext] marks staged slots, reset on
-   apply, [f_touch] lists them). Per-slot flags are the bits of one byte
-   in [f_flags]. *)
+   [f_allowed], one byte (0 or 1) per CSR entry. [resolve] keeps a
+   component's queue in [f_touch] and its depths in [f_depth]. In the
+   round simulation [f_best] holds a stage's flood value and then, from
+   BFS init on, its BFS lead. [f_offer] stages the current round's
+   incoming flood value or BFS lead, [f_odepth] the BFS depth ([inext]
+   marks staged slots, reset on apply, [f_touch] lists them). Per-slot
+   flags are the bits of one byte in [f_flags]. *)
 type ft_scratch = {
   f_best : int array;
   f_depth : int array;
@@ -64,15 +80,16 @@ type ft_scratch = {
   f_touch : int array;
   f_front : int array;
   f_front2 : int array;
-  f_pdeg : int array;
   f_flags : Bytes.t;
   f_allowed : Bytes.t;
 }
 
 (* The [f_flags] bits: a node's BFS parity bit and its staged offer's,
-   the staged mark, and the stage sets I1, I2, uncovered, I3 and I4. *)
+   the staged mark, the stage sets I1, I2, uncovered and stage 3's
+   joiners, and [sim], which marks the current stage's components that
+   run the round simulation. *)
 let bit = 1 and obit = 2 and inext = 4 and i1 = 8
-let i2 = 16 and unc = 32 and i3 = 64 and i4 = 128
+let i2 = 16 and unc = 32 and i3 = 64 and sim = 128
 
 let[@inline] has flags s f = Bytes.get_uint8 flags s land f <> 0
 
@@ -132,7 +149,7 @@ let make_ft_scratch t =
   let ints x = Array.make k x in
   { f_best = ints 0; f_depth = ints 0;
     f_offer = ints 0; f_odepth = ints 0; f_touch = ints 0; f_front = ints 0;
-    f_front2 = ints 0; f_pdeg = ints 0; f_flags = Bytes.make k '\000';
+    f_front2 = ints 0; f_flags = Bytes.make k '\000';
     f_allowed = Bytes.make (Array.length t.adj_slot) '\000' }
 
 (* One Luby execution over the frontier [scr.l_front.(0 .. flen-1)]
@@ -163,7 +180,7 @@ let run_luby_phases t ~scr ~value_of ~base ~max_rounds ~flen:flen0
     else begin
       for i = 0 to !flen - 1 do
         let s = front.(i) in
-        value.(s) <- value_of ~round:p ~id:sid.(s)
+        value.(s) <- value_of ~round:p ~node:sid.(s)
       done;
       (* Winner scan over the pre-marking snapshot: a node wins when its
          (value, id) strictly beats every live neighbor's. *)
@@ -267,46 +284,118 @@ let luby ?max_rounds ~value_of t =
   in
   give t.luby_free scr;
   Prof.gstop span;
-  { output; decided; decide_round; rounds }
+  { output; decided; decide_round; rounds; simulated = 0 }
 
 type fair_tree_coins = {
   cut : u:int -> v:int -> bool;
   bit1 : int -> bool;
   bit2 : int -> bool;
   bit3 : int -> bool;
-  luby_value : round:int -> id:int -> int;
+  luby_value : round:int -> node:int -> int;
 }
 
 (* The FairTree stage sweeps below are top-level functions over the
    kernel and a scratch, not closures inside [fair_tree], so a run
-   allocates only its outcome. A stage's participants are the slots
-   whose [f_flags] carry the [mask] bit; [mask = 0] means every slot. *)
+   allocates only its outcome. *)
 
-(* Stages 2 and 3 over the participants [mask], in one pass: the allowed
-   entries join two participants, [pdeg] counts participant neighbors
-   (the message protocol's [List.length i1_neighbors]), and the flood
-   frontier lists the participants with [best] at their own id. Returns
-   the frontier length. *)
-let stage_setup t ~scr mask =
-  let adj_off = t.adj_off and adj_slot = t.adj_slot in
+(* One stage's flood and BFS, one component of its allowed entries at a
+   time. A stage's participants are the slots whose [f_flags] carry the
+   [mask] bit, or every slot when [mask = 0]; they enter with depth -1.
+   Stage 1 ([mask = 0]) allows the entries whose edge the cut coin
+   keeps, the others the entries between two participants; the first
+   traversal of a component writes its entries into [f_allowed]. In
+   stage 1 it keeps each node's discoverer in [f_best], so the coin of a
+   tree edge is drawn at one end only.
+
+   The first queue traversal lists the component in [f_touch] (depth -2)
+   and finds its max id [m]; the second, a BFS from [m], writes each
+   depth. When every node lies within [g] hops of [m], [g] synchronous
+   flood rounds put [m] on every node, [m] is the only leader, and [g]
+   BFS rounds reach every node at its true distance with [m]'s bit: the
+   node joins when its component is a single node (no participant
+   neighbour) or its depth plus that bit is even, and gets [out]. A
+   component with a farther node instead gets [sim], its nodes start the
+   flood at their own id, listed in [f_front], and the exact round
+   simulation ([flood], [bfs]) decides them. Returns how many
+   participants it simulated. *)
+let resolve t ~scr ~g ~coins mask ~out bit_for =
+  let adj_off = t.adj_off and adj_slot = t.adj_slot and sid = t.sid in
   let flags = scr.f_flags and allowed = scr.f_allowed in
-  let flen = ref 0 in
-  for s = 0 to nslots t - 1 do
-    let inside = has flags s mask in
-    let d = ref 0 in
-    for k = adj_off.(s) to adj_off.(s + 1) - 1 do
-      let t_in = has flags adj_slot.(k) mask in
-      Bytes.set_uint8 allowed k (Bool.to_int (inside && t_in));
-      if t_in then incr d
-    done;
-    scr.f_pdeg.(s) <- !d;
-    if inside then begin
-      scr.f_best.(s) <- t.sid.(s);
-      scr.f_front.(!flen) <- s;
-      incr flen
+  let best = scr.f_best and depth = scr.f_depth in
+  let queue = scr.f_touch and front = scr.f_front in
+  let nsim = ref 0 in
+  for s0 = 0 to nslots t - 1 do
+    if (mask = 0 || has flags s0 mask) && depth.(s0) = -1 then begin
+      depth.(s0) <- -2;
+      best.(s0) <- -1;
+      queue.(0) <- s0;
+      let len = ref 1 and head = ref 0 and ms = ref s0 in
+      while !head < !len do
+        let s = queue.(!head) in
+        incr head;
+        let a = sid.(s) in
+        if a > sid.(!ms) then ms := s;
+        for k = adj_off.(s) to adj_off.(s + 1) - 1 do
+          let ts = adj_slot.(k) in
+          let ok =
+            if mask <> 0 then has flags ts mask
+            else if depth.(ts) >= 0 || ts = best.(s) then
+              (* The edge was drawn from its other end: cut when that end
+                 lies in an earlier component, kept when it found [s]. *)
+              depth.(ts) < 0
+            else begin
+              let b = sid.(ts) in
+              not (if a < b then coins.cut ~u:a ~v:b else coins.cut ~u:b ~v:a)
+            end
+          in
+          Bytes.set_uint8 allowed k (Bool.to_int ok);
+          if ok && depth.(ts) = -1 then begin
+            depth.(ts) <- -2;
+            best.(ts) <- s;
+            queue.(!len) <- ts;
+            incr len
+          end
+        done
+      done;
+      let m = !ms in
+      depth.(m) <- 0;
+      queue.(0) <- m;
+      head := 0;
+      let tail = ref 1 and far = ref 0 in
+      while !head < !tail do
+        let s = queue.(!head) in
+        incr head;
+        let d = depth.(s) + 1 in
+        for k = adj_off.(s) to adj_off.(s + 1) - 1 do
+          let ts = adj_slot.(k) in
+          if Bytes.get_uint8 allowed k <> 0 && depth.(ts) = -2 then begin
+            depth.(ts) <- d;
+            far := d;
+            queue.(!tail) <- ts;
+            incr tail
+          end
+        done
+      done;
+      let len = !len in
+      if !far <= g then begin
+        let b = Bool.to_int (bit_for sid.(m)) in
+        for i = 0 to len - 1 do
+          let s = queue.(i) in
+          if len = 1 || (depth.(s) + b) land 1 = 0 then put flags s out true
+        done
+      end
+      else begin
+        for i = 0 to len - 1 do
+          let s = queue.(i) in
+          put flags s sim true;
+          best.(s) <- sid.(s);
+          front.(!nsim + i) <- s
+        done;
+        nsim := !nsim + len
+      end
     end
   done;
-  !flen
+  !nsim
 
 (* [gamma] synchronous rounds of flood-max over the allowed entries from
    the frontier [scr.f_front.(0 .. flen-1)], whose [best] starts at the
@@ -355,27 +444,30 @@ let flood t ~scr ~g ~flen:flen0 =
     flen := !nlen
   done
 
-(* [gamma] synchronous rounds of BFS adoption from the leaders
-   (participants whose flood converged on their own id). A node adopts
-   the offer (lead, depth + 1, bit) when it has no lead yet or the
-   offer's (lead, depth) key is strictly better. Init reads each slot's
-   flood value before it writes the slot's lead over it; a slot without
-   a lead keeps a stale depth and bit, which nothing reads. *)
-let bfs t ~scr ~g mask bit_for =
+(* [gamma] synchronous rounds of BFS adoption from the leaders among the
+   [sim] slots (those whose flood converged on their own id). A node
+   adopts the offer (lead, depth + 1, bit) when it has no lead yet or the
+   offer's (lead, depth) key is strictly better. Init touches only the
+   [sim] slots, reading each one's flood value before it writes the
+   slot's lead over it; a slot without a lead keeps a stale depth and
+   bit, which nothing reads. *)
+let bfs t ~scr ~g bit_for =
   let adj_off = t.adj_off and adj_slot = t.adj_slot and sid = t.sid in
   let front = scr.f_front and flags = scr.f_flags and touch = scr.f_touch in
   let allowed = scr.f_allowed and lead = scr.f_best and depth = scr.f_depth in
   let olead = scr.f_offer and odepth = scr.f_odepth in
   let flen = ref 0 in
   for s = 0 to nslots t - 1 do
-    let id = sid.(s) in
-    if (mask = 0 || has flags s mask) && lead.(s) = id then begin
-      depth.(s) <- 0;
-      put flags s bit (bit_for id);
-      front.(!flen) <- s;
-      incr flen
+    if has flags s sim then begin
+      let id = sid.(s) in
+      if lead.(s) = id then begin
+        depth.(s) <- 0;
+        put flags s bit (bit_for id);
+        front.(!flen) <- s;
+        incr flen
+      end
+      else lead.(s) <- -1
     end
-    else lead.(s) <- -1
   done;
   let cur = ref front and nxt = ref scr.f_front2 in
   let r = ref 0 in
@@ -425,13 +517,28 @@ let bfs t ~scr ~g mask bit_for =
     flen := !nlen
   done
 
-let joined scr s =
-  if scr.f_pdeg.(s) = 0 then true
-  else if scr.f_best.(s) < 0 then false
-  else
-    (scr.f_depth.(s) + Bool.to_int (has scr.f_flags s bit)) mod 2 = 0
+(* A whole stage: [resolve], then the round simulation of the components
+   it marked, whose members join when they have a lead and their depth
+   plus bit is even (a simulated component has no single node). Returns
+   the participants simulated. *)
+let stage t ~scr ~g ~coins mask ~out bit_for =
+  let nsim = resolve t ~scr ~g ~coins mask ~out bit_for in
+  if nsim > 0 then begin
+    let flags = scr.f_flags in
+    flood t ~scr ~g ~flen:nsim;
+    bfs t ~scr ~g bit_for;
+    for s = 0 to nslots t - 1 do
+      if has flags s sim then begin
+        put flags s sim false;
+        if scr.f_best.(s) >= 0
+           && (scr.f_depth.(s) + Bool.to_int (has flags s bit)) land 1 = 0
+        then put flags s out true
+      end
+    done
+  end;
+  nsim
 
-(* Whether some neighbor of slot [s] carries flag [f]. *)
+(* Whether some neighbor of slot [s] carries one of the flags [f]. *)
 let[@inline] near t flags f s =
   let hit = ref false in
   let k = ref t.adj_off.(s) in
@@ -457,6 +564,7 @@ let fair_tree ?max_rounds ~gamma ~coins t =
   let decided = Array.make n false in
   let decide_round = Array.make n (-1) in
   let r_decide = (6 * g) + 5 in
+  let simulated = ref 0 in
   let rounds =
     if nslots = 0 then 0
     else if r_decide > max_rounds then
@@ -464,74 +572,66 @@ let fair_tree ?max_rounds ~gamma ~coins t =
          [max_rounds] rounds of protocol and gives up undecided. *)
       max_rounds
     else begin
-      let adj_off = t.adj_off and adj_slot = t.adj_slot in
-      let active = t.active and sid = t.sid in
+      let adj_off = t.adj_off and adj_slot = t.adj_slot and active = t.active in
       let scr = take t.ft_free make_ft_scratch t in
-      let flags = scr.f_flags and allowed = scr.f_allowed in
-      (* Stage 1: CntrlFairBipart over the uncut edges; all nodes
-         participate. The cut coin is symmetric in (min id, max id), so
-         the per-entry mask agrees across both directions. Each edge's
-         coin is drawn from both of its entries: a once-per-edge draw
-         would need a 2m mirror index. The same pass clears the flags
-         and seeds the flood at every slot. *)
-      for s = 0 to nslots - 1 do
-        let a = sid.(s) in
-        let d = ref 0 in
-        for k = adj_off.(s) to adj_off.(s + 1) - 1 do
-          let b = sid.(adj_slot.(k)) in
-          let ok =
-            not (if a < b then coins.cut ~u:a ~v:b else coins.cut ~u:b ~v:a)
-          in
-          Bytes.set_uint8 allowed k (Bool.to_int ok);
-          if ok then incr d
-        done;
-        scr.f_pdeg.(s) <- !d;
-        Bytes.set_uint8 flags s 0;
-        scr.f_best.(s) <- a;
-        scr.f_front.(s) <- s
-      done;
-      flood t ~scr ~g ~flen:nslots;
-      bfs t ~scr ~g 0 coins.bit1;
-      for s = 0 to nslots - 1 do
-        put flags s i1 (joined scr s)
-      done;
+      let flags = scr.f_flags and depth = scr.f_depth in
+      (* Stage 1: CntrlFairBipart over the uncut edges; every slot
+         participates. *)
+      Bytes.fill flags 0 nslots '\000';
+      Array.fill depth 0 nslots (-1);
+      let sim1 = stage t ~scr ~g ~coins 0 ~out:i1 coins.bit1 in
       (* Stage 2: the same pipeline on the subgraph induced by I1, over
          all edges. *)
-      flood t ~scr ~g ~flen:(stage_setup t ~scr i1);
-      bfs t ~scr ~g i1 coins.bit2;
       for s = 0 to nslots - 1 do
-        put flags s i2 (has flags s i1 && joined scr s)
+        if has flags s i1 then depth.(s) <- -1
       done;
-      (* Coverage: a node is uncovered when neither it nor any neighbor
-         joined I2. *)
+      let sim2 = stage t ~scr ~g ~coins i1 ~out:i2 coins.bit2 in
+      (* Coverage, marked outward from I2: a node is uncovered when
+         neither it nor any neighbor joined I2. *)
       for s = 0 to nslots - 1 do
-        put flags s unc (not (has flags s i2 || near t flags i2 s))
+        if not (has flags s i2) then begin
+          put flags s unc true;
+          depth.(s) <- -1
+        end
       done;
-      (* Stage 3: the pipeline once more on the uncovered nodes. *)
-      flood t ~scr ~g ~flen:(stage_setup t ~scr unc);
-      bfs t ~scr ~g unc coins.bit3;
       for s = 0 to nslots - 1 do
-        put flags s i3 (has flags s i2 || (has flags s unc && joined scr s))
+        if has flags s i2 then
+          for k = adj_off.(s) to adj_off.(s + 1) - 1 do
+            put flags adj_slot.(k) unc false
+          done
       done;
-      (* Independence repair: drop both endpoints of any I3 conflict. *)
-      for s = 0 to nslots - 1 do
-        put flags s i4 (has flags s i3 && not (near t flags i3 s))
-      done;
-      (* Decisions at round 6g+5: I4 joins, I4-neighbors are covered, the
-         rest fall through to a Luby run among themselves. *)
+      (* Stage 3: the pipeline once more on the uncovered nodes; its
+         joiners and I2 make I3. *)
+      let sim3 = stage t ~scr ~g ~coins unc ~out:i3 coins.bit3 in
+      simulated := sim1 + sim2 + sim3;
+      (* Decisions at round 6g+5. Independence repair: I4 is I3 without
+         both endpoints of any I3 conflict. I4 joins and decides its
+         neighbors out; the rest fall through to a Luby run among
+         themselves. *)
+      let in3 = i2 lor i3 in
       let undecided = ref nslots in
+      for s = 0 to nslots - 1 do
+        if has flags s in3 && not (near t flags in3 s) then begin
+          let u = active.(s) in
+          output.(u) <- true;
+          decided.(u) <- true;
+          decide_round.(u) <- r_decide;
+          decr undecided;
+          for k = adj_off.(s) to adj_off.(s + 1) - 1 do
+            let v = active.(adj_slot.(k)) in
+            if not decided.(v) then begin
+              decided.(v) <- true;
+              decide_round.(v) <- r_decide;
+              decr undecided
+            end
+          done
+        end
+      done;
       let scrl = take t.luby_free make_luby_scratch t in
       Bytes.fill scrl.l_alive 0 nslots '\000';
       let flen = ref 0 in
       for s = 0 to nslots - 1 do
-        let u = active.(s) in
-        if has flags s i4 || near t flags i4 s then begin
-          output.(u) <- has flags s i4;
-          decided.(u) <- true;
-          decide_round.(u) <- r_decide;
-          decr undecided
-        end
-        else begin
+        if not decided.(active.(s)) then begin
           Bytes.set_uint8 scrl.l_alive s 1;
           scrl.l_front.(!flen) <- s;
           incr flen
@@ -550,4 +650,4 @@ let fair_tree ?max_rounds ~gamma ~coins t =
     end
   in
   Prof.gstop span;
-  { output; decided; decide_round; rounds }
+  { output; decided; decide_round; rounds; simulated = !simulated }

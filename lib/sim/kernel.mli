@@ -26,6 +26,10 @@ type outcome = {
           message engine; [-1] when the node never decided (inactive
           node, or cut off by [max_rounds]). *)
   rounds : int;  (** Last executed round, engine semantics. *)
+  simulated : int;
+      (** FairTree: the stage participants, summed over the three stages,
+          whose component had a node farther than [gamma] hops from its
+          max id and so ran the round simulation. 0 for Luby. *)
 }
 
 type t
@@ -48,13 +52,9 @@ val create : ?ids:int array -> Mis_graph.View.t -> t
 
 val view : t -> Mis_graph.View.t
 
-val default_max_rounds : int -> int
-(** The engine's default round budget for [n] nodes,
-    [64 + 64 * ceil(log2 (max n 2))]. *)
-
 val luby :
   ?max_rounds:int ->
-  value_of:(round:int -> id:int -> int) ->
+  value_of:(round:int -> node:int -> int) ->
   t ->
   outcome
 (** Luby's algorithm as array sweeps. Per phase: draw [value_of] for the
@@ -62,8 +62,8 @@ val luby :
     (value, id) lexicographic minimum, decide winners, mask winners and
     their neighbors out, compact the frontier in place. [value_of] is
     keyed by the program-visible id, matching the message program's
-    [Rand_plan.node_value] draw. [max_rounds] defaults to
-    {!default_max_rounds}. *)
+    [Rand_plan.node_value] draw. [max_rounds] defaults to the engine's
+    budget for [n] nodes, [64 + 64 * ceil(log2 (max n 2))]. *)
 
 type fair_tree_coins = {
   cut : u:int -> v:int -> bool;
@@ -71,19 +71,30 @@ type fair_tree_coins = {
   bit1 : int -> bool;  (** Stage-1 leader parity bit, by id. *)
   bit2 : int -> bool;
   bit3 : int -> bool;
-  luby_value : round:int -> id:int -> int;  (** Fallback Luby values. *)
+  luby_value : round:int -> node:int -> int;  (** Fallback Luby values, by id. *)
 }
 
 val fair_tree :
   ?max_rounds:int -> gamma:int -> coins:fair_tree_coins -> t -> outcome
-(** The FairTree stage pipeline as sweeps: per stage, [gamma] rounds of
-    flood-max over the allowed edges, then [gamma] rounds of BFS
-    adoption from the flood leaders, then the membership mask updates
-    (I1, I2, uncovered, I3, the I4 independence repair) — followed by
-    the Luby fallback on whatever remains undecided after round
-    [6*gamma + 5]. The coin closures carry the {!Rand_plan} draws so
-    this module stays independent of the core library. [max_rounds]
-    defaults to the message runner's
+(** The FairTree stage pipeline: three CntrlFairBipart stages, each
+    [gamma] rounds of flood-max over its allowed edges and then [gamma]
+    rounds of BFS adoption from the flood leaders, then the membership
+    updates (I1, I2, uncovered, I3, the I4 independence repair) and the
+    Luby fallback on whatever remains undecided after round
+    [6*gamma + 5].
+
+    Each stage is resolved one connected component of its allowed edges
+    at a time: one queue traversal finds the component's max id, a BFS
+    from it writes every node's depth, and when no node is more than
+    [gamma] hops away that is exactly what the [2*gamma] rounds compute.
+    A component with a farther node runs the exact round simulation
+    instead and counts toward [outcome.simulated]. Adjacency is scanned
+    only for a stage's participants, I2 and I3; the stage's work besides
+    is a few passes over one byte per slot.
+
+    The coin closures carry the {!Rand_plan} draws so this module stays
+    independent of the core library; [cut] is drawn from one end of a
+    tree edge only. [max_rounds] defaults to the message runner's
     [6*gamma + 6 + 64*(ceil(log2 (max n 2)) + 2)].
 
     @raise Invalid_argument when [gamma < 1]. *)

@@ -94,9 +94,56 @@ let prop_kernel_fair_tree (gk, n, gseed, pseed) =
       && runner ~seed = o.Runtime.output)
     [ pseed; pseed + 1 ]
 
+(* Stage 1's participants split by the path that decides them: the
+   nodes of components of the uncut edges whose max id lies within
+   [gamma] hops of every member, which the kernel resolves directly, and
+   the rest, which it simulates round by round. Ids are node indices. *)
+let stage1_split view plan ~gamma =
+  let n = View.n view in
+  let seen = Array.make n false and dist = Array.make n (-1) in
+  let kept u w =
+    not (Rand_plan.edge_bit plan ~stage:Rand_plan.Stage.fair_tree_cut ~u ~v:w)
+  in
+  let resolved = ref 0 and simulated = ref 0 in
+  View.iter_active view (fun s ->
+      if not seen.(s) then begin
+        let members = ref [] and stack = ref [ s ] in
+        seen.(s) <- true;
+        while !stack <> [] do
+          let u = List.hd !stack in
+          stack := List.tl !stack;
+          members := u :: !members;
+          View.iter_adj view u (fun w ->
+              if (not seen.(w)) && kept u w then begin
+                seen.(w) <- true;
+                stack := w :: !stack
+              end)
+        done;
+        let m = List.fold_left max s !members in
+        let far = ref 0 and queue = Queue.create () in
+        dist.(m) <- 0;
+        Queue.add m queue;
+        while not (Queue.is_empty queue) do
+          let u = Queue.pop queue in
+          far := max !far dist.(u);
+          View.iter_adj view u (fun w ->
+              if dist.(w) < 0 && kept u w then begin
+                dist.(w) <- dist.(u) + 1;
+                Queue.add w queue
+              end)
+        done;
+        let len = List.length !members in
+        if !far <= gamma then resolved := !resolved + len
+        else simulated := !simulated + len
+      end);
+  (!resolved, !simulated)
+
 (* A tiny gamma keeps the floods unconverged on larger graphs, forcing
-   the cutoff/partial-propagation paths to agree too. *)
-let prop_kernel_fair_tree_small_gamma (gk, n, gseed, pseed) =
+   the cutoff/partial-propagation paths to agree too, and makes the
+   kernel simulate rounds for the components with a node beyond gamma:
+   at least the stage-1 nodes [stage1_split] counts. [mixed] counts the
+   cases whose stage 1 resolves some components and simulates others. *)
+let prop_kernel_fair_tree_small_gamma mixed (gk, n, gseed, pseed) =
   let view = view_of gk ~n ~gseed in
   let plan = Rand_plan.make pseed in
   List.for_all
@@ -105,11 +152,68 @@ let prop_kernel_fair_tree_small_gamma (gk, n, gseed, pseed) =
       let o = Fairmis.Fair_tree_distributed.run ~gamma ~tracer:sink view plan in
       let k = Fairmis.Fair_tree_distributed.run_kernel ~gamma view plan in
       let n = View.n view in
+      let resolved1, simulated1 = stage1_split view plan ~gamma in
+      if resolved1 > 0 && simulated1 > 0 then incr mixed;
       o.Runtime.output = k.Kernel.output
       && o.Runtime.decided = k.Kernel.decided
       && o.Runtime.rounds = k.Kernel.rounds
-      && decide_rounds ~n (evs ()) = k.Kernel.decide_round)
+      && decide_rounds ~n (evs ()) = k.Kernel.decide_round
+      && k.Kernel.simulated >= simulated1)
     [ 1; 2 ]
+
+(* The property above, which must also meet a stage that runs both
+   paths side by side at least once. *)
+let test_kernel_fair_tree_small_gamma =
+  let mixed = ref 0 in
+  let name, speed, run =
+    Helpers.qtest ~count:20 "kernel = engine (fairtree, small gamma)" arb_case
+      (prop_kernel_fair_tree_small_gamma mixed)
+  in
+  Alcotest.test_case name speed (fun () ->
+      mixed := 0;
+      run ();
+      if !mixed = 0 then
+        Alcotest.fail "no stage 1 both resolved and simulated components")
+
+(* [simulated] counts what the round simulation decided: nothing on the
+   Table I trees (NYC-like at full size) at the default gamma, where
+   every stage's components are far smaller than gamma, and part of a
+   long path at gamma = 1, where the kernel still equals the engine. *)
+let test_kernel_simulated_counts () =
+  let cfg =
+    { (Mis_exp.Config.load ()) with Mis_exp.Config.nyc = Mis_exp.Config.Nyc_full }
+  in
+  List.iter
+    (fun tree ->
+      let kernel =
+        Kernel.create (View.full (Lazy.force tree.Mis_exp.Workloads.graph))
+      in
+      for seed = 1 to 10 do
+        let k =
+          Fairmis.Fair_tree_distributed.run_kernel_on kernel (Rand_plan.make seed)
+        in
+        Alcotest.(check int) (tree.Mis_exp.Workloads.name ^ " simulated") 0
+          k.Kernel.simulated
+      done)
+    (Mis_exp.Workloads.table1_trees cfg);
+  let n = 200 in
+  let view =
+    View.full (Mis_graph.Graph.of_edges ~n (List.init (n - 1) (fun i -> (i, i + 1))))
+  in
+  for seed = 1 to 5 do
+    let plan = Rand_plan.make seed in
+    let sink, evs = Trace.memory () in
+    let o = Fairmis.Fair_tree_distributed.run ~gamma:1 ~tracer:sink view plan in
+    let k = Fairmis.Fair_tree_distributed.run_kernel ~gamma:1 view plan in
+    if k.Kernel.simulated = 0 then Alcotest.failf "seed %d: nothing simulated" seed;
+    let _, tr = Fairmis.Fair_tree.run_traced ~gamma:1 view plan in
+    Alcotest.(check int) "trace reports it" k.Kernel.simulated
+      tr.Fairmis.Fair_tree.simulated;
+    Alcotest.(check bool) "path, gamma 1: kernel = engine" true
+      (outcome_matches ~name:"path" view o (evs ()) k)
+  done;
+  let luby = Fairmis.Luby.run_kernel view (Rand_plan.make 1) in
+  Alcotest.(check int) "luby simulates nothing" 0 luby.Kernel.simulated
 
 (* The engine's max_rounds cutoff semantics: decisions past the cutoff
    don't happen and [rounds = max_rounds] is reported. *)
@@ -130,9 +234,9 @@ let prop_kernel_luby_cutoff (gk, n, gseed, pseed) =
       in
       let k =
         Kernel.luby ~max_rounds
-          ~value_of:(fun ~round ~id ->
+          ~value_of:(fun ~round ~node ->
             Rand_plan.node_value plan
-              ~stage:Fairmis.Rand_plan.Stage.luby_main ~round ~node:id)
+              ~stage:Fairmis.Rand_plan.Stage.luby_main ~round ~node)
           (Kernel.create view)
       in
       o.Runtime.output = k.Kernel.output
@@ -319,8 +423,9 @@ let suite =
           prop_kernel_luby;
         Helpers.qtest ~count:30 "kernel = engine (fairtree)" arb_case
           prop_kernel_fair_tree;
-        Helpers.qtest ~count:20 "kernel = engine (fairtree, small gamma)"
-          arb_case prop_kernel_fair_tree_small_gamma;
+        test_kernel_fair_tree_small_gamma;
+        Alcotest.test_case "simulated counts round-simulated participants"
+          `Quick test_kernel_simulated_counts;
         Helpers.qtest ~count:30 "kernel = engine (luby, max_rounds cutoff)"
           arb_case prop_kernel_luby_cutoff;
         Helpers.qtest ~count:40 "kernel = engine (custom ids, masked)" arb_case

@@ -134,10 +134,15 @@ let prop_fixed_arity_equals_list_oracle =
       let radii = [ (0.5, 0); (0.5, 6); (0.9, 40); (1e-9, 3); (0.999, 64) ] in
       let s1 = Rand_plan.node_stream p ~stage ~node
       and s2 = Oracle.node_stream seed ~stage ~node in
-      Rand_plan.node_bit p ~stage ~node = Oracle.node_bit seed ~stage ~node
-      && Rand_plan.edge_bit p ~stage ~u ~v = Oracle.edge_bit seed ~stage ~u ~v
-      && Rand_plan.node_value p ~stage ~round ~node
-         = Oracle.node_value seed ~stage ~round ~node
+      let bit = Oracle.node_bit seed ~stage ~node
+      and edge = Oracle.edge_bit seed ~stage ~u ~v
+      and value = Oracle.node_value seed ~stage ~round ~node in
+      Rand_plan.node_bit p ~stage ~node = bit
+      && Rand_plan.node_bits p ~stage node = bit
+      && Rand_plan.edge_bit p ~stage ~u ~v = edge
+      && Rand_plan.edge_bits p ~stage ~u ~v = edge
+      && Rand_plan.node_value p ~stage ~round ~node = value
+      && Rand_plan.node_values p ~stage ~round ~node = value
       && List.for_all
            (fun bound ->
              Rand_plan.node_int p ~stage ~node ~bound
@@ -162,7 +167,8 @@ let test_draw_errors_unchanged () =
       ignore (Rand_plan.node_radius p ~stage:1 ~node:1 ~p:0.5 ~gamma:(-1)))
 
 (* 10^4 draws of each per-node coin allocate no minor words: the int64
-   chain stays unboxed. *)
+   chain stays unboxed, and a closure with its key prefix folded, built
+   before the count starts, allocates nothing per draw. *)
 let test_draws_allocate_nothing () =
   let p = Rand_plan.make 29 in
   let acc = ref 0 in
@@ -174,12 +180,17 @@ let test_draws_allocate_nothing () =
     Gc.minor_words () -. w0
   in
   let bit b = if b then 1 else 0 in
+  let values = Rand_plan.node_values p ~stage:50
+  and bits = Rand_plan.node_bits p ~stage:11
+  and edges = Rand_plan.edge_bits p ~stage:10 in
   List.iter
     (fun (name, f) -> Alcotest.(check (float 0.)) name 0. (words f))
     [ ("node_value", fun i -> Rand_plan.node_value p ~stage:50 ~round:3 ~node:i);
       ("node_bit", fun i -> bit (Rand_plan.node_bit p ~stage:11 ~node:i));
-      ("edge_bit", fun i -> bit (Rand_plan.edge_bit p ~stage:10 ~u:i ~v:(i / 2)))
-    ];
+      ("edge_bit", fun i -> bit (Rand_plan.edge_bit p ~stage:10 ~u:i ~v:(i / 2)));
+      ("node_values", fun i -> values ~round:3 ~node:i);
+      ("node_bits", fun i -> bit (bits i));
+      ("edge_bits", fun i -> bit (edges ~u:i ~v:(i / 2))) ];
   ignore (Sys.opaque_identity !acc)
 
 (* A warm kernel trial allocates its three n-word outcome arrays and a
