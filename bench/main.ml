@@ -294,9 +294,14 @@ let run_kernel_bench () =
    n = 10^5 on direct-CSR attachment trees. Both are near-linear in
    n + m, so the ratios sit a little above 10 from cache effects
    (EXPERIMENTS.md records 16x for the run); a quadratic scan reads
-   ~100x. A 10^6-node run takes seconds, so five samples. *)
+   ~100x. A 10^6-node run takes seconds, so five samples. The third
+   gate prices one kernel FairTree run at n = 10^6 in [Mis.verify]s of
+   its output. The check reads the graph in node index order, so it is
+   a fixed yardstick for the kernel's memory locality: an attachment
+   tree hangs each node off a uniform earlier one, and slots numbered in
+   index order instead of BFS order double the run. *)
 let run_xl_bench () =
-  print_endline "== engine/xl: 1e6 over 1e5-node build and run on the compiled engine";
+  print_endline "== engine/xl: 1e6 over 1e5-node build and run; kernel FairTree at 1e6";
   let tree n = Mis_workload.Trees.random_attachment_xl (Mis_util.Splitmix.of_seed 97) ~n in
   let small = tree 100_000 and large = tree 1_000_000 in
   (* Each block's garbage (a dead engine, a run's frontier and outcome
@@ -321,7 +326,18 @@ let run_xl_bench () =
     paired ~k:5 "engine/xl/luby-n1000000 ÷ engine/xl/luby-n100000" ~bound:20.
       (run large) (run small)
   in
-  print_gates [ run_gate; build_gate ]
+  let view = View.full large in
+  let kern = Mis_sim.Kernel.create view in
+  let mis =
+    (Fairmis.Fair_tree_distributed.run_kernel_on kern (Rand_plan.make 1))
+      .Mis_sim.Kernel.output
+  in
+  let fair_tree_gate =
+    paired ~k:5 "kernel/xl/fairtree-n1e6 ÷ mis/verify-n1e6" ~bound:10.5
+      (collected (block (seeded (Fairmis.Fair_tree_distributed.run_kernel_on kern))))
+      (block (fun () -> Fairmis.Mis.verify ~name:"fairtree" view mis))
+  in
+  print_gates [ run_gate; build_gate; fair_tree_gate ]
 
 (* Dynamic layer, two pairs over one pre-generated churn stream
    (bootstrap included). Incremental maintainer ÷ one whose ladder starts
@@ -421,7 +437,7 @@ let sections =
   [ ("pool", "1000-trial fairness: worker pool vs spawn engine", run_pool_scaling);
     ("engine", "compiled-engine reuse vs per-run rebuild", run_engine_bench);
     ("kernel", "data-parallel sweeps vs the message engine", run_kernel_bench);
-    ("xl", "n = 1e6 over 1e5 build and run on the compiled engine", run_xl_bench);
+    ("xl", "n = 1e6 over 1e5 build and run; kernel FairTree at 1e6", run_xl_bench);
     ("dyn", "incremental repair vs full recompute; checked vs unchecked serve", run_churn_bench);
     ("telemetry", "engine hot path with live telemetry on vs off", run_telemetry_bench);
     ("causal", "replay + critical-path analysis vs replay", run_causal_bench);

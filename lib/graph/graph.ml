@@ -122,11 +122,6 @@ let iter_adj_e t u f =
     f t.adj.(i) t.adj_edge.(i)
   done
 
-let fold_adj t u f init =
-  let acc = ref init in
-  iter_adj t u (fun v -> acc := f !acc v);
-  !acc
-
 let mem_edge t u v =
   if u < 0 || u >= t.n || v < 0 || v >= t.n then false
   else begin

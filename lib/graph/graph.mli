@@ -52,8 +52,6 @@ val iter_adj_e : t -> int -> (int -> int -> unit) -> unit
 (** [iter_adj_e g u f] calls [f v e] for every neighbor [v] of [u], where
     [e] is the id of the edge [{u, v}]. *)
 
-val fold_adj : t -> int -> ('a -> int -> 'a) -> 'a -> 'a
-
 val neighbors : t -> int -> int array
 (** Fresh array of the neighbors of a node. *)
 

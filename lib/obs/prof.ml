@@ -247,14 +247,6 @@ let global_spans () =
   let all = List.concat_map spans (registered ()) in
   List.sort (fun a b -> compare a.sr_begin b.sr_begin) all
 
-let global_spans_reset () =
-  List.iter
-    (fun t ->
-      t.spans <- [];
-      t.span_count <- 0;
-      t.spans_dropped <- 0)
-    (registered ())
-
 let gspan name f = if enabled () then span (global ()) name f else f ()
 
 type ghandle = handle option

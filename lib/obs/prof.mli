@@ -117,10 +117,6 @@ val global_spans : unit -> span_record list
     Empty unless {!spans_enabled} (or recording was switched on by
     hand). Call after workers have been joined, like {!global_tree}. *)
 
-val global_spans_reset : unit -> unit
-(** Drop retained records on every registered profiler (aggregate trees
-    are kept) — lets a long-lived process export per-batch timelines. *)
-
 val gspan : string -> (unit -> 'a) -> 'a
 (** Span on the global profiler when {!enabled}, else just the thunk. *)
 

@@ -87,8 +87,6 @@ let value_of_index t i =
   2. *. Float.exp (float_of_int i *. t.log_gamma)
   /. (Float.exp t.log_gamma +. 1.)
 
-let value_of_bucket t i = if i = min_int then 0. else value_of_index t i
-
 (* ceil (q * total) in exact integer arithmetic. The float product
    [q *. float_of_int total] can round to an integer from above or below
    (0.1 *. 10. is exactly 1.0 even though the double 0.1 is > 1/10), and

@@ -77,11 +77,6 @@ val buckets : t -> (int * int) list
     zero bucket appears as index [min_int]. For serialization and
     tests. *)
 
-val value_of_bucket : t -> int -> float
-(** The representative value {!quantile} reports for a bucket index
-    (the error-midpoint [2 * gamma^i / (gamma + 1)]; [0.] for the zero
-    bucket). *)
-
 (** {1 The exact offline percentile} *)
 
 val ceil_rank : total:int -> float -> int

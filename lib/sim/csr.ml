@@ -1,13 +1,12 @@
 module View = Mis_graph.View
 module Graph = Mis_graph.Graph
 
-(* The topology-dependent compilation both execution backends share: the
-   active-slot maps and the CSR neighbor index over slots, and nothing
-   else. [Runtime.Engine] adds neighbor id arrays, node contexts and
-   message buffers on top; [Kernel] adds frontier and mask scratch.
-   Keeping the compile here means the two backends agree on slot
-   numbering and adjacency order — the bit-identity contract between
-   them starts with this file. *)
+(* The message engine's compile: the active-slot maps and the CSR
+   neighbor index over slots, numbered in index order with each node's
+   neighbors in view order. [Runtime.Engine] adds neighbor id arrays,
+   node contexts and message buffers on top, and its FIFO delivery order
+   follows this numbering. [Kernel] numbers its own slots (in BFS order,
+   which no kernel result depends on) and shares only the ids check. *)
 
 type t = {
   c_view : View.t;
@@ -24,13 +23,16 @@ type t = {
 
 let[@inline] on mask i = match mask with None -> true | Some a -> a.(i)
 
-(* The view's adjacency filter ([View.iter_adj_e]) on graph CSR entry [i]. *)
+(* The view's adjacency filter ([View.iter_adj_e]) on graph CSR entry
+   [i]; [adj_edge] is read only under an edge mask. *)
 let[@inline] usable ~adj ~adj_edge ~nodes ~edges i =
-  on edges adj_edge.(i) && on nodes adj.(i)
+  (match edges with None -> true | Some m -> m.(adj_edge.(i)))
+  && on nodes adj.(i)
 
-(* Given ids are checked by sorting a copy of the active ones; the
-   identity default is distinct by construction. *)
-let check_distinct ids active =
+(* The length first, then the ids of the active nodes, checked by
+   sorting a copy; the identity default is distinct by construction. *)
+let check_ids ~n ids active =
+  if Array.length ids <> n then invalid_arg "Runtime.run: ids length";
   let a = Array.map (fun u -> ids.(u)) active in
   Array.sort Int.compare a;
   for i = 1 to Array.length a - 1 do
@@ -41,10 +43,6 @@ let check_distinct ids active =
    count each one's usable entries, then fill their slots. *)
 let compile ?ids view =
   let n = View.n view in
-  let given, ids =
-    match ids with Some a -> (true, a) | None -> (false, Array.init n Fun.id)
-  in
-  if Array.length ids <> n then invalid_arg "Runtime.run: ids length";
   let g = View.graph view in
   let off = Graph.csr_off g and adj = Graph.csr_adj g in
   let adj_edge = Graph.csr_adj_edge g in
@@ -71,7 +69,13 @@ let compile ?ids view =
       adj_off.(s + 1) <- adj_off.(s) + !d
     end
   done;
-  if given then check_distinct ids active;
+  let ids =
+    match ids with
+    | Some a ->
+      check_ids ~n a active;
+      a
+    | None -> Array.init n Fun.id
+  in
   let adj_slot = Array.make adj_off.(nslots) 0 in
   Array.iteri
     (fun s u ->

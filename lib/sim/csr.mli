@@ -1,14 +1,13 @@
-(** Compiled topology shared by the execution backends.
+(** The message engine's compiled topology.
 
-    A [Csr.t] holds what both the message-passing engine
-    ({!Runtime.Engine}) and the data-parallel sweeps ({!Kernel}) read:
-    the active-slot maps and the CSR neighbor index over slots, in the
-    view's adjacency iteration order. Each backend compiles through here,
-    so they agree on slot numbering and edge order — the starting point
-    of the bit-identity contract between them. What only one backend
-    reads is built by that backend: the engine's neighbor id arrays,
-    node contexts and message buffers, the kernel's slot-to-id array and
-    sweep scratch. *)
+    A [Csr.t] holds what {!Runtime.Engine} builds on: the active-slot
+    maps and the CSR neighbor index over slots, slots numbered in node
+    index order and each slot's neighbors in the view's adjacency
+    iteration order. The engine's FIFO delivery order follows this
+    numbering. What only the engine reads (neighbor id arrays, node
+    contexts, message buffers) is built there. {!Kernel} numbers its own
+    slots, since none of its results depends on their order, and shares
+    only {!check_ids}. *)
 
 type t = {
   c_view : Mis_graph.View.t;
@@ -29,6 +28,14 @@ val compile : ?ids:int array -> Mis_graph.View.t -> t
     @raise Invalid_argument ["Runtime.run: ids length"] when [ids] does
     not have one entry per node, ["Runtime.run: duplicate ids"] when it
     gives two active nodes one id. *)
+
+val check_ids : n:int -> int array -> int array -> unit
+(** [check_ids ~n ids active] checks an index-to-id map against the
+    active node indices [active] (in any order).
+
+    @raise Invalid_argument ["Runtime.run: ids length"] when [ids] does
+    not have [n] entries, then ["Runtime.run: duplicate ids"] when it
+    gives two nodes of [active] one id. *)
 
 val view : t -> Mis_graph.View.t
 val deg : t -> int -> int

@@ -1,4 +1,6 @@
 module Prof = Mis_obs.Prof
+module View = Mis_graph.View
+module Graph = Mis_graph.Graph
 
 (* Data-parallel execution backend: the core programs expressed as flat
    array sweeps over the compiled CSR instead of message passing — the
@@ -10,12 +12,24 @@ module Prof = Mis_obs.Prof
    (17 and 57 words beyond the arrays for a whole [run_kernel_on]) and
    allocating nothing per draw, so a verified trial stays within 3n + 64
    words (test/test_rand_plan.ml). Resident, a kernel with one scratch of
-   each kind holds 15.5 words per node of a tree beyond its view
-   (test/test_kernel.ml bounds it).
+   each kind holds 14.5 words per node of a tree beyond its view
+   (test/test_kernel.ml bounds it): under the identity ids the slot-to-id
+   array is the slot-to-index array itself.
 
    The contract with [Runtime.Engine] is bit-identity on a perfect
    network: same outputs, same per-node decision round, same [rounds]
    count (including the [max_rounds] cutoff behavior).
+
+   Slots are numbered in BFS order (see [create]), not in the engine's
+   index order, because no result depends on slot order: Luby's winners
+   compare (value, id); FairTree's components, their max id, the BFS
+   depths, the cut coin (drawn on the id pair) and the per-id bits are
+   functions of sets and ids; coverage and the I4 repair are set
+   operations; every round is synchronous; and outcomes are written by
+   node index. A test relabels the graph and checks the outcome moves
+   with it. BFS order keeps a node's neighbours a few slots away, so on
+   a 10^6-node attachment tree, whose nodes hang off uniform earlier
+   ones, a FairTree run reads from cache what index order scatters.
 
    Luby runs its phases as frontier sweeps. FairTree's stages are each
    CntrlFairBipart: [gamma] synchronous rounds of flood-max over the
@@ -106,8 +120,9 @@ let[@inline] put flags s f b =
    CAS on the list head is ABA-safe because every push allocates a fresh
    cons cell.
 
-   A kernel keeps only the parts of the {!Csr} compile its sweeps read,
-   plus [sid], each slot's program-visible id. *)
+   A kernel keeps the slot-to-index map [active], [sid], each slot's
+   program-visible id (the very array [active] under the identity ids),
+   and the CSR adjacency over slots. *)
 type t = {
   k_view : Mis_graph.View.t;
   n : int;
@@ -119,11 +134,79 @@ type t = {
   ft_free : ft_scratch list Atomic.t;
 }
 
+let[@inline] on mask i = match mask with None -> true | Some a -> a.(i)
+
+(* The view's adjacency filter on graph CSR entry [i], reading
+   [adj_edge] only under an edge mask. [Csr] has the same two lines; a
+   call into another module is not inlined in the default (opaque)
+   build, and this one runs once per CSR entry. *)
+let[@inline] usable ~adj ~adj_edge ~nodes ~edges i =
+  (match edges with None -> true | Some m -> m.(adj_edge.(i)))
+  && on nodes adj.(i)
+
+(* BFS numbering: one traversal from each still unnumbered active node
+   in index order, with [active] as the queue. A slot's neighbours are
+   written when it is dequeued, and a neighbour seen for the first time
+   is numbered right there, so one pass numbers the slots and fills the
+   adjacency; a masked view first counts its slots and usable entries. *)
 let create ?ids view =
-  let c = Csr.compile ?ids view in
-  let sid = Array.map (fun u -> c.Csr.ids.(u)) c.Csr.active in
-  { k_view = view; n = c.Csr.n; active = c.Csr.active; sid;
-    adj_off = c.Csr.adj_off; adj_slot = c.Csr.adj_slot;
+  let n = View.n view in
+  let g = View.graph view in
+  let off = Graph.csr_off g and adj = Graph.csr_adj g in
+  let adj_edge = Graph.csr_adj_edge g in
+  let nodes = View.node_mask view and edges = View.edge_mask view in
+  let nslots, nentries =
+    match (nodes, edges) with
+    | None, None -> (n, off.(n))
+    | _ ->
+      let k = ref 0 and m = ref 0 in
+      for u = 0 to n - 1 do
+        if on nodes u then begin
+          incr k;
+          for i = off.(u) to off.(u + 1) - 1 do
+            if usable ~adj ~adj_edge ~nodes ~edges i then incr m
+          done
+        end
+      done;
+      (!k, !m)
+  in
+  let slot = Array.make n (-1) in
+  let active = Array.make nslots 0 in
+  let adj_off = Array.make (nslots + 1) 0 in
+  let adj_slot = Array.make nentries 0 in
+  let head = ref 0 and next = ref 0 and fill = ref 0 in
+  for u0 = 0 to n - 1 do
+    if on nodes u0 && slot.(u0) < 0 then begin
+      slot.(u0) <- !next;
+      active.(!next) <- u0;
+      incr next;
+      while !head < !next do
+        let u = active.(!head) in
+        for i = off.(u) to off.(u + 1) - 1 do
+          if usable ~adj ~adj_edge ~nodes ~edges i then begin
+            let v = adj.(i) in
+            if slot.(v) < 0 then begin
+              slot.(v) <- !next;
+              active.(!next) <- v;
+              incr next
+            end;
+            adj_slot.(!fill) <- slot.(v);
+            incr fill
+          end
+        done;
+        incr head;
+        adj_off.(!head) <- !fill
+      done
+    end
+  done;
+  let sid =
+    match ids with
+    | None -> active
+    | Some ids ->
+      Csr.check_ids ~n ids active;
+      Array.map (fun u -> ids.(u)) active
+  in
+  { k_view = view; n; active; sid; adj_off; adj_slot;
     luby_free = Atomic.make []; ft_free = Atomic.make [] }
 
 let view t = t.k_view

@@ -1,17 +1,19 @@
 (** Data-parallel execution backend: the core MIS programs compiled to
-    flat frontier sweeps over the {!Csr} index, in the style of omega_h's
-    [indset] and the GraphBLAS MIS — no message inboxes, no per-round
-    allocation in the steady state.
+    flat frontier sweeps over a CSR index of their own, in the style of
+    omega_h's [indset] and the GraphBLAS MIS — no message inboxes, no
+    per-round allocation in the steady state.
 
     {b Equivalence contract.} On a perfect network (no faults), each
     entry point below is bit-identical to executing the corresponding
-    message program on {!Runtime.Engine} over the same compiled
-    topology: same [output] and [decided] arrays, the same per-node
-    decision round, and the same [rounds] total — including the
-    [max_rounds] cutoff behavior, where decisions scheduled past the
-    cutoff do not happen and [rounds = max_rounds] is reported. The
-    QCheck suite in [test/test_kernel.ml] pins this across topologies,
-    seeds and engine reuse.
+    message program on {!Runtime.Engine} over the same view and ids:
+    same [output] and [decided] arrays, the same per-node decision
+    round, and the same [rounds] total — including the [max_rounds]
+    cutoff behavior, where decisions scheduled past the cutoff do not
+    happen and [rounds = max_rounds] is reported. The outcome depends on
+    the graph and the ids only, not on node indices: relabelling the
+    nodes (with [~ids] keeping each node's id) moves the outcome along.
+    The QCheck suite in [test/test_kernel.ml] pins both across
+    topologies, seeds and engine reuse.
 
     What the kernel deliberately does {e not} support: fault plans
     (drops, delays, crashes) and event tracing. Those are properties of
@@ -33,8 +35,11 @@ type outcome = {
 }
 
 type t
-(** A compiled kernel: the {!Csr} slot maps and adjacency its sweeps
-    read, a slot-to-id array, and pooled sweep scratch. Unlike an
+(** A compiled kernel: a slot-to-node map, the CSR adjacency over slots
+    its sweeps read, a slot-to-id array (the slot-to-node map itself
+    under the identity ids), and pooled sweep scratch. Slots are
+    numbered in BFS order, which no result depends on: every sweep
+    compares ids, never slots, and writes outcomes by node index. Unlike an
     engine, a kernel is safe to share across domains: each run takes its
     own scratch from a lock-free free list (allocating one only when the
     list is empty) and returns it when the run ends, so concurrent runs
@@ -44,7 +49,12 @@ type t
 
 val create : ?ids:int array -> Mis_graph.View.t -> t
 (** Compile [view] and the optional index-to-id map (default the
-    identity).
+    identity). One pass numbers the slots, BFS from each still
+    unnumbered active node in index order, and writes each slot's
+    usable neighbours as it is dequeued, so a node's neighbours sit a
+    few slots away whatever its index; a masked view first counts its
+    slots and usable entries. The message engine keeps {!Csr}'s index
+    order, which its FIFO delivery order follows.
 
     @raise Invalid_argument with the engine's messages
     (["Runtime.run: ids length"], ["Runtime.run: duplicate ids"]) when
