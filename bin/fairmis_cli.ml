@@ -11,12 +11,6 @@ open Cmdliner
 module View = Mis_graph.View
 module Graph = Mis_graph.Graph
 module Empirical = Mis_stats.Empirical
-module Rand_plan = Fairmis.Rand_plan
-
-let graph_of_spec spec =
-  match Mis_exp.Topo_spec.parse spec with
-  | Ok g -> Ok g
-  | Error e -> Error e
 
 let or_die = function
   | Ok v -> v
@@ -115,7 +109,7 @@ let topo_cmd =
         & info [ "dot" ] ~doc:"Write a Graphviz rendering to this file.")
   in
   let run spec print_edges out dot =
-    let g = or_die (graph_of_spec spec) in
+    let g = or_die (Mis_exp.Topo_spec.parse spec) in
     let v = View.full g in
     Printf.printf "topology %s: n=%d m=%d max-degree=%d components=%d%s\n" spec
       (Graph.n g) (Graph.m g) (Graph.max_degree g)
@@ -162,7 +156,7 @@ let run_cmd =
         & info [ "dot" ] ~doc:"Write a Graphviz rendering with the MIS filled.")
   in
   let run alg spec seed members dot =
-    let g = or_die (graph_of_spec spec) in
+    let g = or_die (Mis_exp.Topo_spec.parse spec) in
     let view = View.full g in
     let runner = or_die (Mis_exp.Runners.find alg) in
     let mis = supported (fun () -> runner.Mis_exp.Runners.run view ~seed) in
@@ -202,7 +196,7 @@ let measure_cmd =
         & info [ "csv" ] ~doc:"Write the summary row to this CSV file.")
   in
   let run alg spec seed trials domains csv =
-    let g = or_die (graph_of_spec spec) in
+    let g = or_die (Mis_exp.Topo_spec.parse spec) in
     let view = View.full g in
     let runner = or_die (Mis_exp.Runners.find alg) in
     let display = runner.Mis_exp.Runners.name in
@@ -310,7 +304,7 @@ let trace_cmd =
   in
   let run alg spec seed out width analyze =
     let runner, traced = or_die (Mis_exp.Runners.find_traced alg) in
-    let g = or_die (graph_of_spec spec) in
+    let g = or_die (Mis_exp.Topo_spec.parse spec) in
     let view = View.full g in
     let path = match out with Some p -> p | None -> alg ^ ".trace.jsonl" in
     let metrics = Mis_obs.Metrics.create () in
@@ -492,10 +486,10 @@ let critpath_cmd =
   let run trace alg topo seed node top protocol_out execution_out =
     let events =
       match trace with
-      | Some path -> or_die (Replay.of_file path)
+      | Some path -> or_die (Replay.of_jsonl path)
       | None ->
         let runner, traced = or_die (Mis_exp.Runners.find_traced alg) in
-        let g = or_die (graph_of_spec topo) in
+        let g = or_die (Mis_exp.Topo_spec.parse topo) in
         let sink, events = Mis_obs.Trace.memory ~capacity:(1 lsl 21) () in
         let o = traced (View.full g) ~seed ~tracer:sink in
         Fairmis.Mis.verify ~name:alg (View.full g)

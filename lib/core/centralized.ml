@@ -1,9 +1,8 @@
 module View = Mis_graph.View
-module Traverse = Mis_graph.Traverse
-module Splitmix = Mis_util.Splitmix
 
-let greedy_in_order view ~order =
+let greedy_random_permutation view rng =
   let n = View.n view in
+  let order = Mis_util.Ids.random_permutation rng ~n in
   let in_mis = Array.make n false in
   let covered = Array.make n false in
   Array.iter
@@ -15,21 +14,3 @@ let greedy_in_order view ~order =
       end)
     order;
   in_mis
-
-let greedy_random_permutation view rng =
-  let n = View.n view in
-  let order = Mis_util.Ids.random_permutation rng ~n in
-  greedy_in_order view ~order
-
-let fair_bipartite view rng =
-  match Traverse.bipartition view with
-  | None -> None
-  | Some side ->
-    let label, comp_count = Traverse.components view in
-    let pick = Array.init comp_count (fun _ -> if Splitmix.bool rng then 1 else 0) in
-    let n = View.n view in
-    let in_mis = Array.make n false in
-    View.iter_active view (fun u ->
-        if View.degree view u = 0 then in_mis.(u) <- true
-        else in_mis.(u) <- side.(u) = pick.(label.(u)));
-    Some in_mis

@@ -1,22 +1,7 @@
-(** Centralized reference algorithms.
-
-    [greedy_random_permutation] is the classic sequential MIS under a
-    uniformly random node ordering — a natural "as fair as greedy gets"
-    baseline (its output distribution equals one full run of the
-    permutation-based Luby variant).
-
-    [fair_bipartite] is the centralized algorithm A′ of paper Sec. V: on a
-    bipartite graph, independently per connected component, pick one side
-    of the bipartition with a fair coin — a perfectly fair MIS
-    (every node of a non-singleton component joins with probability
-    exactly 1/2). *)
+(** The centralized greedy baseline: sequential MIS under a uniformly
+    random node ordering — a natural "as fair as greedy gets" baseline
+    (its output distribution equals one full run of the permutation-based
+    Luby variant). *)
 
 val greedy_random_permutation :
   Mis_graph.View.t -> Mis_util.Splitmix.t -> bool array
-
-val greedy_in_order : Mis_graph.View.t -> order:int array -> bool array
-(** Deterministic greedy along the given node order (the permutation
-    baseline's core, exposed for tests). *)
-
-val fair_bipartite : Mis_graph.View.t -> Mis_util.Splitmix.t -> bool array option
-(** [None] when the active subgraph is not bipartite. *)

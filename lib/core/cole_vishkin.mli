@@ -25,12 +25,9 @@ val three_color :
     [schedule] fixes the number of reduction iterations (as a distributed
     execution must); by default iteration stops as soon as all colors are
     below 6. Extra iterations preserve properness and the < 6 bound, so
-    any [schedule >= iterations ~id_bound] is correct. *)
-
-val mis_from_colors :
-  ?keep:bool array -> Mis_graph.Rooted.t -> int array -> bool array
-(** Greedy MIS over color classes 0, 1, 2 (3 more rounds): a node joins
-    when its class comes up and no forest neighbor joined earlier. *)
+    any [schedule >= iterations ~id_bound] is correct. Only {!mis} uses
+    it here; it is exposed so tests can check the coloring {!mis} relies
+    on is proper. *)
 
 val mis :
   ?keep:bool array ->

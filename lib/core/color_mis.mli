@@ -30,15 +30,6 @@ val run :
     [0 .. k-1] (uncolored nodes may carry [-1]; they simply never join in
     stage 1, matching the paper's footnote 3). *)
 
-val run_traced :
-  ?p:float ->
-  ?gamma:int ->
-  Mis_graph.View.t ->
-  coloring:int array ->
-  k:int ->
-  Rand_plan.t ->
-  bool array * trace
-
 val run_planar :
   ?p:float -> ?gamma:int -> Mis_graph.View.t -> Rand_plan.t -> bool array * trace
 (** Compose the built-in planar coloring (<= 8 colors) with [run]. *)

@@ -9,15 +9,6 @@
     identity ids and a proper coloring the program is outcome-identical to
     {!Color_mis.run} with the same parameters (asserted in the tests). *)
 
-val program :
-  plan:Rand_plan.t ->
-  p:float ->
-  gamma:int ->
-  coloring:int array ->
-  k:int ->
-  (Block_program.state, Block_program.message) Mis_sim.Program.t
-(** [coloring] is indexed by node id (identity ids assumed). *)
-
 val run :
   ?p:float ->
   ?gamma:int ->

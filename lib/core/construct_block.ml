@@ -14,26 +14,12 @@ type result = {
   rounds : int;
 }
 
-let check_config cfg =
-  if cfg.gamma < 0 then invalid_arg "Construct_block: gamma"
-
 let observed_payload cfg ~source ~dist =
   let p = cfg.payload_of source in
   if cfg.flip_per_hop && dist land 1 = 1 then 1 - p else p
 
-let finish view ~gamma ~best_id ~best_rem ~best_pay =
-  let n = View.n view in
-  let leader = Array.make n (-1) in
-  let in_block = Array.make n false in
-  let payload = Array.make n (-1) in
-  View.iter_active view (fun v ->
-      leader.(v) <- best_id.(v);
-      in_block.(v) <- best_id.(v) >= 0 && best_rem.(v) > 0;
-      payload.(v) <- best_pay.(v));
-  { leader; in_block; payload; rounds = gamma * (gamma + 1) }
-
 let run view cfg =
-  check_config cfg;
+  if cfg.gamma < 0 then invalid_arg "Construct_block: gamma";
   let n = View.n view in
   let best_id = Array.make n (-1) in
   let best_rem = Array.make n (-1) in
@@ -68,58 +54,11 @@ let run view cfg =
                 Mis_util.Int_queue.push queue v
               end)
       done);
-  finish view ~gamma:cfg.gamma ~best_id ~best_rem ~best_pay
-
-let run_tables view cfg =
-  check_config cfg;
-  let n = View.n view in
-  let gamma = cfg.gamma in
-  let slots = gamma + 1 in
-  (* Leader tables: l_table.(v).(i) = largest id seen with i range
-     remaining; b_table the corresponding payload. *)
-  let l_table = Array.make_matrix n slots (-1) in
-  let b_table = Array.make_matrix n slots (-1) in
+  let leader = Array.make n (-1) in
+  let in_block = Array.make n false in
+  let payload = Array.make n (-1) in
   View.iter_active view (fun v ->
-      let r = cfg.radius_of v in
-      if r < 0 || r > gamma then invalid_arg "Construct_block: radius_of";
-      l_table.(v).(r) <- v;
-      b_table.(v).(r) <- cfg.payload_of v);
-  for _superround = 1 to gamma do
-    let l_old = Array.map Array.copy l_table in
-    let b_old = Array.map Array.copy b_table in
-    View.iter_active view (fun v ->
-        View.iter_adj view v (fun u ->
-            (* v receives u's table: each entry drops one range unit and is
-               merged at the lower slot if its id is larger. *)
-            for i = 1 to gamma do
-              let id = l_old.(u).(i) in
-              if id > l_table.(v).(i - 1) then begin
-                l_table.(v).(i - 1) <- id;
-                let p = b_old.(u).(i) in
-                b_table.(v).(i - 1) <-
-                  (if cfg.flip_per_hop && p >= 0 then 1 - p else p)
-              end
-            done))
-  done;
-  let best_id = Array.make n (-1) in
-  let best_rem = Array.make n (-1) in
-  let best_pay = Array.make n (-1) in
-  View.iter_active view (fun v ->
-      let best = ref (-1) and best_slot = ref (-1) in
-      for i = 0 to gamma do
-        if l_table.(v).(i) > !best then begin
-          best := l_table.(v).(i);
-          best_slot := i
-        end
-        else if l_table.(v).(i) = !best && i > !best_slot then best_slot := i
-      done;
-      (* The leader may appear in several slots; the block rule reads the
-         highest one (shortest path = largest remaining range). *)
-      let highest = ref !best_slot in
-      for i = 0 to gamma do
-        if l_table.(v).(i) = !best && i > !highest then highest := i
-      done;
-      best_id.(v) <- !best;
-      best_rem.(v) <- !highest;
-      best_pay.(v) <- b_table.(v).(!highest));
-  finish view ~gamma ~best_id ~best_rem ~best_pay
+      leader.(v) <- best_id.(v);
+      in_block.(v) <- best_id.(v) >= 0 && best_rem.(v) > 0;
+      payload.(v) <- best_pay.(v));
+  { leader; in_block; payload; rounds = cfg.gamma * (cfg.gamma + 1) }

@@ -36,11 +36,7 @@ type result = {
 }
 
 val run : Mis_graph.View.t -> config -> result
-(** Fast engine: one bounded BFS per source (expected ball size is O(1)
-    for p = 1/2). Outcome-identical to {!run_tables}. *)
-
-val run_tables : Mis_graph.View.t -> config -> result
-(** Faithful simulation of the bounded-message variant the paper adopts:
-    γ superrounds in which every node ships its whole leader table
-    [L[0..γ], B[0..γ]] to its neighbors. O(n·γ²) work; used to validate
-    {!run}. *)
+(** One bounded BFS per source (expected ball size is O(1) for p = 1/2).
+    Outcome-identical to the faithful bounded-message variant the paper
+    adopts — γ superrounds of whole leader tables — which the tests keep
+    as its oracle, and to {!Block_program} on the simulator. *)

@@ -25,18 +25,14 @@ val randomized_greedy :
     [{0 .. deg(v)}] minus its colored neighbors' colors, keeping it when no
     uncolored neighbor proposed the same color. [palette] = Δ_view + 1. *)
 
-val h_partition :
-  Mis_graph.View.t -> degree_bound:int -> (int array * int) option
-(** [(layer, layer_count)]: repeatedly peel all active nodes with residual
-    degree <= bound. [None] if peeling gets stuck (the graph's degeneracy
-    exceeds the bound), in which case the caller should fall back to
-    {!randomized_greedy}. *)
-
 val h_partition_partial :
   Mis_graph.View.t -> degree_bound:int -> int array * int * bool array
-(** Like {!h_partition} but total: peel as far as possible and return the
-    stuck high-degree core as a mask ([layer = -1] for core nodes). The
-    core is empty exactly when {!h_partition} succeeds. *)
+(** [(layer, layer_count, core)]: repeatedly peel all active nodes with
+    residual degree <= bound, as far as possible; the stuck high-degree
+    core comes back as a mask ([layer = -1] for core nodes). The core is
+    empty exactly when the graph's degeneracy is within the bound. This
+    is the peeling {!hybrid} and {!planar} colour by, exposed so tests
+    can check the layers and the core directly. *)
 
 val hybrid :
   ?stage:int ->
@@ -51,17 +47,8 @@ val hybrid :
     graph contains dense cores — the coloring behind the paper's Sec. VII
     remark about per-region fairness. *)
 
-val layered :
-  ?stage:int ->
-  ?max_rounds_per_layer:int ->
-  Mis_graph.View.t ->
-  Rand_plan.t ->
-  degree_bound:int ->
-  outcome option
-(** H-partition coloring with palette [0 .. degree_bound]. [None] when the
-    degree bound is too small for the graph. *)
-
 val planar : ?stage:int -> Mis_graph.View.t -> Rand_plan.t -> outcome
-(** [layered] with bound 7 (= ⌊(2+ε)·3⌋ for planar arboricity 3, ε ≈ 1/3),
+(** The H-partition coloring with bound 7 (= ⌊(2+ε)·3⌋ for planar
+    arboricity 3, ε ≈ 1/3),
     i.e. at most 8 colors; falls back to [randomized_greedy] if peeling
     stalls (which cannot happen on planar inputs). *)

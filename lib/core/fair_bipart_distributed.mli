@@ -11,12 +11,6 @@
     violations centrally, so equivalence is claimed for bipartite inputs
     only. *)
 
-val program :
-  plan:Rand_plan.t ->
-  p:float ->
-  gamma:int ->
-  (Block_program.state, Block_program.message) Mis_sim.Program.t
-
 val run :
   ?p:float ->
   ?gamma:int ->

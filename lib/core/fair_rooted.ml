@@ -44,24 +44,3 @@ let run_traced ?ids (t : Rooted.t) plan =
       Rand_plan.node_bit plan ~stage:Stage.fair_rooted_virtual ~node:v)
 
 let run ?ids t plan = fst (run_traced ?ids t plan)
-
-let exact_join_probabilities ?ids (t : Rooted.t) =
-  let n = t.Rooted.n in
-  let ids = match ids with Some a -> a | None -> Array.init n (fun i -> i) in
-  let roots = Array.of_list (Rooted.roots t) in
-  let r = Array.length roots in
-  let coins = n + r in
-  if coins > 24 then
-    invalid_arg "Fair_rooted.exact_join_probabilities: too many coins (n + roots > 24)";
-  (* Coin i < n is node i's tag; coin n + j is root j's virtual tag. *)
-  let root_slot = Array.make n (-1) in
-  Array.iteri (fun j root -> root_slot.(root) <- j) roots;
-  let totals = Array.make n 0 in
-  let outcomes = 1 lsl coins in
-  for word = 0 to outcomes - 1 do
-    let tag v = (word lsr v) land 1 = 1 in
-    let vtag v = (word lsr (n + root_slot.(v))) land 1 = 1 in
-    let mis, _ = run_with_tags t ~ids ~tag ~vtag in
-    Array.iteri (fun v b -> if b then totals.(v) <- totals.(v) + 1) mis
-  done;
-  Array.map (fun c -> float_of_int c /. float_of_int outcomes) totals

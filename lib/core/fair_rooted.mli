@@ -17,19 +17,5 @@ val run : ?ids:int array -> Mis_graph.Rooted.t -> Rand_plan.t -> bool array
 
 val run_traced :
   ?ids:int array -> Mis_graph.Rooted.t -> Rand_plan.t -> bool array * trace
-
-val run_with_tags :
-  Mis_graph.Rooted.t ->
-  ids:int array ->
-  tag:(int -> bool) ->
-  vtag:(int -> bool) ->
-  bool array * trace
-(** The algorithm with its coins abstracted out: [tag v] is node [v]'s
-    stage-1 bit, [vtag r] the virtual-parent bit drawn by root [r]. *)
-
-val exact_join_probabilities : ?ids:int array -> Mis_graph.Rooted.t -> float array
-(** Exact per-node join probability by exhausting all [2^(n + #roots)]
-    coin outcomes (the whole randomness of FairRooted — stage 2 is
-    deterministic given ids). Noise-free validation of Theorem 3:
-    every entry lies in [\[1/4, 1\]].
-    @raise Invalid_argument when [n + #roots > 24]. *)
+(** {!run} with its stage-1 set and round count, which only tests read:
+    Theorem 3's stage-1 bound and the O(log* n) rounds. *)

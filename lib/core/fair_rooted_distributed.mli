@@ -19,14 +19,6 @@
 
 type state
 
-val program :
-  parent_of:(int -> int) ->
-  plan:Rand_plan.t ->
-  schedule:int ->
-  (state, Messages.t) Mis_sim.Program.t
-(** [parent_of id] is the parent's id ([-1] for roots) — the rooted-tree
-    input knowledge of the model. *)
-
 val run :
   Mis_graph.Rooted.t -> Rand_plan.t -> Mis_sim.Runtime.outcome
 (** Execute on the underlying forest with identity ids and

@@ -48,8 +48,9 @@ val run_on :
   (state, Messages.t) Mis_sim.Runtime.Engine.t ->
   Rand_plan.t ->
   Mis_sim.Runtime.outcome
-(** {!run} on a prebuilt engine: identical results, view compilation
-    amortized across seeded trials. *)
+(** {!run} on a prebuilt engine, which may carry caller-chosen ids: the
+    message-engine oracle the tests hold {!run_kernel_on} to, also under
+    relabelled ids. *)
 
 val run_kernel :
   ?gamma:int -> Mis_graph.View.t -> Rand_plan.t -> Mis_sim.Kernel.outcome

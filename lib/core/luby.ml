@@ -85,9 +85,6 @@ let kernel_luby ?max_rounds ~stage kernel plan =
 let run_kernel_on ?(stage = default_stage) kernel plan =
   kernel_luby ~stage kernel plan
 
-let run_kernel ?stage view plan =
-  run_kernel_on ?stage (Mis_sim.Kernel.create view) plan
-
 (* No round cutoff: a centralized caller wants the MIS, however many
    phases it takes. A phase spans 3 rounds and the run ends in its
    second or third, so [(rounds + 2) / 3] counts the phases. *)

@@ -65,14 +65,10 @@ val run_distributed_on :
     results, amortizing view compilation across seeded trials (build the
     engine once per domain and call this per trial). *)
 
-val run_kernel :
-  ?stage:int -> Mis_graph.View.t -> Rand_plan.t -> Mis_sim.Kernel.outcome
-(** The same algorithm on the data-parallel {!Mis_sim.Kernel} backend:
-    decisions, MIS membership and per-node decision rounds bit-identical
-    to {!run_distributed}, with no message allocation. *)
-
 val run_kernel_on :
   ?stage:int -> Mis_sim.Kernel.t -> Rand_plan.t -> Mis_sim.Kernel.outcome
-(** {!run_kernel} on a prebuilt kernel (the fast, reusing path). Unlike
-    {!run_distributed_on}, this may be called concurrently from several
-    domains on one shared kernel. *)
+(** The same algorithm on a prebuilt data-parallel {!Mis_sim.Kernel}
+    (the fast, reusing path): decisions, MIS membership and per-node
+    decision rounds bit-identical to {!run_distributed}, with no message
+    allocation. Unlike {!run_distributed_on}, this may be called
+    concurrently from several domains on one shared kernel. *)

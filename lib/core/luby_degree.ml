@@ -1,8 +1,6 @@
 module View = Mis_graph.View
 module Program = Mis_sim.Program
 
-type stats = { phases : int }
-
 let default_stage = Rand_plan.Stage.luby_main + 1
 
 (* Mark with probability 1/(2 d); the 62-bit keyed value is compared
@@ -19,7 +17,7 @@ let marks plan ~stage ~phase ~node ~degree =
    pair unmarks. *)
 let loses (d1, id1) (d2, id2) = d1 < d2 || (d1 = d2 && id1 < id2)
 
-let run_stats ?(stage = default_stage) view plan =
+let run ?(stage = default_stage) view plan =
   let n = View.n view in
   let in_mis = Array.make n false in
   let alive = Array.make n false in
@@ -58,9 +56,7 @@ let run_stats ?(stage = default_stage) view plan =
     live := Array.of_list (List.filter (fun u -> alive.(u)) (Array.to_list nodes));
     incr phase
   done;
-  (in_mis, { phases = !phase })
-
-let run ?stage view plan = fst (run_stats ?stage view plan)
+  in_mis
 
 type message =
   | Marked of { degree : int }

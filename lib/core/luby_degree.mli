@@ -8,11 +8,7 @@
     {!Luby}; its fairness profile differs (the marking probability already
     discriminates by degree), so the evaluation reports both. *)
 
-type stats = { phases : int }
-
 val run : ?stage:int -> Mis_graph.View.t -> Rand_plan.t -> bool array
-val run_stats :
-  ?stage:int -> Mis_graph.View.t -> Rand_plan.t -> bool array * stats
 
 type message =
   | Marked of { degree : int }
@@ -20,10 +16,6 @@ type message =
   | Withdraw
 
 type state
-
-val program : Rand_plan.t -> stage:int -> (state, message) Mis_sim.Program.t
-(** Distributed implementation, 3 rounds per phase; with identity ids it
-    is outcome-identical to {!run} (asserted in the tests). *)
 
 val run_distributed :
   ?stage:int ->

@@ -4,16 +4,9 @@
 
 exception Invalid of string
 
-val is_independent : Mis_graph.View.t -> bool array -> bool
-val is_maximal : Mis_graph.View.t -> bool array -> bool
-val is_mis : Mis_graph.View.t -> bool array -> bool
-
 val verify : name:string -> Mis_graph.View.t -> bool array -> unit
 (** @raise Invalid with a diagnostic when the set is not an MIS of the
     active subgraph. *)
-
-val violations : Mis_graph.View.t -> bool array -> (int * int) list
-(** Usable edges whose both endpoints are in the set. *)
 
 val remove_violations : Mis_graph.View.t -> bool array -> bool array
 (** FairTree stage-4 repair: drop {e every} member that has a member

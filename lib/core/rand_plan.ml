@@ -8,7 +8,7 @@ module Splitmix = Mis_util.Splitmix
    [output] repeat Splitmix's arithmetic here because library modules are
    compiled without cross-module inlining; test/test_rand_plan.ml checks
    every draw against the list path. *)
-type t = { root : int64; seed_int : int }
+type t = { root : int64 }
 
 module Stage = struct
   let fair_rooted_tag = 1
@@ -39,8 +39,7 @@ let[@inline] step h k =
   mix (Int64.logxor (Int64.mul h 0xFF51AFD7ED558CCDL) (Int64.of_int (k + 0x5851F42D)))
 
 (* The plan's base is [Splitmix.derive seed [0x5EED]]. *)
-let make s = { root = mix (step (mix (Int64.of_int s)) 0x5EED); seed_int = s }
-let seed t = t.seed_int
+let make s = { root = mix (step (mix (Int64.of_int s)) 0x5EED) }
 
 (* The [i]-th output (from 1) of the stream whose state is [h]. *)
 let[@inline] output h i =

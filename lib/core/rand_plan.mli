@@ -20,7 +20,6 @@
 type t
 
 val make : int -> t
-val seed : t -> int
 
 (** Stage tags. Each (algorithm, stage) pair gets a distinct namespace. *)
 module Stage : sig

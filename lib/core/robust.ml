@@ -1,6 +1,5 @@
 module Program = Mis_sim.Program
 module Runtime = Mis_sim.Runtime
-module Fault = Mis_sim.Fault
 
 type ('s, 'm) inner = Running of 's | Finishing of bool
 

@@ -16,33 +16,9 @@
       of the MIS, which can cost coverage but never independence), so the
       computation terminates under arbitrary loss.
 
-    With [repeats = 1] and no timeout the wrapper is an exact no-op, and
-    with the zero fault plan any [repeats] yields the same MIS output as
-    the unwrapped program (only round/message accounting changes) — both
-    asserted in the test suite. *)
-
-type ('s, 'm) robust_state
-
-val robustify :
-  ?repeats:int ->
-  ?timeout:int ->
-  ?fallback:bool ->
-  ('s, 'm) Mis_sim.Program.t ->
-  (('s, 'm) robust_state, 'm) Mis_sim.Program.t
-(** [robustify program] re-broadcasts each logical round's actions
-    [repeats] (default 3) times and de-duplicates received [(sender,
-    message)] pairs before handing them to [program]. [timeout] (default:
-    none) bounds the number of logical rounds before the node gives up and
-    outputs [fallback] (default [false]). Requires [repeats >= 1]. *)
-
-val luby_rounds_budget : n:int -> int
-(** Logical-round timeout used by {!run_luby}: generous compared to
-    Luby's [O(log n)] w.h.p. bound, so the fallback fires only when loss
-    genuinely starves a phase. *)
-
-val fair_tree_rounds_budget : n:int -> gamma:int -> int
-(** Logical-round timeout used by {!run_fair_tree}: the fixed [6γ + 6]
-    stage schedule plus the Luby-fallback budget. *)
+    Without faults, [repeats = 1] runs exactly the unwrapped program, and
+    any [repeats] yields the same MIS output (only round/message
+    accounting changes) — both asserted in the test suite. *)
 
 val run_luby :
   ?repeats:int ->
@@ -53,8 +29,11 @@ val run_luby :
   Mis_graph.View.t ->
   Rand_plan.t ->
   Mis_sim.Runtime.outcome
-(** Luby's algorithm hardened by {!robustify}, executed under the given
-    fault plan. Coins are drawn exactly as in {!Luby.run_distributed}. *)
+(** Luby's algorithm hardened by the wrapper, executed under the given
+    fault plan. Coins are drawn exactly as in {!Luby.run_distributed}.
+    [timeout] defaults to [32 + 16⌈lg n⌉] logical rounds: generous next to
+    Luby's [O(log n)] w.h.p. bound, so the fallback fires only when loss
+    genuinely starves a phase. *)
 
 val run_fair_tree :
   ?repeats:int ->
@@ -65,5 +44,6 @@ val run_fair_tree :
   Mis_graph.View.t ->
   Rand_plan.t ->
   Mis_sim.Runtime.outcome
-(** FairTree hardened by {!robustify} under the given fault plan. Coins
-    are drawn exactly as in {!Fair_tree_distributed.run}. *)
+(** FairTree hardened by the wrapper under the given fault plan. Coins
+    are drawn exactly as in {!Fair_tree_distributed.run}. [timeout]
+    defaults to the fixed [6γ + 6] stage schedule plus Luby's budget. *)

@@ -24,7 +24,6 @@ type t = {
   deg : int array;
   pos : int Slot_tbl.t array;
   mutable alive_count : int;
-  mutable live_edges : int;  (* both endpoints alive *)
 }
 
 let create ~capacity =
@@ -34,8 +33,7 @@ let create ~capacity =
     nbrs = Array.make capacity [||];
     deg = Array.make capacity 0;
     pos = Array.init capacity (fun _ -> Slot_tbl.create 4);
-    alive_count = 0;
-    live_edges = 0 }
+    alive_count = 0 }
 
 let capacity t = t.capacity
 
@@ -52,8 +50,6 @@ let alive t u =
   t.states.(u) = Alive
 
 let alive_count t = t.alive_count
-let edge_count t = t.live_edges
-
 let join t u =
   check_node t u "join";
   match t.states.(u) with
@@ -95,9 +91,7 @@ let leave t u =
   match t.states.(u) with
   | Alive ->
     for i = 0 to t.deg.(u) - 1 do
-      let v = t.nbrs.(u).(i) in
-      drop t v u;
-      if t.states.(v) = Alive then t.live_edges <- t.live_edges - 1
+      drop t t.nbrs.(u).(i) u
     done;
     (* A reused slot starts small again, not at its largest past degree. *)
     t.nbrs.(u) <- [||];
@@ -113,9 +107,6 @@ let crash t u =
   match t.states.(u) with
   | Alive ->
     (* Links stay but stop counting as live. *)
-    for i = 0 to t.deg.(u) - 1 do
-      if t.states.(t.nbrs.(u).(i)) = Alive then t.live_edges <- t.live_edges - 1
-    done;
     t.states.(u) <- Crashed;
     t.alive_count <- t.alive_count - 1;
     true
@@ -130,7 +121,6 @@ let insert_edge t u v =
   else begin
     push t u v;
     push t v u;
-    t.live_edges <- t.live_edges + 1;
     true
   end
 
@@ -143,7 +133,6 @@ let delete_edge t u v =
   else begin
     drop t u v;
     drop t v u;
-    t.live_edges <- t.live_edges - 1;
     true
   end
 

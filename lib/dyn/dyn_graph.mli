@@ -27,9 +27,6 @@ val capacity : t -> int
 val state : t -> int -> state
 val alive : t -> int -> bool
 val alive_count : t -> int
-val edge_count : t -> int
-(** Undirected edges with both endpoints alive. *)
-
 (** {1 Mutation} — all raise [Invalid_argument] on out-of-range nodes;
     semantic misuses (joining an occupied slot, linking a dead node)
     return [false] and change nothing, so the maintainer can skip and
@@ -51,6 +48,9 @@ val delete_edge : t -> int -> int -> bool
 (** [false] unless the edge exists between two alive nodes. *)
 
 val mem_edge : t -> int -> int -> bool
+(** Whether the link exists, whatever its endpoints' states. The system
+    reads links through the slot arrays; the tests' snapshot oracle of
+    {!classify} reads them here, links at crashed slots included. *)
 
 (** {1 Reading} *)
 

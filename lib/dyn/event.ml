@@ -14,9 +14,6 @@ let kind = function
   | Edge_delete _ -> "edge_delete"
   | Node_crash _ -> "node_crash"
 
-let kinds =
-  [ "node_join"; "node_leave"; "edge_insert"; "edge_delete"; "node_crash" ]
-
 let to_json = function
   | Node_join { node; edges } ->
     Json.obj

@@ -39,9 +39,6 @@ type t =
 val kind : t -> string
 (** Stable lowercase tag, equal to the JSON ["type"] field. *)
 
-val kinds : string list
-(** Every tag, in declaration order (metrics registration). *)
-
 val to_json : t -> Mis_obs.Json.t
 (** One-line JSON object in the wire format above. *)
 

@@ -11,15 +11,13 @@ module Rand_plan = Fairmis.Rand_plan
 let spf = Printf.sprintf
 
 type algorithm = {
-  alg_name : string;
   alg_run :
     ?tracer:Mis_obs.Trace.sink ->
     Mis_graph.View.t -> ids:int array -> seed:int -> Mis_sim.Runtime.outcome;
 }
 
 let luby =
-  { alg_name = "luby";
-    alg_run =
+  { alg_run =
       (fun ?tracer view ~ids ~seed ->
         let plan = Rand_plan.make seed in
         let stage = Rand_plan.Stage.luby_main in
@@ -96,9 +94,7 @@ let create ?(config = default_config) ~capacity () =
 
 let config t = t.cfg
 let graph t = t.g
-let batches t = t.batches
 let mis t = Array.copy t.mem
-let in_mis t u = t.mem.(u)
 
 type report = {
   batch : int;

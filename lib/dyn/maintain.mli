@@ -29,7 +29,6 @@
     accepted attempt, so retries always start from the pre-repair MIS. *)
 
 type algorithm = {
-  alg_name : string;
   alg_run :
     ?tracer:Mis_obs.Trace.sink ->
     Mis_graph.View.t -> ids:int array -> seed:int -> Mis_sim.Runtime.outcome;
@@ -40,9 +39,6 @@ type algorithm = {
           stream; implementations that cannot trace may ignore it, at
           the cost of no critical-path stats. *)
 }
-
-val luby : algorithm
-(** {!Fairmis.Luby.program} through the simulator runtime. *)
 
 type rung =
   | Radius of int  (** Repair the dirty set widened to this BFS radius
@@ -79,7 +75,8 @@ type config = {
 }
 
 val default_config : config
-(** Luby, ladder [[Radius 1; Radius 2; Full_recompute]], non-strict,
+(** Luby ({!Fairmis.Luby.program} through the simulator runtime), ladder
+    [[Radius 1; Radius 2; Full_recompute]], non-strict,
     [check_every = 0], no timeout, zero backoff, wall clock, seed 1, no
     metrics, null decisions sink, critpath off. *)
 
@@ -96,11 +93,8 @@ val create : ?config:config -> capacity:int -> unit -> t
 
 val config : t -> config
 val graph : t -> Dyn_graph.t
-val batches : t -> int
 val mis : t -> bool array
 (** Current membership by node slot (a copy; dead slots are [false]). *)
-
-val in_mis : t -> int -> bool
 
 type report = {
   batch : int;  (** 1-based. *)

@@ -38,11 +38,6 @@ type stats = {
           ["dyn.repair.latency_seconds"] sketch. *)
 }
 
-val report_json : Maintain.report -> Mis_obs.Json.t
-(** The flight-recorder line for one batch:
-    [{"type":"batch_report","batch":..,...}] with the report's scalar
-    fields ([region_nodes] collapsed to its length). *)
-
 val run :
   ?batch_size:int ->
   ?max_batches:int ->

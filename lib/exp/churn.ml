@@ -1,6 +1,5 @@
 module Splitmix = Mis_util.Splitmix
 module Maintain = Mis_dyn.Maintain
-module Serve = Mis_dyn.Serve
 module Dyn_graph = Mis_dyn.Dyn_graph
 module Churn_gen = Mis_workload.Churn
 module Metrics = Mis_obs.Metrics
@@ -12,44 +11,8 @@ module Empirical = Mis_stats.Empirical
 let pct xs q =
   Option.value ~default:Float.nan (Mis_obs.Sketch.nearest_rank xs q)
 
-type params = {
-  churn : Churn_gen.params;
-  window : int;
-  seeds : int list;
-  csv : string option;
-}
-
-let default_params =
-  { churn = { Churn_gen.default with batches = 120 };
-    window = 20;
-    seeds = [ 1 ];
-    csv = None }
-
-type cell = {
-  seed : int;
-  batches : int;
-  events : int;
-  applied : int;
-  skipped : int;
-  live_mean : float;
-  region_mean : float;
-  region_max : int;
-  p50_ms : float;
-  p95_ms : float;
-  p99_ms : float;
-  escalations : int;
-  full_recomputes : int;
-  flips : int;
-  violations : int;
-  factor_median : float;
-  factor_max : float;
-  infinite_windows : int;
-  evictions : int;
-  evict_max : int;
-  evict_factor : float;
-  redecide_max : int;
-  redecide_factor : float;
-}
+(* Batches per fairness window. *)
+let window = 20
 
 let median xs =
   match List.sort compare xs with
@@ -86,11 +49,10 @@ let count_factor counts ~ever_alive =
     counts;
   if !sum = 0 then nan else float_of_int !mx *. float_of_int !n /. float_of_int !sum
 
-let measure_cell ?metrics (params : params) ~seed =
-  if params.window < 1 then invalid_arg "Churn.measure_cell: window";
-  let p = params.churn in
+(* One served stream as a table row. [reg] is shared across the seeds,
+   so [viol] is the running total of the checker's violations. *)
+let row reg (p : Churn_gen.params) ~seed =
   let stream = Churn_gen.generate (Splitmix.of_seed seed) p in
-  let reg = match metrics with Some r -> r | None -> Metrics.create () in
   let cfg =
     { Maintain.default_config with
       seed; check_every = 1; metrics = Some reg }
@@ -98,7 +60,7 @@ let measure_cell ?metrics (params : params) ~seed =
   let m = Maintain.create ~config:cfg ~capacity:p.Churn_gen.capacity () in
   let g = Maintain.graph m in
   let capacity = p.Churn_gen.capacity in
-  let events = ref 0 and applied = ref 0 and skipped = ref 0 in
+  let events = ref 0 and applied = ref 0 in
   let escalations = ref 0 and fulls = ref 0 and flips = ref 0 in
   let region_sum = ref 0 and region_max = ref 0 and live_sum = ref 0 in
   let seconds = ref [] in
@@ -111,13 +73,12 @@ let measure_cell ?metrics (params : params) ~seed =
   let ever_alive = Array.make capacity false in
   let prev_mis = ref (Maintain.mis m) in
   let win_len = ref 0 in
-  let factors = ref [] and infinite = ref 0 in
+  let factors = ref [] in
   let close_window () =
     if !win_len > 0 then begin
       (match window_factor !fair ~stable with
       | Some f when Float.is_finite f -> factors := f :: !factors
-      | Some _ -> incr infinite
-      | None -> ());
+      | _ -> ());
       fair := Fairness.create ~n:capacity;
       Array.fill stable 0 capacity true;
       win_len := 0
@@ -130,7 +91,6 @@ let measure_cell ?metrics (params : params) ~seed =
       incr batches;
       events := !events + r.Maintain.events;
       applied := !applied + r.Maintain.applied;
-      skipped := !skipped + r.Maintain.skipped;
       if r.Maintain.escalated then incr escalations;
       if r.Maintain.full_recompute then incr fulls;
       flips := !flips + r.Maintain.flips;
@@ -155,130 +115,46 @@ let measure_cell ?metrics (params : params) ~seed =
       done;
       prev_mis := now;
       incr win_len;
-      if !win_len = params.window then close_window ())
+      if !win_len = window then close_window ())
     stream;
   close_window ();
-  (* Per-node distributions into the registry, over ever-alive nodes
-     (zeros included: the histogram's mass at 0 is the equitable case). *)
-  let ev_hist = Metrics.histogram reg "churn.evictions_per_node" in
-  let rd_hist = Metrics.histogram reg "churn.redecides_per_node" in
-  Array.iteri
-    (fun u alive ->
-      if alive then begin
-        Metrics.observe_int ev_hist evict.(u);
-        Metrics.observe_int rd_hist redecide.(u)
-      end)
-    ever_alive;
   let ms = Array.of_list (List.rev_map (fun s -> 1000. *. s) !seconds) in
   let per sum = float_of_int sum /. float_of_int (max 1 !batches) in
-  { seed;
-    batches = !batches;
-    events = !events;
-    applied = !applied;
-    skipped = !skipped;
-    live_mean = per !live_sum;
-    region_mean = per !region_sum;
-    region_max = !region_max;
-    p50_ms = pct ms 0.50;
-    p95_ms = pct ms 0.95;
-    p99_ms = pct ms 0.99;
-    escalations = !escalations;
-    full_recomputes = !fulls;
-    flips = !flips;
-    violations =
-      Metrics.counter_value (Metrics.counter reg "dyn.invariant_violations");
-    factor_median = median !factors;
-    factor_max =
-      (match !factors with [] -> nan | fs -> List.fold_left max neg_infinity fs);
-    infinite_windows = !infinite;
-    evictions = Array.fold_left ( + ) 0 evict;
-    evict_max = Array.fold_left max 0 evict;
-    evict_factor = count_factor evict ~ever_alive;
-    redecide_max = Array.fold_left max 0 redecide;
-    redecide_factor = count_factor redecide ~ever_alive }
-
-let measure ?metrics (params : params) =
-  List.map (fun seed -> measure_cell ?metrics params ~seed) params.seeds
+  let violations =
+    Metrics.counter_value (Metrics.counter reg "dyn.invariant_violations")
+  in
+  [ string_of_int seed;
+    string_of_int !batches;
+    string_of_int !events;
+    string_of_int !applied;
+    Printf.sprintf "%.0f" (per !live_sum);
+    Printf.sprintf "%.1f" (per !region_sum);
+    string_of_int !region_max;
+    Printf.sprintf "%.2f" (pct ms 0.50);
+    Printf.sprintf "%.2f" (pct ms 0.95);
+    Printf.sprintf "%.2f" (pct ms 0.99);
+    string_of_int !escalations;
+    string_of_int !fulls;
+    string_of_int !flips;
+    string_of_int violations;
+    Table.float_cell (median !factors);
+    string_of_int (Array.fold_left ( + ) 0 evict);
+    Table.float_cell (count_factor evict ~ever_alive);
+    Table.float_cell (count_factor redecide ~ever_alive) ]
 
 let header =
   [ "seed"; "batches"; "events"; "applied"; "live"; "region"; "max rg";
     "p50ms"; "p95ms"; "p99ms"; "esc"; "full"; "flips"; "viol"; "factor";
     "evict"; "evfac"; "rdfac" ]
 
-let rows cells =
-  List.map
-    (fun c ->
-      [ string_of_int c.seed;
-        string_of_int c.batches;
-        string_of_int c.events;
-        string_of_int c.applied;
-        Printf.sprintf "%.0f" c.live_mean;
-        Printf.sprintf "%.1f" c.region_mean;
-        string_of_int c.region_max;
-        Printf.sprintf "%.2f" c.p50_ms;
-        Printf.sprintf "%.2f" c.p95_ms;
-        Printf.sprintf "%.2f" c.p99_ms;
-        string_of_int c.escalations;
-        string_of_int c.full_recomputes;
-        string_of_int c.flips;
-        string_of_int c.violations;
-        Table.float_cell c.factor_median;
-        string_of_int c.evictions;
-        Table.float_cell c.evict_factor;
-        Table.float_cell c.redecide_factor ])
-    cells
-
-let run_params (params : params) =
-  let p = params.churn in
+let run (cfg : Config.t) =
+  let p = { Churn_gen.default with batches = 120 } in
   Printf.printf
     "== churn: dynamic MIS under heavy-tailed churn (capacity=%d, \
      initial=%d, batches=%d, window=%d, Pareto alpha=%g)\n"
-    p.Churn_gen.capacity p.Churn_gen.initial p.Churn_gen.batches
-    params.window p.Churn_gen.lifetime_alpha;
-  let metrics = Metrics.create () in
-  let cells =
-    Metrics.time (Metrics.timer metrics "churn.total_seconds") (fun () ->
-        measure ~metrics params)
-  in
-  Table.print ~header (rows cells);
-  (match params.csv with
-  | Some path ->
-    Csv.write ~path
-      ~header:
-        [ "seed"; "batches"; "events"; "applied"; "skipped"; "live_mean";
-          "region_mean"; "region_max"; "p50_ms"; "p95_ms"; "p99_ms";
-          "escalations"; "full_recomputes"; "flips"; "violations";
-          "factor_median"; "factor_max"; "infinite_windows"; "evictions";
-          "evict_max"; "evict_factor"; "redecide_max"; "redecide_factor" ]
-      (List.map
-         (fun c ->
-           [ string_of_int c.seed; string_of_int c.batches;
-             string_of_int c.events; string_of_int c.applied;
-             string_of_int c.skipped; Printf.sprintf "%.2f" c.live_mean;
-             Printf.sprintf "%.2f" c.region_mean;
-             string_of_int c.region_max; Printf.sprintf "%.4f" c.p50_ms;
-             Printf.sprintf "%.4f" c.p95_ms; Printf.sprintf "%.4f" c.p99_ms;
-             string_of_int c.escalations; string_of_int c.full_recomputes;
-             string_of_int c.flips; string_of_int c.violations;
-             Table.float_cell c.factor_median;
-             Table.float_cell c.factor_max;
-             string_of_int c.infinite_windows;
-             string_of_int c.evictions;
-             string_of_int c.evict_max;
-             Table.float_cell c.evict_factor;
-             string_of_int c.redecide_max;
-             Table.float_cell c.redecide_factor ])
-         cells);
-    Printf.printf "csv written to %s\n" path;
-    let mpath = path ^ ".metrics.json" in
-    let oc = open_out mpath in
-    output_string oc (Metrics.to_json (Metrics.snapshot metrics));
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "metrics written to %s\n" mpath
-  | None -> ());
-  print_newline ()
-
-let run (cfg : Config.t) =
+    p.Churn_gen.capacity p.Churn_gen.initial p.Churn_gen.batches window
+    p.Churn_gen.lifetime_alpha;
+  let reg = Metrics.create () in
   let seeds = [ cfg.Config.seed; cfg.Config.seed + 1; cfg.Config.seed + 2 ] in
-  run_params { default_params with seeds }
+  Table.print ~header (List.map (fun seed -> row reg p ~seed) seeds);
+  print_newline ()

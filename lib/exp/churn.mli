@@ -5,54 +5,4 @@
     windowed fairness over the nodes that stay up (ours; the paper's
     WAP scenario, Sec. IX, made long-running). *)
 
-type params = {
-  churn : Mis_workload.Churn.params;
-  window : int;  (** Batches per fairness window. *)
-  seeds : int list;  (** One served stream per seed. *)
-  csv : string option;
-}
-
-val default_params : params
-
-type cell = {
-  seed : int;
-  batches : int;
-  events : int;
-  applied : int;
-  skipped : int;
-  live_mean : float;  (** Mean alive nodes across batches. *)
-  region_mean : float;  (** Mean re-decided region size. *)
-  region_max : int;
-  p50_ms : float;  (** Repair-latency percentiles, milliseconds. *)
-  p95_ms : float;
-  p99_ms : float;
-  escalations : int;
-  full_recomputes : int;
-  flips : int;
-  violations : int;  (** Checker violations (healed; 0 expected). *)
-  factor_median : float;
-      (** Median windowed inequality factor over nodes alive for the
-          whole window ([nan] with no finite window). *)
-  factor_max : float;
-  infinite_windows : int;  (** Windows where some always-up node was
-                               never in the MIS. *)
-  evictions : int;
-      (** Members pushed out of the set by repair while still alive
-          (departures and crashes are not evictions). *)
-  evict_max : int;  (** Largest per-node eviction count. *)
-  evict_factor : float;
-      (** Eviction inequality: max / mean over ever-alive nodes ([nan]
-          with no evictions). Also observed per node into the
-          [churn.evictions_per_node] histogram. *)
-  redecide_max : int;
-  redecide_factor : float;
-      (** Same for re-decides (region membership per batch;
-          [churn.redecides_per_node]). *)
-}
-
-val measure_cell : ?metrics:Mis_obs.Metrics.t -> params -> seed:int -> cell
-val measure : ?metrics:Mis_obs.Metrics.t -> params -> cell list
-val header : string list
-val rows : cell list -> string list list
-val run_params : params -> unit
 val run : Config.t -> unit

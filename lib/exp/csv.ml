@@ -16,11 +16,10 @@ let escape field =
 
 let row_to_string row = String.concat "," (List.map escape row)
 
-let to_string ~header rows =
-  String.concat "\n" (List.map row_to_string (header :: rows)) ^ "\n"
-
 let write ~path ~header rows =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string ~header rows))
+    (fun () ->
+      output_string oc
+        (String.concat "\n" (List.map row_to_string (header :: rows)) ^ "\n"))

@@ -39,7 +39,8 @@ val measure : ?metrics:Mis_obs.Metrics.t -> params -> cell list
     cell additionally records wall-clock ([faults.cell_seconds]), run and
     validity counters, round/drop histograms and a per-cell
     [faults.factor/<alg>/drop=<r>] gauge — all updated on the
-    coordinating domain only. *)
+    coordinating domain only. Only {!run_params} calls it here; tests
+    pin its cells bit-identical across domain counts. *)
 
 val run_params : params -> unit
 (** [measure], rendered as a table (and CSV when requested). When a CSV

@@ -2,7 +2,8 @@
 
 val render : header:string list -> string list list -> string
 (** Left-aligned first column, right-aligned rest, with a rule under the
-    header. *)
+    header. The layout {!print} writes, exposed so tests can check it
+    without capturing stdout. *)
 
 val print : header:string list -> string list list -> unit
 

@@ -16,8 +16,17 @@
       [outerplanar:n=32,seed=1]
     - [clique:n=16], [cone:k=8]
     - [dartmouth:seed=1], [nyc:seed=1], [nyc-small:seed=1]
-    - [file:path=graph.edges] — read a {!Mis_graph.Io} edge list *)
+    - [file:path=graph.edges] — read a {!Mis_graph.Io} edge list
+
+    The list is {!names}: each entry's keys are the topology's only keys,
+    and its defaults give their types (an integer default makes an
+    integer key, a decimal one a number, [path] a string). *)
 
 val parse : string -> (Mis_graph.Graph.t, string) result
+(** [Error] names the topology and the key for an unknown name, an
+    unknown key, a value of the wrong type or a token without [=]; a
+    generator's own [Invalid_argument]/[Failure] also comes back as
+    [Error]. [file] has no default path. *)
+
 val names : string list
-(** Known topology names with their parameter hints. *)
+(** Known topology names with their keys and defaults. *)

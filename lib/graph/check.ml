@@ -46,9 +46,6 @@ let member_neighbor view set u =
     ~adj_edge:(Graph.csr_adj_edge g) ~nodes:(View.node_mask view)
     ~edges:(View.edge_mask view) set u
 
-let is_independent_set view in_set = classify view in_set <> Not_independent
-let is_maximal_independent view in_set = classify view in_set = Mis
-
 let surviving_view view ~crashed =
   let n = View.n view in
   if Array.length crashed <> n then
@@ -59,7 +56,7 @@ let surviving_view view ~crashed =
   View.restrict ~nodes ~edges (View.graph view)
 
 let is_surviving_mis view ~crashed in_set =
-  is_maximal_independent (surviving_view view ~crashed) in_set
+  classify (surviving_view view ~crashed) in_set = Mis
 
 let is_proper_coloring view color =
   let ok = ref true in

@@ -15,23 +15,17 @@ val member_neighbor : View.t -> bool array -> int -> bool
 (** [member_neighbor view set u]: some neighbor of [u] across a usable
     edge is in [set] ({!View.exists_adj} without the closure). *)
 
-val is_independent_set : View.t -> bool array -> bool
-(** No two active members joined across a usable edge. Inactive nodes'
-    membership bits are ignored. *)
-
-val is_maximal_independent : View.t -> bool array -> bool
-(** Independent, and every active non-member has an active member neighbor. *)
-
 val surviving_view : View.t -> crashed:bool array -> View.t
 (** [view] with the crashed nodes additionally masked out: the subgraph a
-    faulty execution actually served.
+    faulty execution actually served: what {!is_surviving_mis} checks,
+    exposed so the tests build their oracles of it on the same subgraph.
     @raise Invalid_argument if [crashed] does not have length [View.n]. *)
 
 val is_surviving_mis : View.t -> crashed:bool array -> bool array -> bool
 (** Graceful-degradation oracle for faulty runs: [in_set] is a maximal
     independent set of the {!surviving_view} — independence and coverage
     are required only among the nodes that did not crash-stop. With an
-    all-[false] mask this is {!is_maximal_independent}. *)
+    all-[false] mask this is [classify view in_set = Mis]. *)
 
 val is_proper_coloring : View.t -> int array -> bool
 (** Every active node has a color [>= 0] differing from all active

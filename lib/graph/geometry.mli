@@ -11,8 +11,6 @@ type edges = { w : float array; u : int array; v : int array }
 (** Weighted edges as a struct of arrays: edge [k] joins [u.(k)] and
     [v.(k)] at weight [w.(k)]. *)
 
-val dist : point -> point -> float
-
 val iter_threshold :
   point array -> radius:float -> (float -> int -> int -> unit) -> unit
 (** [iter_threshold points ~radius f] calls [f d i j] once for every pair
@@ -30,6 +28,3 @@ val threshold_edges : point array -> radius:float -> edges
 (** The pairs of {!iter_threshold}, in its order, sized by a counting
     scan and filled by a second one.
     @raise Invalid_argument if [radius <= 0]. *)
-
-val bounding_box : point array -> point * point
-(** [(lower_left, upper_right)]; raises on the empty array. *)

@@ -44,6 +44,9 @@ val edges : t -> (int * int) array
     array is fresh; mutating it does not affect the graph. *)
 
 val mem_edge : t -> int -> int -> bool
+(** Adjacency test by scanning the smaller list ([false] out of range).
+    The system reads adjacency through {!iter_adj} and the CSR arrays;
+    the tests probe the generators' and CSR builders' edges with it. *)
 
 val iter_adj : t -> int -> (int -> unit) -> unit
 (** [iter_adj g u f] calls [f v] for every neighbor [v] of [u]. *)
@@ -53,7 +56,8 @@ val iter_adj_e : t -> int -> (int -> int -> unit) -> unit
     [e] is the id of the edge [{u, v}]. *)
 
 val neighbors : t -> int -> int array
-(** Fresh array of the neighbors of a node. *)
+(** Fresh array of the neighbors of a node, in {!iter_adj} order: how
+    the tests compare the adjacency of two CSR builds. *)
 
 val csr_off : t -> int array
 val csr_adj : t -> int array

@@ -42,28 +42,6 @@ let of_tree g ~root =
   done;
   { n; parent }
 
-let roots t =
-  let acc = ref [] in
-  for i = t.n - 1 downto 0 do
-    if t.parent.(i) = -1 then acc := i :: !acc
-  done;
-  !acc
-
-let depth t =
-  let d = Array.make t.n (-1) in
-  let rec depth_of i =
-    if d.(i) >= 0 then d.(i)
-    else begin
-      let v = if t.parent.(i) = -1 then 0 else 1 + depth_of t.parent.(i) in
-      d.(i) <- v;
-      v
-    end
-  in
-  for i = 0 to t.n - 1 do
-    ignore (depth_of i : int)
-  done;
-  d
-
 let children t =
   let counts = Array.make t.n 0 in
   Array.iter (fun p -> if p >= 0 then counts.(p) <- counts.(p) + 1) t.parent;

@@ -9,14 +9,14 @@ type t = { n : int; parent : int array }
 
 val of_parents : int array -> t
 (** Validates that parent pointers are in range, acyclic, and not
-    self-referential. Roots are entries equal to [-1]. *)
+    self-referential. Roots are entries equal to [-1]. The system roots
+    trees with {!of_tree} and forests with {!restrict}; this builds the
+    arbitrary forests the tests run FairRooted and Cole–Vishkin on. *)
 
 val of_tree : Graph.t -> root:int -> t
 (** Root an unrooted tree at [root] by a BFS orientation.
     @raise Invalid_argument if the graph is not a tree. *)
 
-val roots : t -> int list
-val depth : t -> int array
 val children : t -> int array array
 
 val to_graph : t -> Graph.t

@@ -1,16 +1,11 @@
-let bfs_multi view ~sources =
+let bfs_from view s =
   let n = View.n view in
   let dist = Array.make n (-1) in
   let q = Mis_util.Int_queue.create ~capacity:(max 16 n) () in
-  List.iter
-    (fun s ->
-      if not (View.node_active view s) then
-        invalid_arg "Traverse.bfs_multi: inactive source";
-      if dist.(s) < 0 then begin
-        dist.(s) <- 0;
-        Mis_util.Int_queue.push q s
-      end)
-    sources;
+  if not (View.node_active view s) then
+    invalid_arg "Traverse.bfs_from: inactive source";
+  dist.(s) <- 0;
+  Mis_util.Int_queue.push q s;
   while not (Mis_util.Int_queue.is_empty q) do
     let u = Mis_util.Int_queue.pop q in
     View.iter_adj view u (fun v ->
@@ -20,8 +15,6 @@ let bfs_multi view ~sources =
         end)
   done;
   dist
-
-let bfs_from view s = bfs_multi view ~sources:[ s ]
 
 let components view =
   let n = View.n view in
@@ -70,28 +63,6 @@ let diameter_exact view =
       if e > !best then best := e);
   !best
 
-let farthest_active dist members =
-  let best = ref members.(0) in
-  Array.iter (fun u -> if dist.(u) > dist.(!best) then best := u) members;
-  !best
-
-let tree_diameters view =
-  let label, count = components view in
-  let members = component_members label count in
-  Array.to_list
-    (Array.map
-       (fun nodes ->
-         let d0 = bfs_from view nodes.(0) in
-         let a = farthest_active d0 nodes in
-         let d1 = bfs_from view a in
-         let b = farthest_active d1 nodes in
-         (d1.(b), nodes))
-       members)
-
-let is_connected view =
-  let _, count = components view in
-  count <= 1
-
 let count_usable_edges view =
   let m = Graph.m (View.graph view) in
   let c = ref 0 in
@@ -105,7 +76,7 @@ let is_forest view =
   count_usable_edges view = View.count_active view - count
 
 let is_tree view =
-  View.count_active view > 0 && is_connected view && is_forest view
+  View.count_active view > 0 && snd (components view) = 1 && is_forest view
 
 let bipartition view =
   let n = View.n view in

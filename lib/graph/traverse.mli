@@ -2,11 +2,9 @@
     operating on masked {!View}s so they can serve the per-stage subgraphs
     of the MIS algorithms. *)
 
-val bfs_multi : View.t -> sources:int list -> int array
-(** Distance from the nearest source through active nodes/edges; [-1] for
-    unreachable or inactive nodes. Sources must be active. *)
-
 val bfs_from : View.t -> int -> int array
+(** Distance from the source through active nodes/edges; [-1] for
+    unreachable or inactive nodes. The source must be active. *)
 
 val components : View.t -> int array * int
 (** [(label, count)]: [label.(u)] is a component index in [0 .. count-1]
@@ -15,21 +13,14 @@ val components : View.t -> int array * int
 val component_members : int array -> int -> int array array
 (** [component_members label count] groups node indices by label. *)
 
-val eccentricity : View.t -> int -> int
-(** Largest finite BFS distance from the node within its component. *)
-
 val diameter_exact : View.t -> int
 (** Max eccentricity over active nodes (per component); 0 on empty views.
     O(n·m): intended for tests and small graphs. *)
 
-val tree_diameters : View.t -> (int * int array) list
-(** Two-sweep exact diameters, one per component — valid when every
-    component is a tree. Returns [(diameter, members)] per component. *)
-
-val is_connected : View.t -> bool
-(** True when there is at most one component among active nodes. *)
-
 val is_forest : View.t -> bool
+(** The active subgraph has no cycle. The system asks {!is_tree}; the
+    tests check the MST's spanning forests, per component, with it. *)
+
 val is_tree : View.t -> bool
 (** Connected forest with at least one node. *)
 

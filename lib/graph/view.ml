@@ -17,8 +17,6 @@ let restrict ?nodes ?edges g =
   | _ -> ());
   { g; nodes; edges }
 
-let induced g nodes = restrict ~nodes g
-
 let graph t = t.g
 let n t = Graph.n t.g
 

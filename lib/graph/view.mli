@@ -19,9 +19,6 @@ val restrict : ?nodes:bool array -> ?edges:bool array -> Graph.t -> t
     its own mask bit is set {e and} both endpoints are active. The arrays
     are captured, not copied. *)
 
-val induced : Graph.t -> bool array -> t
-(** [induced g nodes] = [restrict ~nodes g]. *)
-
 val graph : t -> Graph.t
 val n : t -> int
 (** [n] of the underlying graph (including inactive nodes). *)
@@ -52,3 +49,5 @@ val degree : t -> int -> int
 (** Active degree, computed by scanning the adjacency of [u]. *)
 
 val exists_adj : t -> int -> (int -> bool) -> bool
+(** Some neighbour of [u] satisfies the predicate. The closure form of
+    {!Check.member_neighbor}, kept as its test oracle. *)

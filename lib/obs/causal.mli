@@ -85,7 +85,8 @@ val blame : t -> Trace.event list -> (string * int) list
     round; ["(none)"] before the first annotation. [events] must be the
     stream [t] was built from. Computed on demand by one scan of the
     events — collecting annotations inside {!analyze}'s replay pass is
-    what broke its <5%-over-replay overhead budget. *)
+    what broke its <5%-over-replay overhead budget. The [blame:] line of
+    {!render}; exposed so tests can pin the per-phase counts. *)
 
 val decide_path : t -> Trace.event list -> int -> step array
 (** [decide_path t events u]: the critical path to node [u]'s own

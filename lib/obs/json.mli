@@ -47,7 +47,7 @@ val emit : value -> t
 
 val max_depth : int
 (** Deepest nesting of arrays and objects {!parse} accepts (512), far
-    above anything the repo emits. *)
+    above anything the repo emits; exposed so tests can probe the limit. *)
 
 val parse : string -> (value, string) result
 (** Parse one JSON document (the whole string). Errors carry the byte

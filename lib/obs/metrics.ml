@@ -65,7 +65,6 @@ let gauge t name =
   | _ -> assert false
 
 let set g v = g.g <- v
-let gauge_value g = g.g
 
 let default_buckets =
   Array.init 17 (fun i -> Float.of_int (1 lsl i)) (* 1 .. 65536 *)
@@ -124,8 +123,6 @@ let timer_add tm ~seconds ~calls =
   tm.seconds <- tm.seconds +. seconds;
   tm.calls <- tm.calls + calls
 
-let timer_seconds tm = tm.seconds
-let timer_calls tm = tm.calls
 
 let sketch t ?accuracy name =
   match

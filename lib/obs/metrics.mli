@@ -32,20 +32,16 @@ type gauge
 
 val gauge : t -> string -> gauge
 val set : gauge -> float -> unit
-val gauge_value : gauge -> float
 
 (** {1 Histograms} *)
 
 type histogram
 
-val default_buckets : float array
-(** Powers of two, [1 .. 65536]. *)
-
 val histogram : t -> ?buckets:float array -> string -> histogram
 (** Fixed upper-bound buckets (a value [v] lands in the first bucket with
     [v <= bound]; larger values land in the implicit overflow bucket).
-    [buckets] must be strictly increasing and is ignored when the
-    histogram already exists.
+    [buckets] (default: powers of two, [1 .. 65536]) must be strictly
+    increasing and is ignored when the histogram already exists.
     @raise Invalid_argument on an empty or non-increasing bucket list. *)
 
 val observe : histogram -> float -> unit
@@ -65,9 +61,6 @@ val time : timer -> (unit -> 'a) -> 'a
 val timer_add : timer -> seconds:float -> calls:int -> unit
 (** Fold an externally measured duration into the timer (used by
     {!Prof.to_metrics}). Negative inputs raise [Invalid_argument]. *)
-
-val timer_seconds : timer -> float
-val timer_calls : timer -> int
 
 (** {1 Sketches} *)
 

@@ -24,9 +24,5 @@
     [[a-zA-Z0-9_:]]: every other character (the registry's dots
     included) becomes [_], and a leading digit gains a [_] prefix. *)
 
-val metric_name : string -> string
-(** The sanitized exposition name for a registry name
-    (e.g. ["dyn.repair.seconds"] → ["dyn_repair_seconds"]). *)
-
 val render : Metrics.snapshot -> string
 (** The full exposition document, [# EOF]-terminated. *)

@@ -33,25 +33,22 @@ type t = {
   mutable record_spans : bool;
   mutable spans : span_record list;  (* newest first *)
   mutable span_count : int;
-  mutable spans_dropped : int;
 }
 
 let create ?(record_spans = false) () =
   { root = make_node ""; stack = []; record_spans; spans = [];
-    span_count = 0; spans_dropped = 0 }
+    span_count = 0 }
 
 let reset t =
   Hashtbl.reset t.root.children;
   t.root.order <- [];
   t.stack <- [];
   t.spans <- [];
-  t.span_count <- 0;
-  t.spans_dropped <- 0
+  t.span_count <- 0
 
 let recording t = t.record_spans
 let set_recording t on = t.record_spans <- on
 let spans t = List.rev t.spans
-let spans_dropped t = t.spans_dropped
 
 type handle = {
   h_node : node;
@@ -89,20 +86,17 @@ let stop t h =
   n.allocated_bytes <- n.allocated_bytes +. (Gc.allocated_bytes () -. h.h_a0);
   n.minor <- n.minor + (st.Gc.minor_collections - h.h_minor0);
   n.major <- n.major + (st.Gc.major_collections - h.h_major0);
-  if t.record_spans then begin
-    if t.span_count < span_cap then begin
-      let path =
-        String.concat "/"
-          (List.rev_map (fun nd -> nd.name) h.h_prev @ [ n.name ])
-      in
-      t.spans <-
-        { sr_name = path; sr_begin = h.h_t0; sr_end = now;
-          sr_domain = (Domain.self () :> int);
-          sr_depth = List.length h.h_prev }
-        :: t.spans;
-      t.span_count <- t.span_count + 1
-    end
-    else t.spans_dropped <- t.spans_dropped + 1
+  if t.record_spans && t.span_count < span_cap then begin
+    let path =
+      String.concat "/"
+        (List.rev_map (fun nd -> nd.name) h.h_prev @ [ n.name ])
+    in
+    t.spans <-
+      { sr_name = path; sr_begin = h.h_t0; sr_end = now;
+        sr_domain = (Domain.self () :> int);
+        sr_depth = List.length h.h_prev }
+      :: t.spans;
+    t.span_count <- t.span_count + 1
   end;
   (* Restoring the pre-start stack also discards any frames an exception
      skipped over, so one leaked span cannot corrupt the tree. *)
@@ -209,7 +203,6 @@ let env_flag name =
    a [lazy] forced for the first time by two pooled domains at once
    raises [CamlinternalLazy.Undefined] in one of them. *)
 let spans_enabled_v = env_flag "FAIRMIS_PROF_SPANS"
-let spans_enabled () = spans_enabled_v
 
 (* FAIRMIS_PROF_SPANS implies profiling: recording a timeline without
    opening spans would record nothing. *)
@@ -226,7 +219,7 @@ let reg_all : t list ref = ref []
 
 let dls_key =
   Domain.DLS.new_key (fun () ->
-      let t = create ~record_spans:(spans_enabled ()) () in
+      let t = create ~record_spans:spans_enabled_v () in
       Mutex.lock reg_mutex;
       reg_all := t :: !reg_all;
       Mutex.unlock reg_mutex;

@@ -3,8 +3,11 @@
     accumulated into a tree keyed by span nesting.
 
     Two layers:
-    - explicit profilers ({!create} / {!span} / {!start} / {!stop}) for
-      harness code and tests;
+    - explicit profilers ({!create} / {!span} / {!start} / {!stop}), the
+      machinery the global profiler runs on. Only tests drive them
+      directly: the global profiler reads [FAIRMIS_PROF] once at
+      start-up, so an explicit profiler is how a test observes the span
+      tree, its merge, its metrics fold and its raw records;
     - an env-gated {e global} profiler ({!gspan} / {!gstart} / {!gstop}),
       enabled by [FAIRMIS_PROF=1], that the runtime and the experiment
       runners use. When disabled every [g*] entry point is a single
@@ -57,9 +60,6 @@ val tree : t -> snapshot list
 val report : t -> string
 (** Aligned text table of the tree, children indented. *)
 
-val render : snapshot list -> string
-(** The same table for an arbitrary forest. *)
-
 val merge_forest : snapshot list -> snapshot list
 (** Merge same-named snapshots (recursively) into one forest, preserving
     first-appearance order; counters add up. *)
@@ -76,8 +76,7 @@ val to_metrics : t -> Metrics.t -> unit
     it — the raw material for the Perfetto execution timeline
     ({!Causal.execution_timeline}). Aggregate counters above are
     unaffected. Retention is capped (2^20 records per profiler); spans
-    past the cap still accumulate into the tree but are counted in
-    {!spans_dropped} instead of retained. *)
+    past the cap still accumulate into the tree but are not retained. *)
 
 type span_record = {
   sr_name : string;  (** Slash-joined path from the root, e.g. ["run/rounds"]. *)
@@ -93,29 +92,24 @@ val set_recording : t -> bool -> unit
 val spans : t -> span_record list
 (** Retained records, oldest first. *)
 
-val spans_dropped : t -> int
-
 (** {1 The global profiler} *)
 
 val enabled : unit -> bool
 (** [FAIRMIS_PROF=1] or [FAIRMIS_PROF_SPANS=1], read once at module
     initialisation, so any domain may call it at any time. *)
 
-val spans_enabled : unit -> bool
-(** [FAIRMIS_PROF_SPANS=1] (read once at module initialisation). When set, every domain's global
-    profiler records raw {!span_record}s, and {!enabled} is forced on so
-    the spans actually open. *)
-
 val global : unit -> t
-(** This domain's profiler (meaningful whether or not enabled). *)
+(** This domain's profiler (meaningful whether or not enabled); the
+    {!gspan} family opens spans on it, and tests open them directly. *)
 
 val global_tree : unit -> snapshot list
-(** The merged forest of every domain's global profiler. *)
+(** The merged forest of every domain's global profiler: what
+    {!print_report} prints, and how tests check the cross-domain merge. *)
 
 val global_spans : unit -> span_record list
 (** Raw records of every domain's global profiler, sorted by begin time.
-    Empty unless {!spans_enabled} (or recording was switched on by
-    hand). Call after workers have been joined, like {!global_tree}. *)
+    Empty unless [FAIRMIS_PROF_SPANS=1] (read once at module
+    initialisation; it also forces {!enabled} on). Call after workers have been joined, like {!global_tree}. *)
 
 val gspan : string -> (unit -> 'a) -> 'a
 (** Span on the global profiler when {!enabled}, else just the thunk. *)

@@ -106,26 +106,8 @@ let parse_line line =
   | Error e -> Error e
   | Ok v -> event_of_json v
 
-let parse_lines ?file lines =
-  let where lineno =
-    match file with
-    | Some f -> spf "%s:%d" f lineno
-    | None -> spf "line %d" lineno
-  in
-  let rec go lineno acc = function
-    | [] -> Ok (List.rev acc)
-    | line :: rest ->
-      if String.trim line = "" then go (lineno + 1) acc rest
-      else (
-        match parse_line line with
-        | Ok e -> go (lineno + 1) (e :: acc) rest
-        | Error e -> Error (spf "%s: %s" (where lineno) e))
-  in
-  go 1 [] lines
-
-let parse_string s =
-  parse_lines (String.split_on_char '\n' s)
-
+(* Each line is decoded as soon as it is read, so a malformed line stops
+   the read there and only the events before it are ever held. *)
 let of_jsonl path =
   match open_in path with
   | exception Sys_error e -> Error e
@@ -133,15 +115,16 @@ let of_jsonl path =
     Fun.protect
       ~finally:(fun () -> close_in ic)
       (fun () ->
-        let lines = ref [] in
-        (try
-           while true do
-             lines := input_line ic :: !lines
-           done
-         with End_of_file -> ());
-        parse_lines ~file:path (List.rev !lines))
-
-let of_file = of_jsonl
+        let rec go lineno acc =
+          match input_line ic with
+          | exception End_of_file -> Ok (List.rev acc)
+          | line when String.trim line = "" -> go (lineno + 1) acc
+          | line -> (
+            match parse_line line with
+            | Ok e -> go (lineno + 1) (e :: acc)
+            | Error e -> Error (spf "%s:%d: %s" path lineno e))
+        in
+        go 1 [])
 
 (* --- replay ------------------------------------------------------------- *)
 
@@ -619,6 +602,6 @@ let replay_indexed ?max_errors events =
   replay_core ~index:true ?max_errors events
 
 let replay_file ?max_errors path =
-  match of_file path with
+  match of_jsonl path with
   | Error e -> Error [ e ]
   | Ok events -> replay ?max_errors events

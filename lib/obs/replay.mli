@@ -25,25 +25,15 @@
 
 (** {1 Parsing} *)
 
-val event_of_json : Json.value -> (Trace.event, string) result
-(** Typed view of one parsed JSON object. *)
-
 val parse_line : string -> (Trace.event, string) result
-(** Parse one JSONL line. *)
-
-val parse_lines : ?file:string -> string list -> (Trace.event list, string) result
-(** Parse a whole stream; blank lines are skipped, errors are prefixed
-    with the position of the offending line — ["FILE:LINE:"] when [file]
-    is given, ["line LINE:"] otherwise (1-based either way). *)
-
-val parse_string : string -> (Trace.event list, string) result
+(** Decode one JSONL line: the per-line step of {!of_jsonl}, kept so
+    tests can check the decoder's error messages and round-trips. *)
 
 val of_jsonl : string -> (Trace.event list, string) result
-(** Read and parse a JSONL trace file; malformed lines are reported as
-    ["FILE:LINE: ..."] so the message is directly clickable/grep-able. *)
-
-val of_file : string -> (Trace.event list, string) result
-(** Alias of {!of_jsonl}. *)
+(** Read and parse a JSONL trace file, decoding each line as it is read;
+    blank lines are skipped. The first malformed line stops the read and
+    is reported as ["FILE:LINE: ..."] (1-based) so the message is
+    directly clickable/grep-able. *)
 
 (** {1 Replay} *)
 
@@ -131,5 +121,5 @@ val replay_indexed :
     bench row gates it). *)
 
 val replay_file : ?max_errors:int -> string -> (summary, string list) result
-(** {!of_file} composed with {!replay}; parse errors come back as a
+(** {!of_jsonl} composed with {!replay}; parse errors come back as a
     single-element error list. *)

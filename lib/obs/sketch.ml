@@ -193,13 +193,6 @@ let merge ~into src =
   if src.min_v < into.min_v then into.min_v <- src.min_v;
   if src.max_v > into.max_v then into.max_v <- src.max_v
 
-let buckets t =
-  let acc = ref [] in
-  for i = Array.length t.counts - 1 downto 0 do
-    if t.counts.(i) <> 0 then acc := (t.lo + i, t.counts.(i)) :: !acc
-  done;
-  if t.zero <> 0 then (min_int, t.zero) :: !acc else !acc
-
 (* --- the exact offline percentile --------------------------------------- *)
 
 let nearest_rank xs q =

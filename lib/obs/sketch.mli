@@ -72,11 +72,6 @@ val merge : into:t -> t -> unit
     sketches must share a configuration ({!same_layout}).
     @raise Invalid_argument otherwise. *)
 
-val buckets : t -> (int * int) list
-(** Sparse non-empty buckets as [(log-index, count)], ascending; the
-    zero bucket appears as index [min_int]. For serialization and
-    tests. *)
-
 (** {1 The exact offline percentile} *)
 
 val ceil_rank : total:int -> float -> int
@@ -89,7 +84,8 @@ val ceil_rank : total:int -> float -> int
     mantissa and the product is formed in 128-bit integer arithmetic,
     so the returned rank is the mathematical ceiling of the product of
     [total] with the double [q] actually passed. Both {!quantile} and
-    {!nearest_rank} rank through this.
+    {!nearest_rank} rank through this; it is exposed so tests can pin
+    its rounding at totals no sample array reaches.
     @raise Invalid_argument on [q] outside [0, 1] or negative [total]. *)
 
 val nearest_rank : float array -> float -> float option

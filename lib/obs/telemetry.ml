@@ -115,7 +115,6 @@ let create ?(slo = 0.1) ?recorder reg =
     collectors = [];
     started = Unix.gettimeofday () }
 
-let metrics t = t.reg
 let recorder t = t.rec_
 let slo t = t.slo_s
 

@@ -93,7 +93,6 @@ val create : ?slo:float -> ?recorder:Recorder.t -> Metrics.t -> t
     budget behind the ["dyn.slo.breaches"] burn counter; [recorder]
     defaults to a fresh 4096-entry ring. *)
 
-val metrics : t -> Metrics.t
 val recorder : t -> Recorder.t
 val slo : t -> float
 
@@ -106,9 +105,6 @@ val add_collector : t -> (Metrics.t -> unit) -> unit
     every scrape — e.g. {!Mis_sim.Runtime.collect_totals} publishing the
     simulator's global counters as gauges. *)
 
-val render_metrics : t -> string
-(** Collectors, then {!Openmetrics.render} of a locked snapshot. *)
-
 val healthz : t -> Json.t
 (** One JSON object summarizing serve health from the registry:
     [status] (["ok"], or ["degraded"] when the degradation ladder sits
@@ -117,7 +113,8 @@ val healthz : t -> Json.t
     escalation / full-recompute / invariant-violation counts, the SLO
     burn counter with its threshold, and streaming repair-latency
     p50/p95/p99 from the ["dyn.repair.latency_seconds"] sketch (absent
-    fields render as [0] / [null]). *)
+    fields render as [0] / [null]). The [/healthz] body; exposed so tests
+    can read it without a socket. *)
 
 (** {1 HTTP exposer} *)
 

@@ -142,14 +142,3 @@ let counting registry =
   { emit =
       (fun e -> Metrics.incr (Metrics.counter registry ("trace.events." ^ kind e)));
     flush = ignore }
-
-let span sink name f =
-  if is_null sink then f ()
-  else begin
-    sink.emit (Span_begin { name });
-    let t0 = Unix.gettimeofday () in
-    Fun.protect
-      ~finally:(fun () ->
-        sink.emit (Span_end { name; seconds = Unix.gettimeofday () -. t0 }))
-      f
-  end

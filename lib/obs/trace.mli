@@ -15,7 +15,7 @@
       numbers, node indices and message counts — no wall-clock — so the
       serialized stream of a seeded run is reproducible byte for byte
       (pinned by golden tests). Wall-clock enters only through the
-      span helper ({!span}), used by host-side harness code.
+      host-side [Span_end] marker, which the runtime never emits.
     - {b Ordering.} Events arrive in execution order: [Run_begin],
       then per round [Round_begin], the round's per-message and per-node
       events, [Round_end], and finally [Run_end].
@@ -93,10 +93,6 @@ val memory : ?capacity:int -> unit -> sink * (unit -> event list)
 (** In-memory ring buffer holding the last [capacity] (default 65536)
     events; the closure returns them oldest first. Intended for tests. *)
 
-val jsonl : out_channel -> sink
-(** Writes each event as one JSON line. Does not close the channel;
-    [flush] flushes it. *)
-
 val with_jsonl_file : string -> (sink -> 'a) -> 'a
 (** Open [path], run the continuation with a {!jsonl} sink on it, close
     on the way out (also on exceptions). *)
@@ -108,8 +104,3 @@ val tee : sink list -> sink
 val counting : Metrics.t -> sink
 (** Counts events into the registry as counters named
     ["trace.events.<kind>"]. *)
-
-val span : sink -> string -> (unit -> 'a) -> 'a
-(** [span sink name f] emits [Span_begin], runs [f], then emits
-    [Span_end] with the elapsed wall-clock seconds (also on exceptions).
-    With a null sink this is just [f ()]. *)

@@ -35,7 +35,6 @@ let is_none t =
   t.drop = 0. && t.edge_drop = None && t.crashes = [] && t.max_delay = 0
   && t.adversary = None
 
-let seed t = t.seed
 let max_delay t = t.max_delay
 let adversary t = t.adversary
 

@@ -58,7 +58,6 @@ val is_none : t -> bool
     is configured, no crashes, no delay, no adversary). [edge_drop] is
     conservatively treated as potentially faulty. *)
 
-val seed : t -> int
 val drop_prob : t -> src:int -> dst:int -> float
 val max_delay : t -> int
 val adversary : t -> adversary option

@@ -6,4 +6,3 @@ type t = {
   mutable rng : Mis_util.Splitmix.t;
 }
 
-let degree t = Array.length t.neighbor_ids

@@ -13,5 +13,3 @@ type t = {
           re-seed a cached context array between runs instead of
           allocating [n] fresh records per execution. *)
 }
-
-val degree : t -> int

@@ -1,4 +1,3 @@
-module View = Mis_graph.View
 module Trace = Mis_obs.Trace
 module Prof = Mis_obs.Prof
 

@@ -87,7 +87,8 @@ val totals : unit -> totals
     atomically; concurrent runs may land between fields). *)
 
 val reset_totals : unit -> unit
-(** Zero the global counters (test isolation). *)
+(** Zero the global counters (test isolation). With {!totals}, how the
+    tests observe the counters the telemetry exposer publishes. *)
 
 val collect_totals : Mis_obs.Metrics.t -> unit
 (** Publish {!totals} into [reg] as gauges [sim.runs], [sim.rounds],

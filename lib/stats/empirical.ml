@@ -15,20 +15,17 @@ let create ~nodes ~trials ~joins =
     nodes;
   { nodes; trials; joins }
 
-let of_mask ~mask ~trials ~joins =
-  let nodes = ref [] in
-  for u = Array.length mask - 1 downto 0 do
-    if mask.(u) then nodes := u :: !nodes
-  done;
-  create ~nodes:(Array.of_list !nodes) ~trials ~joins
-
 let of_fairness ?mask acc =
   let mask =
     match mask with
     | Some m -> m
     | None -> Array.make (Mis_obs.Fairness.n acc) true
   in
-  of_mask ~mask ~trials:(Mis_obs.Fairness.runs acc)
+  let nodes = ref [] in
+  for u = Array.length mask - 1 downto 0 do
+    if mask.(u) then nodes := u :: !nodes
+  done;
+  create ~nodes:(Array.of_list !nodes) ~trials:(Mis_obs.Fairness.runs acc)
     ~joins:(Mis_obs.Fairness.joins acc)
 
 let trials t = t.trials
@@ -76,17 +73,6 @@ let quantile t q =
     let idx = int_of_float (Float.round (q *. float_of_int (n - 1))) in
     freqs.(max 0 (min (n - 1) idx))
   end
-
-let wilson_interval ~count ~trials ~z =
-  if trials < 1 then invalid_arg "Empirical.wilson_interval";
-  let n = float_of_int trials and p = float_of_int count /. float_of_int trials in
-  let z2 = z *. z in
-  let denom = 1. +. (z2 /. n) in
-  let center = (p +. (z2 /. (2. *. n))) /. denom in
-  let half =
-    z /. denom *. sqrt ((p *. (1. -. p) /. n) +. (z2 /. (4. *. n *. n)))
-  in
-  (Float.max 0. (center -. half), Float.min 1. (center +. half))
 
 type summary = {
   nodes : int;

@@ -6,10 +6,8 @@ type t
 
 val create : nodes:int array -> trials:int -> joins:int array -> t
 (** [nodes] are the node indices under study; [joins.(u)] counts the runs
-    in which node [u] joined, out of [trials] runs. *)
-
-val of_mask : mask:bool array -> trials:int -> joins:int array -> t
-(** The nodes [u] with [mask.(u)] under study. *)
+    in which node [u] joined, out of [trials] runs. The system builds
+    through {!of_fairness}; tests state join counts directly here. *)
 
 val of_fairness : ?mask:bool array -> Mis_obs.Fairness.t -> t
 (** The accumulator's join counts over its runs, restricted to [mask]
@@ -23,8 +21,6 @@ val frequencies : t -> float array
 (** Per studied node, in [nodes] order. *)
 
 val min_frequency : t -> float
-val max_frequency : t -> float
-val mean_frequency : t -> float
 
 val inequality_factor : t -> float
 (** max/min of the empirical join frequencies; [infinity] when some node
@@ -37,9 +33,6 @@ val cdf : t -> (float * float) array
 val quantile : t -> float -> float
 (** [quantile t q] for [0 <= q <= 1]: the empirical [q]-quantile of the
     per-node join frequencies. *)
-
-val wilson_interval : count:int -> trials:int -> z:float -> float * float
-(** Wilson score interval for one node's join probability. *)
 
 type summary = {
   nodes : int;

@@ -21,6 +21,9 @@ val correlation : t -> int -> float
     pair; [nan] when either indicator is degenerate (variance 0). *)
 
 val joint_probability : t -> int -> float
-(** Empirical P(both join) for the [i]-th pair. *)
+(** Empirical P(both join) for the [i]-th pair. With {!trials} and
+    {!marginals}, the counts behind {!correlation}; the experiments print
+    only the correlation, and these are exposed so tests can check the
+    counts and their merge. *)
 
 val marginals : t -> int -> float * float

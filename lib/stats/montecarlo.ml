@@ -6,8 +6,6 @@ type config = {
   domains : int option;
 }
 
-let default_config = { trials = 10_000; base_seed = 1; domains = None }
-
 let fold ?obs config ~init ~trial ~merge =
   if config.trials < 1 then invalid_arg "Montecarlo.fold: trials";
   Parallel.map_reduce ?domains:config.domains ?obs ~tasks:config.trials ~init

@@ -13,9 +13,6 @@ type config = {
   domains : int option;  (** [None] = {!Parallel.default_domains}. *)
 }
 
-val default_config : config
-(** 10,000 trials (the paper's count), seed 1, default parallelism. *)
-
 val fold :
   ?obs:Mis_obs.Metrics.t ->
   config ->

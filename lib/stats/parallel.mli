@@ -64,7 +64,9 @@ val default_domains : unit -> int
     [max 1 (Domain.recommended_domain_count ())]. This is the {e
     requested} parallelism and is deliberately uncapped — the engine
     clamps the effective parallelism per call (chunk count, pool cap),
-    so the same setting behaves sensibly on any box. *)
+    so the same setting behaves sensibly on any box. The engine reads
+    it when [domains] is omitted; exposed so tests can pin how it reads
+    the environment. *)
 
 val default_chunk : tasks:int -> int
 (** [max 1 (ceil (tasks / 64))] — at most 64 chunks, enough slack for
@@ -77,7 +79,8 @@ val domain_metrics : unit -> Mis_obs.Metrics.t
     races; pass [~obs] to have all per-domain registries merged at the
     barrier. Every participating domain (pooled workers included) gets a
     fresh registry for the duration of each [~obs] run, so a warm pool
-    cannot leak counts across runs. *)
+    cannot leak counts across runs. No task in the library writes here
+    yet; the tests instrument tasks through it to check the merge. *)
 
 val map_reduce :
   ?domains:int ->
@@ -156,7 +159,3 @@ val pool_cap : unit -> int
 (** The active-domain clamp applied to every call: [FAIRMIS_POOL_CAP]
     when set to an integer [>= 1] (re-read on each call), otherwise
     [max 1 (Domain.recommended_domain_count ())]. *)
-
-val env_domains : unit -> int option
-(** The validated [FAIRMIS_DOMAINS] value, if any — exposed for CLI
-    help/diagnostics. *)

@@ -17,7 +17,8 @@ val union : t -> int -> int -> bool
     the same set. *)
 
 val same : t -> int -> int -> bool
-(** Whether two elements are in the same set. *)
+(** Whether two elements are in the same set. With {!find}, how the
+    tests observe the merges {!union} makes for the MST and tree builds. *)
 
 val count : t -> int
 (** Number of distinct sets. *)

@@ -9,7 +9,6 @@ let create ?(capacity = 16) () =
   { prio = Array.make capacity 0.; item = Array.make capacity 0; len = 0 }
 
 let is_empty t = t.len = 0
-let length t = t.len
 
 let grow t =
   let cap = Array.length t.prio in

@@ -6,11 +6,8 @@ type t
 
 val create : ?capacity:int -> unit -> t
 val is_empty : t -> bool
-val length : t -> int
 val push : t -> priority:float -> int -> unit
 val pop_min : t -> float * int
 (** Remove and return the (priority, item) pair with the smallest priority.
     @raise Invalid_argument if the heap is empty. *)
 
-val peek_min : t -> float * int
-(** @raise Invalid_argument if the heap is empty. *)

@@ -6,7 +6,8 @@
     remark) draws IDs uniformly from a polynomial range instead. *)
 
 val identity : int -> int array
-(** [identity n] assigns id [i] to node [i]. *)
+(** [identity n] assigns id [i] to node [i]: the default ids the engines
+    and the kernel assume, pinned by a test. *)
 
 val random_distinct : Splitmix.t -> n:int -> int array
 (** [random_distinct rng ~n] draws [n] distinct ids uniformly from

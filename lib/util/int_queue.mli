@@ -8,6 +8,8 @@ type t
 val create : ?capacity:int -> unit -> t
 val is_empty : t -> bool
 val length : t -> int
+(** Queued items; the model test compares it with [Stdlib.Queue]'s. *)
+
 val push : t -> int -> unit
 val pop : t -> int
 (** @raise Invalid_argument if the queue is empty. *)

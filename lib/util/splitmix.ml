@@ -9,7 +9,6 @@ let mix64 z =
 
 let of_seed s = { state = mix64 (Int64.of_int s) }
 let of_key k = { state = k }
-let copy t = { state = t.state }
 
 let next_int64 t =
   let s = Int64.add t.state golden in

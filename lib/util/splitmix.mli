@@ -14,11 +14,11 @@ val of_seed : int -> t
 val of_key : int64 -> t
 (** [of_key k] creates a stream whose state is exactly [k] (already mixed). *)
 
-val copy : t -> t
-(** [copy t] is an independent stream starting at [t]'s current state. *)
 
 val next_int64 : t -> int64
-(** Next raw 64-bit output of the generator. *)
+(** Next raw 64-bit output of the generator, which every other draw
+    derives from; the tests check stream identity and independence on
+    it. *)
 
 val bits62 : t -> int
 (** Next 62 uniformly random non-negative bits as an OCaml [int]. *)
@@ -37,9 +37,6 @@ val geometric_truncated : t -> p:float -> gamma:int -> int
 (** [geometric_truncated t ~p ~gamma] samples from the Linial–Saks radius
     distribution: [P(k) = p^k (1-p)] for [0 <= k < gamma] and
     [P(gamma) = p^gamma]. *)
-
-val mix64 : int64 -> int64
-(** The SplitMix64 finalizer, exposed for keyed derivation. *)
 
 val derive : int64 -> int list -> int64
 (** [derive seed keys] deterministically hashes [seed] together with the

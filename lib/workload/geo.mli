@@ -41,4 +41,5 @@ val poisson : Mis_util.Splitmix.t -> mean:float -> int
 (** Knuth's Poisson sampler (exposed for tests). *)
 
 val gaussian : Mis_util.Splitmix.t -> float
-(** Standard normal via Box–Muller (exposed for tests). *)
+(** Standard normal via Box–Muller: the cluster spread {!sample} draws;
+    exposed so tests can check its moments. *)

@@ -20,14 +20,18 @@ val tree_of_points :
     radius. Each probe is one DSU pass: grow steps run it inside
     {!Mis_graph.Geometry.iter_threshold} at their radius, with no edge
     array, and bisection filters one edge array from the first passing
-    radius. Only the final radius gets an MST ({!tree_at}).
+    radius. Only the final radius gets an MST ({!tree_at}). The NYC- and
+    Dartmouth-like builds below call it; the tests hold it to a
+    per-probe search over {!tree_at}, its oracle.
     @raise Failure if 60 growth steps cannot reach [target]. *)
 
 val tree_at :
   Mis_util.Splitmix.t -> Mis_graph.Geometry.point array -> radius:float ->
   target:int -> Mis_graph.Graph.t
 (** The build at one radius: Prim MST of the threshold graph, its largest
-    component, leaf-pruned to [target] (at most that component's size). *)
+    component, leaf-pruned to [target] (at most that component's size).
+    The step both {!tree_of_points} and its per-probe test oracle end
+    with. *)
 
 val dartmouth_like : seed:int -> Mis_graph.Graph.t
 (** 178-node tree (paper's Dartmouth trace size) from a campus-like cloud

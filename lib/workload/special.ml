@@ -26,6 +26,3 @@ let cone ~k =
   done;
   Graph.of_edges ~n !edges
 
-let cone_apex = 0
-
-let cone_far_side ~k = Array.init k (fun i -> k + 1 + i)

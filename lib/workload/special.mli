@@ -8,9 +8,3 @@ val cone : k:int -> Mis_graph.Graph.t
     Every MIS algorithm has inequality factor Ω(n) on it (Theorem 19).
     Node 0 is [u_0]. Requires [k >= 1]. *)
 
-val cone_apex : int
-(** Index of [u_0] in {!cone} (always 0). *)
-
-val cone_far_side : k:int -> int array
-(** Indices of [S = {u_{k+1} .. u_2k}], the clique nodes not adjacent to
-    the apex. *)

@@ -97,17 +97,10 @@ let random_prufer rng ~n =
     of_parent_edges n !edges
   end
 
-let random_attachment rng ~n =
-  if n < 1 then invalid_arg "Trees.random_attachment";
-  of_parent_edges n (List.init (n - 1) (fun i -> (i + 1, Splitmix.int rng (i + 1))))
-
-(* Allocation-lean attachment trees for the engine/xl scale (10^5..10^7
-   nodes): same uniform-attachment distribution as [random_attachment],
-   but the parent array feeds [Graph.of_parents] directly — no edge
-   lists, tuples or hash tables on the way to CSR. A separate entry
-   point (rather than a rewrite of [random_attachment]) because the
-   list-based generator's rng-consumption and edge order are pinned by
-   golden tests; this one draws parents in index order. *)
+(* Uniform attachment trees, built for the engine/xl scale (10^5..10^7
+   nodes): the parent array feeds [Graph.of_parents] directly — no edge
+   lists, tuples or hash tables on the way to CSR. Parents are drawn in
+   index order. *)
 let attachment_parents rng ~n =
   if n < 1 then invalid_arg "Trees.attachment_parents";
   let parents = Array.make n (-1) in

@@ -25,17 +25,9 @@ val caterpillar : spine:int -> legs_per_node:int -> Mis_graph.Graph.t
 val random_prufer : Mis_util.Splitmix.t -> n:int -> Mis_graph.Graph.t
 (** Uniformly random labeled tree (Prüfer decoding). [n >= 1]. *)
 
-val random_attachment : Mis_util.Splitmix.t -> n:int -> Mis_graph.Graph.t
-(** Each node [i >= 1] attaches to a uniformly random earlier node. *)
-
 val preferential_attachment : Mis_util.Splitmix.t -> n:int -> Mis_graph.Graph.t
 (** Each node attaches to an earlier node chosen proportionally to degree,
     producing hub-heavy trees (high Luby unfairness). *)
-
-val attachment_parents : Mis_util.Splitmix.t -> n:int -> int array
-(** Uniform-attachment parent array ([parents.(0) = -1], node [i]
-    attaches to a uniform earlier node), drawn in index order — the raw
-    material for {!Mis_graph.Graph.of_parents}. *)
 
 val random_attachment_xl : Mis_util.Splitmix.t -> n:int -> Mis_graph.Graph.t
 (** [Graph.of_parents (attachment_parents rng ~n)]: the same uniform

@@ -1,4 +1,20 @@
+(* CntrlFairBipart (paper Sec. V): the perfectly fair MIS subroutine for
+   low-diameter bipartite components, as a message program. Lemma 7 is
+   tested on it; FairTree's three runs of the subroutine execute as
+   [Mis_sim.Kernel.fair_tree] sweeps or inside
+   [Fair_tree_distributed.program].
+
+   Given an estimate [d_hat] of the component diameter, each component
+   runs a [d_hat]-round flood-max leader election; the leader(s) flip a
+   bit and start a breadth-first search carrying (depth, bit); a node at
+   level [i] joins the MIS iff [i + bit] is even. A node that is alone
+   (degree 0 in the view) always joins. When [d_hat >= D(component)]
+   this is a correct MIS of the component where every non-singleton node
+   joins with probability exactly 1/2; an underestimate may elect
+   several local leaders, and the result need not be an MIS. *)
+
 module Program = Mis_sim.Program
+module Rand_plan = Fairmis.Rand_plan
 
 let parity_join ~depth ~bit = (depth + if bit then 1 else 0) mod 2 = 0
 
@@ -65,7 +81,7 @@ let program ~d_hat ~bit_of : (state, message) Program.t =
       end
       else begin
         let decision =
-          if Mis_sim.Node_ctx.degree ctx = 0 then true
+          if Array.length ctx.neighbor_ids = 0 then true
           else if st.lead < 0 then false
           else parity_join ~depth:st.depth ~bit:st.bit
         in

@@ -5,6 +5,11 @@
 
 open Mis_graph.Geometry
 
+let dist a b =
+  let dx = a.x -. b.x and dy = a.y -. b.y in
+  sqrt ((dx *. dx) +. (dy *. dy))
+
+(* [(lower_left, upper_right)]; raises on the empty array. *)
 let bounding_box points =
   if Array.length points = 0 then invalid_arg "Geometry.bounding_box: empty";
   let lo = ref points.(0) and hi = ref points.(0) in
@@ -123,3 +128,11 @@ let to_flat triples =
     v = Array.map (fun (_, _, v) -> v) triples }
 
 let of_flat e = Array.mapi (fun k w -> (w, e.u.(k), e.v.(k))) e.w
+
+(* The unit-disk graph: an edge between every pair of points at distance
+   <= radius. Its largest component is the critical-radius oracle of
+   [Real_world.tree_of_points]'s search. *)
+let unit_disk points ~radius =
+  let n = Array.length points in
+  let e = Mis_graph.Geometry.threshold_edges points ~radius in
+  Mis_graph.Graph.of_edge_array ~n (Array.mapi (fun k u -> (u, e.v.(k))) e.u)

@@ -24,10 +24,15 @@ let random_graph ~seed ~n ~p =
 
 let full g = View.full g
 
+(* The MIS predicates, over [Check.classify]'s verdict. *)
+let is_mis view set = Mis_graph.Check.classify view set = Mis_graph.Check.Mis
+let is_independent view set =
+  Mis_graph.Check.classify view set <> Mis_graph.Check.Not_independent
+
 let check_mis ~name view set =
-  if not (Fairmis.Mis.is_independent view set) then
+  if not (is_independent view set) then
     Alcotest.failf "%s: independence violated" name;
-  if not (Fairmis.Mis.is_maximal view set) then
+  if not (is_mis view set) then
     Alcotest.failf "%s: not maximal" name
 
 let bool_array = Alcotest.(array bool)
@@ -56,3 +61,53 @@ let kernel_words_per_node view kernel =
     Obj.reachable_words (Obj.repr kernel) - Obj.reachable_words (Obj.repr view)
   in
   float_of_int words /. float_of_int (View.n view)
+
+(* The centralized algorithm A' of paper Sec. V, kept as a test reference:
+   on a bipartite graph, independently per connected component, pick one
+   side of the bipartition with a fair coin — a perfectly fair MIS (every
+   node of a non-singleton component joins with probability exactly 1/2).
+   [None] when the active subgraph is not bipartite. *)
+let fair_bipartite view rng =
+  match Mis_graph.Traverse.bipartition view with
+  | None -> None
+  | Some side ->
+    let label, comp_count = Mis_graph.Traverse.components view in
+    let pick = Array.init comp_count (fun _ -> if Splitmix.bool rng then 1 else 0) in
+    let in_mis = Array.make (View.n view) false in
+    View.iter_active view (fun u ->
+        if View.degree view u = 0 then in_mis.(u) <- true
+        else in_mis.(u) <- side.(u) = pick.(label.(u)));
+    Some in_mis
+
+(* Sequential greedy along a given node order: the oracle of
+   [Centralized.greedy_random_permutation] under its seeded order. *)
+let greedy_in_order view ~order =
+  let in_mis = Array.make (View.n view) false in
+  let covered = Array.make (View.n view) false in
+  Array.iter
+    (fun u ->
+      if View.node_active view u && not covered.(u) then begin
+        in_mis.(u) <- true;
+        covered.(u) <- true;
+        View.iter_adj view u (fun v -> covered.(v) <- true)
+      end)
+    order;
+  in_mis
+
+(* A registry timer's (seconds, calls), read through a snapshot. *)
+let timer_value reg name =
+  match List.assoc_opt name (Mis_obs.Metrics.items (Mis_obs.Metrics.snapshot reg)) with
+  | Some (Mis_obs.Metrics.Timer_v { v_seconds; v_calls }) -> (v_seconds, v_calls)
+  | _ -> Alcotest.failf "no timer %S" name
+
+(* Wilson score interval for one node's join probability. *)
+let wilson_interval ~count ~trials ~z =
+  if trials < 1 then invalid_arg "wilson_interval";
+  let n = float_of_int trials and p = float_of_int count /. float_of_int trials in
+  let z2 = z *. z in
+  let denom = 1. +. (z2 /. n) in
+  let center = (p +. (z2 /. (2. *. n))) /. denom in
+  let half =
+    z /. denom *. sqrt ((p *. (1. -. p) /. n) +. (z2 /. (4. *. n *. n)))
+  in
+  (Float.max 0. (center -. half), Float.min 1. (center +. half))

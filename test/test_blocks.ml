@@ -3,10 +3,8 @@
 
 module Graph = Mis_graph.Graph
 module View = Mis_graph.View
-module Traverse = Mis_graph.Traverse
 module Check = Mis_graph.Check
 module Splitmix = Mis_util.Splitmix
-module Mis = Fairmis.Mis
 module Cb = Fairmis.Construct_block
 module Fair_bipart = Fairmis.Fair_bipart
 module Coloring = Fairmis.Distributed_coloring
@@ -25,6 +23,59 @@ let block_config ~seed ~gamma ~flip ~payload_bound =
 
 (* Construct_Block *)
 
+(* The faithful simulation of the bounded-message variant the paper
+   adopts, kept as the oracle of [Cb.run]'s ball flood: gamma superrounds
+   in which every node ships its whole leader table [L[0..gamma],
+   B[0..gamma]] to its neighbors. O(n * gamma^2) work. *)
+let run_tables view (cfg : Cb.config) =
+  let n = View.n view in
+  let gamma = cfg.Cb.gamma in
+  let slots = gamma + 1 in
+  (* Leader tables: l_table.(v).(i) = largest id seen with i range
+     remaining; b_table the corresponding payload. *)
+  let l_table = Array.make_matrix n slots (-1) in
+  let b_table = Array.make_matrix n slots (-1) in
+  View.iter_active view (fun v ->
+      let r = cfg.Cb.radius_of v in
+      if r < 0 || r > gamma then invalid_arg "Construct_block: radius_of";
+      l_table.(v).(r) <- v;
+      b_table.(v).(r) <- cfg.Cb.payload_of v);
+  for _superround = 1 to gamma do
+    let l_old = Array.map Array.copy l_table in
+    let b_old = Array.map Array.copy b_table in
+    View.iter_active view (fun v ->
+        View.iter_adj view v (fun u ->
+            (* v receives u's table: each entry drops one range unit and is
+               merged at the lower slot if its id is larger. *)
+            for i = 1 to gamma do
+              let id = l_old.(u).(i) in
+              if id > l_table.(v).(i - 1) then begin
+                l_table.(v).(i - 1) <- id;
+                let p = b_old.(u).(i) in
+                b_table.(v).(i - 1) <-
+                  (if cfg.Cb.flip_per_hop && p >= 0 then 1 - p else p)
+              end
+            done))
+  done;
+  let leader = Array.make n (-1) in
+  let in_block = Array.make n false in
+  let payload = Array.make n (-1) in
+  View.iter_active view (fun v ->
+      let best = ref (-1) in
+      for i = 0 to gamma do
+        if l_table.(v).(i) > !best then best := l_table.(v).(i)
+      done;
+      (* The leader may appear in several slots; the block rule reads the
+         highest one (shortest path = largest remaining range). *)
+      let highest = ref (-1) in
+      for i = 0 to gamma do
+        if l_table.(v).(i) = !best then highest := i
+      done;
+      leader.(v) <- !best;
+      in_block.(v) <- !best >= 0 && !highest > 0;
+      payload.(v) <- b_table.(v).(!highest));
+  { Cb.leader; in_block; payload; rounds = gamma * (gamma + 1) }
+
 let prop_block_fast_matches_tables =
   Helpers.qtest ~count:60 "construct_block: ball-flood engine = leader tables"
     QCheck.(
@@ -33,7 +84,7 @@ let prop_block_fast_matches_tables =
       let g = Helpers.random_graph ~seed:(seed + 1) ~n ~p:0.2 in
       let v = View.full g in
       let cfg = block_config ~seed ~gamma ~flip ~payload_bound:2 in
-      let a = Cb.run v cfg and b = Cb.run_tables v cfg in
+      let a = Cb.run v cfg and b = run_tables v cfg in
       a.Cb.leader = b.Cb.leader
       && a.Cb.in_block = b.Cb.in_block
       && a.Cb.payload = b.Cb.payload)
@@ -128,7 +179,7 @@ let prop_fair_bipart_valid_on_bipartite =
       in
       let v = View.full g in
       let mis, trace = Fair_bipart.run_traced v (plan seed) in
-      Mis.is_mis v mis && trace.Fair_bipart.violations_removed = 0)
+      Helpers.is_mis v mis && trace.Fair_bipart.violations_removed = 0)
 
 let prop_fair_bipart_valid_on_any_graph =
   Helpers.qtest ~count:60 "fair_bipart: still valid on non-bipartite graphs"
@@ -136,7 +187,7 @@ let prop_fair_bipart_valid_on_any_graph =
     (fun (n, gseed, seed) ->
       let g = Helpers.random_graph ~seed:gseed ~n ~p:0.25 in
       let v = View.full g in
-      Mis.is_mis v (Fair_bipart.run v (plan seed)))
+      Helpers.is_mis v (Fair_bipart.run v (plan seed)))
 
 let prop_fair_bipart_trees =
   Helpers.qtest ~count:60 "fair_bipart: valid on trees (they are bipartite)"
@@ -145,7 +196,7 @@ let prop_fair_bipart_trees =
       let g = Helpers.random_tree ~seed:gseed ~n in
       let v = View.full g in
       let mis, trace = Fair_bipart.run_traced v (plan seed) in
-      Mis.is_mis v mis && trace.Fair_bipart.violations_removed = 0)
+      Helpers.is_mis v mis && trace.Fair_bipart.violations_removed = 0)
 
 let prop_fair_bipart_distributed_matches_fast =
   Helpers.qtest ~count:50 "fair_bipart: distributed program = fast engine"
@@ -220,16 +271,15 @@ let prop_greedy_coloring_deg_plus_one =
 
 let test_h_partition_grid () =
   let g = Mis_workload.Bipartite.grid ~width:10 ~height:10 in
-  match Coloring.h_partition (View.full g) ~degree_bound:3 with
-  | None -> Alcotest.fail "grid peels at bound 3"
-  | Some (layer, layers) ->
-    Alcotest.(check bool) "layers assigned" true
-      (Array.for_all (fun l -> l >= 0 && l < layers) layer)
+  let layer, layers, core = Coloring.h_partition_partial (View.full g) ~degree_bound:3 in
+  Alcotest.(check bool) "grid peels at bound 3" true (Array.for_all not core);
+  Alcotest.(check bool) "layers assigned" true
+    (Array.for_all (fun l -> l >= 0 && l < layers) layer)
 
 let test_h_partition_clique_stuck () =
   let g = Mis_workload.Special.clique 10 in
-  Alcotest.(check bool) "clique at bound 3 is stuck" true
-    (Coloring.h_partition (View.full g) ~degree_bound:3 = None)
+  let _, _, core = Coloring.h_partition_partial (View.full g) ~degree_bound:3 in
+  Alcotest.(check bool) "clique at bound 3 is stuck" true (Array.exists Fun.id core)
 
 let prop_planar_coloring =
   Helpers.qtest ~count:30 "coloring: planar families get <= 8 proper colors"
@@ -310,7 +360,7 @@ let prop_color_mis_valid =
         Color_mis.run v ~coloring:coloring.Coloring.colors
           ~k:coloring.Coloring.palette (plan seed)
       in
-      Mis.is_mis v mis)
+      Helpers.is_mis v mis)
 
 let prop_color_mis_adaptive_valid =
   Helpers.qtest ~count:60 "color_mis: adaptive variant yields a valid MIS"
@@ -322,7 +372,7 @@ let prop_color_mis_adaptive_valid =
       let mis, _ =
         Color_mis.run_adaptive v ~coloring:coloring.Coloring.colors (plan seed)
       in
-      Mis.is_mis v mis)
+      Helpers.is_mis v mis)
 
 let prop_color_mis_planar_valid =
   Helpers.qtest ~count:30 "color_mis: valid MIS on planar graphs"
@@ -331,7 +381,7 @@ let prop_color_mis_planar_valid =
       let g = Mis_workload.Planar.triangular_grid ~width:(w + 1) ~height:(w + 1) in
       let v = View.full g in
       let mis, _ = Color_mis.run_planar v (plan seed) in
-      Mis.is_mis v mis)
+      Helpers.is_mis v mis)
 
 let prop_color_mis_distributed_matches_fast =
   Helpers.qtest ~count:50 "color_mis: distributed program = fast engine"
@@ -398,7 +448,7 @@ let prop_greedy_permutation_valid =
     (fun (n, gseed, seed) ->
       let g = Helpers.random_graph ~seed:gseed ~n ~p:0.2 in
       let v = View.full g in
-      Mis.is_mis v (Centralized.greedy_random_permutation v (Splitmix.of_seed seed)))
+      Helpers.is_mis v (Centralized.greedy_random_permutation v (Splitmix.of_seed seed)))
 
 let prop_fair_bipartite_centralized =
   Helpers.qtest ~count:80 "centralized: A' is a valid MIS on bipartite graphs"
@@ -409,19 +459,28 @@ let prop_fair_bipartite_centralized =
           ~left:half ~right:half ~p:0.2
       in
       let v = View.full g in
-      match Centralized.fair_bipartite v (Splitmix.of_seed seed) with
+      match Helpers.fair_bipartite v (Splitmix.of_seed seed) with
       | None -> false
-      | Some mis -> Mis.is_mis v mis)
+      | Some mis -> Helpers.is_mis v mis)
 
 let test_fair_bipartite_rejects_odd_cycle () =
   let g = Mis_workload.Planar.cycle 5 in
   Alcotest.(check bool) "odd cycle" true
-    (Centralized.fair_bipartite (View.full g) (Splitmix.of_seed 1) = None)
+    (Helpers.fair_bipartite (View.full g) (Splitmix.of_seed 1) = None)
 
 let test_greedy_in_order () =
   let g = Mis_workload.Trees.path 4 in
-  let mis = Centralized.greedy_in_order (View.full g) ~order:[| 0; 1; 2; 3 |] in
-  Alcotest.check Helpers.bool_array "greedy 0..3" [| true; false; true; false |] mis
+  let v = View.full g in
+  let mis = Helpers.greedy_in_order v ~order:[| 0; 1; 2; 3 |] in
+  Alcotest.check Helpers.bool_array "greedy 0..3" [| true; false; true; false |] mis;
+  (* The permutation baseline is greedy along its seeded order. *)
+  List.iter
+    (fun seed ->
+      let order = Mis_util.Ids.random_permutation (Splitmix.of_seed seed) ~n:4 in
+      Alcotest.check Helpers.bool_array (Printf.sprintf "seed %d" seed)
+        (Helpers.greedy_in_order v ~order)
+        (Centralized.greedy_random_permutation v (Splitmix.of_seed seed)))
+    [ 1; 2; 3; 4; 5 ]
 
 let suite =
   [ ( "algo.construct_block",

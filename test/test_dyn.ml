@@ -36,8 +36,9 @@ let test_event_roundtrip () =
     sample_events;
   Alcotest.(check (list string))
     "kinds cover the wire format"
-    [ "node_join"; "node_leave"; "edge_insert"; "edge_delete"; "node_crash" ]
-    Event.kinds
+    (List.sort compare
+       [ "node_join"; "node_leave"; "edge_insert"; "edge_delete"; "node_crash" ])
+    (List.sort_uniq compare (List.map Event.kind sample_events))
 
 let expect_error name line =
   match Event.parse_line line with
@@ -64,6 +65,14 @@ let test_event_rejects () =
 
 (* --- dyn graph --------------------------------------------------------- *)
 
+(* Links with both endpoints alive, counted from each alive node's side. *)
+let live_edge_count g =
+  let ends = ref 0 in
+  Array.iter
+    (fun u -> Dyn_graph.iter_adj_alive g u (fun _ -> incr ends))
+    (Dyn_graph.alive_nodes g);
+  !ends / 2
+
 let test_dyn_graph_ops () =
   let g = Dyn_graph.create ~capacity:6 in
   Alcotest.(check bool) "join 0" true (Dyn_graph.join g 0);
@@ -75,13 +84,13 @@ let test_dyn_graph_ops () =
   Alcotest.(check bool) "duplicate edge" false (Dyn_graph.insert_edge g 1 0);
   Alcotest.(check bool) "self-loop" false (Dyn_graph.insert_edge g 1 1);
   Alcotest.(check bool) "edge to absent" false (Dyn_graph.insert_edge g 0 5);
-  Alcotest.(check int) "edge count" 2 (Dyn_graph.edge_count g);
+  Alcotest.(check int) "edge count" 2 (live_edge_count g);
   Alcotest.(check int) "alive count" 3 (Dyn_graph.alive_count g);
   Alcotest.(check bool) "mem 0-1" true (Dyn_graph.mem_edge g 0 1);
   (* Clean leave removes the node's edges and frees the slot. *)
   Alcotest.(check bool) "leave 1" true (Dyn_graph.leave g 1);
   Alcotest.(check bool) "leave absent" false (Dyn_graph.leave g 1);
-  Alcotest.(check int) "edges gone with 1" 0 (Dyn_graph.edge_count g);
+  Alcotest.(check int) "edges gone with 1" 0 (live_edge_count g);
   Alcotest.(check bool) "slot 1 reusable" true (Dyn_graph.join g 1);
   Alcotest.(check bool) "rejoined without edges" false (Dyn_graph.mem_edge g 0 1);
   (* Crash keeps the slot dead forever; its edges stop counting. *)
@@ -91,7 +100,7 @@ let test_dyn_graph_ops () =
   Alcotest.(check bool) "leave crashed" false (Dyn_graph.leave g 2);
   Alcotest.(check bool) "rejoin crashed slot" false (Dyn_graph.join g 2);
   Alcotest.(check bool) "edge to crashed" false (Dyn_graph.insert_edge g 0 2);
-  Alcotest.(check int) "live edges" 0 (Dyn_graph.edge_count g);
+  Alcotest.(check int) "live edges" 0 (live_edge_count g);
   Alcotest.(check int) "alive after crash" 2 (Dyn_graph.alive_count g);
   Alcotest.check Helpers.int_array "alive nodes sorted" [| 0; 1 |]
     (Dyn_graph.alive_nodes g);
@@ -137,7 +146,7 @@ let test_dyn_graph_views () =
   let live = Dyn_graph.live_view g in
   Alcotest.(check bool) "crashed masked in live view" false
     (View.node_active live 2);
-  Alcotest.(check int) "live edges = both-alive" 1 (Dyn_graph.edge_count g)
+  Alcotest.(check int) "live edges = both-alive" 1 (live_edge_count g)
 
 (* --- maintainer -------------------------------------------------------- *)
 
@@ -198,7 +207,7 @@ let test_skip_and_count () =
   (* The surviving MIS invariant held after the batch (strict mode would
      have raised otherwise) and exactly one endpoint of 0-1 is in. *)
   Alcotest.(check bool) "one of the pair is in" true
-    (Maintain.in_mis m 0 <> Maintain.in_mis m 1)
+    ((Maintain.mis m).(0) <> (Maintain.mis m).(1))
 
 let test_locality () =
   let n = 60 in
@@ -223,7 +232,7 @@ let test_locality () =
   Alcotest.(check bool) "no full recompute" false r.Maintain.full_recompute;
   Alcotest.(check int) "single attempt" 1 r.Maintain.attempts;
   Alcotest.(check bool) "conflict resolved" true
-    (not (Maintain.in_mis m u) || not (Maintain.in_mis m (u + 2)));
+    (not ((Maintain.mis m).(u)) || not ((Maintain.mis m).(u + 2)));
   (* Everything the program re-decided lies within 3 hops of the insert
      (Radius 1 widening plus the member closure), and nothing outside
      the region flipped. *)
@@ -308,7 +317,7 @@ let test_ladder_exhaustion_raises () =
   | exception Maintain.Invariant_violation _ -> ()
   | _ -> Alcotest.fail "expected Invariant_violation");
   (* Nothing was committed by the failed batch. *)
-  Alcotest.(check bool) "no membership committed" false (Maintain.in_mis m 0)
+  Alcotest.(check bool) "no membership committed" false ((Maintain.mis m).(0))
 
 (* Arbitrary event batches over a small universe, including inapplicable
    and out-of-range events — validity (not any particular membership) is
@@ -426,10 +435,9 @@ let prop_classify_matches_snapshot =
    first repair commits a set that leaves every region node uncovered. *)
 let out_on_first_run () =
   let first = ref true in
-  { Maintain.alg_name = "out-on-first-run";
-    alg_run =
+  { Maintain.alg_run =
       (fun ?tracer view ~ids ~seed ->
-        let o = Maintain.luby.Maintain.alg_run ?tracer view ~ids ~seed in
+        let o = Maintain.default_config.Maintain.algorithm.Maintain.alg_run ?tracer view ~ids ~seed in
         if not !first then o
         else begin
           first := false;
@@ -474,7 +482,7 @@ let test_check_allocates_nothing () =
     (fun b -> ignore (Maintain.apply_batch m b))
     (Churn.generate (Splitmix.of_seed 5) params);
   let g = Maintain.graph m in
-  if Dyn_graph.edge_count g = 0 then Alcotest.fail "no live edges to scan";
+  if live_edge_count g = 0 then Alcotest.fail "no live edges to scan";
   let words f =
     ignore (f ());
     let w0 = Gc.minor_words () in
@@ -552,7 +560,7 @@ let test_serve_markers_and_malformed () =
   (* After deleting 0-1 both nodes are isolated survivors: both must be
      members of the maintained MIS. *)
   Alcotest.(check bool) "isolated nodes re-covered" true
-    (Maintain.in_mis m 0 && Maintain.in_mis m 1)
+    ((Maintain.mis m).(0) && (Maintain.mis m).(1))
 
 let test_serve_batch_size_and_eof () =
   let m = Maintain.create ~config:(strict_config ()) ~capacity:8 () in

@@ -12,7 +12,7 @@ let singleton = Graph.of_edges ~n:1 []
 
 let masked_view =
   let g = Mis_workload.Trees.path 5 in
-  View.induced g (Array.make 5 false)
+  View.restrict ~nodes:(Array.make 5 false) g
 
 let check_empty name out =
   if Array.exists (fun b -> b) out then Alcotest.failf "%s: nonempty MIS" name
@@ -33,7 +33,7 @@ let test_fully_masked_view () =
   check_empty "fair_tree" (Fairmis.Fair_tree.run masked_view plan);
   check_empty "fair_bipart" (Fairmis.Fair_bipart.run masked_view plan);
   Alcotest.(check bool) "masked view is a (vacuous) MIS" true
-    (Fairmis.Mis.is_mis masked_view (Array.make 5 false))
+    (Helpers.is_mis masked_view (Array.make 5 false))
 
 let test_singleton () =
   let v = View.full singleton in
@@ -46,7 +46,7 @@ let test_singleton () =
   expect "fair_bipart" (Fairmis.Fair_bipart.run v plan);
   expect "color_mis"
     (Fairmis.Color_mis.run v ~coloring:[| 0 |] ~k:1 plan);
-  match Fairmis.Centralized.fair_bipartite v (Mis_util.Splitmix.of_seed 1) with
+  match Helpers.fair_bipartite v (Mis_util.Splitmix.of_seed 1) with
   | Some out -> expect "centralized A'" out
   | None -> Alcotest.fail "singleton is bipartite"
 

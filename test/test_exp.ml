@@ -120,10 +120,25 @@ let test_topo_spec_unknown () =
   Alcotest.(check bool) "unknown name" true
     (match Topo_spec.parse "banana:n=2" with Error _ -> true | Ok _ -> false)
 
-let test_topo_spec_bad_params_fall_back () =
-  match Topo_spec.parse "star:n=banana" with
-  | Ok g -> Alcotest.(check int) "default n" 32 (Graph.n g)
-  | Error e -> Alcotest.fail e
+let test_topo_spec_bad_params_rejected () =
+  let error_mentions spec needles =
+    match Topo_spec.parse spec with
+    | Ok _ -> Alcotest.failf "%s accepted" spec
+    | Error e ->
+      List.iter
+        (fun needle ->
+          let n = String.length needle in
+          let rec has i =
+            i + n <= String.length e && (String.sub e i n = needle || has (i + 1))
+          in
+          if not (has 0) then Alcotest.failf "%s: %S does not name %S" spec e needle)
+        needles
+  in
+  error_mentions "star:n=banana" [ "star"; "n" ];
+  error_mentions "star:nn=100" [ "star"; "nn" ];
+  error_mentions "grid:w=10,height=3" [ "grid"; "height" ];
+  error_mentions "star:n=5,foo" [ "star"; "foo" ];
+  error_mentions "randombipartite:p=x" [ "randombipartite"; "p" ]
 
 let test_topo_spec_invalid_params_reported () =
   Alcotest.(check bool) "invalid params give Error" true
@@ -230,7 +245,7 @@ let test_estimate_domain_invariant () =
     Printf.sprintf "factor=%.6f min=%.6f max=%.6f"
       (Mis_stats.Empirical.inequality_factor e)
       (Mis_stats.Empirical.min_frequency e)
-      (Mis_stats.Empirical.max_frequency e)
+      (Mis_stats.Empirical.summarize e).Mis_stats.Empirical.max_freq
   in
   let golden = "factor=7.108108 min=0.123333 max=0.876667" in
   Alcotest.(check string) "serial matches golden" golden (summary (Some 1));
@@ -307,8 +322,8 @@ let suite =
       [ Alcotest.test_case "all names parse" `Slow test_topo_spec_all_names_parse;
         Alcotest.test_case "params" `Quick test_topo_spec_params;
         Alcotest.test_case "unknown" `Quick test_topo_spec_unknown;
-        Alcotest.test_case "bad params fall back" `Quick
-          test_topo_spec_bad_params_fall_back;
+        Alcotest.test_case "bad params rejected" `Quick
+          test_topo_spec_bad_params_rejected;
         Alcotest.test_case "invalid params reported" `Quick
           test_topo_spec_invalid_params_reported ] );
     ( "exp.runners",

@@ -3,9 +3,7 @@
 module Graph = Mis_graph.Graph
 module View = Mis_graph.View
 module Rooted = Mis_graph.Rooted
-module Check = Mis_graph.Check
 module Splitmix = Mis_util.Splitmix
-module Mis = Fairmis.Mis
 module Cv = Fairmis.Cole_vishkin
 module Fair_rooted = Fairmis.Fair_rooted
 module Fair_tree = Fairmis.Fair_tree
@@ -55,7 +53,7 @@ let prop_cv_mis_valid =
       let t = random_rooted ~seed ~n in
       let mis, _ = Cv.mis ~ids:(Array.init n (fun i -> i)) t in
       let g = Rooted.to_graph t in
-      Mis.is_mis (View.full g) mis)
+      Helpers.is_mis (View.full g) mis)
 
 let prop_cv_mis_on_restricted_forest =
   Helpers.qtest ~count:60 "cole-vishkin: MIS on a random sub-forest"
@@ -68,8 +66,8 @@ let prop_cv_mis_on_restricted_forest =
       let mis, _ = Cv.mis ~keep ~ids:(Array.init n (fun i -> i)) residual in
       (* Validate against the kept subgraph of the underlying forest. *)
       let g = Rooted.to_graph t in
-      let v = View.induced g keep in
-      Mis.is_mis v mis
+      let v = View.restrict ~nodes:keep g in
+      Helpers.is_mis v mis
       && Array.for_all2 (fun k m -> k || not m) keep mis)
 
 let test_cv_path_known () =
@@ -77,7 +75,7 @@ let test_cv_path_known () =
   let t = Rooted.of_parents [| -1; 0; 1; 2; 3; 4 |] in
   let mis, rounds = Cv.mis ~ids:[| 0; 1; 2; 3; 4; 5 |] t in
   let g = Rooted.to_graph t in
-  Alcotest.(check bool) "valid" true (Mis.is_mis (View.full g) mis);
+  Alcotest.(check bool) "valid" true (Helpers.is_mis (View.full g) mis);
   Alcotest.(check bool) "log* rounds" true (rounds <= 16)
 
 let test_cv_single_node () =
@@ -94,7 +92,7 @@ let prop_fair_rooted_valid =
       let t = random_rooted ~seed:gseed ~n in
       let mis = Fair_rooted.run t (plan seed) in
       let g = Rooted.to_graph t in
-      Mis.is_mis (View.full g) mis)
+      Helpers.is_mis (View.full g) mis)
 
 let prop_fair_rooted_stage1_independent =
   Helpers.qtest "fair_rooted: stage-1 set is independent and kept"
@@ -103,7 +101,7 @@ let prop_fair_rooted_stage1_independent =
       let t = random_rooted ~seed:gseed ~n in
       let mis, trace = Fair_rooted.run_traced t (plan seed) in
       let g = Rooted.to_graph t in
-      Check.is_independent_set (View.full g) trace.Fair_rooted.stage1
+      Helpers.is_independent (View.full g) trace.Fair_rooted.stage1
       && Array.for_all2 (fun s final -> (not s) || final) trace.Fair_rooted.stage1 mis)
 
 let prop_fair_rooted_on_forest =
@@ -119,7 +117,7 @@ let prop_fair_rooted_on_forest =
       in
       let t = Rooted.of_parents parent in
       let mis = Fair_rooted.run t (plan seed) in
-      Mis.is_mis (View.full (Rooted.to_graph t)) mis)
+      Helpers.is_mis (View.full (Rooted.to_graph t)) mis)
 
 let prop_fair_rooted_distributed_matches_fast =
   Helpers.qtest ~count:60 "fair_rooted: distributed program = fast engine"
@@ -165,24 +163,70 @@ let prop_cv_fixed_schedule_proper =
       in
       check_proper_forest_coloring t ~keep:(Array.make n true) color)
 
+(* FairRooted with its coins abstracted out, kept as the oracle of
+   [Fair_rooted.run]: [tag v] is node v's stage-1 bit, [vtag r] the
+   virtual-parent bit root r draws. Stage 1 joins a node whose own tag is
+   0 and whose parent's tag is 1; covered nodes stop and the rest run
+   Cole–Vishkin. *)
+let run_with_tags (t : Rooted.t) ~tag ~vtag =
+  let n = t.Rooted.n in
+  let parent_tag v = match t.Rooted.parent.(v) with -1 -> vtag v | p -> tag p in
+  let stage1 = Array.init n (fun v -> (not (tag v)) && parent_tag v) in
+  let covered = Array.copy stage1 in
+  Array.iteri
+    (fun v p ->
+      if p >= 0 && stage1.(v) then covered.(p) <- true
+      else if p >= 0 && stage1.(p) then covered.(v) <- true)
+    t.Rooted.parent;
+  let keep = Array.map not covered in
+  let ids = Array.init n Fun.id in
+  let schedule = Cv.iterations ~id_bound:(max 1 n) in
+  let rest, _ = Cv.mis (Rooted.restrict t ~keep) ~keep ~schedule ~ids in
+  Array.init n (fun v -> stage1.(v) || (keep.(v) && rest.(v)))
+
+(* Exact per-node join probability by exhausting all 2^(n + #roots) coin
+   outcomes (the whole randomness of FairRooted: stage 2 is deterministic
+   given ids): a noise-free check of Theorem 3. *)
+let exact_join_probabilities (t : Rooted.t) =
+  let n = t.Rooted.n in
+  let roots =
+    Array.of_list
+      (List.filter (fun v -> t.Rooted.parent.(v) = -1) (List.init n Fun.id))
+  in
+  let coins = n + Array.length roots in
+  if coins > 24 then invalid_arg "exact_join_probabilities: n + roots > 24";
+  (* Coin i < n is node i's tag; coin n + j is root j's virtual tag. *)
+  let root_slot = Array.make n (-1) in
+  Array.iteri (fun j root -> root_slot.(root) <- j) roots;
+  let totals = Array.make n 0 in
+  let outcomes = 1 lsl coins in
+  for word = 0 to outcomes - 1 do
+    let tag v = (word lsr v) land 1 = 1 in
+    let vtag v = (word lsr (n + root_slot.(v))) land 1 = 1 in
+    Array.iteri
+      (fun v b -> if b then totals.(v) <- totals.(v) + 1)
+      (run_with_tags t ~tag ~vtag)
+  done;
+  Array.map (fun c -> float_of_int c /. float_of_int outcomes) totals
+
 let prop_fair_rooted_exact_quarter =
   Helpers.qtest ~count:40 "fair_rooted: exact join probabilities in [1/4, 1]"
     QCheck.(pair (int_range 1 12) Helpers.arb_seed)
     (fun (n, seed) ->
       let t = random_rooted ~seed ~n in
-      let probs = Fair_rooted.exact_join_probabilities t in
+      let probs = exact_join_probabilities t in
       Array.for_all (fun p -> p >= 0.25 -. 1e-12 && p <= 1. +. 1e-12) probs)
 
 let test_fair_rooted_exact_single () =
   let t = Rooted.of_parents [| -1 |] in
-  let probs = Fair_rooted.exact_join_probabilities t in
+  let probs = exact_join_probabilities t in
   (* A lone root: it joins unless covered — stage 1 puts it in with
      probability 1/4, and stage 2 always adds an uncovered singleton. *)
   Alcotest.(check (float 1e-12)) "always joins" 1.0 probs.(0)
 
 let test_fair_rooted_exact_pair () =
   let t = Rooted.of_parents [| -1; 0 |] in
-  let probs = Fair_rooted.exact_join_probabilities t in
+  let probs = exact_join_probabilities t in
   (* By symmetry of the pair, probabilities sum to at least 1 (exactly one
      of the two joins in every outcome) and respect the 1/4 bound. *)
   Alcotest.(check (float 1e-12)) "pair covers" 1.0 (probs.(0) +. probs.(1));
@@ -190,11 +234,19 @@ let test_fair_rooted_exact_pair () =
 
 let test_fair_rooted_exact_matches_montecarlo () =
   let t = random_rooted ~seed:9 ~n:8 in
-  let exact = Fair_rooted.exact_join_probabilities t in
+  let exact = exact_join_probabilities t in
   let trials = 4000 in
   let joins = Array.make 8 0 in
   for seed = 0 to trials - 1 do
     let mis = Fair_rooted.run t (plan seed) in
+    if seed < 200 then begin
+      (* The oracle with the plan's coins is the algorithm itself. *)
+      let bit stage v = Rand_plan.node_bit (plan seed) ~stage ~node:v in
+      Alcotest.check Helpers.bool_array (Printf.sprintf "seed %d" seed)
+        (run_with_tags t ~tag:(bit Rand_plan.Stage.fair_rooted_tag)
+           ~vtag:(bit Rand_plan.Stage.fair_rooted_virtual))
+        mis
+    end;
     Array.iteri (fun v b -> if b then joins.(v) <- joins.(v) + 1) mis
   done;
   Array.iteri
@@ -207,7 +259,7 @@ let test_fair_rooted_exact_matches_montecarlo () =
 let test_fair_rooted_exact_guard () =
   let t = random_rooted ~seed:1 ~n:30 in
   Alcotest.(check bool) "too many coins rejected" true
-    (match Fair_rooted.exact_join_probabilities t with
+    (match exact_join_probabilities t with
     | exception Invalid_argument _ -> true
     | _ -> false)
 
@@ -224,7 +276,7 @@ let prop_fair_tree_valid_on_trees =
     (fun (n, gseed, seed) ->
       let g = Helpers.random_tree ~seed:gseed ~n in
       let v = View.full g in
-      Mis.is_mis v (Fair_tree.run v (plan seed)))
+      Helpers.is_mis v (Fair_tree.run v (plan seed)))
 
 let prop_fair_tree_valid_on_any_graph =
   Helpers.qtest ~count:60 "fair_tree: still a valid MIS on non-trees"
@@ -232,7 +284,7 @@ let prop_fair_tree_valid_on_any_graph =
     (fun (n, gseed, seed) ->
       let g = Helpers.random_graph ~seed:gseed ~n ~p:0.25 in
       let v = View.full g in
-      Mis.is_mis v (Fair_tree.run v (plan seed)))
+      Helpers.is_mis v (Fair_tree.run v (plan seed)))
 
 (* The stage sets of one run of the message program, read from its
    [fairtree.i1], [fairtree.i2] and [fairtree.i4] probes. Only probes
@@ -271,7 +323,7 @@ let prop_fair_tree_stage_invariants =
          independent, so the stage-4 repair keeps all of it. *)
       Array.for_all2 (fun i2 i1 -> (not i2) || i1) i2 i1
       && Array.for_all2 (fun i2 i4 -> (not i2) || i4) i2 i4
-      && Check.is_independent_set v i2)
+      && Helpers.is_independent v i2)
 
 let prop_fair_tree_conflicts_cross_cut_edges =
   (* The Lemma 11 invariant: on a tree with the default gamma, stage-1
@@ -306,7 +358,7 @@ let prop_fair_tree_small_gamma_still_valid =
     (fun (n, gseed, seed) ->
       let g = Helpers.random_tree ~seed:gseed ~n in
       let v = View.full g in
-      Mis.is_mis v (Fair_tree.run ~gamma:1 v (plan seed)))
+      Helpers.is_mis v (Fair_tree.run ~gamma:1 v (plan seed)))
 
 let test_fair_tree_single_node () =
   let g = Graph.of_edges ~n:1 [] in
@@ -382,7 +434,7 @@ let test_wilson_covers_exact () =
   (* The Wilson interval around a Monte Carlo estimate should cover the
      exact FairRooted probability for (essentially) every node. *)
   let t = random_rooted ~seed:14 ~n:10 in
-  let exact = Fair_rooted.exact_join_probabilities t in
+  let exact = exact_join_probabilities t in
   let trials = 2000 in
   let joins = Array.make 10 0 in
   for seed = 0 to trials - 1 do
@@ -393,7 +445,7 @@ let test_wilson_covers_exact () =
   Array.iteri
     (fun v c ->
       let lo, hi =
-        Mis_stats.Empirical.wilson_interval ~count:c ~trials ~z:3.3
+        Helpers.wilson_interval ~count:c ~trials ~z:3.3
       in
       if exact.(v) < lo || exact.(v) > hi then incr misses)
     joins;
@@ -414,9 +466,9 @@ let prop_fair_tree_masked_view =
       let g = Helpers.random_tree ~seed:gseed ~n in
       let rng = Splitmix.of_seed (gseed + 5) in
       let nodes = Array.init n (fun _ -> Splitmix.bool rng) in
-      let v = View.induced g nodes in
+      let v = View.restrict ~nodes g in
       let mis = Fair_tree.run v (plan seed) in
-      Mis.is_mis v mis
+      Helpers.is_mis v mis
       && Array.for_all2 (fun active m -> active || not m) nodes mis)
 
 let suite =

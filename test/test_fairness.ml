@@ -23,12 +23,12 @@ let test_cfb_half () =
   let view = View.full g in
   let e =
     Montecarlo.estimate (cfg 4000) view (fun ~seed ->
-        (Fairmis.Cntrl_fair_bipart.run_distributed view
+        (Cntrl_fair_bipart.run_distributed view
            ~plan:(Rand_plan.make seed) ~stage:1 ~d_hat:30)
           .Mis_sim.Runtime.output)
   in
   Alcotest.(check bool) "min close to 1/2" true (Empirical.min_frequency e > 0.46);
-  Alcotest.(check bool) "max close to 1/2" true (Empirical.max_frequency e < 0.54)
+  Alcotest.(check bool) "max close to 1/2" true ((Empirical.summarize e).Empirical.max_freq < 0.54)
 
 (* FairRooted: Theorem 3 — every node joins with probability >= 1/4. *)
 let test_fair_rooted_quarter () =
@@ -104,7 +104,7 @@ let test_centralized_fair_bipartite_exact () =
   let view = View.full g in
   let e =
     estimate view (fun ~seed ->
-        match Fairmis.Centralized.fair_bipartite view (Splitmix.of_seed seed) with
+        match Helpers.fair_bipartite view (Splitmix.of_seed seed) with
         | Some mis -> mis
         | None -> Alcotest.fail "bipartite expected")
   in
@@ -187,7 +187,7 @@ let test_fig4_shape () =
   Alcotest.(check bool) "FairTree support lower bound" true
     (Empirical.min_frequency fair > 0.2);
   Alcotest.(check bool) "FairTree support upper bound" true
-    (Empirical.max_frequency fair < 0.8);
+    ((Empirical.summarize fair).Empirical.max_freq < 0.8);
   (* The CDF itself is a valid distribution function ending at 1. *)
   let cdf = Empirical.cdf fair in
   let _, last = cdf.(Array.length cdf - 1) in

@@ -60,7 +60,7 @@ let test_zero_fault_equivalence () =
     [ ("path", View.full (Trees.path 10));
       ("star", View.full (Trees.star 12));
       ("masked",
-       View.induced (Trees.path 8) [| true; true; false; true; true; true; false; true |]) ]
+       View.restrict ~nodes:[| true; true; false; true; true; true; false; true |] (Trees.path 8)) ]
   in
   List.iter
     (fun (name, view) ->
@@ -117,7 +117,7 @@ let test_golden_regression () =
   let nodes = Array.init 12 (fun i -> i <> 5) in
   check "luby masked path12"
     (4, 27, 0, 574797625, 70628384, 6)
-    (Fairmis.Luby.run_distributed (View.induced (Trees.path 12) nodes) plan)
+    (Fairmis.Luby.run_distributed (View.restrict ~nodes (Trees.path 12)) plan)
 
 (* --- reproducibility --------------------------------------------------- *)
 
@@ -260,13 +260,8 @@ let test_delay_slows_flood () =
 let test_robustify_identity_when_repeats_one () =
   let view = View.full (Helpers.random_tree ~seed:5 ~n:40) in
   let plan = Rand_plan.make 3 in
-  let stage = Rand_plan.Stage.luby_main in
-  let rng u = Rand_plan.node_stream plan ~stage ~node:u in
-  let plain = Runtime.run ~rng_of:rng view (Fairmis.Luby.program plan ~stage) in
-  let wrapped =
-    Runtime.run ~rng_of:rng view
-      (Fairmis.Robust.robustify ~repeats:1 (Fairmis.Luby.program plan ~stage))
-  in
+  let plain = Fairmis.Luby.run_distributed view plan in
+  let wrapped = Fairmis.Robust.run_luby ~repeats:1 view plan in
   check_outcome_equal "repeats=1 is a no-op" plain wrapped
 
 let test_robust_zero_fault_same_mis () =

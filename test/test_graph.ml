@@ -48,7 +48,7 @@ let test_neighbors () =
 
 let test_view_masks () =
   let nodes = [| true; true; false; true |] in
-  let v = View.induced path4 nodes in
+  let v = View.restrict ~nodes path4 in
   Alcotest.(check int) "active count" 3 (View.count_active v);
   Alcotest.(check int) "degree of 1 without node 2" 1 (View.degree v 1);
   Alcotest.(check bool) "edge (1,2) unusable" false (View.usable_edge v 1);
@@ -64,8 +64,8 @@ let test_view_mask_length () =
 let test_bfs () =
   let dist = Traverse.bfs_from (View.full path4) 0 in
   Alcotest.check Helpers.int_array "distances" [| 0; 1; 2; 3 |] dist;
-  let dist2 = Traverse.bfs_multi (View.full path4) ~sources:[ 0; 3 ] in
-  Alcotest.check Helpers.int_array "multi" [| 0; 1; 1; 0 |] dist2
+  let dist2 = Traverse.bfs_from (View.full path4) 2 in
+  Alcotest.check Helpers.int_array "from the middle" [| 2; 1; 0; 1 |] dist2
 
 let test_bfs_masked () =
   let v = View.restrict ~edges:[| true; false; true |] path4 in
@@ -90,11 +90,11 @@ let test_diameter () =
     (Traverse.diameter_exact (View.full triangle))
 
 let test_tree_diameters () =
-  match Traverse.tree_diameters (View.full path4) with
-  | [ (d, members) ] ->
-    Alcotest.(check int) "two-sweep diameter" 3 d;
-    Alcotest.(check int) "members" 4 (Array.length members)
-  | other -> Alcotest.failf "expected 1 component, got %d" (List.length other)
+  (* Per component: a path of 4 beside a star of 5 reads the path's 3. *)
+  let forest = Graph.of_edges ~n:9 [ (0, 1); (1, 2); (2, 3); (4, 5); (4, 6); (4, 7); (4, 8) ] in
+  Alcotest.(check int) "forest diameter" 3 (Traverse.diameter_exact (View.full forest));
+  let star = View.restrict ~nodes:(Array.init 9 (fun u -> u >= 4)) forest in
+  Alcotest.(check int) "star alone" 2 (Traverse.diameter_exact star)
 
 let test_predicates () =
   Alcotest.(check bool) "path is tree" true (Traverse.is_tree (View.full path4));
@@ -104,8 +104,8 @@ let test_predicates () =
     (Traverse.is_forest (View.full triangle));
   let forest = Graph.of_edges ~n:4 [ (0, 1); (2, 3) ] in
   Alcotest.(check bool) "forest" true (Traverse.is_forest (View.full forest));
-  Alcotest.(check bool) "forest not connected" false
-    (Traverse.is_connected (View.full forest))
+  Alcotest.(check bool) "forest not a tree" false
+    (Traverse.is_tree (View.full forest))
 
 let test_bipartition () =
   (match Traverse.bipartition (View.full path4) with
@@ -117,11 +117,11 @@ let test_bipartition () =
 let test_check_oracles () =
   let v = View.full path4 in
   Alcotest.(check bool) "valid mis" true
-    (Check.is_maximal_independent v [| true; false; true; false |]);
+    (Helpers.is_mis v [| true; false; true; false |]);
   Alcotest.(check bool) "0 alone not maximal" false
-    (Check.is_maximal_independent v [| true; false; false; false |]);
+    (Helpers.is_mis v [| true; false; false; false |]);
   Alcotest.(check bool) "adjacent not independent" false
-    (Check.is_independent_set v [| true; true; false; false |]);
+    (Helpers.is_independent v [| true; true; false; false |]);
   Alcotest.(check bool) "proper coloring" true
     (Check.is_proper_coloring v [| 0; 1; 0; 1 |]);
   Alcotest.(check bool) "uncolored rejected" false
@@ -280,7 +280,7 @@ let prop_threshold_edges =
         let acc = ref [] in
         for i = 0 to n - 1 do
           for j = i + 1 to n - 1 do
-            let d = Geometry.dist points.(i) points.(j) in
+            let d = Geometry_oracle.dist points.(i) points.(j) in
             if d <= radius then acc := (i, j, d) :: !acc
           done
         done;
@@ -381,7 +381,7 @@ let test_bounding_box () =
   let points =
     [| { Geometry.x = 1.; y = 5. }; { Geometry.x = -2.; y = 3. } |]
   in
-  let lo, hi = Geometry.bounding_box points in
+  let lo, hi = Geometry_oracle.bounding_box points in
   Alcotest.(check (float 1e-9)) "lo.x" (-2.) lo.Geometry.x;
   Alcotest.(check (float 1e-9)) "hi.y" 5. hi.Geometry.y
 
@@ -391,8 +391,9 @@ let test_rooted_of_tree () =
   let t = Rooted.of_tree path4 ~root:1 in
   Alcotest.(check int) "root parent" (-1) t.Rooted.parent.(1);
   Alcotest.(check int) "child of 1" 1 t.Rooted.parent.(0);
-  Alcotest.(check int) "depth" 2 (Rooted.depth t).(3);
-  Alcotest.(check (list int)) "roots" [ 1 ] (Rooted.roots t)
+  Alcotest.(check int) "grandparent of 3" 1 t.Rooted.parent.(t.Rooted.parent.(3));
+  Alcotest.(check int) "one root" 1
+    (Array.fold_left (fun c p -> if p = -1 then c + 1 else c) 0 t.Rooted.parent)
 
 let test_rooted_of_tree_rejects () =
   Alcotest.(check bool) "triangle rejected" true

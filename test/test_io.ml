@@ -9,31 +9,44 @@ let contains_sub hay needle =
   let rec loop i = i + nl <= hl && (String.sub hay i nl = needle || loop (i + 1)) in
   loop 0
 
+(* [Io.read_edge_list] over a temporary file: [write] fills it. *)
+let through_file write =
+  let path = Filename.temp_file "fairmis" ".edges" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      write path;
+      Io.read_edge_list ~path)
+
+let parse text =
+  through_file (fun path ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc text))
+
 let prop_edge_list_roundtrip =
   Helpers.qtest "io: edge list round-trips"
     QCheck.(pair (int_range 1 50) Helpers.arb_seed)
     (fun (n, seed) ->
       let g = Helpers.random_graph ~seed ~n ~p:0.2 in
-      match Io.of_edge_list (Io.to_edge_list g) with
+      match through_file (fun path -> Io.write_edge_list g ~path) with
       | Error _ -> false
       | Ok g2 ->
         Graph.n g = Graph.n g2
         && Graph.edges g = Graph.edges g2)
 
 let test_edge_list_parsing () =
-  (match Io.of_edge_list "# comment\nn 3\n0 1\n\n1 2\n" with
+  (match parse "# comment\nn 3\n0 1\n\n1 2\n" with
   | Ok g ->
     Alcotest.(check int) "n" 3 (Graph.n g);
     Alcotest.(check int) "m" 2 (Graph.m g)
   | Error e -> Alcotest.fail e);
   Alcotest.(check bool) "missing header" true
-    (match Io.of_edge_list "0 1\n" with Error _ -> true | Ok _ -> false);
+    (match parse "0 1\n" with Error _ -> true | Ok _ -> false);
   Alcotest.(check bool) "bad edge" true
-    (match Io.of_edge_list "n 3\n0 x\n" with Error _ -> true | Ok _ -> false);
+    (match parse "n 3\n0 x\n" with Error _ -> true | Ok _ -> false);
   Alcotest.(check bool) "out of range" true
-    (match Io.of_edge_list "n 2\n0 5\n" with Error _ -> true | Ok _ -> false);
+    (match parse "n 2\n0 5\n" with Error _ -> true | Ok _ -> false);
   Alcotest.(check bool) "duplicate header" true
-    (match Io.of_edge_list "n 2\nn 3\n" with Error _ -> true | Ok _ -> false)
+    (match parse "n 2\nn 3\n" with Error _ -> true | Ok _ -> false)
 
 let test_edge_list_file_roundtrip () =
   let g = Helpers.random_tree ~seed:3 ~n:20 in
@@ -67,7 +80,14 @@ let test_dot_output () =
   Alcotest.(check int) "two filled" 2 count
 
 let test_csv_escaping () =
-  let s = Csv.to_string ~header:[ "a"; "b" ] [ [ "x,y"; "q\"q" ]; [ "plain"; "1" ] ] in
+  let path = Filename.temp_file "fairmis" ".csv" in
+  let s =
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        Csv.write ~path ~header:[ "a"; "b" ] [ [ "x,y"; "q\"q" ]; [ "plain"; "1" ] ];
+        In_channel.with_open_bin path In_channel.input_all)
+  in
   Alcotest.(check bool) "comma quoted" true (contains_sub s "\"x,y\"");
   Alcotest.(check bool) "quote doubled" true (contains_sub s "\"q\"\"q\"");
   Alcotest.(check bool) "plain untouched" true (contains_sub s "plain,1")

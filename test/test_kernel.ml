@@ -28,10 +28,10 @@ let view_of gk ~n ~gseed =
   | 3 -> View.full (Mis_workload.Real_world.dartmouth_like ~seed:gseed)
   | 4 ->
     let rng = Mis_util.Splitmix.of_seed (gseed + 31) in
-    View.induced
+    View.restrict
+      ~nodes:(Array.init n (fun _ -> Mis_util.Splitmix.float rng < 0.6))
       (Helpers.random_graph ~seed:gseed ~n ~p:0.2)
-      (Array.init n (fun _ -> Mis_util.Splitmix.float rng < 0.6))
-  | _ -> View.induced (Helpers.random_tree ~seed:gseed ~n) (Array.make n false)
+  | _ -> View.restrict ~nodes:(Array.make n false) (Helpers.random_tree ~seed:gseed ~n)
 
 (* Per-node decision rounds from a traced message run. *)
 let decide_rounds ~n events =
@@ -214,7 +214,7 @@ let test_kernel_simulated_counts () =
     Alcotest.(check bool) "path, gamma 1: kernel = engine" true
       (outcome_matches ~name:"path" view o (evs ()) k)
   done;
-  let luby = Fairmis.Luby.run_kernel view (Rand_plan.make 1) in
+  let luby = Fairmis.Luby.run_kernel_on (Kernel.create view) (Rand_plan.make 1) in
   Alcotest.(check int) "luby simulates nothing" 0 luby.Kernel.simulated
 
 (* The engine's max_rounds cutoff semantics: decisions past the cutoff
@@ -268,7 +268,7 @@ let prop_kernel_custom_ids (gk, n, gseed, pseed) =
     else Helpers.random_graph ~seed:gseed ~n ~p:0.2
   in
   let view =
-    View.induced g (Array.init n (fun _ -> Mis_util.Splitmix.float rng < 0.7))
+    View.restrict ~nodes:(Array.init n (fun _ -> Mis_util.Splitmix.float rng < 0.7)) g
   in
   let ids = permutation rng n in
   let offset = 1 + (gseed * 1_000_003) in
@@ -356,7 +356,7 @@ let prop_kernel_relabel (gk, n, gseed, pseed) =
 (* [Kernel.create ~ids] checks ids like the engine, with its messages. *)
 let test_kernel_ids_rejected () =
   let view = View.full (Helpers.random_tree ~seed:3 ~n:5) in
-  let masked = View.induced (View.graph view) [| true; true; false; true; true |] in
+  let masked = View.restrict ~nodes:[| true; true; false; true; true |] (View.graph view) in
   Alcotest.check_raises "wrong length" (Invalid_argument "Runtime.run: ids length")
     (fun () -> ignore (Kernel.create ~ids:[| 0; 1; 2; 3 |] view));
   Alcotest.check_raises "duplicate active ids"
@@ -436,7 +436,7 @@ let prop_run_stats_inplace_masked (gk, n, gseed, pseed) =
   in
   let rng = Mis_util.Splitmix.of_seed (pseed + 17) in
   let keep = Array.init n (fun _ -> Mis_util.Splitmix.float rng < 0.7) in
-  let view = View.induced g keep in
+  let view = View.restrict ~nodes:keep g in
   let plan = Rand_plan.make pseed in
   let oracle_mis, oracle_phases = run_stats_list_oracle view plan in
   let mis, stats = Fairmis.Luby.run_stats view plan in

@@ -5,9 +5,10 @@ module Graph = Mis_graph.Graph
 module View = Mis_graph.View
 module Traverse = Mis_graph.Traverse
 module Splitmix = Mis_util.Splitmix
+module Check = Mis_graph.Check
 module Mis = Fairmis.Mis
 module Luby = Fairmis.Luby
-module Cfb = Fairmis.Cntrl_fair_bipart
+module Cfb = Cntrl_fair_bipart
 module Rand_plan = Fairmis.Rand_plan
 
 let plan seed = Rand_plan.make seed
@@ -29,8 +30,8 @@ let test_uncovered () =
 let test_violations_list () =
   let g = Mis_workload.Trees.path 3 in
   let v = View.full g in
-  Alcotest.(check (list (pair int int))) "one violation" [ (0, 1) ]
-    (Mis.violations v [| true; true; false |])
+  Alcotest.(check bool) "one violation" true
+    (Check.classify v [| true; true; false |] = Check.Not_independent)
 
 let test_verify_raises () =
   let g = Mis_workload.Trees.path 3 in
@@ -62,13 +63,6 @@ module Closure_check = struct
     if not (is_independent view set) then
       raise (Mis.Invalid (name ^ ": independence violated"));
     if not (is_maximal view set) then raise (Mis.Invalid (name ^ ": not maximal"))
-
-  let violations view set =
-    let acc = ref [] in
-    View.iter_active view (fun u ->
-        if set.(u) then
-          View.iter_adj view u (fun v -> if v > u && set.(v) then acc := (u, v) :: !acc));
-    !acc
 
   let remove_violations view set =
     let out = Array.copy set in
@@ -112,11 +106,10 @@ let prop_one_pass_check_equals_closures =
       let randoms = List.init 8 (fun _ -> mask (Splitmix.float rng) n) in
       List.for_all
         (fun set ->
-          Mis.is_independent view set = Closure_check.is_independent view set
-          && Mis.is_maximal view set = Closure_check.is_maximal view set
+          Helpers.is_independent view set = Closure_check.is_independent view set
+          && Helpers.is_mis view set = Closure_check.is_maximal view set
           && verify_message (fun () -> Mis.verify ~name:"t" view set)
              = verify_message (fun () -> Closure_check.verify ~name:"t" view set)
-          && Mis.violations view set = Closure_check.violations view set
           && Mis.remove_violations view set
              = Closure_check.remove_violations view set
           && Mis.uncovered view set = Closure_check.uncovered view set)
@@ -131,7 +124,7 @@ let prop_luby_valid_on_trees =
       let g = Helpers.random_tree ~seed:gseed ~n in
       let v = View.full g in
       let mis = Luby.run v (plan seed) in
-      Mis.is_mis v mis)
+      Helpers.is_mis v mis)
 
 let prop_luby_valid_on_random_graphs =
   Helpers.qtest "luby: valid MIS on random graphs"
@@ -140,7 +133,7 @@ let prop_luby_valid_on_random_graphs =
       let g = Helpers.random_graph ~seed:gseed ~n ~p:0.2 in
       let v = View.full g in
       let mis = Luby.run v (plan seed) in
-      Mis.is_mis v mis)
+      Helpers.is_mis v mis)
 
 let prop_luby_valid_on_views =
   Helpers.qtest ~count:60 "luby: valid MIS on masked views"
@@ -149,9 +142,9 @@ let prop_luby_valid_on_views =
       let g = Helpers.random_graph ~seed:gseed ~n ~p:0.25 in
       let mask_rng = Splitmix.of_seed (gseed + 77) in
       let nodes = Array.init n (fun _ -> Splitmix.bool mask_rng) in
-      let v = View.induced g nodes in
+      let v = View.restrict ~nodes g in
       let mis = Luby.run v (plan seed) in
-      Mis.is_mis v mis
+      Helpers.is_mis v mis
       && Array.for_all2 (fun active m -> active || not m) nodes mis)
 
 let test_luby_clique () =
@@ -224,7 +217,7 @@ let prop_luby_degree_valid =
     (fun (n, gseed, seed) ->
       let g = Helpers.random_graph ~seed:gseed ~n ~p:0.2 in
       let v = View.full g in
-      Mis.is_mis v (Luby_degree.run v (plan seed)))
+      Helpers.is_mis v (Luby_degree.run v (plan seed)))
 
 let prop_luby_degree_valid_on_trees =
   Helpers.qtest "luby_degree: valid MIS on random trees"
@@ -232,7 +225,7 @@ let prop_luby_degree_valid_on_trees =
     (fun (n, gseed, seed) ->
       let g = Helpers.random_tree ~seed:gseed ~n in
       let v = View.full g in
-      Mis.is_mis v (Luby_degree.run v (plan seed)))
+      Helpers.is_mis v (Luby_degree.run v (plan seed)))
 
 let prop_luby_degree_fast_matches_distributed =
   Helpers.qtest ~count:60 "luby_degree: fast engine = distributed engine"
@@ -252,9 +245,10 @@ let test_luby_degree_isolated () =
 
 let test_luby_degree_phases () =
   let g = Helpers.random_tree ~seed:5 ~n:2000 in
-  let _, stats = Luby_degree.run_stats (View.full g) (plan 4) in
-  if stats.Luby_degree.phases > 60 then
-    Alcotest.failf "too many phases: %d" stats.Luby_degree.phases
+  let o = Luby_degree.run_distributed (View.full g) (plan 4) in
+  (* Three rounds per phase; the last phase may end early. *)
+  let phases = (o.Mis_sim.Runtime.rounds + 2) / 3 in
+  if phases > 60 then Alcotest.failf "too many phases: %d" phases
 
 (* CntrlFairBipart, on its message program: [cfb_run] executes it with a
    fixed leader bit, [Cfb.run_distributed] with the plan's coins. *)
@@ -271,7 +265,7 @@ let prop_cfb_valid_when_dhat_large =
       let v = View.full g in
       let d = Traverse.diameter_exact v in
       let o = Cfb.run_distributed v ~plan:(plan seed) ~stage:1 ~d_hat:(max 1 d) in
-      Mis.is_mis v o.Mis_sim.Runtime.output)
+      Helpers.is_mis v o.Mis_sim.Runtime.output)
 
 let test_cfb_levels_are_bfs_distances () =
   (* Leader is the max index 5, so with bit = 0 exactly the nodes at an

@@ -176,8 +176,9 @@ let test_float_string_roundtrip () =
 (* --- event parsing ------------------------------------------------------ *)
 
 let roundtrip_events evs =
-  let lines = List.map Trace.to_json evs in
-  ok_or_fail "parse_lines" (Replay.parse_lines lines)
+  List.map
+    (fun e -> ok_or_fail "parse_line" (Replay.parse_line (Trace.to_json e)))
+    evs
 
 let test_event_roundtrip () =
   let evs =
@@ -226,17 +227,11 @@ let test_event_parse_errors () =
     (contains (bad {|{"type":"drop","round":1,"src":0,"dst":1,"reason":"x"}|})
        "reason");
   Alcotest.(check bool) "not an object" true
-    (String.length (bad "[1,2]") > 0);
-  (* parse_lines prefixes 1-based line numbers and skips blanks. *)
-  match Replay.parse_lines [ {|{"type":"run_begin","program":"p","n":1,"active":1}|}; ""; "nope" ] with
-  | Ok _ -> Alcotest.fail "parse_lines accepted garbage"
-  | Error e ->
-    Alcotest.(check bool) ("line number in " ^ e) true
-      (String.length e >= 7 && String.sub e 0 7 = "line 3:")
+    (String.length (bad "[1,2]") > 0)
 
 let test_of_jsonl_positions () =
   (* of_jsonl reports malformed lines as "FILE:LINE: ..." so the message
-     is directly clickable; of_file is its alias. *)
+     is directly clickable. *)
   let path = Filename.temp_file "fairmis_replay" ".jsonl" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
@@ -257,7 +252,6 @@ let test_of_jsonl_positions () =
             && String.sub e 0 (String.length prefix) = prefix)
       in
       expect_prefix "of_jsonl" (Replay.of_jsonl path);
-      expect_prefix "of_file" (Replay.of_file path);
       (match Replay.replay_file path with
       | Ok _ -> Alcotest.fail "replay_file accepted garbage"
       | Error errs ->
@@ -602,9 +596,9 @@ let test_prof_to_metrics () =
   let reg = Metrics.create () in
   Prof.to_metrics p reg;
   Alcotest.(check int) "timer calls" 1
-    (Metrics.timer_calls (Metrics.timer reg "prof.top"));
+    (snd (Helpers.timer_value reg "prof.top"));
   Alcotest.(check int) "nested path" 1
-    (Metrics.timer_calls (Metrics.timer reg "prof.top.sub"));
+    (snd (Helpers.timer_value reg "prof.top.sub"));
   let snap = Metrics.snapshot reg in
   Alcotest.(check bool) "gc counters present" true
     (Metrics.find_counter snap "prof.top.allocated_bytes" <> None)

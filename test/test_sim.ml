@@ -1,6 +1,5 @@
 (* Tests for the synchronous message-passing simulator. *)
 
-module Graph = Mis_graph.Graph
 module View = Mis_graph.View
 module Program = Mis_sim.Program
 module Runtime = Mis_sim.Runtime
@@ -124,7 +123,7 @@ let test_unicast () =
 let test_masked_view () =
   (* Nodes outside the view do not run. *)
   let g = path 4 in
-  let v = View.induced g [| true; true; false; true |] in
+  let v = View.restrict ~nodes:[| true; true; false; true |] g in
   let outcome = Runtime.run ~rng_of v (flood_program 3) in
   Alcotest.(check bool) "inactive node undecided" false outcome.Runtime.decided.(2);
   (* In the masked graph, max id visible from 0 is 1 (not 9/3). *)

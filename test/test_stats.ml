@@ -13,8 +13,8 @@ let sample = Empirical.create ~nodes:[| 0; 1; 2; 3 |] ~trials:10
 let test_frequencies () =
   Alcotest.(check (float 1e-9)) "freq 0" 0.5 (Empirical.frequency sample 0);
   Alcotest.(check (float 1e-9)) "min" 0.2 (Empirical.min_frequency sample);
-  Alcotest.(check (float 1e-9)) "max" 1.0 (Empirical.max_frequency sample);
-  Alcotest.(check (float 1e-9)) "mean" 0.55 (Empirical.mean_frequency sample)
+  Alcotest.(check (float 1e-9)) "max" 1.0 (Empirical.summarize sample).Empirical.max_freq;
+  Alcotest.(check (float 1e-9)) "mean" 0.55 (Empirical.summarize sample).Empirical.mean_freq
 
 let test_inequality_factor () =
   Alcotest.(check (float 1e-9)) "factor" 5.0 (Empirical.inequality_factor sample);
@@ -45,10 +45,10 @@ let test_quantile () =
   Alcotest.(check (float 1e-9)) "max" 1.0 (Empirical.quantile sample 1.)
 
 let test_wilson () =
-  let lo, hi = Empirical.wilson_interval ~count:50 ~trials:100 ~z:1.96 in
+  let lo, hi = Helpers.wilson_interval ~count:50 ~trials:100 ~z:1.96 in
   Alcotest.(check bool) "contains p" true (lo < 0.5 && 0.5 < hi);
   Alcotest.(check bool) "reasonable width" true (hi -. lo < 0.25);
-  let lo0, _ = Empirical.wilson_interval ~count:0 ~trials:100 ~z:1.96 in
+  let lo0, _ = Helpers.wilson_interval ~count:0 ~trials:100 ~z:1.96 in
   Alcotest.(check (float 1e-9)) "zero count lower bound" 0. lo0
 
 let test_summary () =
@@ -57,11 +57,13 @@ let test_summary () =
   Alcotest.(check (float 1e-9)) "factor" 5.0 s.Empirical.factor
 
 let test_of_mask () =
-  let e = Empirical.of_mask ~mask:[| true; false; true |] ~trials:10
-      ~joins:[| 1; 9; 3 |]
-  in
+  let acc = Mis_obs.Fairness.create ~n:3 in
+  for run = 1 to 10 do
+    Mis_obs.Fairness.record acc ~in_mis:[| run <= 1; run <= 9; run <= 3 |]
+  done;
+  let e = Empirical.of_fairness ~mask:[| true; false; true |] acc in
   Alcotest.(check int) "two nodes" 2 (Empirical.node_count e);
-  Alcotest.(check (float 1e-9)) "max is node 2" 0.3 (Empirical.max_frequency e)
+  Alcotest.(check (float 1e-9)) "max is node 2" 0.3 (Empirical.summarize e).Empirical.max_freq
 
 let test_create_validation () =
   Alcotest.(check bool) "bad join count" true

@@ -212,12 +212,16 @@ let test_metrics_merge_sketches_across_domains () =
 (* --- OpenMetrics -------------------------------------------------------- *)
 
 let test_metric_name () =
-  Alcotest.(check string) "dots" "dyn_repair_seconds"
-    (Openmetrics.metric_name "dyn.repair.seconds");
-  Alcotest.(check string) "keeps colon" "a:b_c"
-    (Openmetrics.metric_name "a:b-c");
-  Alcotest.(check string) "leading digit" "_9lives"
-    (Openmetrics.metric_name "9lives")
+  let name raw =
+    let reg = Metrics.create () in
+    Metrics.set (Metrics.gauge reg raw) 1.;
+    match String.split_on_char '\n' (Openmetrics.render (Metrics.snapshot reg)) with
+    | _type :: sample :: _ -> List.hd (String.split_on_char ' ' sample)
+    | _ -> Alcotest.failf "no sample for %S" raw
+  in
+  Alcotest.(check string) "dots" "dyn_repair_seconds" (name "dyn.repair.seconds");
+  Alcotest.(check string) "keeps colon" "a:b_c" (name "a:b-c");
+  Alcotest.(check string) "leading digit" "_9lives" (name "9lives")
 
 let golden_registry () =
   let reg = Metrics.create () in

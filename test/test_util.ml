@@ -2,7 +2,6 @@
 
 module Splitmix = Mis_util.Splitmix
 module Dsu = Mis_util.Dsu
-module Bitset = Mis_util.Bitset
 module Int_queue = Mis_util.Int_queue
 module Heap = Mis_util.Heap
 module Ids = Mis_util.Ids
@@ -109,13 +108,6 @@ let test_stream_independence () =
   let ratio = float_of_int !agree /. float_of_int n in
   if abs_float (ratio -. 0.5) > 0.02 then Alcotest.failf "correlated streams: %f" ratio
 
-let test_copy_diverges () =
-  let a = Splitmix.of_seed 3 in
-  ignore (Splitmix.next_int64 a);
-  let b = Splitmix.copy a in
-  Alcotest.(check int64) "copy continues identically" (Splitmix.next_int64 a)
-    (Splitmix.next_int64 b)
-
 (* Dsu *)
 
 let test_dsu_basic () =
@@ -154,58 +146,6 @@ let prop_dsu_same_transitive =
         done
       done;
       !ok)
-
-(* Bitset *)
-
-let test_bitset_basic () =
-  let b = Bitset.create 100 in
-  Alcotest.(check int) "empty" 0 (Bitset.cardinal b);
-  Bitset.set b 0;
-  Bitset.set b 63;
-  Bitset.set b 99;
-  Alcotest.(check int) "three" 3 (Bitset.cardinal b);
-  Alcotest.(check bool) "get 63" true (Bitset.get b 63);
-  Bitset.clear b 63;
-  Alcotest.(check bool) "cleared" false (Bitset.get b 63);
-  Bitset.fill b;
-  Alcotest.(check int) "full" 100 (Bitset.cardinal b);
-  Bitset.reset b;
-  Alcotest.(check int) "reset" 0 (Bitset.cardinal b)
-
-let test_bitset_bounds () =
-  let b = Bitset.create 10 in
-  Alcotest.check_raises "oob" (Invalid_argument "Bitset: index out of bounds")
-    (fun () -> Bitset.set b 10)
-
-let prop_bitset_model =
-  Helpers.qtest "bitset matches bool-array model"
-    QCheck.(pair (int_range 1 200) (list (pair (int_range 0 199) bool)))
-    (fun (n, ops) ->
-      let b = Bitset.create n in
-      let model = Array.make n false in
-      List.iter
-        (fun (i, v) ->
-          let i = i mod n in
-          Bitset.assign b i v;
-          model.(i) <- v)
-        ops;
-      let ok = ref true in
-      for i = 0 to n - 1 do
-        if Bitset.get b i <> model.(i) then ok := false
-      done;
-      !ok && Bitset.cardinal b = Array.fold_left (fun a v -> if v then a + 1 else a) 0 model)
-
-let prop_bitset_iter =
-  Helpers.qtest "bitset iter visits exactly the set bits in order"
-    QCheck.(pair (int_range 1 100) (list (int_range 0 99)))
-    (fun (n, indices) ->
-      let b = Bitset.create n in
-      List.iter (fun i -> Bitset.set b (i mod n)) indices;
-      let visited = ref [] in
-      Bitset.iter (fun i -> visited := i :: !visited) b;
-      let visited = List.rev !visited in
-      let expected = List.filter (Bitset.get b) (List.init n (fun i -> i)) in
-      visited = expected)
 
 (* Int_queue *)
 
@@ -301,17 +241,11 @@ let suite =
         Alcotest.test_case "geometric distribution" `Quick test_geometric_distribution;
         Alcotest.test_case "geometric truncation" `Quick test_geometric_truncation;
         Alcotest.test_case "derive key paths" `Quick test_derive_key_paths;
-        Alcotest.test_case "stream independence" `Quick test_stream_independence;
-        Alcotest.test_case "copy" `Quick test_copy_diverges ] );
+        Alcotest.test_case "stream independence" `Quick test_stream_independence ] );
     ( "util.dsu",
       [ Alcotest.test_case "basic" `Quick test_dsu_basic;
         prop_dsu_count;
         prop_dsu_same_transitive ] );
-    ( "util.bitset",
-      [ Alcotest.test_case "basic" `Quick test_bitset_basic;
-        Alcotest.test_case "bounds" `Quick test_bitset_bounds;
-        prop_bitset_model;
-        prop_bitset_iter ] );
     ( "util.int_queue",
       [ prop_int_queue_model;
         Alcotest.test_case "pop empty" `Quick test_int_queue_empty_pop ] );

@@ -61,7 +61,6 @@ let prop_random_trees =
     (fun (n, seed) ->
       let rng () = Splitmix.of_seed seed in
       is_tree (Trees.random_prufer (rng ()) ~n)
-      && is_tree (Trees.random_attachment (rng ()) ~n)
       && is_tree (Trees.preferential_attachment (rng ()) ~n)
       && is_tree (Trees.random_attachment_xl (rng ()) ~n))
 
@@ -109,7 +108,7 @@ let prop_random_bipartite =
       let g =
         Bipartite.random_connected (Splitmix.of_seed seed) ~left ~right ~p:0.1
       in
-      is_bipartite g && Traverse.is_connected (View.full g))
+      is_bipartite g && snd (Traverse.components (View.full g)) = 1)
 
 let test_planar_generators () =
   Alcotest.(check int) "wheel n" 9 (Graph.n (Planar.wheel 9));
@@ -125,23 +124,25 @@ let prop_outerplanar =
     QCheck.(pair (int_range 3 60) Helpers.arb_seed)
     (fun (n, seed) ->
       let g = Planar.random_outerplanar (Splitmix.of_seed seed) ~n in
-      Traverse.is_connected (View.full g) && Graph.m g <= (2 * n) - 3)
+      snd (Traverse.components (View.full g)) = 1 && Graph.m g <= (2 * n) - 3)
 
 let test_cone_structure () =
   let k = 5 in
   let g = Special.cone ~k in
   Alcotest.(check int) "n = 2k+1" 11 (Graph.n g);
-  Alcotest.(check int) "apex degree" k (Graph.degree g Special.cone_apex);
+  (* The apex is u_0; the far side S is u_{k+1} .. u_2k. *)
+  let apex = 0 in
+  Alcotest.(check int) "apex degree" k (Graph.degree g apex);
   (* Near-side clique nodes: 2k-1 clique neighbors + apex. *)
   Alcotest.(check int) "near-side degree" (2 * k) (Graph.degree g 1);
   (* Far-side clique nodes: only the clique. *)
-  let far = Special.cone_far_side ~k in
+  let far = Array.init k (fun i -> k + 1 + i) in
   Alcotest.(check int) "far side size" k (Array.length far);
   Array.iter
     (fun u ->
       Alcotest.(check int) "far-side degree" ((2 * k) - 1) (Graph.degree g u);
       Alcotest.(check bool) "not adjacent to apex" false
-        (Graph.mem_edge g Special.cone_apex u))
+        (Graph.mem_edge g apex u))
     far;
   (* Degree ratio is constant (paper Sec. VIII remark). *)
   Alcotest.(check bool) "max/min degree ratio around 2" true
@@ -259,7 +260,7 @@ let prop_search_matches_per_probe =
       let points = Geo.sample (Splitmix.of_seed seed) params ~n in
       let target =
         if critical then
-          largest_component_size (Mis_workload.Geo_graphs.unit_disk points ~radius)
+          largest_component_size (Geometry_oracle.unit_disk points ~radius)
         else max 1 (int_of_float (frac *. float_of_int n))
       in
       let outcome build =
@@ -283,31 +284,9 @@ let test_unit_disk () =
        { Mis_graph.Geometry.x = 1.; y = 0. };
        { Mis_graph.Geometry.x = 5.; y = 0. } |]
   in
-  let g = Mis_workload.Geo_graphs.unit_disk points ~radius:1.5 in
+  let g = Geometry_oracle.unit_disk points ~radius:1.5 in
   Alcotest.(check int) "one edge" 1 (Graph.m g);
   Alcotest.(check bool) "0-1 adjacent" true (Graph.mem_edge g 0 1)
-
-let prop_mixed_density =
-  Helpers.qtest ~count:20 "mixed-density graph: connected, dense blob is dense"
-    Helpers.arb_seed
-    (fun seed ->
-      let mixed =
-        Mis_workload.Geo_graphs.mixed_density (Splitmix.of_seed seed)
-          ~sparse:49 ~dense:15 ~radius:10.
-      in
-      let g = mixed.Mis_workload.Geo_graphs.graph in
-      let dense = mixed.Mis_workload.Geo_graphs.dense in
-      (* Dense blob points are pairwise within 2*(r/3) < r: a clique. *)
-      let clique_ok = ref true in
-      Array.iteri
-        (fun u du ->
-          Array.iteri
-            (fun v dv ->
-              if du && dv && u < v && not (Graph.mem_edge g u v) then
-                clique_ok := false)
-            dense)
-        dense;
-      !clique_ok && Traverse.is_connected (View.full g))
 
 let suite =
   [ ( "workload.trees",
@@ -341,5 +320,4 @@ let suite =
         Alcotest.test_case "edge digests pinned" `Quick test_real_world_pins;
         prop_search_matches_per_probe ] );
     ( "workload.geo_graphs",
-      [ Alcotest.test_case "unit disk" `Quick test_unit_disk;
-        prop_mixed_density ] ) ]
+      [ Alcotest.test_case "unit disk" `Quick test_unit_disk ] ) ]
