@@ -20,7 +20,6 @@
 module View = Mis_graph.View
 module Rand_plan = Fairmis.Rand_plan
 module Engine = Mis_sim.Runtime.Engine
-module Fairness = Mis_obs.Fairness
 module Metrics = Mis_obs.Metrics
 module Json = Mis_obs.Json
 
@@ -174,50 +173,51 @@ let run_timing () =
 (* Worker pool: the 1000-trial Luby fairness workload the experiments
    run (one kernel compiled up front and shared by every domain), as 50
    harness calls of 20 trials each: experiments call the harness once
-   per cell, so what the pool saves is the fresh domains a spawn engine
-   starts on every call. Pooled at 4 vs 1 requested domains, and pooled
-   vs the spawn-per-call engine at 4. The pool clamps active domains to
-   the hardware, so domains 4 must never show the oversubscription
-   collapse; the spawn engine has no clamp and pays its spawns and joins
-   50 times per block. *)
+   per cell, so what the pool saves is the fresh domains a cold engine
+   starts on every call. Warm pool at 4 vs 1 requested domains, and warm
+   vs cold at 4. The pool clamps active domains to the hardware, so
+   domains 4 must never show the oversubscription collapse. The cold side
+   raises the cap to 4 and shuts the pool down after every call, so each
+   call spawns and joins three fresh domains, unclamped, 50 times per
+   block. *)
 let run_pool_scaling () =
   print_endline
-    "== parallel: 1000-trial fairness workload in 50 calls, worker pool vs \
-     spawn engine";
+    "== parallel: 1000-trial fairness workload in 50 calls, warm pool vs \
+     cold pool";
   let calls = 50 and per_call = 20 and n = 1000 in
   let run = Mis_exp.Runners.luby.Mis_exp.Runners.run (View.full (Helpers_bench.random_tree n)) in
   let base c = 11 + (c * per_call) in
+  let call domains c =
+    Mis_stats.Montecarlo.run
+      { Mis_stats.Montecarlo.trials = per_call; base_seed = base c;
+        domains = Some domains }
+      ~n run
+  in
   let pooled domains =
     block (fun () ->
         for c = 0 to calls - 1 do
-          ignore
-            (Sys.opaque_identity
-               (Mis_stats.Montecarlo.run
-                  { Mis_stats.Montecarlo.trials = per_call; base_seed = base c;
-                    domains = Some domains }
-                  ~n run))
+          ignore (Sys.opaque_identity (call domains c))
         done)
   in
-  let spawn4 =
+  let cold4 =
     block (fun () ->
-        for c = 0 to calls - 1 do
-          ignore
-            (Sys.opaque_identity
-               (Mis_stats.Parallel.map_reduce_unpooled ~domains:4
-                  ~tasks:per_call
-                  ~init:(fun () -> Fairness.create ~n)
-                  ~merge:(fun a b ->
-                    Fairness.merge a b;
-                    a)
-                  (fun acc i ->
-                    Fairness.record acc ~in_mis:(run ~seed:(base c + i)))))
-        done)
+        let cap = Sys.getenv_opt "FAIRMIS_POOL_CAP" in
+        Unix.putenv "FAIRMIS_POOL_CAP" "4";
+        Fun.protect
+          ~finally:(fun () ->
+            (* putenv cannot unset; an empty value reads as unset *)
+            Unix.putenv "FAIRMIS_POOL_CAP" (Option.value cap ~default:""))
+          (fun () ->
+            for c = 0 to calls - 1 do
+              ignore (Sys.opaque_identity (call 4 c));
+              Mis_stats.Parallel.shutdown ()
+            done))
   in
   let gates =
     [ paired "parallel/pool/domains-4 ÷ parallel/pool/domains-1" ~bound:1.25
         (pooled 4) (pooled 1);
-      paired "parallel/pool/domains-4 ÷ parallel/spawn/domains-4" ~bound:0.5
-        (pooled 4) spawn4 ]
+      paired "parallel/pool/domains-4 ÷ parallel/cold-pool/domains-4"
+        ~bound:0.5 (pooled 4) cold4 ]
   in
   Printf.printf "(pool cap %d on this host; pool holds %d worker(s))\n"
     (Mis_stats.Parallel.pool_cap ())
@@ -450,7 +450,7 @@ let run_workload_bench () =
                (Mis_graph.Geometry.threshold_edges points ~radius:958.14))) ]
 
 let sections =
-  [ ("pool", "1000-trial fairness: worker pool vs spawn engine", run_pool_scaling);
+  [ ("pool", "1000-trial fairness: warm worker pool vs cold pool", run_pool_scaling);
     ("engine", "compiled-engine reuse vs per-run rebuild", run_engine_bench);
     ("kernel", "data-parallel sweeps vs the message engine", run_kernel_bench);
     ("xl", "n = 1e6 over 1e5 build and run; kernel FairTree at 1e6", run_xl_bench);

@@ -335,8 +335,7 @@ let trace_cmd =
         (fun a k -> a + count k)
         0
         [ "run_begin"; "round_begin"; "round_end"; "send"; "drop"; "delay";
-          "recv"; "decide"; "crash"; "annotate"; "span_begin"; "span_end";
-          "run_end" ]
+          "recv"; "decide"; "crash"; "annotate"; "run_end" ]
     in
     Printf.printf
       "events: %d total (send %d, recv %d, decide %d, annotate %d)\n" total

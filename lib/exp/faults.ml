@@ -44,7 +44,7 @@ let algorithms ~repeats =
       alg_run =
         (fun view plan ~faults -> Fairmis.Robust.run_fair_tree ~repeats ~faults view plan) } ]
 
-(* Per-domain accumulator merged across the pool. *)
+(* Per-chunk accumulator, merged in chunk order. *)
 type acc = {
   mutable ok : int;
   mutable rounds_sum : int;
@@ -91,10 +91,10 @@ let tree_of (params : params) =
     (Splitmix.of_seed (params.seed + 0xF417))
     ~n:params.n
 
-(* Cell-level metrics are updated only here on the coordinating domain;
-   inside the parallel tasks the engine hands each domain its own
-   registry (merged at the barrier via [~obs]), so no cell needs
-   synchronization either way. *)
+(* Cell-level metrics are updated only here on the coordinating domain,
+   after each cell's trials have finished; the trials themselves only
+   fill their chunk accumulators, and [~obs] adds the engine's counters
+   on the coordinator too, so nothing is shared across domains. *)
 let record_cell_metrics reg (c : cell) =
   let open Mis_obs.Metrics in
   incr ~by:c.trials (counter reg "faults.runs");

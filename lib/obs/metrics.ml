@@ -133,51 +133,6 @@ let sketch t ?accuracy name =
   | Sk s -> s
   | _ -> assert false
 
-(* --- merge -------------------------------------------------------------- *)
-
-(* Fold [src] into [into] by name. Same-name metrics of different kinds
-   raise via [register]; histograms must agree on bucket layout. Used by
-   the parallel engine to combine per-domain registries at the barrier. *)
-let merge ~into src =
-  Hashtbl.iter
-    (fun name m ->
-      match m with
-      | Counter c -> if c.c <> 0 then incr ~by:c.c (counter into name)
-      | Gauge g -> set (gauge into name) g.g
-      | Timer tm ->
-        if tm.seconds > 0. || tm.calls > 0 then
-          timer_add (timer into name) ~seconds:tm.seconds ~calls:tm.calls
-      | Sk s ->
-        if Sketch.count s > 0 then begin
-          (* Register a layout-compatible destination by hand: [sketch]
-             would build one with the default configuration, which may
-             not match a custom source. *)
-          let dst =
-            match
-              register into name
-                (fun () -> Sk (Sketch.like s))
-                (function Sk _ -> true | _ -> false)
-            with
-            | Sk d -> d
-            | _ -> assert false
-          in
-          if not (Sketch.same_layout dst s) then
-            invalid_arg
-              (Printf.sprintf "Metrics.merge: %S sketch layouts differ" name);
-          Sketch.merge ~into:dst s
-        end
-      | Histogram h ->
-        let dst = histogram into ~buckets:h.buckets name in
-        if dst.buckets <> h.buckets then
-          invalid_arg
-            (Printf.sprintf "Metrics.merge: %S bucket layouts differ" name);
-        Array.iteri (fun i c -> dst.counts.(i) <- dst.counts.(i) + c) h.counts;
-        dst.sum <- dst.sum +. h.sum;
-        dst.count <- dst.count + h.count;
-        if h.min_v < dst.min_v then dst.min_v <- h.min_v;
-        if h.max_v > dst.max_v then dst.max_v <- h.max_v)
-    src.tbl
-
 (* --- snapshots --------------------------------------------------------- *)
 
 type snapshot = (string * metric) list (* sorted by name; deep copies *)

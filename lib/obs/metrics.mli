@@ -70,19 +70,6 @@ val sketch : t -> ?accuracy:float -> string -> Sketch.t
     already exists). Update with {!Sketch.add}; exported as an
     OpenMetrics summary and a ["sketches"] JSON section. *)
 
-(** {1 Merge} *)
-
-val merge : into:t -> t -> unit
-(** [merge ~into src] folds every instrument of [src] into [into] by
-    name: counters and timers accumulate, histogram bucket counts / sum /
-    count / min / max accumulate, sketches merge by bucket addition
-    ({!Sketch.merge}), gauges take the source value. Zero counters, empty
-    timers and empty sketches are skipped (they do not register in
-    [into]). Used to combine per-domain registries at the parallel
-    engine's join barrier.
-    @raise Invalid_argument when a name exists in both with different
-    kinds, or when two histograms (or sketches) disagree on layout. *)
-
 (** {1 Snapshots} *)
 
 type snapshot

@@ -82,13 +82,6 @@ let event_of_json v =
       let* key = str "key" in
       let* value = int "value" in
       Ok (Trace.Annotate { round; node; key; value })
-    | "span_begin" ->
-      let* name = str "name" in
-      Ok (Trace.Span_begin { name })
-    | "span_end" ->
-      let* name = str "name" in
-      let* seconds = field "seconds" Json.get_float in
-      Ok (Trace.Span_end { name; seconds })
     | "run_end" ->
       let* rounds = int "rounds" in
       let* messages = int "messages" in
@@ -302,7 +295,6 @@ let replay_core ~index ?(max_errors = 20) events =
         | _ -> err ck "round_end %d without a matching round_begin" round);
         in_round := None;
         last_round := max !last_round round
-      | Trace.Span_begin _ | Trace.Span_end _ -> ()
       | Trace.Send { round; _ }
       | Trace.Drop { round; _ }
       | Trace.Delay { round; _ }
@@ -365,8 +357,7 @@ let replay_core ~index ?(max_errors = 20) events =
   let idx_drops = ref [] in
   let handle rest ev =
       match ev with
-      | Trace.Run_begin _ | Trace.Run_end _
-      | Trace.Span_begin _ | Trace.Span_end _ -> ()
+      | Trace.Run_begin _ | Trace.Run_end _ -> ()
       | Trace.Round_begin _ ->
         if index then begin
           idx_slices := rest :: !idx_slices;

@@ -44,16 +44,7 @@ let create ?(accuracy = 0.01) ?(min_value = 1e-9) ?(max_value = 1e9) () =
     min_v = Float.infinity;
     max_v = Float.neg_infinity }
 
-let like t =
-  { t with
-    counts = Array.make (Array.length t.counts) 0;
-    zero = 0; total = 0; s = 0.;
-    min_v = Float.infinity; max_v = Float.neg_infinity }
-
 let copy t = { t with counts = Array.copy t.counts }
-
-let same_layout a b =
-  a.acc = b.acc && a.lo = b.lo && Array.length a.counts = Array.length b.counts
 
 let add t v =
   if not (Float.is_finite v) || v < 0. then
@@ -180,18 +171,6 @@ let quantile t q =
        q = 0 / q = 1 exact. *)
     Some (Float.min t.max_v (Float.max t.min_v est))
   end
-
-let merge ~into src =
-  if not (same_layout into src) then
-    invalid_arg "Sketch.merge: sketches have different configurations";
-  Array.iteri
-    (fun i c -> if c <> 0 then into.counts.(i) <- into.counts.(i) + c)
-    src.counts;
-  into.zero <- into.zero + src.zero;
-  into.total <- into.total + src.total;
-  into.s <- into.s +. src.s;
-  if src.min_v < into.min_v then into.min_v <- src.min_v;
-  if src.max_v > into.max_v then into.max_v <- src.max_v
 
 (* --- the exact offline percentile --------------------------------------- *)
 

@@ -11,11 +11,8 @@
     never grows, which is what makes it safe to keep one sketch per
     latency family in a process that serves forever.
 
-    Sketches with the same configuration {!merge} by bucket-count
-    addition, preserving the error bound over the concatenated stream —
-    the property the parallel engine needs to combine per-domain
-    registries, pinned by a QCheck test against the exact
-    {!nearest_rank} of the concatenation.
+    The error bound is pinned by a QCheck test against the exact
+    {!nearest_rank} of the same stream.
 
     Concurrency: updates are plain word-sized stores. A concurrent reader
     (the telemetry exposer's thread, or a sibling domain's scrape) may
@@ -37,13 +34,7 @@ val create : ?accuracy:float -> ?min_value:float -> ?max_value:float ->
     estimate saturates). @raise Invalid_argument on out-of-range
     parameters. *)
 
-val like : t -> t
-(** An empty sketch with the same configuration (accuracy and range). *)
-
 val copy : t -> t
-
-val same_layout : t -> t -> bool
-(** Whether two sketches agree on accuracy and range (i.e. can merge). *)
 
 val add : t -> float -> unit
 (** Record one observation. Negative or non-finite values raise
@@ -66,11 +57,6 @@ val quantile : t -> float -> float option
     [x], provided [x] lies in the trackable range; estimates are clamped
     to the observed [min]/[max], so [quantile t 0.] and [quantile t 1.]
     are exact. @raise Invalid_argument on [q] outside [0, 1]. *)
-
-val merge : into:t -> t -> unit
-(** Fold [src]'s observations into [into] by bucket addition. Both
-    sketches must share a configuration ({!same_layout}).
-    @raise Invalid_argument otherwise. *)
 
 (** {1 The exact offline percentile} *)
 

@@ -17,8 +17,8 @@
     and the serve loop takes the same lock around each batch commit. A
     scrape therefore waits at most one batch repair; batch commits wait
     at most one snapshot copy. Code paths that never share the registry
-    with an exposer (the trial engine's per-domain registries, the bench
-    harness) pay nothing. *)
+    with an exposer (the experiments' registries, the bench harness) pay
+    nothing. *)
 
 (** {1 Online smoothing} *)
 

@@ -18,8 +18,6 @@ type event =
   | Decide of { round : int; node : int; in_mis : bool }
   | Crash of { round : int; node : int }
   | Annotate of { round : int; node : int; key : string; value : int }
-  | Span_begin of { name : string }
-  | Span_end of { name : string; seconds : float }
   | Run_end of {
       rounds : int;
       messages : int;
@@ -40,8 +38,6 @@ let kind = function
   | Decide _ -> "decide"
   | Crash _ -> "crash"
   | Annotate _ -> "annotate"
-  | Span_begin _ -> "span_begin"
-  | Span_end _ -> "span_end"
   | Run_end _ -> "run_end"
 
 let reason_string = function
@@ -87,9 +83,6 @@ let to_json e =
     tag
       [ ("round", Json.int round); ("node", Json.int node);
         ("key", Json.str key); ("value", Json.int value) ]
-  | Span_begin { name } -> tag [ ("name", Json.str name) ]
-  | Span_end { name; seconds } ->
-    tag [ ("name", Json.str name); ("seconds", Json.float seconds) ]
   | Run_end { rounds; messages; dropped; delayed; decided; in_flight } ->
     tag
       [ ("rounds", Json.int rounds); ("messages", Json.int messages);

@@ -14,8 +14,7 @@
     - {b Determinism.} Events emitted by the runtime carry only round
       numbers, node indices and message counts — no wall-clock — so the
       serialized stream of a seeded run is reproducible byte for byte
-      (pinned by golden tests). Wall-clock enters only through the
-      host-side [Span_end] marker, which the runtime never emits.
+      (pinned by golden tests).
     - {b Ordering.} Events arrive in execution order: [Run_begin],
       then per round [Round_begin], the round's per-message and per-node
       events, [Round_end], and finally [Run_end].
@@ -53,10 +52,6 @@ type event =
   | Crash of { round : int; node : int }
   | Annotate of { round : int; node : int; key : string; value : int }
       (** Algorithm-defined probe ({!Mis_sim.Program.action} [Probe]). *)
-  | Span_begin of { name : string }
-  | Span_end of { name : string; seconds : float }
-      (** Host-side phase markers with wall-clock duration; never emitted
-          by the runtime itself. *)
   | Run_end of {
       rounds : int;
       messages : int;

@@ -16,9 +16,9 @@ let fold ?obs config ~init ~trial ~merge =
    claiming domain (it runs inside the engine's per-chunk [init]), and
    rides in the accumulator pair untouched by merges — reuse without any
    effect on determinism. *)
-let run_ctx ?check ?obs config ~n ~ctx run_once =
+let run_ctx ?check config ~n ~ctx run_once =
   snd
-    (fold ?obs config
+    (fold config
        ~init:(fun () -> (ctx (), Fairness.create ~n))
        ~merge:(fun (c, a) (_, b) ->
          Fairness.merge a b;
@@ -30,8 +30,8 @@ let run_ctx ?check ?obs config ~n ~ctx run_once =
          Fairness.record acc ~in_mis:outcome;
          match check with Some f -> f outcome | None -> ()))
 
-let run ?check ?obs config ~n run_once =
-  run_ctx ?check ?obs config ~n
+let run ?check config ~n run_once =
+  run_ctx ?check config ~n
     ~ctx:(fun () -> ())
     (fun () ~seed -> run_once ~seed)
 

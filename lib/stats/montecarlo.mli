@@ -22,12 +22,11 @@ val fold :
   'acc
 (** The generic shape: [init ()] once per chunk on the domain that claimed
     it, [trial acc ~seed] once per seed, accumulators merged in chunk
-    order. [obs] is forwarded to {!Parallel.map_reduce}.
+    order. [obs] receives {!Parallel.map_reduce}'s engine counters.
     @raise Invalid_argument when [config.trials < 1]. *)
 
 val run :
   ?check:(bool array -> unit) ->
-  ?obs:Mis_obs.Metrics.t ->
   config ->
   n:int ->
   (seed:int -> bool array) ->

@@ -50,14 +50,6 @@ let pool_cap () =
    with the hardware. *)
 let default_chunk ~tasks = max 1 ((tasks + 63) / 64)
 
-(* Per-domain metrics registry (fresh in every pooled worker; swapped
-   out for the duration of an instrumented job on every participating
-   domain so concurrent instrumentation never races, every job starts
-   from zero, and a warm pool cannot leak counts from a previous job). *)
-let metrics_key = Domain.DLS.new_key (fun () -> Mis_obs.Metrics.create ())
-
-let domain_metrics () = Domain.DLS.get metrics_key
-
 (* Re-entrancy flag: set while this domain is executing chunks. A nested
    [map_reduce] from inside a task must not touch the pool (the outer
    job already owns it — trying to publish a second job would deadlock
@@ -78,7 +70,7 @@ type pool = {
   mutable workers : unit Domain.t list;
   mutable size : int;  (* length of [workers] *)
   mutable gen : int;  (* job generation; bumped per published job *)
-  mutable job : (int -> unit) option;  (* current job, applied to wid *)
+  mutable job : (unit -> unit) option;  (* current job *)
   mutable seats : int;  (* seats still open on the current job *)
   mutable active : int;  (* workers currently inside the current job *)
   mutable quit : bool;  (* shutdown requested *)
@@ -120,7 +112,7 @@ let pool_jobs_total () = Atomic.get jobs_total
    on a freshly published job (a generation it has not seen), runs it,
    reports the barrier, parks again. The job closure contains its own
    exception shield; the catch here only guards pool bookkeeping. *)
-let worker_loop p wid =
+let worker_loop p =
   let last_gen = ref 0 in
   (* gen starts at 0 and is bumped before publication, so a fresh worker
      can never mistake an old job for a new one *)
@@ -134,7 +126,7 @@ let worker_loop p wid =
       p.seats <- p.seats - 1;
       p.active <- p.active + 1;
       Mutex.unlock p.m;
-      (try work wid with _ -> ());
+      (try work () with _ -> ());
       Mutex.lock p.m;
       p.active <- p.active - 1;
       if p.active = 0 then Condition.broadcast p.done_cond;
@@ -176,8 +168,8 @@ let register_at_exit () =
 (* Run [work] on the coordinator plus up to [workers] pooled domains.
    Grows the pool on demand (it never shrinks until [shutdown]); if
    Domain.spawn fails (runtime domain limit), degrades to however many
-   workers exist. Returns (participating workers, domains spawned now).
-   Caller must NOT hold any pool lock. *)
+   workers exist. Returns the number of participating workers. Caller
+   must NOT hold any pool lock. *)
 let run_job ~workers:want work =
   Mutex.lock job_mutex;
   Fun.protect
@@ -185,18 +177,15 @@ let run_job ~workers:want work =
     (fun () ->
       let p = pool in
       Mutex.lock p.m;
-      let spawned = ref 0 in
       (try
          while p.size < want do
-           let wid = p.size in
-           let d = Domain.spawn (fun () -> worker_loop p wid) in
+           let d = Domain.spawn (fun () -> worker_loop p) in
            p.workers <- d :: p.workers;
            p.size <- p.size + 1;
-           incr spawned;
            Atomic.incr spawned_total
          done
        with _ -> ());
-      if !spawned > 0 then register_at_exit ();
+      if p.size > 0 then register_at_exit ();
       let avail = min want p.size in
       p.gen <- p.gen + 1;
       p.job <- Some work;
@@ -217,8 +206,8 @@ let run_job ~workers:want work =
           done;
           p.job <- None;
           Mutex.unlock p.m)
-        (fun () -> work (-1));
-      (avail, !spawned))
+        work;
+      avail)
 
 (* ------------------------------------------------------------------ *)
 (* map_reduce                                                          *)
@@ -294,40 +283,19 @@ let map_reduce ?domains ?chunk ?obs ~tasks ~init ~merge task =
             end
           done)
     in
-    (* Per-domain observability: every participating domain (coordinator
-       wid = -1, workers by pool id) runs the job on a fresh registry and
-       stashes it for the barrier merge. Sorting by wid makes the merge
-       order deterministic given the participating set; counters add, so
-       totals do not even depend on that set. *)
-    let contrib_lock = Mutex.create () in
-    let contribs = ref [] in
-    let work wid =
-      match obs with
-      | None -> run_chunks ()
-      | Some _ ->
-        let saved = Domain.DLS.get metrics_key in
-        Domain.DLS.set metrics_key (Mis_obs.Metrics.create ());
-        Fun.protect
-          ~finally:(fun () ->
-            let fresh = Domain.DLS.get metrics_key in
-            Domain.DLS.set metrics_key saved;
-            Mutex.lock contrib_lock;
-            contribs := (wid, fresh) :: !contribs;
-            Mutex.unlock contrib_lock)
-          run_chunks
-    in
-    let used_workers, _spawned_now =
+    let used_workers =
       if eff <= 1 then begin
         (* Serial fast path: no pool, no locks, no worker woken. *)
-        work (-1);
-        (0, 0)
+        run_chunks ();
+        0
       end
-      else run_job ~workers:(eff - 1) work
+      else run_job ~workers:(eff - 1) run_chunks
     in
     (match obs with
     | None -> ()
     | Some reg ->
-      (* engine-level scheduling counters, recorded once per run *)
+      (* The engine's own scheduling counters, recorded once per run on
+         the coordinator after the barrier. *)
       Mis_obs.Metrics.incr ~by:tasks
         (Mis_obs.Metrics.counter reg "parallel.tasks");
       Mis_obs.Metrics.incr ~by:nchunks
@@ -335,11 +303,7 @@ let map_reduce ?domains ?chunk ?obs ~tasks ~init ~merge task =
       Mis_obs.Metrics.incr ~by:eff
         (Mis_obs.Metrics.counter reg "parallel.domains");
       Mis_obs.Metrics.incr ~by:used_workers
-        (Mis_obs.Metrics.counter reg "parallel.pool.workers");
-      let ordered =
-        List.sort (fun (a, _) (b, _) -> compare (a : int) b) !contribs
-      in
-      List.iter (fun (_, m) -> Mis_obs.Metrics.merge ~into:reg m) ordered);
+        (Mis_obs.Metrics.counter reg "parallel.pool.workers"));
     (* Re-raise the failure from the lowest-numbered chunk — determinism
        extends to which exception the caller sees. *)
     (match Atomic.get error with
@@ -351,145 +315,6 @@ let map_reduce ?domains ?chunk ?obs ~tasks ~init ~merge task =
       (fun slot ->
         match slot with
         | None -> assert false (* no failure ⇒ every chunk completed *)
-        | Some a ->
-          acc := Some (match !acc with None -> a | Some prev -> merge prev a))
-      slots;
-    match !acc with Some a -> a | None -> init ()
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Spawn-per-call reference engine                                     *)
-
-(* The pre-pool implementation, kept as a differential-testing oracle
-   and as the bench reference that measures what the pool saves
-   (parallel/spawn vs parallel/pool rows). Same contract, same chunk
-   protocol, but every call spawns [domains - 1] fresh domains and the
-   requested domain count is NOT clamped to the hardware. *)
-
-type 'acc worker_result = {
-  w_error : (int * exn * Printexc.raw_backtrace) option;
-      (* lowest-chunk failure observed by this worker *)
-  w_metrics : Mis_obs.Metrics.t option;  (* only when [obs] was requested *)
-}
-
-let map_reduce_unpooled ?domains ?chunk ?obs ~tasks ~init ~merge task =
-  if tasks < 0 then invalid_arg "Parallel.map_reduce: tasks";
-  let domains =
-    match domains with
-    | Some d -> if d < 1 then invalid_arg "Parallel.map_reduce: domains" else d
-    | None -> default_domains ()
-  in
-  let chunk =
-    match chunk with
-    | Some c -> if c < 1 then invalid_arg "Parallel.map_reduce: chunk" else c
-    | None -> default_chunk ~tasks
-  in
-  if tasks = 0 then init ()
-  else begin
-    let nchunks = (tasks + chunk - 1) / chunk in
-    let domains = min domains nchunks in
-    let slots = Array.make nchunks None in
-    let next = Atomic.make 0 in
-    let failed = Atomic.make false in
-    let run_chunks () =
-      let error = ref None in
-      let continue = ref true in
-      while !continue && not (Atomic.get failed) do
-        let c = Atomic.fetch_and_add next 1 in
-        if c >= nchunks then continue := false
-        else begin
-          match
-            Mis_obs.Prof.gspan "parallel.chunk" @@ fun () ->
-            let acc = init () in
-            let lo = c * chunk and hi = min tasks ((c + 1) * chunk) in
-            for i = lo to hi - 1 do
-              task acc i
-            done;
-            acc
-          with
-          | acc -> slots.(c) <- Some acc
-          | exception e ->
-            let bt = Printexc.get_raw_backtrace () in
-            Atomic.set failed true;
-            error := Some (c, e, bt);
-            continue := false
-        end
-      done;
-      !error
-    in
-    let worker () =
-      let w_error = run_chunks () in
-      let w_metrics =
-        if obs = None then None else Some (Domain.DLS.get metrics_key)
-      in
-      { w_error; w_metrics }
-    in
-    (* Spawn workers one at a time so that a failing [Domain.spawn]
-       (e.g. the runtime's domain limit) still joins the domains that
-       did start before the exception escapes. *)
-    let workers = ref [] in
-    let spawn_error = ref None in
-    (try
-       for _ = 1 to domains - 1 do
-         workers := Domain.spawn worker :: !workers
-       done
-     with e ->
-       let bt = Printexc.get_raw_backtrace () in
-       Atomic.set failed true;
-       spawn_error := Some (e, bt));
-    let workers = List.rev !workers in
-    let saved_metrics = Domain.DLS.get metrics_key in
-    if obs <> None then Domain.DLS.set metrics_key (Mis_obs.Metrics.create ());
-    let self =
-      match worker () with
-      | r -> Ok r
-      | exception e -> Error (e, Printexc.get_raw_backtrace ())
-    in
-    if obs <> None then Domain.DLS.set metrics_key saved_metrics;
-    (* The barrier: every spawned domain is joined before any exception
-       is re-raised, so a raising task cannot leak domains. *)
-    let results = List.map Domain.join workers in
-    (match !spawn_error with
-    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-    | None -> ());
-    let self =
-      match self with
-      | Ok r -> r
-      | Error (e, bt) -> Printexc.raise_with_backtrace e bt
-    in
-    let results = self :: results in
-    (match obs with
-    | None -> ()
-    | Some reg ->
-      Mis_obs.Metrics.incr ~by:tasks
-        (Mis_obs.Metrics.counter reg "parallel.tasks");
-      Mis_obs.Metrics.incr ~by:nchunks
-        (Mis_obs.Metrics.counter reg "parallel.chunks");
-      Mis_obs.Metrics.incr ~by:domains
-        (Mis_obs.Metrics.counter reg "parallel.domains");
-      List.iter
-        (fun r ->
-          match r.w_metrics with
-          | Some m -> Mis_obs.Metrics.merge ~into:reg m
-          | None -> ())
-        results);
-    let first_error =
-      List.fold_left
-        (fun best r ->
-          match (best, r.w_error) with
-          | None, e -> e
-          | Some _, None -> best
-          | Some (bc, _, _), Some (c, _, _) -> if c < bc then r.w_error else best)
-        None results
-    in
-    (match first_error with
-    | Some (_, e, bt) -> Printexc.raise_with_backtrace e bt
-    | None -> ());
-    let acc = ref None in
-    Array.iter
-      (fun slot ->
-        match slot with
-        | None -> assert false
         | Some a ->
           acc := Some (match !acc with None -> a | Some prev -> merge prev a))
       slots;

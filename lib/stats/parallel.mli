@@ -73,15 +73,6 @@ val default_chunk : tasks:int -> int
     dynamic load balancing while keeping per-chunk scheduling overhead
     (one atomic fetch-and-add) negligible. *)
 
-val domain_metrics : unit -> Mis_obs.Metrics.t
-(** The calling domain's engine-local metrics registry. Inside a [task]
-    this is private to the executing domain, so instrumenting tasks never
-    races; pass [~obs] to have all per-domain registries merged at the
-    barrier. Every participating domain (pooled workers included) gets a
-    fresh registry for the duration of each [~obs] run, so a warm pool
-    cannot leak counts across runs. No task in the library writes here
-    yet; the tests instrument tasks through it to check the merge. *)
-
 val map_reduce :
   ?domains:int ->
   ?chunk:int ->
@@ -99,34 +90,14 @@ val map_reduce :
     [domains] defaults to {!default_domains}; [chunk] to
     {!default_chunk}. Both must be [>= 1].
 
-    [obs]: merge every participating domain's {!domain_metrics} registry
-    into this one after the barrier (coordinator first, then workers in
-    pool-id order — counters, timers and histograms accumulate, so their
-    totals are deterministic; gauges take the last merged value and are
-    best avoided inside tasks). The engine also records [parallel.tasks],
+    [obs]: after the barrier, the coordinator adds the engine's own
+    scheduling counters to this registry: [parallel.tasks],
     [parallel.chunks], [parallel.domains] (the effective parallelism of
     the call) and [parallel.pool.workers] (pooled workers that held a
-    seat on the job; 0 on the serial fast path) counters. Nothing inside
-    a task needs to be shared across domains: keep per-chunk
-    accumulators (e.g. the {!Mis_obs.Fairness.t} of {!Montecarlo.run})
-    and let the engine merge them. *)
-
-val map_reduce_unpooled :
-  ?domains:int ->
-  ?chunk:int ->
-  ?obs:Mis_obs.Metrics.t ->
-  tasks:int ->
-  init:(unit -> 'acc) ->
-  merge:('acc -> 'acc -> 'acc) ->
-  ('acc -> int -> unit) ->
-  'acc
-(** The pre-pool engine: identical contract and chunk protocol, but
-    every call spawns [domains - 1] fresh domains, joins them all at the
-    barrier, and does {e not} clamp to the pool cap. Kept as a
-    differential-testing oracle for the pool (same inputs must produce
-    bit-identical outputs) and as the bench reference that measures the
-    spawn tax ([parallel/spawn] vs [parallel/pool] rows). Prefer
-    {!map_reduce} everywhere else. *)
+    seat on the job; 0 on the serial fast path). Tasks never see it:
+    per-trial state belongs in the chunk accumulators (e.g. the
+    {!Mis_obs.Fairness.t} of {!Montecarlo.run}), which the engine
+    merges. *)
 
 (** {2 Pool lifecycle & introspection} *)
 

@@ -30,9 +30,8 @@ val preferential_attachment : Mis_util.Splitmix.t -> n:int -> Mis_graph.Graph.t
     producing hub-heavy trees (high Luby unfairness). *)
 
 val random_attachment_xl : Mis_util.Splitmix.t -> n:int -> Mis_graph.Graph.t
-(** [Graph.of_parents (attachment_parents rng ~n)]: the same uniform
-    attachment distribution as {!random_attachment} built via direct CSR
-    fill — O(n) int arrays, no intermediate edge list — for topologies in
-    the 10^5..10^7 node range ([engine/xl] benches and smoke tests). The
-    rng stream and edge order differ from {!random_attachment}, which
-    stays untouched because golden tests pin its output. *)
+(** A uniform attachment tree: node [i >= 1] attaches to a parent drawn
+    uniformly from [0 .. i-1], in index order. Built by direct CSR fill
+    ([Graph.of_parents] of the parent array) — O(n) int arrays, no
+    intermediate edge list — for topologies in the 10^5..10^7 node range
+    ([engine/xl] benches and smoke tests). [n >= 1]. *)

@@ -201,12 +201,12 @@ let test_config_domains_validation () =
    digit. The rows below were produced at [domains = 1] and are pinned;
    the same measurement at 4 domains has to reproduce them exactly. *)
 
-let faults_rows domains =
+let faults_rows ?metrics domains =
   let params =
     { Mis_exp.Faults.n = 40; trials = 30; rates = [ 0.; 0.05 ]; repeats = 2;
       seed = 3; domains; csv = None }
   in
-  Mis_exp.Faults.measure params
+  Mis_exp.Faults.measure ?metrics params
   |> List.map (fun c ->
          Printf.sprintf "%s,%.2f,%d,%d,%.4f,%.4f,%.4f,%.4f,%.4f"
            c.Mis_exp.Faults.algorithm c.Mis_exp.Faults.drop
@@ -221,11 +221,33 @@ let faults_golden =
     "FairTree,0.00,30,30,323.0000,0.0000,3.2857,0.2333,0.7667";
     "FairTree,0.05,30,28,323.6667,698.3000,2.7500,0.2667,0.7333" ]
 
+(* The counters [Faults.measure ~metrics] records: its own per-cell
+   counts and the engine's, neither of which may depend on the domain
+   count (4 cells of 30 trials, one trial per chunk). *)
+let faults_counters domains =
+  let metrics = Mis_obs.Metrics.create () in
+  let rows = faults_rows ~metrics domains in
+  let snap = Mis_obs.Metrics.snapshot metrics in
+  ( rows,
+    List.map
+      (fun name -> (name, Mis_obs.Metrics.find_counter snap name))
+      [ "faults.runs"; "faults.valid_runs"; "parallel.tasks";
+        "parallel.chunks" ] )
+
 let test_faults_rows_domain_invariant () =
+  let serial_rows, serial_counters = faults_counters (Some 1) in
+  let par_rows, par_counters = faults_counters (Some 4) in
   Alcotest.(check (list string)) "serial matches golden" faults_golden
-    (faults_rows (Some 1));
+    serial_rows;
   Alcotest.(check (list string)) "4 domains matches golden" faults_golden
-    (faults_rows (Some 4))
+    par_rows;
+  let counters = Alcotest.(list (pair string (option int))) in
+  Alcotest.check counters "serial counters"
+    [ ("faults.runs", Some 120); ("faults.valid_runs", Some 101);
+      ("parallel.tasks", Some 120); ("parallel.chunks", Some 120) ]
+    serial_counters;
+  Alcotest.check counters "4-domain counters match serial" serial_counters
+    par_counters
 
 let test_estimate_domain_invariant () =
   (* The fig4 pipeline's core: a seeded Monte Carlo estimate over a tree.

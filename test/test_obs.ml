@@ -115,63 +115,6 @@ let test_metrics_snapshot_find () =
   Metrics.incr (Metrics.counter m "a");
   Alcotest.(check (option int)) "copy" (Some 7) (Metrics.find_counter snap "a")
 
-let test_metrics_merge () =
-  let src = Metrics.create () and dst = Metrics.create () in
-  Metrics.incr ~by:3 (Metrics.counter dst "c");
-  Metrics.incr ~by:4 (Metrics.counter src "c");
-  Metrics.incr ~by:2 (Metrics.counter src "src-only");
-  ignore (Metrics.counter src "zero");
-  Metrics.set (Metrics.gauge dst "g") 1.;
-  Metrics.set (Metrics.gauge src "g") 2.5;
-  let buckets = [| 1.; 10. |] in
-  Metrics.observe (Metrics.histogram dst ~buckets "h") 0.5;
-  Metrics.observe (Metrics.histogram src ~buckets "h") 5.;
-  Metrics.observe (Metrics.histogram src ~buckets "h") 100.;
-  Metrics.timer_add (Metrics.timer dst "t") ~seconds:1. ~calls:2;
-  Metrics.timer_add (Metrics.timer src "t") ~seconds:0.5 ~calls:3;
-  Metrics.merge ~into:dst src;
-  let snap = Metrics.snapshot dst in
-  Alcotest.(check (option int)) "counters add" (Some 7)
-    (Metrics.find_counter snap "c");
-  Alcotest.(check (option int)) "src-only lands" (Some 2)
-    (Metrics.find_counter snap "src-only");
-  Alcotest.(check (option int)) "zero counter skipped" None
-    (Metrics.find_counter snap "zero");
-  Alcotest.(check (option (float 0.))) "gauge takes source" (Some 2.5)
-    (Metrics.find_gauge snap "g");
-  Alcotest.(check (float 1e-9)) "timer seconds add" 1.5
-    (fst (Helpers.timer_value dst "t"));
-  Alcotest.(check int) "timer calls add" 5 (snd (Helpers.timer_value dst "t"));
-  let json = Metrics.to_json snap in
-  Alcotest.(check bool) "histogram merged" true
-    (let needle = {|"count":3|} in
-     let hay = json and n = String.length needle in
-     let rec scan i =
-       i + n <= String.length hay
-       && (String.sub hay i n = needle || scan (i + 1))
-     in
-     scan 0);
-  (* Kind clash and bucket-layout clash both refuse. *)
-  let bad = Metrics.create () in
-  Metrics.set (Metrics.gauge bad "c") 0.;
-  Alcotest.(check bool) "kind mismatch refused" true
-    (match Metrics.merge ~into:dst bad with
-    | exception Invalid_argument _ -> true
-    | () -> false);
-  let bad_h = Metrics.create () in
-  Metrics.observe (Metrics.histogram bad_h ~buckets:[| 2.; 20. |] "h") 1.;
-  Alcotest.(check bool) "bucket mismatch refused" true
-    (match Metrics.merge ~into:dst bad_h with
-    | exception Invalid_argument _ -> true
-    | () -> false)
-
-let test_metrics_merge_empty () =
-  let dst = Metrics.create () in
-  Metrics.incr (Metrics.counter dst "c");
-  Metrics.merge ~into:dst (Metrics.create ());
-  Alcotest.(check (option int)) "unchanged" (Some 1)
-    (Metrics.find_counter (Metrics.snapshot dst) "c")
-
 (* --- Trace sinks -------------------------------------------------------- *)
 
 let ev_round r = Trace.Round_begin { round = r }
@@ -465,9 +408,6 @@ let suite =
         Alcotest.test_case "metrics timer" `Quick test_metrics_timer;
         Alcotest.test_case "metrics snapshot find" `Quick
           test_metrics_snapshot_find;
-        Alcotest.test_case "metrics merge" `Quick test_metrics_merge;
-        Alcotest.test_case "metrics merge empty" `Quick
-          test_metrics_merge_empty;
         Alcotest.test_case "null and tee" `Quick test_null_and_tee;
         Alcotest.test_case "memory ring" `Quick test_memory_ring;
         Alcotest.test_case "counting sink" `Quick test_counting_sink;

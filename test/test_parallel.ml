@@ -1,5 +1,5 @@
 (* The parallel experiment engine's determinism contract, exception
-   safety and observability merging (Mis_stats.Parallel).
+   safety, engine counters and worker pool (Mis_stats.Parallel).
 
    The engine's promise: output depends only on (tasks, chunk), never on
    the domain count or scheduling. The properties here drive it across
@@ -192,9 +192,11 @@ let test_init_exception_joins () =
       Alcotest.failf "domain leak? got %s" (Printexc.to_string e)
   done
 
-(* --- observability merging ---------------------------------------------- *)
+(* --- observability ------------------------------------------------------ *)
 
-let test_obs_merged_at_barrier () =
+let test_obs_engine_counters () =
+  (* [~obs] receives the engine's own counters, added once per call on
+     the coordinator after the barrier. *)
   List.iter
     (fun domains ->
       let reg = Metrics.create () in
@@ -205,44 +207,24 @@ let test_obs_merged_at_barrier () =
           ~merge:(fun a b ->
             a := !a + !b;
             a)
-          (fun acc i ->
-            (* per-domain registry: no synchronization, merged later *)
-            Metrics.incr (Metrics.counter (Parallel.domain_metrics ()) "t.trials");
-            Metrics.observe_int
-              (Metrics.histogram (Parallel.domain_metrics ()) "t.index")
-              i;
-            acc := !acc + 1)
+          (fun acc _ -> incr acc)
       in
       Alcotest.(check int) "all tasks ran" tasks !total;
       let snap = Metrics.snapshot reg in
-      Alcotest.(check (option int))
-        (Printf.sprintf "merged trial counter at %d domains" domains)
-        (Some tasks)
-        (Metrics.find_counter snap "t.trials");
-      Alcotest.(check (option int)) "engine task counter" (Some tasks)
-        (Metrics.find_counter snap "parallel.tasks");
-      Alcotest.(check (option int)) "engine chunk counter" (Some tasks)
-        (Metrics.find_counter snap "parallel.chunks"))
+      let counter name = Option.get (Metrics.find_counter snap name) in
+      Alcotest.(check int) "engine task counter" tasks
+        (counter "parallel.tasks");
+      Alcotest.(check int) "engine chunk counter" tasks
+        (counter "parallel.chunks");
+      let eff = counter "parallel.domains" in
+      Alcotest.(check bool)
+        (Printf.sprintf "effective parallelism within the request of %d"
+           domains)
+        true
+        (eff >= 1 && eff <= domains);
+      Alcotest.(check int) "every other seat is a pooled worker" (eff - 1)
+        (counter "parallel.pool.workers"))
     [ 1; 4 ]
-
-let test_obs_coordinator_registry_restored () =
-  let mine = Parallel.domain_metrics () in
-  Metrics.incr ~by:7 (Metrics.counter mine "outer.count");
-  let reg = Metrics.create () in
-  ignore
-    (Parallel.map_reduce ~domains:2 ~obs:reg ~tasks:8
-       ~init:(fun () -> ())
-       ~merge:(fun () () -> ())
-       (fun () _ ->
-         Metrics.incr (Metrics.counter (Parallel.domain_metrics ()) "inner.count")));
-  Alcotest.(check bool) "same registry object" true
-    (mine == Parallel.domain_metrics ());
-  Alcotest.(check (option int)) "outer counter untouched" (Some 7)
-    (Metrics.find_counter (Metrics.snapshot mine) "outer.count");
-  Alcotest.(check (option int)) "inner counts did not leak into outer" None
-    (Metrics.find_counter (Metrics.snapshot mine) "inner.count");
-  Alcotest.(check (option int)) "inner counts merged into obs" (Some 8)
-    (Metrics.find_counter (Metrics.snapshot reg) "inner.count")
 
 (* --- environment handling ----------------------------------------------- *)
 
@@ -491,45 +473,10 @@ let test_empty_and_serial_calls_wake_nobody () =
         (Parallel.pool_spawned_total ());
       Alcotest.(check int) "pool still empty" 0 (Parallel.pool_size ()))
 
-let test_pool_matches_unpooled () =
-  (* Differential oracle: the pool and the retained spawn-per-call
-     engine must be bit-identical on the same inputs. *)
-  with_pool_cap 8 (fun () ->
-      let f i = (i * 131) lxor (i lsl 2) in
-      List.iter
-        (fun (domains, chunk, tasks) ->
-          let pooled = collect ~chunk ~domains ~tasks f in
-          let unpooled =
-            Parallel.map_reduce_unpooled ~domains ~chunk ~tasks
-              ~init:(fun () -> ref [])
-              ~merge:(fun a b ->
-                a := !a @ !b;
-                a)
-              (fun acc i -> acc := !acc @ [ f i ])
-          in
-          Alcotest.(check (list int))
-            (Printf.sprintf "pool = spawn engine, d=%d c=%d t=%d" domains
-               chunk tasks)
-            !unpooled !pooled)
-        [ (1, 3, 40); (4, 1, 64); (8, 7, 100) ];
-      let unpooled_bits =
-        let r =
-          Parallel.map_reduce_unpooled ~domains:4 ~chunk:9 ~tasks:333
-            ~init:(fun () -> ref 0.)
-            ~merge:(fun a b ->
-              a := !a +. !b;
-              a)
-            (fun acc i -> acc := !acc +. (1. /. float_of_int (i + 1)))
-        in
-        Int64.bits_of_float !r
-      in
-      Alcotest.(check int64) "float bits: pool = spawn engine" unpooled_bits
-        (float_bits ~domains:4 ()))
-
 let test_obs_fresh_registries_on_warm_pool () =
-  (* Pooled workers live across jobs; their per-job registries must
-     not. Two identical instrumented runs on a warm pool yield the same
-     counts — nothing carries over. *)
+  (* Pooled workers live across jobs; what a job records does not. A
+     cold and a warm instrumented run, each on a fresh registry, read the
+     same engine counters. *)
   with_pool_cap 8 (fun () ->
       Parallel.shutdown ();
       let run () =
@@ -538,18 +485,16 @@ let test_obs_fresh_registries_on_warm_pool () =
           (Parallel.map_reduce ~domains:4 ~chunk:1 ~obs:reg ~tasks:20
              ~init:(fun () -> ())
              ~merge:(fun () () -> ())
-             (fun () _ ->
-               Metrics.incr
-                 (Metrics.counter (Parallel.domain_metrics ()) "warm.count")));
+             (fun () _ -> ()));
         let snap = Metrics.snapshot reg in
-        ( Option.get (Metrics.find_counter snap "warm.count"),
+        ( Option.get (Metrics.find_counter snap "parallel.tasks"),
           Option.get (Metrics.find_counter snap "parallel.pool.workers") )
       in
-      let cold_count, cold_workers = run () in
-      Alcotest.(check int) "cold obs run" 20 cold_count;
+      let cold_tasks, cold_workers = run () in
+      Alcotest.(check int) "cold obs run" 20 cold_tasks;
       Alcotest.(check int) "cold run used 3 pooled workers" 3 cold_workers;
-      let warm_count, warm_workers = run () in
-      Alcotest.(check int) "warm obs run does not double-count" 20 warm_count;
+      let warm_tasks, warm_workers = run () in
+      Alcotest.(check int) "warm obs run does not double-count" 20 warm_tasks;
       Alcotest.(check int) "warm run reused 3 pooled workers" 3 warm_workers)
 
 (* --- through the Montecarlo stack ---------------------------------------- *)
@@ -590,10 +535,8 @@ let suite =
         Alcotest.test_case "init exception joins workers" `Quick
           test_init_exception_joins ] );
     ( "parallel.obs",
-      [ Alcotest.test_case "per-domain metrics merged at barrier" `Quick
-          test_obs_merged_at_barrier;
-        Alcotest.test_case "coordinator registry restored" `Quick
-          test_obs_coordinator_registry_restored ] );
+      [ Alcotest.test_case "engine counters recorded after the barrier" `Quick
+          test_obs_engine_counters ] );
     ( "parallel.config",
       [ Alcotest.test_case "FAIRMIS_DOMAINS handling" `Quick
           test_default_domains_env ] );
@@ -613,8 +556,6 @@ let suite =
           `Quick test_pool_env_semantics;
         Alcotest.test_case "empty and single-chunk calls wake nobody" `Quick
           test_empty_and_serial_calls_wake_nobody;
-        Alcotest.test_case "pool matches the spawn engine bit for bit" `Quick
-          test_pool_matches_unpooled;
         Alcotest.test_case "fresh per-job registries on a warm pool" `Quick
           test_obs_fresh_registries_on_warm_pool ] );
     ( "parallel.stack",

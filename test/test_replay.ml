@@ -193,8 +193,6 @@ let test_event_roundtrip () =
       Trace.Decide { round = 1; node = 0; in_mis = true };
       Trace.Crash { round = 1; node = 2 };
       Trace.Annotate { round = 1; node = 1; key = "k"; value = -3 };
-      Trace.Span_begin { name = "phase" };
-      Trace.Span_end { name = "phase"; seconds = 0.25 };
       Trace.Run_end
         { rounds = 1; messages = 1; dropped = 3; delayed = 1; decided = 1;
           in_flight = 0 } ]
@@ -221,6 +219,8 @@ let test_event_parse_errors () =
   in
   Alcotest.(check bool) "unknown type mentions it" true
     (contains (bad {|{"type":"warp","round":1}|}) "warp");
+  Alcotest.(check bool) "span markers are not trace events" true
+    (contains (bad {|{"type":"span_begin","name":"phase"}|}) "span_begin");
   Alcotest.(check bool) "missing field named" true
     (contains (bad {|{"type":"send","round":1,"src":0}|}) "dst");
   Alcotest.(check bool) "bad drop reason" true

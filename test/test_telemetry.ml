@@ -64,17 +64,10 @@ let test_sketch_zero_and_clamp () =
     (Sketch.quantile s 0.9);
   Sketch.add s 1e9;  (* above max_value: clamps, count stays exact *)
   Alcotest.(check int) "count exact under clamp" 3 (Sketch.count s);
-  (match Sketch.quantile s 1.0 with
+  match Sketch.quantile s 1.0 with
   | Some v ->
     Alcotest.(check (float 1e-9)) "top clamps to observed max" 1e9 v
-  | None -> Alcotest.fail "missing");
-  Alcotest.(check bool) "layouts differ" false
-    (Sketch.same_layout s (Sketch.create ()));
-  Alcotest.(check bool) "like shares layout" true
-    (Sketch.same_layout s (Sketch.like s));
-  Alcotest.check_raises "merge layout mismatch"
-    (Invalid_argument "Sketch.merge: sketches have different configurations")
-    (fun () -> Sketch.merge ~into:(Sketch.create ()) s)
+  | None -> Alcotest.fail "missing"
 
 let test_ceil_rank_exact () =
   (* The canonical float-path misrank: the double 0.1 is strictly greater
@@ -170,44 +163,6 @@ let prop_sketch_error_bound =
       let s = Sketch.create () in
       List.iter (Sketch.add s) xs;
       check_quantile_bound ~what:"single" s (Array.of_list xs))
-
-let prop_sketch_merge_bound =
-  Helpers.qtest ~count:200
-    "merged sketches bound quantile error on the concatenated stream"
-    QCheck.(pair arb_samples arb_samples)
-    (fun (xs, ys) ->
-      let a = Sketch.create () and b = Sketch.create () in
-      List.iter (Sketch.add a) xs;
-      List.iter (Sketch.add b) ys;
-      Sketch.merge ~into:a b;
-      check_quantile_bound ~what:"merged" a (Array.of_list (xs @ ys)))
-
-let test_metrics_merge_sketches_across_domains () =
-  (* Per-domain registries — the parallel engine's pattern — each with a
-     latency sketch and a counter, merged at the join barrier. *)
-  let shard lo hi =
-    let reg = Metrics.create () in
-    let s = Metrics.sketch reg "lat" in
-    for i = lo to hi do
-      Sketch.add s (float_of_int i);
-      Metrics.incr (Metrics.counter reg "obs")
-    done;
-    reg
-  in
-  let d1 = Domain.spawn (fun () -> shard 1 500) in
-  let d2 = Domain.spawn (fun () -> shard 501 1000) in
-  let into = Domain.join d1 in
-  Metrics.merge ~into (Domain.join d2);
-  let snap = Metrics.snapshot into in
-  Alcotest.(check (option int)) "counters accumulate" (Some 1000)
-    (Metrics.find_counter snap "obs");
-  match Metrics.find_sketch snap "lat" with
-  | None -> Alcotest.fail "merged sketch missing"
-  | Some s ->
-    Alcotest.(check int) "sketch count" 1000 (Sketch.count s);
-    let exact = Array.init 1000 (fun i -> float_of_int (i + 1)) in
-    if not (check_quantile_bound ~what:"domains" s exact) then
-      Alcotest.fail "quantile bound violated after cross-domain merge"
 
 (* --- OpenMetrics -------------------------------------------------------- *)
 
@@ -552,10 +507,7 @@ let suite =
         Alcotest.test_case "ceil_rank exact boundaries" `Quick
           test_ceil_rank_exact;
         prop_ceil_rank_matches_float_off_boundary;
-        prop_sketch_error_bound;
-        prop_sketch_merge_bound;
-        Alcotest.test_case "registry merge across domains" `Quick
-          test_metrics_merge_sketches_across_domains ] );
+        prop_sketch_error_bound ] );
     ( "obs.openmetrics",
       [ Alcotest.test_case "name sanitization" `Quick test_metric_name;
         Alcotest.test_case "golden exposition" `Quick test_openmetrics_golden ] );
