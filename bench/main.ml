@@ -355,15 +355,21 @@ let run_xl_bench () =
   in
   print_gates [ run_gate; build_gate; fair_tree_gate ]
 
-(* Dynamic layer, two pairs over one pre-generated churn stream
+(* Dynamic layer, three pairs over one pre-generated churn stream
    (bootstrap included). Incremental maintainer ÷ one whose ladder starts
    and ends at Full_recompute isolates what the dirty-neighbourhood
    repair buys. Strict serving with the invariant check after every batch
    ÷ the same serve unchecked prices the check: one pass over
-   Dyn_graph's slots reads Q1 0.97-1.02 on a shared 2-core host;
-   rebuilding a CSR snapshot per batch read 2.9-3.1. *)
+   Dyn_graph's slots reads Q1 1.01-1.07 on a shared 2-core host with
+   repairs on the kernel (0.97-1.02 when they ran on the message
+   engine); rebuilding a CSR snapshot per batch read 2.9-3.1. The
+   stream's wire lines decoded by [Event.parse_line]'s direct scan ÷ the
+   same lines through [Json.parse] + [Event.of_json] prices the decoder
+   (Q1 0.25-0.27). *)
 let run_churn_bench () =
-  print_endline "== churn: incremental repair vs full recompute; checked vs unchecked";
+  print_endline
+    "== churn: direct decode vs JSON; incremental repair vs full recompute; \
+     checked vs unchecked";
   let params = { Mis_workload.Churn.default with Mis_workload.Churn.batches = 60 } in
   let stream = Mis_workload.Churn.generate (Mis_util.Splitmix.of_seed 11) params in
   let default = Mis_dyn.Maintain.default_config in
@@ -378,8 +384,19 @@ let run_churn_bench () =
   let strict check_every =
     { default with Mis_dyn.Maintain.strict = true; check_every }
   in
+  let lines =
+    List.concat_map
+      (fun b -> List.map Mis_dyn.Event.to_json b @ [ Mis_dyn.Event.batch_marker ])
+      stream
+  in
+  let decode parse = block (fun () -> List.iter (fun l -> ignore (parse l)) lines) in
+  let via_json l =
+    match Json.parse l with Error e -> Error e | Ok v -> Mis_dyn.Event.of_json v
+  in
   print_gates
-    [ paired "churn/repair-batch ÷ churn/repair-batch-full" ~bound:0.5
+    [ paired "wire/decode ÷ wire/json-parse+of_json" ~bound:0.4
+        (decode Mis_dyn.Event.parse_line) (decode via_json);
+      paired "churn/repair-batch ÷ churn/repair-batch-full" ~bound:0.5
         (serve default)
         (serve { default with Mis_dyn.Maintain.ladder = [ Mis_dyn.Maintain.Full_recompute ] });
       paired "churn/strict-check-every-1 ÷ churn/strict-check-every-0" ~bound:1.35
@@ -454,7 +471,7 @@ let sections =
     ("engine", "compiled-engine reuse vs per-run rebuild", run_engine_bench);
     ("kernel", "data-parallel sweeps vs the message engine", run_kernel_bench);
     ("xl", "n = 1e6 over 1e5 build and run; kernel FairTree at 1e6", run_xl_bench);
-    ("dyn", "incremental repair vs full recompute; checked vs unchecked serve", run_churn_bench);
+    ("dyn", "direct decode vs JSON; incremental repair vs full recompute; checked vs unchecked serve", run_churn_bench);
     ("telemetry", "engine hot path with live telemetry on vs off", run_telemetry_bench);
     ("causal", "replay + critical-path analysis vs replay", run_causal_bench);
     ("workload", "real-world tree search + build vs one MST build", run_workload_bench) ]

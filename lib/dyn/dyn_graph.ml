@@ -147,7 +147,7 @@ let adj_alive_sorted t u =
   let acc = ref [] in
   iter_adj_alive t u (fun v -> acc := v :: !acc);
   let a = Array.of_list !acc in
-  Array.sort compare a;
+  Array.sort Int.compare a;
   a
 
 let alive_nodes t =
@@ -191,7 +191,8 @@ let classify t set =
 
 (* The alive subgraph as a CSR. Edges are collected normalized (u < v) and
    sorted so the CSR is a deterministic function of the graph's contents,
-   not of the adjacency order. *)
+   not of the adjacency order. The pairs are compared as ints, not with
+   the polymorphic [compare]. *)
 let live_view t =
   let acc = ref [] in
   for u = 0 to t.capacity - 1 do
@@ -199,6 +200,8 @@ let live_view t =
       iter_adj_alive t u (fun v -> if u < v then acc := (u, v) :: !acc)
   done;
   let edges = Array.of_list !acc in
-  Array.sort compare edges;
+  Array.sort
+    (fun (a, b) (c, d) -> if a <> c then Int.compare a c else Int.compare b d)
+    edges;
   let g = Graph.of_edge_array ~n:t.capacity edges in
   View.restrict ~nodes:(Array.init t.capacity (fun u -> t.states.(u) = Alive)) g

@@ -79,12 +79,179 @@ let of_json v =
   | Some "batch" -> Error "\"batch\" is a flush marker, not an event"
   | Some k -> Error (spf "unknown event type %S" k)
 
-let parse_line line =
-  match Json.parse line with Error e -> Error e | Ok v -> of_json v
-
 let batch_marker = {|{"type":"batch"}|}
 
 let is_batch_marker v =
   match Option.bind (Json.find v "type") Json.get_string with
   | Some "batch" -> true
   | _ -> false
+
+(* --- decoding straight from the line ------------------------------------ *)
+
+type line = Event of t | Batch | Blank | Malformed of string
+
+(* The direct scanner accepts a subset of what [Json.parse] + [of_json]
+   accept with [Ok] (or as a batch marker): one flat object whose keys
+   are among "type", "node", "edges", "u" and "v", each at most once and
+   in any order, written without escapes; a known "type" string;
+   non-negative integers of at most 18 digits; and no self-loop. Within
+   that subset the two agree by construction, since [Json.parse] reads
+   the same bytes the same way. Anything else raises [Slow] and goes
+   down the cold path, which is the oracle itself. *)
+exception Slow
+
+let[@inline] is_ws c = c = ' ' || c = '\t' || c = '\n' || c = '\r'
+
+(* A line being scanned. *)
+type cursor = { s : string; n : int; mutable pos : int }
+
+let[@inline] peek c = String.unsafe_get c.s c.pos
+
+let ws c =
+  while c.pos < c.n && is_ws (peek c) do
+    c.pos <- c.pos + 1
+  done
+
+let eat c ch =
+  ws c;
+  if c.pos < c.n && peek c = ch then c.pos <- c.pos + 1
+  else raise_notrace Slow
+
+(* An escape-free string: returns where its bytes start; they end two
+   bytes before the cursor. *)
+let str c =
+  eat c '"';
+  let start = c.pos in
+  while c.pos < c.n && peek c <> '"' && peek c <> '\\' do
+    c.pos <- c.pos + 1
+  done;
+  if c.pos >= c.n || peek c <> '"' then raise_notrace Slow;
+  c.pos <- c.pos + 1;
+  start
+
+(* Whether the string [str] just read is [lit]. *)
+let is c start lit =
+  let len = c.pos - start - 1 in
+  len = String.length lit
+  &&
+  let i = ref 0 in
+  while
+    !i < len && String.unsafe_get c.s (start + !i) = String.unsafe_get lit !i
+  do
+    incr i
+  done;
+  !i = len
+
+(* The index of the string [str] just read in [names]. *)
+let find c start names =
+  let rec go i =
+    if i = Array.length names then raise_notrace Slow
+    else if is c start names.(i) then i
+    else go (i + 1)
+  in
+  go 0
+
+(* The object keys a scan accepts, and the "type" values: the event
+   constructors in declaration order, then the flush marker. *)
+let keys = [| "type"; "node"; "edges"; "u"; "v" |]
+
+let kinds =
+  [| "node_join"; "node_leave"; "edge_insert"; "edge_delete"; "node_crash";
+     "batch" |]
+
+(* A fraction, exponent or sign after the digits is caught by the
+   caller, which then expects a separator. *)
+let nat c =
+  ws c;
+  let start = c.pos and v = ref 0 in
+  while c.pos < c.n && peek c >= '0' && peek c <= '9' do
+    v := (!v * 10) + Char.code (peek c) - 48;
+    c.pos <- c.pos + 1
+  done;
+  let digits = c.pos - start in
+  if digits = 0 || digits > 18 then raise_notrace Slow;
+  !v
+
+let nats c =
+  eat c '[';
+  ws c;
+  if c.pos < c.n && peek c = ']' then begin
+    c.pos <- c.pos + 1;
+    []
+  end
+  else begin
+    let acc = ref [ nat c ] in
+    ws c;
+    while c.pos < c.n && peek c = ',' do
+      c.pos <- c.pos + 1;
+      acc := nat c :: !acc;
+      ws c
+    done;
+    eat c ']';
+    List.rev !acc
+  end
+
+(* [seen] has bit [i] set once [keys.(i)] has been read; [kind] indexes
+   [kinds]. *)
+let scan s =
+  let c = { s; n = String.length s; pos = 0 } in
+  let kind = ref (-1) and node = ref (-1) and u = ref (-1) and v = ref (-1) in
+  let edges = ref [] and seen = ref 0 in
+  eat c '{';
+  let more = ref true in
+  while !more do
+    let key = find c (str c) keys in
+    if !seen land (1 lsl key) <> 0 then raise_notrace Slow;
+    seen := !seen lor (1 lsl key);
+    eat c ':';
+    (match key with
+    | 0 -> kind := find c (str c) kinds
+    | 1 -> node := nat c
+    | 2 -> edges := nats c
+    | 3 -> u := nat c
+    | _ -> v := nat c);
+    ws c;
+    if c.pos < c.n && peek c = ',' then c.pos <- c.pos + 1 else more := false
+  done;
+  eat c '}';
+  ws c;
+  if c.pos <> c.n then raise_notrace Slow;
+  let has key = !seen land (1 lsl key) <> 0 in
+  let node_ok = has 1 and edge_ok = has 3 && has 4 && !u <> !v in
+  match !kind with
+  | 0 when node_ok && has 2 && not (List.exists (fun x -> x = !node) !edges) ->
+    Event (Node_join { node = !node; edges = !edges })
+  | 1 when node_ok -> Event (Node_leave { node = !node })
+  | 2 when edge_ok -> Event (Edge_insert { u = !u; v = !v })
+  | 3 when edge_ok -> Event (Edge_delete { u = !u; v = !v })
+  | 4 when node_ok -> Event (Node_crash { node = !node })
+  | 5 -> Batch
+  | _ -> raise_notrace Slow
+
+(* Blank as [String.trim] sees it, without building the trimmed copy. *)
+let blank s =
+  let rec go i =
+    i = String.length s
+    || (match String.unsafe_get s i with
+        | ' ' | '\012' | '\n' | '\r' | '\t' -> go (i + 1)
+        | _ -> false)
+  in
+  go 0
+
+let decode line =
+  match scan line with
+  | r -> r
+  | exception Slow ->
+    if blank line then Blank
+    else (
+      match Json.parse line with
+      | Error e -> Malformed e
+      | Ok v when is_batch_marker v -> Batch
+      | Ok v -> (
+        match of_json v with Ok ev -> Event ev | Error e -> Malformed e))
+
+let parse_line line =
+  match scan line with
+  | Event ev -> Ok ev
+  | Batch | Blank | Malformed _ | (exception Slow) -> (
+    match Json.parse line with Error e -> Error e | Ok v -> of_json v)

@@ -8,8 +8,9 @@
     matches the trace pipeline) and are applied in batches by
     {!Maintain.apply_batch}.
 
-    Wire format (field order is fixed; {!to_json} ∘ {!of_json} is the
-    identity):
+    Wire format ({!to_json} writes the fields in this order and
+    {!parse_line} ∘ {!to_json} is the identity; readers accept any
+    order):
     {v
     {"type":"node_join","node":7,"edges":[2,5]}
     {"type":"node_leave","node":3}
@@ -47,9 +48,32 @@ val of_json : Mis_obs.Json.value -> (t, string) result
     mistyped fields, negative node numbers, and self-loop edges. *)
 
 val parse_line : string -> (t, string) result
-(** [of_json] composed with {!Mis_obs.Json.parse}. *)
+(** One wire line as an event: the same result, [Ok] or [Error] text
+    byte for byte, as {!of_json} composed with {!Mis_obs.Json.parse}.
+    The usual line is scanned straight into an {!t}, with no JSON tree
+    and no per-token copy: one flat object whose keys, each at most
+    once and in any order, are among the wire format's, written without
+    escapes, with non-negative integers of at most 18 digits. Any other
+    line (an extra key, an escape, a duplicate key, a negative or long
+    number, any error) takes the JSON parser; [test/test_dyn.ml] checks
+    the two agree on generated and mutated lines. *)
 
 val batch_marker : string
 (** The flush-marker line, [{"type":"batch"}]. *)
 
 val is_batch_marker : Mis_obs.Json.value -> bool
+(** Whether a parsed object is a flush marker: its first ["type"] field
+    is ["batch"], whatever else it carries. *)
+
+(** What a line of a stream is to its consumer. *)
+type line =
+  | Event of t
+  | Batch  (** A flush marker ({!is_batch_marker}). *)
+  | Blank  (** Nothing but the whitespace [String.trim] removes. *)
+  | Malformed of string  (** The error {!parse_line} would return. *)
+
+val decode : string -> line
+(** {!parse_line} for a stream consumer: [Blank] for a line of only
+    whitespace, [Batch] for any flush marker, else {!parse_line}'s
+    result. The direct scan recognises a plain marker too; every line it
+    does not accept is classified through the JSON parser. *)

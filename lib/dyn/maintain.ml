@@ -2,6 +2,7 @@ module Graph = Mis_graph.Graph
 module View = Mis_graph.View
 module Check = Mis_graph.Check
 module Runtime = Mis_sim.Runtime
+module Kernel = Mis_sim.Kernel
 module Trace = Mis_obs.Trace
 module Metrics = Mis_obs.Metrics
 module Prof = Mis_obs.Prof
@@ -10,21 +11,40 @@ module Rand_plan = Fairmis.Rand_plan
 
 let spf = Printf.sprintf
 
+type outcome = { output : bool array; decided : bool array; rounds : int }
+
 type algorithm = {
   alg_run :
     ?tracer:Mis_obs.Trace.sink ->
-    Mis_graph.View.t -> ids:int array -> seed:int -> Mis_sim.Runtime.outcome;
+    Mis_graph.View.t -> ids:int array -> seed:int -> outcome;
 }
 
+(* Luby with the (seed, global id)-keyed coins of
+   [Rand_plan.Stage.luby_main]: on the kernel, or through the message
+   engine when a tracer must see the messages. The kernel = engine
+   contract makes the two return the same outcome. *)
 let luby =
   { alg_run =
       (fun ?tracer view ~ids ~seed ->
         let plan = Rand_plan.make seed in
         let stage = Rand_plan.Stage.luby_main in
-        Runtime.run ~ids ?tracer
-          ~rng_of:(fun i -> Rand_plan.node_stream plan ~stage ~node:ids.(i))
-          view
-          (Fairmis.Luby.program plan ~stage)) }
+        match tracer with
+        | None ->
+          let o =
+            Kernel.luby ~value_of:(Rand_plan.node_values plan ~stage)
+              (Kernel.create ~ids view)
+          in
+          { output = o.Kernel.output; decided = o.Kernel.decided;
+            rounds = o.Kernel.rounds }
+        | Some _ ->
+          let o =
+            Runtime.run ~ids ?tracer
+              ~rng_of:(fun i -> Rand_plan.node_stream plan ~stage ~node:ids.(i))
+              view
+              (Fairmis.Luby.program plan ~stage)
+          in
+          { output = o.Runtime.output; decided = o.Runtime.decided;
+            rounds = o.Runtime.rounds }) }
 
 type rung = Radius of int | Full_recompute
 
@@ -57,6 +77,13 @@ let default_config =
     decisions = Mis_obs.Trace.null;
     critpath = false }
 
+(* [mark], [slot] and [order] are the repair scratch, one int per slot,
+   reused by every attempt: a slot is dirty in the current attempt when
+   its [mark] equals [epoch], so starting an attempt is one increment.
+   [order] lists the dirty slots in marking order (the BFS queue and the
+   closure worklist); [slot] holds a dirty slot's region index, or -1
+   when it is covered by a frozen member. [seeded] stamps each slot with
+   the last batch that seeded it. *)
 type t = {
   cfg : config;
   g : Dyn_graph.t;
@@ -65,6 +92,11 @@ type t = {
   event_counters : Metrics.counter option array;
       (* dyn.events.<kind>, by constructor, resolved on the kind's first
          event so the metrics list only the kinds seen *)
+  mark : int array;
+  slot : int array;
+  order : int array;
+  seeded : int array;
+  mutable epoch : int;
 }
 
 exception Invariant_violation of string
@@ -86,11 +118,17 @@ let validate_config cfg =
 
 let create ?(config = default_config) ~capacity () =
   validate_config config;
+  let g = Dyn_graph.create ~capacity in
   { cfg = config;
-    g = Dyn_graph.create ~capacity;
+    g;
     mem = Array.make capacity false;
     batches = 0;
-    event_counters = Array.make 5 None }
+    event_counters = Array.make 5 None;
+    mark = Array.make capacity 0;
+    slot = Array.make capacity 0;
+    order = Array.make capacity 0;
+    seeded = Array.make capacity 0;
+    epoch = 0 }
 
 let config t = t.cfg
 let graph t = t.g
@@ -249,45 +287,39 @@ type attempt_result = {
 
 (* Dirty closure at [radius]: BFS-widen the seeds by [radius - 1] hops,
    then close under "alive neighbors of dirty members are dirty" (those
-   neighbors may lose their cover when the member is re-decided). *)
+   neighbors may lose their cover when the member is re-decided). Opens a
+   new epoch and returns how many slots it marked, listed in
+   [t.order]. *)
 let dirty_set t ~seeds ~radius =
-  let g = t.g in
-  let cap = Dyn_graph.capacity g in
-  let dirty = Array.make cap false in
-  let frontier = ref [] in
-  List.iter
-    (fun u ->
-      if Dyn_graph.alive g u && not dirty.(u) then begin
-        dirty.(u) <- true;
-        frontier := u :: !frontier
-      end)
-    seeds;
+  let g = t.g and mark = t.mark and order = t.order in
+  t.epoch <- t.epoch + 1;
+  let e = t.epoch in
+  let len = ref 0 in
+  let add v =
+    if mark.(v) <> e then begin
+      mark.(v) <- e;
+      order.(!len) <- v;
+      incr len
+    end
+  in
+  List.iter (fun u -> if Dyn_graph.alive g u then add u) seeds;
+  let layer = ref 0 in
   for _ = 2 to radius do
-    let next = ref [] in
-    List.iter
-      (fun u ->
-        Dyn_graph.iter_adj_alive g u (fun v ->
-            if not dirty.(v) then begin
-              dirty.(v) <- true;
-              next := v :: !next
-            end))
-      !frontier;
-    frontier := !next
+    let stop = !len in
+    for i = !layer to stop - 1 do
+      Dyn_graph.iter_adj_alive g order.(i) add
+    done;
+    layer := stop
   done;
-  (* Member closure over a worklist: widening can pull in members whose
-     dependents must follow. *)
-  let work = ref [] in
-  Array.iteri (fun u d -> if d && t.mem.(u) then work := u :: !work) dirty;
-  while !work <> [] do
-    let u = List.hd !work in
-    work := List.tl !work;
-    Dyn_graph.iter_adj_alive t.g u (fun v ->
-        if not dirty.(v) then begin
-          dirty.(v) <- true;
-          if t.mem.(v) then work := v :: !work
-        end)
+  (* Member closure: [order] doubles as the worklist, since widening can
+     pull in members whose dependents must follow. *)
+  let i = ref 0 in
+  while !i < !len do
+    let u = order.(!i) in
+    if t.mem.(u) then Dyn_graph.iter_adj_alive g u add;
+    incr i
   done;
-  dirty
+  !len
 
 let attempt_seed t ~batch ~attempt =
   Int64.to_int
@@ -304,7 +336,6 @@ let critpath_capacity = 1 lsl 18
    maintained state untouched for the next rung. *)
 let run_attempt t ~batch ~attempt ~seeds rung =
   let g = t.g in
-  let cap = Dyn_graph.capacity g in
   let tracer, a_events =
     if not t.cfg.critpath then (None, fun () -> [])
     else begin
@@ -312,79 +343,89 @@ let run_attempt t ~batch ~attempt ~seeds rung =
       (Some sink, events)
     end
   in
+  let seed = attempt_seed t ~batch ~attempt in
   match rung with
   | Full_recompute ->
-    let view = Dyn_graph.live_view g in
-    let ids = Array.init cap Fun.id in
+    let ids = Array.init (Dyn_graph.capacity g) Fun.id in
     let o =
-      t.cfg.algorithm.alg_run ?tracer view ~ids
-        ~seed:(attempt_seed t ~batch ~attempt)
+      t.cfg.algorithm.alg_run ?tracer (Dyn_graph.live_view g) ~ids ~seed
     in
     let alive = Dyn_graph.alive_nodes g in
-    if not (Array.for_all (fun u -> o.Runtime.decided.(u)) alive) then None
+    if not (Array.for_all (fun u -> o.decided.(u)) alive) then None
     else
       Some
         { a_dirty = Array.length alive;
           a_region = alive;
-          a_rounds = o.Runtime.rounds;
+          a_rounds = o.rounds;
           a_changes =
-            Array.to_list
-              (Array.map (fun u -> (u, o.Runtime.output.(u))) alive);
+            Array.to_list (Array.map (fun u -> (u, o.output.(u))) alive);
           a_events = a_events () }
   | Radius radius ->
-    let dirty = dirty_set t ~seeds ~radius in
+    let dirty = Array.sub t.order 0 (dirty_set t ~seeds ~radius) in
+    Array.sort Int.compare dirty;
+    let e = t.epoch and mark = t.mark and slot = t.slot in
     (* Frozen-member exclusion: a dirty node adjacent to a member outside
-       the dirty set is covered by it and must stay out of the set. *)
-    let excluded u =
-      let e = ref false in
-      Dyn_graph.iter_adj_alive g u (fun v ->
-          if t.mem.(v) && not dirty.(v) then e := true);
-      !e
+       the dirty set is covered by it and must stay out of the set. The
+       rest get region indices in ascending node order. *)
+    let k = ref 0 in
+    Array.iter
+      (fun u ->
+        let covered = ref false in
+        Dyn_graph.iter_adj_alive g u (fun v ->
+            if t.mem.(v) && mark.(v) <> e then covered := true);
+        if !covered then slot.(u) <- -1
+        else begin
+          slot.(u) <- !k;
+          incr k
+        end)
+      dirty;
+    let region = Array.make !k 0 in
+    Array.iter (fun u -> if slot.(u) >= 0 then region.(slot.(u)) <- u) dirty;
+    let covered =
+      Array.fold_right
+        (fun u acc -> if slot.(u) < 0 then (u, false) :: acc else acc)
+        dirty []
     in
-    let region = ref [] and covered = ref [] and dirty_n = ref 0 in
-    for u = cap - 1 downto 0 do
-      if dirty.(u) then begin
-        incr dirty_n;
-        if excluded u then covered := u :: !covered else region := u :: !region
-      end
-    done;
-    let region = Array.of_list !region in
-    (* sorted ascending by construction *)
-    if Array.length region = 0 then
+    if !k = 0 then
       Some
-        { a_dirty = !dirty_n;
+        { a_dirty = Array.length dirty;
           a_region = [||];
           a_rounds = 0;
-          a_changes = List.map (fun u -> (u, false)) !covered;
+          a_changes = covered;
           a_events = [] }
     else begin
-      let k = Array.length region in
-      let slot = Hashtbl.create (2 * k) in
-      Array.iteri (fun i u -> Hashtbl.replace slot u i) region;
-      let edges = ref [] in
+      (* The induced edges: counted, then written back to front. Their
+         order fixes the message engine's delivery order, which a
+         critpath trace records. *)
+      let inner u v = u < v && mark.(v) = e && slot.(v) >= 0 in
+      let m = ref 0 in
+      Array.iter
+        (fun u ->
+          Dyn_graph.iter_adj_alive g u (fun v -> if inner u v then incr m))
+        region;
+      let edges = Array.make !m (0, 0) in
       Array.iteri
         (fun i u ->
           Dyn_graph.iter_adj_alive g u (fun v ->
-              if u < v && dirty.(v) then
-                match Hashtbl.find_opt slot v with
-                | Some j -> edges := (i, j) :: !edges
-                | None -> ()))
+              if inner u v then begin
+                decr m;
+                edges.(!m) <- (i, slot.(v))
+              end))
         region;
-      let sub = Graph.of_edge_array ~n:k (Array.of_list !edges) in
+      let sub = Graph.of_edge_array ~n:!k edges in
       let o =
-        t.cfg.algorithm.alg_run ?tracer (View.full sub) ~ids:region
-          ~seed:(attempt_seed t ~batch ~attempt)
+        t.cfg.algorithm.alg_run ?tracer (View.full sub) ~ids:region ~seed
       in
-      if not (Array.for_all Fun.id o.Runtime.decided) then None
+      if not (Array.for_all Fun.id o.decided) then None
       else
         Some
-          { a_dirty = !dirty_n;
+          { a_dirty = Array.length dirty;
             a_region = region;
-            a_rounds = o.Runtime.rounds;
+            a_rounds = o.rounds;
             a_changes =
-              List.map (fun u -> (u, false)) !covered
+              covered
               @ Array.to_list
-                  (Array.mapi (fun i u -> (u, o.Runtime.output.(i))) region);
+                  (Array.mapi (fun i u -> (u, o.output.(i))) region);
             a_events = a_events () }
     end
 
@@ -451,10 +492,9 @@ let apply_batch t events =
       let batch = t.batches in
       mcount t "dyn.batches" 1;
       let seeds = ref [] in
-      let seen = Hashtbl.create 16 in
       let seed_node u =
-        if not (Hashtbl.mem seen u) then begin
-          Hashtbl.replace seen u ();
+        if t.seeded.(u) <> batch then begin
+          t.seeded.(u) <- batch;
           seeds := u :: !seeds
         end
       in

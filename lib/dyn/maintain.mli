@@ -15,12 +15,26 @@
     "every alive neighbor of a dirty member is dirty" (those neighbors
     may lose their cover). Members outside the dirty set are {e frozen}:
     dirty nodes adjacent to a frozen member are covered and drop out;
-    the rest form the {e region}, an induced subview handed to the
-    configured program via {!Mis_sim.Runtime} (the compiled
-    {!Mis_sim.Runtime.Engine} under the hood) with the {e global} node
-    numbers as program ids, so a node's coins do not depend on how the
-    region was carved. The union of the frozen part and the region's MIS
-    is an MIS of the whole live graph.
+    the rest form the {e region}, an induced subgraph handed to the
+    configured algorithm with the {e global} node numbers as ids, so a
+    node's coins do not depend on how the region was carved. The union
+    of the frozen part and the region's MIS is an MIS of the whole live
+    graph.
+
+    {b Region build.} The dirty set, the region's slot map and the seed
+    marks are int arrays of the maintainer's capacity, allocated once in
+    {!create} and reset by epoch stamps, so an attempt allocates in
+    proportion to its region, not to the capacity: its sorted node
+    list, its edge array and the subgraph's CSR
+    ({!Mis_graph.Graph.of_edge_array}).
+
+    {b Engine.} The default Luby repair compiles the region with
+    {!Mis_sim.Kernel.create} and runs {!Mis_sim.Kernel.luby} on the
+    [Rand_plan.Stage.luby_main] coins. Only with [config.critpath], whose
+    analysis needs every message, does it run the message program on
+    {!Mis_sim.Runtime}; the kernel's bit-identity with the engine and
+    its invariance under relabelling make both repair alike, and
+    [test/test_dyn.ml] checks it batch by batch.
 
     {b Degradation ladder.} An attempt fails when it exceeds the
     per-batch timeout or leaves region nodes undecided; the maintainer
@@ -28,10 +42,16 @@
     → … → [Full_recompute] by default). State is only committed on an
     accepted attempt, so retries always start from the pre-repair MIS. *)
 
+type outcome = {
+  output : bool array;  (** Per view index: MIS membership. *)
+  decided : bool array;  (** Whether the view node reached a decision. *)
+  rounds : int;  (** Synchronous rounds the run took. *)
+}
+
 type algorithm = {
   alg_run :
     ?tracer:Mis_obs.Trace.sink ->
-    Mis_graph.View.t -> ids:int array -> seed:int -> Mis_sim.Runtime.outcome;
+    Mis_graph.View.t -> ids:int array -> seed:int -> outcome;
       (** Run one MIS computation on a (sub)view. [ids.(i)] is the global
           node number of view node [i]; implementations must key their
           randomness by id so repairs are reproducible. [tracer] (passed
@@ -70,12 +90,13 @@ type config = {
           {!Mis_obs.Causal.analyze} on the accepted one: histograms
           [dyn.repair.critpath_len] / [dyn.repair.critpath_delivery_steps],
           counter [dyn.repair.wasted_sends], and
-          {!report.critpath_len}. Costs one in-memory trace per attempt;
-          off by default. *)
+          {!report.critpath_len}. Costs one in-memory trace per attempt,
+          and the default Luby repair then runs on the message engine
+          instead of the kernel; off by default. *)
 }
 
 val default_config : config
-(** Luby ({!Fairmis.Luby.program} through the simulator runtime), ladder
+(** Luby (on the kernel; through the message engine under [critpath]), ladder
     [[Radius 1; Radius 2; Full_recompute]], non-strict,
     [check_every = 0], no timeout, zero backoff, wall clock, seed 1, no
     metrics, null decisions sink, critpath off. *)

@@ -1,4 +1,5 @@
 module Json = Mis_obs.Json
+module Line_reader = Mis_obs.Line_reader
 module Metrics = Mis_obs.Metrics
 module Sketch = Mis_obs.Sketch
 module Telemetry = Mis_obs.Telemetry
@@ -116,40 +117,42 @@ let run ?(batch_size = 64) ?max_batches ?file
     | None -> ());
     on_batch report
   in
-  let stop = ref false in
-  (try
-     while not !stop do
-       let line = input_line ic in
-       incr lines;
-       let lineno = !lines in
-       if String.trim line <> "" then begin
-         match Json.parse line with
-         | Error e ->
-           incr mal;
-           malformed lineno e
-         | Ok v when Event.is_batch_marker v ->
-           flush ();
-           (match max_batches with
-           | Some b when !batches >= b -> stop := true
-           | _ -> ())
-         | Ok v -> (
-           match Event.of_json v with
-           | Error e ->
-             incr mal;
-             malformed lineno e
-           | Ok ev ->
-             incr events;
-             pending := ev :: !pending;
-             incr pending_n;
-             if !pending_n >= batch_size then begin
-               flush ();
-               match max_batches with
-               | Some b when !batches >= b -> stop := true
-               | _ -> ()
-             end)
-       end
-     done
-   with End_of_file -> ());
+  let stop = ref false and eof = ref false in
+  let reader = Line_reader.create ic in
+  let too_long =
+    spf "line longer than %d bytes" Line_reader.max_line_bytes
+  in
+  let bad lineno e =
+    incr mal;
+    malformed lineno e
+  in
+  while not (!stop || !eof) do
+    match Line_reader.next reader with
+    | Line_reader.Eof -> eof := true
+    | Line_reader.Too_long ->
+      incr lines;
+      bad !lines too_long
+    | Line_reader.Line line -> (
+      incr lines;
+      match Event.decode line with
+      | Event.Blank -> ()
+      | Event.Malformed e -> bad !lines e
+      | Event.Batch ->
+        flush ();
+        (match max_batches with
+        | Some b when !batches >= b -> stop := true
+        | _ -> ())
+      | Event.Event ev ->
+        incr events;
+        pending := ev :: !pending;
+        incr pending_n;
+        if !pending_n >= batch_size then begin
+          flush ();
+          match max_batches with
+          | Some b when !batches >= b -> stop := true
+          | _ -> ()
+        end)
+  done;
   if not !stop && !pending_n > 0 then flush ();
   { batches = !batches;
     lines = !lines;

@@ -11,6 +11,11 @@
     (when the maintainer carries a metrics registry) and reported
     through [log] as ["FILE:LINE: skipping malformed event: ..."].
 
+    Wire: lines come from {!Mis_obs.Line_reader}, so a line longer than
+    {!Mis_obs.Line_reader.max_line_bytes} is one malformed line, not an
+    unbounded buffer, and {!Event.decode} turns each line into an event,
+    a flush marker or a blank without building a JSON tree.
+
     Repair latency streams into a bounded {!Mis_obs.Sketch} instead of a
     grow-only array: percentiles come from {!Mis_obs.Sketch.quantile}
     (the single online implementation; the exact offline companion is

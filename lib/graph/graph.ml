@@ -10,24 +10,20 @@ type t = {
 let n t = t.n
 let m t = Array.length t.edge_u
 
-let check_edges ~n edges =
-  let seen = Hashtbl.create (Array.length edges * 2) in
+(* Range and self-loop checks ride the degree count; duplicates are
+   found after the fill, in one pass over the finished rows that stamps
+   each neighbour with the row it was seen in, so no edge is hashed. The
+   stamps reuse [deg], dead once the offsets are known. An input with
+   several faults reports a range or self-loop fault ahead of any
+   duplicate. *)
+let of_edge_array ~n edges =
+  let m = Array.length edges in
+  let deg = Array.make n 0 in
   Array.iter
     (fun (u, v) ->
       if u < 0 || u >= n || v < 0 || v >= n then
         invalid_arg "Graph.of_edges: endpoint out of range";
       if u = v then invalid_arg "Graph.of_edges: self-loop";
-      let key = (min u v, max u v) in
-      if Hashtbl.mem seen key then invalid_arg "Graph.of_edges: duplicate edge";
-      Hashtbl.add seen key ())
-    edges
-
-let of_edge_array ~n edges =
-  check_edges ~n edges;
-  let m = Array.length edges in
-  let deg = Array.make n 0 in
-  Array.iter
-    (fun (u, v) ->
       deg.(u) <- deg.(u) + 1;
       deg.(v) <- deg.(v) + 1)
     edges;
@@ -49,6 +45,15 @@ let of_edge_array ~n edges =
       adj_edge.(cursor.(v)) <- e;
       cursor.(v) <- cursor.(v) + 1)
     edges;
+  let stamp = deg in
+  Array.fill stamp 0 n (-1);
+  for u = 0 to n - 1 do
+    for i = off.(u) to off.(u + 1) - 1 do
+      let v = adj.(i) in
+      if stamp.(v) = u then invalid_arg "Graph.of_edges: duplicate edge";
+      stamp.(v) <- u
+    done
+  done;
   { n; off; adj; adj_edge; edge_u; edge_v }
 
 let of_edges ~n edges = of_edge_array ~n (Array.of_list edges)

@@ -10,9 +10,13 @@ type t
 val of_edges : n:int -> (int * int) list -> t
 (** Build a graph from an edge list.
     @raise Invalid_argument on out-of-range endpoints, self-loops or
-    duplicate edges. *)
+    duplicate edges (in either orientation). When an input has several
+    faults, an out-of-range endpoint or a self-loop is reported ahead of
+    any duplicate. *)
 
 val of_edge_array : n:int -> (int * int) array -> t
+(** {!of_edges} over an array. Duplicates are found by one stamp pass
+    over the finished CSR rows, with no hashing of edges. *)
 
 val of_parents : int array -> t
 (** [of_parents parents] builds the tree in which node [i > 0] is joined

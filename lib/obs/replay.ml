@@ -108,11 +108,16 @@ let of_jsonl path =
     Fun.protect
       ~finally:(fun () -> close_in ic)
       (fun () ->
+        let reader = Line_reader.create ic in
         let rec go lineno acc =
-          match input_line ic with
-          | exception End_of_file -> Ok (List.rev acc)
-          | line when String.trim line = "" -> go (lineno + 1) acc
-          | line -> (
+          match Line_reader.next reader with
+          | Line_reader.Eof -> Ok (List.rev acc)
+          | Line_reader.Too_long ->
+            Error
+              (spf "%s:%d: line longer than %d bytes" path lineno
+                 Line_reader.max_line_bytes)
+          | Line_reader.Line line when String.trim line = "" -> go (lineno + 1) acc
+          | Line_reader.Line line -> (
             match parse_line line with
             | Ok e -> go (lineno + 1) (e :: acc)
             | Error e -> Error (spf "%s:%d: %s" path lineno e))

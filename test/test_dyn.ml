@@ -63,6 +63,144 @@ let test_event_rejects () =
   | Ok v -> Alcotest.(check bool) "marker detected" true (Event.is_batch_marker v)
   | Error e -> Alcotest.fail e)
 
+(* The reference the direct scan must match: the JSON parser and
+   [of_json], and the line classification built on them. *)
+let oracle_parse line =
+  match Json.parse line with Error e -> Error e | Ok v -> Event.of_json v
+
+let oracle_decode line =
+  if String.trim line = "" then Event.Blank
+  else
+    match Json.parse line with
+    | Error e -> Event.Malformed e
+    | Ok v when Event.is_batch_marker v -> Event.Batch
+    | Ok v -> (
+      match Event.of_json v with
+      | Ok ev -> Event.Event ev
+      | Error e -> Event.Malformed e)
+
+(* Wire lines: an event's fields in a random order with random JSON
+   whitespace, then possibly one mutation. *)
+let gen_wire_line =
+  let open QCheck.Gen in
+  let node = frequency [ (8, int_range 0 40); (1, int_range 0 max_int) ] in
+  let event =
+    oneof
+      [ map2 (fun n es -> Event.Node_join { node = n; edges = es }) node
+          (list_size (int_range 0 5) node);
+        map (fun n -> Event.Node_leave { node = n }) node;
+        map (fun n -> Event.Node_crash { node = n }) node;
+        map2 (fun u v -> Event.Edge_insert { u; v }) node node;
+        map2 (fun u v -> Event.Edge_delete { u; v }) node node ]
+  in
+  let ws = oneofl [ ""; ""; " "; "  "; "\t"; "\r"; "\n"; " \r\n " ] in
+  let fields ev =
+    let num = string_of_int in
+    let typ = ("type", Json.str (Event.kind ev)) in
+    match ev with
+    | Event.Node_join { node; edges } ->
+      [ typ; ("node", num node);
+        ("edges", "[" ^ String.concat "," (List.map num edges) ^ "]") ]
+    | Event.Node_leave { node } | Event.Node_crash { node } ->
+      [ typ; ("node", num node) ]
+    | Event.Edge_insert { u; v } | Event.Edge_delete { u; v } ->
+      [ typ; ("u", num u); ("v", num v) ]
+  in
+  let render fs =
+    let* pads = list_repeat ((4 * List.length fs) + 2) ws in
+    let pad = Array.of_list pads in
+    let body =
+      List.mapi
+        (fun i (k, v) ->
+          pad.(4 * i) ^ Json.str k ^ pad.((4 * i) + 1) ^ ":"
+          ^ pad.((4 * i) + 2) ^ v ^ pad.((4 * i) + 3))
+        fs
+    in
+    return
+      (pad.(4 * List.length fs) ^ "{" ^ String.concat "," body ^ "}"
+      ^ pad.((4 * List.length fs) + 1))
+  in
+  let shuffled ev = shuffle_l (fields ev) in
+  let base = event >>= shuffled >>= render in
+  (* [k] set to the raw JSON [v]: in place when the event has [k] (in
+     which case [dup] keeps the old field too, as a duplicate key), else
+     added. *)
+  let field ?(dup = false) k v ev =
+    let fs = fields ev in
+    let fs =
+      if not (List.mem_assoc k fs) then (k, v) :: fs
+      else
+        List.concat_map
+          (fun (k', v') ->
+            if k' <> k then [ (k', v') ]
+            else if dup then [ (k, v); (k', v') ]
+            else [ (k, v) ])
+          fs
+    in
+    shuffle_l fs >>= render
+  in
+  let dup_field ev =
+    let* k = oneofl (List.map fst (fields ev))
+    and* v = oneofl [ "1"; "2"; {|"node_leave"|}; "[3]" ] in
+    field ~dup:true k v ev
+  in
+  let mutate line =
+    let n = String.length line in
+    oneof
+      [ (let* i = int_range 0 n in
+         return (String.sub line 0 i));
+        (let* i = int_range 0 (max 0 (n - 1)) and* c = char in
+         return
+           (if n = 0 then line
+            else String.mapi (fun j x -> if j = i then c else x) line));
+        return (line ^ " x");
+        return (line ^ "\n" ^ line) ]
+  in
+  let bomb d = String.make d '[' ^ String.make d ']' in
+  frequency
+    [ (6, base);
+      (4, base >>= mutate);
+      (1, event >>= field "node" (String.make 30 '7'));
+      (1, event >>= field "v" (String.make 19 '9'));
+      (1, event >>= field "u" (String.make 18 '9'));
+      (1, event >>= field "edges" ("[" ^ String.make 25 '3' ^ "]"));
+      (1, event >>= field "u" "-3");
+      (2, event >>= dup_field);
+      (1, event >>= field "node" "-0");
+      (1, event >>= field "edges" "[1,-2]");
+      (1, event >>= field "type" {|"node_join"|});
+      (1, event >>= field "type" {|"batch"|});
+      (1, event >>= field "type" {|"frobnicate"|});
+      (1, event >>= field "type" "\"node\xff\xfe_join\"");
+      (1, event >>= field "node\xc3" "1");
+      (1, event >>= field "extra" "[true,null,{}]");
+      (1, event >>= field "n\\u006fde" "2");
+      (1, event >>= field "node" "1.0");
+      (1, event >>= field "node" "1e3");
+      (1, event >>= field "node" (bomb 600));
+      (1, event >>= field "edges" (bomb 40));
+      (* self-loops *)
+      ( 1,
+        map (fun n -> Event.to_json (Event.Edge_insert { u = n; v = n })) node
+      );
+      ( 1,
+        map
+          (fun n ->
+            Event.to_json (Event.Node_join { node = n; edges = [ 1; n ] }))
+          node );
+      (1, return (bomb 600));
+      ( 1,
+        oneofl
+          [ ""; " "; "\t\r"; "\012"; "\012{}"; Event.batch_marker;
+            {| { "type" : "batch" } |}; "{}"; "[]"; "null"; {|{"type":|} ] ) ]
+
+let prop_decode_matches_json =
+  Helpers.qtest ~count:3000 "parse_line and decode = Json.parse + of_json"
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_wire_line)
+    (fun line ->
+      Event.parse_line line = oracle_parse line
+      && Event.decode line = oracle_decode line)
+
 (* --- dyn graph --------------------------------------------------------- *)
 
 (* Links with both endpoints alive, counted from each alive node's side. *)
@@ -441,7 +579,7 @@ let out_on_first_run () =
         if not !first then o
         else begin
           first := false;
-          { o with Mis_sim.Runtime.output = Array.make (View.n view) false }
+          { o with Maintain.output = Array.make (View.n view) false }
         end) }
 
 let test_strict_violation_raises () =
@@ -470,6 +608,100 @@ let test_violation_heals () =
   Alcotest.(check int) "violation counted" 1
     (Metrics.counter_value (Metrics.counter reg "dyn.invariant_violations"));
   match Maintain.check m with Ok () -> () | Error e -> Alcotest.fail e
+
+(* The kernel repairs by default; [critpath] sends every attempt through
+   the message engine instead, to trace it. Both must repair alike. *)
+let test_repair_kernel_equals_engine () =
+  let params =
+    { Churn.default with Churn.capacity = 256; initial = 160; batches = 60 }
+  in
+  let stream = Churn.generate (Splitmix.of_seed 21) params in
+  let path = Filename.temp_file "fairmis_repair" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_text path (fun oc -> Churn.write_jsonl oc stream);
+      let serve critpath =
+        let config = { (strict_config ~seed:3 ()) with Maintain.critpath } in
+        let m = Maintain.create ~config ~capacity:params.Churn.capacity () in
+        let seen = ref [] in
+        let on_batch (r : Maintain.report) =
+          seen :=
+            (r.Maintain.region_nodes, r.Maintain.rounds, r.Maintain.flips,
+             Maintain.mis m)
+            :: !seen
+        in
+        In_channel.with_open_text path (fun ic ->
+            ignore (Serve.run ~batch_size:max_int ~on_batch m ic));
+        List.rev !seen
+      in
+      let kernel = serve false and engine = serve true in
+      Alcotest.(check int) "batches" (List.length stream) (List.length kernel);
+      List.iteri
+        (fun i ((r1, n1, f1, m1), (r2, n2, f2, m2)) ->
+          let name what = Printf.sprintf "batch %d: %s" (i + 1) what in
+          Alcotest.(check Helpers.int_array) (name "region_nodes") r2 r1;
+          Alcotest.(check int) (name "rounds") n2 n1;
+          Alcotest.(check int) (name "flips") f2 f1;
+          Alcotest.(check Helpers.bool_array) (name "mis") m2 m1)
+        (List.combine kernel engine))
+
+(* Words this domain allocated straight into the major heap. [Gc.counters]
+   reads this domain's own counts ([Gc.quick_stat] also folds in other
+   domains' counts as they last reported them), and the minor collection
+   first makes every promotion so far count on both sides. *)
+let direct_major_words () =
+  Gc.minor ();
+  let _, promoted, major = Gc.counters () in
+  major -. promoted
+
+(* A warm batch allocates in proportion to its region: the dirty set,
+   slot map and seed marks live in the maintainer, so nothing
+   capacity-sized and no hash table is built per attempt, and no block
+   is big enough to go straight to the major heap. Regions here stay
+   small (no array passes the 256-word minor-heap limit), which is what
+   makes the second bound meaningful; the constant covers the batch's
+   own events. *)
+let test_repair_allocation_bound () =
+  let params =
+    { Churn.default with Churn.capacity = 2048; initial = 200; batches = 80;
+      arrival_mean = 4.; flap_mean = 4.; radius = 60. }
+  in
+  let stream = Churn.generate (Splitmix.of_seed 8) params in
+  let m = Maintain.create ~capacity:params.Churn.capacity () in
+  let warm = List.filteri (fun i _ -> i < 40) stream in
+  List.iter (fun b -> ignore (Maintain.apply_batch m b)) warm;
+  let sized = ref 0 in
+  List.iteri
+    (fun i b ->
+      if i >= 40 then begin
+        let d0 = direct_major_words () in
+        let w0 = Gc.minor_words () in
+        let r = Maintain.apply_batch m b in
+        let w = Gc.minor_words () -. w0 in
+        let d = direct_major_words () -. d0 in
+        let region = r.Maintain.region_nodes in
+        let inside = Hashtbl.create 16 in
+        Array.iter (fun u -> Hashtbl.replace inside u ()) region;
+        let edges = ref 0 in
+        Array.iter
+          (fun u ->
+            Dyn_graph.iter_adj_alive (Maintain.graph m) u (fun v ->
+                if u < v && Hashtbl.mem inside v then incr edges))
+          region;
+        let size = Array.length region + !edges in
+        if size > 0 then incr sized;
+        let bound = (40. *. float_of_int size) +. 1500. in
+        if w > bound then
+          Alcotest.failf "batch %d: %.0f minor words > 40 * %d + 1500" (i + 1)
+            w size;
+        if d <> 0. then
+          Alcotest.failf
+            "batch %d: %.0f words allocated straight to the major heap"
+            (i + 1) d
+      end)
+    stream;
+  if !sized < 20 then Alcotest.failf "only %d batches repaired a region" !sized
 
 (* The per-batch check at serve scale: 2,048 slots, a few hundred alive.
    Warm, it allocates nothing; the bound leaves slack for the probe. *)
@@ -582,6 +814,32 @@ let test_serve_batch_size_and_eof () =
   in
   Alcotest.(check int) "max_batches stops the loop" 1 stats2.Serve.batches
 
+(* A line past the reader's cap is one malformed line at its position;
+   the events on both sides of it still apply. *)
+let test_serve_oversized_line () =
+  let m = Maintain.create ~config:(strict_config ()) ~capacity:8 () in
+  let logs = ref [] in
+  let stats =
+    with_stream
+      [ Event.to_json (Event.Node_join { node = 0; edges = [] });
+        {|{"type":"node_leave","node":|} ^ String.make (2 lsl 20) '1' ^ "}";
+        Event.to_json (Event.Node_join { node = 1; edges = [ 0 ] }) ]
+      (fun path ic ->
+        Serve.run ~file:path ~log:(fun l -> logs := l :: !logs) m ic)
+  in
+  Alcotest.(check int) "malformed" 1 stats.Serve.malformed;
+  Alcotest.(check int) "lines" 3 stats.Serve.lines;
+  Alcotest.(check int) "both events applied" 2 stats.Serve.applied;
+  match !logs with
+  | [ l ] ->
+    let suffix =
+      Printf.sprintf ":2: skipping malformed event: line longer than %d bytes"
+        Mis_obs.Line_reader.max_line_bytes
+    in
+    Alcotest.(check bool) (Printf.sprintf "%S names line 2" l) true
+      (String.ends_with ~suffix l)
+  | _ -> Alcotest.failf "expected one log line, got %d" (List.length !logs)
+
 let test_percentile () =
   let module Sketch = Mis_obs.Sketch in
   let pct xs q = Sketch.nearest_rank xs q in
@@ -690,7 +948,8 @@ let suite =
   [ ( "dyn.event",
       [ Alcotest.test_case "wire round-trip" `Quick test_event_roundtrip;
         Alcotest.test_case "rejects malformed events" `Quick
-          test_event_rejects ] );
+          test_event_rejects;
+        prop_decode_matches_json ] );
     ( "dyn.graph",
       [ Alcotest.test_case "mutators and slot semantics" `Quick
           test_dyn_graph_ops;
@@ -711,11 +970,17 @@ let suite =
           test_strict_violation_raises;
         Alcotest.test_case "violation heals when not strict" `Quick
           test_violation_heals;
+        Alcotest.test_case "kernel repair = engine repair" `Quick
+          test_repair_kernel_equals_engine;
+        Alcotest.test_case "warm repair allocation bound" `Quick
+          test_repair_allocation_bound;
         Alcotest.test_case "warm check allocates nothing" `Quick
           test_check_allocates_nothing ] );
     ( "dyn.serve",
       [ Alcotest.test_case "markers, malformed lines, positions" `Quick
           test_serve_markers_and_malformed;
+        Alcotest.test_case "oversized line is one malformed line" `Quick
+          test_serve_oversized_line;
         Alcotest.test_case "batch size and EOF flush" `Quick
           test_serve_batch_size_and_eof;
         Alcotest.test_case "percentiles" `Quick test_percentile ] );

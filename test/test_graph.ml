@@ -22,6 +22,30 @@ let test_of_edges_validation () =
   expect_invalid "duplicate" [ (0, 1); (1, 0) ] 3;
   expect_invalid "out of range" [ (0, 3) ] 3
 
+(* The three rejections keep their messages: the stamp pass over the
+   finished rows must see a duplicate in either orientation and anywhere
+   in the input, and a range or self-loop fault wins over a duplicate. *)
+let test_of_edges_messages () =
+  let expect msg n edges =
+    match Graph.of_edges ~n edges with
+    | exception Invalid_argument m -> Alcotest.(check string) msg msg m
+    | _ -> Alcotest.failf "expected %s" msg
+  in
+  let range = "Graph.of_edges: endpoint out of range" in
+  let loop = "Graph.of_edges: self-loop" in
+  let dup = "Graph.of_edges: duplicate edge" in
+  expect range 3 [ (0, 3) ];
+  expect range 3 [ (-1, 2) ];
+  expect loop 3 [ (0, 1); (2, 2) ];
+  expect dup 3 [ (0, 1); (0, 1) ];
+  expect dup 4 [ (1, 0); (2, 3); (0, 2); (0, 1) ];
+  expect dup 5 [ (4, 3); (0, 1); (2, 3); (3, 4) ];
+  expect range 3 [ (0, 1); (1, 0); (0, 5) ];
+  expect loop 3 [ (0, 1); (1, 0); (1, 1) ];
+  (* A graph with no duplicate still builds after the stamp pass. *)
+  let g = Graph.of_edges ~n:4 [ (0, 1); (1, 2); (2, 0); (2, 3) ] in
+  Alcotest.(check int) "m" 4 (Graph.m g)
+
 let test_degrees () =
   Alcotest.(check int) "deg 0" 1 (Graph.degree path4 0);
   Alcotest.(check int) "deg 1" 2 (Graph.degree path4 1);
@@ -489,6 +513,7 @@ let prop_of_parents_matches_edge_list =
 let suite =
   [ ( "graph.core",
       [ Alcotest.test_case "of_edges validation" `Quick test_of_edges_validation;
+        Alcotest.test_case "of_edges messages" `Quick test_of_edges_messages;
         Alcotest.test_case "of_parents validation" `Quick
           test_of_parents_validation;
         prop_of_parents_matches_edge_list;

@@ -257,6 +257,68 @@ let test_of_jsonl_positions () =
       | Error errs ->
         Alcotest.(check int) "single parse error" 1 (List.length errs)))
 
+let with_file contents f =
+  let path = Filename.temp_file "fairmis_lines" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc contents);
+      f path)
+
+(* The bounded reader returns what [input_line] returns, across block
+   boundaries, until a line passes the cap: that line alone becomes
+   [Too_long], and reading resumes after its newline. *)
+let test_line_reader () =
+  let module R = Mis_obs.Line_reader in
+  let cap = R.max_line_bytes in
+  let read contents =
+    with_file contents (fun path ->
+        In_channel.with_open_bin path (fun ic ->
+            let r = R.create ic in
+            let rec go acc =
+              match R.next r with
+              | R.Eof -> List.rev acc
+              | R.Too_long -> go ("<too long>" :: acc)
+              | R.Line l -> go (l :: acc)
+            in
+            go []))
+  in
+  let by_input_line contents =
+    with_file contents (fun path ->
+        In_channel.with_open_bin path (fun ic ->
+            let rec go acc =
+              match input_line ic with
+              | l -> go (l :: acc)
+              | exception End_of_file -> List.rev acc
+            in
+            go []))
+  in
+  let long = String.make 70_000 'a' in
+  List.iter
+    (fun contents ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "as input_line (%d bytes)" (String.length contents))
+        (by_input_line contents) (read contents))
+    [ ""; "\n"; "a"; "a\nb"; "a\r\nb\n\n"; long ^ "\n" ^ long;
+      "x\n" ^ long ^ long ^ "\ny"; String.make cap 'c' ^ "\nz\n" ];
+  Alcotest.(check (list string)) "over the cap"
+    [ "a"; "<too long>"; "b"; "<too long>" ]
+    (read
+       ("a\n" ^ String.make (cap + 1) 'c' ^ "\nb\n"
+       ^ String.make (2 * cap) 'd'))
+
+let test_of_jsonl_long_line () =
+  let ok = {|{"type":"run_begin","program":"p","n":1,"active":1}|} in
+  with_file (ok ^ "\n" ^ String.make (2 lsl 20) ' ' ^ "\n" ^ ok ^ "\n")
+    (fun path ->
+      match Replay.of_jsonl path with
+      | Ok _ -> Alcotest.fail "of_jsonl accepted a 2 MiB line"
+      | Error e ->
+        Alcotest.(check string) "names the long line"
+          (Printf.sprintf "%s:2: line longer than %d bytes" path
+             Mis_obs.Line_reader.max_line_bytes)
+          e)
+
 (* --- replay: golden stream ---------------------------------------------- *)
 
 let golden_run () =
@@ -660,6 +722,9 @@ let suite =
           test_event_parse_errors;
         Alcotest.test_case "of_jsonl file:line positions" `Quick
           test_of_jsonl_positions;
+        Alcotest.test_case "bounded line reader" `Quick test_line_reader;
+        Alcotest.test_case "of_jsonl rejects an oversized line" `Quick
+          test_of_jsonl_long_line;
         Alcotest.test_case "replay golden fairtree" `Quick test_replay_golden;
         Alcotest.test_case "replay golden via json" `Quick
           test_replay_golden_via_json;
