@@ -182,10 +182,19 @@ let run_cmd =
 (* measure *)
 
 let measure_cmd =
-  let doc = "Monte Carlo estimate of the inequality factor." in
+  let doc =
+    "Monte Carlo estimate of the inequality factor: many seeded runs per \
+     algorithm, each checked to be a maximal independent set, with an \
+     ASCII per-node heatmap and histogram."
+  in
+  let algs =
+    Arg.(required & pos 0 (some (list string)) None
+        & info [] ~docv:"ALGORITHMS"
+            ~doc:"Comma-separated algorithms (see 'list').")
+  in
   let trials =
     Arg.(value & opt (pos_int "--trials") 2000
-        & info [ "trials" ] ~doc:"Number of runs.")
+        & info [ "trials" ] ~doc:"Runs per algorithm.")
   in
   let domains =
     Arg.(value & opt (some (pos_int "--domains")) None
@@ -193,39 +202,22 @@ let measure_cmd =
   in
   let csv =
     Arg.(value & opt (some string) None
-        & info [ "csv" ] ~doc:"Write the summary row to this CSV file.")
+        & info [ "csv" ]
+            ~doc:"Write one summary row per algorithm to this CSV file.")
   in
-  let run alg spec seed trials domains csv =
+  let run algs spec seed trials domains csv =
     let g = or_die (Mis_exp.Topo_spec.parse spec) in
-    let view = View.full g in
-    let runner = or_die (Mis_exp.Runners.find alg) in
-    let display = runner.Mis_exp.Runners.name in
+    let runners = List.map (fun a -> or_die (Mis_exp.Runners.find a)) algs in
     let cfg =
       { Mis_exp.Config.trials; seed; domains;
         nyc = Mis_exp.Config.Nyc_skip; full = false }
     in
-    let e = supported (fun () -> Mis_exp.Runners.measure cfg view runner) in
-    let s = Empirical.summarize e in
-    Printf.printf
-      "%s on %s: trials=%d  inequality factor=%s  min P=%.4f  max P=%.4f  mean P=%.4f\n"
-      display spec trials
-      (Mis_exp.Table.float_cell s.Empirical.factor)
-      s.Empirical.min_freq s.Empirical.max_freq s.Empirical.mean_freq;
-    match csv with
-    | Some path ->
-      Mis_exp.Csv.write ~path
-        ~header:[ "algorithm"; "topology"; "trials"; "factor"; "min_p";
-                  "max_p"; "mean_p" ]
-        [ [ display; spec; string_of_int trials;
-            Mis_exp.Table.float_cell s.Empirical.factor;
-            Printf.sprintf "%.6f" s.Empirical.min_freq;
-            Printf.sprintf "%.6f" s.Empirical.max_freq;
-            Printf.sprintf "%.6f" s.Empirical.mean_freq ] ];
-      Printf.printf "csv written to %s\n" path
-    | None -> ()
+    ignore
+      (supported (fun () ->
+           Mis_exp.Measure.report ?csv cfg ~spec (View.full g) runners))
   in
   Cmd.v (Cmd.info "measure" ~doc)
-    Term.(const run $ alg_arg $ spec_arg1 $ seed_arg $ trials $ domains $ csv)
+    Term.(const run $ algs $ spec_arg1 $ seed_arg $ trials $ domains $ csv)
 
 (* trace / analyze — shared replay plumbing *)
 
@@ -545,45 +537,6 @@ let critpath_cmd =
     Term.(const run $ trace_arg $ alg $ topo $ seed_arg $ node $ top
           $ protocol_out $ execution_out)
 
-(* fairness *)
-
-let fairness_cmd =
-  let doc =
-    "Measure Table I-style inequality factors: many seeded runs per \
-     algorithm, each checked to be a maximal independent set, with an \
-     ASCII per-node heatmap and histogram."
-  in
-  let dp = Mis_exp.Fairness_obs.default_params in
-  let n =
-    Arg.(value & opt (bounded_int ~min:2 "--n") dp.Mis_exp.Fairness_obs.n
-        & info [ "n"; "nodes" ] ~doc:"Random-tree size (>= 2).")
-  in
-  let trials =
-    Arg.(value & opt (pos_int "--trials") dp.Mis_exp.Fairness_obs.trials
-        & info [ "trials" ] ~doc:"Runs per algorithm.")
-  in
-  let algs =
-    Arg.(value & opt (list string) [ "fairtree"; "luby" ]
-        & info [ "algorithms" ] ~doc:"Comma-separated algorithms (see 'list').")
-  in
-  let domains =
-    Arg.(value & opt (some (pos_int "--domains")) None
-        & info [ "domains" ] ~doc:"Parallel domains.")
-  in
-  let csv =
-    Arg.(value & opt (some string) None
-        & info [ "csv" ] ~doc:"Write the summary rows to this CSV file.")
-  in
-  let run n trials algs seed domains csv =
-    let algorithms = List.map (fun a -> or_die (Mis_exp.Runners.find a)) algs in
-    try
-      Mis_exp.Fairness_obs.run_params
-        { Mis_exp.Fairness_obs.n; trials; seed; algorithms; domains; csv }
-    with Invalid_argument e -> or_die (Error e)
-  in
-  Cmd.v (Cmd.info "fairness" ~doc)
-    Term.(const run $ n $ trials $ algs $ seed_arg $ domains $ csv)
-
 (* faults *)
 
 let faults_cmd =
@@ -784,16 +737,8 @@ let serve_cmd =
   let quiet =
     Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"No per-batch progress.")
   in
-  let critpath =
-    Arg.(value & flag
-        & info [ "critpath" ]
-            ~doc:"Trace each repair and reconstruct its causal critical \
-                  path (dyn.repair.critpath_len and related metrics; \
-                  prints the per-batch maximum).")
-  in
   let run stream capacity batch_size max_batches strict check_every timeout
-      seed metrics_out decisions_out telemetry_port slo flight_out quiet
-      critpath =
+      seed metrics_out decisions_out telemetry_port slo flight_out quiet =
     let module Maintain = Mis_dyn.Maintain in
     let module Serve = Mis_dyn.Serve in
     let module Telemetry = Mis_obs.Telemetry in
@@ -803,7 +748,6 @@ let serve_cmd =
       | t -> t
       | exception Invalid_argument e -> or_die (Error e)
     in
-    Telemetry.add_collector telemetry Mis_sim.Runtime.collect_totals;
     let write_metrics () =
       match metrics_out with
       | None -> ()
@@ -866,7 +810,7 @@ let serve_cmd =
           let config =
             { Maintain.default_config with
               strict; check_every; timeout; seed; metrics = Some metrics;
-              decisions; critpath }
+              decisions }
           in
           let maintainer =
             try Maintain.create ~config ~capacity ()
@@ -929,10 +873,6 @@ let serve_cmd =
             (pct 0.50) (pct 0.95) (pct 0.99) stats.Serve.escalations
             stats.Serve.full_recomputes stats.Serve.max_region
             stats.Serve.flips;
-          if critpath && stats.Serve.max_critpath >= 0 then
-            Printf.printf
-              "repair critical path: longest causal chain %d rounds\n"
-              stats.Serve.max_critpath;
           Printf.printf "final MIS valid: %d members over %d alive nodes\n"
             members (Mis_dyn.Dyn_graph.alive_count g);
           stats)
@@ -944,8 +884,7 @@ let serve_cmd =
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(const run $ stream_arg $ capacity $ batch_size $ max_batches
           $ strict $ check_every $ timeout $ seed_arg $ metrics_out
-          $ decisions_out $ telemetry_port $ slo $ flight_out $ quiet
-          $ critpath)
+          $ decisions_out $ telemetry_port $ slo $ flight_out $ quiet)
 
 (* experiment *)
 
@@ -984,7 +923,7 @@ let () =
     Cmd.eval
       (Cmd.group info
          [ list_cmd; topo_cmd; run_cmd; measure_cmd; trace_cmd; analyze_cmd;
-           critpath_cmd; fairness_cmd; faults_cmd;
+           critpath_cmd; faults_cmd;
            churn_gen_cmd; serve_cmd; experiment_cmd ])
   in
   (* FAIRMIS_PROF=1: span tree (wall time + GC work) on stderr. *)

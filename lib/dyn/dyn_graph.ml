@@ -93,10 +93,11 @@ let leave t u =
     for i = 0 to t.deg.(u) - 1 do
       drop t t.nbrs.(u).(i) u
     done;
-    (* A reused slot starts small again, not at its largest past degree. *)
-    t.nbrs.(u) <- [||];
+    (* The slot keeps its neighbour array and its table's buckets, so a
+       rejoin regrows neither. What stays held is each slot's largest
+       past degree: bounded by the live graph's worst case. *)
     t.deg.(u) <- 0;
-    Slot_tbl.reset t.pos.(u);
+    Slot_tbl.clear t.pos.(u);
     t.states.(u) <- Absent;
     t.alive_count <- t.alive_count - 1;
     true

@@ -1,7 +1,6 @@
 module Graph = Mis_graph.Graph
 module View = Mis_graph.View
 module Check = Mis_graph.Check
-module Runtime = Mis_sim.Runtime
 module Kernel = Mis_sim.Kernel
 module Trace = Mis_obs.Trace
 module Metrics = Mis_obs.Metrics
@@ -14,37 +13,23 @@ let spf = Printf.sprintf
 type outcome = { output : bool array; decided : bool array; rounds : int }
 
 type algorithm = {
-  alg_run :
-    ?tracer:Mis_obs.Trace.sink ->
-    Mis_graph.View.t -> ids:int array -> seed:int -> outcome;
+  alg_run : Mis_graph.View.t -> ids:int array -> seed:int -> outcome;
 }
 
-(* Luby with the (seed, global id)-keyed coins of
-   [Rand_plan.Stage.luby_main]: on the kernel, or through the message
-   engine when a tracer must see the messages. The kernel = engine
-   contract makes the two return the same outcome. *)
+(* Luby on the kernel, with the (seed, global id)-keyed coins of
+   [Rand_plan.Stage.luby_main]. *)
 let luby =
   { alg_run =
-      (fun ?tracer view ~ids ~seed ->
-        let plan = Rand_plan.make seed in
-        let stage = Rand_plan.Stage.luby_main in
-        match tracer with
-        | None ->
-          let o =
-            Kernel.luby ~value_of:(Rand_plan.node_values plan ~stage)
-              (Kernel.create ~ids view)
-          in
-          { output = o.Kernel.output; decided = o.Kernel.decided;
-            rounds = o.Kernel.rounds }
-        | Some _ ->
-          let o =
-            Runtime.run ~ids ?tracer
-              ~rng_of:(fun i -> Rand_plan.node_stream plan ~stage ~node:ids.(i))
-              view
-              (Fairmis.Luby.program plan ~stage)
-          in
-          { output = o.Runtime.output; decided = o.Runtime.decided;
-            rounds = o.Runtime.rounds }) }
+      (fun view ~ids ~seed ->
+        let o =
+          Kernel.luby
+            ~value_of:
+              (Rand_plan.node_values (Rand_plan.make seed)
+                 ~stage:Rand_plan.Stage.luby_main)
+            (Kernel.create ~ids view)
+        in
+        { output = o.Kernel.output; decided = o.Kernel.decided;
+          rounds = o.Kernel.rounds }) }
 
 type rung = Radius of int | Full_recompute
 
@@ -60,7 +45,6 @@ type config = {
   seed : int;
   metrics : Mis_obs.Metrics.t option;
   decisions : Mis_obs.Trace.sink;
-  critpath : bool;
 }
 
 let default_config =
@@ -74,8 +58,7 @@ let default_config =
     clock = Unix.gettimeofday;
     seed = 1;
     metrics = None;
-    decisions = Mis_obs.Trace.null;
-    critpath = false }
+    decisions = Mis_obs.Trace.null }
 
 (* [mark], [slot] and [order] are the repair scratch, one int per slot,
    reused by every attempt: a slot is dirty in the current attempt when
@@ -148,7 +131,6 @@ type report = {
   repair_seconds : float;
   flips : int;
   live : int;
-  critpath_len : int;
 }
 
 (* --- metrics helpers ---------------------------------------------------- *)
@@ -280,9 +262,6 @@ type attempt_result = {
   a_region : int array;  (* sorted global numbers handed to the program *)
   a_rounds : int;
   a_changes : (int * bool) list;  (* proposed membership of dirty nodes *)
-  a_events : Trace.event list;
-      (* the attempt's trace, for critical-path stats; [] unless
-         [config.critpath] and a program actually ran *)
 }
 
 (* Dirty closure at [radius]: BFS-widen the seeds by [radius - 1] hops,
@@ -326,29 +305,17 @@ let attempt_seed t ~batch ~attempt =
     (Splitmix.derive (Int64.of_int t.cfg.seed) [ 0xD71A; batch; attempt ])
   land max_int
 
-(* Ring capacity for critpath attempt traces. An overflowed ring loses
-   its Run_begin, Causal.analyze rejects it, and the batch is counted in
-   dyn.repair.critpath_failures instead of producing a bogus path. *)
-let critpath_capacity = 1 lsl 18
-
 (* One repair attempt. Returns the proposed membership changes without
    committing them, so a timed-out or incomplete attempt leaves the
    maintained state untouched for the next rung. *)
 let run_attempt t ~batch ~attempt ~seeds rung =
   let g = t.g in
-  let tracer, a_events =
-    if not t.cfg.critpath then (None, fun () -> [])
-    else begin
-      let sink, events = Trace.memory ~capacity:critpath_capacity () in
-      (Some sink, events)
-    end
-  in
   let seed = attempt_seed t ~batch ~attempt in
   match rung with
   | Full_recompute ->
     let ids = Array.init (Dyn_graph.capacity g) Fun.id in
     let o =
-      t.cfg.algorithm.alg_run ?tracer (Dyn_graph.live_view g) ~ids ~seed
+      t.cfg.algorithm.alg_run (Dyn_graph.live_view g) ~ids ~seed
     in
     let alive = Dyn_graph.alive_nodes g in
     if not (Array.for_all (fun u -> o.decided.(u)) alive) then None
@@ -358,8 +325,7 @@ let run_attempt t ~batch ~attempt ~seeds rung =
           a_region = alive;
           a_rounds = o.rounds;
           a_changes =
-            Array.to_list (Array.map (fun u -> (u, o.output.(u))) alive);
-          a_events = a_events () }
+            Array.to_list (Array.map (fun u -> (u, o.output.(u))) alive) }
   | Radius radius ->
     let dirty = Array.sub t.order 0 (dirty_set t ~seeds ~radius) in
     Array.sort Int.compare dirty;
@@ -391,12 +357,9 @@ let run_attempt t ~batch ~attempt ~seeds rung =
         { a_dirty = Array.length dirty;
           a_region = [||];
           a_rounds = 0;
-          a_changes = covered;
-          a_events = [] }
+          a_changes = covered }
     else begin
-      (* The induced edges: counted, then written back to front. Their
-         order fixes the message engine's delivery order, which a
-         critpath trace records. *)
+      (* The induced edges: counted, then written back to front. *)
       let inner u v = u < v && mark.(v) = e && slot.(v) >= 0 in
       let m = ref 0 in
       Array.iter
@@ -414,7 +377,7 @@ let run_attempt t ~batch ~attempt ~seeds rung =
         region;
       let sub = Graph.of_edge_array ~n:!k edges in
       let o =
-        t.cfg.algorithm.alg_run ?tracer (View.full sub) ~ids:region ~seed
+        t.cfg.algorithm.alg_run (View.full sub) ~ids:region ~seed
       in
       if not (Array.for_all Fun.id o.decided) then None
       else
@@ -425,8 +388,7 @@ let run_attempt t ~batch ~attempt ~seeds rung =
             a_changes =
               covered
               @ Array.to_list
-                  (Array.mapi (fun i u -> (u, o.output.(i))) region);
-            a_events = a_events () }
+                  (Array.mapi (fun i u -> (u, o.output.(i))) region) }
     end
 
 let emit_decisions t ~batch changes =
@@ -523,28 +485,6 @@ let apply_batch t events =
       mcount t "dyn.flips" !flips;
       mobserve t "dyn.repair.dirty_nodes" result.a_dirty;
       mobserve t "dyn.repair.region_nodes" (Array.length result.a_region);
-      (* Critical-path stats of the accepted attempt (config.critpath).
-         On the fault-free region runs the path length equals the repair
-         round count; the value of the analysis is the delivery/local
-         split and the waste counters. *)
-      let critpath_len =
-        if result.a_events = [] then -1
-        else
-          match Mis_obs.Causal.analyze result.a_events with
-          | Ok c ->
-            let len = Mis_obs.Causal.length c in
-            mobserve t "dyn.repair.critpath_len" len;
-            mobserve t "dyn.repair.critpath_delivery_steps"
-              c.Mis_obs.Causal.delivery_steps;
-            mcount t "dyn.repair.wasted_sends"
-              (c.Mis_obs.Causal.waste.Mis_obs.Causal.w_to_decided
-              + c.Mis_obs.Causal.waste.Mis_obs.Causal.w_to_crashed);
-            len
-          | Error _ ->
-            (* e.g. the attempt overflowed the trace ring *)
-            mcount t "dyn.repair.critpath_failures" 1;
-            -1
-      in
       (match t.cfg.metrics with
       | None -> ()
       | Some reg ->
@@ -603,5 +543,4 @@ let apply_batch t events =
         full_recompute = full || !healed;
         repair_seconds = elapsed;
         flips = !flips;
-        live = Dyn_graph.alive_count t.g;
-        critpath_len })
+        live = Dyn_graph.alive_count t.g })

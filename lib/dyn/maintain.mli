@@ -28,13 +28,12 @@
     list, its edge array and the subgraph's CSR
     ({!Mis_graph.Graph.of_edge_array}).
 
-    {b Engine.} The default Luby repair compiles the region with
-    {!Mis_sim.Kernel.create} and runs {!Mis_sim.Kernel.luby} on the
-    [Rand_plan.Stage.luby_main] coins. Only with [config.critpath], whose
-    analysis needs every message, does it run the message program on
-    {!Mis_sim.Runtime}; the kernel's bit-identity with the engine and
-    its invariance under relabelling make both repair alike, and
-    [test/test_dyn.ml] checks it batch by batch.
+    {b Kernel.} The default Luby repair compiles the region with
+    {!Mis_sim.Kernel.create} (the region's global numbers as ids) and
+    runs {!Mis_sim.Kernel.luby} on the [Rand_plan.Stage.luby_main]
+    coins. The kernel is bit-identical to Luby's message program on the
+    engine, so [test/test_dyn.ml] keeps an engine-backed algorithm as
+    the oracle and checks both repair alike, batch by batch.
 
     {b Degradation ladder.} An attempt fails when it exceeds the
     per-batch timeout or leaves region nodes undecided; the maintainer
@@ -49,15 +48,10 @@ type outcome = {
 }
 
 type algorithm = {
-  alg_run :
-    ?tracer:Mis_obs.Trace.sink ->
-    Mis_graph.View.t -> ids:int array -> seed:int -> outcome;
+  alg_run : Mis_graph.View.t -> ids:int array -> seed:int -> outcome;
       (** Run one MIS computation on a (sub)view. [ids.(i)] is the global
           node number of view node [i]; implementations must key their
-          randomness by id so repairs are reproducible. [tracer] (passed
-          when [config.critpath] is on) must receive the run's trace
-          stream; implementations that cannot trace may ignore it, at
-          the cost of no critical-path stats. *)
+          randomness by id so repairs are reproducible. *)
 }
 
 type rung =
@@ -85,21 +79,12 @@ type config = {
   decisions : Mis_obs.Trace.sink;
       (** Receives one [Decide {round = batch; node; in_mis}] per
           re-decided node of each accepted batch. *)
-  critpath : bool;
-      (** Trace every repair attempt into a memory sink and run
-          {!Mis_obs.Causal.analyze} on the accepted one: histograms
-          [dyn.repair.critpath_len] / [dyn.repair.critpath_delivery_steps],
-          counter [dyn.repair.wasted_sends], and
-          {!report.critpath_len}. Costs one in-memory trace per attempt,
-          and the default Luby repair then runs on the message engine
-          instead of the kernel; off by default. *)
 }
 
 val default_config : config
-(** Luby (on the kernel; through the message engine under [critpath]), ladder
-    [[Radius 1; Radius 2; Full_recompute]], non-strict,
-    [check_every = 0], no timeout, zero backoff, wall clock, seed 1, no
-    metrics, null decisions sink, critpath off. *)
+(** Luby on the kernel, ladder [[Radius 1; Radius 2; Full_recompute]],
+    non-strict, [check_every = 0], no timeout, zero backoff, wall clock,
+    seed 1, no metrics, null decisions sink. *)
 
 type t
 
@@ -133,11 +118,6 @@ type report = {
   repair_seconds : float;  (** Wall clock across all attempts. *)
   flips : int;  (** Membership changes vs before the batch. *)
   live : int;  (** Alive nodes after the batch. *)
-  critpath_len : int;
-      (** Critical-path length of the accepted attempt; [-1] when
-          [config.critpath] is off, the region was empty, or the
-          attempt's trace could not be analyzed. Region repairs run
-          fault-free, so this equals [rounds] whenever it is [>= 0]. *)
 }
 
 val apply_batch : t -> Event.t list -> report

@@ -16,7 +16,6 @@ type stats = {
   escalations : int;
   full_recomputes : int;
   max_region : int;
-  max_critpath : int;
   flips : int;
   latency : Sketch.t;
 }
@@ -36,8 +35,7 @@ let report_json (r : Maintain.report) =
       ("full_recompute", Json.bool r.Maintain.full_recompute);
       ("repair_seconds", Json.float r.Maintain.repair_seconds);
       ("flips", Json.int r.Maintain.flips);
-      ("live", Json.int r.Maintain.live);
-      ("critpath_len", Json.int r.Maintain.critpath_len) ]
+      ("live", Json.int r.Maintain.live) ]
 
 let run ?(batch_size = 64) ?max_batches ?file
     ?(log = fun msg -> Printf.eprintf "%s\n%!" msg)
@@ -80,7 +78,6 @@ let run ?(batch_size = 64) ?max_batches ?file
   let lines = ref 0 and events = ref 0 and mal = ref 0 in
   let batches = ref 0 and applied = ref 0 and skipped = ref 0 in
   let escalations = ref 0 and fulls = ref 0 and max_region = ref 0 in
-  let max_critpath = ref (-1) in
   let flips = ref 0 in
   let pending = ref [] and pending_n = ref 0 in
   (* A batch marker flushes even an empty batch (a quiet period still
@@ -109,7 +106,6 @@ let run ?(batch_size = 64) ?max_batches ?file
     if report.Maintain.escalated then incr escalations;
     if report.Maintain.full_recompute then incr fulls;
     max_region := max !max_region (Array.length report.Maintain.region_nodes);
-    max_critpath := max !max_critpath report.Maintain.critpath_len;
     flips := !flips + report.Maintain.flips;
     (match telemetry with
     | Some t -> Telemetry.Recorder.note (Telemetry.recorder t)
@@ -163,6 +159,5 @@ let run ?(batch_size = 64) ?max_batches ?file
     escalations = !escalations;
     full_recomputes = !fulls;
     max_region = !max_region;
-    max_critpath = !max_critpath;
     flips = !flips;
     latency }

@@ -32,9 +32,6 @@ type stats = {
   escalations : int;  (** Batches that climbed past the first rung. *)
   full_recomputes : int;
   max_region : int;  (** Largest per-batch region the program re-ran on. *)
-  max_critpath : int;
-      (** Longest per-batch repair critical path ({!Maintain.report}
-          [critpath_len]); [-1] when [critpath] tracking is off. *)
   flips : int;  (** Total membership changes. *)
   latency : Mis_obs.Sketch.t;
       (** Per-batch repair latency (seconds) — query with

@@ -38,9 +38,6 @@ let all =
       paper_ref = "Sec. IX methodology"; run = Convergence.run };
     { id = "faults"; title = "Fairness under message loss";
       paper_ref = "Sec. III model, faulty networks (ours)"; run = Faults.run };
-    { id = "fairness-obs"; title = "Inequality factors over verified runs on one tree";
-      paper_ref = "Table I, any algorithm set (ours)";
-      run = Fairness_obs.run };
     { id = "churn"; title = "Dynamic MIS under heavy-tailed churn";
       paper_ref = "Sec. IX WAP scenario, long-running (ours)";
       run = Churn.run };

@@ -136,10 +136,13 @@ let find_traced key =
    gets its own child span (recorded on the worker domain that runs it).
    [runner.run view] is applied once, so a compiled runner serves every
    trial on every domain. *)
-let measure cfg view runner =
+let joins cfg view runner =
   Mis_obs.Prof.gspan ("measure." ^ runner.name) (fun () ->
-      Mis_stats.Montecarlo.estimate
+      Mis_stats.Montecarlo.run
         ~check:(fun mis ->
           Mis_obs.Prof.gspan "validate" (fun () ->
               Fairmis.Mis.verify ~name:runner.name view mis))
-        (Config.montecarlo cfg) view (runner.run view))
+        (Config.montecarlo cfg) ~n:(View.n view) (runner.run view))
+
+let measure cfg view runner =
+  Mis_stats.Montecarlo.empirical view (joins cfg view runner)

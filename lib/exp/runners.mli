@@ -63,7 +63,11 @@ val find_traced : string -> (t * traced_run, string) result
 (** The algorithm with this key and its message program, or an error
     naming the traceable keys. *)
 
+val joins : Config.t -> Mis_graph.View.t -> t -> Mis_obs.Fairness.t
+(** Monte Carlo with per-run MIS validation: per-node join counts of
+    [cfg.trials] runs. Applies [runner.run view] once and shares the
+    result across the trial pool. *)
+
 val measure :
   Config.t -> Mis_graph.View.t -> t -> Mis_stats.Empirical.t
-(** Monte Carlo with per-run MIS validation; applies [runner.run view]
-    once and shares the result across the trial pool. *)
+(** {!joins} summarized by {!Mis_stats.Montecarlo.empirical}. *)

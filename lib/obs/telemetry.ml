@@ -102,7 +102,6 @@ type t = {
   rec_ : Recorder.t;
   slo_s : float;
   lock : Mutex.t;
-  mutable collectors : (Metrics.t -> unit) list;  (* newest first *)
   started : float;
 }
 
@@ -112,7 +111,6 @@ let create ?(slo = 0.1) ?recorder reg =
     rec_ = (match recorder with Some r -> r | None -> Recorder.create ());
     slo_s = slo;
     lock = Mutex.create ();
-    collectors = [];
     started = Unix.gettimeofday () }
 
 let recorder t = t.rec_
@@ -122,12 +120,7 @@ let with_lock t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-let add_collector t f = t.collectors <- f :: t.collectors
-
-let locked_snapshot t =
-  with_lock t (fun () ->
-      List.iter (fun f -> f t.reg) (List.rev t.collectors);
-      Metrics.snapshot t.reg)
+let locked_snapshot t = with_lock t (fun () -> Metrics.snapshot t.reg)
 
 let render_metrics t = Openmetrics.render (locked_snapshot t)
 

@@ -100,11 +100,6 @@ val with_lock : t -> (unit -> 'a) -> 'a
 (** Run [f] holding the telemetry lock — the serve loop wraps each batch
     commit so scrapes never observe a half-updated registry. *)
 
-val add_collector : t -> (Metrics.t -> unit) -> unit
-(** Register a pull-style collector, run (under the lock) at the start of
-    every scrape — e.g. {!Mis_sim.Runtime.collect_totals} publishing the
-    simulator's global counters as gauges. *)
-
 val healthz : t -> Json.t
 (** One JSON object summarizing serve health from the registry:
     [status] (["ok"], or ["degraded"] when the degradation ladder sits

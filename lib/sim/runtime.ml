@@ -24,56 +24,6 @@ type outcome = {
 
 let ceil_log2 = Mis_util.Ids.ceil_log2
 
-(* --- process-global run totals ------------------------------------------ *)
-
-type totals = {
-  t_runs : int;
-  t_rounds : int;
-  t_messages : int;
-  t_dropped : int;
-  t_delayed : int;
-}
-
-(* Atomics, not plain refs: the parallel trial engine execs from several
-   domains at once. One fetch-and-add per field per *run* — invisible next
-   to the run itself. *)
-let tot_runs = Atomic.make 0
-let tot_rounds = Atomic.make 0
-let tot_messages = Atomic.make 0
-let tot_dropped = Atomic.make 0
-let tot_delayed = Atomic.make 0
-
-let record_totals ~rounds ~messages ~dropped ~delayed =
-  ignore (Atomic.fetch_and_add tot_runs 1);
-  ignore (Atomic.fetch_and_add tot_rounds rounds);
-  ignore (Atomic.fetch_and_add tot_messages messages);
-  ignore (Atomic.fetch_and_add tot_dropped dropped);
-  ignore (Atomic.fetch_and_add tot_delayed delayed)
-
-let totals () =
-  { t_runs = Atomic.get tot_runs;
-    t_rounds = Atomic.get tot_rounds;
-    t_messages = Atomic.get tot_messages;
-    t_dropped = Atomic.get tot_dropped;
-    t_delayed = Atomic.get tot_delayed }
-
-let reset_totals () =
-  Atomic.set tot_runs 0;
-  Atomic.set tot_rounds 0;
-  Atomic.set tot_messages 0;
-  Atomic.set tot_dropped 0;
-  Atomic.set tot_delayed 0
-
-let collect_totals reg =
-  let module M = Mis_obs.Metrics in
-  let t = totals () in
-  let g name v = M.set (M.gauge reg name) (float_of_int v) in
-  g "sim.runs" t.t_runs;
-  g "sim.rounds" t.t_rounds;
-  g "sim.messages" t.t_messages;
-  g "sim.dropped" t.t_dropped;
-  g "sim.delayed" t.t_delayed
-
 module Engine = struct
   (* One pending inbox per (delay ring slot, node slot): sender ids and
      payloads in parallel flat arrays, stored in push order — the FIFO
@@ -480,8 +430,6 @@ module Engine = struct
            { rounds = !rounds; messages = !messages; dropped = !dropped;
              delayed = !delayed; decided = decided_total; in_flight });
     let round_stats = Array.of_list (List.rev !stats) in
-    record_totals ~rounds:!rounds ~messages:!messages ~dropped:!dropped
-      ~delayed:!delayed;
     { output; decided; rounds = !rounds; messages = !messages;
       max_message_bits = !max_bits; dropped = !dropped; delayed = !delayed;
       in_flight; crashed; round_stats }

@@ -65,35 +65,6 @@ type outcome = {
           across rounds equal the corresponding totals above. *)
 }
 
-(** {1 Process-global totals}
-
-    Cheap always-on accounting: every executed run (through {!run} or
-    {!Engine.exec}, on any domain) folds its outcome counters into a set
-    of process-wide atomics — one fetch-and-add per field per run, so the
-    hot per-message path is untouched. These feed the live telemetry
-    exposer; {!Mis_obs.Telemetry.add_collector} with {!collect_totals}
-    publishes them as [sim.*] gauges on every scrape. *)
-
-type totals = {
-  t_runs : int;  (** Completed executions. *)
-  t_rounds : int;  (** Sum of [outcome.rounds]. *)
-  t_messages : int;  (** Sum of [outcome.messages]. *)
-  t_dropped : int;
-  t_delayed : int;
-}
-
-val totals : unit -> totals
-(** A consistent-enough read of the global counters (each field is read
-    atomically; concurrent runs may land between fields). *)
-
-val reset_totals : unit -> unit
-(** Zero the global counters (test isolation). With {!totals}, how the
-    tests observe the counters the telemetry exposer publishes. *)
-
-val collect_totals : Mis_obs.Metrics.t -> unit
-(** Publish {!totals} into [reg] as gauges [sim.runs], [sim.rounds],
-    [sim.messages], [sim.dropped], [sim.delayed]. *)
-
 (** Compiled executor: the topology-dependent part of a run — the
     {!Csr} slot maps and neighbor index, plus the engine's own neighbor
     id arrays, node contexts and flat message buffers — built once from

@@ -35,10 +35,14 @@ let run ?check config ~n run_once =
     ~ctx:(fun () -> ())
     (fun () ~seed -> run_once ~seed)
 
+let empirical view acc =
+  Empirical.of_fairness
+    ~mask:(Array.init (Mis_graph.View.n view) (Mis_graph.View.node_active view))
+    acc
+
 let estimate_ctx ?check config ~ctx view run_once =
-  let n = Mis_graph.View.n view in
-  let mask = Array.init n (Mis_graph.View.node_active view) in
-  Empirical.of_fairness ~mask (run_ctx ?check config ~n ~ctx run_once)
+  empirical view
+    (run_ctx ?check config ~n:(Mis_graph.View.n view) ~ctx run_once)
 
 let estimate ?check config view run_once =
   estimate_ctx ?check config

@@ -36,13 +36,17 @@ val run :
     validation) runs on every single outcome — the paper requires
     correctness on all runs, so the experiments keep it on. *)
 
+val empirical : Mis_graph.View.t -> Mis_obs.Fairness.t -> Empirical.t
+(** A {!run} accumulator over the view's active nodes.
+    @raise Invalid_argument when the accumulator holds no run. *)
+
 val estimate :
   ?check:(bool array -> unit) ->
   config ->
   Mis_graph.View.t ->
   (seed:int -> bool array) ->
   Empirical.t
-(** [run] summarized over the view's active nodes. *)
+(** [run] summarized by {!empirical}. *)
 
 val estimate_ctx :
   ?check:(bool array -> unit) ->

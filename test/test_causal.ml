@@ -1,8 +1,8 @@
 (* Tests for the causal critical-path analyzer: path/termination
    invariants (QCheck across random topologies and programs), waste
-   accounting through Replay, the raw Prof span records, the dynamic
-   maintainer's per-batch critpath stats, and the two Perfetto exports
-   (schema-checked and round-tripped through Json.parse). *)
+   accounting through Replay, the raw Prof span records, and the two
+   Perfetto exports (schema-checked and round-tripped through
+   Json.parse). *)
 
 module View = Mis_graph.View
 module Trees = Mis_workload.Trees
@@ -13,9 +13,6 @@ module Trace = Mis_obs.Trace
 module Replay = Mis_obs.Replay
 module Causal = Mis_obs.Causal
 module Prof = Mis_obs.Prof
-module Metrics = Mis_obs.Metrics
-module Maintain = Mis_dyn.Maintain
-module Event = Mis_dyn.Event
 
 let analyze_ok events =
   match Causal.analyze events with
@@ -308,47 +305,6 @@ let test_prof_recording_off_by_default () =
   Prof.span p "a" (fun () -> ());
   Alcotest.(check int) "records after enabling" 1 (List.length (Prof.spans p))
 
-(* --- maintainer critpath stats ------------------------------------------ *)
-
-let test_maintain_critpath () =
-  let reg = Metrics.create () in
-  let config =
-    { Maintain.default_config with
-      Maintain.critpath = true;
-      metrics = Some reg;
-      check_every = 1;
-      strict = true }
-  in
-  let m = Maintain.create ~config ~capacity:8 () in
-  let r =
-    Maintain.apply_batch m
-      [ Event.Node_join { node = 0; edges = [] };
-        Event.Node_join { node = 1; edges = [ 0 ] };
-        Event.Node_join { node = 2; edges = [ 1 ] };
-        Event.Node_join { node = 3; edges = [ 2 ] } ]
-  in
-  Alcotest.(check bool) "region non-empty" true
-    (Array.length r.Maintain.region_nodes > 0);
-  (* Region repairs are fault-free, so the critical path must account
-     for every simulated round exactly. *)
-  Alcotest.(check int) "critpath_len = rounds" r.Maintain.rounds
-    r.Maintain.critpath_len;
-  (match
-     List.find_opt
-       (fun (name, _) -> name = "dyn.repair.critpath_len")
-       (Metrics.items (Metrics.snapshot reg))
-   with
-  | Some (_, Metrics.Histogram_v { v_count; _ }) ->
-    Alcotest.(check int) "one observation" 1 v_count
-  | Some _ -> Alcotest.fail "dyn.repair.critpath_len has the wrong kind"
-  | None -> Alcotest.fail "dyn.repair.critpath_len not recorded");
-  (* critpath off: no tracing, report says -1 *)
-  let m2 = Maintain.create ~capacity:8 () in
-  let r2 =
-    Maintain.apply_batch m2 [ Event.Node_join { node = 0; edges = [] } ]
-  in
-  Alcotest.(check int) "off by default" (-1) r2.Maintain.critpath_len
-
 (* --- Perfetto exports ---------------------------------------------------- *)
 
 let parse_ok what j =
@@ -452,8 +408,6 @@ let suite =
         Alcotest.test_case "prof span records" `Quick test_prof_span_records;
         Alcotest.test_case "prof recording off by default" `Quick
           test_prof_recording_off_by_default;
-        Alcotest.test_case "maintainer critpath stats" `Quick
-          test_maintain_critpath;
         Alcotest.test_case "protocol timeline" `Quick test_protocol_timeline;
         Alcotest.test_case "execution timeline" `Quick test_execution_timeline;
         Alcotest.test_case "timeline schema rejects" `Quick

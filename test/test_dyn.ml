@@ -286,6 +286,36 @@ let test_dyn_graph_views () =
     (View.node_active live 2);
   Alcotest.(check int) "live edges = both-alive" 1 (live_edge_count g)
 
+(* A warm join / [d] inserts / leave cycle on one slot allocates only
+   the position tables' hash cells (4 words per edge per side): the slot
+   keeps its neighbour array and its table's buckets across the leave. *)
+let test_rejoin_allocation_bound () =
+  let d = 10 in
+  let g = Dyn_graph.create ~capacity:256 in
+  for v = 1 to d do
+    ignore (Dyn_graph.join g v)
+  done;
+  let cycle () =
+    ignore (Dyn_graph.join g 0);
+    for v = 1 to d do
+      ignore (Dyn_graph.insert_edge g 0 v)
+    done;
+    ignore (Dyn_graph.leave g 0)
+  in
+  for _ = 1 to 100 do
+    cycle ()
+  done;
+  let cycles = 1000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to cycles do
+    cycle ()
+  done;
+  let per_cycle = (Gc.minor_words () -. w0) /. float_of_int cycles in
+  if per_cycle > float_of_int ((8 * d) + 16) then
+    Alcotest.failf "%.1f minor words per cycle at degree %d (bound %d)"
+      per_cycle d ((8 * d) + 16);
+  Alcotest.(check int) "node 0 left" 0 (live_edge_count g)
+
 (* --- maintainer -------------------------------------------------------- *)
 
 let strict_config ?(seed = 1) () =
@@ -574,8 +604,8 @@ let prop_classify_matches_snapshot =
 let out_on_first_run () =
   let first = ref true in
   { Maintain.alg_run =
-      (fun ?tracer view ~ids ~seed ->
-        let o = Maintain.default_config.Maintain.algorithm.Maintain.alg_run ?tracer view ~ids ~seed in
+      (fun view ~ids ~seed ->
+        let o = Maintain.default_config.Maintain.algorithm.Maintain.alg_run view ~ids ~seed in
         if not !first then o
         else begin
           first := false;
@@ -609,8 +639,27 @@ let test_violation_heals () =
     (Metrics.counter_value (Metrics.counter reg "dyn.invariant_violations"));
   match Maintain.check m with Ok () -> () | Error e -> Alcotest.fail e
 
-(* The kernel repairs by default; [critpath] sends every attempt through
-   the message engine instead, to trace it. Both must repair alike. *)
+(* The repair oracle: Luby's message program on the engine, with the
+   same (seed, global id)-keyed [luby_main] coins the kernel repair
+   draws. *)
+let engine_luby =
+  { Maintain.alg_run =
+      (fun view ~ids ~seed ->
+        let plan = Fairmis.Rand_plan.make seed in
+        let stage = Fairmis.Rand_plan.Stage.luby_main in
+        let o =
+          Mis_sim.Runtime.run ~ids
+            ~rng_of:(fun i ->
+              Fairmis.Rand_plan.node_stream plan ~stage ~node:ids.(i))
+            view
+            (Fairmis.Luby.program plan ~stage)
+        in
+        { Maintain.output = o.Mis_sim.Runtime.output;
+          decided = o.Mis_sim.Runtime.decided;
+          rounds = o.Mis_sim.Runtime.rounds }) }
+
+(* The default kernel repair and the engine oracle serve one churn
+   stream alike, batch by batch. *)
 let test_repair_kernel_equals_engine () =
   let params =
     { Churn.default with Churn.capacity = 256; initial = 160; batches = 60 }
@@ -621,8 +670,8 @@ let test_repair_kernel_equals_engine () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       Out_channel.with_open_text path (fun oc -> Churn.write_jsonl oc stream);
-      let serve critpath =
-        let config = { (strict_config ~seed:3 ()) with Maintain.critpath } in
+      let serve algorithm =
+        let config = { (strict_config ~seed:3 ()) with Maintain.algorithm } in
         let m = Maintain.create ~config ~capacity:params.Churn.capacity () in
         let seen = ref [] in
         let on_batch (r : Maintain.report) =
@@ -635,7 +684,8 @@ let test_repair_kernel_equals_engine () =
             ignore (Serve.run ~batch_size:max_int ~on_batch m ic));
         List.rev !seen
       in
-      let kernel = serve false and engine = serve true in
+      let kernel = serve Maintain.default_config.Maintain.algorithm
+      and engine = serve engine_luby in
       Alcotest.(check int) "batches" (List.length stream) (List.length kernel);
       List.iteri
         (fun i ((r1, n1, f1, m1), (r2, n2, f2, m2)) ->
@@ -953,7 +1003,9 @@ let suite =
     ( "dyn.graph",
       [ Alcotest.test_case "mutators and slot semantics" `Quick
           test_dyn_graph_ops;
-        Alcotest.test_case "snapshot views" `Quick test_dyn_graph_views ] );
+        Alcotest.test_case "snapshot views" `Quick test_dyn_graph_views;
+        Alcotest.test_case "warm rejoin allocation bound" `Quick
+          test_rejoin_allocation_bound ] );
     ( "dyn.maintain",
       [ Alcotest.test_case "config validation" `Quick test_config_validation;
         Alcotest.test_case "inapplicable events skip and count" `Quick

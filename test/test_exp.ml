@@ -6,6 +6,8 @@ module Table = Mis_exp.Table
 module Ascii_plot = Mis_exp.Ascii_plot
 module Topo_spec = Mis_exp.Topo_spec
 module Runners = Mis_exp.Runners
+module Measure = Mis_exp.Measure
+module Empirical = Mis_stats.Empirical
 module View = Mis_graph.View
 module Graph = Mis_graph.Graph
 
@@ -177,7 +179,7 @@ let test_fair_rooted_rejects_non_tree () =
 (* Registry *)
 
 let test_registry () =
-  Alcotest.(check int) "19 experiments" 19 (List.length Mis_exp.Registry.all);
+  Alcotest.(check int) "18 experiments" 18 (List.length Mis_exp.Registry.all);
   Alcotest.(check bool) "find table1" true (Mis_exp.Registry.find "table1" <> None);
   Alcotest.(check bool) "unknown" true (Mis_exp.Registry.find "nope" = None);
   let ids = Mis_exp.Registry.ids () in
@@ -322,6 +324,44 @@ let test_workloads_paper_numbers () =
   Alcotest.(check bool) "paper factor recorded" true
     (binary.Mis_exp.Workloads.paper_luby = Some 3.07)
 
+(* The multi-algorithm measure report on one 500-node random tree (the
+   Pruefer seed 64029 = 1 + 0xFA1C), 1,000 runs from seed 1: pinned
+   factors and join-probability ranges, and the same joins and CSV bytes
+   at 1 and 2 domains. *)
+let test_measure_report_pinned () =
+  let spec = "prufer:n=500,seed=64029" in
+  let view = View.full (Result.get_ok (Topo_spec.parse spec)) in
+  let report domains =
+    let cfg =
+      { Config.trials = 1000; seed = 1; domains = Some domains;
+        nyc = Config.Nyc_skip; full = false }
+    in
+    let csv = Filename.temp_file "fairmis_measure" ".csv" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove csv)
+      (fun () ->
+        let rows =
+          Measure.report ~csv cfg ~spec view [ Runners.fair_tree; Runners.luby ]
+        in
+        ( List.map
+            (fun { Measure.runner; joins; summary = s } ->
+              ( Printf.sprintf "%s %s %.3f-%.3f" runner.Runners.name
+                  (Table.float_cell s.Empirical.factor)
+                  s.Empirical.min_freq s.Empirical.max_freq,
+                Mis_obs.Fairness.joins joins ))
+            rows,
+          In_channel.with_open_bin csv In_channel.input_all ))
+  in
+  let rows1, csv1 = report 1 and rows2, csv2 = report 2 in
+  Alcotest.(check (list string)) "pinned factors"
+    [ "FairTree 2.85 0.260-0.740"; "Luby's 5.02 0.166-0.834" ]
+    (List.map fst rows1);
+  Alcotest.(check (list string)) "2 domains: same rows" (List.map fst rows1)
+    (List.map fst rows2);
+  Alcotest.(check (list Helpers.int_array)) "2 domains: same joins"
+    (List.map snd rows1) (List.map snd rows2);
+  Alcotest.(check string) "2 domains: same csv" csv1 csv2
+
 let suite =
   [ ( "exp.config",
       [ Alcotest.test_case "defaults" `Quick test_config_defaults;
@@ -335,7 +375,9 @@ let suite =
       [ Alcotest.test_case "faults rows domain-invariant" `Slow
           test_faults_rows_domain_invariant;
         Alcotest.test_case "estimate domain-invariant" `Quick
-          test_estimate_domain_invariant ] );
+          test_estimate_domain_invariant;
+        Alcotest.test_case "measure report pinned" `Quick
+          test_measure_report_pinned ] );
     ( "exp.render",
       [ Alcotest.test_case "table" `Quick test_table_render;
         Alcotest.test_case "float cell" `Quick test_table_float_cell;

@@ -10,7 +10,6 @@ module Openmetrics = Mis_obs.Openmetrics
 module Telemetry = Mis_obs.Telemetry
 module Trace = Mis_obs.Trace
 module Replay = Mis_obs.Replay
-module Runtime = Mis_sim.Runtime
 module Maintain = Mis_dyn.Maintain
 module Serve = Mis_dyn.Serve
 module Event = Mis_dyn.Event
@@ -435,7 +434,6 @@ let body_of response =
 
 let test_http_exposer () =
   let _stats, telemetry, _metrics = serve_with_telemetry ~slo:0.01 in
-  Telemetry.add_collector telemetry Runtime.collect_totals;
   let server = Telemetry.Http.start ~port:0 telemetry in
   Fun.protect
     ~finally:(fun () -> Telemetry.Http.stop server)
@@ -451,8 +449,8 @@ let test_http_exposer () =
         (String.ends_with ~suffix:"# EOF\n" body);
       Alcotest.(check bool) "serves the latency summary" true
         (contains body "dyn_repair_latency_seconds_count 5");
-      Alcotest.(check bool) "serves sim totals" true
-        (contains body "# TYPE sim_runs gauge");
+      Alcotest.(check bool) "no simulator gauges" false
+        (contains body "sim_");
       let hz = http_get ~port "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n" in
       Alcotest.(check bool) "healthz 200" true
         (String.starts_with ~prefix:"HTTP/1.1 200 OK" hz);
@@ -469,35 +467,6 @@ let test_http_exposer () =
         (String.starts_with ~prefix:"HTTP/1.1 405" post));
   (* stop is idempotent *)
   Telemetry.Http.stop server
-
-(* --- runtime global totals ---------------------------------------------- *)
-
-let test_runtime_totals () =
-  Runtime.reset_totals ();
-  let g = Helpers.random_tree ~seed:5 ~n:24 in
-  let view = Helpers.full g in
-  let plan = Fairmis.Rand_plan.make 7 in
-  let stage = Fairmis.Rand_plan.Stage.luby_main in
-  let outcome =
-    Runtime.run
-      ~rng_of:(fun i -> Fairmis.Rand_plan.node_stream plan ~stage ~node:i)
-      view
-      (Fairmis.Luby.program plan ~stage)
-  in
-  let t = Runtime.totals () in
-  Alcotest.(check int) "one run" 1 t.Runtime.t_runs;
-  Alcotest.(check int) "rounds totalled" outcome.Runtime.rounds
-    t.Runtime.t_rounds;
-  Alcotest.(check int) "messages totalled" outcome.Runtime.messages
-    t.Runtime.t_messages;
-  let reg = Metrics.create () in
-  Runtime.collect_totals reg;
-  let snap = Metrics.snapshot reg in
-  Alcotest.(check (option (float 1e-9))) "sim.runs gauge" (Some 1.)
-    (Metrics.find_gauge snap "sim.runs");
-  Alcotest.(check (option (float 1e-9))) "sim.messages gauge"
-    (Some (float_of_int outcome.Runtime.messages))
-    (Metrics.find_gauge snap "sim.messages")
 
 let suite =
   [ ( "obs.sketch",
@@ -518,6 +487,4 @@ let suite =
           test_recorder_bound_and_replay;
         Alcotest.test_case "serve wiring: sketch, slo, recorder, healthz"
           `Quick test_serve_sketch_and_slo;
-        Alcotest.test_case "http exposer" `Quick test_http_exposer;
-        Alcotest.test_case "runtime global totals" `Quick
-          test_runtime_totals ] ) ]
+        Alcotest.test_case "http exposer" `Quick test_http_exposer ] ) ]
