@@ -355,7 +355,7 @@ let run_xl_bench () =
   in
   print_gates [ run_gate; build_gate; fair_tree_gate ]
 
-(* Dynamic layer, three pairs over one pre-generated churn stream
+(* Dynamic layer, four pairs over one pre-generated churn stream
    (bootstrap included). Incremental maintainer ÷ one whose ladder starts
    and ends at Full_recompute isolates what the dirty-neighbourhood
    repair buys. Strict serving with the invariant check after every batch
@@ -365,11 +365,14 @@ let run_xl_bench () =
    engine); rebuilding a CSR snapshot per batch read 2.9-3.1. The
    stream's wire lines decoded by [Event.parse_line]'s direct scan ÷ the
    same lines through [Json.parse] + [Event.of_json] prices the decoder
-   (Q1 0.25-0.27). *)
+   (Q1 0.25-0.27). The stream's events applied to a fresh [Dyn_graph] ÷
+   the decode of its lines prices event application against the wire:
+   Q1 0.68-0.80 with twin-indexed links, 1.39-1.44 with a position hash
+   table per slot. *)
 let run_churn_bench () =
   print_endline
-    "== churn: direct decode vs JSON; incremental repair vs full recompute; \
-     checked vs unchecked";
+    "== churn: direct decode vs JSON; event application vs decode; \
+     incremental repair vs full recompute; checked vs unchecked";
   let params = { Mis_workload.Churn.default with Mis_workload.Churn.batches = 60 } in
   let stream = Mis_workload.Churn.generate (Mis_util.Splitmix.of_seed 11) params in
   let default = Mis_dyn.Maintain.default_config in
@@ -390,12 +393,31 @@ let run_churn_bench () =
       stream
   in
   let decode parse = block (fun () -> List.iter (fun l -> ignore (parse l)) lines) in
+  (* The topology updates the stream's events amount to, as the
+     maintainer applies them, on a fresh graph per repetition. *)
+  let module Dyn_graph = Mis_dyn.Dyn_graph in
+  let apply g = function
+    | Mis_dyn.Event.Node_join { node; edges } ->
+      if Dyn_graph.join g node then
+        List.iter (fun v -> ignore (Dyn_graph.insert_edge g node v)) edges
+    | Mis_dyn.Event.Node_leave { node } -> ignore (Dyn_graph.leave g node)
+    | Mis_dyn.Event.Node_crash { node } -> ignore (Dyn_graph.crash g node)
+    | Mis_dyn.Event.Edge_insert { u; v } -> ignore (Dyn_graph.insert_edge g u v)
+    | Mis_dyn.Event.Edge_delete { u; v } -> ignore (Dyn_graph.delete_edge g u v)
+  in
+  let topology =
+    block (fun () ->
+        let g = Dyn_graph.create ~capacity:params.Mis_workload.Churn.capacity in
+        List.iter (List.iter (apply g)) stream)
+  in
   let via_json l =
     match Json.parse l with Error e -> Error e | Ok v -> Mis_dyn.Event.of_json v
   in
   print_gates
     [ paired "wire/decode ÷ wire/json-parse+of_json" ~bound:0.4
         (decode Mis_dyn.Event.parse_line) (decode via_json);
+      paired "dyn/apply ÷ wire/decode" ~bound:1.15 topology
+        (decode Mis_dyn.Event.parse_line);
       paired "churn/repair-batch ÷ churn/repair-batch-full" ~bound:0.5
         (serve default)
         (serve { default with Mis_dyn.Maintain.ladder = [ Mis_dyn.Maintain.Full_recompute ] });
@@ -470,7 +492,7 @@ let sections =
     ("engine", "compiled-engine reuse vs per-run rebuild", run_engine_bench);
     ("kernel", "data-parallel sweeps vs the message engine", run_kernel_bench);
     ("xl", "n = 1e6 over 1e5 build and run; kernel FairTree at 1e6", run_xl_bench);
-    ("dyn", "direct decode vs JSON; incremental repair vs full recompute; checked vs unchecked serve", run_churn_bench);
+    ("dyn", "direct decode vs JSON; event application vs decode; incremental repair vs full recompute; checked vs unchecked serve", run_churn_bench);
     ("telemetry", "engine hot path with live telemetry on vs off", run_telemetry_bench);
     ("causal", "replay + critical-path analysis vs replay", run_causal_bench);
     ("workload", "real-world tree search + build vs one MST build", run_workload_bench) ]

@@ -337,7 +337,7 @@ let kernel_coins plan =
     luby_value = Rand_plan.node_values plan ~stage:Stage.fair_tree_luby }
 
 let run_kernel_on ?gamma kernel plan =
-  let n = Mis_graph.View.n (Mis_sim.Kernel.view kernel) in
+  let n = Mis_sim.Kernel.n kernel in
   let gamma = gamma_for ~n gamma in
   Mis_sim.Kernel.fair_tree
     ~max_rounds:(max_rounds_for ~n ~gamma)

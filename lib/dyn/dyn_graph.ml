@@ -1,28 +1,18 @@
-module Graph = Mis_graph.Graph
-module View = Mis_graph.View
 module Check = Mis_graph.Check
 
 type state = Absent | Alive | Crashed
 
-(* Slot-keyed tables: slot numbers are already spread, so they hash to
-   themselves and compare as ints, with no polymorphic primitives. *)
-module Slot_tbl = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash u = u
-end)
-
 (* Adjacency is symmetric and kept across crashes. Slot [u]'s neighbours
    are the first [deg.(u)] entries of [nbrs.(u)], in an order fixed by the
-   history of inserts and swap-removals; [pos.(u)] maps each neighbour to
-   its index there, for O(1) membership and removal. *)
+   history of inserts and swap-removals; [twin.(u).(i)] is the index of
+   [u] in the list of its [i]-th neighbour, so either end of a link finds
+   the other end's entry without a search. *)
 type t = {
   capacity : int;
   states : state array;
   nbrs : int array array;
+  twin : int array array;
   deg : int array;
-  pos : int Slot_tbl.t array;
   mutable alive_count : int;
 }
 
@@ -31,8 +21,8 @@ let create ~capacity =
   { capacity;
     states = Array.make capacity Absent;
     nbrs = Array.make capacity [||];
+    twin = Array.make capacity [||];
     deg = Array.make capacity 0;
-    pos = Array.init capacity (fun _ -> Slot_tbl.create 4);
     alive_count = 0 }
 
 let capacity t = t.capacity
@@ -59,45 +49,61 @@ let join t u =
     true
   | Alive | Crashed -> false
 
+(* The last index below [i + 1] where [a] holds [x], or -1. *)
+let rec index_of (a : int array) x i =
+  if i < 0 || a.(i) = x then i else index_of a x (i - 1)
+
+(* The index of [v] in [u]'s list, or -1, scanning whichever of the two
+   lists is shorter. *)
+let find t u v =
+  if t.deg.(u) <= t.deg.(v) then index_of t.nbrs.(u) v (t.deg.(u) - 1)
+  else
+    let j = index_of t.nbrs.(v) u (t.deg.(v) - 1) in
+    if j < 0 then -1 else t.twin.(v).(j)
+
 let mem_edge t u v =
   check_node t u "mem_edge";
   check_node t v "mem_edge";
-  Slot_tbl.mem t.pos.(u) v
+  find t u v >= 0
 
-(* One direction of an edge: append [v] to [u]'s neighbours, or move
-   [u]'s last neighbour into [v]'s place. *)
-let push t u v =
+(* Make room for one more entry in [u]'s list. *)
+let reserve t u =
   let d = t.deg.(u) in
   if d = Array.length t.nbrs.(u) then begin
-    let grown = Array.make (max 4 (2 * d)) 0 in
-    Array.blit t.nbrs.(u) 0 grown 0 d;
-    t.nbrs.(u) <- grown
-  end;
-  t.nbrs.(u).(d) <- v;
-  t.deg.(u) <- d + 1;
-  Slot_tbl.add t.pos.(u) v d
+    let grow a =
+      let b = Array.make (max 4 (2 * d)) 0 in
+      Array.blit a 0 b 0 d;
+      b
+    in
+    t.nbrs.(u) <- grow t.nbrs.(u);
+    t.twin.(u) <- grow t.twin.(u)
+  end
 
-let drop t u v =
-  let i = Slot_tbl.find t.pos.(u) v in
+(* Swap-removal of entry [i] from [u]'s list: the last entry moves into
+   its place, and the moved link's far end learns the new index. *)
+let remove_at t u i =
   let last = t.deg.(u) - 1 in
-  let w = t.nbrs.(u).(last) in
-  t.nbrs.(u).(i) <- w;
-  if w <> v then Slot_tbl.replace t.pos.(u) w i;
-  Slot_tbl.remove t.pos.(u) v;
+  if i < last then begin
+    let w = t.nbrs.(u).(last) and j = t.twin.(u).(last) in
+    t.nbrs.(u).(i) <- w;
+    t.twin.(u).(i) <- j;
+    t.twin.(w).(j) <- i
+  end;
   t.deg.(u) <- last
 
 let leave t u =
   check_node t u "leave";
   match t.states.(u) with
   | Alive ->
+    (* Removing [u] from a neighbour's list never moves an entry of
+       [u]'s own, so its twins stay valid through the loop. *)
     for i = 0 to t.deg.(u) - 1 do
-      drop t t.nbrs.(u).(i) u
+      remove_at t t.nbrs.(u).(i) t.twin.(u).(i)
     done;
-    (* The slot keeps its neighbour array and its table's buckets, so a
-       rejoin regrows neither. What stays held is each slot's largest
-       past degree: bounded by the live graph's worst case. *)
+    (* The slot keeps its arrays, so a rejoin regrows neither. What stays
+       held is each slot's largest past degree: bounded by the live
+       graph's worst case. *)
     t.deg.(u) <- 0;
-    Slot_tbl.clear t.pos.(u);
     t.states.(u) <- Absent;
     t.alive_count <- t.alive_count - 1;
     true
@@ -116,47 +122,38 @@ let crash t u =
 let insert_edge t u v =
   check_node t u "insert_edge";
   check_node t v "insert_edge";
-  if u = v || t.states.(u) <> Alive || t.states.(v) <> Alive
-     || Slot_tbl.mem t.pos.(u) v
+  if u = v || t.states.(u) <> Alive || t.states.(v) <> Alive || find t u v >= 0
   then false
   else begin
-    push t u v;
-    push t v u;
+    reserve t u;
+    reserve t v;
+    let du = t.deg.(u) and dv = t.deg.(v) in
+    t.nbrs.(u).(du) <- v;
+    t.twin.(u).(du) <- dv;
+    t.nbrs.(v).(dv) <- u;
+    t.twin.(v).(dv) <- du;
+    t.deg.(u) <- du + 1;
+    t.deg.(v) <- dv + 1;
     true
   end
 
 let delete_edge t u v =
   check_node t u "delete_edge";
   check_node t v "delete_edge";
-  if u = v || t.states.(u) <> Alive || t.states.(v) <> Alive
-     || not (Slot_tbl.mem t.pos.(u) v)
-  then false
+  let i =
+    if u = v || t.states.(u) <> Alive || t.states.(v) <> Alive then -1
+    else find t u v
+  in
+  if i < 0 then false
   else begin
-    drop t u v;
-    drop t v u;
+    (* [u]'s side first: the order of the swap-removals fixes the lists'
+       order, which the dirty order follows. It moves no entry of [v]'s
+       list, so [j] stays valid. *)
+    let j = t.twin.(u).(i) in
+    remove_at t u i;
+    remove_at t v j;
     true
   end
-
-let iter_adj_alive t u f =
-  check_node t u "iter_adj_alive";
-  for i = 0 to t.deg.(u) - 1 do
-    let v = t.nbrs.(u).(i) in
-    if t.states.(v) = Alive then f v
-  done
-
-let adj_alive_sorted t u =
-  let acc = ref [] in
-  iter_adj_alive t u (fun v -> acc := v :: !acc);
-  let a = Array.of_list !acc in
-  Array.sort Int.compare a;
-  a
-
-let alive_nodes t =
-  let acc = ref [] in
-  for u = t.capacity - 1 downto 0 do
-    if t.states.(u) = Alive then acc := u :: !acc
-  done;
-  Array.of_list !acc
 
 (* Whether an alive neighbour of [u] is in [set]. *)
 let member_neighbor t set u =
@@ -189,20 +186,3 @@ let classify t set =
   if !dependent then Check.Not_independent
   else if !uncovered then Check.Not_maximal
   else Check.Mis
-
-(* The alive subgraph as a CSR. Edges are collected normalized (u < v) and
-   sorted so the CSR is a deterministic function of the graph's contents,
-   not of the adjacency order. The pairs are compared as ints, not with
-   the polymorphic [compare]. *)
-let live_view t =
-  let acc = ref [] in
-  for u = 0 to t.capacity - 1 do
-    if t.states.(u) = Alive then
-      iter_adj_alive t u (fun v -> if u < v then acc := (u, v) :: !acc)
-  done;
-  let edges = Array.of_list !acc in
-  Array.sort
-    (fun (a, b) (c, d) -> if a <> c then Int.compare a c else Int.compare b d)
-    edges;
-  let g = Graph.of_edge_array ~n:t.capacity edges in
-  View.restrict ~nodes:(Array.init t.capacity (fun u -> t.states.(u) = Alive)) g

@@ -4,11 +4,19 @@
 
     The static {!Mis_graph.Graph.t} is an immutable CSR — right for the
     batch simulator, wrong for a structure mutated by every churn event.
-    This module keeps each slot's neighbours in a flat array with a hash
-    index, for O(1) edge updates and closure-free scans. The invariant
-    checker reads that structure in place ({!classify}); only the
-    full-recompute rung of the degradation ladder, which runs a static
-    program, takes a CSR snapshot ({!live_view}).
+    This module keeps each slot's neighbours in a flat array together
+    with a twin array: [twin.(u).(i)] is where [u] sits in the list of
+    its [i]-th neighbour. A link's far-end entry is therefore found
+    without a search, so {!leave} and the swap-removals of
+    {!delete_edge} cost O(1) per link. Finding a link from its two
+    endpoints ({!insert_edge}, {!delete_edge}, {!mem_edge}) scans the
+    shorter of their two lists: O(min (deg u, deg v)). No hash table is
+    kept, and a slot that leaves keeps its arrays, so a warm
+    join / insert / leave cycle allocates nothing.
+
+    The record is readable, not writable, outside this module: the
+    maintainer and the invariant checker ({!classify}) scan the arrays
+    in place with closure-free loops.
 
     Semantics of the three slot states:
     - {b absent}: never joined, or left cleanly; the slot is reusable;
@@ -16,9 +24,20 @@
     - {b crashed}: crash-stop — dead forever, links kept (they become
       unusable because the endpoint is masked), slot never reused. *)
 
-type t
-
 type state = Absent | Alive | Crashed
+
+type t = private {
+  capacity : int;
+  states : state array;
+  nbrs : int array array;
+      (** Slot [u]'s neighbours are [nbrs.(u).(0 .. deg.(u) - 1)], links
+          at crashed slots included, in an order fixed by the history of
+          inserts and swap-removals. *)
+  twin : int array array;
+      (** [nbrs.(nbrs.(u).(i)).(twin.(u).(i)) = u] for [i < deg.(u)]. *)
+  deg : int array;
+  mutable alive_count : int;
+}
 
 val create : capacity:int -> t
 (** All slots absent. @raise Invalid_argument if [capacity < 1]. *)
@@ -54,15 +73,6 @@ val mem_edge : t -> int -> int -> bool
 
 (** {1 Reading} *)
 
-val iter_adj_alive : t -> int -> (int -> unit) -> unit
-(** Alive neighbors of [u], in an order fixed by the graph's history
-    of edge updates (callers that need a canonical order sort; see
-    {!adj_alive_sorted}). *)
-
-val adj_alive_sorted : t -> int -> int array
-val alive_nodes : t -> int array
-(** Sorted. *)
-
 val classify : t -> bool array -> Mis_graph.Check.verdict
 (** [classify g set]: whether [set] (indexed by slot) is a maximal
     independent set of the alive subgraph, with the verdicts and
@@ -74,7 +84,3 @@ val classify : t -> bool array -> Mis_graph.Check.verdict
     pass over the slots and their adjacency arrays, O(capacity + edges);
     allocates nothing.
     @raise Invalid_argument unless [Array.length set = capacity g]. *)
-
-val live_view : t -> Mis_graph.View.t
-(** Snapshot of the alive subgraph only (crashed and absent masked out):
-    the graph the maintained MIS must be maximal on. *)

@@ -1,5 +1,3 @@
-module Graph = Mis_graph.Graph
-module View = Mis_graph.View
 module Check = Mis_graph.Check
 module Kernel = Mis_sim.Kernel
 module Trace = Mis_obs.Trace
@@ -10,31 +8,9 @@ module Rand_plan = Fairmis.Rand_plan
 
 let spf = Printf.sprintf
 
-type outcome = { output : bool array; decided : bool array; rounds : int }
-
-type algorithm = {
-  alg_run : Mis_graph.View.t -> ids:int array -> seed:int -> outcome;
-}
-
-(* Luby on the kernel, with the (seed, global id)-keyed coins of
-   [Rand_plan.Stage.luby_main]. *)
-let luby =
-  { alg_run =
-      (fun view ~ids ~seed ->
-        let o =
-          Kernel.luby
-            ~value_of:
-              (Rand_plan.node_values (Rand_plan.make seed)
-                 ~stage:Rand_plan.Stage.luby_main)
-            (Kernel.create ~ids view)
-        in
-        { output = o.Kernel.output; decided = o.Kernel.decided;
-          rounds = o.Kernel.rounds }) }
-
 type rung = Radius of int | Full_recompute
 
 type config = {
-  algorithm : algorithm;
   ladder : rung list;
   strict : bool;
   check_every : int;
@@ -48,8 +24,7 @@ type config = {
 }
 
 let default_config =
-  { algorithm = luby;
-    ladder = [ Radius 1; Radius 2; Full_recompute ];
+  { ladder = [ Radius 1; Radius 2; Full_recompute ];
     strict = false;
     check_every = 0;
     timeout = None;
@@ -64,9 +39,11 @@ let default_config =
    reused by every attempt: a slot is dirty in the current attempt when
    its [mark] equals [epoch], so starting an attempt is one increment.
    [order] lists the dirty slots in marking order (the BFS queue and the
-   closure worklist); [slot] holds a dirty slot's region index, or -1
-   when it is covered by a frozen member. [seeded] stamps each slot with
-   the last batch that seeded it. *)
+   closure worklist); [slot] holds a region slot's index, or -1 when a
+   frozen member covers it. [seeded] stamps each slot with the last batch
+   that seeded it, and [seeds] lists the batch's first [nseeds] seeds.
+   [off] and [adj] are the region's CSR over region indices, handed to
+   the kernel in place; [adj] grows to the largest region's links. *)
 type t = {
   cfg : config;
   g : Dyn_graph.t;
@@ -79,6 +56,10 @@ type t = {
   slot : int array;
   order : int array;
   seeded : int array;
+  seeds : int array;
+  mutable nseeds : int;
+  off : int array;
+  mutable adj : int array;
   mutable epoch : int;
 }
 
@@ -111,6 +92,10 @@ let create ?(config = default_config) ~capacity () =
     slot = Array.make capacity 0;
     order = Array.make capacity 0;
     seeded = Array.make capacity 0;
+    seeds = Array.make capacity 0;
+    nseeds = 0;
+    off = Array.make (capacity + 1) 0;
+    adj = Array.make (4 * capacity) 0;
     epoch = 0 }
 
 let config t = t.cfg
@@ -171,9 +156,17 @@ let count_event t ev =
 
 (* --- event application -------------------------------------------------- *)
 
-(* Apply one event; accumulate dirty seeds (alive nodes whose validity may
-   have broken) and return (applied, skipped) deltas. The seeding rules
-   are the minimal sound ones:
+(* A seed is an alive node whose validity the batch may have broken;
+   each slot is listed at most once per batch. *)
+let seed_node t u =
+  if t.seeded.(u) <> t.batches then begin
+    t.seeded.(u) <- t.batches;
+    t.seeds.(t.nseeds) <- u;
+    t.nseeds <- t.nseeds + 1
+  end
+
+(* Apply one event; accumulate dirty seeds and return (applied, skipped)
+   deltas. The seeding rules are the minimal sound ones:
    - an inserted edge breaks independence only when both endpoints are
      members;
    - a deleted member/non-member edge may un-cover the non-member end;
@@ -181,7 +174,7 @@ let count_event t ev =
      free when a frozen member neighbors it);
    - a departed or crashed member may have been the only cover of each of
      its neighbors. *)
-let apply_event t ~seed_node ev =
+let apply_event t ev =
   let g = t.g in
   let cap = Dyn_graph.capacity g in
   let in_range u = u >= 0 && u < cap in
@@ -190,42 +183,37 @@ let apply_event t ~seed_node ev =
     if (not (in_range node)) || not (Dyn_graph.join g node) then (0, 1)
     else begin
       t.mem.(node) <- false;
-      seed_node node;
+      seed_node t node;
       (* Dead or out-of-range endpoints are skipped and counted, the join
-         itself still applies. *)
+         itself still applies. [node] is not a member yet, so the
+         member-member insert rule cannot fire; the join seed covers it. *)
       let skipped = ref 0 in
       List.iter
         (fun v ->
-          if in_range v && Dyn_graph.insert_edge g node v then begin
-            (* [node] is not a member yet, so the member-member insert
-               rule cannot fire; the join seed already covers it. *)
-            ()
-          end
-          else incr skipped)
+          if not (in_range v && Dyn_graph.insert_edge g node v) then
+            incr skipped)
         edges;
       (1, !skipped)
     end
-  | Event.Node_leave { node } ->
+  | Event.Node_leave { node } | Event.Node_crash { node } ->
     if not (in_range node) then (0, 1)
     else begin
-      let was_member = t.mem.(node) in
-      let former = if was_member then Dyn_graph.adj_alive_sorted g node else [||] in
-      if not (Dyn_graph.leave g node) then (0, 1)
+      (* A member is alive, so the leave or crash below applies; its
+         neighbours are read before a leave drops them. *)
+      if t.mem.(node) then begin
+        let a = g.Dyn_graph.nbrs.(node) in
+        for i = 0 to g.Dyn_graph.deg.(node) - 1 do
+          if g.Dyn_graph.states.(a.(i)) = Dyn_graph.Alive then seed_node t a.(i)
+        done
+      end;
+      let applied =
+        match ev with
+        | Event.Node_leave _ -> Dyn_graph.leave g node
+        | _ -> Dyn_graph.crash g node
+      in
+      if not applied then (0, 1)
       else begin
         t.mem.(node) <- false;
-        Array.iter seed_node former;
-        (1, 0)
-      end
-    end
-  | Event.Node_crash { node } ->
-    if not (in_range node) then (0, 1)
-    else begin
-      let was_member = t.mem.(node) in
-      let former = if was_member then Dyn_graph.adj_alive_sorted g node else [||] in
-      if not (Dyn_graph.crash g node) then (0, 1)
-      else begin
-        t.mem.(node) <- false;
-        Array.iter seed_node former;
         (1, 0)
       end
     end
@@ -235,8 +223,8 @@ let apply_event t ~seed_node ev =
     then (0, 1)
     else begin
       if t.mem.(u) && t.mem.(v) then begin
-        seed_node u;
-        seed_node v
+        seed_node t u;
+        seed_node t v
       end;
       (1, 0)
     end
@@ -245,48 +233,61 @@ let apply_event t ~seed_node ev =
        || not (Dyn_graph.delete_edge g u v)
     then (0, 1)
     else begin
-      (if t.mem.(u) && not t.mem.(v) then seed_node v
-       else if t.mem.(v) && not t.mem.(u) then seed_node u
+      (if t.mem.(u) && not t.mem.(v) then seed_node t v
+       else if t.mem.(v) && not t.mem.(u) then seed_node t u
        else if t.mem.(u) && t.mem.(v) then begin
          (* Only reachable from an already-broken state; repair both. *)
-         seed_node u;
-         seed_node v
+         seed_node t u;
+         seed_node t v
        end);
       (1, 0)
     end
 
 (* --- repair ------------------------------------------------------------- *)
 
+(* An accepted attempt's proposal, committed only once the attempt is
+   accepted: the dirty nodes a frozen member covers leave the set, and
+   each region node takes the kernel's verdict. *)
 type attempt_result = {
-  a_dirty : int;
-  a_region : int array;  (* sorted global numbers handed to the program *)
+  a_covered : int array;  (* sorted *)
+  a_region : int array;  (* sorted global numbers handed to the kernel *)
+  a_output : bool array;  (* by region index *)
   a_rounds : int;
-  a_changes : (int * bool) list;  (* proposed membership of dirty nodes *)
 }
+
+(* Mark [v] dirty and append it to [order] at [len], unless it is dead
+   or already marked in epoch [e]; returns the new length. *)
+let[@inline] push t e len v =
+  if t.g.Dyn_graph.states.(v) = Dyn_graph.Alive && t.mark.(v) <> e then begin
+    t.mark.(v) <- e;
+    t.order.(len) <- v;
+    len + 1
+  end
+  else len
+
+let push_neighbours t e len u =
+  let a = t.g.Dyn_graph.nbrs.(u) and len = ref len in
+  for i = 0 to t.g.Dyn_graph.deg.(u) - 1 do
+    len := push t e !len a.(i)
+  done;
+  !len
 
 (* Dirty closure at [radius]: BFS-widen the seeds by [radius - 1] hops,
    then close under "alive neighbors of dirty members are dirty" (those
    neighbors may lose their cover when the member is re-decided). Opens a
    new epoch and returns how many slots it marked, listed in
    [t.order]. *)
-let dirty_set t ~seeds ~radius =
-  let g = t.g and mark = t.mark and order = t.order in
+let dirty_set t ~radius =
   t.epoch <- t.epoch + 1;
-  let e = t.epoch in
-  let len = ref 0 in
-  let add v =
-    if mark.(v) <> e then begin
-      mark.(v) <- e;
-      order.(!len) <- v;
-      incr len
-    end
-  in
-  List.iter (fun u -> if Dyn_graph.alive g u then add u) seeds;
+  let e = t.epoch and len = ref 0 in
+  for i = 0 to t.nseeds - 1 do
+    len := push t e !len t.seeds.(i)
+  done;
   let layer = ref 0 in
   for _ = 2 to radius do
     let stop = !len in
     for i = !layer to stop - 1 do
-      Dyn_graph.iter_adj_alive g order.(i) add
+      len := push_neighbours t e !len t.order.(i)
     done;
     layer := stop
   done;
@@ -294,112 +295,158 @@ let dirty_set t ~seeds ~radius =
      pull in members whose dependents must follow. *)
   let i = ref 0 in
   while !i < !len do
-    let u = order.(!i) in
-    if t.mem.(u) then Dyn_graph.iter_adj_alive g u add;
+    let u = t.order.(!i) in
+    if t.mem.(u) then len := push_neighbours t e !len u;
     incr i
   done;
   !len
+
+(* Whether an alive member outside the dirty set neighbours [u]. *)
+let frozen_cover t e u =
+  let g = t.g in
+  let a = g.Dyn_graph.nbrs.(u) and stop = g.Dyn_graph.deg.(u) in
+  let hit = ref false and i = ref 0 in
+  while (not !hit) && !i < stop do
+    let v = a.(!i) in
+    if t.mem.(v) && t.mark.(v) <> e && g.Dyn_graph.states.(v) = Dyn_graph.Alive
+    then hit := true;
+    incr i
+  done;
+  !hit
+
+(* In-place heap sort of [a.(0 .. len-1)]: ints compared inline, where
+   the stdlib's sorts call a closure and read the array polymorphically
+   (a 110-node dirty set took 14 us that way, more than its repair). *)
+let rec sift (a : int array) i stop =
+  let l = (2 * i) + 1 in
+  let c = if l + 1 < stop && a.(l + 1) > a.(l) then l + 1 else l in
+  if c < stop && a.(c) > a.(i) then begin
+    let x = a.(i) in
+    a.(i) <- a.(c);
+    a.(c) <- x;
+    sift a c stop
+  end
+
+let sort_prefix a len =
+  for i = (len / 2) - 1 downto 0 do
+    sift a i len
+  done;
+  for stop = len - 1 downto 1 do
+    let x = a.(0) in
+    a.(0) <- a.(stop);
+    a.(stop) <- x;
+    sift a 0 stop
+  done
 
 let attempt_seed t ~batch ~attempt =
   Int64.to_int
     (Splitmix.derive (Int64.of_int t.cfg.seed) [ 0xD71A; batch; attempt ])
   land max_int
 
-(* One repair attempt. Returns the proposed membership changes without
-   committing them, so a timed-out or incomplete attempt leaves the
+(* One repair attempt: list the rung's candidates in ascending order in
+   [t.order], drop those a frozen member covers, write the rest's CSR
+   into [t.off] / [t.adj], and run Luby on the kernel with the (seed,
+   global id)-keyed [luby_main] coins. Returns the proposal without
+   committing it, so a timed-out or incomplete attempt leaves the
    maintained state untouched for the next rung. *)
-let run_attempt t ~batch ~attempt ~seeds rung =
-  let g = t.g in
-  let seed = attempt_seed t ~batch ~attempt in
-  match rung with
-  | Full_recompute ->
-    let ids = Array.init (Dyn_graph.capacity g) Fun.id in
-    let o =
-      t.cfg.algorithm.alg_run (Dyn_graph.live_view g) ~ids ~seed
-    in
-    let alive = Dyn_graph.alive_nodes g in
-    if not (Array.for_all (fun u -> o.decided.(u)) alive) then None
-    else
-      Some
-        { a_dirty = Array.length alive;
-          a_region = alive;
-          a_rounds = o.rounds;
-          a_changes =
-            Array.to_list (Array.map (fun u -> (u, o.output.(u))) alive) }
-  | Radius radius ->
-    let dirty = Array.sub t.order 0 (dirty_set t ~seeds ~radius) in
-    Array.sort Int.compare dirty;
-    let e = t.epoch and mark = t.mark and slot = t.slot in
-    (* Frozen-member exclusion: a dirty node adjacent to a member outside
-       the dirty set is covered by it and must stay out of the set. The
-       rest get region indices in ascending node order. *)
-    let k = ref 0 in
-    Array.iter
-      (fun u ->
-        let covered = ref false in
-        Dyn_graph.iter_adj_alive g u (fun v ->
-            if t.mem.(v) && mark.(v) <> e then covered := true);
-        if !covered then slot.(u) <- -1
-        else begin
-          slot.(u) <- !k;
-          incr k
-        end)
-      dirty;
-    let region = Array.make !k 0 in
-    Array.iter (fun u -> if slot.(u) >= 0 then region.(slot.(u)) <- u) dirty;
-    let covered =
-      Array.fold_right
-        (fun u acc -> if slot.(u) < 0 then (u, false) :: acc else acc)
-        dirty []
-    in
-    if !k = 0 then
-      Some
-        { a_dirty = Array.length dirty;
-          a_region = [||];
-          a_rounds = 0;
-          a_changes = covered }
+let run_attempt t ~batch ~attempt rung =
+  let g = t.g and order = t.order and mark = t.mark and slot = t.slot in
+  let cap = Dyn_graph.capacity g in
+  let len, exclude =
+    match rung with
+    | Full_recompute ->
+      (* Every alive node, in slot order; no member lies outside the set
+         to cover one. *)
+      t.epoch <- t.epoch + 1;
+      let len = ref 0 in
+      for u = 0 to cap - 1 do
+        len := push t t.epoch !len u
+      done;
+      (!len, false)
+    | Radius radius ->
+      let len = dirty_set t ~radius in
+      sort_prefix order len;
+      (len, true)
+  in
+  let e = t.epoch in
+  (* Frozen-member exclusion: a dirty node adjacent to a member outside
+     the dirty set is covered by it and must stay out of the set. The
+     rest get region indices in ascending node order. *)
+  let k = ref 0 and need = ref 0 in
+  for i = 0 to len - 1 do
+    let u = order.(i) in
+    if exclude && frozen_cover t e u then slot.(u) <- -1
     else begin
-      (* The induced edges: counted, then written back to front. *)
-      let inner u v = u < v && mark.(v) = e && slot.(v) >= 0 in
-      let m = ref 0 in
-      Array.iter
-        (fun u ->
-          Dyn_graph.iter_adj_alive g u (fun v -> if inner u v then incr m))
-        region;
-      let edges = Array.make !m (0, 0) in
-      Array.iteri
-        (fun i u ->
-          Dyn_graph.iter_adj_alive g u (fun v ->
-              if inner u v then begin
-                decr m;
-                edges.(!m) <- (i, slot.(v))
-              end))
-        region;
-      let sub = Graph.of_edge_array ~n:!k edges in
-      let o =
-        t.cfg.algorithm.alg_run (View.full sub) ~ids:region ~seed
-      in
-      if not (Array.for_all Fun.id o.decided) then None
-      else
-        Some
-          { a_dirty = Array.length dirty;
-            a_region = region;
-            a_rounds = o.rounds;
-            a_changes =
-              covered
-              @ Array.to_list
-                  (Array.mapi (fun i u -> (u, o.output.(i))) region) }
+      slot.(u) <- !k;
+      incr k;
+      need := !need + g.Dyn_graph.deg.(u)
     end
-
-let emit_decisions t ~batch changes =
-  let sink = t.cfg.decisions in
-  if not (Trace.is_null sink) then begin
-    List.iter
-      (fun (u, m) ->
-        sink.Trace.emit (Trace.Decide { round = batch; node = u; in_mis = m }))
-      changes;
-    sink.Trace.flush ()
+  done;
+  if Array.length t.adj < !need then
+    t.adj <- Array.make (max !need (2 * Array.length t.adj)) 0;
+  let region = Array.make !k 0 and covered = Array.make (len - !k) 0 in
+  let adj = t.adj and s = ref 0 and c = ref 0 and fill = ref 0 in
+  for i = 0 to len - 1 do
+    let u = order.(i) in
+    if slot.(u) < 0 then begin
+      covered.(!c) <- u;
+      incr c
+    end
+    else begin
+      region.(!s) <- u;
+      let a = g.Dyn_graph.nbrs.(u) in
+      for j = 0 to g.Dyn_graph.deg.(u) - 1 do
+        let v = a.(j) in
+        if mark.(v) = e && slot.(v) >= 0 then begin
+          adj.(!fill) <- slot.(v);
+          incr fill
+        end
+      done;
+      incr s;
+      t.off.(!s) <- !fill
+    end
+  done;
+  let accept output rounds =
+    Some
+      { a_covered = covered; a_region = region;
+        a_output = output; a_rounds = rounds }
+  in
+  if !k = 0 then accept [||] 0
+  else begin
+    let o =
+      Kernel.luby
+        ?max_rounds:
+          (match rung with
+          | Full_recompute ->
+            (* The budget of a run over the whole universe of slots. *)
+            Some (Kernel.luby_max_rounds cap)
+          | Radius _ -> None)
+        ~value_of:
+          (Rand_plan.node_values
+             (Rand_plan.make (attempt_seed t ~batch ~attempt))
+             ~stage:Rand_plan.Stage.luby_main)
+        (Kernel.of_slots ~ids:region ~off:t.off ~adj)
+    in
+    if Array.for_all Fun.id o.Kernel.decided then
+      accept o.Kernel.output o.Kernel.rounds
+    else None
   end
+
+(* Commit an accepted proposal and emit its decisions; returns how many
+   memberships changed. *)
+let commit t ~batch r =
+  let sink = t.cfg.decisions in
+  let flips = ref 0 in
+  let set u m =
+    if t.mem.(u) <> m then incr flips;
+    t.mem.(u) <- m;
+    if not (Trace.is_null sink) then
+      sink.Trace.emit (Trace.Decide { round = batch; node = u; in_mis = m })
+  in
+  Array.iter (fun u -> set u false) r.a_covered;
+  Array.iteri (fun i u -> set u r.a_output.(i)) r.a_region;
+  if not (Trace.is_null sink) then sink.Trace.flush ();
+  !flips
 
 let check t =
   match Dyn_graph.classify t.g t.mem with
@@ -414,7 +461,7 @@ let check t =
 
 (* Climb the ladder; each rung gets a fresh attempt against the
    un-committed pre-repair state. *)
-let repair t ~batch ~seeds =
+let repair t ~batch =
   let rec go attempt total = function
     | [] ->
       raise
@@ -430,7 +477,7 @@ let repair t ~batch ~seeds =
       let t0 = t.cfg.clock () in
       let result =
         Prof.gspan "dyn.repair.attempt" (fun () ->
-            run_attempt t ~batch ~attempt ~seeds rung)
+            run_attempt t ~batch ~attempt rung)
       in
       let elapsed = max 0. (t.cfg.clock () -. t0) in
       let total = total +. elapsed in
@@ -453,37 +500,23 @@ let apply_batch t events =
       t.batches <- t.batches + 1;
       let batch = t.batches in
       mcount t "dyn.batches" 1;
-      let seeds = ref [] in
-      let seed_node u =
-        if t.seeded.(u) <> batch then begin
-          t.seeded.(u) <- batch;
-          seeds := u :: !seeds
-        end
-      in
+      t.nseeds <- 0;
       let applied = ref 0 and skipped = ref 0 in
       List.iter
         (fun ev ->
-          let a, s = apply_event t ~seed_node ev in
+          let a, s = apply_event t ev in
           count_event t ev;
           applied := !applied + a;
           skipped := !skipped + s)
         events;
       mcount t "dyn.events.skipped" !skipped;
-      (* Seeds list in first-marked order; keep deterministic. *)
-      let seeds = List.rev !seeds in
-      let result, attempts, rung, elapsed = repair t ~batch ~seeds in
-      (* Commit. *)
-      let flips = ref 0 in
-      List.iter
-        (fun (u, m) ->
-          if t.mem.(u) <> m then incr flips;
-          t.mem.(u) <- m)
-        result.a_changes;
-      emit_decisions t ~batch result.a_changes;
+      let result, attempts, rung, elapsed = repair t ~batch in
+      let flips = commit t ~batch result in
       let full = rung = Full_recompute in
       if full then mcount t "dyn.repair.full_recomputes" 1;
-      mcount t "dyn.flips" !flips;
-      mobserve t "dyn.repair.dirty_nodes" result.a_dirty;
+      mcount t "dyn.flips" flips;
+      let dirty = Array.length result.a_covered + Array.length result.a_region in
+      mobserve t "dyn.repair.dirty_nodes" dirty;
       mobserve t "dyn.repair.region_nodes" (Array.length result.a_region);
       (match t.cfg.metrics with
       | None -> ()
@@ -505,12 +538,8 @@ let apply_batch t events =
           if t.cfg.strict then raise (Invariant_violation msg);
           (* Graceful degradation: force the floor of the ladder. *)
           healed := true;
-          (match
-             run_attempt t ~batch ~attempt:(attempts + 1) ~seeds Full_recompute
-           with
-          | Some r ->
-            List.iter (fun (u, m) -> t.mem.(u) <- m) r.a_changes;
-            emit_decisions t ~batch r.a_changes
+          (match run_attempt t ~batch ~attempt:(attempts + 1) Full_recompute with
+          | Some r -> ignore (commit t ~batch r)
           | None -> raise (Invariant_violation msg));
           (match check t with
           | Ok () -> ()
@@ -535,12 +564,12 @@ let apply_batch t events =
         events = List.length events;
         applied = !applied;
         skipped = !skipped;
-        dirty = result.a_dirty;
+        dirty;
         region_nodes = result.a_region;
         rounds = result.a_rounds;
         attempts;
         escalated = attempts > 1 || !healed;
         full_recompute = full || !healed;
         repair_seconds = elapsed;
-        flips = !flips;
+        flips;
         live = Dyn_graph.alive_count t.g })

@@ -1,7 +1,7 @@
 (** The incremental maintainer: keeps a live MIS valid across batches of
-    topology events by re-running the configured program only on the
-    dirty neighborhood, inside a robustness envelope (per-batch timeout,
-    bounded retry with an escalating repair radius, full recompute as the
+    topology events by re-running Luby only on the dirty neighborhood,
+    inside a robustness envelope (per-batch timeout, bounded retry with
+    an escalating repair radius, full recompute as the
     graceful-degradation floor, and an invariant checker that hard-fails
     fast in strict mode).
 
@@ -15,25 +15,33 @@
     "every alive neighbor of a dirty member is dirty" (those neighbors
     may lose their cover). Members outside the dirty set are {e frozen}:
     dirty nodes adjacent to a frozen member are covered and drop out;
-    the rest form the {e region}, an induced subgraph handed to the
-    configured algorithm with the {e global} node numbers as ids, so a
-    node's coins do not depend on how the region was carved. The union
-    of the frozen part and the region's MIS is an MIS of the whole live
-    graph.
+    the rest form the {e region}, an induced subgraph handed to Luby
+    with the {e global} node numbers as ids, so a node's coins do not
+    depend on how the region was carved. The union of the frozen part
+    and the region's MIS is an MIS of the whole live graph.
 
-    {b Region build.} The dirty set, the region's slot map and the seed
-    marks are int arrays of the maintainer's capacity, allocated once in
-    {!create} and reset by epoch stamps, so an attempt allocates in
-    proportion to its region, not to the capacity: its sorted node
-    list, its edge array and the subgraph's CSR
-    ({!Mis_graph.Graph.of_edge_array}).
+    {b Region build.} Both rungs build their region straight from
+    {!Dyn_graph}'s arrays with closure-free loops. A [Radius] rung's
+    region is the sorted dirty set minus the frozen-covered nodes; a
+    [Full_recompute]'s is every alive node, in slot order. The dirty
+    set, the seeds, the region's slot map and its CSR (offsets and
+    region-index adjacency) live in arrays allocated once in {!create}
+    (the adjacency buffer grows to the largest region's links), and the
+    dirty marks are reset by bumping an epoch stamp. An attempt
+    therefore allocates in proportion to its region, not to the
+    capacity: its sorted node lists, the kernel's slot maps and scratch,
+    and the outcome.
 
-    {b Kernel.} The default Luby repair compiles the region with
-    {!Mis_sim.Kernel.create} (the region's global numbers as ids) and
-    runs {!Mis_sim.Kernel.luby} on the [Rand_plan.Stage.luby_main]
-    coins. The kernel is bit-identical to Luby's message program on the
-    engine, so [test/test_dyn.ml] keeps an engine-backed algorithm as
-    the oracle and checks both repair alike, batch by batch.
+    {b Kernel.} The region goes to {!Mis_sim.Kernel.of_slots} as is: its
+    node list is the id array (ascending, as that constructor checks)
+    and the CSR is read in place, with no edge list, graph, view or
+    renumbering in between. {!Mis_sim.Kernel.luby} then sweeps it on the
+    [Rand_plan.Stage.luby_main] coins of the attempt's seed, with the
+    default budget for the region's size, or for the whole capacity on a
+    full recompute. The kernel is bit-identical to Luby's message
+    program on the engine under any slot order, and [test/test_dyn.ml]
+    rebuilds every batch's region and checks the engine decides it as
+    the maintainer did.
 
     {b Degradation ladder.} An attempt fails when it exceeds the
     per-batch timeout or leaves region nodes undecided; the maintainer
@@ -41,27 +49,13 @@
     → … → [Full_recompute] by default). State is only committed on an
     accepted attempt, so retries always start from the pre-repair MIS. *)
 
-type outcome = {
-  output : bool array;  (** Per view index: MIS membership. *)
-  decided : bool array;  (** Whether the view node reached a decision. *)
-  rounds : int;  (** Synchronous rounds the run took. *)
-}
-
-type algorithm = {
-  alg_run : Mis_graph.View.t -> ids:int array -> seed:int -> outcome;
-      (** Run one MIS computation on a (sub)view. [ids.(i)] is the global
-          node number of view node [i]; implementations must key their
-          randomness by id so repairs are reproducible. *)
-}
-
 type rung =
   | Radius of int  (** Repair the dirty set widened to this BFS radius
                        ([Radius 1] = the seeds' own closure). Must be
                        [>= 1]. *)
-  | Full_recompute  (** Re-run the program on the whole live graph. *)
+  | Full_recompute  (** Re-run Luby on the whole live graph. *)
 
 type config = {
-  algorithm : algorithm;
   ladder : rung list;  (** Attempt order; must be non-empty. *)
   strict : bool;  (** Invariant violations raise instead of self-healing. *)
   check_every : int;
@@ -82,7 +76,7 @@ type config = {
 }
 
 val default_config : config
-(** Luby on the kernel, ladder [[Radius 1; Radius 2; Full_recompute]],
+(** Ladder [[Radius 1; Radius 2; Full_recompute]],
     non-strict, [check_every = 0], no timeout, zero backoff, wall clock,
     seed 1, no metrics, null decisions sink. *)
 
@@ -110,7 +104,7 @@ type report = {
                       duplicate edge, …) — skipped and counted. *)
   dirty : int;  (** Dirty-set size at the accepted rung. *)
   region_nodes : int array;
-      (** Sorted global numbers of the nodes the program re-decided. *)
+      (** Sorted global numbers of the nodes Luby re-decided. *)
   rounds : int;  (** Simulator rounds of the accepted attempt. *)
   attempts : int;  (** 1 = the first rung sufficed. *)
   escalated : bool;  (** [attempts > 1]. *)

@@ -37,26 +37,38 @@ let frequencies t =
 let glyphs = [| "\xe2\x96\x81"; "\xe2\x96\x82"; "\xe2\x96\x83"; "\xe2\x96\x84";
                 "\xe2\x96\x85"; "\xe2\x96\x86"; "\xe2\x96\x87"; "\xe2\x96\x88" |]
 
+let heatmap_rows = 32
+
+(* Past [heatmap_rows] rows of one node per glyph, each glyph covers
+   [per] consecutive nodes at the level of their mean join count. *)
 let heatmap ?(width = 64) t =
   if width < 1 then invalid_arg "Fairness.heatmap: width";
   let hi =
     Array.fold_left (fun a c -> max a c) 0 t.joins |> float_of_int
   in
-  let buf = Buffer.create (4 * t.n) in
+  let per = max 1 ((t.n + (heatmap_rows * width) - 1) / (heatmap_rows * width)) in
+  let cells = (t.n + per - 1) / per in
+  let buf = Buffer.create (4 * cells) in
   Buffer.add_string buf
-    (Printf.sprintf "per-node join frequency (n=%d, runs=%d, max P=%s)\n" t.n
+    (Printf.sprintf "per-node join frequency (n=%d, runs=%d, max P=%s%s)\n" t.n
        t.runs
        (if t.runs = 0 then "-"
-        else Printf.sprintf "%.3f" (hi /. float_of_int t.runs)));
-  let rows = (t.n + width - 1) / width in
+        else Printf.sprintf "%.3f" (hi /. float_of_int t.runs))
+       (if per = 1 then "" else Printf.sprintf ", %d nodes per glyph" per));
+  let rows = (cells + width - 1) / width in
   for row = 0 to rows - 1 do
     let lo = row * width in
-    Buffer.add_string buf (Printf.sprintf "%6d " lo);
-    for u = lo to min (lo + width - 1) (t.n - 1) do
+    Buffer.add_string buf (Printf.sprintf "%6d " (lo * per));
+    for c = lo to min (lo + width - 1) (cells - 1) do
+      let first = c * per and stop = min ((c + 1) * per) t.n in
+      let sum = ref 0 in
+      for u = first to stop - 1 do
+        sum := !sum + t.joins.(u)
+      done;
       let level =
         if hi <= 0. then 0
         else
-          let f = float_of_int t.joins.(u) /. hi in
+          let f = float_of_int !sum /. float_of_int (stop - first) /. hi in
           min 7 (int_of_float (Float.round (f *. 7.)))
       in
       Buffer.add_string buf glyphs.(level)

@@ -23,8 +23,11 @@ val merge : t -> t -> unit
 (** {1 ASCII rendering} *)
 
 val heatmap : ?width:int -> t -> string
-(** One glyph (▁..█) per node, [width] (default 64) nodes per row, scaled
-    to the most-joining node; row labels give the first node index. *)
+(** One glyph (▁..█) per node, [width] (default 64) glyphs per row,
+    scaled to the most-joining node; row labels give the first node
+    index. At most 32 rows: past [32 * width] nodes, each glyph covers a
+    range of consecutive nodes at the level of their mean, and the
+    header says how many nodes a glyph covers. *)
 
 val histogram : ?bins:int -> ?width:int -> t -> string
 (** Histogram of the per-node join frequencies over [0, 1]: [bins]

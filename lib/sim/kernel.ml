@@ -12,9 +12,9 @@ module Graph = Mis_graph.Graph
    (17 and 57 words beyond the arrays for a whole [run_kernel_on]) and
    allocating nothing per draw, so a verified trial stays within 3n + 64
    words (test/test_rand_plan.ml). Resident, a kernel with one scratch of
-   each kind holds 14.5 words per node of a tree beyond its view
-   (test/test_kernel.ml bounds it): under the identity ids the slot-to-id
-   array is the slot-to-index array itself.
+   each kind holds 14.5 words per node of a tree (test/test_kernel.ml
+   bounds it): it keeps no reference to its view, and under the identity
+   ids the slot-to-id array is the slot-to-index array itself.
 
    The contract with [Runtime.Engine] is bit-identity on a perfect
    network: same outputs, same per-node decision round, same [rounds]
@@ -66,7 +66,7 @@ type outcome = {
 
 let ceil_log2 = Mis_util.Ids.ceil_log2
 
-let default_max_rounds n = 64 + (64 * ceil_log2 (max n 2))
+let luby_max_rounds n = 64 + (64 * ceil_log2 (max n 2))
 
 (* Scratch for the Luby phase loop, cached across runs. All arrays are
    indexed by slot; [l_front]/[l_winners] hold slot lists, [l_alive]
@@ -124,7 +124,6 @@ let[@inline] put flags s f b =
    program-visible id (the very array [active] under the identity ids),
    and the CSR adjacency over slots. *)
 type t = {
-  k_view : Mis_graph.View.t;
   n : int;
   active : int array;
   sid : int array;
@@ -206,10 +205,28 @@ let create ?ids view =
       Csr.check_ids ~n ids active;
       Array.map (fun u -> ids.(u)) active
   in
-  { k_view = view; n; active; sid; adj_off; adj_slot;
+  { n; active; sid; adj_off; adj_slot;
     luby_free = Atomic.make []; ft_free = Atomic.make [] }
 
-let view t = t.k_view
+(* A caller that already holds a slot CSR hands it over as is: slot [s]
+   is node index [s]. One pass checks the offsets and entries, and the
+   ids' strict ascent, which makes them distinct without a table. *)
+let of_slots ~ids ~off ~adj =
+  let n = Array.length ids in
+  let fail what = invalid_arg ("Kernel.of_slots: " ^ what) in
+  if Array.length off <= n || off.(0) <> 0 then fail "offsets";
+  for s = 0 to n - 1 do
+    if s > 0 && ids.(s) <= ids.(s - 1) then fail "ids not ascending";
+    if off.(s + 1) < off.(s) || off.(s + 1) > Array.length adj then
+      fail "offsets";
+    for i = off.(s) to off.(s + 1) - 1 do
+      if adj.(i) < 0 || adj.(i) >= n || adj.(i) = s then fail "adjacency entry"
+    done
+  done;
+  { n; active = Array.init n Fun.id; sid = ids; adj_off = off; adj_slot = adj;
+    luby_free = Atomic.make []; ft_free = Atomic.make [] }
+
+let n t = t.n
 let nslots t = Array.length t.active
 
 let rec take free make t =
@@ -351,7 +368,7 @@ let luby ?max_rounds ~value_of t =
   let n = t.n in
   let nslots = nslots t in
   let max_rounds =
-    match max_rounds with Some r -> r | None -> default_max_rounds n
+    match max_rounds with Some r -> r | None -> luby_max_rounds n
   in
   let scr = take t.luby_free make_luby_scratch t in
   let output = Array.make n false in

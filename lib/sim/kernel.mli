@@ -60,7 +60,21 @@ val create : ?ids:int array -> Mis_graph.View.t -> t
     (["Runtime.run: ids length"], ["Runtime.run: duplicate ids"]) when
     [ids] has the wrong length or assigns one id to two active nodes. *)
 
-val view : t -> Mis_graph.View.t
+val of_slots : ids:int array -> off:int array -> adj:int array -> t
+(** A kernel over a slot CSR the caller holds: slot [s] is node index
+    [s] with id [ids.(s)] and neighbours [adj.(off.(s) .. off.(s+1) - 1)],
+    which must be symmetric and free of duplicates. [off] and [adj] are
+    read in place and may run past the entries read. One linear pass
+    checks the offsets, the entries' range, self-loops, and that [ids]
+    ascend strictly (so are distinct), as a repair region's do.
+    @raise Invalid_argument ["Kernel.of_slots: ..."] when a check fails. *)
+
+val n : t -> int
+(** Node indices of the compiled view: the length of every outcome
+    array. *)
+
+val luby_max_rounds : int -> int
+(** {!luby}'s default round budget for [n] nodes. *)
 
 val luby :
   ?max_rounds:int ->
@@ -73,7 +87,8 @@ val luby :
     their neighbors out, compact the frontier in place. [value_of] is
     keyed by the program-visible id, matching the message program's
     [Rand_plan.node_value] draw. [max_rounds] defaults to the engine's
-    budget for [n] nodes, [64 + 64 * ceil(log2 (max n 2))]. *)
+    budget for [n] nodes, [64 + 64 * ceil(log2 (max n 2))]
+    ({!luby_max_rounds}). *)
 
 type fair_tree_coins = {
   cut : u:int -> v:int -> bool;

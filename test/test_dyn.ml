@@ -203,13 +203,22 @@ let prop_decode_matches_json =
 
 (* --- dyn graph --------------------------------------------------------- *)
 
+(* [u]'s alive neighbours, sorted, read from the slot arrays. *)
+let alive_neighbours g u =
+  List.sort compare
+    (List.filter
+       (fun v -> g.Dyn_graph.states.(v) = Dyn_graph.Alive)
+       (Array.to_list (Array.sub g.Dyn_graph.nbrs.(u) 0 g.Dyn_graph.deg.(u))))
+
+let alive_nodes g =
+  List.filter (Dyn_graph.alive g) (List.init (Dyn_graph.capacity g) Fun.id)
+
 (* Links with both endpoints alive, counted from each alive node's side. *)
 let live_edge_count g =
-  let ends = ref 0 in
-  Array.iter
-    (fun u -> Dyn_graph.iter_adj_alive g u (fun _ -> incr ends))
-    (Dyn_graph.alive_nodes g);
-  !ends / 2
+  List.fold_left
+    (fun acc u -> acc + List.length (alive_neighbours g u))
+    0 (alive_nodes g)
+  / 2
 
 let test_dyn_graph_ops () =
   let g = Dyn_graph.create ~capacity:6 in
@@ -240,8 +249,7 @@ let test_dyn_graph_ops () =
   Alcotest.(check bool) "edge to crashed" false (Dyn_graph.insert_edge g 0 2);
   Alcotest.(check int) "live edges" 0 (live_edge_count g);
   Alcotest.(check int) "alive after crash" 2 (Dyn_graph.alive_count g);
-  Alcotest.check Helpers.int_array "alive nodes sorted" [| 0; 1 |]
-    (Dyn_graph.alive_nodes g);
+  Alcotest.(check (list int)) "alive nodes" [ 0; 1 ] (alive_nodes g);
   Alcotest.check_raises "out of range"
     (Invalid_argument "Dyn_graph.join: node 6 out of range") (fun () ->
       ignore (Dyn_graph.join g 6))
@@ -281,14 +289,13 @@ let test_dyn_graph_views () =
      representable); absent slots do not. *)
   Alcotest.(check bool) "crashed active in view" true (View.node_active view 2);
   Alcotest.(check bool) "absent inactive in view" false (View.node_active view 4);
-  let live = Dyn_graph.live_view g in
-  Alcotest.(check bool) "crashed masked in live view" false
-    (View.node_active live 2);
+  Alcotest.(check (list int)) "crashed neighbour not alive" [ 0 ]
+    (alive_neighbours g 1);
   Alcotest.(check int) "live edges = both-alive" 1 (live_edge_count g)
 
-(* A warm join / [d] inserts / leave cycle on one slot allocates only
-   the position tables' hash cells (4 words per edge per side): the slot
-   keeps its neighbour array and its table's buckets across the leave. *)
+(* A warm join / [d] inserts / leave cycle on one slot allocates nothing:
+   the slot keeps its neighbour and twin arrays across the leave, and a
+   link is found by a scan, not through a table. *)
 let test_rejoin_allocation_bound () =
   let d = 10 in
   let g = Dyn_graph.create ~capacity:256 in
@@ -310,11 +317,122 @@ let test_rejoin_allocation_bound () =
   for _ = 1 to cycles do
     cycle ()
   done;
-  let per_cycle = (Gc.minor_words () -. w0) /. float_of_int cycles in
-  if per_cycle > float_of_int ((8 * d) + 16) then
-    Alcotest.failf "%.1f minor words per cycle at degree %d (bound %d)"
-      per_cycle d ((8 * d) + 16);
+  let words = Gc.minor_words () -. w0 in
+  if words > 0. then
+    Alcotest.failf "%.0f minor words over %d cycles at degree %d (bound 0)"
+      words cycles d;
   Alcotest.(check int) "node 0 left" 0 (live_edge_count g)
+
+(* Model-based: random operations over a small universe, so duplicate
+   links, self-loops, dead and crashed endpoints and rejoins of departed
+   slots all come up, against a naive model (slot states and a symmetric
+   link matrix). After every operation: the return value, [mem_edge]
+   both ways for every pair, each slot's state, degree and alive
+   neighbours, the alive count, and the twin layout. *)
+type op =
+  | Join of int
+  | Leave of int
+  | Crash of int
+  | Insert of int * int
+  | Delete of int * int
+  | Mem of int * int
+
+let show_op = function
+  | Join u -> Printf.sprintf "join %d" u
+  | Leave u -> Printf.sprintf "leave %d" u
+  | Crash u -> Printf.sprintf "crash %d" u
+  | Insert (u, v) -> Printf.sprintf "insert %d-%d" u v
+  | Delete (u, v) -> Printf.sprintf "delete %d-%d" u v
+  | Mem (u, v) -> Printf.sprintf "mem %d-%d" u v
+
+let prop_dyn_graph_model =
+  let cap = 8 in
+  let node = QCheck.Gen.int_range 0 (cap - 1) in
+  let pair f = QCheck.Gen.map2 f node node in
+  let op =
+    QCheck.Gen.frequency
+      [ (3, QCheck.Gen.map (fun u -> Join u) node);
+        (1, QCheck.Gen.map (fun u -> Leave u) node);
+        (1, QCheck.Gen.map (fun u -> Crash u) node);
+        (6, pair (fun u v -> Insert (u, v)));
+        (3, pair (fun u v -> Delete (u, v)));
+        (1, pair (fun u v -> Mem (u, v))) ]
+  in
+  let arb =
+    QCheck.make
+      ~print:(fun ops -> String.concat "; " (List.map show_op ops))
+      QCheck.Gen.(list_size (int_range 1 120) op)
+  in
+  Helpers.qtest ~count:300 "Dyn_graph = adjacency-set model" arb (fun ops ->
+      let g = Dyn_graph.create ~capacity:cap in
+      let st = Array.make cap Dyn_graph.Absent in
+      let link = Array.make_matrix cap cap false in
+      let alive u = st.(u) = Dyn_graph.Alive in
+      let set u v b =
+        link.(u).(v) <- b;
+        link.(v).(u) <- b
+      in
+      let step = function
+        | Join u ->
+          let ok = st.(u) = Dyn_graph.Absent in
+          if ok then st.(u) <- Dyn_graph.Alive;
+          Dyn_graph.join g u = ok
+        | Leave u ->
+          let ok = alive u in
+          if ok then begin
+            st.(u) <- Dyn_graph.Absent;
+            for v = 0 to cap - 1 do
+              set u v false
+            done
+          end;
+          Dyn_graph.leave g u = ok
+        | Crash u ->
+          let ok = alive u in
+          if ok then st.(u) <- Dyn_graph.Crashed;
+          Dyn_graph.crash g u = ok
+        | Insert (u, v) ->
+          let ok = u <> v && alive u && alive v && not link.(u).(v) in
+          if ok then set u v true;
+          Dyn_graph.insert_edge g u v = ok
+        | Delete (u, v) ->
+          let ok = u <> v && alive u && alive v && link.(u).(v) in
+          if ok then set u v false;
+          Dyn_graph.delete_edge g u v = ok
+        | Mem (u, v) -> Dyn_graph.mem_edge g u v = link.(u).(v)
+      in
+      let agrees () =
+        let slots = List.init cap Fun.id in
+        let slot_agrees u =
+          let model_nbrs p = List.filter (fun v -> link.(u).(v) && p v) slots in
+          let twins_ok =
+            List.for_all
+              (fun i ->
+                let v = g.Dyn_graph.nbrs.(u).(i) in
+                g.Dyn_graph.nbrs.(v).(g.Dyn_graph.twin.(u).(i)) = u)
+              (List.init g.Dyn_graph.deg.(u) Fun.id)
+          in
+          Dyn_graph.state g u = st.(u)
+          && g.Dyn_graph.deg.(u) = List.length (model_nbrs (fun _ -> true))
+          && alive_neighbours g u = model_nbrs alive
+          && twins_ok
+          && List.for_all
+               (fun v ->
+                 Dyn_graph.mem_edge g u v = link.(u).(v)
+                 && Dyn_graph.mem_edge g v u = link.(u).(v))
+               slots
+        in
+        List.for_all slot_agrees slots
+        && Dyn_graph.alive_count g = List.length (List.filter alive slots)
+      in
+      List.for_all
+        (fun o ->
+          if not (step o) then
+            QCheck.Test.fail_reportf "%s returned the wrong value" (show_op o);
+          if not (agrees ()) then
+            QCheck.Test.fail_reportf "state differs from the model after %s"
+              (show_op o);
+          true)
+        ops)
 
 (* --- maintainer -------------------------------------------------------- *)
 
@@ -599,102 +717,131 @@ let prop_classify_matches_snapshot =
           && agrees (Array.init cap (fun _ -> Splitmix.bool rng)))
         batches)
 
-(* Luby with its first run's decisions all overwritten to "out": the
-   first repair commits a set that leaves every region node uncovered. *)
-let out_on_first_run () =
-  let first = ref true in
-  { Maintain.alg_run =
-      (fun view ~ids ~seed ->
-        let o = Maintain.default_config.Maintain.algorithm.Maintain.alg_run view ~ids ~seed in
-        if not !first then o
-        else begin
-          first := false;
-          { o with Maintain.output = Array.make (View.n view) false }
-        end) }
+(* A fault behind the maintainer's back: three isolated nodes are all
+   members, and a link inserted straight into the live graph makes two
+   of them adjacent without seeding a repair. The next batch's check
+   must catch it. *)
+let linked_members config =
+  let m = Maintain.create ~config ~capacity:8 () in
+  ignore
+    (Maintain.apply_batch m
+       (List.init 3 (fun u -> Event.Node_join { node = u; edges = [] })));
+  Alcotest.(check bool) "isolated nodes are members" true
+    (Array.sub (Maintain.mis m) 0 3 = [| true; true; true |]);
+  Alcotest.(check bool) "link inserted" true
+    (Dyn_graph.insert_edge (Maintain.graph m) 0 1);
+  m
 
 let test_strict_violation_raises () =
-  let config =
-    { (strict_config ()) with Maintain.algorithm = out_on_first_run () }
-  in
-  let m = Maintain.create ~config ~capacity:8 () in
+  let m = linked_members (strict_config ()) in
   Alcotest.check_raises "strict checker names the batch"
     (Maintain.Invariant_violation
-       "batch 1: maintained set is not an MIS of the surviving view (3 live \
+       "batch 2: maintained set is not an MIS of the surviving view (3 live \
         nodes)")
-    (fun () -> ignore (Maintain.apply_batch m (joins_of_path 3)))
+    (fun () -> ignore (Maintain.apply_batch m []))
 
 let test_violation_heals () =
   let reg = Metrics.create () in
-  let config =
-    { Maintain.default_config with
-      Maintain.algorithm = out_on_first_run ();
-      check_every = 1;
-      metrics = Some reg }
+  let m =
+    linked_members
+      { Maintain.default_config with
+        Maintain.check_every = 1;
+        metrics = Some reg }
   in
-  let m = Maintain.create ~config ~capacity:8 () in
-  let r = Maintain.apply_batch m (joins_of_path 3) in
+  let r = Maintain.apply_batch m [] in
   Alcotest.(check bool) "healed by a full recompute" true
     r.Maintain.full_recompute;
   Alcotest.(check int) "violation counted" 1
     (Metrics.counter_value (Metrics.counter reg "dyn.invariant_violations"));
+  Alcotest.(check bool) "one of the linked pair left" true
+    ((Maintain.mis m).(0) <> (Maintain.mis m).(1));
   match Maintain.check m with Ok () -> () | Error e -> Alcotest.fail e
 
-(* The repair oracle: Luby's message program on the engine, with the
-   same (seed, global id)-keyed [luby_main] coins the kernel repair
-   draws. *)
-let engine_luby =
-  { Maintain.alg_run =
-      (fun view ~ids ~seed ->
-        let plan = Fairmis.Rand_plan.make seed in
-        let stage = Fairmis.Rand_plan.Stage.luby_main in
-        let o =
-          Mis_sim.Runtime.run ~ids
-            ~rng_of:(fun i ->
-              Fairmis.Rand_plan.node_stream plan ~stage ~node:ids.(i))
-            view
-            (Fairmis.Luby.program plan ~stage)
-        in
-        { Maintain.output = o.Mis_sim.Runtime.output;
-          decided = o.Mis_sim.Runtime.decided;
-          rounds = o.Mis_sim.Runtime.rounds }) }
+(* The region a batch re-decided, rebuilt from its sorted node list and
+   the live graph after the batch: region indices and the links between
+   alive region nodes. *)
+let region_view g region =
+  let k = Array.length region in
+  let index = Hashtbl.create k in
+  Array.iteri (fun i u -> Hashtbl.replace index u i) region;
+  let edges = ref [] in
+  Array.iteri
+    (fun i u ->
+      List.iter
+        (fun v ->
+          match Hashtbl.find_opt index v with
+          | Some j when i < j -> edges := (i, j) :: !edges
+          | _ -> ())
+        (alive_neighbours g u))
+    region;
+  View.full (Mis_graph.Graph.of_edge_array ~n:k (Array.of_list !edges))
 
-(* The default kernel repair and the engine oracle serve one churn
-   stream alike, batch by batch. *)
+(* The kernel repair against its oracle, Luby's message program on the
+   engine, batch by batch over a served churn stream: on each batch's
+   region, with the global numbers as ids and the accepted attempt's
+   [luby_main] coins (keyed as the maintainer keys them), the engine
+   must decide every region node as the maintained MIS has it, take the
+   reported rounds, and leave the reported number of flips. *)
 let test_repair_kernel_equals_engine () =
   let params =
     { Churn.default with Churn.capacity = 256; initial = 160; batches = 60 }
   in
+  let seed = 3 in
   let stream = Churn.generate (Splitmix.of_seed 21) params in
-  let path = Filename.temp_file "fairmis_repair" ".jsonl" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Out_channel.with_open_text path (fun oc -> Churn.write_jsonl oc stream);
-      let serve algorithm =
-        let config = { (strict_config ~seed:3 ()) with Maintain.algorithm } in
-        let m = Maintain.create ~config ~capacity:params.Churn.capacity () in
-        let seen = ref [] in
-        let on_batch (r : Maintain.report) =
-          seen :=
-            (r.Maintain.region_nodes, r.Maintain.rounds, r.Maintain.flips,
-             Maintain.mis m)
-            :: !seen
-        in
-        In_channel.with_open_text path (fun ic ->
-            ignore (Serve.run ~batch_size:max_int ~on_batch m ic));
-        List.rev !seen
+  let m =
+    Maintain.create ~config:(strict_config ~seed ())
+      ~capacity:params.Churn.capacity ()
+  in
+  let escalated = ref 0 in
+  List.iteri
+    (fun i batch ->
+      let before = Maintain.mis m in
+      let r = Maintain.apply_batch m batch in
+      let name what = Printf.sprintf "batch %d: %s" (i + 1) what in
+      Alcotest.(check int) (name "nothing skipped") 0 r.Maintain.skipped;
+      if r.Maintain.escalated then incr escalated;
+      let g = Maintain.graph m and after = Maintain.mis m in
+      let region = r.Maintain.region_nodes in
+      let attempt_seed =
+        Int64.to_int
+          (Splitmix.derive (Int64.of_int seed)
+             [ 0xD71A; r.Maintain.batch; r.Maintain.attempts ])
+        land max_int
       in
-      let kernel = serve Maintain.default_config.Maintain.algorithm
-      and engine = serve engine_luby in
-      Alcotest.(check int) "batches" (List.length stream) (List.length kernel);
-      List.iteri
-        (fun i ((r1, n1, f1, m1), (r2, n2, f2, m2)) ->
-          let name what = Printf.sprintf "batch %d: %s" (i + 1) what in
-          Alcotest.(check Helpers.int_array) (name "region_nodes") r2 r1;
-          Alcotest.(check int) (name "rounds") n2 n1;
-          Alcotest.(check int) (name "flips") f2 f1;
-          Alcotest.(check Helpers.bool_array) (name "mis") m2 m1)
-        (List.combine kernel engine))
+      let plan = Fairmis.Rand_plan.make attempt_seed in
+      let stage = Fairmis.Rand_plan.Stage.luby_main in
+      let o =
+        Mis_sim.Runtime.run ~ids:region
+          ~rng_of:(fun i ->
+            Fairmis.Rand_plan.node_stream plan ~stage ~node:region.(i))
+          (region_view g region)
+          (Fairmis.Luby.program plan ~stage)
+      in
+      Alcotest.(check bool) (name "engine decided the region") true
+        (Array.for_all Fun.id o.Mis_sim.Runtime.decided);
+      Alcotest.(check Helpers.bool_array) (name "region membership")
+        o.Mis_sim.Runtime.output
+        (Array.map (fun u -> after.(u)) region);
+      Alcotest.(check int) (name "rounds")
+        (if Array.length region = 0 then 0 else o.Mis_sim.Runtime.rounds)
+        r.Maintain.rounds;
+      (* A node that joined in the batch starts out of the set; every
+         other alive node keeps its membership until the repair. *)
+      let joined = Array.make params.Churn.capacity false in
+      List.iter
+        (function
+          | Event.Node_join { node; _ } -> joined.(node) <- true
+          | _ -> ())
+        batch;
+      let flips = ref 0 in
+      Array.iteri
+        (fun u in_set ->
+          let was = before.(u) && not joined.(u) in
+          if Dyn_graph.alive g u && in_set <> was then incr flips)
+        after;
+      Alcotest.(check int) (name "flips") !flips r.Maintain.flips)
+    stream;
+  Alcotest.(check int) "no batch escalated" 0 !escalated
 
 (* Words this domain allocated straight into the major heap. [Gc.counters]
    reads this domain's own counts ([Gc.quick_stat] also folds in other
@@ -706,12 +853,15 @@ let direct_major_words () =
   major -. promoted
 
 (* A warm batch allocates in proportion to its region: the dirty set,
-   slot map and seed marks live in the maintainer, so nothing
-   capacity-sized and no hash table is built per attempt, and no block
-   is big enough to go straight to the major heap. Regions here stay
-   small (no array passes the 256-word minor-heap limit), which is what
-   makes the second bound meaningful; the constant covers the batch's
-   own events. *)
+   slot map, seeds and the region's CSR live in the maintainer, so
+   nothing capacity-sized, no edge list and no graph is built per
+   attempt, and no block is big enough to go straight to the major heap.
+   What is left is the region's node lists, the kernel's slot maps,
+   scratch and outcome (about 10 words per region node), and a constant
+   for the batch's own events, the attempt's coins and the report (315
+   to 724 words a batch here). Regions here stay small (no array passes
+   the 256-word minor-heap limit), which is what makes the second bound
+   meaningful. *)
 let test_repair_allocation_bound () =
   let params =
     { Churn.default with Churn.capacity = 2048; initial = 200; batches = 80;
@@ -731,19 +881,15 @@ let test_repair_allocation_bound () =
         let w = Gc.minor_words () -. w0 in
         let d = direct_major_words () -. d0 in
         let region = r.Maintain.region_nodes in
-        let inside = Hashtbl.create 16 in
-        Array.iter (fun u -> Hashtbl.replace inside u ()) region;
-        let edges = ref 0 in
-        Array.iter
-          (fun u ->
-            Dyn_graph.iter_adj_alive (Maintain.graph m) u (fun v ->
-                if u < v && Hashtbl.mem inside v then incr edges))
-          region;
-        let size = Array.length region + !edges in
+        let size =
+          Array.length region
+          + Mis_graph.Graph.m
+              (Mis_graph.View.graph (region_view (Maintain.graph m) region))
+        in
         if size > 0 then incr sized;
-        let bound = (40. *. float_of_int size) +. 1500. in
+        let bound = (16. *. float_of_int size) +. 600. in
         if w > bound then
-          Alcotest.failf "batch %d: %.0f minor words > 40 * %d + 1500" (i + 1)
+          Alcotest.failf "batch %d: %.0f minor words > 16 * %d + 600" (i + 1)
             w size;
         if d <> 0. then
           Alcotest.failf
@@ -1005,7 +1151,8 @@ let suite =
           test_dyn_graph_ops;
         Alcotest.test_case "snapshot views" `Quick test_dyn_graph_views;
         Alcotest.test_case "warm rejoin allocation bound" `Quick
-          test_rejoin_allocation_bound ] );
+          test_rejoin_allocation_bound;
+        prop_dyn_graph_model ] );
     ( "dyn.maintain",
       [ Alcotest.test_case "config validation" `Quick test_config_validation;
         Alcotest.test_case "inapplicable events skip and count" `Quick

@@ -366,6 +366,32 @@ let test_kernel_ids_rejected () =
   ignore (Kernel.create ~ids:[| 4; 9; 9; 7; 0 |] masked);
   ignore (Runtime.Engine.create ~ids:[| 4; 9; 9; 7; 0 |] masked)
 
+(* [Kernel.of_slots] on the path 5 - 9 - 12 runs like [Kernel.create]
+   on the same graph with the same ids, reading its arrays in place (so
+   they may run long), and rejects each malformed argument. *)
+let test_kernel_of_slots () =
+  let ids = [| 5; 9; 12 |] in
+  let off = [| 0; 1; 3; 4; 99 |] and adj = [| 1; 0; 2; 1; -7 |] in
+  let view = View.full (Mis_graph.Graph.of_edges ~n:3 [ (0, 1); (1, 2) ]) in
+  let plan = Rand_plan.make 4 in
+  List.iter
+    (fun (name, run) ->
+      Alcotest.(check bool) name true
+        (run (Kernel.of_slots ~ids ~off ~adj) = run (Kernel.create ~ids view)))
+    [ ("luby", fun k -> Fairmis.Luby.run_kernel_on k plan);
+      ("fairtree", fun k -> Fairmis.Fair_tree_distributed.run_kernel_on k plan) ];
+  let rejects what ~ids ~off ~adj =
+    Alcotest.check_raises what (Invalid_argument ("Kernel.of_slots: " ^ what))
+      (fun () -> ignore (Kernel.of_slots ~ids ~off ~adj))
+  in
+  rejects "ids not ascending" ~ids:[| 5; 5; 12 |] ~off ~adj;
+  rejects "offsets" ~ids ~off:[| 0; 1; 3 |] ~adj;
+  rejects "offsets" ~ids ~off:[| 1; 1; 3; 4 |] ~adj;
+  rejects "offsets" ~ids ~off:[| 0; 1; 0; 4 |] ~adj;
+  rejects "offsets" ~ids ~off:[| 0; 1; 3; 6 |] ~adj;
+  rejects "adjacency entry" ~ids ~off ~adj:[| 1; 0; 3; 1 |];
+  rejects "adjacency entry" ~ids ~off ~adj:[| 1; 1; 2; 1 |]
+
 (* Residency: a kernel keeps the slot maps and adjacency its sweeps read
    and one scratch of each kind, with the FairTree flags packed into
    bytes; under the identity ids its slot-to-id array is the slot-to-index
@@ -507,6 +533,8 @@ let suite =
           arb_case prop_kernel_relabel;
         Alcotest.test_case "kernel rejects bad ids like the engine" `Quick
           test_kernel_ids_rejected;
+        Alcotest.test_case "of_slots runs a slot CSR and checks it" `Quick
+          test_kernel_of_slots;
         Alcotest.test_case "kernel footprint <= 22.4 words per node" `Quick
           test_kernel_footprint;
         Helpers.qtest ~count:60 "run_stats in-place = list oracle" arb_case

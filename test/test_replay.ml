@@ -544,6 +544,26 @@ let test_fairness_rendering () =
   let hist = Fairness.histogram ~bins:5 ~width:10 acc in
   Alcotest.(check bool) "histogram labelled" true (contains hist "[0.00,0.20)")
 
+(* Past 32 rows a glyph covers a node range at its mean level: 256 nodes
+   at 4 glyphs per row make 2 nodes per glyph, and nodes 4 and 5 alone
+   light glyph 2. A 100,000-node heatmap stays 32 rows. *)
+let test_heatmap_capped () =
+  let lines hm = List.filter (fun l -> l <> "") (String.split_on_char '\n' hm) in
+  let acc = Fairness.create ~n:256 in
+  Fairness.record acc ~in_mis:(Array.init 256 (fun u -> u = 4 || u = 5));
+  (match lines (Fairness.heatmap ~width:4 acc) with
+  | header :: first :: _ as all ->
+    Alcotest.(check int) "rows" 33 (List.length all);
+    Alcotest.(check bool) "header names the range" true
+      (contains header "2 nodes per glyph");
+    Alcotest.(check string) "nodes 4-5 light glyph 2"
+      "     0 \xe2\x96\x81\xe2\x96\x81\xe2\x96\x88\xe2\x96\x81" first
+  | _ -> Alcotest.fail "empty heatmap");
+  let big = Fairness.create ~n:100_000 in
+  Fairness.record big ~in_mis:(Array.init 100_000 (fun u -> u mod 7 = 0));
+  Alcotest.(check int) "100,000 nodes in 32 rows" 33
+    (List.length (lines (Fairness.heatmap big)))
+
 (* [Fairness.merge] must be order-insensitive: the engine's ordered
    reduction merges per-chunk accumulators left-to-right, but any
    association/permutation of the same underlying runs has to produce the
@@ -747,6 +767,8 @@ let suite =
           test_fairness_merge_matches_single_accumulator;
         Alcotest.test_case "fairness rendering" `Quick
           test_fairness_rendering;
+        Alcotest.test_case "heatmap capped at 32 rows" `Quick
+          test_heatmap_capped;
         Alcotest.test_case "prof tree" `Quick test_prof_tree;
         Alcotest.test_case "prof exception safety" `Quick
           test_prof_exception_safe;
