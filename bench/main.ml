@@ -355,14 +355,22 @@ let run_xl_bench () =
   in
   print_gates [ run_gate; build_gate; fair_tree_gate ]
 
-(* Dynamic layer, four pairs over one pre-generated churn stream
-   (bootstrap included). Incremental maintainer ÷ one whose ladder starts
-   and ends at Full_recompute isolates what the dirty-neighbourhood
-   repair buys. Strict serving with the invariant check after every batch
-   ÷ the same serve unchecked prices the check: one pass over
-   Dyn_graph's slots reads Q1 1.01-1.07 on a shared 2-core host with
-   repairs on the kernel (0.97-1.02 when they ran on the message
-   engine); rebuilding a CSR snapshot per batch read 2.9-3.1. The
+(* Dynamic layer, four pairs over pre-generated churn streams. The
+   repair time of the incremental maintainer ÷ that of one whose ladder
+   starts and ends at Full_recompute isolates what the
+   dirty-neighbourhood repair buys: both sides sum the reports'
+   [repair_seconds] past the bootstrap batch of a stationary stream
+   (about 250 live nodes, as perfbench's serve-steady), so neither event
+   application nor the bootstrap, which the two share, dilutes it. It
+   reads Q1 0.35-0.38 on a shared 2-core host with both rungs on one
+   region path, 0.087 when a full recompute rebuilt a graph and a view.
+   Whole serves of a draining stream, bootstrap and events included,
+   read 0.31 and 0.73 on those two paths. Strict serving with the
+   invariant check after every batch ÷ the same serve unchecked prices
+   the check: one pass over Dyn_graph's slots reads Q1 1.01-1.07 on a
+   shared 2-core host with repairs on the kernel (0.97-1.02 when they
+   ran on the message engine); rebuilding a CSR snapshot per batch read
+   2.9-3.1. The
    stream's wire lines decoded by [Event.parse_line]'s direct scan ÷ the
    same lines through [Json.parse] + [Event.of_json] prices the decoder
    (Q1 0.25-0.27). The stream's events applied to a fresh [Dyn_graph] ÷
@@ -386,6 +394,27 @@ let run_churn_bench () =
   in
   let strict check_every =
     { default with Mis_dyn.Maintain.strict = true; check_every }
+  in
+  let steady =
+    { Mis_workload.Churn.default with
+      Mis_workload.Churn.capacity = 2048; initial = 1280; batches = 200;
+      arrival_mean = 48.; flap_mean = 32.; crash_prob = 0.002 }
+  in
+  let steady_stream = Mis_workload.Churn.generate (Mis_util.Splitmix.of_seed 11) steady in
+  let repair config reps =
+    let total = ref 0. in
+    for _ = 1 to reps do
+      let m =
+        Mis_dyn.Maintain.create ~config:{ config with Mis_dyn.Maintain.seed = 5 }
+          ~capacity:steady.Mis_workload.Churn.capacity ()
+      in
+      List.iteri
+        (fun i b ->
+          let r = Mis_dyn.Maintain.apply_batch m b in
+          if i > 0 then total := !total +. r.Mis_dyn.Maintain.repair_seconds)
+        steady_stream
+    done;
+    !total
   in
   let lines =
     List.concat_map
@@ -418,9 +447,9 @@ let run_churn_bench () =
         (decode Mis_dyn.Event.parse_line) (decode via_json);
       paired "dyn/apply ÷ wire/decode" ~bound:1.15 topology
         (decode Mis_dyn.Event.parse_line);
-      paired "churn/repair-batch ÷ churn/repair-batch-full" ~bound:0.5
-        (serve default)
-        (serve { default with Mis_dyn.Maintain.ladder = [ Mis_dyn.Maintain.Full_recompute ] });
+      paired "churn/repair-steady ÷ churn/repair-steady-full" ~bound:0.5
+        (repair default)
+        (repair { default with Mis_dyn.Maintain.ladder = [ Mis_dyn.Maintain.Full_recompute ] });
       paired "churn/strict-check-every-1 ÷ churn/strict-check-every-0" ~bound:1.35
         (serve (strict 1)) (serve (strict 0)) ]
 

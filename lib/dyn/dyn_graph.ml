@@ -40,6 +40,9 @@ let alive t u =
   t.states.(u) = Alive
 
 let alive_count t = t.alive_count
+let deg t u = t.deg.(u)
+let nbr t u i = t.nbrs.(u).(i)
+
 let join t u =
   check_node t u "join";
   match t.states.(u) with

@@ -14,9 +14,8 @@
     kept, and a slot that leaves keeps its arrays, so a warm
     join / insert / leave cycle allocates nothing.
 
-    The record is readable, not writable, outside this module: the
-    maintainer and the invariant checker ({!classify}) scan the arrays
-    in place with closure-free loops.
+    Readers scan a slot's links with {!deg} and {!nbr}; the layout
+    stays inside this module.
 
     Semantics of the three slot states:
     - {b absent}: never joined, or left cleanly; the slot is reusable;
@@ -26,18 +25,7 @@
 
 type state = Absent | Alive | Crashed
 
-type t = private {
-  capacity : int;
-  states : state array;
-  nbrs : int array array;
-      (** Slot [u]'s neighbours are [nbrs.(u).(0 .. deg.(u) - 1)], links
-          at crashed slots included, in an order fixed by the history of
-          inserts and swap-removals. *)
-  twin : int array array;
-      (** [nbrs.(nbrs.(u).(i)).(twin.(u).(i)) = u] for [i < deg.(u)]. *)
-  deg : int array;
-  mutable alive_count : int;
-}
+type t
 
 val create : capacity:int -> t
 (** All slots absent. @raise Invalid_argument if [capacity < 1]. *)
@@ -46,6 +34,14 @@ val capacity : t -> int
 val state : t -> int -> state
 val alive : t -> int -> bool
 val alive_count : t -> int
+
+val deg : t -> int -> int
+(** Links at the slot, those to crashed slots included. *)
+
+val nbr : t -> int -> int -> int
+(** [nbr g u i], for [i < deg g u]: [u]'s [i]-th neighbour, in an order
+    fixed by the history of inserts and swap-removals. *)
+
 (** {1 Mutation} — all raise [Invalid_argument] on out-of-range nodes;
     semantic misuses (joining an occupied slot, linking a dead node)
     return [false] and change nothing, so the maintainer can skip and

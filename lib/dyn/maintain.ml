@@ -201,9 +201,9 @@ let apply_event t ev =
       (* A member is alive, so the leave or crash below applies; its
          neighbours are read before a leave drops them. *)
       if t.mem.(node) then begin
-        let a = g.Dyn_graph.nbrs.(node) in
-        for i = 0 to g.Dyn_graph.deg.(node) - 1 do
-          if g.Dyn_graph.states.(a.(i)) = Dyn_graph.Alive then seed_node t a.(i)
+        for i = 0 to Dyn_graph.deg g node - 1 do
+          let v = Dyn_graph.nbr g node i in
+          if Dyn_graph.alive g v then seed_node t v
         done
       end;
       let applied =
@@ -233,13 +233,11 @@ let apply_event t ev =
        || not (Dyn_graph.delete_edge g u v)
     then (0, 1)
     else begin
-      (if t.mem.(u) && not t.mem.(v) then seed_node t v
-       else if t.mem.(v) && not t.mem.(u) then seed_node t u
-       else if t.mem.(u) && t.mem.(v) then begin
-         (* Only reachable from an already-broken state; repair both. *)
-         seed_node t u;
-         seed_node t v
-       end);
+      (* Seed each end whose other end is a member: that member may
+         have been its only cover. Both ends are members only in an
+         already-broken state, and then both are repaired. *)
+      if t.mem.(v) then seed_node t u;
+      if t.mem.(u) then seed_node t v;
       (1, 0)
     end
 
@@ -258,7 +256,7 @@ type attempt_result = {
 (* Mark [v] dirty and append it to [order] at [len], unless it is dead
    or already marked in epoch [e]; returns the new length. *)
 let[@inline] push t e len v =
-  if t.g.Dyn_graph.states.(v) = Dyn_graph.Alive && t.mark.(v) <> e then begin
+  if Dyn_graph.alive t.g v && t.mark.(v) <> e then begin
     t.mark.(v) <- e;
     t.order.(len) <- v;
     len + 1
@@ -266,9 +264,9 @@ let[@inline] push t e len v =
   else len
 
 let push_neighbours t e len u =
-  let a = t.g.Dyn_graph.nbrs.(u) and len = ref len in
-  for i = 0 to t.g.Dyn_graph.deg.(u) - 1 do
-    len := push t e !len a.(i)
+  let len = ref len in
+  for i = 0 to Dyn_graph.deg t.g u - 1 do
+    len := push t e !len (Dyn_graph.nbr t.g u i)
   done;
   !len
 
@@ -301,15 +299,15 @@ let dirty_set t ~radius =
   done;
   !len
 
-(* Whether an alive member outside the dirty set neighbours [u]. *)
+(* Whether a member outside the dirty set neighbours [u] ([mem] is
+   false on dead slots). *)
 let frozen_cover t e u =
   let g = t.g in
-  let a = g.Dyn_graph.nbrs.(u) and stop = g.Dyn_graph.deg.(u) in
+  let stop = Dyn_graph.deg g u in
   let hit = ref false and i = ref 0 in
   while (not !hit) && !i < stop do
-    let v = a.(!i) in
-    if t.mem.(v) && t.mark.(v) <> e && g.Dyn_graph.states.(v) = Dyn_graph.Alive
-    then hit := true;
+    let v = Dyn_graph.nbr g u !i in
+    if t.mem.(v) && t.mark.(v) <> e then hit := true;
     incr i
   done;
   !hit
@@ -379,7 +377,7 @@ let run_attempt t ~batch ~attempt rung =
     else begin
       slot.(u) <- !k;
       incr k;
-      need := !need + g.Dyn_graph.deg.(u)
+      need := !need + Dyn_graph.deg g u
     end
   done;
   if Array.length t.adj < !need then
@@ -394,9 +392,8 @@ let run_attempt t ~batch ~attempt rung =
     end
     else begin
       region.(!s) <- u;
-      let a = g.Dyn_graph.nbrs.(u) in
-      for j = 0 to g.Dyn_graph.deg.(u) - 1 do
-        let v = a.(j) in
+      for j = 0 to Dyn_graph.deg g u - 1 do
+        let v = Dyn_graph.nbr g u j in
         if mark.(v) = e && slot.(v) >= 0 then begin
           adj.(!fill) <- slot.(v);
           incr fill
@@ -554,11 +551,8 @@ let apply_batch t events =
         mgauge t "dyn.ladder.level" (float_of_int level);
         mgauge t "dyn.live_nodes"
           (float_of_int (Dyn_graph.alive_count t.g));
-        let members = ref 0 in
-        Array.iteri
-          (fun u m -> if m && Dyn_graph.alive t.g u then incr members)
-          t.mem;
-        mgauge t "dyn.mis_members" (float_of_int !members)
+        mgauge t "dyn.mis_members"
+          (float_of_int (Array.fold_left (fun a m -> if m then a + 1 else a) 0 t.mem))
       end;
       { batch;
         events = List.length events;

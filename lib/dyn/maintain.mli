@@ -20,17 +20,13 @@
     depend on how the region was carved. The union of the frozen part
     and the region's MIS is an MIS of the whole live graph.
 
-    {b Region build.} Both rungs build their region straight from
-    {!Dyn_graph}'s arrays with closure-free loops. A [Radius] rung's
-    region is the sorted dirty set minus the frozen-covered nodes; a
-    [Full_recompute]'s is every alive node, in slot order. The dirty
-    set, the seeds, the region's slot map and its CSR (offsets and
-    region-index adjacency) live in arrays allocated once in {!create}
-    (the adjacency buffer grows to the largest region's links), and the
-    dirty marks are reset by bumping an epoch stamp. An attempt
-    therefore allocates in proportion to its region, not to the
-    capacity: its sorted node lists, the kernel's slot maps and scratch,
-    and the outcome.
+    {b Region build.} Both rungs read the live graph through
+    {!Dyn_graph.deg} and {!Dyn_graph.nbr} in closure-free loops. A
+    [Radius] rung's region is the sorted dirty set minus the
+    frozen-covered nodes; a [Full_recompute]'s is every alive node, in
+    slot order. The marks, lists and region CSR are the maintainer's
+    own, reused by every attempt, so an attempt allocates in proportion
+    to its region, not to the capacity.
 
     {b Kernel.} The region goes to {!Mis_sim.Kernel.of_slots} as is: its
     node list is the id array (ascending, as that constructor checks)

@@ -69,20 +69,15 @@ let run ?(batch_size = 64) ?max_batches ?file
     | Some t -> Telemetry.with_lock t f
     | None -> f ()
   in
-  let malformed lineno msg =
-    (match metrics with
-    | Some reg -> Metrics.incr (Metrics.counter reg "dyn.events.malformed")
-    | None -> ());
-    log (spf "%s: skipping malformed event: %s" (where lineno) msg)
-  in
   let lines = ref 0 and events = ref 0 and mal = ref 0 in
   let batches = ref 0 and applied = ref 0 and skipped = ref 0 in
   let escalations = ref 0 and fulls = ref 0 and max_region = ref 0 in
   let flips = ref 0 in
   let pending = ref [] and pending_n = ref 0 in
+  let stop = ref false and eof = ref false in
   (* A batch marker flushes even an empty batch (a quiet period still
      counts as a served batch); the size trigger and EOF only flush
-     pending events. *)
+     pending events. The [max_batches]-th flush stops the read loop. *)
   let flush () =
     (* The whole commit — repair, metric updates, latency observation —
        runs under the telemetry lock so a concurrent scrape never sees a
@@ -111,16 +106,19 @@ let run ?(batch_size = 64) ?max_batches ?file
     | Some t -> Telemetry.Recorder.note (Telemetry.recorder t)
                   (report_json report)
     | None -> ());
-    on_batch report
+    on_batch report;
+    match max_batches with Some b when !batches >= b -> stop := true | _ -> ()
   in
-  let stop = ref false and eof = ref false in
   let reader = Line_reader.create ic in
   let too_long =
     spf "line longer than %d bytes" Line_reader.max_line_bytes
   in
-  let bad lineno e =
+  let bad lineno msg =
     incr mal;
-    malformed lineno e
+    (match metrics with
+    | Some reg -> Metrics.incr (Metrics.counter reg "dyn.events.malformed")
+    | None -> ());
+    log (spf "%s: skipping malformed event: %s" (where lineno) msg)
   in
   while not (!stop || !eof) do
     match Line_reader.next reader with
@@ -133,21 +131,12 @@ let run ?(batch_size = 64) ?max_batches ?file
       match Event.decode line with
       | Event.Blank -> ()
       | Event.Malformed e -> bad !lines e
-      | Event.Batch ->
-        flush ();
-        (match max_batches with
-        | Some b when !batches >= b -> stop := true
-        | _ -> ())
+      | Event.Batch -> flush ()
       | Event.Event ev ->
         incr events;
         pending := ev :: !pending;
         incr pending_n;
-        if !pending_n >= batch_size then begin
-          flush ();
-          match max_batches with
-          | Some b when !batches >= b -> stop := true
-          | _ -> ()
-        end)
+        if !pending_n >= batch_size then flush ())
   done;
   if not !stop && !pending_n > 0 then flush ();
   { batches = !batches;

@@ -206,9 +206,8 @@ let prop_decode_matches_json =
 (* [u]'s alive neighbours, sorted, read from the slot arrays. *)
 let alive_neighbours g u =
   List.sort compare
-    (List.filter
-       (fun v -> g.Dyn_graph.states.(v) = Dyn_graph.Alive)
-       (Array.to_list (Array.sub g.Dyn_graph.nbrs.(u) 0 g.Dyn_graph.deg.(u))))
+    (List.filter (Dyn_graph.alive g)
+       (List.init (Dyn_graph.deg g u) (Dyn_graph.nbr g u)))
 
 let alive_nodes g =
   List.filter (Dyn_graph.alive g) (List.init (Dyn_graph.capacity g) Fun.id)
@@ -328,7 +327,9 @@ let test_rejoin_allocation_bound () =
    slots all come up, against a naive model (slot states and a symmetric
    link matrix). After every operation: the return value, [mem_edge]
    both ways for every pair, each slot's state, degree and alive
-   neighbours, the alive count, and the twin layout. *)
+   neighbours, and the alive count. The twin layout is checked through
+   what it steers: a wrong twin makes a later swap-removal drop the
+   wrong link. *)
 type op =
   | Join of int
   | Leave of int
@@ -404,17 +405,9 @@ let prop_dyn_graph_model =
         let slots = List.init cap Fun.id in
         let slot_agrees u =
           let model_nbrs p = List.filter (fun v -> link.(u).(v) && p v) slots in
-          let twins_ok =
-            List.for_all
-              (fun i ->
-                let v = g.Dyn_graph.nbrs.(u).(i) in
-                g.Dyn_graph.nbrs.(v).(g.Dyn_graph.twin.(u).(i)) = u)
-              (List.init g.Dyn_graph.deg.(u) Fun.id)
-          in
           Dyn_graph.state g u = st.(u)
-          && g.Dyn_graph.deg.(u) = List.length (model_nbrs (fun _ -> true))
+          && Dyn_graph.deg g u = List.length (model_nbrs (fun _ -> true))
           && alive_neighbours g u = model_nbrs alive
-          && twins_ok
           && List.for_all
                (fun v ->
                  Dyn_graph.mem_edge g u v = link.(u).(v)
@@ -781,15 +774,14 @@ let region_view g region =
    region, with the global numbers as ids and the accepted attempt's
    [luby_main] coins (keyed as the maintainer keys them), the engine
    must decide every region node as the maintained MIS has it, take the
-   reported rounds, and leave the reported number of flips. *)
-let test_repair_kernel_equals_engine () =
-  let params =
-    { Churn.default with Churn.capacity = 256; initial = 160; batches = 60 }
-  in
-  let seed = 3 in
-  let stream = Churn.generate (Splitmix.of_seed 21) params in
+   reported rounds, and leave the reported number of flips. Served once
+   on the default ladder, where every batch repairs at [Radius 1], and
+   once on [[Full_recompute]], whose region is every alive node and
+   whose round budget is the whole capacity's. *)
+let serve_against_engine params seed stream (ladder_name, ladder, max_rounds) =
   let m =
-    Maintain.create ~config:(strict_config ~seed ())
+    Maintain.create
+      ~config:{ (strict_config ~seed ()) with Maintain.ladder }
       ~capacity:params.Churn.capacity ()
   in
   let escalated = ref 0 in
@@ -797,11 +789,14 @@ let test_repair_kernel_equals_engine () =
     (fun i batch ->
       let before = Maintain.mis m in
       let r = Maintain.apply_batch m batch in
-      let name what = Printf.sprintf "batch %d: %s" (i + 1) what in
+      let name what = Printf.sprintf "%s, batch %d: %s" ladder_name (i + 1) what in
       Alcotest.(check int) (name "nothing skipped") 0 r.Maintain.skipped;
       if r.Maintain.escalated then incr escalated;
       let g = Maintain.graph m and after = Maintain.mis m in
       let region = r.Maintain.region_nodes in
+      if ladder = [ Maintain.Full_recompute ] then
+        Alcotest.(check (list int)) (name "region is every alive node")
+          (alive_nodes g) (Array.to_list region);
       let attempt_seed =
         Int64.to_int
           (Splitmix.derive (Int64.of_int seed)
@@ -811,7 +806,7 @@ let test_repair_kernel_equals_engine () =
       let plan = Fairmis.Rand_plan.make attempt_seed in
       let stage = Fairmis.Rand_plan.Stage.luby_main in
       let o =
-        Mis_sim.Runtime.run ~ids:region
+        Mis_sim.Runtime.run ?max_rounds ~ids:region
           ~rng_of:(fun i ->
             Fairmis.Rand_plan.node_stream plan ~stage ~node:region.(i))
           (region_view g region)
@@ -841,7 +836,19 @@ let test_repair_kernel_equals_engine () =
         after;
       Alcotest.(check int) (name "flips") !flips r.Maintain.flips)
     stream;
-  Alcotest.(check int) "no batch escalated" 0 !escalated
+  Alcotest.(check int) (ladder_name ^ ": no batch escalated") 0 !escalated
+
+let test_repair_kernel_equals_engine () =
+  let params =
+    { Churn.default with Churn.capacity = 256; initial = 160; batches = 60 }
+  in
+  let seed = 3 in
+  let stream = Churn.generate (Splitmix.of_seed 21) params in
+  List.iter (serve_against_engine params seed stream)
+    [ ("default ladder", Maintain.default_config.Maintain.ladder, None);
+      ( "full recompute",
+        [ Maintain.Full_recompute ],
+        Some (Mis_sim.Kernel.luby_max_rounds params.Churn.capacity) ) ]
 
 (* Words this domain allocated straight into the major heap. [Gc.counters]
    reads this domain's own counts ([Gc.quick_stat] also folds in other
