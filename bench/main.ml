@@ -356,13 +356,13 @@ let run_xl_bench () =
   print_gates [ run_gate; build_gate; fair_tree_gate ]
 
 (* Dynamic layer, four pairs over pre-generated churn streams. The
-   repair time of the incremental maintainer ÷ that of one whose ladder
-   starts and ends at Full_recompute isolates what the
-   dirty-neighbourhood repair buys: both sides sum the reports'
+   repair time of the incremental maintainer ÷ that of one recomputing
+   the whole live graph every batch ([incremental = false]) isolates
+   what the dirty-neighbourhood repair buys: both sides sum the reports'
    [repair_seconds] past the bootstrap batch of a stationary stream
    (about 250 live nodes, as perfbench's serve-steady), so neither event
    application nor the bootstrap, which the two share, dilutes it. It
-   reads Q1 0.35-0.38 on a shared 2-core host with both rungs on one
+   reads Q1 0.35-0.39 on a shared 2-core host with both sides on one
    region path, 0.087 when a full recompute rebuilt a graph and a view.
    Whole serves of a draining stream, bootstrap and events included,
    read 0.31 and 0.73 on those two paths. Strict serving with the
@@ -449,7 +449,7 @@ let run_churn_bench () =
         (decode Mis_dyn.Event.parse_line);
       paired "churn/repair-steady ÷ churn/repair-steady-full" ~bound:0.5
         (repair default)
-        (repair { default with Mis_dyn.Maintain.ladder = [ Mis_dyn.Maintain.Full_recompute ] });
+        (repair { default with Mis_dyn.Maintain.incremental = false });
       paired "churn/strict-check-every-1 ÷ churn/strict-check-every-0" ~bound:1.35
         (serve (strict 1)) (serve (strict 0)) ]
 

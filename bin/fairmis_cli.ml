@@ -665,10 +665,10 @@ let churn_gen_cmd =
 
 let serve_cmd =
   let doc =
-    "Maintain a live MIS over a JSONL stream of topology events \
-     (incremental repair with an escalating-radius ladder and full \
-     recompute as the degradation floor); prints serving statistics and \
-     verifies the final MIS."
+    "Maintain a live MIS over a JSONL stream of topology events (one \
+     incremental repair of the dirty neighbourhood per batch; a failed \
+     check heals by a full recompute, or exits under $(b,--strict)); \
+     prints serving statistics and verifies the final MIS."
   in
   let stream_arg =
     Arg.(required & pos 0 (some string) None
@@ -699,10 +699,6 @@ let serve_cmd =
         & info [ "check-every" ]
             ~doc:"Verify the live MIS every this many batches (0 = only \
                   at end of stream).")
-  in
-  let timeout =
-    Arg.(value & opt (some float) None
-        & info [ "timeout" ] ~doc:"Per-attempt repair budget, seconds.")
   in
   let metrics_out =
     Arg.(value & opt (some string) None
@@ -737,8 +733,8 @@ let serve_cmd =
   let quiet =
     Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"No per-batch progress.")
   in
-  let run stream capacity batch_size max_batches strict check_every timeout
-      seed metrics_out decisions_out telemetry_port slo flight_out quiet =
+  let run stream capacity batch_size max_batches strict check_every seed
+      metrics_out decisions_out telemetry_port slo flight_out quiet =
     let module Maintain = Mis_dyn.Maintain in
     let module Serve = Mis_dyn.Serve in
     let module Telemetry = Mis_obs.Telemetry in
@@ -809,7 +805,7 @@ let serve_cmd =
           in
           let config =
             { Maintain.default_config with
-              strict; check_every; timeout; seed; metrics = Some metrics;
+              strict; check_every; seed; metrics = Some metrics;
               decisions }
           in
           let maintainer =
@@ -819,13 +815,12 @@ let serve_cmd =
           let on_batch (r : Maintain.report) =
             if not quiet then
               Printf.printf
-                "batch %4d: events=%-3d region=%-4d rounds=%-3d \
-                 attempts=%d%s flips=%-3d live=%d\n%!"
+                "batch %4d: events=%-3d region=%-4d rounds=%-3d%s \
+                 flips=%-3d live=%d\n%!"
                 r.Maintain.batch r.Maintain.events
                 (Array.length r.Maintain.region_nodes) r.Maintain.rounds
-                r.Maintain.attempts
-                (if r.Maintain.full_recompute then "(full)"
-                 else if r.Maintain.escalated then "(esc)"
+                (if r.Maintain.escalated then " (healed)"
+                 else if r.Maintain.full_recompute then " (full)"
                  else "")
                 r.Maintain.flips r.Maintain.live
           in
@@ -883,7 +878,7 @@ let serve_cmd =
   in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(const run $ stream_arg $ capacity $ batch_size $ max_batches
-          $ strict $ check_every $ timeout $ seed_arg $ metrics_out
+          $ strict $ check_every $ seed_arg $ metrics_out
           $ decisions_out $ telemetry_port $ slo $ flight_out $ quiet)
 
 (* experiment *)

@@ -8,15 +8,10 @@ module Rand_plan = Fairmis.Rand_plan
 
 let spf = Printf.sprintf
 
-type rung = Radius of int | Full_recompute
-
 type config = {
-  ladder : rung list;
+  incremental : bool;
   strict : bool;
   check_every : int;
-  timeout : float option;
-  backoff : int -> float;
-  sleep : float -> unit;
   clock : unit -> float;
   seed : int;
   metrics : Mis_obs.Metrics.t option;
@@ -24,22 +19,19 @@ type config = {
 }
 
 let default_config =
-  { ladder = [ Radius 1; Radius 2; Full_recompute ];
+  { incremental = true;
     strict = false;
     check_every = 0;
-    timeout = None;
-    backoff = (fun _ -> 0.);
-    sleep = (fun s -> if s > 0. then Unix.sleepf s);
     clock = Unix.gettimeofday;
     seed = 1;
     metrics = None;
     decisions = Mis_obs.Trace.null }
 
 (* [mark], [slot] and [order] are the repair scratch, one int per slot,
-   reused by every attempt: a slot is dirty in the current attempt when
-   its [mark] equals [epoch], so starting an attempt is one increment.
-   [order] lists the dirty slots in marking order (the BFS queue and the
-   closure worklist); [slot] holds a region slot's index, or -1 when a
+   reused by every repair: a slot is dirty in the current repair when
+   its [mark] equals [epoch], so starting a repair is one increment.
+   [order] lists the dirty slots in marking order (the closure
+   worklist); [slot] holds a region slot's index, or -1 when a
    frozen member covers it. [seeded] stamps each slot with the last batch
    that seeded it, and [seeds] lists the batch's first [nseeds] seeds.
    [off] and [adj] are the region's CSR over region indices, handed to
@@ -66,19 +58,8 @@ type t = {
 exception Invariant_violation of string
 
 let validate_config cfg =
-  if cfg.ladder = [] then invalid_arg "Maintain.create: empty ladder";
-  List.iter
-    (function
-      | Radius r when r < 1 ->
-        invalid_arg "Maintain.create: ladder radius must be >= 1"
-      | Radius _ | Full_recompute -> ())
-    cfg.ladder;
   if cfg.check_every < 0 then
-    invalid_arg "Maintain.create: check_every must be >= 0";
-  match cfg.timeout with
-  | Some s when not (s > 0.) ->
-    invalid_arg "Maintain.create: timeout must be > 0"
-  | _ -> ()
+    invalid_arg "Maintain.create: check_every must be >= 0"
 
 let create ?(config = default_config) ~capacity () =
   validate_config config;
@@ -110,7 +91,6 @@ type report = {
   dirty : int;
   region_nodes : int array;
   rounds : int;
-  attempts : int;
   escalated : bool;
   full_recompute : bool;
   repair_seconds : float;
@@ -243,14 +223,14 @@ let apply_event t ev =
 
 (* --- repair ------------------------------------------------------------- *)
 
-(* An accepted attempt's proposal, committed only once the attempt is
-   accepted: the dirty nodes a frozen member covers leave the set, and
-   each region node takes the kernel's verdict. *)
-type attempt_result = {
-  a_covered : int array;  (* sorted *)
-  a_region : int array;  (* sorted global numbers handed to the kernel *)
-  a_output : bool array;  (* by region index *)
-  a_rounds : int;
+(* A repair's verdict, committed once the repair's time is taken: the
+   dirty nodes a frozen member covers leave the set, and each region
+   node takes the kernel's verdict. *)
+type verdict = {
+  covered : int array;  (* sorted *)
+  region : int array;  (* sorted global numbers handed to the kernel *)
+  output : bool array;  (* by region index *)
+  rounds : int;
 }
 
 (* Mark [v] dirty and append it to [order] at [len], unless it is dead
@@ -270,27 +250,17 @@ let push_neighbours t e len u =
   done;
   !len
 
-(* Dirty closure at [radius]: BFS-widen the seeds by [radius - 1] hops,
-   then close under "alive neighbors of dirty members are dirty" (those
-   neighbors may lose their cover when the member is re-decided). Opens a
-   new epoch and returns how many slots it marked, listed in
-   [t.order]. *)
-let dirty_set t ~radius =
+(* Dirty closure: the seeds, closed under "alive neighbors of dirty
+   members are dirty" (those neighbors may lose their cover when the
+   member is re-decided). Opens a new epoch and returns how many slots it
+   marked, listed in [t.order], which doubles as the closure's
+   worklist. *)
+let dirty_set t =
   t.epoch <- t.epoch + 1;
   let e = t.epoch and len = ref 0 in
   for i = 0 to t.nseeds - 1 do
     len := push t e !len t.seeds.(i)
   done;
-  let layer = ref 0 in
-  for _ = 2 to radius do
-    let stop = !len in
-    for i = !layer to stop - 1 do
-      len := push_neighbours t e !len t.order.(i)
-    done;
-    layer := stop
-  done;
-  (* Member closure: [order] doubles as the worklist, since widening can
-     pull in members whose dependents must follow. *)
   let i = ref 0 in
   while !i < !len do
     let u = t.order.(!i) in
@@ -336,35 +306,39 @@ let sort_prefix a len =
     sift a 0 stop
   done
 
+(* Coins of a batch's repair ([attempt = 1]) or of the full recompute
+   that heals a failed check ([attempt = 2]). *)
 let attempt_seed t ~batch ~attempt =
   Int64.to_int
     (Splitmix.derive (Int64.of_int t.cfg.seed) [ 0xD71A; batch; attempt ])
   land max_int
 
-(* One repair attempt: list the rung's candidates in ascending order in
-   [t.order], drop those a frozen member covers, write the rest's CSR
-   into [t.off] / [t.adj], and run Luby on the kernel with the (seed,
-   global id)-keyed [luby_main] coins. Returns the proposal without
-   committing it, so a timed-out or incomplete attempt leaves the
-   maintained state untouched for the next rung. *)
-let run_attempt t ~batch ~attempt rung =
+(* One repair: list the candidates in ascending order in [t.order] (the
+   dirty set, or every alive node when [full]), drop those a frozen
+   member covers, write the rest's CSR into [t.off] / [t.adj], and run
+   Luby on the kernel with the (seed, global id)-keyed [luby_main] coins
+   until every region node is decided. Each phase decides at least the
+   frontier's (value, id) minimum, so a k-node region takes at most 3k
+   rounds and needs no budget. Returns the verdict without committing
+   it. *)
+let repair t ~batch ~attempt ~full =
   let g = t.g and order = t.order and mark = t.mark and slot = t.slot in
-  let cap = Dyn_graph.capacity g in
-  let len, exclude =
-    match rung with
-    | Full_recompute ->
+  let len =
+    if full then begin
       (* Every alive node, in slot order; no member lies outside the set
          to cover one. *)
       t.epoch <- t.epoch + 1;
       let len = ref 0 in
-      for u = 0 to cap - 1 do
+      for u = 0 to Dyn_graph.capacity g - 1 do
         len := push t t.epoch !len u
       done;
-      (!len, false)
-    | Radius radius ->
-      let len = dirty_set t ~radius in
+      !len
+    end
+    else begin
+      let len = dirty_set t in
       sort_prefix order len;
-      (len, true)
+      len
+    end
   in
   let e = t.epoch in
   (* Frozen-member exclusion: a dirty node adjacent to a member outside
@@ -373,7 +347,7 @@ let run_attempt t ~batch ~attempt rung =
   let k = ref 0 and need = ref 0 in
   for i = 0 to len - 1 do
     let u = order.(i) in
-    if exclude && frozen_cover t e u then slot.(u) <- -1
+    if (not full) && frozen_cover t e u then slot.(u) <- -1
     else begin
       slot.(u) <- !k;
       incr k;
@@ -403,34 +377,21 @@ let run_attempt t ~batch ~attempt rung =
       t.off.(!s) <- !fill
     end
   done;
-  let accept output rounds =
-    Some
-      { a_covered = covered; a_region = region;
-        a_output = output; a_rounds = rounds }
-  in
-  if !k = 0 then accept [||] 0
+  if !k = 0 then { covered; region; output = [||]; rounds = 0 }
   else begin
     let o =
-      Kernel.luby
-        ?max_rounds:
-          (match rung with
-          | Full_recompute ->
-            (* The budget of a run over the whole universe of slots. *)
-            Some (Kernel.luby_max_rounds cap)
-          | Radius _ -> None)
+      Kernel.luby ~max_rounds:max_int
         ~value_of:
           (Rand_plan.node_values
              (Rand_plan.make (attempt_seed t ~batch ~attempt))
              ~stage:Rand_plan.Stage.luby_main)
         (Kernel.of_slots ~ids:region ~off:t.off ~adj)
     in
-    if Array.for_all Fun.id o.Kernel.decided then
-      accept o.Kernel.output o.Kernel.rounds
-    else None
+    { covered; region; output = o.Kernel.output; rounds = o.Kernel.rounds }
   end
 
-(* Commit an accepted proposal and emit its decisions; returns how many
-   memberships changed. *)
+(* Commit a repair and emit its decisions; returns how many memberships
+   changed. *)
 let commit t ~batch r =
   let sink = t.cfg.decisions in
   let flips = ref 0 in
@@ -440,8 +401,8 @@ let commit t ~batch r =
     if not (Trace.is_null sink) then
       sink.Trace.emit (Trace.Decide { round = batch; node = u; in_mis = m })
   in
-  Array.iter (fun u -> set u false) r.a_covered;
-  Array.iteri (fun i u -> set u r.a_output.(i)) r.a_region;
+  Array.iter (fun u -> set u false) r.covered;
+  Array.iteri (fun i u -> set u r.output.(i)) r.region;
   if not (Trace.is_null sink) then sink.Trace.flush ();
   !flips
 
@@ -455,42 +416,6 @@ let check t =
           (%d live nodes)"
          t.batches
          (Dyn_graph.alive_count t.g))
-
-(* Climb the ladder; each rung gets a fresh attempt against the
-   un-committed pre-repair state. *)
-let repair t ~batch =
-  let rec go attempt total = function
-    | [] ->
-      raise
-        (Invariant_violation
-           (spf "batch %d: every repair rung failed (%d attempts)" batch
-              (attempt - 1)))
-    | rung :: rest ->
-      if attempt > 1 then begin
-        mcount t "dyn.repair.escalations" 1;
-        t.cfg.sleep (t.cfg.backoff attempt)
-      end;
-      mcount t "dyn.repair.attempts" 1;
-      let t0 = t.cfg.clock () in
-      let result =
-        Prof.gspan "dyn.repair.attempt" (fun () ->
-            run_attempt t ~batch ~attempt rung)
-      in
-      let elapsed = max 0. (t.cfg.clock () -. t0) in
-      let total = total +. elapsed in
-      let timed_out =
-        match t.cfg.timeout with Some b -> elapsed > b | None -> false
-      in
-      (match result with
-      | Some r when not timed_out -> (r, attempt, rung, total)
-      | Some _ ->
-        mcount t "dyn.repair.timeouts" 1;
-        go (attempt + 1) total rest
-      | None ->
-        mcount t "dyn.repair.incomplete" 1;
-        go (attempt + 1) total rest)
-  in
-  go 1 0. t.cfg.ladder
 
 let apply_batch t events =
   Prof.gspan "dyn.batch" (fun () ->
@@ -507,22 +432,27 @@ let apply_batch t events =
           skipped := !skipped + s)
         events;
       mcount t "dyn.events.skipped" !skipped;
-      let result, attempts, rung, elapsed = repair t ~batch in
+      let full = not t.cfg.incremental in
+      let t0 = t.cfg.clock () in
+      let result =
+        Prof.gspan "dyn.repair" (fun () -> repair t ~batch ~attempt:1 ~full)
+      in
+      let elapsed = max 0. (t.cfg.clock () -. t0) in
       let flips = commit t ~batch result in
-      let full = rung = Full_recompute in
       if full then mcount t "dyn.repair.full_recomputes" 1;
       mcount t "dyn.flips" flips;
-      let dirty = Array.length result.a_covered + Array.length result.a_region in
+      let dirty = Array.length result.covered + Array.length result.region in
       mobserve t "dyn.repair.dirty_nodes" dirty;
-      mobserve t "dyn.repair.region_nodes" (Array.length result.a_region);
+      mobserve t "dyn.repair.region_nodes" (Array.length result.region);
       (match t.cfg.metrics with
       | None -> ()
       | Some reg ->
         Metrics.timer_add
           (Metrics.timer reg "dyn.repair.seconds")
           ~seconds:elapsed ~calls:1);
-      (* Invariant checker: hard-fail fast in strict mode, self-heal (and
-         count) otherwise. *)
+      (* Invariant checker: hard-fail fast in strict mode; otherwise count
+         the violation and heal with a full recompute, which must then
+         pass. *)
       let checked =
         t.cfg.check_every > 0 && batch mod t.cfg.check_every = 0
       in
@@ -533,22 +463,13 @@ let apply_batch t events =
         | Error msg ->
           mcount t "dyn.invariant_violations" 1;
           if t.cfg.strict then raise (Invariant_violation msg);
-          (* Graceful degradation: force the floor of the ladder. *)
           healed := true;
-          (match run_attempt t ~batch ~attempt:(attempts + 1) Full_recompute with
-          | Some r -> ignore (commit t ~batch r)
-          | None -> raise (Invariant_violation msg));
+          ignore (commit t ~batch (repair t ~batch ~attempt:2 ~full:true));
           (match check t with
           | Ok () -> ()
           | Error msg -> raise (Invariant_violation msg))
       end;
       if t.cfg.metrics <> None then begin
-        (* Degradation-ladder position of the accepted repair: rung index
-           0 while healthy, the ladder floor after a self-heal. *)
-        let level =
-          if !healed then List.length t.cfg.ladder - 1 else attempts - 1
-        in
-        mgauge t "dyn.ladder.level" (float_of_int level);
         mgauge t "dyn.live_nodes"
           (float_of_int (Dyn_graph.alive_count t.g));
         mgauge t "dyn.mis_members"
@@ -559,10 +480,9 @@ let apply_batch t events =
         applied = !applied;
         skipped = !skipped;
         dirty;
-        region_nodes = result.a_region;
-        rounds = result.a_rounds;
-        attempts;
-        escalated = attempts > 1 || !healed;
+        region_nodes = result.region;
+        rounds = result.rounds;
+        escalated = !healed;
         full_recompute = full || !healed;
         repair_seconds = elapsed;
         flips;

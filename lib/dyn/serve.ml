@@ -30,7 +30,6 @@ let report_json (r : Maintain.report) =
       ("dirty", Json.int r.Maintain.dirty);
       ("region_nodes", Json.int (Array.length r.Maintain.region_nodes));
       ("rounds", Json.int r.Maintain.rounds);
-      ("attempts", Json.int r.Maintain.attempts);
       ("escalated", Json.bool r.Maintain.escalated);
       ("full_recompute", Json.bool r.Maintain.full_recompute);
       ("repair_seconds", Json.float r.Maintain.repair_seconds);

@@ -29,7 +29,7 @@ type stats = {
   applied : int;
   skipped : int;  (** Inapplicable events (see {!Maintain.report}). *)
   malformed : int;  (** Unparseable lines skipped. *)
-  escalations : int;  (** Batches that climbed past the first rung. *)
+  escalations : int;  (** Batches healed after a failed check. *)
   full_recomputes : int;
   max_region : int;  (** Largest per-batch region the program re-ran on. *)
   flips : int;  (** Total membership changes. *)
@@ -63,7 +63,8 @@ val run :
     increment the ["dyn.slo.breaches"] counter (when the maintainer has
     a registry).
 
-    Exceptions from the maintainer ({!Maintain.Invariant_violation} in
-    strict mode) propagate — fail-fast is the point of strict serving.
+    {!Maintain.Invariant_violation} (a failed check in strict mode)
+    propagates — fail-fast is the point of strict serving. Nothing else
+    in a batch raises: each batch gets one repair, run to completion.
     @raise Invalid_argument on a non-positive [batch_size] or
     [max_batches]. *)

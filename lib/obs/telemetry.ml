@@ -144,8 +144,7 @@ let healthz t =
       0 (Metrics.items snap)
   in
   let violations = c "dyn.invariant_violations" in
-  let level = int_of_float (g "dyn.ladder.level") in
-  let status = if violations > 0 || level > 0 then "degraded" else "ok" in
+  let status = if violations > 0 then "degraded" else "ok" in
   let quantiles =
     match Metrics.find_sketch snap "dyn.repair.latency_seconds" with
     | None -> Json.null
@@ -163,8 +162,6 @@ let healthz t =
       ("batches", Json.int (c "dyn.batches"));
       ("events", Json.int events_applied);
       ("malformed", Json.int (c "dyn.events.malformed"));
-      ("ladder_level", Json.int level);
-      ("escalations", Json.int (c "dyn.repair.escalations"));
       ("full_recomputes", Json.int (c "dyn.repair.full_recomputes"));
       ("invariant_violations", Json.int violations);
       ( "slo",

@@ -102,10 +102,10 @@ val with_lock : t -> (unit -> 'a) -> 'a
 
 val healthz : t -> Json.t
 (** One JSON object summarizing serve health from the registry:
-    [status] (["ok"], or ["degraded"] when the degradation ladder sits
-    above its first rung or any invariant violation was counted),
-    [uptime_seconds], batches and events served, current ladder level,
-    escalation / full-recompute / invariant-violation counts, the SLO
+    [status] (["ok"], or ["degraded"] once any invariant violation was
+    counted: each one was healed by a full recompute),
+    [uptime_seconds], batches and events served, full-recompute and
+    invariant-violation counts, the SLO
     burn counter with its threshold, and streaming repair-latency
     p50/p95/p99 from the ["dyn.repair.latency_seconds"] sketch (absent
     fields render as [0] / [null]). The [/healthz] body; exposed so tests

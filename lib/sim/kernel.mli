@@ -73,9 +73,6 @@ val n : t -> int
 (** Node indices of the compiled view: the length of every outcome
     array. *)
 
-val luby_max_rounds : int -> int
-(** {!luby}'s default round budget for [n] nodes. *)
-
 val luby :
   ?max_rounds:int ->
   value_of:(round:int -> node:int -> int) ->
@@ -87,8 +84,7 @@ val luby :
     their neighbors out, compact the frontier in place. [value_of] is
     keyed by the program-visible id, matching the message program's
     [Rand_plan.node_value] draw. [max_rounds] defaults to the engine's
-    budget for [n] nodes, [64 + 64 * ceil(log2 (max n 2))]
-    ({!luby_max_rounds}). *)
+    budget for [n] nodes, [64 + 64 * ceil(log2 (max n 2))]. *)
 
 type fair_tree_coins = {
   cut : u:int -> v:int -> bool;

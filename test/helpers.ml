@@ -4,8 +4,12 @@ module Splitmix = Mis_util.Splitmix
 module Graph = Mis_graph.Graph
 module View = Mis_graph.View
 
-let qtest ?(count = 100) name arbitrary prop =
-  QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arbitrary prop)
+(* [seed] fixes the generator's state, so the cases are the same on every
+   run; without it they follow QCheck's run seed. *)
+let qtest ?(count = 100) ?seed name arbitrary prop =
+  QCheck_alcotest.to_alcotest
+    ?rand:(Option.map (fun s -> Random.State.make [| s |]) seed)
+    (QCheck.Test.make ~count ~name arbitrary prop)
 
 (* Deterministic random tree from a seed. *)
 let random_tree ~seed ~n =

@@ -1,7 +1,8 @@
 (* Tests for the dynamic layer: topology events and their wire format,
    the live graph, the incremental maintainer (validity after arbitrary
-   event batches, repair locality, the escalation ladder under injected
-   timeouts), the resilient serve loop, and the churn generator. *)
+   event batches, repair locality, one committed repair per batch however
+   slow, the engine as the repair's oracle), the resilient serve loop,
+   and the churn generator. *)
 
 module Event = Mis_dyn.Event
 module Dyn_graph = Mis_dyn.Dyn_graph
@@ -441,19 +442,9 @@ let joins_of_path n =
 
 let test_config_validation () =
   let bad cfg = ignore (Maintain.create ~config:cfg ~capacity:4 ()) in
-  Alcotest.check_raises "empty ladder"
-    (Invalid_argument "Maintain.create: empty ladder") (fun () ->
-      bad { Maintain.default_config with Maintain.ladder = [] });
-  Alcotest.check_raises "radius 0"
-    (Invalid_argument "Maintain.create: ladder radius must be >= 1")
-    (fun () ->
-      bad { Maintain.default_config with Maintain.ladder = [ Maintain.Radius 0 ] });
   Alcotest.check_raises "negative check_every"
     (Invalid_argument "Maintain.create: check_every must be >= 0") (fun () ->
       bad { Maintain.default_config with Maintain.check_every = -1 });
-  Alcotest.check_raises "zero timeout"
-    (Invalid_argument "Maintain.create: timeout must be > 0") (fun () ->
-      bad { Maintain.default_config with Maintain.timeout = Some 0. });
   Alcotest.check_raises "capacity"
     (Invalid_argument "Dyn_graph.create: capacity must be >= 1") (fun () ->
       ignore (Maintain.create ~capacity:0 ()))
@@ -509,12 +500,11 @@ let test_locality () =
   let r = Maintain.apply_batch m [ Event.Edge_insert { u; v = u + 2 } ] in
   Alcotest.(check bool) "no escalation" false r.Maintain.escalated;
   Alcotest.(check bool) "no full recompute" false r.Maintain.full_recompute;
-  Alcotest.(check int) "single attempt" 1 r.Maintain.attempts;
   Alcotest.(check bool) "conflict resolved" true
     (not ((Maintain.mis m).(u)) || not ((Maintain.mis m).(u + 2)));
   (* Everything the program re-decided lies within 3 hops of the insert
-     (Radius 1 widening plus the member closure), and nothing outside
-     the region flipped. *)
+     (the seeds and their member closure), and nothing outside the region
+     flipped. *)
   let after = Maintain.mis m in
   let in_region = Array.make n false in
   Array.iter
@@ -533,51 +523,11 @@ let test_locality () =
         (before.(w) = after.(w))
   done
 
-let test_escalation_on_timeout () =
+let test_slow_repair_commits () =
+  (* A clock that advances 10 s on every read makes each repair take
+     10 s. The repair still runs to completion, its verdict is committed,
+     and nothing escalates: there is no budget to blow. *)
   let reg = Metrics.create () in
-  let slept = ref [] in
-  (* The injected clock replays a script: batch 1 (bootstrap) repairs in
-     0.001s; batch 2's first attempt takes 10s (> the 1s budget) and its
-     retry 0.001s. Two clock reads per attempt. *)
-  let script = ref [ 0.; 0.001; 1.; 11.; 11.; 11.001 ] in
-  let clock () =
-    match !script with
-    | x :: rest ->
-      script := rest;
-      x
-    | [] -> Alcotest.fail "clock read past the script"
-  in
-  let config =
-    { (strict_config ()) with
-      Maintain.metrics = Some reg;
-      timeout = Some 1.;
-      backoff = (fun attempt -> float_of_int attempt);
-      sleep = (fun s -> slept := s :: !slept);
-      clock }
-  in
-  let m = Maintain.create ~config ~capacity:10 () in
-  let r1 = Maintain.apply_batch m (joins_of_path 10) in
-  Alcotest.(check int) "bootstrap needs one attempt" 1 r1.Maintain.attempts;
-  let r2 = Maintain.apply_batch m [ Event.Node_leave { node = 4 } ] in
-  Alcotest.(check int) "retry accepted" 2 r2.Maintain.attempts;
-  Alcotest.(check bool) "escalated" true r2.Maintain.escalated;
-  Alcotest.(check bool) "still not a full recompute" false
-    r2.Maintain.full_recompute;
-  Alcotest.(check (float 1e-9)) "repair time sums both attempts" 10.001
-    r2.Maintain.repair_seconds;
-  Alcotest.(check (list (float 1e-9))) "backed off before the retry" [ 2. ]
-    !slept;
-  Alcotest.(check int) "timeout counted" 1
-    (Metrics.counter_value (Metrics.counter reg "dyn.repair.timeouts"));
-  Alcotest.(check int) "escalation counted" 1
-    (Metrics.counter_value (Metrics.counter reg "dyn.repair.escalations"));
-  match Maintain.check m with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail e
-
-let test_ladder_exhaustion_raises () =
-  (* Every attempt blows the budget: the single-rung ladder must give up
-     with Invariant_violation rather than commit a late result. *)
   let now = ref 0. in
   let clock () =
     now := !now +. 10.;
@@ -585,18 +535,24 @@ let test_ladder_exhaustion_raises () =
   in
   let config =
     { Maintain.default_config with
-      Maintain.ladder = [ Maintain.Radius 1 ];
-      timeout = Some 1.;
-      clock }
+      Maintain.metrics = Some reg; check_every = 1; clock }
   in
-  let m = Maintain.create ~config ~capacity:4 () in
-  (match
-     Maintain.apply_batch m [ Event.Node_join { node = 0; edges = [] } ]
-   with
-  | exception Maintain.Invariant_violation _ -> ()
-  | _ -> Alcotest.fail "expected Invariant_violation");
-  (* Nothing was committed by the failed batch. *)
-  Alcotest.(check bool) "no membership committed" false ((Maintain.mis m).(0))
+  let m = Maintain.create ~config ~capacity:10 () in
+  List.iter
+    (fun batch ->
+      let r = Maintain.apply_batch m batch in
+      Alcotest.(check (float 1e-9)) "repair time" 10. r.Maintain.repair_seconds;
+      Alcotest.(check bool) "not escalated" false r.Maintain.escalated;
+      Alcotest.(check bool) "not a full recompute" false
+        r.Maintain.full_recompute;
+      match Maintain.check m with
+      | Ok () -> ()
+      | Error e -> Alcotest.fail e)
+    [ joins_of_path 10; [ Event.Node_leave { node = 4 } ] ];
+  Alcotest.(check bool) "bootstrap committed" true
+    (Array.exists Fun.id (Maintain.mis m));
+  Alcotest.(check int) "no violation" 0
+    (Metrics.counter_value (Metrics.counter reg "dyn.invariant_violations"))
 
 (* Arbitrary event batches over a small universe, including inapplicable
    and out-of-range events — validity (not any particular membership) is
@@ -744,6 +700,7 @@ let test_violation_heals () =
   let r = Maintain.apply_batch m [] in
   Alcotest.(check bool) "healed by a full recompute" true
     r.Maintain.full_recompute;
+  Alcotest.(check bool) "reported as escalated" true r.Maintain.escalated;
   Alcotest.(check int) "violation counted" 1
     (Metrics.counter_value (Metrics.counter reg "dyn.invariant_violations"));
   Alcotest.(check bool) "one of the linked pair left" true
@@ -771,42 +728,45 @@ let region_view g region =
 
 (* The kernel repair against its oracle, Luby's message program on the
    engine, batch by batch over a served churn stream: on each batch's
-   region, with the global numbers as ids and the accepted attempt's
-   [luby_main] coins (keyed as the maintainer keys them), the engine
-   must decide every region node as the maintained MIS has it, take the
-   reported rounds, and leave the reported number of flips. Served once
-   on the default ladder, where every batch repairs at [Radius 1], and
-   once on [[Full_recompute]], whose region is every alive node and
-   whose round budget is the whole capacity's. *)
-let serve_against_engine params seed stream (ladder_name, ladder, max_rounds) =
+   region, with the global numbers as ids and the repair's [luby_main]
+   coins (keyed as the maintainer keys them), the engine must decide
+   every region node as the maintained MIS has it, take the reported
+   rounds, and leave the reported number of flips. The kernel runs each
+   repair to completion, and a k-node region needs at most 3k rounds
+   (each phase decides at least its (value, id) minimum), so that is
+   the engine's budget. Served once incrementally and once with
+   [incremental = false], where every batch is a full recompute whose
+   region is every alive node. *)
+let serve_against_engine params seed stream incremental =
   let m =
     Maintain.create
-      ~config:{ (strict_config ~seed ()) with Maintain.ladder }
+      ~config:{ (strict_config ~seed ()) with Maintain.incremental }
       ~capacity:params.Churn.capacity ()
   in
-  let escalated = ref 0 in
+  let mode = if incremental then "incremental" else "full recompute" in
   List.iteri
     (fun i batch ->
       let before = Maintain.mis m in
       let r = Maintain.apply_batch m batch in
-      let name what = Printf.sprintf "%s, batch %d: %s" ladder_name (i + 1) what in
+      let name what = Printf.sprintf "%s, batch %d: %s" mode (i + 1) what in
       Alcotest.(check int) (name "nothing skipped") 0 r.Maintain.skipped;
-      if r.Maintain.escalated then incr escalated;
+      Alcotest.(check bool) (name "not escalated") false r.Maintain.escalated;
+      Alcotest.(check bool) (name "full recompute") (not incremental)
+        r.Maintain.full_recompute;
       let g = Maintain.graph m and after = Maintain.mis m in
       let region = r.Maintain.region_nodes in
-      if ladder = [ Maintain.Full_recompute ] then
+      if not incremental then
         Alcotest.(check (list int)) (name "region is every alive node")
           (alive_nodes g) (Array.to_list region);
-      let attempt_seed =
+      let repair_seed =
         Int64.to_int
-          (Splitmix.derive (Int64.of_int seed)
-             [ 0xD71A; r.Maintain.batch; r.Maintain.attempts ])
+          (Splitmix.derive (Int64.of_int seed) [ 0xD71A; r.Maintain.batch; 1 ])
         land max_int
       in
-      let plan = Fairmis.Rand_plan.make attempt_seed in
+      let plan = Fairmis.Rand_plan.make repair_seed in
       let stage = Fairmis.Rand_plan.Stage.luby_main in
       let o =
-        Mis_sim.Runtime.run ?max_rounds ~ids:region
+        Mis_sim.Runtime.run ~max_rounds:(3 * Array.length region) ~ids:region
           ~rng_of:(fun i ->
             Fairmis.Rand_plan.node_stream plan ~stage ~node:region.(i))
           (region_view g region)
@@ -835,8 +795,7 @@ let serve_against_engine params seed stream (ladder_name, ladder, max_rounds) =
           if Dyn_graph.alive g u && in_set <> was then incr flips)
         after;
       Alcotest.(check int) (name "flips") !flips r.Maintain.flips)
-    stream;
-  Alcotest.(check int) (ladder_name ^ ": no batch escalated") 0 !escalated
+    stream
 
 let test_repair_kernel_equals_engine () =
   let params =
@@ -844,11 +803,7 @@ let test_repair_kernel_equals_engine () =
   in
   let seed = 3 in
   let stream = Churn.generate (Splitmix.of_seed 21) params in
-  List.iter (serve_against_engine params seed stream)
-    [ ("default ladder", Maintain.default_config.Maintain.ladder, None);
-      ( "full recompute",
-        [ Maintain.Full_recompute ],
-        Some (Mis_sim.Kernel.luby_max_rounds params.Churn.capacity) ) ]
+  List.iter (serve_against_engine params seed stream) [ true; false ]
 
 (* Words this domain allocated straight into the major heap. [Gc.counters]
    reads this domain's own counts ([Gc.quick_stat] also folds in other
@@ -1165,10 +1120,8 @@ let suite =
         Alcotest.test_case "inapplicable events skip and count" `Quick
           test_skip_and_count;
         Alcotest.test_case "repair stays local" `Quick test_locality;
-        Alcotest.test_case "timeout escalates the ladder" `Quick
-          test_escalation_on_timeout;
-        Alcotest.test_case "exhausted ladder raises" `Quick
-          test_ladder_exhaustion_raises;
+        Alcotest.test_case "a slow repair is committed, never discarded"
+          `Quick test_slow_repair_commits;
         prop_maintainer_valid_after_any_batch;
         prop_repair_matches_membership_semantics;
         prop_classify_matches_snapshot;

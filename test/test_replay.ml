@@ -319,6 +319,167 @@ let test_of_jsonl_long_line () =
              Mis_obs.Line_reader.max_line_bytes)
           e)
 
+(* --- parser fuzz battery -------------------------------------------------- *)
+
+let gen_trace_event =
+  let open QCheck.Gen in
+  let small = frequency [ (6, int_range 0 40); (1, int_range 0 max_int) ] in
+  oneof
+      [ map3
+          (fun program n active -> Trace.Run_begin { program; n; active })
+          (oneofl [ "luby"; "fair_tree"; "" ]) small small;
+        map (fun round -> Trace.Round_begin { round }) small;
+        map3
+          (fun round messages decided ->
+            Trace.Round_end
+              { round; messages; dropped = 0; delayed = 1; decided;
+                crashed = 0 })
+          small small small;
+        map3 (fun round src dst -> Trace.Send { round; src; dst }) small small
+          small;
+        map2
+          (fun round reason ->
+            Trace.Drop { round; src = 0; dst = 1; reason })
+          small (oneofl [ Trace.Random; Trace.Adversary; Trace.Crashed_dst ]);
+        map2
+          (fun round delay -> Trace.Delay { round; src = 2; dst = 0; delay })
+          small small;
+        map3
+          (fun round node messages -> Trace.Recv { round; node; messages })
+          small small small;
+        map3
+          (fun round node in_mis -> Trace.Decide { round; node; in_mis })
+          small small bool;
+        map2 (fun round node -> Trace.Crash { round; node }) small small;
+        map2
+          (fun key value ->
+            Trace.Annotate { round = 1; node = 2; key; value })
+          (oneofl [ "k"; "stage"; "a\"b" ]) small;
+        map
+          (fun rounds ->
+            Trace.Run_end
+              { rounds; messages = 3; dropped = 0; delayed = 0; decided = 2;
+                in_flight = 1 })
+          small ]
+
+(* Well-formed trace lines (and, for the JSON parser's sake, nested JSON
+   values), then one to three mutations: truncation, a flipped byte, a
+   run of 40+ digits, invalid UTF-8, a duplicated segment or key, a stray
+   quote. *)
+let gen_mutated_line =
+  let open QCheck.Gen in
+  let insert s i x =
+    String.sub s 0 i ^ x ^ String.sub s i (String.length s - i)
+  in
+  let pos s = int_range 0 (String.length s) in
+  let truncate s = map (fun i -> String.sub s 0 i) (pos s) in
+  let flip s =
+    if s = "" then return s
+    else
+      map2
+        (fun i c -> String.mapi (fun j x -> if j = i then c else x) s)
+        (int_range 0 (String.length s - 1))
+        char
+  in
+  let digits s =
+    let* i = pos s and* n = int_range 40 400 and* sign = oneofl [ ""; "-" ] in
+    return (insert s i (sign ^ String.make n '9'))
+  in
+  let bad_utf8 s =
+    let* i = pos s
+    and* b =
+      oneofl
+        [ "\xff"; "\xfe"; "\x80"; "\xc3"; "\xc0\x80"; "\xed\xa0\x80";
+          "\xf4\x90\x80\x80"; "\xe2\x82" ]
+    in
+    return (insert s i b)
+  in
+  let dup_segment s =
+    let* i = pos s and* j = pos s and* k = pos s in
+    let i = min i j and j = max i j in
+    return (insert s k (String.sub s i (j - i)))
+  in
+  (* The field after a random comma, repeated right after the opening
+     brace: a duplicate key (with its value) at the front. *)
+  let dup_key s =
+    match
+      List.filter (fun i -> s.[i] = ',') (List.init (String.length s) Fun.id)
+    with
+    | [] -> return s
+    | commas ->
+      let* c = oneofl commas in
+      let stop =
+        match String.index_from_opt s (c + 1) ',' with
+        | Some d -> d
+        | None -> String.length s - 1
+      in
+      return (insert s 1 (String.sub s (c + 1) (max 0 (stop - c - 1)) ^ ","))
+  in
+  let stray_quote s = map (fun i -> insert s i "\"") (pos s) in
+  let mutation s =
+    oneof
+      [ truncate s; flip s; digits s; bad_utf8 s; dup_segment s; dup_key s;
+        stray_quote s ]
+  in
+  let rec mutate k s = if k = 0 then return s else mutation s >>= mutate (k - 1) in
+  let* k = int_range 1 3
+  and* line =
+    frequency
+      [ (3, map Trace.to_json gen_trace_event);
+        (1, map Json.emit (QCheck.gen arb_json_value)) ]
+  in
+  mutate k line
+
+let arb_mutated_line = QCheck.make ~print:(Printf.sprintf "%S") gen_mutated_line
+
+(* Either parser answers [Ok] or [Error] on any mutated line; nothing
+   escapes as an exception. *)
+let prop_parsers_total line =
+  let total name f =
+    match f line with
+    | Ok _ | Error _ -> true
+    | exception e ->
+      QCheck.Test.fail_reportf "%s raised %s" name (Printexc.to_string e)
+  in
+  total "Json.parse" Json.parse && total "Replay.parse_line" Replay.parse_line
+
+(* A stream of well-formed lines with one mutated line among them: the
+   streaming read agrees with [parse_line] line by line, so it fails at
+   the first non-blank line [parse_line] rejects, and names that line. *)
+let prop_of_jsonl_names_bad_line (before, bad, after) =
+  let lines =
+    List.map Trace.to_json before @ [ bad ] @ List.map Trace.to_json after
+  in
+  let contents = String.concat "" (List.map (fun l -> l ^ "\n") lines) in
+  (* The lines as read back: a mutation may have added line breaks. *)
+  let read =
+    String.split_on_char '\n'
+      (String.sub contents 0 (String.length contents - 1))
+  in
+  let nonblank = List.filter (fun l -> String.trim l <> "") read in
+  let rec first_bad i = function
+    | [] -> None
+    | l :: rest ->
+      if String.trim l <> "" && Result.is_error (Replay.parse_line l) then Some i
+      else first_bad (i + 1) rest
+  in
+  with_file contents (fun path ->
+      match (Replay.of_jsonl path, first_bad 1 read) with
+      | Ok evs, None -> List.length evs = List.length nonblank
+      | Error e, Some k ->
+        let prefix = Printf.sprintf "%s:%d: " path k in
+        String.length e >= String.length prefix
+        && String.sub e 0 (String.length prefix) = prefix
+        || QCheck.Test.fail_reportf "error %S does not start with %S" e prefix
+      | Ok _, Some k -> QCheck.Test.fail_reportf "line %d accepted" k
+      | Error e, None -> QCheck.Test.fail_reportf "rejected a clean stream: %s" e)
+
+let arb_stream_with_bad_line =
+  let events = QCheck.Gen.(list_size (int_range 0 12) gen_trace_event) in
+  QCheck.make
+    ~print:(fun (_, bad, _) -> Printf.sprintf "%S" bad)
+    QCheck.Gen.(triple events gen_mutated_line events)
+
 (* --- replay: golden stream ---------------------------------------------- *)
 
 let golden_run () =
@@ -745,6 +906,12 @@ let suite =
         Alcotest.test_case "bounded line reader" `Quick test_line_reader;
         Alcotest.test_case "of_jsonl rejects an oversized line" `Quick
           test_of_jsonl_long_line;
+        Helpers.qtest ~count:3000 ~seed:30
+          "json/trace parsers total on mutated lines" arb_mutated_line
+          prop_parsers_total;
+        Helpers.qtest ~count:300 ~seed:31
+          "of_jsonl names the mutated line" arb_stream_with_bad_line
+          prop_of_jsonl_names_bad_line;
         Alcotest.test_case "replay golden fairtree" `Quick test_replay_golden;
         Alcotest.test_case "replay golden via json" `Quick
           test_replay_golden_via_json;

@@ -317,7 +317,7 @@ let churn_stream ~batches =
 let serve_with_telemetry ~slo =
   let metrics = Metrics.create () in
   let telemetry = Telemetry.create ~slo metrics in
-  (* A deterministic clock: each repair attempt measures exactly 25 ms. *)
+  (* A deterministic clock: each repair measures exactly 25 ms. *)
   let now = ref 0. in
   let clock () =
     now := !now +. 0.025;
@@ -353,11 +353,9 @@ let test_serve_sketch_and_slo () =
   (match Metrics.find_sketch snap "dyn.repair.latency_seconds" with
   | Some s -> Alcotest.(check int) "registry sketch" 5 (Sketch.count s)
   | None -> Alcotest.fail "registry sketch missing");
-  (* Every 50 ms repair breaches a 10 ms SLO. *)
+  (* Every 25 ms repair breaches a 10 ms SLO. *)
   Alcotest.(check (option int)) "slo breaches" (Some 5)
     (Metrics.find_counter snap "dyn.slo.breaches");
-  Alcotest.(check (option (float 1e-9))) "ladder level gauge" (Some 0.)
-    (Metrics.find_gauge snap "dyn.ladder.level");
   (match Metrics.find_gauge snap "dyn.live_nodes" with
   | Some v -> Alcotest.(check bool) "live nodes gauge set" true (v > 0.)
   | None -> Alcotest.fail "live nodes gauge missing");
@@ -391,11 +389,21 @@ let test_serve_sketch_and_slo () =
   Alcotest.(check (option int)) "healthz events" (Some 20) (field "events");
   Alcotest.(check (option int)) "healthz violations" (Some 0)
     (field "invariant_violations");
-  match Json.find hz "slo" with
+  Alcotest.(check (option int)) "healthz full recomputes" (Some 0)
+    (field "full_recomputes");
+  (match Json.find hz "slo" with
   | Some slo ->
     Alcotest.(check (option int)) "healthz slo breaches" (Some 5)
       (Option.bind (Json.find slo "breaches") Json.get_int)
-  | None -> Alcotest.fail "healthz slo section missing"
+  | None -> Alcotest.fail "healthz slo section missing");
+  (* One counted violation (healed by a full recompute) degrades the
+     status; nothing else does. *)
+  Metrics.incr (Metrics.counter metrics "dyn.invariant_violations");
+  Alcotest.(check (option string)) "degraded after a violation"
+    (Some "degraded")
+    (Option.bind
+       (Result.to_option (Json.parse (Telemetry.healthz telemetry)))
+       (fun v -> Option.bind (Json.find v "status") Json.get_string))
 
 (* --- HTTP exposer ------------------------------------------------------- *)
 
