@@ -336,10 +336,10 @@ let kernel_coins plan =
     bit3 = Rand_plan.node_bits plan ~stage:Stage.fair_tree_s3;
     luby_value = Rand_plan.node_values plan ~stage:Stage.fair_tree_luby }
 
-let run_kernel_on ?gamma kernel plan =
+let run_kernel_on ?gamma ?into kernel plan =
   let n = Mis_sim.Kernel.n kernel in
   let gamma = gamma_for ~n gamma in
-  Mis_sim.Kernel.fair_tree
+  Mis_sim.Kernel.fair_tree ?into
     ~max_rounds:(max_rounds_for ~n ~gamma)
     ~gamma ~coins:(kernel_coins plan) kernel
 

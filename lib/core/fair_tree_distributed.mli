@@ -59,9 +59,15 @@ val run_kernel :
     per-node decision rounds bit-identical to {!run}. *)
 
 val run_kernel_on :
-  ?gamma:int -> Mis_sim.Kernel.t -> Rand_plan.t -> Mis_sim.Kernel.outcome
+  ?gamma:int ->
+  ?into:Mis_sim.Kernel.outcome ->
+  Mis_sim.Kernel.t ->
+  Rand_plan.t ->
+  Mis_sim.Kernel.outcome
 (** {!run_kernel} on a prebuilt kernel (the fast, reusing path); safe to
-    call concurrently from several domains on one shared kernel. *)
+    call concurrently from several domains on one shared kernel. [into]
+    as in {!Mis_sim.Kernel.fair_tree}: the run writes into that outcome,
+    which must then be the calling domain's own. *)
 
 val message_bits : n:int -> Messages.t -> int
 (** Size accounting: every message fits in O(log n) bits. *)

@@ -77,13 +77,13 @@ let run_distributed_on ?(stage = default_stage) ?tracer engine plan =
     ~rng_of:(fun u -> Rand_plan.node_stream plan ~stage ~node:u)
     engine prog
 
-let kernel_luby ?max_rounds ~stage kernel plan =
-  Mis_sim.Kernel.luby ?max_rounds
+let kernel_luby ?max_rounds ?into ~stage kernel plan =
+  Mis_sim.Kernel.luby ?max_rounds ?into
     ~value_of:(Rand_plan.node_values plan ~stage)
     kernel
 
-let run_kernel_on ?(stage = default_stage) kernel plan =
-  kernel_luby ~stage kernel plan
+let run_kernel_on ?(stage = default_stage) ?into kernel plan =
+  kernel_luby ?into ~stage kernel plan
 
 (* No round cutoff: a centralized caller wants the MIS, however many
    phases it takes. A phase spans 3 rounds and the run ends in its

@@ -66,9 +66,15 @@ val run_distributed_on :
     engine once per domain and call this per trial). *)
 
 val run_kernel_on :
-  ?stage:int -> Mis_sim.Kernel.t -> Rand_plan.t -> Mis_sim.Kernel.outcome
+  ?stage:int ->
+  ?into:Mis_sim.Kernel.outcome ->
+  Mis_sim.Kernel.t ->
+  Rand_plan.t ->
+  Mis_sim.Kernel.outcome
 (** The same algorithm on a prebuilt data-parallel {!Mis_sim.Kernel}
     (the fast, reusing path): decisions, MIS membership and per-node
     decision rounds bit-identical to {!run_distributed}, with no message
     allocation. Unlike {!run_distributed_on}, this may be called
-    concurrently from several domains on one shared kernel. *)
+    concurrently from several domains on one shared kernel. [into] as
+    in {!Mis_sim.Kernel.luby}: the run writes into that outcome, which
+    must then be the calling domain's own. *)

@@ -35,7 +35,11 @@ let default_config =
    frozen member covers it. [seeded] stamps each slot with the last batch
    that seeded it, and [seeds] lists the batch's first [nseeds] seeds.
    [off] and [adj] are the region's CSR over region indices, handed to
-   the kernel in place; [adj] grows to the largest region's links. *)
+   the kernel in place; [adj] starts empty and grows to the largest
+   region's links. [kernel] is the one Luby kernel every repair reloads
+   with its region, so its scratch is allocated again only when a region
+   outgrows every earlier one; [out] is the outcome each repair writes,
+   grown to the largest region. Both are the maintainer's alone. *)
 type t = {
   cfg : config;
   g : Dyn_graph.t;
@@ -53,6 +57,8 @@ type t = {
   off : int array;
   mutable adj : int array;
   mutable epoch : int;
+  kernel : Kernel.t;
+  mutable out : Kernel.outcome;
 }
 
 exception Invariant_violation of string
@@ -64,6 +70,8 @@ let validate_config cfg =
 let create ?(config = default_config) ~capacity () =
   validate_config config;
   let g = Dyn_graph.create ~capacity in
+  let off = Array.make (capacity + 1) 0 in
+  let kernel = Kernel.of_slots ~ids:[||] ~off ~adj:[||] in
   { cfg = config;
     g;
     mem = Array.make capacity false;
@@ -75,9 +83,11 @@ let create ?(config = default_config) ~capacity () =
     seeded = Array.make capacity 0;
     seeds = Array.make capacity 0;
     nseeds = 0;
-    off = Array.make (capacity + 1) 0;
-    adj = Array.make (4 * capacity) 0;
-    epoch = 0 }
+    off;
+    adj = [||];
+    epoch = 0;
+    kernel;
+    out = Kernel.make_outcome kernel }
 
 let config t = t.cfg
 let graph t = t.g
@@ -229,7 +239,8 @@ let apply_event t ev =
 type verdict = {
   covered : int array;  (* sorted *)
   region : int array;  (* sorted global numbers handed to the kernel *)
-  output : bool array;  (* by region index *)
+  output : bool array;  (* by region index; [t.out]'s, so read it before
+                           the next repair *)
   rounds : int;
 }
 
@@ -315,12 +326,12 @@ let attempt_seed t ~batch ~attempt =
 
 (* One repair: list the candidates in ascending order in [t.order] (the
    dirty set, or every alive node when [full]), drop those a frozen
-   member covers, write the rest's CSR into [t.off] / [t.adj], and run
-   Luby on the kernel with the (seed, global id)-keyed [luby_main] coins
-   until every region node is decided. Each phase decides at least the
-   frontier's (value, id) minimum, so a k-node region takes at most 3k
-   rounds and needs no budget. Returns the verdict without committing
-   it. *)
+   member covers, write the rest's CSR into [t.off] / [t.adj], reload
+   the resident kernel with it and run Luby there, into [t.out], with
+   the (seed, global id)-keyed [luby_main] coins until every region node
+   is decided. Each phase decides at least the frontier's (value, id)
+   minimum, so a k-node region takes at most 3k rounds and needs no
+   budget. Returns the verdict without committing it. *)
 let repair t ~batch ~attempt ~full =
   let g = t.g and order = t.order and mark = t.mark and slot = t.slot in
   let len =
@@ -379,13 +390,16 @@ let repair t ~batch ~attempt ~full =
   done;
   if !k = 0 then { covered; region; output = [||]; rounds = 0 }
   else begin
+    Kernel.reload t.kernel ~ids:region ~off:t.off ~adj;
+    if Array.length t.out.Kernel.output < !k then
+      t.out <- Kernel.make_outcome t.kernel;
     let o =
-      Kernel.luby ~max_rounds:max_int
+      Kernel.luby ~max_rounds:max_int ~into:t.out
         ~value_of:
           (Rand_plan.node_values
              (Rand_plan.make (attempt_seed t ~batch ~attempt))
              ~stage:Rand_plan.Stage.luby_main)
-        (Kernel.of_slots ~ids:region ~off:t.off ~adj)
+        t.kernel
     in
     { covered; region; output = o.Kernel.output; rounds = o.Kernel.rounds }
   end
@@ -441,8 +455,8 @@ let apply_batch t events =
       let flips = commit t ~batch result in
       if full then mcount t "dyn.repair.full_recomputes" 1;
       mcount t "dyn.flips" flips;
-      let dirty = Array.length result.covered + Array.length result.region in
-      mobserve t "dyn.repair.dirty_nodes" dirty;
+      let dirty_of r = Array.length r.covered + Array.length r.region in
+      mobserve t "dyn.repair.dirty_nodes" (dirty_of result);
       mobserve t "dyn.repair.region_nodes" (Array.length result.region);
       (match t.cfg.metrics with
       | None -> ()
@@ -452,23 +466,36 @@ let apply_batch t events =
           ~seconds:elapsed ~calls:1);
       (* Invariant checker: hard-fail fast in strict mode; otherwise count
          the violation and heal with a full recompute, which must then
-         pass. *)
+         pass. The report sums both repairs' dirty nodes, rounds and
+         flips; the heal's region, every alive node, holds the first's. *)
       let checked =
         t.cfg.check_every > 0 && batch mod t.cfg.check_every = 0
       in
-      let healed = ref false in
-      if checked then begin
-        match check t with
-        | Ok () -> ()
-        | Error msg ->
-          mcount t "dyn.invariant_violations" 1;
-          if t.cfg.strict then raise (Invariant_violation msg);
-          healed := true;
-          ignore (commit t ~batch (repair t ~batch ~attempt:2 ~full:true));
-          (match check t with
-          | Ok () -> ()
-          | Error msg -> raise (Invariant_violation msg))
-      end;
+      let heal =
+        if not checked then None
+        else
+          match check t with
+          | Ok () -> None
+          | Error msg ->
+            mcount t "dyn.invariant_violations" 1;
+            if t.cfg.strict then raise (Invariant_violation msg);
+            let r = repair t ~batch ~attempt:2 ~full:true in
+            let f = commit t ~batch r in
+            mcount t "dyn.flips" f;
+            (match check t with
+            | Ok () -> ()
+            | Error msg -> raise (Invariant_violation msg));
+            Some (r, f)
+      in
+      let region, dirty, rounds, flips =
+        match heal with
+        | None -> (result.region, dirty_of result, result.rounds, flips)
+        | Some (r, f) ->
+          ( r.region,
+            dirty_of result + dirty_of r,
+            result.rounds + r.rounds,
+            flips + f )
+      in
       if t.cfg.metrics <> None then begin
         mgauge t "dyn.live_nodes"
           (float_of_int (Dyn_graph.alive_count t.g));
@@ -480,10 +507,10 @@ let apply_batch t events =
         applied = !applied;
         skipped = !skipped;
         dirty;
-        region_nodes = result.region;
-        rounds = result.rounds;
-        escalated = !healed;
-        full_recompute = full || !healed;
+        region_nodes = region;
+        rounds;
+        escalated = heal <> None;
+        full_recompute = full || heal <> None;
         repair_seconds = elapsed;
         flips;
         live = Dyn_graph.alive_count t.g })

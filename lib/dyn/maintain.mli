@@ -26,11 +26,15 @@
     batch, so a repair allocates in proportion to its region, not to the
     capacity.
 
-    {b Kernel.} The region goes to {!Mis_sim.Kernel.of_slots} as is: its
-    node list is the id array (ascending, as that constructor checks)
-    and the CSR is read in place, with no edge list, graph, view or
-    renumbering in between. {!Mis_sim.Kernel.luby} then sweeps it on the
-    [Rand_plan.Stage.luby_main] coins of the batch's seed. The kernel is
+    {b Kernel.} The maintainer holds one Luby kernel from
+    {!Mis_sim.Kernel.of_slots} and one outcome, both its own, and each
+    repair {!Mis_sim.Kernel.reload}s the kernel with the region as is:
+    its node list is the id array (ascending, as the kernel checks) and
+    the CSR is read in place, with no edge list, graph, view or
+    renumbering in between. {!Mis_sim.Kernel.luby} then sweeps it into
+    the outcome on the [Rand_plan.Stage.luby_main] coins of the batch's
+    seed. The kernel's scratch and the outcome grow with the largest
+    region and are never allocated per repair. The kernel is
     bit-identical to Luby's message program on the engine under any slot
     order, and [test/test_dyn.ml] rebuilds every batch's region and
     checks the engine decides it as the maintainer did.
@@ -92,16 +96,19 @@ type report = {
   skipped : int;  (** Inapplicable events (dead endpoint, occupied slot,
                       duplicate edge, …) — skipped and counted. *)
   dirty : int;  (** Dirty-set size (every alive node on a full
-                    recompute). *)
+                    recompute); a healed batch adds the heal's. *)
   region_nodes : int array;
-      (** Sorted global numbers of the nodes Luby re-decided. *)
-  rounds : int;  (** Kernel rounds of the repair. *)
+      (** Sorted global numbers of the nodes Luby re-decided (every
+          alive node when healed). *)
+  rounds : int;  (** Kernel rounds of the repair, plus the heal's. *)
   escalated : bool;  (** A failed check was healed by a full recompute. *)
   full_recompute : bool;
       (** The batch was recomputed in full ([incremental = false]) or
           healed. *)
   repair_seconds : float;  (** [clock] time of the repair. *)
-  flips : int;  (** Membership changes vs before the batch. *)
+  flips : int;
+      (** Memberships the batch's repair changed, plus those its heal
+          changed. *)
   live : int;  (** Alive nodes after the batch. *)
 }
 

@@ -17,7 +17,14 @@ type t = {
           and {!fair_tree}, compiling one {!Mis_sim.Kernel}); the
           returned per-seed closure may be called from any domain,
           concurrently. [run view ~seed] in one go is correct but repeats
-          the setup on every call. *)
+          the setup on every call. Each call returns a fresh array. *)
+  buffered : (Mis_graph.View.t -> unit -> seed:int -> bool array) option;
+      (** The trial path of {!luby} and {!fair_tree} ([None] for the
+          others): [buffered view] does [run view]'s setup, and each
+          [()] then gives a per-seed closure that writes every call into
+          one outcome of its own, so the array it returns is overwritten
+          by its next call. One closure per domain; {!joins} uses it
+          through {!Mis_stats.Montecarlo.run_buffered}. *)
   traced : traced_run option;
       (** The algorithm's message program, used by [fairmis_cli trace] and
           [critpath]; under the same seed its MIS equals [run]'s. *)

@@ -4,17 +4,22 @@ module Graph = Mis_graph.Graph
 
 (* Data-parallel execution backend: the core programs expressed as flat
    array sweeps over the compiled CSR instead of message passing — the
-   omega_h / GraphBLAS MIS style. No inbox is ever allocated. A warm run
-   allocates its outcome (three n-word arrays and the record) and one
-   free-list cell per scratch it gives back: 9 words beyond the arrays
-   for Luby, 12 for FairTree, by Gc.minor_words at n = 121. The coins
-   come from [Rand_plan]'s prefix-folded closures, built once per trial
-   (17 and 57 words beyond the arrays for a whole [run_kernel_on]) and
-   allocating nothing per draw, so a verified trial stays within 3n + 64
-   words (test/test_rand_plan.ml). Resident, a kernel with one scratch of
-   each kind holds 14.5 words per node of a tree (test/test_kernel.ml
-   bounds it): it keeps no reference to its view, and under the identity
-   ids the slot-to-id array is the slot-to-index array itself.
+   omega_h / GraphBLAS MIS style. No inbox is ever allocated, and, as
+   in omega_h's [indset], the caller may own the state arrays: a run
+   [~into] an outcome the caller reuses allocates only the option
+   carrying it and the free-list cell it gives its scratch back on (5
+   words, by Gc.minor_words at n = 121). A run without [~into]
+   allocates its outcome as well (three n-word arrays and the record, 9
+   words beyond the arrays for either program). The coins come from
+   [Rand_plan]'s prefix-folded closures, built once per trial (13 and
+   50 words for a whole [run_kernel_on] into an outcome) and allocating
+   nothing per draw, so a verified trial stays within 3n + 64 words,
+   and within 64 into a reused outcome (test/test_rand_plan.ml).
+   Resident, a kernel run one run at a time holds 7.4 words per node of
+   a tree after both programs, 7.1 after Luby alone (test/test_kernel.ml
+   bounds both): it keeps no reference to its view, and under the
+   identity ids the slot-to-id array is the slot-to-index array
+   itself.
 
    The contract with [Runtime.Engine] is bit-identity on a perfect
    network: same outputs, same per-node decision round, same [rounds]
@@ -60,48 +65,50 @@ type outcome = {
   output : bool array;
   decided : bool array;
   decide_round : int array;
-  rounds : int;
-  simulated : int;
+  mutable rounds : int;
+  mutable simulated : int;
 }
 
 let ceil_log2 = Mis_util.Ids.ceil_log2
 
 let luby_max_rounds n = 64 + (64 * ceil_log2 (max n 2))
 
-(* Scratch for the Luby phase loop, cached across runs. All arrays are
-   indexed by slot; [l_front]/[l_winners] hold slot lists, [l_alive]
-   holds one byte (0 or 1) per slot. *)
-type luby_scratch = {
-  l_value : int array;
-  l_alive : Bytes.t;
-  l_front : int array;
-  l_winners : int array;
+(* One scratch serves both programs. Every array is indexed by slot
+   except [allowed], one byte (0 or 1) per CSR entry.
+
+   Luby keeps each frontier slot's value in [best], the frontier in
+   [depth], a phase's winners in [touch], and one alive byte (0 or 1)
+   per slot in [flags].
+
+   FairTree's [resolve] keeps a component's queue in [touch] and its
+   depths in [depth]; per-slot flags are the bits of one byte in
+   [flags]. In the round simulation [best] holds a stage's flood value
+   and then, from BFS init on, its BFS lead. [offer] stages the current
+   round's incoming flood value or BFS lead, [odepth] the BFS depth
+   ([inext] marks staged slots, reset on apply, [touch] lists them), and
+   [front] / [front2] hold the round's frontiers. The fallback Luby runs
+   in the same scratch once the stages are done with it.
+
+   Only the four slot arrays are allocated with the scratch. [allowed]
+   is allocated on the scratch's first FairTree run and the four
+   simulation arrays on the first component that runs the round
+   simulation, so a Luby-only kernel holds neither. *)
+type scratch = {
+  best : int array;
+  depth : int array;
+  touch : int array;
+  flags : Bytes.t;
+  mutable allowed : Bytes.t;
+  mutable offer : int array;
+  mutable odepth : int array;
+  mutable front : int array;
+  mutable front2 : int array;
 }
 
-(* Scratch for the FairTree stage pipeline, indexed by slot except
-   [f_allowed], one byte (0 or 1) per CSR entry. [resolve] keeps a
-   component's queue in [f_touch] and its depths in [f_depth]. In the
-   round simulation [f_best] holds a stage's flood value and then, from
-   BFS init on, its BFS lead. [f_offer] stages the current round's
-   incoming flood value or BFS lead, [f_odepth] the BFS depth ([inext]
-   marks staged slots, reset on apply, [f_touch] lists them). Per-slot
-   flags are the bits of one byte in [f_flags]. *)
-type ft_scratch = {
-  f_best : int array;
-  f_depth : int array;
-  f_offer : int array;
-  f_odepth : int array;
-  f_touch : int array;
-  f_front : int array;
-  f_front2 : int array;
-  f_flags : Bytes.t;
-  f_allowed : Bytes.t;
-}
-
-(* The [f_flags] bits: a node's BFS parity bit and its staged offer's,
-   the staged mark, the stage sets I1, I2, uncovered and stage 3's
-   joiners, and [sim], which marks the current stage's components that
-   run the round simulation. *)
+(* The [flags] bits in a FairTree run: a node's BFS parity bit and its
+   staged offer's, the staged mark, the stage sets I1, I2, uncovered and
+   stage 3's joiners, and [sim], which marks the current stage's
+   components that run the round simulation. *)
 let bit = 1 and obit = 2 and inext = 4 and i1 = 8
 let i2 = 16 and unc = 32 and i3 = 64 and sim = 128
 
@@ -111,26 +118,30 @@ let[@inline] put flags s f b =
   let x = Bytes.get_uint8 flags s in
   Bytes.set_uint8 flags s (if b then x lor f else x land lnot f)
 
-(* Scratch lives on one lock-free free list per kind, so a compiled
-   kernel can be shared by every domain of a trial pool: a run takes a
-   scratch (allocating one only when the list is empty) and gives it back
-   when it ends. The number of scratches is therefore bounded by the
-   number of concurrent runs, not by the number of runs. A run that
-   raises drops its scratch instead of returning it half-updated. The
-   CAS on the list head is ABA-safe because every push allocates a fresh
-   cons cell.
+(* Scratch lives on one lock-free free list, so a compiled kernel can be
+   shared by every domain of a trial pool: a run takes a scratch
+   (allocating one only when the list is empty) and gives it back when
+   it ends. The number of scratches is therefore bounded by the number
+   of concurrent runs, not by the number of runs. A run that raises
+   drops its scratch instead of returning it half-updated. The CAS on
+   the list head is ABA-safe because every push allocates a fresh cons
+   cell.
 
    A kernel keeps the slot-to-index map [active], [sid], each slot's
    program-visible id (the very array [active] under the identity ids),
-   and the CSR adjacency over slots. *)
+   and the CSR adjacency over slots; [nslots] slots are in use. Only
+   [reload] writes the mutable fields, on a kernel from [of_slots]
+   ([resident]), whose [active] is the identity and may run past
+   [nslots]. *)
 type t = {
-  n : int;
-  active : int array;
-  sid : int array;
-  adj_off : int array;
-  adj_slot : int array;
-  luby_free : luby_scratch list Atomic.t;
-  ft_free : ft_scratch list Atomic.t;
+  mutable n : int;
+  mutable nslots : int;
+  mutable active : int array;
+  mutable sid : int array;
+  mutable adj_off : int array;
+  mutable adj_slot : int array;
+  resident : bool;
+  free : scratch list Atomic.t;
 }
 
 let[@inline] on mask i = match mask with None -> true | Some a -> a.(i)
@@ -205,13 +216,14 @@ let create ?ids view =
       Csr.check_ids ~n ids active;
       Array.map (fun u -> ids.(u)) active
   in
-  { n; active; sid; adj_off; adj_slot;
-    luby_free = Atomic.make []; ft_free = Atomic.make [] }
+  { n; nslots; active; sid; adj_off; adj_slot; resident = false;
+    free = Atomic.make [] }
 
 (* A caller that already holds a slot CSR hands it over as is: slot [s]
    is node index [s]. One pass checks the offsets and entries, and the
-   ids' strict ascent, which makes them distinct without a table. *)
-let of_slots ~ids ~off ~adj =
+   ids' strict ascent, which makes them distinct without a table.
+   Returns the slot count. *)
+let check_slots ~ids ~off ~adj =
   let n = Array.length ids in
   let fail what = invalid_arg ("Kernel.of_slots: " ^ what) in
   if Array.length off <= n || off.(0) <> 0 then fail "offsets";
@@ -223,37 +235,88 @@ let of_slots ~ids ~off ~adj =
       if adj.(i) < 0 || adj.(i) >= n || adj.(i) = s then fail "adjacency entry"
     done
   done;
-  { n; active = Array.init n Fun.id; sid = ids; adj_off = off; adj_slot = adj;
-    luby_free = Atomic.make []; ft_free = Atomic.make [] }
+  n
+
+let of_slots ~ids ~off ~adj =
+  let n = check_slots ~ids ~off ~adj in
+  { n; nslots = n; active = Array.init n Fun.id; sid = ids; adj_off = off;
+    adj_slot = adj; resident = true; free = Atomic.make [] }
+
+(* The identity map grows by doubling, so a kernel reloaded with ever
+   larger regions reallocates it O(log n) times; the scratch follows its
+   length (see [take]). *)
+let reload t ~ids ~off ~adj =
+  if not t.resident then invalid_arg "Kernel.reload: not from of_slots";
+  let n = check_slots ~ids ~off ~adj in
+  if Array.length t.active < n then
+    t.active <- Array.init (max n (2 * Array.length t.active)) Fun.id;
+  t.n <- n;
+  t.nslots <- n;
+  t.sid <- ids;
+  t.adj_off <- off;
+  t.adj_slot <- adj
 
 let n t = t.n
-let nslots t = Array.length t.active
 
-let rec take free make t =
-  match Atomic.get free with
-  | [] -> make t
+let make_scratch t =
+  let k = Array.length t.active in
+  { best = Array.make k 0; depth = Array.make k 0; touch = Array.make k 0;
+    flags = Bytes.make k '\000'; allowed = Bytes.empty; offer = [||];
+    odepth = [||]; front = [||]; front2 = [||] }
+
+(* A scratch from the free list, or a new one. Only a reloaded kernel
+   can outgrow a scratch; one that is too small is dropped. *)
+let rec take t =
+  match Atomic.get t.free with
+  | [] -> make_scratch t
   | s :: rest as cur ->
-    if Atomic.compare_and_set free cur rest then s else take free make t
+    if not (Atomic.compare_and_set t.free cur rest) then take t
+    else if Array.length s.best < t.nslots then make_scratch t
+    else s
 
-let rec give free s =
-  let cur = Atomic.get free in
-  if not (Atomic.compare_and_set free cur (s :: cur)) then give free s
+let rec give t s =
+  let cur = Atomic.get t.free in
+  if not (Atomic.compare_and_set t.free cur (s :: cur)) then give t s
 
-let make_luby_scratch t =
-  let k = nslots t in
-  { l_value = Array.make k 0; l_alive = Bytes.make k '\000';
-    l_front = Array.make k 0; l_winners = Array.make k 0 }
+(* FairTree's per-entry bytes, sized by the entries in use: a slot CSR
+   handed over by a caller may run long. *)
+let ensure_allowed t scr =
+  let m = t.adj_off.(t.nslots) in
+  if Bytes.length scr.allowed < m then scr.allowed <- Bytes.make m '\000'
 
-let make_ft_scratch t =
-  let k = nslots t in
-  let ints x = Array.make k x in
-  { f_best = ints 0; f_depth = ints 0;
-    f_offer = ints 0; f_odepth = ints 0; f_touch = ints 0; f_front = ints 0;
-    f_front2 = ints 0; f_flags = Bytes.make k '\000';
-    f_allowed = Bytes.make (Array.length t.adj_slot) '\000' }
+let ensure_sim scr =
+  let k = Array.length scr.best in
+  if Array.length scr.offer < k then begin
+    scr.offer <- Array.make k 0;
+    scr.odepth <- Array.make k 0;
+    scr.front <- Array.make k 0;
+    scr.front2 <- Array.make k 0
+  end
 
-(* One Luby execution over the frontier [scr.l_front.(0 .. flen-1)]
-   (slots, in slot order; [scr.l_alive] must mark exactly those slots).
+let make_outcome t =
+  { output = Array.make t.n false; decided = Array.make t.n false;
+    decide_round = Array.make t.n (-1); rounds = 0; simulated = 0 }
+
+(* The outcome a run writes: [into], reset over the kernel's node
+   indices, or a fresh one. *)
+let start t into =
+  match into with
+  | None -> make_outcome t
+  | Some o ->
+    let n = t.n in
+    if Array.length o.output < n || Array.length o.decided < n
+       || Array.length o.decide_round < n
+    then invalid_arg "Kernel: outcome shorter than the kernel";
+    Array.fill o.output 0 n false;
+    Array.fill o.decided 0 n false;
+    Array.fill o.decide_round 0 n (-1);
+    o.rounds <- 0;
+    o.simulated <- 0;
+    o
+
+(* One Luby execution over the frontier [scr.depth.(0 .. flen-1)]
+   (slots, in slot order; [scr.flags] must hold 1 on exactly those
+   slots and 0 elsewhere).
    Phase [p] of the message protocol spans rounds [base + 3p ..
    base + 3p + 2]: values broadcast at [base + 3p], winners decide at
    [base + 3p + 1], covered neighbors at [base + 3p + 2]. Decisions past
@@ -263,8 +326,8 @@ let run_luby_phases t ~scr ~value_of ~base ~max_rounds ~flen:flen0
     ~undecided:undec0 ~output ~decided ~decide_round =
   let adj_off = t.adj_off and adj_slot = t.adj_slot in
   let active = t.active and sid = t.sid in
-  let alive = scr.l_alive and value = scr.l_value in
-  let front = scr.l_front and winners = scr.l_winners in
+  let alive = scr.flags and value = scr.best in
+  let front = scr.depth and winners = scr.touch in
   let flen = ref flen0 and undecided = ref undec0 in
   let phase = ref 0 in
   let rounds = ref base in
@@ -363,28 +426,25 @@ let run_luby_phases t ~scr ~value_of ~base ~max_rounds ~flen:flen0
   done;
   !rounds
 
-let luby ?max_rounds ~value_of t =
+let luby ?max_rounds ?into ~value_of t =
   let span = Prof.gstart "kernel.luby" in
-  let n = t.n in
-  let nslots = nslots t in
+  let nslots = t.nslots in
   let max_rounds =
-    match max_rounds with Some r -> r | None -> luby_max_rounds n
+    match max_rounds with Some r -> r | None -> luby_max_rounds t.n
   in
-  let scr = take t.luby_free make_luby_scratch t in
-  let output = Array.make n false in
-  let decided = Array.make n false in
-  let decide_round = Array.make n (-1) in
-  Bytes.fill scr.l_alive 0 nslots '\001';
+  let o = start t into in
+  let scr = take t in
+  Bytes.fill scr.flags 0 nslots '\001';
   for s = 0 to nslots - 1 do
-    scr.l_front.(s) <- s
+    scr.depth.(s) <- s
   done;
-  let rounds =
+  o.rounds <-
     run_luby_phases t ~scr ~value_of ~base:0 ~max_rounds ~flen:nslots
-      ~undecided:nslots ~output ~decided ~decide_round
-  in
-  give t.luby_free scr;
+      ~undecided:nslots ~output:o.output ~decided:o.decided
+      ~decide_round:o.decide_round;
+  give t scr;
   Prof.gstop span;
-  { output; decided; decide_round; rounds; simulated = 0 }
+  o
 
 type fair_tree_coins = {
   cut : u:int -> v:int -> bool;
@@ -395,36 +455,36 @@ type fair_tree_coins = {
 }
 
 (* The FairTree stage sweeps below are top-level functions over the
-   kernel and a scratch, not closures inside [fair_tree], so a run
-   allocates only its outcome. *)
+   kernel and a scratch, not closures inside [fair_tree], so a warm run
+   allocates no more than a Luby run. *)
 
 (* One stage's flood and BFS, one component of its allowed entries at a
-   time. A stage's participants are the slots whose [f_flags] carry the
+   time. A stage's participants are the slots whose [flags] carry the
    [mask] bit, or every slot when [mask = 0]; they enter with depth -1.
    Stage 1 ([mask = 0]) allows the entries whose edge the cut coin
    keeps, the others the entries between two participants; the first
-   traversal of a component writes its entries into [f_allowed]. In
-   stage 1 it keeps each node's discoverer in [f_best], so the coin of a
+   traversal of a component writes its entries into [allowed]. In
+   stage 1 it keeps each node's discoverer in [best], so the coin of a
    tree edge is drawn at one end only.
 
-   The first queue traversal lists the component in [f_touch] (depth -2)
+   The first queue traversal lists the component in [touch] (depth -2)
    and finds its max id [m]; the second, a BFS from [m], writes each
    depth. When every node lies within [g] hops of [m], [g] synchronous
    flood rounds put [m] on every node, [m] is the only leader, and [g]
    BFS rounds reach every node at its true distance with [m]'s bit: the
    node joins when its component is a single node (no participant
-   neighbour) or its depth plus that bit is even, and gets [out]. A
-   component with a farther node instead gets [sim], its nodes start the
-   flood at their own id, listed in [f_front], and the exact round
-   simulation ([flood], [bfs]) decides them. Returns how many
-   participants it simulated. *)
+   neighbour; the bit is not drawn) or its depth plus that bit is even,
+   and gets [out]. A component with a farther node instead gets [sim],
+   its nodes start the flood at their own id, listed in [front], and
+   the exact round simulation ([flood], [bfs]) decides them. Returns how
+   many participants it simulated. *)
 let resolve t ~scr ~g ~coins mask ~out bit_for =
   let adj_off = t.adj_off and adj_slot = t.adj_slot and sid = t.sid in
-  let flags = scr.f_flags and allowed = scr.f_allowed in
-  let best = scr.f_best and depth = scr.f_depth in
-  let queue = scr.f_touch and front = scr.f_front in
+  let flags = scr.flags and allowed = scr.allowed in
+  let best = scr.best and depth = scr.depth in
+  let queue = scr.touch in
   let nsim = ref 0 in
-  for s0 = 0 to nslots t - 1 do
+  for s0 = 0 to t.nslots - 1 do
     if (mask = 0 || has flags s0 mask) && depth.(s0) = -1 then begin
       depth.(s0) <- -2;
       best.(s0) <- -1;
@@ -477,14 +537,17 @@ let resolve t ~scr ~g ~coins mask ~out bit_for =
         done
       done;
       let len = !len in
-      if !far <= g then begin
+      if len = 1 then put flags m out true
+      else if !far <= g then begin
         let b = Bool.to_int (bit_for sid.(m)) in
         for i = 0 to len - 1 do
           let s = queue.(i) in
-          if len = 1 || (depth.(s) + b) land 1 = 0 then put flags s out true
+          if (depth.(s) + b) land 1 = 0 then put flags s out true
         done
       end
       else begin
+        ensure_sim scr;
+        let front = scr.front in
         for i = 0 to len - 1 do
           let s = queue.(i) in
           put flags s sim true;
@@ -498,14 +561,14 @@ let resolve t ~scr ~g ~coins mask ~out bit_for =
   !nsim
 
 (* [gamma] synchronous rounds of flood-max over the allowed entries from
-   the frontier [scr.f_front.(0 .. flen-1)], whose [best] starts at the
+   the frontier [scr.front.(0 .. flen-1)], whose [best] starts at the
    own id. *)
 let flood t ~scr ~g ~flen:flen0 =
   let adj_off = t.adj_off and adj_slot = t.adj_slot in
-  let flags = scr.f_flags and touch = scr.f_touch in
-  let allowed = scr.f_allowed and best = scr.f_best and offer = scr.f_offer in
+  let flags = scr.flags and touch = scr.touch in
+  let allowed = scr.allowed and best = scr.best and offer = scr.offer in
   let flen = ref flen0 in
-  let cur = ref scr.f_front and nxt = ref scr.f_front2 in
+  let cur = ref scr.front and nxt = ref scr.front2 in
   let r = ref 0 in
   while !r < g && !flen > 0 do
     incr r;
@@ -553,11 +616,11 @@ let flood t ~scr ~g ~flen:flen0 =
    bit, which nothing reads. *)
 let bfs t ~scr ~g bit_for =
   let adj_off = t.adj_off and adj_slot = t.adj_slot and sid = t.sid in
-  let front = scr.f_front and flags = scr.f_flags and touch = scr.f_touch in
-  let allowed = scr.f_allowed and lead = scr.f_best and depth = scr.f_depth in
-  let olead = scr.f_offer and odepth = scr.f_odepth in
+  let front = scr.front and flags = scr.flags and touch = scr.touch in
+  let allowed = scr.allowed and lead = scr.best and depth = scr.depth in
+  let olead = scr.offer and odepth = scr.odepth in
   let flen = ref 0 in
-  for s = 0 to nslots t - 1 do
+  for s = 0 to t.nslots - 1 do
     if has flags s sim then begin
       let id = sid.(s) in
       if lead.(s) = id then begin
@@ -569,7 +632,7 @@ let bfs t ~scr ~g bit_for =
       else lead.(s) <- -1
     end
   done;
-  let cur = ref front and nxt = ref scr.f_front2 in
+  let cur = ref front and nxt = ref scr.front2 in
   let r = ref 0 in
   while !r < g && !flen > 0 do
     incr r;
@@ -624,14 +687,14 @@ let bfs t ~scr ~g bit_for =
 let stage t ~scr ~g ~coins mask ~out bit_for =
   let nsim = resolve t ~scr ~g ~coins mask ~out bit_for in
   if nsim > 0 then begin
-    let flags = scr.f_flags in
+    let flags = scr.flags in
     flood t ~scr ~g ~flen:nsim;
     bfs t ~scr ~g bit_for;
-    for s = 0 to nslots t - 1 do
+    for s = 0 to t.nslots - 1 do
       if has flags s sim then begin
         put flags s sim false;
-        if scr.f_best.(s) >= 0
-           && (scr.f_depth.(s) + Bool.to_int (has flags s bit)) land 1 = 0
+        if scr.best.(s) >= 0
+           && (scr.depth.(s) + Bool.to_int (has flags s bit)) land 1 = 0
         then put flags s out true
       end
     done
@@ -649,32 +712,31 @@ let[@inline] near t flags f s =
   done;
   !hit
 
-let fair_tree ?max_rounds ~gamma ~coins t =
+let fair_tree ?max_rounds ?into ~gamma ~coins t =
   if gamma < 1 then invalid_arg "Kernel.fair_tree: gamma";
   let span = Prof.gstart "kernel.fair_tree" in
-  let n = t.n in
-  let nslots = nslots t in
+  let nslots = t.nslots in
   let g = gamma in
   let max_rounds =
     match max_rounds with
     | Some r -> r
-    | None -> (6 * g) + 6 + (64 * (ceil_log2 (max n 2) + 2))
+    | None -> (6 * g) + 6 + (64 * (ceil_log2 (max t.n 2) + 2))
   in
-  let output = Array.make n false in
-  let decided = Array.make n false in
-  let decide_round = Array.make n (-1) in
+  let o = start t into in
+  let output = o.output and decided = o.decided in
+  let decide_round = o.decide_round in
   let r_decide = (6 * g) + 5 in
-  let simulated = ref 0 in
-  let rounds =
-    if nslots = 0 then 0
+  o.rounds <-
+    (if nslots = 0 then 0
     else if r_decide > max_rounds then
       (* The first decision round lies past the cutoff: the engine runs
          [max_rounds] rounds of protocol and gives up undecided. *)
       max_rounds
     else begin
       let adj_off = t.adj_off and adj_slot = t.adj_slot and active = t.active in
-      let scr = take t.ft_free make_ft_scratch t in
-      let flags = scr.f_flags and depth = scr.f_depth in
+      let scr = take t in
+      ensure_allowed t scr;
+      let flags = scr.flags and depth = scr.depth in
       (* Stage 1: CntrlFairBipart over the uncut edges; every slot
          participates. *)
       Bytes.fill flags 0 nslots '\000';
@@ -703,7 +765,7 @@ let fair_tree ?max_rounds ~gamma ~coins t =
       (* Stage 3: the pipeline once more on the uncovered nodes; its
          joiners and I2 make I3. *)
       let sim3 = stage t ~scr ~g ~coins unc ~out:i3 coins.bit3 in
-      simulated := sim1 + sim2 + sim3;
+      o.simulated <- sim1 + sim2 + sim3;
       (* Decisions at round 6g+5. Independence repair: I4 is I3 without
          both endpoints of any I3 conflict. I4 joins and decides its
          neighbors out; the rest fall through to a Luby run among
@@ -727,27 +789,27 @@ let fair_tree ?max_rounds ~gamma ~coins t =
           done
         end
       done;
-      let scrl = take t.luby_free make_luby_scratch t in
-      Bytes.fill scrl.l_alive 0 nslots '\000';
-      let flen = ref 0 in
-      for s = 0 to nslots - 1 do
-        if not decided.(active.(s)) then begin
-          Bytes.set_uint8 scrl.l_alive s 1;
-          scrl.l_front.(!flen) <- s;
-          incr flen
-        end
-      done;
-      give t.ft_free scr;
+      (* The fallback Luby takes over the scratch: alive bytes in
+         [flags], the frontier in [depth]. *)
       let rounds =
         if !undecided = 0 then r_decide
-        else
-          run_luby_phases t ~scr:scrl ~value_of:coins.luby_value
-            ~base:r_decide ~max_rounds ~flen:!flen ~undecided:!undecided
-            ~output ~decided ~decide_round
+        else begin
+          Bytes.fill flags 0 nslots '\000';
+          let flen = ref 0 in
+          for s = 0 to nslots - 1 do
+            if not decided.(active.(s)) then begin
+              Bytes.set_uint8 flags s 1;
+              depth.(!flen) <- s;
+              incr flen
+            end
+          done;
+          run_luby_phases t ~scr ~value_of:coins.luby_value ~base:r_decide
+            ~max_rounds ~flen:!flen ~undecided:!undecided ~output ~decided
+            ~decide_round
+        end
       in
-      give t.luby_free scrl;
+      give t scr;
       rounds
-    end
-  in
+    end);
   Prof.gstop span;
-  { output; decided; decide_round; rounds; simulated = !simulated }
+  o

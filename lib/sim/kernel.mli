@@ -27,12 +27,16 @@ type outcome = {
       (** Round at which the node's decision would be emitted by the
           message engine; [-1] when the node never decided (inactive
           node, or cut off by [max_rounds]). *)
-  rounds : int;  (** Last executed round, engine semantics. *)
-  simulated : int;
+  mutable rounds : int;  (** Last executed round, engine semantics. *)
+  mutable simulated : int;
       (** FairTree: the stage participants, summed over the three stages,
           whose component had a node farther than [gamma] hops from its
           max id and so ran the round simulation. 0 for Luby. *)
 }
+(** A run's result. {!luby} and {!fair_tree} write it; [rounds] and
+    [simulated] are mutable so that a caller can hand one outcome to run
+    after run ([?into]) instead of allocating three n-word arrays per
+    run. *)
 
 type t
 (** A compiled kernel: a slot-to-node map, the CSR adjacency over slots
@@ -45,7 +49,13 @@ type t
     list is empty) and returns it when the run ends, so concurrent runs
     never share mutable state and the scratch count is bounded by the
     number of runs in flight. Compile once per view and call {!luby} /
-    {!fair_tree} from any domain. *)
+    {!fair_tree} from any domain.
+
+    One scratch kind serves both programs: four slot arrays (three int
+    arrays and a byte per slot). A FairTree run adds one byte per CSR
+    entry to the scratch it ran in, and a component that runs the round
+    simulation adds four more int arrays; a kernel that only ever ran
+    Luby holds neither. *)
 
 val create : ?ids:int array -> Mis_graph.View.t -> t
 (** Compile [view] and the optional index-to-id map (default the
@@ -63,18 +73,35 @@ val create : ?ids:int array -> Mis_graph.View.t -> t
 val of_slots : ids:int array -> off:int array -> adj:int array -> t
 (** A kernel over a slot CSR the caller holds: slot [s] is node index
     [s] with id [ids.(s)] and neighbours [adj.(off.(s) .. off.(s+1) - 1)],
-    which must be symmetric and free of duplicates. [off] and [adj] are
-    read in place and may run past the entries read. One linear pass
-    checks the offsets, the entries' range, self-loops, and that [ids]
-    ascend strictly (so are distinct), as a repair region's do.
+    which must be symmetric and free of duplicates. [ids], [off] and
+    [adj] are read in place, not copied; [off] and [adj] may run past the
+    entries read. One linear pass checks the offsets, the entries' range,
+    self-loops, and that [ids] ascend strictly (so are distinct), as a
+    repair region's do.
     @raise Invalid_argument ["Kernel.of_slots: ..."] when a check fails. *)
 
+val reload : t -> ids:int array -> off:int array -> adj:int array -> unit
+(** Point a kernel from {!of_slots} at another slot CSR, with the same
+    checks and messages, keeping its scratch: a caller that repairs
+    region after region on one kernel allocates a scratch only when a
+    region outgrows every earlier one. Only for a kernel its caller owns
+    alone: no run may be in flight on it, on any domain. A kernel from
+    {!create}, which domains may share, is never reloaded.
+    @raise Invalid_argument ["Kernel.reload: not from of_slots"] on a
+    kernel from {!create}, or as {!of_slots} when a check fails (the
+    kernel is then unchanged). *)
+
 val n : t -> int
-(** Node indices of the compiled view: the length of every outcome
-    array. *)
+(** Node indices of the compiled view: the length of a fresh outcome's
+    arrays. *)
+
+val make_outcome : t -> outcome
+(** A fresh outcome for this kernel's node indices (every node
+    undecided), to pass as [?into]. *)
 
 val luby :
   ?max_rounds:int ->
+  ?into:outcome ->
   value_of:(round:int -> node:int -> int) ->
   t ->
   outcome
@@ -84,7 +111,15 @@ val luby :
     their neighbors out, compact the frontier in place. [value_of] is
     keyed by the program-visible id, matching the message program's
     [Rand_plan.node_value] draw. [max_rounds] defaults to the engine's
-    budget for [n] nodes, [64 + 64 * ceil(log2 (max n 2))]. *)
+    budget for [n] nodes, [64 + 64 * ceil(log2 (max n 2))].
+
+    With [into], the run resets that outcome's first [n t] entries (its
+    arrays may be longer), writes its result there and returns it; a
+    warm run then allocates only the cons cell that gives its scratch
+    back. Without, it returns a fresh outcome. The result is the same either way,
+    whatever [into] or the kernel's scratch held before.
+    @raise Invalid_argument when an array of [into] is shorter than
+    [n t]. *)
 
 type fair_tree_coins = {
   cut : u:int -> v:int -> bool;
@@ -96,8 +131,14 @@ type fair_tree_coins = {
 }
 
 val fair_tree :
-  ?max_rounds:int -> gamma:int -> coins:fair_tree_coins -> t -> outcome
-(** The FairTree stage pipeline: three CntrlFairBipart stages, each
+  ?max_rounds:int ->
+  ?into:outcome ->
+  gamma:int ->
+  coins:fair_tree_coins ->
+  t ->
+  outcome
+(** The FairTree stage pipeline, into [into] or a fresh outcome as
+    {!luby}: three CntrlFairBipart stages, each
     [gamma] rounds of flood-max over its allowed edges and then [gamma]
     rounds of BFS adoption from the flood leaders, then the membership
     updates (I1, I2, uncovered, I3, the I4 independence repair) and the

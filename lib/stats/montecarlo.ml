@@ -35,6 +35,30 @@ let run ?check config ~n run_once =
     ~ctx:(fun () -> ())
     (fun () ~seed -> run_once ~seed)
 
+(* One [make ()] per domain for the length of one call, looked up by
+   domain id from the engine's per-chunk [init] on the claiming domain.
+   A domain runs its chunks one after another, so the closure it finds
+   is never in use by another chunk; only the domain itself adds its
+   entry, so the CAS loop cannot add one twice. *)
+let per_domain make =
+  let made = Atomic.make [] in
+  let rec add me x =
+    let cur = Atomic.get made in
+    if not (Atomic.compare_and_set made cur ((me, x) :: cur)) then add me x
+  in
+  fun () ->
+    let me = (Domain.self () :> int) in
+    match List.assoc_opt me (Atomic.get made) with
+    | Some x -> x
+    | None ->
+      let x = make () in
+      add me x;
+      x
+
+let run_buffered ?check config ~n make =
+  run_ctx ?check config ~n ~ctx:(per_domain make) (fun run_once ~seed ->
+      run_once ~seed)
+
 let empirical view acc =
   Empirical.of_fairness
     ~mask:(Array.init (Mis_graph.View.n view) (Mis_graph.View.node_active view))

@@ -36,6 +36,20 @@ val run :
     validation) runs on every single outcome — the paper requires
     correctness on all runs, so the experiments keep it on. *)
 
+val run_buffered :
+  ?check:(bool array -> unit) ->
+  config ->
+  n:int ->
+  (unit -> seed:int -> bool array) ->
+  Mis_obs.Fairness.t
+(** {!run} for a runner that writes every trial into a buffer of its
+    own: [make ()] is called once per domain that runs trials of this
+    call, and the per-seed closure it returns runs that domain's trials
+    one after another. The array a trial returns need only stay valid
+    until the closure's next call, which may overwrite it: the trial's
+    [check] and count are done by then. Bit-identical to {!run} over
+    closures that return fresh arrays, at any domain count. *)
+
 val empirical : Mis_graph.View.t -> Mis_obs.Fairness.t -> Empirical.t
 (** A {!run} accumulator over the view's active nodes.
     @raise Invalid_argument when the accumulator holds no run. *)

@@ -54,7 +54,7 @@ let edges_digest g =
 
 (* Words reachable from a compiled kernel (which keeps no reference to
    its view), per node, after a warm Luby and a warm FairTree run on it:
-   the compile plus one scratch of each kind. *)
+   the compile plus the one scratch both programs share. *)
 let kernel_words_per_node view kernel =
   let plan = Fairmis.Rand_plan.make 1 in
   for _ = 1 to 2 do

@@ -392,17 +392,157 @@ let test_kernel_of_slots () =
   rejects "adjacency entry" ~ids ~off ~adj:[| 1; 0; 3; 1 |];
   rejects "adjacency entry" ~ids ~off ~adj:[| 1; 1; 2; 1 |]
 
+(* [Kernel.reload] takes one [of_slots] kernel from a single node to the
+   path 5 - 9 - 12 (its scratch outgrown), down to the edge 3 - 8 and
+   past a rejected CSR, which leaves it as it was: every run equals one
+   on a fresh kernel over the same arrays. A shared kernel is refused. *)
+let test_kernel_reload () =
+  let plan = Rand_plan.make 4 in
+  let runs k =
+    ( Fairmis.Luby.run_kernel_on k plan,
+      Fairmis.Fair_tree_distributed.run_kernel_on k plan )
+  in
+  let kernel = Kernel.of_slots ~ids:[| 7 |] ~off:[| 0; 0 |] ~adj:[||] in
+  ignore (runs kernel);
+  let path = ([| 5; 9; 12 |], [| 0; 1; 3; 4 |], [| 1; 0; 2; 1 |]) in
+  let edge = ([| 3; 8 |], [| 0; 1; 2 |], [| 1; 0 |]) in
+  List.iter
+    (fun (name, (ids, off, adj)) ->
+      Kernel.reload kernel ~ids ~off ~adj;
+      Alcotest.(check bool) name true
+        (runs kernel = runs (Kernel.of_slots ~ids ~off ~adj)))
+    [ ("grown", path); ("shrunk", edge) ];
+  Alcotest.check_raises "bad CSR" (Invalid_argument "Kernel.of_slots: offsets")
+    (fun () -> Kernel.reload kernel ~ids:[| 1; 2; 3 |] ~off:[| 0; 1 |] ~adj:[| 1 |]);
+  let ids, off, adj = edge in
+  Alcotest.(check bool) "unchanged after a rejected reload" true
+    (runs kernel = runs (Kernel.of_slots ~ids ~off ~adj));
+  Alcotest.check_raises "shared kernel"
+    (Invalid_argument "Kernel.reload: not from of_slots") (fun () ->
+      Kernel.reload
+        (Kernel.create (View.full (Helpers.random_tree ~seed:1 ~n:3)))
+        ~ids ~off ~adj)
+
 (* Residency: a kernel keeps the slot maps and adjacency its sweeps read
-   and one scratch of each kind, with the FairTree flags packed into
-   bytes; under the identity ids its slot-to-id array is the slot-to-index
-   one. That reads 14.5 words per node here, 15.5 with a separate id
-   array, and 41.1 when it compiled the engine's indexes too and kept a
-   word per flag. The bound keeps the margin 24 gave over 15.5. *)
+   and one scratch that serves both programs (three int arrays and a
+   byte per slot, plus FairTree's byte per CSR entry); under the
+   identity ids its slot-to-id array is the slot-to-index one. That
+   reads 7.4 words per node here after both programs, 8.4 with a
+   separate id array; it read 14.5 with a scratch of each kind, and 41.1
+   when the kernel compiled the engine's indexes too and kept a word per
+   flag. The bound keeps the margin 22.4 gave over 14.5 (x1.55). *)
 let test_kernel_footprint () =
   let view = View.full (Mis_workload.Trees.complete_kary ~branch:5 ~depth:5) in
   let words = Helpers.kernel_words_per_node view (Kernel.create view) in
-  if words > 22.4 then
-    Alcotest.failf "kernel holds %.1f words per node, above 22.4" words
+  if words > 11.4 then
+    Alcotest.failf "kernel holds %.1f words per node, above 11.4" words
+
+(* What each program adds to a fresh kernel, word for word: Luby's runs
+   leave one scratch of four slot arrays (three int arrays, a byte per
+   slot), its record and free-list cell, and nothing of FairTree's:
+   neither its byte per CSR entry (n / 4 words on a tree) nor the four
+   int arrays of the round simulation (4n), which the default gamma
+   never runs here. FairTree's runs then add just the per-entry bytes. *)
+let test_kernel_footprint_per_program () =
+  let g = Mis_workload.Trees.complete_kary ~branch:5 ~depth:5 in
+  let view = View.full g in
+  let n = View.n view and entries = 2 * Mis_graph.Graph.m g in
+  let kernel = Kernel.create view in
+  let words () = Obj.reachable_words (Obj.repr kernel) in
+  let base = words () in
+  let plan = Rand_plan.make 1 in
+  let scratch = (3 * (n + 1)) + (n / 8) + 32 in
+  for _ = 1 to 2 do
+    ignore (Fairmis.Luby.run_kernel_on kernel plan)
+  done;
+  let luby = words () - base in
+  if luby > scratch then
+    Alcotest.failf "Luby runs added %d words, above one lean scratch (%d)" luby
+      scratch;
+  for _ = 1 to 2 do
+    ignore (Fairmis.Fair_tree_distributed.run_kernel_on kernel plan)
+  done;
+  let both = words () - base in
+  let bytes = (entries / 8) + 2 in
+  if both - luby > bytes then
+    Alcotest.failf "FairTree runs added %d words, above its entry bytes (%d)"
+      (both - luby) bytes;
+  if both - luby < bytes - 2 then
+    Alcotest.failf "FairTree runs added %d words, below its entry bytes (%d)"
+      (both - luby) bytes
+
+(* Outcome and scratch reuse: one kernel and one outcome serve a run of
+   each program in turn, with Luby and FairTree cut off early, at the
+   default and at small gammas (whose components run the round
+   simulation), so every run starts on the other program's (or another
+   cutoff's) scratch and on the previous run's outcome, first filled with
+   garbage. Each must return the outcome it was given, equal to a fresh
+   run on a fresh kernel in every field, including [rounds] and
+   [simulated]. *)
+let prop_kernel_reuse (gk, n, gseed, pseed) =
+  let view = view_of gk ~n ~gseed in
+  let plan = Rand_plan.make pseed in
+  let kernel = Kernel.create view in
+  let into = Kernel.make_outcome kernel in
+  Array.fill into.Kernel.output 0 (View.n view) true;
+  Array.fill into.Kernel.decided 0 (View.n view) true;
+  Array.fill into.Kernel.decide_round 0 (View.n view) 99;
+  into.Kernel.rounds <- 7;
+  into.Kernel.simulated <- 5;
+  let luby ?max_rounds ?into k =
+    Kernel.luby ?max_rounds ?into
+      ~value_of:(Rand_plan.node_values plan ~stage:Rand_plan.Stage.luby_main)
+      k
+  in
+  let fair_tree ?max_rounds ?gamma ?into k =
+    match gamma with
+    | None -> Fairmis.Fair_tree_distributed.run_kernel_on ?into k plan
+    | Some gamma ->
+      Kernel.fair_tree ?max_rounds ?into ~gamma
+        ~coins:
+          Rand_plan.
+            { Kernel.cut = edge_bits plan ~stage:Stage.fair_tree_cut;
+              bit1 = node_bits plan ~stage:Stage.fair_tree_s1;
+              bit2 = node_bits plan ~stage:Stage.fair_tree_s2;
+              bit3 = node_bits plan ~stage:Stage.fair_tree_s3;
+              luby_value = node_values plan ~stage:Stage.fair_tree_luby }
+        k
+  in
+  List.for_all
+    (fun (run : ?into:Kernel.outcome -> Kernel.t -> Kernel.outcome) ->
+      let o = run ~into kernel in
+      o == into && o = run (Kernel.create view))
+    [ (fun ?into k -> fair_tree ~gamma:1 ?into k);
+      (fun ?into k -> luby ?into k);
+      (fun ?into k -> fair_tree ?into k);
+      (fun ?into k -> luby ~max_rounds:2 ?into k);
+      (fun ?into k -> fair_tree ~gamma:1 ~max_rounds:10 ?into k);
+      (fun ?into k -> luby ~max_rounds:4 ?into k);
+      (fun ?into k -> fair_tree ~gamma:2 ?into k);
+      (fun ?into k -> fair_tree ~gamma:1 ~max_rounds:14 ?into k);
+      (fun ?into k -> luby ?into k) ]
+
+(* An outcome longer than the kernel is written on its first [n]
+   entries only; a shorter one is rejected before anything runs. *)
+let test_kernel_into_lengths () =
+  let view = View.full (Helpers.random_tree ~seed:4 ~n:12) in
+  let kernel = Kernel.create view and plan = Rand_plan.make 3 in
+  let fresh = Fairmis.Luby.run_kernel_on kernel plan in
+  let long =
+    { Kernel.output = Array.make 15 true; decided = Array.make 15 true;
+      decide_round = Array.make 15 99; rounds = 0; simulated = 0 }
+  in
+  ignore (Fairmis.Luby.run_kernel_on ~into:long kernel plan);
+  Alcotest.(check Helpers.bool_array) "prefix = fresh output"
+    fresh.Kernel.output (Array.sub long.Kernel.output 0 12);
+  Alcotest.(check (array int)) "prefix = fresh decide rounds"
+    fresh.Kernel.decide_round (Array.sub long.Kernel.decide_round 0 12);
+  Alcotest.(check (array int)) "tail untouched" [| 99; 99; 99 |]
+    (Array.sub long.Kernel.decide_round 12 3);
+  let short = { long with Kernel.decided = Array.make 11 false } in
+  Alcotest.check_raises "short outcome"
+    (Invalid_argument "Kernel: outcome shorter than the kernel") (fun () ->
+      ignore (Fairmis.Fair_tree_distributed.run_kernel_on ~into:short kernel plan))
 
 (* [Luby.run_stats] must match the original list-based centralized loop
    exactly, MIS and phase count. The oracle below is that code,
@@ -488,7 +628,23 @@ let test_trials_kernel_domain_invariant () =
   Alcotest.check Helpers.int_array "shared kernel(1) = fresh kernels" reference
     (joins 1 shared);
   Alcotest.check Helpers.int_array "shared kernel(4) = fresh kernels" reference
-    (joins 4 shared)
+    (joins 4 shared);
+  (* The buffered path: one outcome per domain, overwritten trial after
+     trial. *)
+  let buffered =
+    Option.get Mis_exp.Runners.luby.Mis_exp.Runners.buffered view
+  in
+  List.iter
+    (fun domains ->
+      Alcotest.check Helpers.int_array
+        (Printf.sprintf "per-domain outcomes(%d) = fresh kernels" domains)
+        reference
+        (Mis_obs.Fairness.joins
+           (Mis_stats.Montecarlo.run_buffered
+              { Mis_stats.Montecarlo.trials = 48; base_seed = 5;
+                domains = Some domains }
+              ~n buffered)))
+    [ 1; 4 ]
 
 (* MD5 of [Runners.measure] join counts (comma-separated, node order),
    200 trials from base seed 1, recorded before the fixed-arity coins,
@@ -535,8 +691,15 @@ let suite =
           test_kernel_ids_rejected;
         Alcotest.test_case "of_slots runs a slot CSR and checks it" `Quick
           test_kernel_of_slots;
-        Alcotest.test_case "kernel footprint <= 22.4 words per node" `Quick
+        Alcotest.test_case "reload reuses one of_slots kernel" `Quick
+          test_kernel_reload;
+        Alcotest.test_case "kernel footprint <= 11.4 words per node" `Quick
           test_kernel_footprint;
+        Alcotest.test_case "scratch footprint per program" `Quick
+          test_kernel_footprint_per_program;
+        Helpers.qtest ~count:60 "run into a reused outcome = fresh run" arb_case
+          prop_kernel_reuse;
+        Alcotest.test_case "outcome lengths" `Quick test_kernel_into_lengths;
         Helpers.qtest ~count:60 "run_stats in-place = list oracle" arb_case
           prop_run_stats_inplace;
         Helpers.qtest ~count:40 "run_stats in-place = list oracle (masked)"

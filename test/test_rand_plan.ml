@@ -198,7 +198,11 @@ let test_draws_allocate_nothing () =
    however many coins it draws. Minor words count every allocation
    exactly at n = 121, where the outcome arrays are minor blocks; at
    n = 3280 they go straight to the major heap, and the minor count is
-   the small blocks alone. *)
+   the small blocks alone. On the buffered path, a trial into an outcome
+   the caller reuses (as [Runners.measure] does, one per domain), the
+   bound is a constant, 64 words: Luby reads 13 and FairTree 50, and 18
+   and 55 through the buffered runner, which also builds the trial's
+   plan. *)
 let test_kernel_trial_allocates_outcome_only () =
   List.iter
     (fun depth ->
@@ -207,19 +211,39 @@ let test_kernel_trial_allocates_outcome_only () =
       let n = Mis_graph.View.n view in
       let kernel = Mis_sim.Kernel.create view in
       let plan = Rand_plan.make 7 in
-      let bound = float_of_int ((3 * n) + 64) in
+      let into = Mis_sim.Kernel.make_outcome kernel in
+      let trial (r : Mis_exp.Runners.t) =
+        Option.get r.Mis_exp.Runners.buffered view ()
+      in
+      let luby_trial = trial Mis_exp.Runners.luby
+      and fair_tree_trial = trial Mis_exp.Runners.fair_tree in
+      let fresh = float_of_int ((3 * n) + 64) in
       List.iter
-        (fun (name, run) ->
+        (fun (name, bound, run) ->
           ignore (run ());
           let w0 = Gc.minor_words () in
           ignore (Sys.opaque_identity (run ()));
           let w = Gc.minor_words () -. w0 in
           if w > bound then
-            Alcotest.failf "%s, n = %d: %.0f words > 3n + 64 = %.0f" name n w
-              bound)
-        [ ("luby", fun () -> Fairmis.Luby.run_kernel_on kernel plan);
+            Alcotest.failf "%s, n = %d: %.0f words > %.0f" name n w bound)
+        [ ("luby", fresh, fun () -> ignore (Fairmis.Luby.run_kernel_on kernel plan));
           ( "fairtree",
-            fun () -> Fairmis.Fair_tree_distributed.run_kernel_on kernel plan ) ])
+            fresh,
+            fun () ->
+              ignore (Fairmis.Fair_tree_distributed.run_kernel_on kernel plan) );
+          ( "luby into",
+            64.,
+            fun () -> ignore (Fairmis.Luby.run_kernel_on ~into kernel plan) );
+          ( "fairtree into",
+            64.,
+            fun () ->
+              ignore
+                (Fairmis.Fair_tree_distributed.run_kernel_on ~into kernel plan)
+          );
+          ("luby buffered runner", 64., fun () -> ignore (luby_trial ~seed:7));
+          ( "fairtree buffered runner",
+            64.,
+            fun () -> ignore (fair_tree_trial ~seed:7) ) ])
     [ 4; 7 ]
 
 let suite =

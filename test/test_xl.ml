@@ -116,8 +116,8 @@ let test_kernel_luby_xl () =
   (* The compiled kernel stays lean at scale: the same residency bound as
      the n = 3,906 case in test_kernel.ml. *)
   let words = Helpers.kernel_words_per_node view kernel in
-  if words > 22.4 then
-    Alcotest.failf "kernel holds %.1f words per node at n=1e5, above 22.4" words
+  if words > 11.4 then
+    Alcotest.failf "kernel holds %.1f words per node at n=1e5, above 11.4" words
 
 let test_kernel_fair_tree_xl () =
   require_xl ();
