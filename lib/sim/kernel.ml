@@ -15,11 +15,11 @@ module Graph = Mis_graph.Graph
    50 words for a whole [run_kernel_on] into an outcome) and allocating
    nothing per draw, so a verified trial stays within 3n + 64 words,
    and within 64 into a reused outcome (test/test_rand_plan.ml).
-   Resident, a kernel run one run at a time holds 7.4 words per node of
-   a tree after both programs, 7.1 after Luby alone (test/test_kernel.ml
-   bounds both): it keeps no reference to its view, and under the
-   identity ids the slot-to-id array is the slot-to-index array
-   itself.
+   Resident, a kernel run one run at a time holds 7.1 words per node of
+   a tree after either program or both (test/test_kernel.ml bounds it,
+   and checks that FairTree adds nothing on a tree): it keeps no
+   reference to its view, and under the identity ids the slot-to-id
+   array is the slot-to-index array itself.
 
    The contract with [Runtime.Engine] is bit-identity on a perfect
    network: same outputs, same per-node decision round, same [rounds]
@@ -34,18 +34,23 @@ module Graph = Mis_graph.Graph
    node index. A test relabels the graph and checks the outcome moves
    with it. BFS order keeps a node's neighbours a few slots away, so on
    a 10^6-node attachment tree, whose nodes hang off uniform earlier
-   ones, a FairTree run reads from cache what index order scatters.
+   ones, a FairTree run reads from cache what index order scatters. The
+   same pass puts each slot's BFS parent first in its adjacency when the
+   view is a forest ([forest]).
 
    Luby runs its phases as frontier sweeps. FairTree's stages are each
    CntrlFairBipart: [gamma] synchronous rounds of flood-max over the
    stage's allowed edges, then [gamma] rounds of BFS from the flood's
-   leaders. The kernel resolves a stage one connected component at a
-   time instead. When every node of a component lies within [gamma] hops
-   of its max id, those 2·gamma rounds put that max on every node as the
-   only leader and reach every node at its true distance, so two queue
-   traversals (find the max, BFS from it) give exactly their result.
-   Only a component with a farther node runs the round simulation, which
-   stays exact for any [gamma]:
+   leaders. When every node of a component of those edges lies within
+   [gamma] hops of its max id, the 2·gamma rounds put that max on every
+   node as the only leader and reach every node at its true distance.
+   On a forest, whose components are subtrees, the kernel computes that
+   result in two forward slot sweeps per stage (see [forest_join]) and
+   restarts the trial on the queue path when a component may reach
+   farther. The queue path, which any graph takes, resolves a stage one
+   component at a time: two queue traversals (find the max, BFS from it)
+   give exactly the rounds' result. Only a component with a farther node
+   runs the round simulation, which stays exact for any [gamma]:
 
    - flood-max is monotone and idempotent, so a changed-node frontier
      with offers staged against the previous round's values reproduces
@@ -74,25 +79,30 @@ let ceil_log2 = Mis_util.Ids.ceil_log2
 let luby_max_rounds n = 64 + (64 * ceil_log2 (max n 2))
 
 (* One scratch serves both programs. Every array is indexed by slot
-   except [allowed], one byte (0 or 1) per CSR entry.
+   except [allowed], one byte (0 or 1) per CSR entry, which only the
+   queue path of FairTree reads.
 
    Luby keeps each frontier slot's value in [best], the frontier in
    [depth], a phase's winners in [touch], and one alive byte (0 or 1)
    per slot in [flags].
 
-   FairTree's [resolve] keeps a component's queue in [touch] and its
-   depths in [depth]; per-slot flags are the bits of one byte in
-   [flags]. In the round simulation [best] holds a stage's flood value
-   and then, from BFS init on, its BFS lead. [offer] stages the current
-   round's incoming flood value or BFS lead, [odepth] the BFS depth
-   ([inext] marks staged slots, reset on apply, [touch] lists them), and
-   [front] / [front2] hold the round's frontiers. The fallback Luby runs
-   in the same scratch once the stages are done with it.
+   FairTree's forest sweeps keep each slot's component root in [best],
+   its depth below the root in [depth] and a root's max and bit in
+   [touch]. The queue path's [resolve] keeps a component's queue in
+   [touch] and its depths in [depth]. Per-slot flags are the bits of one
+   byte in [flags]. In the round simulation [best] holds a stage's flood
+   value and then, from BFS init on, its BFS lead. [offer] stages the
+   current round's incoming flood value or BFS lead, [odepth] the BFS
+   depth ([inext] marks staged slots, reset on apply, [touch] lists
+   them), and [front] / [front2] hold the round's frontiers. The
+   fallback Luby runs in the same scratch once the stages are done with
+   it.
 
    Only the four slot arrays are allocated with the scratch. [allowed]
-   is allocated on the scratch's first FairTree run and the four
-   simulation arrays on the first component that runs the round
-   simulation, so a Luby-only kernel holds neither. *)
+   is allocated on the scratch's first FairTree run on the queue path
+   and the four simulation arrays on the first component that runs the
+   round simulation, so a Luby-only kernel, or one whose FairTree runs
+   all took the forest path, holds neither. *)
 type scratch = {
   best : int array;
   depth : int array;
@@ -129,9 +139,11 @@ let[@inline] put flags s f b =
 
    A kernel keeps the slot-to-index map [active], [sid], each slot's
    program-visible id (the very array [active] under the identity ids),
-   and the CSR adjacency over slots; [nslots] slots are in use. Only
-   [reload] writes the mutable fields, on a kernel from [of_slots]
-   ([resident]), whose [active] is the identity and may run past
+   and the CSR adjacency over slots; [nslots] slots are in use, and
+   [forest] says the view has no cycle (so each slot's first entry is
+   its BFS parent, or a child at a BFS root). Only [reload] writes the
+   mutable fields, on a kernel from [of_slots] ([resident], never a
+   [forest]), whose [active] is the identity and may run past
    [nslots]. *)
 type t = {
   mutable n : int;
@@ -141,6 +153,7 @@ type t = {
   mutable adj_off : int array;
   mutable adj_slot : int array;
   resident : bool;
+  forest : bool;
   free : scratch list Atomic.t;
 }
 
@@ -158,7 +171,12 @@ let[@inline] usable ~adj ~adj_edge ~nodes ~edges i =
    in index order, with [active] as the queue. A slot's neighbours are
    written when it is dequeued, and a neighbour seen for the first time
    is numbered right there, so one pass numbers the slots and fills the
-   adjacency; a masked view first counts its slots and usable entries. *)
+   adjacency; a masked view first counts its slots and usable entries.
+   The first neighbour numbered before the slot itself is swapped to the
+   front of its entries: on a forest, whose BFS tree is the whole graph,
+   that is the slot's BFS parent, and no other neighbour is numbered
+   earlier. A view is a forest exactly when its entries number twice its
+   slots less its BFS roots. *)
 let create ?ids view =
   let n = View.n view in
   let g = View.graph view in
@@ -184,23 +202,32 @@ let create ?ids view =
   let active = Array.make nslots 0 in
   let adj_off = Array.make (nslots + 1) 0 in
   let adj_slot = Array.make nentries 0 in
-  let head = ref 0 and next = ref 0 and fill = ref 0 in
+  let head = ref 0 and next = ref 0 and fill = ref 0 and roots = ref 0 in
   for u0 = 0 to n - 1 do
     if on nodes u0 && slot.(u0) < 0 then begin
       slot.(u0) <- !next;
       active.(!next) <- u0;
       incr next;
+      incr roots;
       while !head < !next do
         let u = active.(!head) in
+        let first = !fill and placed = ref false in
         for i = off.(u) to off.(u + 1) - 1 do
           if usable ~adj ~adj_edge ~nodes ~edges i then begin
             let v = adj.(i) in
-            if slot.(v) < 0 then begin
+            let w = slot.(v) in
+            if w < 0 then begin
               slot.(v) <- !next;
               active.(!next) <- v;
+              adj_slot.(!fill) <- !next;
               incr next
-            end;
-            adj_slot.(!fill) <- slot.(v);
+            end
+            else if w < !head && not !placed then begin
+              placed := true;
+              adj_slot.(!fill) <- adj_slot.(first);
+              adj_slot.(first) <- w
+            end
+            else adj_slot.(!fill) <- w;
             incr fill
           end
         done;
@@ -217,7 +244,7 @@ let create ?ids view =
       Array.map (fun u -> ids.(u)) active
   in
   { n; nslots; active; sid; adj_off; adj_slot; resident = false;
-    free = Atomic.make [] }
+    forest = nentries = 2 * (nslots - !roots); free = Atomic.make [] }
 
 (* A caller that already holds a slot CSR hands it over as is: slot [s]
    is node index [s]. One pass checks the offsets and entries, and the
@@ -240,7 +267,7 @@ let check_slots ~ids ~off ~adj =
 let of_slots ~ids ~off ~adj =
   let n = check_slots ~ids ~off ~adj in
   { n; nslots = n; active = Array.init n Fun.id; sid = ids; adj_off = off;
-    adj_slot = adj; resident = true; free = Atomic.make [] }
+    adj_slot = adj; resident = true; forest = false; free = Atomic.make [] }
 
 (* The identity map grows by doubling, so a kernel reloaded with ever
    larger regions reallocates it O(log n) times; the scratch follows its
@@ -468,16 +495,16 @@ type fair_tree_coins = {
    tree edge is drawn at one end only.
 
    The first queue traversal lists the component in [touch] (depth -2)
-   and finds its max id [m]; the second, a BFS from [m], writes each
-   depth. When every node lies within [g] hops of [m], [g] synchronous
-   flood rounds put [m] on every node, [m] is the only leader, and [g]
-   BFS rounds reach every node at its true distance with [m]'s bit: the
-   node joins when its component is a single node (no participant
-   neighbour; the bit is not drawn) or its depth plus that bit is even,
-   and gets [out]. A component with a farther node instead gets [sim],
-   its nodes start the flood at their own id, listed in [front], and
-   the exact round simulation ([flood], [bfs]) decides them. Returns how
-   many participants it simulated. *)
+   and finds its max id [m]. A component of one node (no participant
+   neighbour) joins right there, gets [out] and draws no bit. Otherwise
+   the second traversal, a BFS from [m], writes each depth. When every
+   node lies within [g] hops of [m], [g] synchronous flood rounds put
+   [m] on every node, [m] is the only leader, and [g] BFS rounds reach
+   every node at its true distance with [m]'s bit: the node joins when
+   its depth plus that bit is even, and gets [out]. A component with a
+   farther node instead gets [sim], its nodes start the flood at their
+   own id, listed in [front], and the exact round simulation ([flood],
+   [bfs]) decides them. Returns how many participants it simulated. *)
 let resolve t ~scr ~g ~coins mask ~out bit_for =
   let adj_off = t.adj_off and adj_slot = t.adj_slot and sid = t.sid in
   let flags = scr.flags and allowed = scr.allowed in
@@ -517,44 +544,49 @@ let resolve t ~scr ~g ~coins mask ~out bit_for =
           end
         done
       done;
-      let m = !ms in
-      depth.(m) <- 0;
-      queue.(0) <- m;
-      head := 0;
-      let tail = ref 1 and far = ref 0 in
-      while !head < !tail do
-        let s = queue.(!head) in
-        incr head;
-        let d = depth.(s) + 1 in
-        for k = adj_off.(s) to adj_off.(s + 1) - 1 do
-          let ts = adj_slot.(k) in
-          if Bytes.get_uint8 allowed k <> 0 && depth.(ts) = -2 then begin
-            depth.(ts) <- d;
-            far := d;
-            queue.(!tail) <- ts;
-            incr tail
-          end
-        done
-      done;
       let len = !len in
-      if len = 1 then put flags m out true
-      else if !far <= g then begin
-        let b = Bool.to_int (bit_for sid.(m)) in
-        for i = 0 to len - 1 do
-          let s = queue.(i) in
-          if (depth.(s) + b) land 1 = 0 then put flags s out true
-        done
+      if len = 1 then begin
+        depth.(s0) <- 0;
+        put flags s0 out true
       end
       else begin
-        ensure_sim scr;
-        let front = scr.front in
-        for i = 0 to len - 1 do
-          let s = queue.(i) in
-          put flags s sim true;
-          best.(s) <- sid.(s);
-          front.(!nsim + i) <- s
+        let m = !ms in
+        depth.(m) <- 0;
+        queue.(0) <- m;
+        head := 0;
+        let tail = ref 1 and far = ref 0 in
+        while !head < !tail do
+          let s = queue.(!head) in
+          incr head;
+          let d = depth.(s) + 1 in
+          for k = adj_off.(s) to adj_off.(s + 1) - 1 do
+            let ts = adj_slot.(k) in
+            if Bytes.get_uint8 allowed k <> 0 && depth.(ts) = -2 then begin
+              depth.(ts) <- d;
+              far := d;
+              queue.(!tail) <- ts;
+              incr tail
+            end
+          done
         done;
-        nsim := !nsim + len
+        if !far <= g then begin
+          let b = Bool.to_int (bit_for sid.(m)) in
+          for i = 0 to len - 1 do
+            let s = queue.(i) in
+            if (depth.(s) + b) land 1 = 0 then put flags s out true
+          done
+        end
+        else begin
+          ensure_sim scr;
+          let front = scr.front in
+          for i = 0 to len - 1 do
+            let s = queue.(i) in
+            put flags s sim true;
+            best.(s) <- sid.(s);
+            front.(!nsim + i) <- s
+          done;
+          nsim := !nsim + len
+        end
       end
     end
   done;
@@ -701,6 +733,135 @@ let stage t ~scr ~g ~coins mask ~out bit_for =
   end;
   nsim
 
+(* The forest path. On a forest kernel slot [s]'s first entry is its
+   BFS parent, numbered before it; [parent] returns [s] itself at a BFS
+   root. Every component a stage builds is a subtree, its root is its
+   first slot in BFS order, and the tree distance of [u] and [v] has the
+   parity of their depths below any common ancestor. So two forward
+   sweeps replace the queues of [resolve]:
+
+   - [forest_join] puts each slot under its parent's root when the edge
+     is allowed: uncut in stage 1 ([mask = 0]), between two participants
+     otherwise. It keeps the root in [best] and the depth below it in
+     [depth], and, at the root, [2·m + multi] in [touch]: the max-id
+     slot [m] so far and whether a second node joined. A non-participant
+     is a root of its own.
+   - [forest_decide] draws one bit per multi-node component at its root,
+     rewriting the root's word to [4·depth(m) + 2·parity + 1], where the
+     parity is that of [depth(m)] plus the bit; a member then joins [out]
+     when its depth plus that parity is even, as a single node does.
+
+   Every node lies within [depth(m) + depth] hops of [m], so when no
+   member's sum exceeds [g], [g] flood rounds put [m] on every node and
+   [g] BFS rounds reach each at its true distance: the stage is exactly
+   what [resolve] computes. Otherwise [forest_decide] returns false and
+   the trial starts over on the queue path, which is exact for any
+   [g]. Updates that coins decide are arithmetic selects; only a
+   multi-node root and a [far] sum branch. *)
+let[@inline] parent t s =
+  let k = t.adj_off.(s) in
+  if k < t.adj_off.(s + 1) && t.adj_slot.(k) < s then t.adj_slot.(k) else s
+
+let forest_join t ~scr ~coins mask =
+  let sid = t.sid and flags = scr.flags in
+  let root = scr.best and depth = scr.depth and top = scr.touch in
+  for s = 0 to t.nslots - 1 do
+    let p = parent t s in
+    let j =
+      if mask = 0 then
+        if p = s then 0
+        else begin
+          let a = sid.(p) and b = sid.(s) in
+          let lo = b + (Bool.to_int (a < b) * (a - b)) in
+          Bool.to_int (not (coins.cut ~u:lo ~v:(a + b - lo)))
+        end
+      else
+        Bool.to_int (p < s)
+        land Bool.to_int
+               (Bytes.get_uint8 flags s land Bytes.get_uint8 flags p land mask
+               <> 0)
+    in
+    let r = s + (j * (root.(p) - s)) in
+    root.(s) <- r;
+    depth.(s) <- j * (depth.(p) + 1);
+    let m0 = s + (j * ((top.(r) lsr 1) - s)) in
+    let m = m0 + (Bool.to_int (sid.(s) > sid.(m0)) * (s - m0)) in
+    top.(r) <- (2 * m) + j
+  done
+
+let forest_decide t ~scr ~g mask ~out bit_for =
+  let sid = t.sid and flags = scr.flags in
+  let root = scr.best and depth = scr.depth and top = scr.touch in
+  let far = ref false in
+  for s = 0 to t.nslots - 1 do
+    let r = root.(s) in
+    let x = top.(r) in
+    let x =
+      if r = s && x land 1 = 1 then begin
+        let m = x lsr 1 in
+        let dm = depth.(m) in
+        let y =
+          (4 * dm) + (((dm + Bool.to_int (bit_for sid.(m))) land 1) * 2) + 1
+        in
+        top.(s) <- y;
+        y
+      end
+      else x
+    in
+    let multi = x land 1 and d = depth.(s) in
+    if d + (multi * (x lsr 2)) > g then far := true;
+    let f = Bytes.get_uint8 flags s in
+    let part = Bool.to_int (mask = 0 || f land mask <> 0) in
+    let even = 1 - ((d + (multi * (x lsr 1))) land 1) in
+    Bytes.set_uint8 flags s (f lor (part * even * out))
+  done;
+  not !far
+
+(* The three stages on a forest kernel, coverage swept from child to
+   parent between stages 2 and 3: a node is uncovered when neither it
+   nor its parent is in I2, until a child in I2 clears it. False when a
+   stage has a node beyond [g] of its component's max. *)
+let forest_stages t ~scr ~g ~coins =
+  let flags = scr.flags in
+  Bytes.fill flags 0 t.nslots '\000';
+  forest_join t ~scr ~coins 0;
+  forest_decide t ~scr ~g 0 ~out:i1 coins.bit1
+  && begin
+    forest_join t ~scr ~coins i1;
+    forest_decide t ~scr ~g i1 ~out:i2 coins.bit2
+  end
+  && begin
+    for s = 0 to t.nslots - 1 do
+      let p = parent t s in
+      let f = Bytes.get_uint8 flags s in
+      let bare = Bool.to_int ((f lor Bytes.get_uint8 flags p) land i2 = 0) in
+      let f = f lor (bare * unc) in
+      Bytes.set_uint8 flags s f;
+      Bytes.set_uint8 flags p
+        (Bytes.get_uint8 flags p land lnot (Bool.to_int (f land i2 <> 0) * unc))
+    done;
+    forest_join t ~scr ~coins unc;
+    forest_decide t ~scr ~g unc ~out:i3 coins.bit3
+  end
+
+(* The forest path's decisions. Its stages leave nothing for the I4
+   repair or the fallback Luby to do: within a stage component adjacent
+   nodes are parent and child, their depths differ by one and at most
+   one of them joins, so I2 is independent, stage 3's joiners are too,
+   and no uncovered node has a neighbour in I2. And every node has a
+   neighbour in I3 or lies in it: I2 covers all but stage 3's
+   participants, and a participant that does not join has a joining
+   neighbour, one hop nearer its component's max or, at the max, one hop
+   away. So I4 = I3 and every node decides at [r_decide]. *)
+let forest_write t ~scr ~r_decide o =
+  let flags = scr.flags and active = t.active in
+  for s = 0 to t.nslots - 1 do
+    let u = active.(s) in
+    o.output.(u) <- has flags s (i2 lor i3);
+    o.decided.(u) <- true;
+    o.decide_round.(u) <- r_decide
+  done
+
 (* Whether some neighbor of slot [s] carries one of the flags [f]. *)
 let[@inline] near t flags f s =
   let hit = ref false in
@@ -711,6 +872,85 @@ let[@inline] near t flags f s =
     incr k
   done;
   !hit
+
+(* The three stages, the I4 repair and the fallback Luby on the queue
+   path, which any graph and any [g] take. Returns the last round. *)
+let queue_trial t ~scr ~g ~coins ~max_rounds ~r_decide o =
+  let nslots = t.nslots in
+  let output = o.output and decided = o.decided in
+  let decide_round = o.decide_round in
+  let adj_off = t.adj_off and adj_slot = t.adj_slot and active = t.active in
+  ensure_allowed t scr;
+  let flags = scr.flags and depth = scr.depth in
+  (* Stage 1: CntrlFairBipart over the uncut edges; every slot
+     participates. *)
+  Bytes.fill flags 0 nslots '\000';
+  Array.fill depth 0 nslots (-1);
+  let sim1 = stage t ~scr ~g ~coins 0 ~out:i1 coins.bit1 in
+  (* Stage 2: the same pipeline on the subgraph induced by I1, over all
+     edges. *)
+  for s = 0 to nslots - 1 do
+    if has flags s i1 then depth.(s) <- -1
+  done;
+  let sim2 = stage t ~scr ~g ~coins i1 ~out:i2 coins.bit2 in
+  (* Coverage, marked outward from I2: a node is uncovered when neither
+     it nor any neighbor joined I2. *)
+  for s = 0 to nslots - 1 do
+    if not (has flags s i2) then begin
+      put flags s unc true;
+      depth.(s) <- -1
+    end
+  done;
+  for s = 0 to nslots - 1 do
+    if has flags s i2 then
+      for k = adj_off.(s) to adj_off.(s + 1) - 1 do
+        put flags adj_slot.(k) unc false
+      done
+  done;
+  (* Stage 3: the pipeline once more on the uncovered nodes; its joiners
+     and I2 make I3. *)
+  let sim3 = stage t ~scr ~g ~coins unc ~out:i3 coins.bit3 in
+  o.simulated <- sim1 + sim2 + sim3;
+  (* Decisions at round 6g+5. Independence repair: I4 is I3 without
+     both endpoints of any I3 conflict. I4 joins and decides its
+     neighbors out; the rest fall through to a Luby run among
+     themselves. *)
+  let in3 = i2 lor i3 in
+  let undecided = ref nslots in
+  for s = 0 to nslots - 1 do
+    if has flags s in3 && not (near t flags in3 s) then begin
+      let u = active.(s) in
+      output.(u) <- true;
+      decided.(u) <- true;
+      decide_round.(u) <- r_decide;
+      decr undecided;
+      for k = adj_off.(s) to adj_off.(s + 1) - 1 do
+        let v = active.(adj_slot.(k)) in
+        if not decided.(v) then begin
+          decided.(v) <- true;
+          decide_round.(v) <- r_decide;
+          decr undecided
+        end
+      done
+    end
+  done;
+  (* The fallback Luby takes over the scratch: alive bytes in [flags],
+     the frontier in [depth]. *)
+  if !undecided = 0 then r_decide
+  else begin
+    Bytes.fill flags 0 nslots '\000';
+    let flen = ref 0 in
+    for s = 0 to nslots - 1 do
+      if not decided.(active.(s)) then begin
+        Bytes.set_uint8 flags s 1;
+        depth.(!flen) <- s;
+        incr flen
+      end
+    done;
+    run_luby_phases t ~scr ~value_of:coins.luby_value ~base:r_decide
+      ~max_rounds ~flen:!flen ~undecided:!undecided ~output ~decided
+      ~decide_round
+  end
 
 let fair_tree ?max_rounds ?into ~gamma ~coins t =
   if gamma < 1 then invalid_arg "Kernel.fair_tree: gamma";
@@ -723,8 +963,6 @@ let fair_tree ?max_rounds ?into ~gamma ~coins t =
     | None -> (6 * g) + 6 + (64 * (ceil_log2 (max t.n 2) + 2))
   in
   let o = start t into in
-  let output = o.output and decided = o.decided in
-  let decide_round = o.decide_round in
   let r_decide = (6 * g) + 5 in
   o.rounds <-
     (if nslots = 0 then 0
@@ -733,80 +971,13 @@ let fair_tree ?max_rounds ?into ~gamma ~coins t =
          [max_rounds] rounds of protocol and gives up undecided. *)
       max_rounds
     else begin
-      let adj_off = t.adj_off and adj_slot = t.adj_slot and active = t.active in
       let scr = take t in
-      ensure_allowed t scr;
-      let flags = scr.flags and depth = scr.depth in
-      (* Stage 1: CntrlFairBipart over the uncut edges; every slot
-         participates. *)
-      Bytes.fill flags 0 nslots '\000';
-      Array.fill depth 0 nslots (-1);
-      let sim1 = stage t ~scr ~g ~coins 0 ~out:i1 coins.bit1 in
-      (* Stage 2: the same pipeline on the subgraph induced by I1, over
-         all edges. *)
-      for s = 0 to nslots - 1 do
-        if has flags s i1 then depth.(s) <- -1
-      done;
-      let sim2 = stage t ~scr ~g ~coins i1 ~out:i2 coins.bit2 in
-      (* Coverage, marked outward from I2: a node is uncovered when
-         neither it nor any neighbor joined I2. *)
-      for s = 0 to nslots - 1 do
-        if not (has flags s i2) then begin
-          put flags s unc true;
-          depth.(s) <- -1
-        end
-      done;
-      for s = 0 to nslots - 1 do
-        if has flags s i2 then
-          for k = adj_off.(s) to adj_off.(s + 1) - 1 do
-            put flags adj_slot.(k) unc false
-          done
-      done;
-      (* Stage 3: the pipeline once more on the uncovered nodes; its
-         joiners and I2 make I3. *)
-      let sim3 = stage t ~scr ~g ~coins unc ~out:i3 coins.bit3 in
-      o.simulated <- sim1 + sim2 + sim3;
-      (* Decisions at round 6g+5. Independence repair: I4 is I3 without
-         both endpoints of any I3 conflict. I4 joins and decides its
-         neighbors out; the rest fall through to a Luby run among
-         themselves. *)
-      let in3 = i2 lor i3 in
-      let undecided = ref nslots in
-      for s = 0 to nslots - 1 do
-        if has flags s in3 && not (near t flags in3 s) then begin
-          let u = active.(s) in
-          output.(u) <- true;
-          decided.(u) <- true;
-          decide_round.(u) <- r_decide;
-          decr undecided;
-          for k = adj_off.(s) to adj_off.(s + 1) - 1 do
-            let v = active.(adj_slot.(k)) in
-            if not decided.(v) then begin
-              decided.(v) <- true;
-              decide_round.(v) <- r_decide;
-              decr undecided
-            end
-          done
-        end
-      done;
-      (* The fallback Luby takes over the scratch: alive bytes in
-         [flags], the frontier in [depth]. *)
       let rounds =
-        if !undecided = 0 then r_decide
-        else begin
-          Bytes.fill flags 0 nslots '\000';
-          let flen = ref 0 in
-          for s = 0 to nslots - 1 do
-            if not decided.(active.(s)) then begin
-              Bytes.set_uint8 flags s 1;
-              depth.(!flen) <- s;
-              incr flen
-            end
-          done;
-          run_luby_phases t ~scr ~value_of:coins.luby_value ~base:r_decide
-            ~max_rounds ~flen:!flen ~undecided:!undecided ~output ~decided
-            ~decide_round
+        if t.forest && forest_stages t ~scr ~g ~coins then begin
+          forest_write t ~scr ~r_decide o;
+          r_decide
         end
+        else queue_trial t ~scr ~g ~coins ~max_rounds ~r_decide o
       in
       give t scr;
       rounds

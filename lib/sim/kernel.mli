@@ -52,10 +52,11 @@ type t
     {!fair_tree} from any domain.
 
     One scratch kind serves both programs: four slot arrays (three int
-    arrays and a byte per slot). A FairTree run adds one byte per CSR
-    entry to the scratch it ran in, and a component that runs the round
-    simulation adds four more int arrays; a kernel that only ever ran
-    Luby holds neither. *)
+    arrays and a byte per slot). A FairTree run on the queue path adds
+    one byte per CSR entry to the scratch it ran in, and a component that
+    runs the round simulation adds four more int arrays; a kernel that
+    only ever ran Luby, or whose FairTree runs all took the forest path,
+    holds neither. *)
 
 val create : ?ids:int array -> Mis_graph.View.t -> t
 (** Compile [view] and the optional index-to-id map (default the
@@ -65,6 +66,13 @@ val create : ?ids:int array -> Mis_graph.View.t -> t
     few slots away whatever its index; a masked view first counts its
     slots and usable entries. The message engine keeps {!Csr}'s index
     order, which its FIFO delivery order follows.
+
+    The same pass, with no temporary array, puts each slot's first
+    neighbour numbered before it at the front of its adjacency, and
+    records whether the view is a forest: whether its entries number
+    twice its slots less its BFS roots. On a forest that first neighbour
+    is the slot's BFS parent, which {!fair_tree} sweeps read. It is a
+    property of the view, not an option.
 
     @raise Invalid_argument with the engine's messages
     (["Runtime.run: ids length"], ["Runtime.run: duplicate ids"]) when
@@ -145,14 +153,32 @@ val fair_tree :
     Luby fallback on whatever remains undecided after round
     [6*gamma + 5].
 
-    Each stage is resolved one connected component of its allowed edges
-    at a time: one queue traversal finds the component's max id, a BFS
-    from it writes every node's depth, and when no node is more than
-    [gamma] hops away that is exactly what the [2*gamma] rounds compute.
-    A component with a farther node runs the exact round simulation
-    instead and counts toward [outcome.simulated]. Adjacency is scanned
-    only for a stage's participants, I2 and I3; the stage's work besides
-    is a few passes over one byte per slot.
+    On a kernel whose view is a forest, each stage is two forward
+    sweeps over the slots in BFS order. The first joins each participant
+    to its parent's component when the edge is allowed (uncut in stage
+    1, between two participants in stages 2 and 3) and carries the
+    component's root, each depth below it and the max-id node; the
+    second draws one bit per multi-node component at its root and sets
+    each participant's membership from its depth's parity. Coverage is
+    one parent/child sweep, and the stages leave the I4 repair and the
+    fallback nothing to do (I3 is independent and dominating), so one
+    more sweep writes the outcome. No per-entry bytes are allocated.
+    Depths count hops below the component's root. When some component
+    has [depth(max) + depth(deepest member) > gamma], a node may lie more
+    than [gamma] hops from the max, and the trial restarts on the queue
+    path.
+
+    The queue path, which graphs with cycles, kernels from {!of_slots}
+    and those restarts take, resolves each stage one connected
+    component of its allowed edges at a time: one queue traversal finds
+    the component's max id (a component of one node is decided there),
+    a BFS from it writes every node's depth, and when no node is more
+    than [gamma] hops away that is exactly what the [2*gamma] rounds
+    compute. A component with a farther node runs the exact round
+    simulation instead and counts toward [outcome.simulated]. This path
+    keeps one byte per CSR entry for the allowed edges. Adjacency is
+    scanned only for a stage's participants, I2 and I3; the stage's work
+    besides is a few passes over one byte per slot.
 
     The coin closures carry the {!Rand_plan} draws so this module stays
     independent of the core library; [cut] is drawn from one end of a

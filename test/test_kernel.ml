@@ -17,20 +17,24 @@ module Kernel = Mis_sim.Kernel
 module Trace = Mis_obs.Trace
 module Rand_plan = Fairmis.Rand_plan
 
-(* Kinds 4 and 5 are a randomly masked random graph and a fully masked
-   tree (an empty active set). *)
+(* Kinds 4 to 6 are a randomly masked random graph, a randomly masked
+   tree (a forest of several BFS roots, isolated nodes among them) and a
+   fully masked tree (an empty active set). *)
 let view_of gk ~n ~gseed =
+  let masked g =
+    let rng = Mis_util.Splitmix.of_seed (gseed + 31) in
+    View.restrict
+      ~nodes:(Array.init n (fun _ -> Mis_util.Splitmix.float rng < 0.6))
+      g
+  in
   match gk with
   | 0 -> View.full (Helpers.random_tree ~seed:gseed ~n)
   | 1 -> View.full (Helpers.random_graph ~seed:gseed ~n ~p:0.2)
   | 2 ->
     View.full (Mis_workload.Bipartite.grid ~width:4 ~height:(max 1 (n / 4)))
   | 3 -> View.full (Mis_workload.Real_world.dartmouth_like ~seed:gseed)
-  | 4 ->
-    let rng = Mis_util.Splitmix.of_seed (gseed + 31) in
-    View.restrict
-      ~nodes:(Array.init n (fun _ -> Mis_util.Splitmix.float rng < 0.6))
-      (Helpers.random_graph ~seed:gseed ~n ~p:0.2)
+  | 4 -> masked (Helpers.random_graph ~seed:gseed ~n ~p:0.2)
+  | 5 -> masked (Helpers.random_tree ~seed:gseed ~n)
   | _ -> View.restrict ~nodes:(Array.make n false) (Helpers.random_tree ~seed:gseed ~n)
 
 (* Per-node decision rounds from a traced message run. *)
@@ -59,7 +63,7 @@ let arb_case =
     ~print:(fun (gk, n, gseed, pseed) ->
       Printf.sprintf "graph=%d n=%d gseed=%d pseed=%d" gk n gseed pseed)
     QCheck.Gen.(
-      quad (int_range 0 5) (int_range 4 24) (int_range 0 1000)
+      quad (int_range 0 6) (int_range 4 24) (int_range 0 1000)
         (int_range 0 1000))
 
 (* One kernel value serves every seed in sequence: scratch reuse between
@@ -439,37 +443,43 @@ let test_kernel_footprint () =
 
 (* What each program adds to a fresh kernel, word for word: Luby's runs
    leave one scratch of four slot arrays (three int arrays, a byte per
-   slot), its record and free-list cell, and nothing of FairTree's:
-   neither its byte per CSR entry (n / 4 words on a tree) nor the four
-   int arrays of the round simulation (4n), which the default gamma
-   never runs here. FairTree's runs then add just the per-entry bytes. *)
+   slot), its record and free-list cell. FairTree's runs then add nothing
+   on a tree, whose stages run as forward slot sweeps, and exactly the
+   queue path's byte per CSR entry on a graph with cycles (a grid); a
+   tree whose runs fell back to the queue path would add its entry bytes
+   too. Neither allocates the four int arrays of the round simulation
+   (4n), which the default gamma never runs here. *)
 let test_kernel_footprint_per_program () =
-  let g = Mis_workload.Trees.complete_kary ~branch:5 ~depth:5 in
-  let view = View.full g in
-  let n = View.n view and entries = 2 * Mis_graph.Graph.m g in
-  let kernel = Kernel.create view in
-  let words () = Obj.reachable_words (Obj.repr kernel) in
-  let base = words () in
   let plan = Rand_plan.make 1 in
-  let scratch = (3 * (n + 1)) + (n / 8) + 32 in
-  for _ = 1 to 2 do
-    ignore (Fairmis.Luby.run_kernel_on kernel plan)
-  done;
-  let luby = words () - base in
-  if luby > scratch then
-    Alcotest.failf "Luby runs added %d words, above one lean scratch (%d)" luby
-      scratch;
-  for _ = 1 to 2 do
-    ignore (Fairmis.Fair_tree_distributed.run_kernel_on kernel plan)
-  done;
-  let both = words () - base in
-  let bytes = (entries / 8) + 2 in
-  if both - luby > bytes then
-    Alcotest.failf "FairTree runs added %d words, above its entry bytes (%d)"
-      (both - luby) bytes;
-  if both - luby < bytes - 2 then
-    Alcotest.failf "FairTree runs added %d words, below its entry bytes (%d)"
-      (both - luby) bytes
+  let check name view ~entry_bytes =
+    let n = View.n view in
+    let kernel = Kernel.create view in
+    let words () = Obj.reachable_words (Obj.repr kernel) in
+    let base = words () in
+    let scratch = (3 * (n + 1)) + (n / 8) + 32 in
+    for _ = 1 to 2 do
+      ignore (Fairmis.Luby.run_kernel_on kernel plan)
+    done;
+    let luby = words () - base in
+    if luby > scratch then
+      Alcotest.failf "%s: Luby runs added %d words, above one lean scratch (%d)"
+        name luby scratch;
+    for _ = 1 to 2 do
+      ignore (Fairmis.Fair_tree_distributed.run_kernel_on kernel plan)
+    done;
+    let added = words () - base - luby in
+    let bytes, slack =
+      if entry_bytes then ((2 * Mis_graph.Graph.m (View.graph view) / 8) + 2, 2)
+      else (0, 0)
+    in
+    if added > bytes || added < bytes - slack then
+      Alcotest.failf "%s: FairTree runs added %d words, expected %d" name added
+        bytes
+  in
+  check "5-ary tree"
+    (View.full (Mis_workload.Trees.complete_kary ~branch:5 ~depth:5))
+    ~entry_bytes:false;
+  check "4x100 grid" (view_of 2 ~n:400 ~gseed:0) ~entry_bytes:true
 
 (* Outcome and scratch reuse: one kernel and one outcome serve a run of
    each program in turn, with Luby and FairTree cut off early, at the
